@@ -37,9 +37,16 @@ cargo build --release
 step "cargo test"
 cargo test -q
 
+step "crate test suites (release)"
+# `cargo test -q` builds only the root package. Kernel parity, f32
+# parity, both golden pins, server determinism and the stress suite live
+# in these crates; release mode keeps the training-heavy core unit tests
+# to ~30 s on a 2-core host once built.
+cargo test -q --release -p nn -p retina-core -p serving
+
 step "simd feature matrix"
-# The f32 inference tier ships an opt-in AVX2 dispatch path behind the
-# `simd` feature (DESIGN.md §13). Build it everywhere; run the nn parity
+# The matmul kernels (f64 and f32) ship an opt-in AVX2 dispatch path
+# behind the `simd` feature (DESIGN.md §13). Build it everywhere; run the nn parity
 # suites under it only when the host CPU can actually take the AVX2
 # branch, so bit-identity of simd-on vs simd-off is exercised for real.
 cargo build -q --release --features simd

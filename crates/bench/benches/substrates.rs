@@ -3,7 +3,7 @@
 //! experiment rests on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use nn::{AttentionF32, ExogenousAttention, Gru, GruF32, Matrix, MatrixF32};
+use nn::{AttentionF32, ExogenousAttention, Gru, GruF32, Matrix};
 use socialsim::FollowerGraph;
 use std::hint::black_box;
 use text::{Doc2Vec, Doc2VecConfig, TfIdfConfig, TfIdfVectorizer};
@@ -97,8 +97,8 @@ fn bench_nn(c: &mut Criterion) {
         b.iter(|| black_box(att.forward(&xt, &xn)))
     });
     let mut att32 = AttentionF32::from_attention(&ExogenousAttention::new(50, 50, 64, 0));
-    let xt32 = MatrixF32::from_f64(&xt);
-    let xn32: Vec<MatrixF32> = xn.iter().map(MatrixF32::from_f64).collect();
+    let xt32 = Matrix::<f32>::from_f64(&xt);
+    let xn32: Vec<Matrix<f32>> = xn.iter().map(Matrix::from_f64).collect();
     c.bench_function("nn/attention_infer_60news_f32", |b| {
         b.iter(|| {
             black_box(att32.forward(&xt32, &xn32));
@@ -110,7 +110,7 @@ fn bench_nn(c: &mut Criterion) {
         b.iter(|| black_box(gru.forward(&xs)))
     });
     let mut gru32 = GruF32::from_gru(&Gru::new(128, 64, 0));
-    let xs32: Vec<MatrixF32> = xs.iter().map(MatrixF32::from_f64).collect();
+    let xs32: Vec<Matrix<f32>> = xs.iter().map(Matrix::from_f64).collect();
     c.bench_function("nn/gru_infer_6steps_batch64_f32", |b| {
         b.iter(|| {
             black_box(gru32.forward(&xs32));

@@ -15,9 +15,9 @@ pub mod peer;
 pub mod topic;
 pub mod user_history;
 
-use parking_lot::Mutex;
 use socialsim::{Dataset, TweetId, UserId};
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use text::{Doc2Vec, Doc2VecConfig, HateLexicon, TfIdfConfig, TfIdfVectorizer};
 
 /// The four ablatable signal groups of Eq. 1 / Table V.
@@ -142,6 +142,13 @@ fn with_bigrams(tokens: &[String]) -> Vec<String> {
     out
 }
 
+/// Lock a feature cache. A poisoned cache is still consistent (entries
+/// are inserted whole, after they are computed), so a panicking peer
+/// must not take the cache down with it.
+fn lock<T>(cache: &Mutex<T>) -> MutexGuard<'_, T> {
+    cache.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Hate-generation feature extractor (Section IV).
 pub struct HategenFeatures<'a> {
     data: &'a Dataset,
@@ -193,11 +200,11 @@ impl<'a> HategenFeatures<'a> {
     /// the same bucket see the same most-recent-60 news window).
     fn exogenous_cached(&self, t0: f64) -> Vec<f64> {
         let bucket = (t0 * 10.0) as i64;
-        if let Some(v) = self.exo_cache.lock().get(&bucket) {
+        if let Some(v) = lock(&self.exo_cache).get(&bucket) {
             return v.clone();
         }
         let v = exogenous::news_tfidf(self.data, self.models, t0, 60);
-        self.exo_cache.lock().insert(bucket, v.clone());
+        lock(&self.exo_cache).insert(bucket, v.clone());
         v
     }
 
@@ -269,7 +276,7 @@ impl<'a> RetweetFeatures<'a> {
     /// Root-tweet features: hate-lexicon vector + top-300 TF-IDF
     /// (Section V-A), cached per tweet.
     pub fn tweet_row(&self, tweet: TweetId) -> Vec<f64> {
-        if let Some(v) = self.tweet_cache.lock().get(&tweet) {
+        if let Some(v) = lock(&self.tweet_cache).get(&tweet) {
             return v.clone();
         }
         let t = &self.data.tweets()[tweet];
@@ -285,18 +292,18 @@ impl<'a> RetweetFeatures<'a> {
                 .tweet_tfidf
                 .transform_tokens(&with_bigrams(&t.tokens)),
         );
-        self.tweet_cache.lock().insert(tweet, v.clone());
+        lock(&self.tweet_cache).insert(tweet, v.clone());
         v
     }
 
     /// Exogenous news TF-IDF for a tweet's posting time, cached per tweet.
     pub fn exo_row(&self, tweet: TweetId) -> Vec<f64> {
-        if let Some(v) = self.exo_cache.lock().get(&tweet) {
+        if let Some(v) = lock(&self.exo_cache).get(&tweet) {
             return v.clone();
         }
         let t0 = self.data.tweets()[tweet].time_hours;
         let v = exogenous::news_tfidf(self.data, self.models, t0, 60);
-        self.exo_cache.lock().insert(tweet, v.clone());
+        lock(&self.exo_cache).insert(tweet, v.clone());
         v
     }
 

@@ -4,8 +4,9 @@
 //!
 //! Built once via [`crate::retina::Retina::to_f32_inference`]: every
 //! weight matrix is narrowed `f64 → f32` a single time, after which
-//! scoring runs entirely on the [`nn::tensor32`] kernels with warm
-//! scratch reuse (zero steady-state allocation in the tensor ops).
+//! scoring runs entirely on the [`nn::tensor`] kernels at `T = f32`
+//! with warm scratch reuse (zero steady-state allocation in the tensor
+//! ops).
 //!
 //! ## Tolerance contract
 //!
@@ -13,9 +14,10 @@
 //! [`ml::StandardScaler`] — the narrowing boundary sits *after* the
 //! scaler, so the f32 tier sees exactly the rows the f64 model sees,
 //! rounded once to `f32`. The final logit→probability map widens back
-//! to `f64` and reuses the same stable sigmoid formula as the f64
-//! model. The end-to-end divergence is therefore pure `f32` rounding
-//! through the forward pass; the serving parity suite
+//! to `f64` and goes through the same
+//! [`nn::activation::stable_sigmoid`] as the f64 model. The end-to-end
+//! divergence is therefore pure `f32` rounding through the forward
+//! pass; the serving parity suite
 //! (`crates/serving/tests/f32_parity.rs`) pins it below `1e-3`
 //! absolute on probabilities for the golden snapshot. Within the f32
 //! tier, results are bit-identical across thread counts, batching
@@ -23,7 +25,8 @@
 
 use crate::retina::{PackedSample, RetinaMode};
 use ml::StandardScaler;
-use nn::{AttentionF32, DenseF32, GruF32, LstmF32, MatrixF32, RnnF32};
+use nn::activation::stable_sigmoid;
+use nn::{AttentionF32, DenseF32, GruF32, LstmF32, Matrix, RnnF32};
 
 /// Recurrent cell of the f32 dynamic head.
 #[derive(Debug, Clone)]
@@ -34,7 +37,7 @@ pub(crate) enum CellF32 {
 }
 
 impl CellF32 {
-    fn forward(&mut self, xs: &[MatrixF32]) -> &[MatrixF32] {
+    fn forward(&mut self, xs: &[Matrix<f32>]) -> &[Matrix<f32>] {
         match self {
             CellF32::Gru(c) => c.forward(xs),
             CellF32::Lstm(c) => c.forward(xs),
@@ -66,15 +69,15 @@ pub struct RetinaF32 {
     /// Input normalization stays in f64 (see module docs).
     pub(crate) scaler: Option<StandardScaler>,
     // Warm scratch.
-    pub(crate) x: MatrixF32,
-    pub(crate) hidden: MatrixF32,
-    pub(crate) merged: MatrixF32,
-    pub(crate) logits: MatrixF32,
-    pub(crate) step_out: MatrixF32,
-    pub(crate) xt: MatrixF32,
-    pub(crate) xn: Vec<MatrixF32>,
-    pub(crate) xs: Vec<MatrixF32>,
-    pub(crate) ctx_zero: MatrixF32,
+    pub(crate) x: Matrix<f32>,
+    pub(crate) hidden: Matrix<f32>,
+    pub(crate) merged: Matrix<f32>,
+    pub(crate) logits: Matrix<f32>,
+    pub(crate) step_out: Matrix<f32>,
+    pub(crate) xt: Matrix<f32>,
+    pub(crate) xn: Vec<Matrix<f32>>,
+    pub(crate) xs: Vec<Matrix<f32>>,
+    pub(crate) ctx_zero: Matrix<f32>,
 }
 
 impl RetinaF32 {
@@ -103,7 +106,7 @@ impl RetinaF32 {
     }
 
     /// Narrow a borrowed f64 row into a 1×d f32 matrix.
-    fn narrow_row_into(row: &[f64], out: &mut MatrixF32) {
+    fn narrow_row_into(row: &[f64], out: &mut Matrix<f32>) {
         out.resize_to(1, row.len());
         for (o, v) in out.row_mut(0).iter_mut().zip(row) {
             // lint: allow(float-flow) one-time f64→f32 narrowing at the inference boundary
@@ -128,20 +131,20 @@ impl RetinaF32 {
         let h_cols = self.hidden.cols();
         match self.attention.as_mut() {
             Some(att) => {
-                let ctx: &MatrixF32 = if sample.news_d2v.is_empty() {
+                let ctx: &Matrix<f32> = if sample.news_d2v.is_empty() {
                     self.ctx_zero.resize_to(1, att.out_dim());
                     &self.ctx_zero
                 } else {
                     Self::narrow_row_into(&sample.tweet_d2v, &mut self.xt);
                     self.xn
-                        .resize_with(sample.news_d2v.len(), || MatrixF32::zeros(0, 0));
+                        .resize_with(sample.news_d2v.len(), || Matrix::zeros(0, 0));
                     for (buf, row) in self.xn.iter_mut().zip(&sample.news_d2v) {
                         Self::narrow_row_into(row, buf);
                     }
                     att.forward(&self.xt, &self.xn)
                 };
                 // merged = [hidden | ctx broadcast over rows], assembled
-                // in scratch (tensor32 has no concat_cols).
+                // in scratch: `ctx` is one row, broadcast to all `n`.
                 self.merged.resize_to(n, h_cols + ctx.cols());
                 for r in 0..n {
                     let hrow = self.hidden.row(r);
@@ -162,7 +165,7 @@ impl RetinaF32 {
             }
             HeadF32::Dynamic { cell, step } => {
                 let t_len = self.n_intervals;
-                self.xs.resize_with(t_len, || MatrixF32::zeros(0, 0));
+                self.xs.resize_with(t_len, || Matrix::zeros(0, 0));
                 for buf in &mut self.xs {
                     buf.copy_from(&self.merged);
                 }
@@ -189,14 +192,14 @@ impl RetinaF32 {
         match self.mode {
             RetinaMode::Static => (0..logits.rows())
                 // lint: allow(float-flow) widening f32 logit back to f64 is exact
-                .map(|r| sigmoid(logits.get(r, 0) as f64))
+                .map(|r| stable_sigmoid(logits.get(r, 0) as f64))
                 .collect(),
             RetinaMode::Dynamic => (0..logits.rows())
                 .map(|r| {
                     let mut p_none = 1.0;
                     for t in 0..logits.cols() {
                         // lint: allow(float-flow) widening f32 logit back to f64 is exact
-                        p_none *= 1.0 - sigmoid(logits.get(r, t) as f64);
+                        p_none *= 1.0 - stable_sigmoid(logits.get(r, t) as f64);
                     }
                     1.0 - p_none
                 })
@@ -207,15 +210,5 @@ impl RetinaF32 {
     /// Hidden size (for sizing checks in serving).
     pub fn hdim(&self) -> usize {
         self.hdim
-    }
-}
-
-/// Stable sigmoid, identical to the f64 model's.
-fn sigmoid(x: f64) -> f64 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
     }
 }

@@ -18,6 +18,7 @@ use crate::features::RetweetFeatures;
 use crate::seed::SeedStream;
 use diffusion::CascadeSample;
 use ml::StandardScaler;
+use nn::activation::stable_sigmoid;
 use nn::{Activation, ActivationKind, Dense, ExogenousAttention, Gru, Lstm, Matrix, SimpleRnn};
 use nn::{Param, WeightedBce};
 
@@ -188,7 +189,7 @@ pub fn pack_sample(
 
 /// Pack many samples in parallel across `n_threads` worker threads
 /// (the [`nn::par`] chunked work-splitter; the extractor's caches are
-/// `parking_lot` mutexes, so one extractor is shared by all workers).
+/// `std::sync::Mutex`es, so one extractor is shared by all workers).
 ///
 /// ## Why chunking cannot reorder outputs
 ///
@@ -495,13 +496,13 @@ impl Retina {
         let logits = self.forward(sample);
         match self.config.mode {
             RetinaMode::Static => (0..logits.rows())
-                .map(|r| sigmoid(logits.get(r, 0)))
+                .map(|r| stable_sigmoid(logits.get(r, 0)))
                 .collect(),
             RetinaMode::Dynamic => (0..logits.rows())
                 .map(|r| {
                     let mut p_none = 1.0;
                     for t in 0..logits.cols() {
-                        p_none *= 1.0 - sigmoid(logits.get(r, t));
+                        p_none *= 1.0 - stable_sigmoid(logits.get(r, t));
                     }
                     1.0 - p_none
                 })
@@ -512,7 +513,7 @@ impl Retina {
     /// Per-interval probabilities (`candidates × T`); dynamic mode only.
     pub fn predict_proba_dynamic(&mut self, sample: &PackedSample) -> Matrix {
         assert_eq!(self.config.mode, RetinaMode::Dynamic);
-        self.forward(sample).map(sigmoid)
+        self.forward(sample).map(stable_sigmoid)
     }
 
     /// Target matrix matching [`Retina::forward`]'s logit shape.
@@ -542,7 +543,7 @@ impl Retina {
     /// the tolerance contract.
     pub fn to_f32_inference(&self) -> crate::infer32::RetinaF32 {
         use crate::infer32::{CellF32, HeadF32, RetinaF32};
-        use nn::{AttentionF32, DenseF32, GruF32, LstmF32, MatrixF32, RnnF32};
+        use nn::{AttentionF32, DenseF32, GruF32, LstmF32, RnnF32};
         let head = match &self.head {
             Head::Static(out) => HeadF32::Static(DenseF32::from_dense(out)),
             Head::Dynamic { cell, step, .. } => HeadF32::Dynamic {
@@ -562,25 +563,16 @@ impl Retina {
             attention: self.attention.as_ref().map(AttentionF32::from_attention),
             head,
             scaler: self.scaler.clone(),
-            x: MatrixF32::zeros(0, 0),
-            hidden: MatrixF32::zeros(0, 0),
-            merged: MatrixF32::zeros(0, 0),
-            logits: MatrixF32::zeros(0, 0),
-            step_out: MatrixF32::zeros(0, 0),
-            xt: MatrixF32::zeros(0, 0),
+            x: Matrix::zeros(0, 0),
+            hidden: Matrix::zeros(0, 0),
+            merged: Matrix::zeros(0, 0),
+            logits: Matrix::zeros(0, 0),
+            step_out: Matrix::zeros(0, 0),
+            xt: Matrix::zeros(0, 0),
             xn: Vec::new(),
             xs: Vec::new(),
-            ctx_zero: MatrixF32::zeros(0, 0),
+            ctx_zero: Matrix::zeros(0, 0),
         }
-    }
-}
-
-fn sigmoid(x: f64) -> f64 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Elementwise activation layers.
 
-use crate::tensor::Matrix;
+use crate::tensor::{Matrix, Scalar};
 
 /// Supported activation functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,13 +74,14 @@ impl Activation {
     }
 }
 
-/// Numerically-stable sigmoid.
-pub fn stable_sigmoid(x: f64) -> f64 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
+/// Numerically-stable sigmoid, at either width: `exp` only ever sees a
+/// non-positive argument, so it cannot overflow.
+pub fn stable_sigmoid<T: Scalar>(x: T) -> T {
+    if x >= T::ZERO {
+        T::ONE / (T::ONE + (-x).exp())
     } else {
         let e = x.exp();
-        e / (1.0 + e)
+        e / (T::ONE + e)
     }
 }
 
@@ -129,5 +130,16 @@ mod tests {
         let mut s = Activation::new(ActivationKind::Sigmoid);
         let y = s.forward(&Matrix::from_vec(1, 1, vec![0.0]));
         assert!((y.get(0, 0) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn stable_sigmoid_is_stable_at_both_widths() {
+        assert!((stable_sigmoid(0.0f32) - 0.5).abs() < 1e-7);
+        assert!(stable_sigmoid(100.0f32) > 0.999);
+        assert!(stable_sigmoid(-100.0f32) < 1e-3);
+        for x in [-1000.0f64, 1000.0] {
+            assert!(stable_sigmoid(x).is_finite());
+            assert!(stable_sigmoid(x as f32).is_finite());
+        }
     }
 }

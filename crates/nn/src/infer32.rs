@@ -1,8 +1,8 @@
 //! Inference-only `f32` replicas of the layer forward passes.
 //!
 //! Each layer here is built by narrowing a trained `f64` layer once
-//! ([`MatrixF32::from_f64`]) and then serves forward passes on the
-//! [`crate::tensor32`] kernels with warm scratch reuse — zero
+//! ([`Matrix::from_f64`]) and then serves forward passes on the
+//! [`crate::tensor`] kernels at `T = f32` with warm scratch reuse — zero
 //! steady-state allocation, no backward, no parameter plumbing. The
 //! arithmetic *structure* (operation order per element) mirrors the
 //! `f64` layers exactly, with one documented exception: gate
@@ -12,20 +12,8 @@
 //! else diverges from the `f64` forward only by `f32` rounding; the
 //! serving parity suite bounds the total end to end (DESIGN.md §13).
 
-use crate::tensor32::{MatrixF32, MatrixF32Pool};
+use crate::tensor::{Matrix, MatrixPool};
 use crate::{Dense, ExogenousAttention, Gru, Lstm, SimpleRnn};
-
-/// Numerically-stable sigmoid in `f32`, mirroring
-/// [`crate::activation::stable_sigmoid`]. Reference implementation for
-/// the vectorizable [`fast_sigmoid32`] used on the hot gate paths.
-pub fn stable_sigmoid32(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
 
 /// `2^t` over clamped inputs via exponent-bit assembly and a degree-6
 /// polynomial for the fractional part — every operation is a plain IEEE
@@ -68,7 +56,7 @@ const LOG2_E: f32 = std::f32::consts::LOG2_E;
 /// computed through [`exp2_fast`] on `-|x|` (always-stable form), then
 /// reflected for positive inputs. Branch arms are pure, so the
 /// autovectorizer turns the select into a blend. Relative error vs the
-/// libm [`stable_sigmoid32`] is ≈2e-7 — inside the f32-tier tolerance
+/// libm [`crate::activation::stable_sigmoid`] is ≈2e-7 — inside the f32-tier tolerance
 /// contract (DESIGN.md §13) by three orders of magnitude.
 #[inline(always)]
 pub fn fast_sigmoid32(x: f32) -> f32 {
@@ -97,16 +85,16 @@ pub fn fast_tanh32(x: f32) -> f32 {
 /// `f32` dense layer: `y = x·W + b`, forward only.
 #[derive(Debug, Clone)]
 pub struct DenseF32 {
-    w: MatrixF32,
-    b: MatrixF32,
+    w: Matrix<f32>,
+    b: Matrix<f32>,
 }
 
 impl DenseF32 {
     /// Narrow a trained `f64` dense layer.
     pub fn from_dense(src: &Dense) -> Self {
         Self {
-            w: MatrixF32::from_f64(&src.w.value),
-            b: MatrixF32::from_f64(&src.b.value),
+            w: Matrix::from_f64(&src.w.value),
+            b: Matrix::from_f64(&src.b.value),
         }
     }
 
@@ -121,7 +109,7 @@ impl DenseF32 {
     }
 
     /// Forward into a caller-owned buffer.
-    pub fn forward_into(&self, x: &MatrixF32, out: &mut MatrixF32) {
+    pub fn forward_into(&self, x: &Matrix<f32>, out: &mut Matrix<f32>) {
         x.matmul_into(&self.w, out);
         out.add_row_broadcast_assign(&self.b);
     }
@@ -132,32 +120,32 @@ impl DenseF32 {
 /// are owned scratch reused across calls.
 #[derive(Debug, Clone)]
 pub struct AttentionF32 {
-    wq: MatrixF32,
-    wk: MatrixF32,
-    wv: MatrixF32,
+    wq: Matrix<f32>,
+    wk: Matrix<f32>,
+    wv: Matrix<f32>,
     hdim: usize,
-    q: MatrixF32,
-    xn_all: MatrixF32,
-    keys_all: MatrixF32,
-    values_all: MatrixF32,
-    attn: MatrixF32,
-    out: MatrixF32,
+    q: Matrix<f32>,
+    xn_all: Matrix<f32>,
+    keys_all: Matrix<f32>,
+    values_all: Matrix<f32>,
+    attn: Matrix<f32>,
+    out: Matrix<f32>,
 }
 
 impl AttentionF32 {
     /// Narrow a trained `f64` attention block.
     pub fn from_attention(src: &ExogenousAttention) -> Self {
         Self {
-            wq: MatrixF32::from_f64(&src.wq.value),
-            wk: MatrixF32::from_f64(&src.wk.value),
-            wv: MatrixF32::from_f64(&src.wv.value),
+            wq: Matrix::from_f64(&src.wq.value),
+            wk: Matrix::from_f64(&src.wk.value),
+            wv: Matrix::from_f64(&src.wv.value),
             hdim: src.out_dim(),
-            q: MatrixF32::zeros(0, 0),
-            xn_all: MatrixF32::zeros(0, 0),
-            keys_all: MatrixF32::zeros(0, 0),
-            values_all: MatrixF32::zeros(0, 0),
-            attn: MatrixF32::zeros(0, 0),
-            out: MatrixF32::zeros(0, 0),
+            q: Matrix::zeros(0, 0),
+            xn_all: Matrix::zeros(0, 0),
+            keys_all: Matrix::zeros(0, 0),
+            values_all: Matrix::zeros(0, 0),
+            attn: Matrix::zeros(0, 0),
+            out: Matrix::zeros(0, 0),
         }
     }
 
@@ -168,7 +156,7 @@ impl AttentionF32 {
 
     /// Forward pass; the returned reference stays valid until the next
     /// call. `xn` must be non-empty with the same batch size as `xt`.
-    pub fn forward(&mut self, xt: &MatrixF32, xn: &[MatrixF32]) -> &MatrixF32 {
+    pub fn forward(&mut self, xt: &Matrix<f32>, xn: &[Matrix<f32>]) -> &Matrix<f32> {
         assert!(!xn.is_empty(), "attention needs at least one news item");
         let batch = xt.rows();
         assert!(
@@ -180,7 +168,7 @@ impl AttentionF32 {
         let scale = 1.0 / (self.hdim.max(1) as f32).sqrt();
 
         xt.matmul_into(&self.wq, &mut self.q);
-        MatrixF32::vstack_into(xn, &mut self.xn_all);
+        Matrix::vstack_into(xn, &mut self.xn_all);
         self.xn_all.matmul_into(&self.wk, &mut self.keys_all);
         self.xn_all.matmul_into(&self.wv, &mut self.values_all);
 
@@ -229,36 +217,36 @@ impl AttentionF32 {
 /// across calls; the returned slice stays valid until the next call.
 #[derive(Debug, Clone)]
 pub struct GruF32 {
-    wz: MatrixF32,
-    uz: MatrixF32,
-    bz: MatrixF32,
-    wr: MatrixF32,
-    ur: MatrixF32,
-    br: MatrixF32,
-    wh: MatrixF32,
-    uh: MatrixF32,
-    bh: MatrixF32,
+    wz: Matrix<f32>,
+    uz: Matrix<f32>,
+    bz: Matrix<f32>,
+    wr: Matrix<f32>,
+    ur: Matrix<f32>,
+    br: Matrix<f32>,
+    wh: Matrix<f32>,
+    uh: Matrix<f32>,
+    bh: Matrix<f32>,
     hidden: usize,
-    hs: Vec<MatrixF32>,
-    pool: MatrixF32Pool,
+    hs: Vec<Matrix<f32>>,
+    pool: MatrixPool<f32>,
 }
 
 impl GruF32 {
     /// Narrow a trained `f64` GRU.
     pub fn from_gru(src: &Gru) -> Self {
         Self {
-            wz: MatrixF32::from_f64(&src.wz.value),
-            uz: MatrixF32::from_f64(&src.uz.value),
-            bz: MatrixF32::from_f64(&src.bz.value),
-            wr: MatrixF32::from_f64(&src.wr.value),
-            ur: MatrixF32::from_f64(&src.ur.value),
-            br: MatrixF32::from_f64(&src.br.value),
-            wh: MatrixF32::from_f64(&src.wh.value),
-            uh: MatrixF32::from_f64(&src.uh.value),
-            bh: MatrixF32::from_f64(&src.bh.value),
+            wz: Matrix::from_f64(&src.wz.value),
+            uz: Matrix::from_f64(&src.uz.value),
+            bz: Matrix::from_f64(&src.bz.value),
+            wr: Matrix::from_f64(&src.wr.value),
+            ur: Matrix::from_f64(&src.ur.value),
+            br: Matrix::from_f64(&src.br.value),
+            wh: Matrix::from_f64(&src.wh.value),
+            uh: Matrix::from_f64(&src.uh.value),
+            bh: Matrix::from_f64(&src.bh.value),
             hidden: src.hidden_dim(),
             hs: Vec::new(),
-            pool: MatrixF32Pool::new(),
+            pool: MatrixPool::new(),
         }
     }
 
@@ -268,7 +256,7 @@ impl GruF32 {
     }
 
     /// Forward over a sequence; returns hidden states `h_1..h_T`.
-    pub fn forward(&mut self, xs: &[MatrixF32]) -> &[MatrixF32] {
+    pub fn forward(&mut self, xs: &[Matrix<f32>]) -> &[Matrix<f32>] {
         assert!(!xs.is_empty(), "GRU needs a non-empty sequence");
         for m in self.hs.drain(..) {
             self.pool.recycle(m);
@@ -321,42 +309,42 @@ impl GruF32 {
 /// `f32` LSTM, forward only.
 #[derive(Debug, Clone)]
 pub struct LstmF32 {
-    wi: MatrixF32,
-    ui: MatrixF32,
-    bi: MatrixF32,
-    wf: MatrixF32,
-    uf: MatrixF32,
-    bf: MatrixF32,
-    wo: MatrixF32,
-    uo: MatrixF32,
-    bo: MatrixF32,
-    wg: MatrixF32,
-    ug: MatrixF32,
-    bg: MatrixF32,
+    wi: Matrix<f32>,
+    ui: Matrix<f32>,
+    bi: Matrix<f32>,
+    wf: Matrix<f32>,
+    uf: Matrix<f32>,
+    bf: Matrix<f32>,
+    wo: Matrix<f32>,
+    uo: Matrix<f32>,
+    bo: Matrix<f32>,
+    wg: Matrix<f32>,
+    ug: Matrix<f32>,
+    bg: Matrix<f32>,
     hidden: usize,
-    hs: Vec<MatrixF32>,
-    pool: MatrixF32Pool,
+    hs: Vec<Matrix<f32>>,
+    pool: MatrixPool<f32>,
 }
 
 impl LstmF32 {
     /// Narrow a trained `f64` LSTM.
     pub fn from_lstm(src: &Lstm) -> Self {
         Self {
-            wi: MatrixF32::from_f64(&src.wi.value),
-            ui: MatrixF32::from_f64(&src.ui.value),
-            bi: MatrixF32::from_f64(&src.bi.value),
-            wf: MatrixF32::from_f64(&src.wf.value),
-            uf: MatrixF32::from_f64(&src.uf.value),
-            bf: MatrixF32::from_f64(&src.bf.value),
-            wo: MatrixF32::from_f64(&src.wo.value),
-            uo: MatrixF32::from_f64(&src.uo.value),
-            bo: MatrixF32::from_f64(&src.bo.value),
-            wg: MatrixF32::from_f64(&src.wg.value),
-            ug: MatrixF32::from_f64(&src.ug.value),
-            bg: MatrixF32::from_f64(&src.bg.value),
+            wi: Matrix::from_f64(&src.wi.value),
+            ui: Matrix::from_f64(&src.ui.value),
+            bi: Matrix::from_f64(&src.bi.value),
+            wf: Matrix::from_f64(&src.wf.value),
+            uf: Matrix::from_f64(&src.uf.value),
+            bf: Matrix::from_f64(&src.bf.value),
+            wo: Matrix::from_f64(&src.wo.value),
+            uo: Matrix::from_f64(&src.uo.value),
+            bo: Matrix::from_f64(&src.bo.value),
+            wg: Matrix::from_f64(&src.wg.value),
+            ug: Matrix::from_f64(&src.ug.value),
+            bg: Matrix::from_f64(&src.bg.value),
             hidden: src.hidden_dim(),
             hs: Vec::new(),
-            pool: MatrixF32Pool::new(),
+            pool: MatrixPool::new(),
         }
     }
 
@@ -366,7 +354,7 @@ impl LstmF32 {
     }
 
     /// Forward over a sequence; returns hidden states `h_1..h_T`.
-    pub fn forward(&mut self, xs: &[MatrixF32]) -> &[MatrixF32] {
+    pub fn forward(&mut self, xs: &[Matrix<f32>]) -> &[Matrix<f32>] {
         assert!(!xs.is_empty(), "LSTM needs a non-empty sequence");
         for m in self.hs.drain(..) {
             self.pool.recycle(m);
@@ -426,24 +414,24 @@ impl LstmF32 {
 /// `f32` simple (Elman) RNN, forward only.
 #[derive(Debug, Clone)]
 pub struct RnnF32 {
-    w: MatrixF32,
-    u: MatrixF32,
-    b: MatrixF32,
+    w: Matrix<f32>,
+    u: Matrix<f32>,
+    b: Matrix<f32>,
     hidden: usize,
-    hs: Vec<MatrixF32>,
-    pool: MatrixF32Pool,
+    hs: Vec<Matrix<f32>>,
+    pool: MatrixPool<f32>,
 }
 
 impl RnnF32 {
     /// Narrow a trained `f64` RNN.
     pub fn from_rnn(src: &SimpleRnn) -> Self {
         Self {
-            w: MatrixF32::from_f64(&src.w.value),
-            u: MatrixF32::from_f64(&src.u.value),
-            b: MatrixF32::from_f64(&src.b.value),
+            w: Matrix::from_f64(&src.w.value),
+            u: Matrix::from_f64(&src.u.value),
+            b: Matrix::from_f64(&src.b.value),
             hidden: src.hidden_dim(),
             hs: Vec::new(),
-            pool: MatrixF32Pool::new(),
+            pool: MatrixPool::new(),
         }
     }
 
@@ -453,7 +441,7 @@ impl RnnF32 {
     }
 
     /// Forward over a sequence; returns hidden states `h_1..h_T`.
-    pub fn forward(&mut self, xs: &[MatrixF32]) -> &[MatrixF32] {
+    pub fn forward(&mut self, xs: &[Matrix<f32>]) -> &[Matrix<f32>] {
         assert!(!xs.is_empty(), "RNN needs a non-empty sequence");
         for m in self.hs.drain(..) {
             self.pool.recycle(m);
@@ -479,10 +467,10 @@ impl RnnF32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tensor::Matrix;
+    use crate::activation::stable_sigmoid;
 
     /// Max |f64 − f32| over all elements of a forward output.
-    fn max_abs_gap(wide: &Matrix, narrow: &MatrixF32) -> f64 {
+    fn max_abs_gap(wide: &Matrix, narrow: &Matrix<f32>) -> f64 {
         assert_eq!((wide.rows(), wide.cols()), (narrow.rows(), narrow.cols()));
         let mut worst = 0.0f64;
         for r in 0..wide.rows() {
@@ -493,8 +481,8 @@ mod tests {
         worst
     }
 
-    fn narrow_seq(xs: &[Matrix]) -> Vec<MatrixF32> {
-        xs.iter().map(MatrixF32::from_f64).collect()
+    fn narrow_seq(xs: &[Matrix]) -> Vec<Matrix<f32>> {
+        xs.iter().map(Matrix::from_f64).collect()
     }
 
     #[test]
@@ -504,8 +492,8 @@ mod tests {
         let want = d.forward(&x);
         let d32 = DenseF32::from_dense(&d);
         assert_eq!((d32.in_dim(), d32.out_dim()), (7, 4));
-        let mut got = MatrixF32::zeros(0, 0);
-        d32.forward_into(&MatrixF32::from_f64(&x), &mut got);
+        let mut got = Matrix::zeros(0, 0);
+        d32.forward_into(&Matrix::from_f64(&x), &mut got);
         assert!(max_abs_gap(&want, &got) < 1e-5);
     }
 
@@ -519,7 +507,7 @@ mod tests {
         let want = att.forward(&xt, &xn);
         let mut att32 = AttentionF32::from_attention(&att);
         assert_eq!(att32.out_dim(), 8);
-        let got = att32.forward(&MatrixF32::from_f64(&xt), &narrow_seq(&xn));
+        let got = att32.forward(&Matrix::from_f64(&xt), &narrow_seq(&xn));
         assert!(max_abs_gap(&want, got) < 1e-5);
     }
 
@@ -564,7 +552,7 @@ mod tests {
         let xs32 = narrow_seq(&xs);
         let gru = Gru::new(5, 6, 9);
         let mut gru32 = GruF32::from_gru(&gru);
-        let first: Vec<MatrixF32> = gru32.forward(&xs32).to_vec();
+        let first: Vec<Matrix<f32>> = gru32.forward(&xs32).to_vec();
         for _ in 0..3 {
             let again = gru32.forward(&xs32);
             for (t, (y0, y1)) in first.iter().zip(again).enumerate() {
@@ -583,9 +571,9 @@ mod tests {
             let s = fast_sigmoid32(x);
             let t = fast_tanh32(x);
             assert!(
-                (s - stable_sigmoid32(x)).abs() < 5e-7,
+                (s - stable_sigmoid(x)).abs() < 5e-7,
                 "sigmoid gap at {x}: {s} vs {}",
-                stable_sigmoid32(x)
+                stable_sigmoid(x)
             );
             assert!(
                 (t - x.tanh()).abs() < 5e-7,
@@ -602,14 +590,5 @@ mod tests {
         assert_eq!(fast_tanh32(1000.0), 1.0);
         assert_eq!(fast_tanh32(-1000.0), -1.0);
         assert!(fast_tanh32(-3.0) == -fast_tanh32(3.0));
-    }
-
-    #[test]
-    fn stable_sigmoid32_matches_f64_shape() {
-        assert!((stable_sigmoid32(0.0) - 0.5).abs() < 1e-7);
-        assert!(stable_sigmoid32(100.0) > 0.999);
-        assert!(stable_sigmoid32(-100.0) < 1e-3);
-        assert!(stable_sigmoid32(-1000.0).is_finite());
-        assert!(stable_sigmoid32(1000.0).is_finite());
     }
 }

@@ -6,8 +6,10 @@
 //! cross-entropy. No Rust deep-learning crate is available offline, so
 //! this crate implements the required subset from scratch:
 //!
-//! * [`tensor`] — a dense row-major `Matrix` (batch × features) with the
-//!   usual operations, blocked matmul kernels, output-reuse `*_into`
+//! * [`tensor`] — a dense row-major `Matrix<T>` (batch × features) over
+//!   `f64` (the default) or `f32`, with the usual operations, blocked
+//!   matmul kernels (optional AVX2 path behind `--features simd`,
+//!   bit-identical to the scalar fallback), output-reuse `*_into`
 //!   variants and a scratch [`tensor::MatrixPool`].
 //! * [`par`] — deterministic work-splitting (thread count never changes
 //!   results); home of the `RETINA_THREADS` override.
@@ -18,11 +20,9 @@
 //!   sequences (the paper ablates GRU vs LSTM vs simple RNN).
 //! * [`attention`] — the exogenous scaled dot-product attention of Eqs.
 //!   3–5.
-//! * [`tensor32`], [`infer32`] — the `f32` inference tier: a `MatrixF32`
-//!   with the same blocked kernels (optional AVX2 path behind
-//!   `--features simd`, bit-identical to the scalar fallback) and
-//!   forward-only `f32` replicas of the layers above, built by
-//!   narrowing a trained `f64` model once.
+//! * [`infer32`] — the `f32` inference tier: forward-only replicas of
+//!   the layers above on `Matrix<f32>`, built by narrowing a trained
+//!   `f64` model once.
 //! * [`loss`] — weighted BCE (Eq. 6) computed on logits for stability.
 //! * [`optim`] — SGD and Adam.
 //! * [`gradcheck`] — finite-difference gradient verification used by the
@@ -50,7 +50,6 @@ pub mod param;
 pub mod rnn;
 pub mod sanitize;
 pub mod tensor;
-pub mod tensor32;
 
 pub use activation::{Activation, ActivationKind};
 pub use attention::ExogenousAttention;
@@ -64,5 +63,4 @@ pub use optim::{Adam, Optimizer, Sgd};
 pub use param::Param;
 pub use rnn::SimpleRnn;
 pub use sanitize::NumericError;
-pub use tensor::{Matrix, MatrixPool};
-pub use tensor32::{MatrixF32, MatrixF32Pool};
+pub use tensor::{Matrix, MatrixPool, Scalar};

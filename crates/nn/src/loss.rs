@@ -115,7 +115,7 @@ mod tests {
         let z = Matrix::from_vec(1, 2, vec![0.3, -1.2]);
         let t = Matrix::from_vec(1, 2, vec![1.0, 0.0]);
         let naive = {
-            let p1 = stable_sigmoid(0.3);
+            let p1 = stable_sigmoid(0.3f64);
             let p2 = stable_sigmoid(-1.2);
             (-(p1.ln()) - (1.0f64 - p2).ln()) / 2.0
         };

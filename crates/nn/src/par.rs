@@ -28,9 +28,8 @@
 //!    `RandomForestConfig.threads`, `Doc2VecConfig.threads`; `0` = auto).
 //! 3. `std::thread::available_parallelism()`.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Workspace-wide thread knob; `0` means "not set, use auto resolution".
 static THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -99,7 +98,8 @@ pub const MIN_PAR_FLOPS: usize = 1 << 21;
 /// `n_workers <= 1` (or a single chunk) everything runs inline on the
 /// caller's thread in index order.
 ///
-/// Panics in a worker propagate to the caller.
+/// Panics in a worker propagate to the caller (`std::thread::scope`
+/// re-raises once every worker has stopped).
 pub fn for_each_chunk<T, F>(data: &mut [T], n_workers: usize, f: F)
 where
     T: Send,
@@ -115,14 +115,12 @@ where
         return;
     }
     let chunk_len = n.div_ceil(workers);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for (ci, chunk) in data.chunks_mut(chunk_len).enumerate() {
             let f = &f;
-            scope.spawn(move |_| f(ci * chunk_len, chunk));
+            scope.spawn(move || f(ci * chunk_len, chunk));
         }
-    })
-    // lint: allow(unwrap) a worker panic must propagate, not be swallowed; lint: allow(panic-reach) re-raises a worker panic, never introduces one
-    .expect("parallel worker panicked");
+    });
 }
 
 /// Row-aligned variant of [`for_each_chunk`]: splits `data` (a row-major
@@ -147,14 +145,12 @@ where
         return;
     }
     let rows_per = rows.div_ceil(workers);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for (ci, chunk) in data.chunks_mut(rows_per * row_len).enumerate() {
             let f = &f;
-            scope.spawn(move |_| f(ci * rows_per, chunk));
+            scope.spawn(move || f(ci * rows_per, chunk));
         }
-    })
-    // lint: allow(unwrap) a worker panic must propagate, not be swallowed; lint: allow(panic-reach) re-raises a worker panic, never introduces one
-    .expect("parallel worker panicked");
+    });
 }
 
 /// Deterministic parallel map: `out[i] = f(i)` for `i in 0..n`, computed
@@ -191,30 +187,26 @@ where
         return (0..n).map(f).collect();
     }
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = Mutex::new(0usize);
-    crossbeam::scope(|scope| {
+    let cursor = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
         for _ in 0..workers {
             let (slots, cursor, f) = (&slots, &cursor, &f);
-            scope.spawn(move |_| loop {
-                let i = {
-                    let mut c = cursor.lock();
-                    let i = *c;
-                    *c += 1;
-                    i
-                };
-                if i >= n {
+            scope.spawn(move || loop {
+                // Relaxed: the cursor only hands out indices; results
+                // travel through the slot mutexes and the scope join.
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = slots.get(i) else {
                     break;
-                }
-                *slots[i].lock() = Some(f(i));
+                };
+                *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(f(i));
             });
         }
-    })
-    // lint: allow(unwrap) a worker panic must propagate, not be swallowed; lint: allow(panic-reach) re-raises a worker panic, never introduces one
-    .expect("parallel worker panicked");
+    });
     slots
         .into_iter()
+        .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
         // lint: allow(unwrap) every index below n is claimed exactly once; lint: allow(panic-reach) slot fill is proven by the cursor protocol
-        .map(|m| m.into_inner().expect("slot filled"))
+        .map(|r| r.expect("slot filled"))
         .collect()
 }
 

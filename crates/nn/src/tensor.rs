@@ -1,6 +1,13 @@
 //! Dense row-major matrices (`batch × features`) — the only tensor shape
 //! the RETINA models need; sequences are `Vec<Matrix>`.
 //!
+//! `Matrix<T>` is generic over the sealed [`Scalar`] trait: `f64` (the
+//! default, so a bare `Matrix` is the training matrix) and `f32` (the
+//! inference tier, built by narrowing a trained model once through
+//! [`Matrix::from_f64`]). Every op has one body, compiled once per type,
+//! so each type's summation order — and therefore its bits — is fixed by
+//! that one body.
+//!
 //! ## Kernels
 //!
 //! The three matrix products (`matmul`, `t_matmul`, `matmul_t`) run on
@@ -8,11 +15,19 @@
 //! [`KERNEL_BLOCK`] while keeping the *per-output-element accumulation
 //! order* exactly that of the naive triple loop: within a block the
 //! partial products are added to the accumulator one at a time, in index
-//! order, so `f64` rounding is unchanged (Rust never reassociates float
+//! order, so rounding is unchanged (Rust never reassociates float
 //! arithmetic). Large products are additionally row-partitioned across
 //! worker threads via [`crate::par`]; output rows are disjoint, so the
 //! thread count cannot change any value — serial and parallel runs are
 //! bit-identical. See DESIGN.md "Compute kernels".
+//!
+//! The inner loops run over the *output columns*: each lane of a vector
+//! register holds an independent output element whose own accumulation
+//! order is untouched, so the autovectorizer is free to emit SSE2
+//! (default build) or AVX2 (`--features simd`, runtime-dispatched)
+//! without changing results. No FMA is ever emitted from this source
+//! (Rust does not contract `a*b + c`), which is what makes scalar, SSE2
+//! and AVX2 runs bit-equivalent.
 //!
 //! Every product has an `*_into` variant that reuses the caller's output
 //! buffer; [`MatrixPool`] provides a free-list of such buffers so layer
@@ -20,6 +35,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::iter::Sum;
+use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// Reduction-dimension unroll factor of the blocked kernels. Parity
 /// tests exercise shapes straddling this value.
@@ -31,26 +48,88 @@ pub const KERNEL_BLOCK: usize = 8;
 /// so only the final tile takes the scalar remainder path.
 const K_TILE: usize = 32;
 
-/// A dense row-major `rows × cols` matrix of `f64`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Matrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<f64>,
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for f32 {}
+    impl Sealed for f64 {}
 }
 
-impl Matrix {
+/// Element type of a [`Matrix`]: `f64` or `f32`, nothing else (the
+/// trait is sealed). Carries just the arithmetic the ops need.
+pub trait Scalar:
+    sealed::Sealed
+    + Copy
+    + Default
+    + PartialEq
+    + PartialOrd
+    + std::fmt::Debug
+    + Send
+    + Sync
+    + 'static
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+    + Neg<Output = Self>
+    + AddAssign
+    + SubAssign
+    + MulAssign
+    + DivAssign
+    + Sum
+    + for<'a> Sum<&'a Self>
+{
+    const ZERO: Self;
+    const ONE: Self;
+    const NEG_INFINITY: Self;
+    fn exp(self) -> Self;
+    fn sqrt(self) -> Self;
+    fn max(self, other: Self) -> Self;
+}
+
+macro_rules! impl_scalar {
+    ($t:ident) => {
+        impl Scalar for $t {
+            const ZERO: Self = 0.0;
+            const ONE: Self = 1.0;
+            const NEG_INFINITY: Self = $t::NEG_INFINITY;
+            #[inline]
+            fn exp(self) -> Self {
+                $t::exp(self)
+            }
+            #[inline]
+            fn sqrt(self) -> Self {
+                $t::sqrt(self)
+            }
+            #[inline]
+            fn max(self, other: Self) -> Self {
+                $t::max(self, other)
+            }
+        }
+    };
+}
+impl_scalar!(f32);
+impl_scalar!(f64);
+
+/// A dense row-major `rows × cols` matrix of `T` (`f64` unless stated).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Matrix<T: Scalar = f64> {
+    rows: usize,
+    cols: usize,
+    data: Vec<T>,
+}
+
+impl<T: Scalar> Matrix<T> {
     /// All-zeros matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Self {
             rows,
             cols,
-            data: vec![0.0; rows * cols],
+            data: vec![T::ZERO; rows * cols],
         }
     }
 
     /// Build from a closure over (row, col).
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
+    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
         for r in 0..rows {
             for c in 0..cols {
@@ -61,13 +140,13 @@ impl Matrix {
     }
 
     /// Build from a flat row-major vector.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
+    pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Self {
         assert_eq!(data.len(), rows * cols, "shape/data mismatch");
         Self { rows, cols, data }
     }
 
     /// Build from nested rows.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
+    pub fn from_rows(rows: &[Vec<T>]) -> Self {
         assert!(!rows.is_empty(), "need at least one row");
         let cols = rows[0].len();
         assert!(rows.iter().all(|r| r.len() == cols), "ragged rows");
@@ -82,18 +161,6 @@ impl Matrix {
         }
     }
 
-    /// Xavier/Glorot-uniform initialization: `U(±sqrt(6/(fan_in+fan_out)))`.
-    pub fn xavier(rows: usize, cols: usize, rng: &mut StdRng) -> Self {
-        let bound = (6.0 / (rows + cols).max(1) as f64).sqrt();
-        Self::from_fn(rows, cols, |_, _| rng.gen_range(-bound..bound))
-    }
-
-    /// Xavier init from a seed (convenience).
-    pub fn xavier_seeded(rows: usize, cols: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        Self::xavier(rows, cols, &mut rng)
-    }
-
     /// Row count.
     pub fn rows(&self) -> usize {
         self.rows
@@ -106,39 +173,39 @@ impl Matrix {
 
     /// Immutable element access.
     #[inline]
-    pub fn get(&self, r: usize, c: usize) -> f64 {
+    pub fn get(&self, r: usize, c: usize) -> T {
         debug_assert!(r < self.rows && c < self.cols);
         self.data[r * self.cols + c]
     }
 
     /// Mutable element access.
     #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f64) {
+    pub fn set(&mut self, r: usize, c: usize, v: T) {
         debug_assert!(r < self.rows && c < self.cols);
         self.data[r * self.cols + c] = v;
     }
 
     /// A row as a slice.
     #[inline]
-    pub fn row(&self, r: usize) -> &[f64] {
+    pub fn row(&self, r: usize) -> &[T] {
         debug_assert!(r < self.rows);
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// A row as a mutable slice.
     #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
+    pub fn row_mut(&mut self, r: usize) -> &mut [T] {
         debug_assert!(r < self.rows);
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Flat data access.
-    pub fn data(&self) -> &[f64] {
+    pub fn data(&self) -> &[T] {
         &self.data
     }
 
     /// Flat mutable data access.
-    pub fn data_mut(&mut self) -> &mut [f64] {
+    pub fn data_mut(&mut self) -> &mut [T] {
         &mut self.data
     }
 
@@ -147,7 +214,7 @@ impl Matrix {
         self.rows = rows;
         self.cols = cols;
         self.data.clear();
-        self.data.resize(rows * cols, 0.0);
+        self.data.resize(rows * cols, T::ZERO);
     }
 
     /// Reshape without zeroing — every element is about to be overwritten
@@ -155,11 +222,11 @@ impl Matrix {
     fn reshape_for_write(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
-        self.data.resize(rows * cols, 0.0);
+        self.data.resize(rows * cols, T::ZERO);
     }
 
     /// Become a copy of `other`, reusing the allocation.
-    pub fn copy_from(&mut self, other: &Matrix) {
+    pub fn copy_from(&mut self, other: &Self) {
         self.rows = other.rows;
         self.cols = other.cols;
         self.data.clear();
@@ -167,7 +234,7 @@ impl Matrix {
     }
 
     /// Become a copy of `nrows` rows of `src` starting at row `r0`.
-    pub fn copy_row_range_from(&mut self, src: &Matrix, r0: usize, nrows: usize) {
+    pub fn copy_row_range_from(&mut self, src: &Self, r0: usize, nrows: usize) {
         assert!(r0 + nrows <= src.rows, "row range out of bounds");
         self.rows = nrows;
         self.cols = src.cols;
@@ -179,7 +246,7 @@ impl Matrix {
 
     /// In-place `self[r] += src[r0 + r]` for every row of `self` — add a
     /// row range of a taller matrix with the same column count.
-    pub fn add_assign_rows(&mut self, src: &Matrix, r0: usize) {
+    pub fn add_assign_rows(&mut self, src: &Self, r0: usize) {
         assert_eq!(self.cols, src.cols, "add_assign_rows column mismatch");
         assert!(r0 + self.rows <= src.rows, "row range out of bounds");
         for r in 0..self.rows {
@@ -191,7 +258,7 @@ impl Matrix {
 
     /// Stack same-width matrices vertically into `out` (rows in item
     /// order), reusing `out`'s allocation.
-    pub fn vstack_into(items: &[Matrix], out: &mut Matrix) {
+    pub fn vstack_into(items: &[Self], out: &mut Self) {
         assert!(!items.is_empty(), "vstack needs at least one matrix");
         let cols = items[0].cols;
         assert!(
@@ -207,69 +274,57 @@ impl Matrix {
     }
 
     /// Matrix product `self (r×k) · other (k×c) -> (r×c)`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
+    pub fn matmul(&self, other: &Self) -> Self {
+        let mut out = Self::zeros(0, 0);
         self.matmul_into(other, &mut out);
         out
     }
 
     /// [`Matrix::matmul`] into a caller-owned buffer (resized as needed).
     /// `out` must not alias `self` or `other`.
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+    pub fn matmul_into(&self, other: &Self, out: &mut Self) {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {}x{} · {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        out.reshape_for_write(self.rows, other.cols);
-        let workers = par_workers(self.rows, self.rows * self.cols * other.cols);
-        crate::par::for_each_row_chunk(&mut out.data, other.cols, workers, |first_row, chunk| {
-            mm_rows(self, other, first_row, chunk);
-        });
+        product_into(Kernel::Matmul, self, other, out, self.rows, other.cols);
     }
 
     /// `selfᵀ · other` without materializing the transpose.
-    pub fn t_matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
+    pub fn t_matmul(&self, other: &Self) -> Self {
+        let mut out = Self::zeros(0, 0);
         self.t_matmul_into(other, &mut out);
         out
     }
 
     /// [`Matrix::t_matmul`] into a caller-owned buffer (resized as
     /// needed). `out` must not alias `self` or `other`.
-    pub fn t_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+    pub fn t_matmul_into(&self, other: &Self, out: &mut Self) {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
-        out.reshape_for_write(self.cols, other.cols);
-        let workers = par_workers(self.cols, self.rows * self.cols * other.cols);
-        crate::par::for_each_row_chunk(&mut out.data, other.cols, workers, |first_row, chunk| {
-            tmm_rows(self, other, first_row, chunk);
-        });
+        product_into(Kernel::TMatmul, self, other, out, self.cols, other.cols);
     }
 
     /// `self · otherᵀ` without materializing the transpose.
-    pub fn matmul_t(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
+    pub fn matmul_t(&self, other: &Self) -> Self {
+        let mut out = Self::zeros(0, 0);
         self.matmul_t_into(other, &mut out);
         out
     }
 
     /// [`Matrix::matmul_t`] into a caller-owned buffer (resized as
     /// needed). `out` must not alias `self` or `other`.
-    pub fn matmul_t_into(&self, other: &Matrix, out: &mut Matrix) {
+    pub fn matmul_t_into(&self, other: &Self, out: &mut Self) {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
-        out.reshape_for_write(self.rows, other.rows);
-        let workers = par_workers(self.rows, self.rows * self.cols * other.rows);
-        crate::par::for_each_row_chunk(&mut out.data, other.rows, workers, |first_row, chunk| {
-            mmt_rows(self, other, first_row, chunk);
-        });
+        product_into(Kernel::MatmulT, self, other, out, self.rows, other.rows);
     }
 
     /// Transpose. A transpose has no contiguous runs to `memcpy`, so the
     /// next best thing: scatter each source row down one output column
     /// with an incrementally stepped index, skipping the per-element
     /// bounds assert and offset multiply of [`Matrix::set`].
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
+    pub fn transpose(&self) -> Self {
+        let mut out = Self::zeros(self.cols, self.rows);
         let rows = self.rows;
         let od = out.data_mut();
         for r in 0..rows {
@@ -283,8 +338,8 @@ impl Matrix {
     }
 
     /// Elementwise map.
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
-        Matrix {
+    pub fn map(&self, f: impl Fn(T) -> T) -> Self {
+        Self {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&v| f(v)).collect(),
@@ -292,16 +347,16 @@ impl Matrix {
     }
 
     /// Elementwise map in place.
-    pub fn map_assign(&mut self, f: impl Fn(f64) -> f64) {
+    pub fn map_assign(&mut self, f: impl Fn(T) -> T) {
         for v in self.data.iter_mut() {
             *v = f(*v);
         }
     }
 
     /// Elementwise combine with another same-shape matrix.
-    pub fn zip(&self, other: &Matrix, f: impl Fn(f64, f64) -> f64) -> Matrix {
+    pub fn zip(&self, other: &Self, f: impl Fn(T, T) -> T) -> Self {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        Matrix {
+        Self {
             rows: self.rows,
             cols: self.cols,
             data: self
@@ -314,7 +369,7 @@ impl Matrix {
     }
 
     /// Elementwise combine in place: `self[i] = f(self[i], other[i])`.
-    pub fn zip_assign(&mut self, other: &Matrix, f: impl Fn(f64, f64) -> f64) {
+    pub fn zip_assign(&mut self, other: &Self, f: impl Fn(T, T) -> T) {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
             *a = f(*a, b);
@@ -322,22 +377,22 @@ impl Matrix {
     }
 
     /// `self + other`.
-    pub fn add(&self, other: &Matrix) -> Matrix {
+    pub fn add(&self, other: &Self) -> Self {
         self.zip(other, |a, b| a + b)
     }
 
     /// `self - other`.
-    pub fn sub(&self, other: &Matrix) -> Matrix {
+    pub fn sub(&self, other: &Self) -> Self {
         self.zip(other, |a, b| a - b)
     }
 
     /// Hadamard product.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
+    pub fn hadamard(&self, other: &Self) -> Self {
         self.zip(other, |a, b| a * b)
     }
 
     /// In-place `self += other`.
-    pub fn add_assign(&mut self, other: &Matrix) {
+    pub fn add_assign(&mut self, other: &Self) {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
             *a += b;
@@ -345,34 +400,34 @@ impl Matrix {
     }
 
     /// In-place `self -= other`.
-    pub fn sub_assign(&mut self, other: &Matrix) {
+    pub fn sub_assign(&mut self, other: &Self) {
         self.zip_assign(other, |a, b| a - b);
     }
 
     /// In-place Hadamard product.
-    pub fn hadamard_assign(&mut self, other: &Matrix) {
+    pub fn hadamard_assign(&mut self, other: &Self) {
         self.zip_assign(other, |a, b| a * b);
     }
 
     /// Scale all entries.
-    pub fn scaled(&self, s: f64) -> Matrix {
+    pub fn scaled(&self, s: T) -> Self {
         self.map(|v| v * s)
     }
 
     /// Scale all entries in place.
-    pub fn scale_assign(&mut self, s: f64) {
+    pub fn scale_assign(&mut self, s: T) {
         self.map_assign(|v| v * s);
     }
 
     /// Add a row-vector (1×cols broadcast) to every row.
-    pub fn add_row_broadcast(&self, bias: &Matrix) -> Matrix {
+    pub fn add_row_broadcast(&self, bias: &Self) -> Self {
         let mut out = self.clone();
         out.add_row_broadcast_assign(bias);
         out
     }
 
     /// In-place row-vector broadcast add.
-    pub fn add_row_broadcast_assign(&mut self, bias: &Matrix) {
+    pub fn add_row_broadcast_assign(&mut self, bias: &Self) {
         assert_eq!(bias.rows, 1);
         assert_eq!(bias.cols, self.cols);
         for r in 0..self.rows {
@@ -385,14 +440,14 @@ impl Matrix {
     /// Sum over rows -> 1×cols (gradient of a broadcast bias).
     /// Accumulates rows in ascending order — a reduction, so it stays
     /// serial (see the determinism contract in [`crate::par`]).
-    pub fn sum_rows(&self) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
+    pub fn sum_rows(&self) -> Self {
+        let mut out = Self::zeros(0, 0);
         self.sum_rows_into(&mut out);
         out
     }
 
     /// [`Matrix::sum_rows`] into a caller-owned buffer.
-    pub fn sum_rows_into(&self, out: &mut Matrix) {
+    pub fn sum_rows_into(&self, out: &mut Self) {
         out.resize_to(1, self.cols);
         for r in 0..self.rows {
             for (o, &v) in out.data.iter_mut().zip(self.row(r)) {
@@ -402,7 +457,7 @@ impl Matrix {
     }
 
     /// Concatenate columns: `[self | other]`.
-    pub fn concat_cols(&self, other: &Matrix) -> Matrix {
+    pub fn concat_cols(&self, other: &Self) -> Self {
         assert_eq!(self.rows, other.rows);
         let cols = self.cols + other.cols;
         let mut data = Vec::with_capacity(self.rows * cols);
@@ -410,7 +465,7 @@ impl Matrix {
             data.extend_from_slice(self.row(r));
             data.extend_from_slice(other.row(r));
         }
-        Matrix {
+        Self {
             rows: self.rows,
             cols,
             data,
@@ -418,7 +473,7 @@ impl Matrix {
     }
 
     /// Split columns back: inverse of [`Matrix::concat_cols`].
-    pub fn split_cols(&self, left_cols: usize) -> (Matrix, Matrix) {
+    pub fn split_cols(&self, left_cols: usize) -> (Self, Self) {
         assert!(left_cols <= self.cols);
         let right_cols = self.cols - left_cols;
         let mut ldata = Vec::with_capacity(self.rows * left_cols);
@@ -429,12 +484,12 @@ impl Matrix {
             rdata.extend_from_slice(rt);
         }
         (
-            Matrix {
+            Self {
                 rows: self.rows,
                 cols: left_cols,
                 data: ldata,
             },
-            Matrix {
+            Self {
                 rows: self.rows,
                 cols: right_cols,
                 data: rdata,
@@ -443,7 +498,7 @@ impl Matrix {
     }
 
     /// Row-wise softmax (each row sums to 1).
-    pub fn softmax_rows(&self) -> Matrix {
+    pub fn softmax_rows(&self) -> Self {
         let mut out = self.clone();
         out.softmax_rows_assign();
         out
@@ -453,8 +508,8 @@ impl Matrix {
     pub fn softmax_rows_assign(&mut self) {
         for r in 0..self.rows {
             let row = self.row_mut(r);
-            let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let mut sum = 0.0;
+            let max = row.iter().cloned().fold(T::NEG_INFINITY, T::max);
+            let mut sum = T::ZERO;
             for v in row.iter_mut() {
                 *v = (*v - max).exp();
                 sum += *v;
@@ -466,18 +521,64 @@ impl Matrix {
     }
 
     /// Sum of all entries.
-    pub fn sum(&self) -> f64 {
+    pub fn sum(&self) -> T {
         self.data.iter().sum()
     }
 
     /// Frobenius norm.
-    pub fn frobenius(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
+    pub fn frobenius(&self) -> T {
+        self.data.iter().map(|&v| v * v).sum::<T>().sqrt()
     }
 
     /// Fill with zeros (reuse allocation).
     pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = 0.0);
+        self.data.iter_mut().for_each(|v| *v = T::ZERO);
+    }
+}
+
+impl Matrix {
+    /// Xavier/Glorot-uniform initialization: `U(±sqrt(6/(fan_in+fan_out)))`.
+    pub fn xavier(rows: usize, cols: usize, rng: &mut StdRng) -> Self {
+        let bound = (6.0 / (rows + cols).max(1) as f64).sqrt();
+        Self::from_fn(rows, cols, |_, _| rng.gen_range(-bound..bound))
+    }
+
+    /// Xavier init from a seed (convenience).
+    pub fn xavier_seeded(rows: usize, cols: usize, seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        Self::xavier(rows, cols, &mut rng)
+    }
+}
+
+/// The f32 tier's precision boundary: weights cross it once, at model
+/// conversion time; inputs cross it once per request.
+impl Matrix<f32> {
+    /// Narrow an `f64` matrix to `f32` storage, with round-to-nearest-even
+    /// per element.
+    pub fn from_f64(src: &Matrix) -> Self {
+        let mut out = Self::zeros(0, 0);
+        out.copy_from_f64(src);
+        out
+    }
+
+    /// Become the narrowed copy of an `f64` matrix, reusing the
+    /// allocation (the steady-state input boundary of the f32 tier).
+    pub fn copy_from_f64(&mut self, src: &Matrix) {
+        self.rows = src.rows;
+        self.cols = src.cols;
+        self.data.clear();
+        // lint: allow(float-flow) deliberate f64→f32 narrowing at the inference-tier boundary; lint: allow(lossy-cast) finite weights and scaled inputs are far inside f32 range
+        self.data.extend(src.data.iter().map(|&v| v as f32));
+    }
+
+    /// Widen back to `f64` (exact — every `f32` is representable).
+    pub fn to_f64(&self) -> Matrix {
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            // lint: allow(float-flow) exact f32→f64 widening for parity tests and logit output
+            data: self.data.iter().map(|&v| f64::from(v)).collect(),
+        }
     }
 }
 
@@ -493,6 +594,101 @@ fn par_workers(out_rows: usize, flops: usize) -> usize {
     }
 }
 
+/// The three blocked product kernels.
+#[derive(Debug, Clone, Copy)]
+enum Kernel {
+    /// `a · b`, [`mm_rows`].
+    Matmul,
+    /// `aᵀ · b`, [`tmm_rows`].
+    TMatmul,
+    /// `a · bᵀ`, [`mmt_rows`].
+    MatmulT,
+}
+
+/// Shared body of the `*_into` products: reshape `out` to `rows × cols`
+/// and row-partition it across workers, each running `kernel` on its
+/// rows. Every product does `a.rows · a.cols · cols` multiply-adds.
+fn product_into<T: Scalar>(
+    kernel: Kernel,
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+    out: &mut Matrix<T>,
+    rows: usize,
+    cols: usize,
+) {
+    out.reshape_for_write(rows, cols);
+    let workers = par_workers(rows, a.rows * a.cols * cols);
+    crate::par::for_each_row_chunk(&mut out.data, cols, workers, |first_row, chunk| {
+        run_kernel(kernel, a, b, first_row, chunk);
+    });
+}
+
+/// Kernel dispatch. The default build runs the portable kernels (the
+/// autovectorizer emits SSE2 for the column loops); with `--features
+/// simd` on x86_64 an AVX2 clone of the *same source* is selected at
+/// runtime when the CPU supports it. Both paths execute the identical
+/// sequence of IEEE-754 operations per output element, so they are
+/// bit-equivalent — pinned by kernel_parity and the CI feature matrix.
+fn run_kernel<T: Scalar>(
+    kernel: Kernel,
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+    first_row: usize,
+    out_chunk: &mut [T],
+) {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was verified at runtime on the line
+        // above; the target_feature clone has no other requirements.
+        #[allow(unsafe_code)]
+        // lint: allow(panic-reach) feature-gated intrinsic dispatch, no panic path
+        unsafe {
+            return simd::kernel_rows_avx2(kernel, a, b, first_row, out_chunk);
+        }
+    }
+    kernel_rows(kernel, a, b, first_row, out_chunk);
+}
+
+/// The portable kernel selected by `kernel`. `#[inline(always)]` here
+/// and on the kernels is what lets the AVX2 clone compile the kernel
+/// bodies with its wider target features.
+#[inline(always)]
+fn kernel_rows<T: Scalar>(
+    kernel: Kernel,
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+    first_row: usize,
+    out_chunk: &mut [T],
+) {
+    match kernel {
+        Kernel::Matmul => mm_rows(a, b, first_row, out_chunk),
+        Kernel::TMatmul => tmm_rows(a, b, first_row, out_chunk),
+        Kernel::MatmulT => mmt_rows(a, b, first_row, out_chunk),
+    }
+}
+
+/// AVX2 clone of [`kernel_rows`]: the *same Rust source* compiled with
+/// `#[target_feature(enable = "avx2")]` so LLVM's autovectorizer widens
+/// the column loops to 256-bit lanes. AVX2 does not imply FMA here (the
+/// feature set enables only `avx2`, and Rust never contracts `a*b + c`
+/// on its own), so every per-element operation sequence — and therefore
+/// every output bit — matches the portable kernels.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+mod simd {
+    use super::{Kernel, Matrix, Scalar};
+
+    #[target_feature(enable = "avx2")]
+    pub fn kernel_rows_avx2<T: Scalar>(
+        kernel: Kernel,
+        a: &Matrix<T>,
+        b: &Matrix<T>,
+        first_row: usize,
+        out_chunk: &mut [T],
+    ) {
+        super::kernel_rows(kernel, a, b, first_row, out_chunk);
+    }
+}
+
 /// `matmul` kernel for output rows `[first_row, first_row + n)` where
 /// `n = out_chunk.len() / b.cols`.
 ///
@@ -502,15 +698,19 @@ fn par_workers(out_rows: usize, flops: usize) -> usize {
 /// bit-identical. The block-level sparsity skip only drops `a == 0`
 /// terms, and adding `±0.0 · b` to an accumulator that started at `+0.0`
 /// can never change its bits (for finite `b`), so the skip is
-/// value-preserving too.
-fn mm_rows(a: &Matrix, b: &Matrix, first_row: usize, out_chunk: &mut [f64]) {
+/// value-preserving too. The inner `j` loop walks the output row with
+/// every operand a same-length slice — the shape the autovectorizer
+/// turns into packed mul/add (lanes = independent output columns).
+#[inline(always)]
+fn mm_rows<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, first_row: usize, out_chunk: &mut [T]) {
     let cols = b.cols;
     let kk = a.cols;
     if cols == 0 {
         return;
     }
     let n_rows = out_chunk.len() / cols;
-    out_chunk.fill(0.0);
+    debug_assert!(a.cols == b.rows && first_row + n_rows <= a.rows);
+    out_chunk.fill(T::ZERO);
     // Tile the reduction dimension so the active `b` panel stays
     // cache-resident while it is reused across every output row. Tiles
     // are visited in ascending `k` order and each output element keeps a
@@ -526,10 +726,11 @@ fn mm_rows(a: &Matrix, b: &Matrix, first_row: usize, out_chunk: &mut [f64]) {
             while k + KERNEL_BLOCK <= k_end {
                 let (v0, v1, v2, v3) = (arow[k], arow[k + 1], arow[k + 2], arow[k + 3]);
                 let (v4, v5, v6, v7) = (arow[k + 4], arow[k + 5], arow[k + 6], arow[k + 7]);
+                let z = T::ZERO;
                 // lint: allow(float-cmp) sparsity fast path skips exact zeros only
-                let live_lo = v0 != 0.0 || v1 != 0.0 || v2 != 0.0 || v3 != 0.0;
+                let live_lo = v0 != z || v1 != z || v2 != z || v3 != z;
                 // lint: allow(float-cmp) sparsity fast path skips exact zeros only
-                let live_hi = v4 != 0.0 || v5 != 0.0 || v6 != 0.0 || v7 != 0.0;
+                let live_hi = v4 != z || v5 != z || v6 != z || v7 != z;
                 if live_lo || live_hi {
                     let (b0, b1, b2, b3) = (b.row(k), b.row(k + 1), b.row(k + 2), b.row(k + 3));
                     let (b4, b5, b6, b7) = (b.row(k + 4), b.row(k + 5), b.row(k + 6), b.row(k + 7));
@@ -561,7 +762,7 @@ fn mm_rows(a: &Matrix, b: &Matrix, first_row: usize, out_chunk: &mut [f64]) {
             while k < k_end {
                 let v = arow[k];
                 // lint: allow(float-cmp) sparsity fast path skips exact zeros only
-                if v != 0.0 {
+                if v != T::ZERO {
                     for (o, &w) in out_row.iter_mut().zip(b.row(k)) {
                         *o += v * w;
                     }
@@ -576,14 +777,16 @@ fn mm_rows(a: &Matrix, b: &Matrix, first_row: usize, out_chunk: &mut [f64]) {
 /// `t_matmul` kernel for output rows `[first_row, first_row + n)` —
 /// output row `i` is `Σ_r a[r, first_row + i] · b[r, :]` with `r`
 /// ascending, matching the naive loop's accumulation order exactly
-/// (the unrolled block adds its four terms sequentially).
-fn tmm_rows(a: &Matrix, b: &Matrix, first_row: usize, out_chunk: &mut [f64]) {
+/// (the unrolled block adds its terms sequentially).
+#[inline(always)]
+fn tmm_rows<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, first_row: usize, out_chunk: &mut [T]) {
     let cols = b.cols;
     if cols == 0 {
         return;
     }
     let n_out = out_chunk.len() / cols;
-    out_chunk.fill(0.0);
+    debug_assert!(a.rows == b.rows && first_row + n_out <= a.cols);
+    out_chunk.fill(T::ZERO);
     let mut r = 0;
     while r + KERNEL_BLOCK <= a.rows {
         let a0 = &a.row(r)[first_row..first_row + n_out];
@@ -599,10 +802,11 @@ fn tmm_rows(a: &Matrix, b: &Matrix, first_row: usize, out_chunk: &mut [f64]) {
         for i in 0..n_out {
             let (v0, v1, v2, v3) = (a0[i], a1[i], a2[i], a3[i]);
             let (v4, v5, v6, v7) = (a4[i], a5[i], a6[i], a7[i]);
+            let z = T::ZERO;
             // lint: allow(float-cmp) sparsity fast path skips exact zeros only
-            let zero_lo = v0 == 0.0 && v1 == 0.0 && v2 == 0.0 && v3 == 0.0;
+            let zero_lo = v0 == z && v1 == z && v2 == z && v3 == z;
             // lint: allow(float-cmp) sparsity fast path skips exact zeros only
-            let zero_hi = v4 == 0.0 && v5 == 0.0 && v6 == 0.0 && v7 == 0.0;
+            let zero_hi = v4 == z && v5 == z && v6 == z && v7 == z;
             if zero_lo && zero_hi {
                 continue;
             }
@@ -637,7 +841,7 @@ fn tmm_rows(a: &Matrix, b: &Matrix, first_row: usize, out_chunk: &mut [f64]) {
         let brow = b.row(r);
         for (i, &v) in arow.iter().enumerate() {
             // lint: allow(float-cmp) sparsity fast path skips exact zeros only
-            if v == 0.0 {
+            if v == T::ZERO {
                 continue;
             }
             let orow = &mut out_chunk[i * cols..(i + 1) * cols];
@@ -653,17 +857,19 @@ fn tmm_rows(a: &Matrix, b: &Matrix, first_row: usize, out_chunk: &mut [f64]) {
 /// each output element is a dot product accumulated in ascending column
 /// order (the unroll runs [`KERNEL_BLOCK`] *independent* dots at once,
 /// each still strictly sequential), identical to the naive loop.
-fn mmt_rows(a: &Matrix, b: &Matrix, first_row: usize, out_chunk: &mut [f64]) {
+#[inline(always)]
+fn mmt_rows<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, first_row: usize, out_chunk: &mut [T]) {
     let n_b = b.rows;
     if n_b == 0 {
         return;
     }
+    debug_assert!(a.cols == b.cols && first_row + out_chunk.len() / n_b <= a.rows);
     for (ri, out_row) in out_chunk.chunks_mut(n_b).enumerate() {
         let arow = a.row(first_row + ri);
         let mut rr = 0;
         while rr + KERNEL_BLOCK <= n_b {
-            let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-            let (mut s4, mut s5, mut s6, mut s7) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+            let (mut s0, mut s1, mut s2, mut s3) = (T::ZERO, T::ZERO, T::ZERO, T::ZERO);
+            let (mut s4, mut s5, mut s6, mut s7) = (T::ZERO, T::ZERO, T::ZERO, T::ZERO);
             for ((((((((&av, &w0), &w1), &w2), &w3), &w4), &w5), &w6), &w7) in arow
                 .iter()
                 .zip(b.row(rr))
@@ -695,7 +901,7 @@ fn mmt_rows(a: &Matrix, b: &Matrix, first_row: usize, out_chunk: &mut [f64]) {
             rr += KERNEL_BLOCK;
         }
         while rr < n_b {
-            let mut s = 0.0;
+            let mut s = T::ZERO;
             for (&av, &w) in arow.iter().zip(b.row(rr)) {
                 s += av * w;
             }
@@ -711,11 +917,11 @@ fn mmt_rows(a: &Matrix, b: &Matrix, first_row: usize, out_chunk: &mut [f64]) {
 /// allocations, never affects values — a grabbed matrix is
 /// indistinguishable from a fresh `Matrix::zeros`.
 #[derive(Debug, Clone, Default)]
-pub struct MatrixPool {
-    free: Vec<Matrix>,
+pub struct MatrixPool<T: Scalar = f64> {
+    free: Vec<Matrix<T>>,
 }
 
-impl MatrixPool {
+impl<T: Scalar> MatrixPool<T> {
     /// Empty pool.
     pub fn new() -> Self {
         Self::default()
@@ -723,7 +929,7 @@ impl MatrixPool {
 
     /// A zeroed `rows × cols` matrix, reusing a recycled allocation when
     /// one is available.
-    pub fn grab(&mut self, rows: usize, cols: usize) -> Matrix {
+    pub fn grab(&mut self, rows: usize, cols: usize) -> Matrix<T> {
         match self.free.pop() {
             Some(mut m) => {
                 m.resize_to(rows, cols);
@@ -734,7 +940,7 @@ impl MatrixPool {
     }
 
     /// Return a buffer to the free list.
-    pub fn recycle(&mut self, m: Matrix) {
+    pub fn recycle(&mut self, m: Matrix<T>) {
         self.free.push(m);
     }
 
@@ -944,13 +1150,40 @@ mod tests {
 
     #[test]
     fn empty_products_are_well_formed() {
-        let a = Matrix::zeros(3, 0);
+        let a = Matrix::<f64>::zeros(3, 0);
         let b = Matrix::zeros(0, 4);
         let c = a.matmul(&b);
         assert_eq!((c.rows(), c.cols()), (3, 4));
         assert_eq!(c, Matrix::zeros(3, 4));
-        let d = Matrix::zeros(2, 5).matmul(&Matrix::zeros(5, 0));
+        let d = Matrix::<f32>::zeros(2, 5).matmul(&Matrix::zeros(5, 0));
         assert_eq!((d.rows(), d.cols()), (2, 0));
+    }
+
+    #[test]
+    fn from_f64_narrows_and_to_f64_widens_exactly() {
+        let src = Matrix::from_vec(2, 2, vec![1.5, -0.25, 3.0, 0.1]);
+        let narrow = Matrix::<f32>::from_f64(&src);
+        assert_eq!(narrow.get(0, 0), 1.5);
+        assert_eq!(narrow.get(1, 1), 0.1f64 as f32);
+        let wide = narrow.to_f64();
+        // Widening is exact: round-tripping the narrowed values changes
+        // nothing.
+        assert_eq!(Matrix::<f32>::from_f64(&wide).data(), narrow.data());
+        let mut reused = Matrix::<f32>::zeros(9, 9);
+        reused.copy_from_f64(&src);
+        assert_eq!(reused, narrow);
+    }
+
+    #[test]
+    fn vstack_into_stacks_in_item_order() {
+        let items = vec![
+            Matrix::from_vec(1, 2, vec![1.0f32, 2.]),
+            Matrix::from_vec(2, 2, vec![3., 4., 5., 6.]),
+        ];
+        let mut out = Matrix::zeros(9, 9);
+        Matrix::vstack_into(&items, &mut out);
+        assert_eq!((out.rows(), out.cols()), (3, 2));
+        assert_eq!(out.data(), &[1., 2., 3., 4., 5., 6.]);
     }
 
     #[test]
@@ -965,7 +1198,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "matmul shape mismatch")]
     fn matmul_shape_checked() {
-        let a = Matrix::zeros(2, 3);
+        let a = Matrix::<f64>::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
         let _ = a.matmul(&b);
     }

@@ -2,20 +2,24 @@
 //!
 //! The kernels in `nn::tensor` (KERNEL_BLOCK unrolling, K-tiling, the
 //! exact-zero skip, and `nn::par` row partitioning) promise **bit
-//! identity** with the textbook triple loop for every shape and every
-//! thread count. This suite holds them to it: a naive reference is
-//! evaluated side by side over ragged shapes — 1×1, single rows/cols,
-//! prime dimensions, and sizes straddling the 8-wide block — at 1, 2,
-//! and 8 threads, comparing raw `data()` bits, not an epsilon.
+//! identity** with the textbook triple loop for every shape, every
+//! thread count and both scalar types. This suite holds them to it: a
+//! naive reference is evaluated side by side over ragged shapes — 1×1,
+//! single rows/cols, prime dimensions, and sizes straddling the 8-wide
+//! block — at 1, 2, and 8 threads, at `T = f64` and `T = f32`,
+//! comparing raw `data()` bits, not an epsilon.
+//!
+//! This is also the simd-on/simd-off identity proof: the CI matrix runs
+//! the suite with and without `--features simd`, and both legs must
+//! equal the *same* scalar reference — hence each other.
 
 use nn::gradcheck::seq::check_recurrent_gradients;
-use nn::tensor::Matrix;
-use nn::tensor32::MatrixF32;
+use nn::tensor::{Matrix, Scalar};
 use nn::{Gru, Lstm};
 
-fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+fn naive_matmul<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     Matrix::from_fn(a.rows(), b.cols(), |i, j| {
-        let mut acc = 0.0;
+        let mut acc = T::ZERO;
         for k in 0..a.cols() {
             acc += a.get(i, k) * b.get(k, j);
         }
@@ -23,9 +27,9 @@ fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     })
 }
 
-fn naive_t_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+fn naive_t_matmul<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     Matrix::from_fn(a.cols(), b.cols(), |i, j| {
-        let mut acc = 0.0;
+        let mut acc = T::ZERO;
         for k in 0..a.rows() {
             acc += a.get(k, i) * b.get(k, j);
         }
@@ -33,9 +37,9 @@ fn naive_t_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     })
 }
 
-fn naive_matmul_t(a: &Matrix, b: &Matrix) -> Matrix {
+fn naive_matmul_t<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     Matrix::from_fn(a.rows(), b.rows(), |i, j| {
-        let mut acc = 0.0;
+        let mut acc = T::ZERO;
         for k in 0..a.cols() {
             acc += a.get(i, k) * b.get(j, k);
         }
@@ -58,6 +62,16 @@ fn fill(rows: usize, cols: usize, salt: u64) -> Matrix {
             ((h >> 16) % 2048) as f64 / 407.0 - 2.5
         }
     })
+}
+
+/// `fill` at either width: f32 inputs are the narrowed f64 fill.
+fn fill_as<T: Scalar>(
+    rows: usize,
+    cols: usize,
+    salt: u64,
+    narrow: fn(&Matrix) -> Matrix<T>,
+) -> Matrix<T> {
+    narrow(&fill(rows, cols, salt))
 }
 
 /// Ragged shapes (m, k, n): degenerate, prime, block-straddling, and one
@@ -125,27 +139,28 @@ fn blocked_matmul_summation_order_is_pinned_to_the_documented_reference() {
     }
 }
 
-#[test]
-fn kernels_match_naive_bitwise_across_thread_counts() {
+/// Bit identity of all three kernels against the naive loops, across
+/// thread counts.
+fn kernels_match_naive_across_thread_counts<T: Scalar>(narrow: fn(&Matrix) -> Matrix<T>) {
     for threads in [1usize, 2, 8] {
         nn::par::set_threads(threads);
         for &(m, k, n) in &SHAPES {
-            let a = fill(m, k, 1);
-            let b = fill(k, n, 2);
+            let a = fill_as(m, k, 1, narrow);
+            let b = fill_as(k, n, 2, narrow);
             assert_eq!(
                 a.matmul(&b).data(),
                 naive_matmul(&a, &b).data(),
                 "matmul {m}x{k}x{n} at {threads} threads"
             );
 
-            let at = fill(k, m, 3);
+            let at = fill_as(k, m, 3, narrow);
             assert_eq!(
                 at.t_matmul(&b).data(),
                 naive_t_matmul(&at, &b).data(),
                 "t_matmul {m}x{k}x{n} at {threads} threads"
             );
 
-            let bt = fill(n, k, 4);
+            let bt = fill_as(n, k, 4, narrow);
             assert_eq!(
                 a.matmul_t(&bt).data(),
                 naive_matmul_t(&a, &bt).data(),
@@ -156,22 +171,55 @@ fn kernels_match_naive_bitwise_across_thread_counts() {
     nn::par::set_threads(1);
 }
 
-#[test]
-fn into_variants_reuse_buffers_without_changing_bits() {
+/// The same `out` is recycled across every shape; stale contents and
+/// capacity from the previous (larger or smaller) product must never
+/// leak into the next result.
+fn into_variants_reuse_buffers<T: Scalar>(narrow: fn(&Matrix) -> Matrix<T>) {
     let mut out = Matrix::zeros(0, 0);
     for &(m, k, n) in &SHAPES {
-        let a = fill(m, k, 5);
-        let b = fill(k, n, 6);
-        // The same `out` is recycled across every shape; stale contents
-        // and capacity from the previous (larger or smaller) product
-        // must never leak into the next result.
+        let a = fill_as(m, k, 5, narrow);
+        let b = fill_as(k, n, 6, narrow);
         a.matmul_into(&b, &mut out);
         assert_eq!(
             out.data(),
             naive_matmul(&a, &b).data(),
             "matmul_into {m}x{k}x{n}"
         );
+        let at = fill_as(k, m, 7, narrow);
+        at.t_matmul_into(&b, &mut out);
+        assert_eq!(
+            out.data(),
+            naive_t_matmul(&at, &b).data(),
+            "t_matmul_into {m}x{k}x{n}"
+        );
+        let bt = fill_as(n, k, 8, narrow);
+        a.matmul_t_into(&bt, &mut out);
+        assert_eq!(
+            out.data(),
+            naive_matmul_t(&a, &bt).data(),
+            "matmul_t_into {m}x{k}x{n}"
+        );
     }
+}
+
+#[test]
+fn kernels_match_naive_bitwise_across_thread_counts() {
+    kernels_match_naive_across_thread_counts(Matrix::clone);
+}
+
+#[test]
+fn f32_kernels_match_naive_bitwise_across_thread_counts() {
+    kernels_match_naive_across_thread_counts(Matrix::<f32>::from_f64);
+}
+
+#[test]
+fn into_variants_reuse_buffers_without_changing_bits() {
+    into_variants_reuse_buffers(Matrix::clone);
+}
+
+#[test]
+fn f32_into_variants_reuse_buffers_without_changing_bits() {
+    into_variants_reuse_buffers(Matrix::<f32>::from_f64);
 }
 
 #[test]
@@ -197,92 +245,6 @@ fn repeated_forward_through_reused_scratch_is_bit_identical() {
     }
 }
 
-// ---------------------------------------------------------------------
-// f32 tier (nn::tensor32) — same contract, plus a tolerance bound
-// against the f64 kernels.
-// ---------------------------------------------------------------------
-
-fn naive_matmul32(a: &MatrixF32, b: &MatrixF32) -> MatrixF32 {
-    MatrixF32::from_fn(a.rows(), b.cols(), |i, j| {
-        let mut acc = 0.0f32;
-        for k in 0..a.cols() {
-            acc += a.get(i, k) * b.get(k, j);
-        }
-        acc
-    })
-}
-
-fn naive_t_matmul32(a: &MatrixF32, b: &MatrixF32) -> MatrixF32 {
-    MatrixF32::from_fn(a.cols(), b.cols(), |i, j| {
-        let mut acc = 0.0f32;
-        for k in 0..a.rows() {
-            acc += a.get(k, i) * b.get(k, j);
-        }
-        acc
-    })
-}
-
-fn naive_matmul_t32(a: &MatrixF32, b: &MatrixF32) -> MatrixF32 {
-    MatrixF32::from_fn(a.rows(), b.rows(), |i, j| {
-        let mut acc = 0.0f32;
-        for k in 0..a.cols() {
-            acc += a.get(i, k) * b.get(j, k);
-        }
-        acc
-    })
-}
-
-/// Bit identity of the f32 kernels against the naive f32 triple loop,
-/// across thread counts. This is also the simd-on/simd-off identity
-/// proof: the CI matrix runs this same test with and without
-/// `--features simd`, and both legs must equal the *same* scalar
-/// reference — hence each other.
-#[test]
-fn f32_kernels_match_naive_bitwise_across_thread_counts() {
-    for threads in [1usize, 2, 8] {
-        nn::par::set_threads(threads);
-        for &(m, k, n) in &SHAPES {
-            let a = MatrixF32::from_f64(&fill(m, k, 1));
-            let b = MatrixF32::from_f64(&fill(k, n, 2));
-            assert_eq!(
-                a.matmul(&b).data(),
-                naive_matmul32(&a, &b).data(),
-                "f32 matmul {m}x{k}x{n} at {threads} threads"
-            );
-
-            let at = MatrixF32::from_f64(&fill(k, m, 3));
-            assert_eq!(
-                at.t_matmul(&b).data(),
-                naive_t_matmul32(&at, &b).data(),
-                "f32 t_matmul {m}x{k}x{n} at {threads} threads"
-            );
-
-            let bt = MatrixF32::from_f64(&fill(n, k, 4));
-            assert_eq!(
-                a.matmul_t(&bt).data(),
-                naive_matmul_t32(&a, &bt).data(),
-                "f32 matmul_t {m}x{k}x{n} at {threads} threads"
-            );
-        }
-    }
-    nn::par::set_threads(1);
-}
-
-#[test]
-fn f32_into_variants_reuse_buffers_without_changing_bits() {
-    let mut out = MatrixF32::zeros(0, 0);
-    for &(m, k, n) in &SHAPES {
-        let a = MatrixF32::from_f64(&fill(m, k, 5));
-        let b = MatrixF32::from_f64(&fill(k, n, 6));
-        a.matmul_into(&b, &mut out);
-        assert_eq!(
-            out.data(),
-            naive_matmul32(&a, &b).data(),
-            "f32 matmul_into {m}x{k}x{n}"
-        );
-    }
-}
-
 /// Tolerance contract of the f32 tier against f64 (DESIGN.md §13).
 ///
 /// Inputs are narrowed to f32 and then widened back, so both kernels
@@ -295,8 +257,8 @@ fn f32_into_variants_reuse_buffers_without_changing_bits() {
 fn f32_kernels_track_f64_within_documented_relative_error() {
     const REL_TOL: f64 = 1e-4;
     for &(m, k, n) in &SHAPES {
-        let a32 = MatrixF32::from_f64(&fill(m, k, 7));
-        let b32 = MatrixF32::from_f64(&fill(k, n, 8));
+        let a32 = Matrix::<f32>::from_f64(&fill(m, k, 7));
+        let b32 = Matrix::<f32>::from_f64(&fill(k, n, 8));
         // Widen exactly: the f64 reference runs on the f32-rounded values.
         let a64 = a32.to_f64();
         let b64 = b32.to_f64();

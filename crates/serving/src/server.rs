@@ -6,9 +6,9 @@
 //! then run each sample through the replica's `predict_proba` (which
 //! reuses the model's pooled `*_into` scratch buffers across requests).
 //!
-//! Locking is `std::sync::{Mutex, Condvar}` (the vendored `parking_lot`
-//! has no condvar). All lock acquisitions recover from poisoning via
-//! `into_inner` — a panicking peer must degrade service, not wedge it.
+//! Locking is `std::sync::{Mutex, Condvar}`. All lock acquisitions
+//! recover from poisoning via `into_inner` — a panicking peer must
+//! degrade service, not wedge it.
 
 use retina_core::infer32::RetinaF32;
 use retina_core::retina::{PackedSample, Retina};
@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 /// Numeric tier the worker replicas run in.
 ///
 /// `F32` restores the f64 model once, narrows it via
-/// [`Retina::to_f32_inference`], and serves on the `nn::tensor32`
+/// [`Retina::to_f32_inference`], and serves on `nn::Matrix<f32>`
 /// kernels. Probabilities stay `f64` on the wire; the divergence from
 /// `F64` is bounded by the tolerance contract in `retina_core::infer32`
 /// (DESIGN.md §13), and for a fixed request the answer is bit-identical
@@ -95,8 +95,9 @@ pub enum SubmitError {
         capacity: usize,
         retry_after: Duration,
     },
-    /// The request disagrees with the model's input dimensions and
-    /// would fault a worker.
+    /// The request disagrees with the model's input dimensions, or
+    /// carries a NaN/±inf feature value, and would fault a worker or
+    /// answer with NaN probabilities.
     InvalidRequest { context: &'static str },
     /// The server is shutting down and no longer accepts work.
     ShutDown,
@@ -298,8 +299,9 @@ impl PredictionServer {
         self.workers
     }
 
-    /// Submit one request. Never blocks: a full queue or a dimension
-    /// mismatch rejects immediately with a structured error.
+    /// Submit one request. Never blocks: a full queue, a dimension
+    /// mismatch or a non-finite feature rejects immediately with a
+    /// structured error.
     pub fn submit(&self, request: PredictRequest) -> Result<Ticket, SubmitError> {
         if let Err(e) = self.validate(&request.sample) {
             self.shared.rejected.fetch_add(1, Ordering::Relaxed);
@@ -365,6 +367,15 @@ impl PredictionServer {
                     context: "news Doc2Vec width disagrees with model d2v_dim",
                 });
             }
+        }
+        let finite = |row: &[f64]| row.iter().all(|v| v.is_finite());
+        if !(sample.user_rows.iter().all(|r| finite(r))
+            && finite(&sample.tweet_d2v)
+            && sample.news_d2v.iter().all(|r| finite(r)))
+        {
+            return Err(SubmitError::InvalidRequest {
+                context: "non-finite feature value",
+            });
         }
         Ok(())
     }

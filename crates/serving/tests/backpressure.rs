@@ -186,3 +186,51 @@ fn drop_performs_graceful_drain() {
         assert_eq!(t.wait().id, i as u64);
     }
 }
+
+#[test]
+fn non_finite_features_are_rejected_and_service_continues() {
+    let server = PredictionServer::start(
+        &snapshot(),
+        ServerConfig {
+            workers: 1,
+            max_batch: 1,
+            max_delay: Duration::from_micros(100),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("start");
+    let poisons: [(&str, fn(&mut PredictRequest, f64)); 3] = [
+        ("user_rows", |r, v| r.sample.user_rows[1][2] = v),
+        ("tweet_d2v", |r, v| r.sample.tweet_d2v[3] = v),
+        ("news_d2v", |r, v| r.sample.news_d2v[1][4] = v),
+    ];
+    let mut id = 0;
+    let mut served = 0u64;
+    for (field, poison) in poisons {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut req = request(id);
+            poison(&mut req, bad);
+            match server.submit(req) {
+                Err(SubmitError::InvalidRequest { context }) => {
+                    assert_eq!(context, "non-finite feature value", "{field} = {bad}");
+                }
+                other => panic!(
+                    "{field} = {bad}: expected InvalidRequest, got {:?}",
+                    other.err()
+                ),
+            }
+            id += 1;
+            // The next valid request is still served, with finite answers.
+            let p = server.submit(request(id)).expect("valid request").wait();
+            assert_eq!(p.id, id);
+            assert!(p.probabilities.iter().all(|v| v.is_finite()));
+            served += 1;
+            id += 1;
+        }
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.rejected, 9);
+    assert_eq!(stats.accepted, served);
+    assert_eq!(stats.completed, served);
+    assert_eq!(stats.accepted + stats.rejected, id);
+}

@@ -84,6 +84,25 @@ fn render_predictions(model: &mut Retina) -> String {
     out
 }
 
+fn predictions_f32_path() -> PathBuf {
+    fixture_dir().join("golden_predictions_f32.txt")
+}
+
+/// The f32 tier's predictions (what a `Precision::F32` replica serves)
+/// as exact `to_bits()` hex, so any change to f32 arithmetic shows up.
+fn render_predictions_f32(snap: &Snapshot) -> String {
+    let mut model = snap.restore().expect("fixture restores").to_f32_inference();
+    let mut out = String::new();
+    for (i, probe) in probes().iter().enumerate() {
+        out.push_str(&format!("{i}:"));
+        for p in model.predict_proba(probe) {
+            out.push_str(&format!(" {:016x}", p.to_bits()));
+        }
+        out.push('\n');
+    }
+    out
+}
+
 fn parse_predictions(text: &str) -> Vec<Vec<f64>> {
     text.lines()
         .filter(|l| !l.trim().is_empty())
@@ -145,6 +164,20 @@ fn golden_snapshot_predictions_are_pinned() {
     }
 }
 
+/// The f32 tier is pinned bit for bit, not just within the f64
+/// tolerance: its kernels are a refactoring target, and a changed
+/// summation order must fail here.
+#[test]
+fn golden_snapshot_f32_predictions_are_pinned_bit_exactly() {
+    let snap = Snapshot::load(&snapshot_path()).expect("fixture decodes");
+    let expected = std::fs::read_to_string(predictions_f32_path()).expect("f32 predictions file");
+    assert_eq!(
+        render_predictions_f32(&snap),
+        expected,
+        "f32 tier bits drifted"
+    );
+}
+
 /// Re-encoding the committed fixture must reproduce its exact bytes:
 /// the encoder and the committed file agree on the wire format.
 #[test]
@@ -163,4 +196,6 @@ fn regenerate() {
     let mut model = snap.restore().expect("restore");
     std::fs::write(predictions_path(), render_predictions(&mut model))
         .expect("write predictions fixture");
+    std::fs::write(predictions_f32_path(), render_predictions_f32(&snap))
+        .expect("write f32 predictions fixture");
 }

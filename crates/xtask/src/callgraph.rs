@@ -92,7 +92,7 @@ const CALL_KEYWORDS: [&str; 8] = ["if", "while", "for", "match", "return", "fn",
 /// never resolve to a workspace item through the unique-name fallback
 /// (`AtomicUsize::load` is not `Baseline::load`). Hinted receivers
 /// (`self.`, typed locals, fields) bypass this list.
-const STD_METHODS: [&str; 42] = [
+const STD_METHODS: [&str; 44] = [
     "abs",
     "clear",
     "clone",
@@ -100,6 +100,7 @@ const STD_METHODS: [&str; 42] = [
     "contains",
     "count",
     "drain",
+    "exp",
     "extend",
     "fill",
     "find",
@@ -129,6 +130,7 @@ const STD_METHODS: [&str; 42] = [
     "replace",
     "set",
     "spawn",
+    "sqrt",
     "store",
     "swap",
     "take",

@@ -222,7 +222,7 @@ pub const CATALOGUE: &[RuleDoc] = &[
         fix: "Write a `// SAFETY:` comment directly above the unsafe block \
               stating the invariant that discharges it, guard every \
               `#[target_feature]` call behind `is_x86_feature_detected!`, \
-              and keep unchecked ops inside `crates/nn/src/tensor32.rs`; \
+              and keep unchecked ops inside `crates/nn/src/tensor.rs`; \
               annotate `// lint: allow(unsafe-contract) <proof>` only with \
               the obligation written out.",
     },

@@ -525,6 +525,8 @@ impl FloatFlow {
 }
 
 /// `const NAME: <num type> = [-]<literal>;` declarations, workspace-wide.
+/// `Self`-typed consts count as floats: the only ones in the tree are
+/// the `nn::Scalar` constants (`T::ZERO`, `T::ONE`) of the f32/f64 impls.
 fn collect_consts(ctx: &Context) -> BTreeMap<String, (f64, bool)> {
     let mut out = BTreeMap::new();
     for file in &ctx.files {
@@ -538,7 +540,7 @@ fn collect_consts(ctx: &Context) -> BTreeMap<String, (f64, bool)> {
                 && toks[k + 4].is_punct("=")
             {
                 let ty = toks[k + 3].text.as_str();
-                let isf = matches!(ty, "f64" | "f32");
+                let isf = matches!(ty, "f64" | "f32" | "Self");
                 let isnum = isf
                     || matches!(
                         ty,
@@ -1723,6 +1725,9 @@ impl<'a> FnFlow<'a> {
             }
             if matches!(head, "f64" | "f32") && name == "MAX" {
                 return Some((Val::float(Domain::Positive), j));
+            }
+            if let Some(&(v, isf)) = self.consts.get(name) {
+                return Some((of_const(v, isf), j));
             }
             return Some((Val::unknown(), j));
         }

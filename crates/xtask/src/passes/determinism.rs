@@ -14,8 +14,8 @@
 //!    `BTreeSet` or sort before iterating.
 //! 3. **Wall-clock reads** (`Instant::now`, `SystemTime::now`) — warning.
 //!    Timing belongs in the bench crate, not in result paths.
-//! 4. **Ad-hoc thread spawning** (`thread::spawn`, `thread::scope`,
-//!    `crossbeam::scope`) outside the blessed `nn::par` module — error.
+//! 4. **Ad-hoc thread spawning** (`thread::spawn`, `thread::scope`)
+//!    outside the blessed `nn::par` module — error.
 //!    All data-parallel work must route through the `nn::par` splitters
 //!    so the bit-identity contract (disjoint output partitions, serial
 //!    reductions) is enforced in one audited place.
@@ -190,7 +190,7 @@ fn check_adhoc_threading(file: &super::AnalyzedFile, findings: &mut Vec<Finding>
         if matches!(t.text.as_str(), "spawn" | "scope")
             && j >= 2
             && toks[j - 1].is_punct("::")
-            && matches!(toks[j - 2].text.as_str(), "thread" | "crossbeam")
+            && toks[j - 2].is_ident("thread")
         {
             findings.push(finding(
                 path,
@@ -420,7 +420,7 @@ mod tests {
         let f = run_on(
             "crates/core/src/x.rs",
             "fn f() {\n\
-                 crossbeam::scope(|s| { s.spawn(|_| {}); }).unwrap();\n\
+                 std::thread::scope(|s| { s.spawn(|| {}); });\n\
                  let h = std::thread::spawn(|| 1);\n\
                  let _ = h.join();\n\
              }\n",
@@ -434,7 +434,7 @@ mod tests {
     fn blessed_par_module_may_spawn() {
         let f = run_on(
             "crates/nn/src/par.rs",
-            "fn f() { crossbeam::scope(|s| { s.spawn(|_| {}); }).unwrap(); }\n",
+            "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n",
         );
         assert!(f.is_empty(), "{f:?}");
     }

@@ -1,7 +1,7 @@
 //! A13 — unsafe-contract discipline.
 //!
-//! PR 9's simd tier introduced the workspace's only `unsafe` (the AVX2
-//! kernel dispatch in `nn::tensor32`); this pass machine-enforces the
+//! The simd tier holds the workspace's only `unsafe` (the AVX2 kernel
+//! dispatch in `nn::tensor`); this pass machine-enforces the
 //! contract that made it acceptable, so the next `unsafe` cannot land
 //! without the same rigor:
 //!
@@ -27,7 +27,7 @@ pub struct UnsafeContract;
 
 /// The one file whose kernels are allowed unchecked/raw-pointer ops
 /// (today none are used even there, but the simd tier owns the budget).
-const BLESSED_SIMD_FILE: &str = "crates/nn/src/tensor32.rs";
+const BLESSED_SIMD_FILE: &str = "crates/nn/src/tensor.rs";
 
 /// How many comment/attribute/blank lines above an `unsafe` token the
 /// SAFETY comment may sit (the blessed shape interleaves
@@ -338,7 +338,7 @@ mod tests {
                  }\n",
             ),
             (
-                "crates/nn/src/tensor32.rs",
+                "crates/nn/src/tensor.rs",
                 "pub fn blessed(xs: &[f32]) -> f32 {\n\
                      // SAFETY: kernel contract pins xs length.\n\
                      unsafe { *xs.get_unchecked(0) }\n\
