@@ -37,12 +37,14 @@ cargo build --release
 step "cargo test"
 cargo test -q
 
-step "crate test suites (release)"
-# `cargo test -q` builds only the root package. Kernel parity, f32
-# parity, both golden pins, server determinism and the stress suite live
-# in these crates; release mode keeps the training-heavy core unit tests
-# to ~30 s on a 2-core host once built.
-cargo test -q --release -p nn -p retina-core -p serving
+step "workspace test suites (release)"
+# `cargo test -q` builds only the root package. Every other crate's
+# tests run here: kernel parity, f32 parity, the golden pins, server
+# determinism and the stress suite, the xtask real-tree pins (dot
+# freshness, A13, zero-stale baseline) and the bench/ml/text/socialsim/
+# diffusion unit tests. Release mode keeps the training-heavy suites to
+# under a minute on a 2-core host once built.
+cargo test -q --release --workspace
 
 step "simd feature matrix"
 # The matmul kernels (f64 and f32) ship an opt-in AVX2 dispatch path

@@ -3,7 +3,7 @@
 //! experiment rests on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use nn::{AttentionF32, ExogenousAttention, Gru, GruF32, Matrix};
+use nn::{ExogenousAttention, Gru, Matrix};
 use socialsim::FollowerGraph;
 use std::hint::black_box;
 use text::{Doc2Vec, Doc2VecConfig, TfIdfConfig, TfIdfVectorizer};
@@ -90,13 +90,16 @@ fn bench_nn(c: &mut Criterion) {
     });
 
     // Inference-path pairs: forward-only at the same production shapes,
-    // f64 vs the f32 tier. The f32 layers are built once — the serving
-    // pattern — so steady-state scratch reuse is what's measured.
+    // f64 vs the f32 tier narrowed from the same f64 layer. Layers are
+    // built once — the serving pattern — so steady-state scratch reuse
+    // is what's measured.
     let mut att = ExogenousAttention::new(50, 50, 64, 0);
+    let mut att32 = att.to_f32();
     c.bench_function("nn/attention_infer_60news", |b| {
-        b.iter(|| black_box(att.forward(&xt, &xn)))
+        b.iter(|| {
+            black_box(att.forward(&xt, &xn));
+        })
     });
-    let mut att32 = AttentionF32::from_attention(&ExogenousAttention::new(50, 50, 64, 0));
     let xt32 = Matrix::<f32>::from_f64(&xt);
     let xn32: Vec<Matrix<f32>> = xn.iter().map(Matrix::from_f64).collect();
     c.bench_function("nn/attention_infer_60news_f32", |b| {
@@ -106,10 +109,12 @@ fn bench_nn(c: &mut Criterion) {
     });
 
     let mut gru = Gru::new(128, 64, 0);
+    let mut gru32 = gru.to_f32();
     c.bench_function("nn/gru_infer_6steps_batch64", |b| {
-        b.iter(|| black_box(gru.forward(&xs)))
+        b.iter(|| {
+            black_box(gru.forward(&xs));
+        })
     });
-    let mut gru32 = GruF32::from_gru(&Gru::new(128, 64, 0));
     let xs32: Vec<Matrix<f32>> = xs.iter().map(Matrix::from_f64).collect();
     c.bench_function("nn/gru_infer_6steps_batch64_f32", |b| {
         b.iter(|| {

@@ -163,9 +163,9 @@ impl HateDetector {
                     let h = act.forward(&l1.forward(&x));
                     let z = l2.forward(&h);
                     let g = bce.grad(&z, &t);
-                    let gh = l2.backward(&g);
+                    let gh = l2.backward(&h, &g);
                     let gp = act.backward(&gh);
-                    let _ = l1.backward(&gp);
+                    let _ = l1.backward(&x, &gp);
                     let mut params = l1.params_mut();
                     params.extend(l2.params_mut());
                     opt.step(&mut params);
@@ -227,8 +227,8 @@ impl HateDetector {
             DetectorModel::LogReg(m) => m.predict_proba(row),
             DetectorModel::Mlp { l1, act, l2 } => {
                 let x = Matrix::from_rows(&[row.to_vec()]);
-                let h = act.forward_inference(&l1.forward_inference(&x));
-                let z = l2.forward_inference(&h);
+                let h = act.forward_inference(&l1.forward(&x));
+                let z = l2.forward(&h);
                 1.0 / (1.0 + (-z.get(0, 0)).exp())
             }
         }

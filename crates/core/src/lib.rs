@@ -26,7 +26,6 @@ pub mod detector;
 pub mod experiments;
 pub mod features;
 pub mod hategen;
-pub mod infer32;
 pub mod retina;
 pub mod seed;
 pub mod snapshot;
@@ -35,7 +34,6 @@ pub mod trainer;
 pub use detector::HateDetector;
 pub use features::{FeatureGroup, HategenFeatures, RetweetFeatures, TextModels};
 pub use hategen::{HategenPipeline, HategenSample, ModelKind, Processing};
-pub use infer32::RetinaF32;
 pub use retina::{RecurrentKind, Retina, RetinaConfig, RetinaMode};
 pub use snapshot::{PipelineState, Snapshot, SnapshotError};
 pub use trainer::{TrainConfig, Trainer};

@@ -19,8 +19,7 @@ use crate::seed::SeedStream;
 use diffusion::CascadeSample;
 use ml::StandardScaler;
 use nn::activation::stable_sigmoid;
-use nn::{Activation, ActivationKind, Dense, ExogenousAttention, Gru, Lstm, Matrix, SimpleRnn};
-use nn::{Param, WeightedBce};
+use nn::{Dense, ExogenousAttention, Gru, Lstm, Matrix, Param, Scalar, SimpleRnn, WeightedBce};
 
 /// Static vs dynamic prediction (Section V).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,14 +95,14 @@ pub fn default_intervals() -> Vec<f64> {
     vec![1.0, 4.0, 12.0, 48.0, 168.0, f64::INFINITY]
 }
 
-enum RecurrentCell {
-    Gru(Gru),
-    Lstm(Lstm),
-    Rnn(SimpleRnn),
+enum RecurrentCell<T: Scalar> {
+    Gru(Gru<T>),
+    Lstm(Lstm<T>),
+    Rnn(SimpleRnn<T>),
 }
 
-impl RecurrentCell {
-    fn forward(&mut self, xs: &[Matrix]) -> Vec<Matrix> {
+impl<T: Scalar> RecurrentCell<T> {
+    fn forward(&mut self, xs: &[Matrix<T>]) -> &[Matrix<T>] {
         match self {
             RecurrentCell::Gru(c) => c.forward(xs),
             RecurrentCell::Lstm(c) => c.forward(xs),
@@ -111,6 +110,16 @@ impl RecurrentCell {
         }
     }
 
+    fn outputs(&self) -> &[Matrix<T>] {
+        match self {
+            RecurrentCell::Gru(c) => c.outputs(),
+            RecurrentCell::Lstm(c) => c.outputs(),
+            RecurrentCell::Rnn(c) => c.outputs(),
+        }
+    }
+}
+
+impl RecurrentCell<f64> {
     fn backward(&mut self, grads: &[Matrix]) -> Vec<Matrix> {
         match self {
             RecurrentCell::Gru(c) => c.backward(grads),
@@ -132,6 +141,14 @@ impl RecurrentCell {
             RecurrentCell::Gru(c) => c.params(),
             RecurrentCell::Lstm(c) => c.params(),
             RecurrentCell::Rnn(c) => c.params(),
+        }
+    }
+
+    fn to_f32(&self) -> RecurrentCell<f32> {
+        match self {
+            RecurrentCell::Gru(c) => RecurrentCell::Gru(c.to_f32()),
+            RecurrentCell::Lstm(c) => RecurrentCell::Lstm(c.to_f32()),
+            RecurrentCell::Rnn(c) => RecurrentCell::Rnn(c.to_f32()),
         }
     }
 }
@@ -243,28 +260,74 @@ fn interval_label_row(t0: f64, rt_time: f64, intervals: &[f64]) -> Vec<u8> {
 /// Prediction head. Exactly one variant exists per model, fixed at
 /// construction by [`RetinaMode`], so the hot path never unwraps an
 /// `Option` to reach its layers.
-enum Head {
+enum Head<T: Scalar> {
     /// Static mode: one dense over the merged representation.
-    Static(Dense),
+    Static(Dense<T>),
     /// Dynamic mode: a recurrent cell unrolled over the intervals plus a
     /// shared per-step dense.
     Dynamic {
-        cell: RecurrentCell,
-        step: Dense,
-        /// Hidden states of the last forward (consumed by backward).
-        cache: Option<Vec<Matrix>>,
+        cell: RecurrentCell<T>,
+        step: Dense<T>,
     },
 }
 
-/// The RETINA model.
-pub struct Retina {
+impl Head<f64> {
+    fn to_f32(&self) -> Head<f32> {
+        match self {
+            Head::Static(out) => Head::Static(out.to_f32()),
+            Head::Dynamic { cell, step } => Head::Dynamic {
+                cell: cell.to_f32(),
+                step: step.to_f32(),
+            },
+        }
+    }
+}
+
+/// One forward's activations, overwritten in place by the next forward
+/// (zero steady-state allocation); backward reads them.
+#[derive(Default)]
+struct Activations<T: Scalar> {
+    /// Scaled candidate rows (`n × d_user`), the user dense's input.
+    x: Matrix<T>,
+    /// `ReLU(x·W + b)` of the user dense (`n × hdim`).
+    hidden: Matrix<T>,
+    /// `[hidden | attention context]`, the head's input.
+    merged: Matrix<T>,
+    /// Per-candidate logits (`n × 1` static, `n × T` dynamic).
+    logits: Matrix<T>,
+    /// Attention inputs: the tweet's and each news item's Doc2Vec.
+    xt: Matrix<T>,
+    xn: Vec<Matrix<T>>,
+    /// Whether the attention layer ran: it is skipped for a sample with
+    /// no news, whose context is zero.
+    attended: bool,
+    /// Recurrent input (`merged` once per interval).
+    xs: Vec<Matrix<T>>,
+    /// One interval's step-dense output.
+    step_out: Matrix<T>,
+}
+
+/// The RETINA model at width `T`: `Retina` (`f64`) trains;
+/// [`Retina::to_f32_inference`] narrows it into a forward-only
+/// `Retina<f32>` for the serving tier. Both run the same forward.
+///
+/// The `f32` tier's tolerance contract: input normalization runs in
+/// `f64` through the fitted scaler and the rows are narrowed after it,
+/// so the f32 model sees exactly the rows the f64 model sees, rounded
+/// once. Logits widen back to `f64` for the probability map. The
+/// divergence from `f64` is therefore `f32` rounding through the
+/// forward plus the polynomial gate activations ([`Scalar::sigmoid`]);
+/// `crates/serving/tests/f32_parity.rs` pins it below `1e-3` absolute
+/// on probabilities (DESIGN.md §13).
+pub struct Retina<T: Scalar = f64> {
     /// Configuration.
     pub config: RetinaConfig,
-    user_dense: Dense,
-    user_act: Activation,
-    attention: Option<ExogenousAttention>,
-    head: Head,
+    user_dense: Dense<T>,
+    attention: Option<ExogenousAttention<T>>,
+    head: Head<T>,
+    /// Input normalization stays `f64` at both widths.
     scaler: Option<StandardScaler>,
+    act: Activations<T>,
 }
 
 /// Decorrelated per-layer seeds, in lane order: user dense, exogenous
@@ -272,6 +335,129 @@ pub struct Retina {
 fn layer_seeds(base: u64) -> [u64; 5] {
     let mut stream = SeedStream::new(base);
     [(); 5].map(|()| stream.next_seed())
+}
+
+impl<T: Scalar> Retina<T> {
+    /// Number of dynamic intervals.
+    pub fn n_intervals(&self) -> usize {
+        self.config.intervals.len()
+    }
+
+    /// Input dimensionality of the candidate feature rows.
+    pub fn d_user(&self) -> usize {
+        self.user_dense.in_dim()
+    }
+
+    /// Attention weights over the news window from the last forward pass
+    /// (`1 × k`), when the exogenous branch is enabled and the sample had
+    /// news to attend to.
+    pub fn attention_weights(&self) -> Option<&Matrix<T>> {
+        let att = self.attention.as_ref().filter(|_| self.act.attended)?;
+        att.attention_weights()
+    }
+
+    /// Forward for one sample: per-candidate logits (`candidates × 1`
+    /// static, `candidates × T` dynamic), valid until the next call.
+    pub fn forward(&mut self, sample: &PackedSample) -> &Matrix<T> {
+        let a = &mut self.act;
+        let n = sample.user_rows.len();
+        let d = self.user_dense.in_dim();
+        a.x.resize_to(n, d);
+        for (r, row) in sample.user_rows.iter().enumerate() {
+            assert_eq!(row.len(), d, "candidate row width mismatch");
+            match &self.scaler {
+                Some(s) => s.transform_row_into(row, a.x.row_mut(r), T::from_f64),
+                None => narrow_into(row, a.x.row_mut(r)),
+            }
+        }
+        self.user_dense.forward_into(&a.x, &mut a.hidden);
+        a.hidden.map_assign(|v| v.max(T::ZERO));
+
+        a.attended = false;
+        match self.attention.as_mut() {
+            Some(att) => {
+                let h_cols = a.hidden.cols();
+                a.merged.resize_to(n, h_cols + att.out_dim());
+                // A sample with no news attends to nothing: its context
+                // stays zero.
+                if !sample.news_d2v.is_empty() {
+                    a.xt.resize_to(1, sample.tweet_d2v.len());
+                    narrow_into(&sample.tweet_d2v, a.xt.row_mut(0));
+                    a.xn.resize_with(sample.news_d2v.len(), Matrix::default);
+                    for (m, row) in a.xn.iter_mut().zip(&sample.news_d2v) {
+                        m.resize_to(1, row.len());
+                        narrow_into(row, m.row_mut(0));
+                    }
+                    a.attended = true;
+                    let ctx = att.forward(&a.xt, &a.xn);
+                    for r in 0..n {
+                        a.merged.row_mut(r)[h_cols..].copy_from_slice(ctx.row(0));
+                    }
+                }
+                for r in 0..n {
+                    a.merged.row_mut(r)[..h_cols].copy_from_slice(a.hidden.row(r));
+                }
+            }
+            None => a.merged.copy_from(&a.hidden),
+        }
+
+        match &mut self.head {
+            Head::Static(out) => out.forward_into(&a.merged, &mut a.logits),
+            Head::Dynamic { cell, step } => {
+                let t_len = self.config.intervals.len();
+                a.xs.resize_with(t_len, Matrix::default);
+                for x in &mut a.xs {
+                    x.copy_from(&a.merged);
+                }
+                a.logits.resize_to(n, t_len);
+                for (t, h) in cell.forward(&a.xs).iter().enumerate() {
+                    step.forward_into(h, &mut a.step_out);
+                    for r in 0..n {
+                        a.logits.set(r, t, a.step_out.get(r, 0));
+                    }
+                }
+            }
+        }
+        &a.logits
+    }
+
+    /// Static probabilities per candidate. In dynamic mode, the static
+    /// retweet probability is `1 − Π_j (1 − p_j)` (the union over
+    /// intervals). Logits widen to `f64` first, so the probability map
+    /// is the `f64` formula at both widths.
+    pub fn predict_proba(&mut self, sample: &PackedSample) -> Vec<f64> {
+        let mode = self.config.mode;
+        let logits = self.forward(sample);
+        let p = |r: usize, t: usize| stable_sigmoid(logits.get(r, t).to_f64());
+        match mode {
+            RetinaMode::Static => (0..logits.rows()).map(|r| p(r, 0)).collect(),
+            RetinaMode::Dynamic => (0..logits.rows())
+                .map(|r| {
+                    let mut p_none = 1.0;
+                    for t in 0..logits.cols() {
+                        p_none *= 1.0 - p(r, t);
+                    }
+                    1.0 - p_none
+                })
+                .collect(),
+        }
+    }
+
+    /// Per-interval probabilities (`candidates × T`); dynamic mode only.
+    pub fn predict_proba_dynamic(&mut self, sample: &PackedSample) -> Matrix {
+        assert_eq!(self.config.mode, RetinaMode::Dynamic);
+        let logits = self.forward(sample);
+        Matrix::from_fn(logits.rows(), logits.cols(), |r, t| {
+            stable_sigmoid(logits.get(r, t).to_f64())
+        })
+    }
+}
+
+/// Narrow (or copy, at `f64`) an `f64` row into `out`.
+fn narrow_into<T: Scalar>(row: &[f64], out: &mut [T]) {
+    for (o, &v) in out.iter_mut().zip(row) {
+        *o = T::from_f64(v);
+    }
 }
 
 impl Retina {
@@ -283,7 +469,6 @@ impl Retina {
         // is independent of which components the config enables.
         let [s_user, s_attn, s_static, s_cell, s_step] = layer_seeds(config.seed);
         let user_dense = Dense::new(d_user, h, s_user);
-        let user_act = Activation::new(ActivationKind::Relu);
         let attention = config
             .use_exogenous
             .then(|| ExogenousAttention::new(config.d2v_dim, config.d2v_dim, h, s_attn));
@@ -301,29 +486,17 @@ impl Retina {
                 Head::Dynamic {
                     cell,
                     step: Dense::new(h, 1, s_step),
-                    cache: None,
                 }
             }
         };
         Self {
             config,
             user_dense,
-            user_act,
             attention,
             head,
             scaler: None,
+            act: Activations::default(),
         }
-    }
-
-    /// Number of dynamic intervals.
-    pub fn n_intervals(&self) -> usize {
-        self.config.intervals.len()
-    }
-
-    /// Attention weights over the news window from the last forward pass
-    /// (`1 × k`), when the exogenous branch is enabled.
-    pub fn attention_weights(&self) -> Option<&Matrix> {
-        self.attention.as_ref().and_then(|a| a.attention_weights())
     }
 
     /// Fit the input scaler on training rows (called by the trainer).
@@ -335,89 +508,26 @@ impl Retina {
         self.scaler = Some(StandardScaler::fit(&rows));
     }
 
-    fn scale_rows(&self, rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        match &self.scaler {
-            Some(s) => s.transform(rows),
-            None => rows.to_vec(),
-        }
-    }
-
-    /// Attention context for a sample (1 × hdim), if exogenous is on.
-    fn attend(&mut self, sample: &PackedSample) -> Option<Matrix> {
-        let att = self.attention.as_mut()?;
-        if sample.news_d2v.is_empty() {
-            return Some(Matrix::zeros(1, att.out_dim()));
-        }
-        let xt = Matrix::from_rows(&[sample.tweet_d2v.clone()]);
-        let xn: Vec<Matrix> = sample
-            .news_d2v
-            .iter()
-            .map(|v| Matrix::from_rows(&[v.clone()]))
-            .collect();
-        Some(att.forward(&xt, &xn))
-    }
-
-    /// Forward for one sample: returns per-candidate logits
-    /// (`candidates × 1` static, `candidates × T` dynamic).
-    pub fn forward(&mut self, sample: &PackedSample) -> Matrix {
-        let rows = self.scale_rows(&sample.user_rows);
-        let x = Matrix::from_rows(&rows);
-        let hidden = self.user_act.forward(&self.user_dense.forward(&x));
-        let n = hidden.rows();
-        let merged = match self.attend(sample) {
-            Some(ctx) => {
-                let ctx_rows = Matrix::from_fn(n, ctx.cols(), |_, c| ctx.get(0, c));
-                hidden.concat_cols(&ctx_rows)
-            }
-            None => hidden,
-        };
-        let t_len = self.config.intervals.len();
-        match &mut self.head {
-            Head::Static(out) => out.forward(&merged),
-            Head::Dynamic { cell, step, cache } => {
-                let xs: Vec<Matrix> = (0..t_len).map(|_| merged.clone()).collect();
-                let hs = cell.forward(&xs);
-                // Per-step logits via the shared step dense; assemble
-                // candidates × T.
-                let mut out = Matrix::zeros(n, t_len);
-                for (t, h) in hs.iter().enumerate() {
-                    let z = step.forward_inference(h);
-                    for r in 0..n {
-                        out.set(r, t, z.get(r, 0));
-                    }
-                }
-                // Cache hidden states for backward by re-running the step
-                // dense in caching mode on the concatenation.
-                *cache = Some(hs);
-                out
-            }
-        }
-    }
-
-    /// Backward for one sample given the logit gradients; accumulates all
-    /// parameter gradients.
+    /// Backward for the last forward (on `sample`) given the logit
+    /// gradients; accumulates all parameter gradients.
     pub fn backward(&mut self, sample: &PackedSample, grad_logits: &Matrix) {
         let n = sample.user_rows.len();
         let h = self.config.hdim;
-        let merged_cols = if self.attention.is_some() { 2 * h } else { h };
+        let a = &self.act;
         let d_merged = match &mut self.head {
-            Head::Static(out) => out.backward(grad_logits),
-            Head::Dynamic { cell, step, cache } => {
-                // lint: allow(unwrap) API contract: backward requires a prior forward; lint: allow(panic-reach) API contract, not a data-dependent failure
-                let hs = cache.take().expect("backward before forward");
-                let mut grad_hs: Vec<Matrix> = Vec::with_capacity(hs.len());
-                for (t, hmat) in hs.iter().enumerate() {
-                    // Re-run step dense in caching mode for this timestep.
-                    let _ = step.forward(hmat);
+            Head::Static(out) => out.backward(&a.merged, grad_logits),
+            Head::Dynamic { cell, step } => {
+                let mut grad_hs: Vec<Matrix> = Vec::with_capacity(a.xs.len());
+                for (t, hmat) in cell.outputs().iter().enumerate() {
                     let g = Matrix::from_fn(n, 1, |r, _| grad_logits.get(r, t));
-                    grad_hs.push(step.backward(&g));
+                    grad_hs.push(step.backward(hmat, &g));
                 }
                 // Inputs were identical at each step: sum the gradients
                 // in step order (bit-for-bit the same as the serial sum).
                 let mut dxs = cell.backward(&grad_hs).into_iter();
                 let mut acc = match dxs.next() {
                     Some(first) => first,
-                    None => Matrix::zeros(n, merged_cols),
+                    None => Matrix::zeros(n, a.merged.cols()),
                 };
                 for d in dxs {
                     acc.add_assign(&d);
@@ -426,19 +536,19 @@ impl Retina {
             }
         };
         // Split merged gradient into hidden part and attention context.
-        let d_hidden = if self.attention.is_some() {
-            let (d_hidden, d_ctx_rows) = d_merged.split_cols(h);
-            let d_ctx = d_ctx_rows.sum_rows();
-            if !sample.news_d2v.is_empty() {
-                // lint: allow(unwrap) guarded by attention.is_some() above; lint: allow(panic-reach) guarded by the attention.is_some() branch above
-                let _ = self.attention.as_mut().unwrap().backward(&d_ctx);
+        let mut d_hidden = match self.attention.as_mut() {
+            Some(att) => {
+                let (d_hidden, d_ctx_rows) = d_merged.split_cols(h);
+                if a.attended {
+                    let _ = att.backward(&d_ctx_rows.sum_rows());
+                }
+                d_hidden
             }
-            d_hidden
-        } else {
-            d_merged
+            None => d_merged,
         };
-        let d_pre = self.user_act.backward(&d_hidden);
-        let _ = self.user_dense.backward(&d_pre);
+        // ReLU: `hidden > 0` exactly where its pre-activation was.
+        d_hidden.zip_assign(&a.hidden, |g, hv| if hv > 0.0 { g } else { 0.0 });
+        let _ = self.user_dense.backward(&a.x, &d_hidden);
     }
 
     /// All trainable parameters.
@@ -449,7 +559,7 @@ impl Retina {
         }
         match &mut self.head {
             Head::Static(out) => p.extend(out.params_mut()),
-            Head::Dynamic { cell, step, .. } => {
+            Head::Dynamic { cell, step } => {
                 p.extend(cell.params_mut());
                 p.extend(step.params_mut());
             }
@@ -466,17 +576,12 @@ impl Retina {
         }
         match &self.head {
             Head::Static(out) => p.extend(out.params()),
-            Head::Dynamic { cell, step, .. } => {
+            Head::Dynamic { cell, step } => {
                 p.extend(cell.params());
                 p.extend(step.params());
             }
         }
         p
-    }
-
-    /// Input dimensionality of the candidate feature rows.
-    pub fn d_user(&self) -> usize {
-        self.user_dense.in_dim()
     }
 
     /// The fitted input scaler, if training has run (snapshot capture).
@@ -487,33 +592,6 @@ impl Retina {
     /// Install a previously fitted input scaler (snapshot restore).
     pub(crate) fn set_scaler(&mut self, scaler: Option<StandardScaler>) {
         self.scaler = scaler;
-    }
-
-    /// Static probabilities per candidate. In dynamic mode, the static
-    /// retweet probability is `1 − Π_j (1 − p_j)` (the union over
-    /// intervals).
-    pub fn predict_proba(&mut self, sample: &PackedSample) -> Vec<f64> {
-        let logits = self.forward(sample);
-        match self.config.mode {
-            RetinaMode::Static => (0..logits.rows())
-                .map(|r| stable_sigmoid(logits.get(r, 0)))
-                .collect(),
-            RetinaMode::Dynamic => (0..logits.rows())
-                .map(|r| {
-                    let mut p_none = 1.0;
-                    for t in 0..logits.cols() {
-                        p_none *= 1.0 - stable_sigmoid(logits.get(r, t));
-                    }
-                    1.0 - p_none
-                })
-                .collect(),
-        }
-    }
-
-    /// Per-interval probabilities (`candidates × T`); dynamic mode only.
-    pub fn predict_proba_dynamic(&mut self, sample: &PackedSample) -> Matrix {
-        assert_eq!(self.config.mode, RetinaMode::Dynamic);
-        self.forward(sample).map(stable_sigmoid)
     }
 
     /// Target matrix matching [`Retina::forward`]'s logit shape.
@@ -532,46 +610,22 @@ impl Retina {
 
     /// Loss/gradient pair for one sample under a weighted BCE.
     pub fn loss_and_grad(&mut self, sample: &PackedSample, bce: &WeightedBce) -> (f64, Matrix) {
-        let logits = self.forward(sample);
         let targets = self.targets(sample);
-        (bce.loss(&logits, &targets), bce.grad(&logits, &targets))
+        let logits = self.forward(sample);
+        (bce.loss(logits, &targets), bce.grad(logits, &targets))
     }
 
-    /// Build the forward-only `f32` replica of this model for the
-    /// serving tier: every weight is narrowed `f64 → f32` once; input
-    /// normalization keeps the f64 scaler. See [`crate::infer32`] for
-    /// the tolerance contract.
-    pub fn to_f32_inference(&self) -> crate::infer32::RetinaF32 {
-        use crate::infer32::{CellF32, HeadF32, RetinaF32};
-        use nn::{AttentionF32, DenseF32, GruF32, LstmF32, RnnF32};
-        let head = match &self.head {
-            Head::Static(out) => HeadF32::Static(DenseF32::from_dense(out)),
-            Head::Dynamic { cell, step, .. } => HeadF32::Dynamic {
-                cell: match cell {
-                    RecurrentCell::Gru(c) => CellF32::Gru(GruF32::from_gru(c)),
-                    RecurrentCell::Lstm(c) => CellF32::Lstm(LstmF32::from_lstm(c)),
-                    RecurrentCell::Rnn(c) => CellF32::Rnn(RnnF32::from_rnn(c)),
-                },
-                step: DenseF32::from_dense(step),
-            },
-        };
-        RetinaF32 {
-            mode: self.config.mode,
-            n_intervals: self.config.intervals.len(),
-            hdim: self.config.hdim,
-            user_dense: DenseF32::from_dense(&self.user_dense),
-            attention: self.attention.as_ref().map(AttentionF32::from_attention),
-            head,
+    /// The forward-only `f32` replica of this model for the serving
+    /// tier: every weight is narrowed `f64 → f32` once; input
+    /// normalization keeps the `f64` scaler.
+    pub fn to_f32_inference(&self) -> Retina<f32> {
+        Retina {
+            config: self.config.clone(),
+            user_dense: self.user_dense.to_f32(),
+            attention: self.attention.as_ref().map(ExogenousAttention::to_f32),
+            head: self.head.to_f32(),
             scaler: self.scaler.clone(),
-            x: Matrix::zeros(0, 0),
-            hidden: Matrix::zeros(0, 0),
-            merged: Matrix::zeros(0, 0),
-            logits: Matrix::zeros(0, 0),
-            step_out: Matrix::zeros(0, 0),
-            xt: Matrix::zeros(0, 0),
-            xn: Vec::new(),
-            xs: Vec::new(),
-            ctx_zero: Matrix::zeros(0, 0),
+            act: Activations::default(),
         }
     }
 }
@@ -709,6 +763,19 @@ mod tests {
         m.backward(&s, &grad);
         let total: f64 = m.params_mut().iter().map(|p| p.grad.frobenius()).sum();
         assert!(total > 0.0);
+    }
+
+    #[test]
+    fn attention_weights_reset_after_newsless_forward() {
+        let mut m = Retina::new(20, RetinaConfig::static_default());
+        let _ = m.forward(&toy_sample(4, 20, 5, false, 6));
+        let shape = m.attention_weights().map(|a| (a.rows(), a.cols()));
+        assert_eq!(shape, Some((1, 5)));
+        let _ = m.forward(&toy_sample(4, 20, 0, false, 7));
+        assert!(
+            m.attention_weights().is_none(),
+            "a newsless forward must not report the previous sample's weights"
+        );
     }
 
     #[test]

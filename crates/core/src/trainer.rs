@@ -119,7 +119,7 @@ impl Trainer {
 /// model once via [`Retina::to_f32_inference`] and reuses the replica's
 /// warm scratch across the whole batch. This is the post-training
 /// predict path for throughput-bound evaluation; per-sample tolerance
-/// vs [`Retina::predict_proba`] is documented in [`crate::infer32`].
+/// vs [`Retina::predict_proba`] is documented on [`Retina`].
 pub fn predict_proba_f32(model: &Retina, samples: &[PackedSample]) -> Vec<Vec<f64>> {
     let mut replica = model.to_f32_inference();
     samples.iter().map(|s| replica.predict_proba(s)).collect()

@@ -26,11 +26,23 @@ impl StandardScaler {
 
     /// Transform a single row.
     pub fn transform_row(&self, row: &[f64]) -> Vec<f64> {
-        row.iter()
-            .zip(&self.means)
-            .zip(&self.stds)
-            .map(|((&v, &m), &s)| (v - m) / s)
-            .collect()
+        let mut out = vec![0.0; row.len()];
+        self.transform_row_into(row, &mut out, |v| v);
+        out
+    }
+
+    /// [`StandardScaler::transform_row`] into a caller-owned buffer,
+    /// passing each standardized value through `map` (e.g. a narrowing
+    /// cast).
+    pub fn transform_row_into<T>(&self, row: &[f64], out: &mut [T], map: impl Fn(f64) -> T) {
+        assert_eq!(
+            row.len(),
+            self.means.len(),
+            "row width disagrees with the fit"
+        );
+        for (((o, &v), &m), &s) in out.iter_mut().zip(row).zip(&self.means).zip(&self.stds) {
+            *o = map((v - m) / s);
+        }
     }
 
     /// Transform a batch.

@@ -1,5 +1,6 @@
 //! Elementwise activation layers.
 
+use crate::param::Param;
 use crate::tensor::{Matrix, Scalar};
 
 /// Supported activation functions.
@@ -74,6 +75,24 @@ impl Activation {
     }
 }
 
+/// One recurrent gate, `out = act(x·W + h·U + b)`, as the GRU, LSTM and
+/// RNN forwards build it: products into `out`/`tmp`, then in-place adds
+/// and the activation. `tmp` is scratch.
+pub(crate) fn gate_into<T: Scalar>(
+    x: &Matrix<T>,
+    h: &Matrix<T>,
+    (w, u, b): (&Param<T>, &Param<T>, &Param<T>),
+    act: impl Fn(T) -> T,
+    out: &mut Matrix<T>,
+    tmp: &mut Matrix<T>,
+) {
+    x.matmul_into(&w.value, out);
+    h.matmul_into(&u.value, tmp);
+    out.add_assign(tmp);
+    out.add_row_broadcast_assign(&b.value);
+    out.map_assign(act);
+}
+
 /// Numerically-stable sigmoid, at either width: `exp` only ever sees a
 /// non-positive argument, so it cannot overflow.
 pub fn stable_sigmoid<T: Scalar>(x: T) -> T {
@@ -89,7 +108,6 @@ pub fn stable_sigmoid<T: Scalar>(x: T) -> T {
 mod tests {
     use super::*;
     use crate::gradcheck::check_gradients;
-    use crate::param::Param;
 
     fn check(kind: ActivationKind) {
         let mut a = Activation::new(kind);

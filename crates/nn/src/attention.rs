@@ -15,22 +15,23 @@
 //! the tests).
 
 use crate::param::Param;
-use crate::tensor::{Matrix, MatrixPool};
+use crate::tensor::{Matrix, MatrixPool, Scalar};
 
 /// The exogenous attention block of RETINA.
 #[derive(Debug, Clone)]
-pub struct ExogenousAttention {
+pub struct ExogenousAttention<T: Scalar = f64> {
     /// Query kernel `d_t × h`.
-    pub wq: Param,
+    pub wq: Param<T>,
     /// Key kernel `d_n × h`.
-    pub wk: Param,
+    pub wk: Param<T>,
     /// Value kernel `d_n × h`.
-    pub wv: Param,
+    pub wv: Param<T>,
     hdim: usize,
-    cache: Option<Cache>,
-    /// Scratch buffers reused across calls; retired cache matrices are
-    /// recycled here at the start of each forward.
-    pool: MatrixPool,
+    /// Activations of the last forward (`None` before the first); the
+    /// next forward overwrites them in place.
+    cache: Option<Cache<T>>,
+    /// Scratch buffers for backward's temporaries.
+    pool: MatrixPool<T>,
 }
 
 /// Forward cache. News-side matrices are stored *stacked*: item `i`
@@ -38,14 +39,94 @@ pub struct ExogenousAttention {
 /// projections run as one matmul while leaving every output row's
 /// accumulation untouched (a matmul row only reads its own input row),
 /// so the stacked form is bit-identical to the per-item form.
-#[derive(Debug, Clone)]
-struct Cache {
-    xt: Matrix,
-    xn_all: Matrix, // (k·batch) × d_n
-    q: Matrix,
-    keys_all: Matrix,   // (k·batch) × h
-    values_all: Matrix, // (k·batch) × h
-    attn: Matrix,       // batch × k
+#[derive(Debug, Clone, Default)]
+struct Cache<T: Scalar> {
+    xt: Matrix<T>,
+    xn_all: Matrix<T>, // (k·batch) × d_n
+    q: Matrix<T>,
+    keys_all: Matrix<T>,   // (k·batch) × h
+    values_all: Matrix<T>, // (k·batch) × h
+    attn: Matrix<T>,       // batch × k
+    out: Matrix<T>,        // batch × h
+}
+
+impl<T: Scalar> ExogenousAttention<T> {
+    /// Attention output dimensionality (= hdim).
+    pub fn out_dim(&self) -> usize {
+        self.hdim
+    }
+
+    /// Forward pass; the returned context (`batch × hdim`) stays valid
+    /// until the next call. `xn` must be non-empty and each element must
+    /// have the same batch size as `xt`.
+    pub fn forward(&mut self, xt: &Matrix<T>, xn: &[Matrix<T>]) -> &Matrix<T> {
+        assert!(!xn.is_empty(), "attention needs at least one news item");
+        let batch = xt.rows();
+        assert!(
+            xn.iter().all(|n| n.rows() == batch),
+            "news batch size must match tweet batch size"
+        );
+        let k = xn.len();
+        let hdim = self.hdim;
+        let scale = T::ONE / T::from_f64(hdim as f64).max(T::ONE).sqrt();
+        let c = self.cache.get_or_insert_with(Cache::default);
+
+        c.xt.copy_from(xt);
+        xt.matmul_into(&self.wq.value, &mut c.q);
+        // Project all k news items with one matmul each over the stacked
+        // (k·batch × d_n) input — bit-identical to k per-item matmuls
+        // because each output row only accumulates over its own input row.
+        Matrix::vstack_into(xn, &mut c.xn_all);
+        c.xn_all.matmul_into(&self.wk.value, &mut c.keys_all);
+        c.xn_all.matmul_into(&self.wv.value, &mut c.values_all);
+
+        // At batch 1 (one tweet per call, the production shape) the score
+        // pass is exactly q·keysᵀ and the context pass exactly
+        // attn·values, so both run on the blocked kernels. Per output
+        // element the kernels accumulate strictly ascending — the same
+        // order as the general loops, so the fast path changes no bits.
+        if batch == 1 {
+            c.q.matmul_t_into(&c.keys_all, &mut c.attn);
+            c.attn.map_assign(|s| s * scale);
+        } else {
+            c.attn.resize_to(batch, k);
+            for i in 0..k {
+                for b in 0..batch {
+                    let s: T =
+                        c.q.row(b)
+                            .iter()
+                            .zip(c.keys_all.row(i * batch + b))
+                            .map(|(&qv, &kv)| qv * kv)
+                            .sum();
+                    c.attn.set(b, i, s * scale);
+                }
+            }
+        }
+        c.attn.softmax_rows_assign();
+        crate::sanitize::check_finite("attention", "scaled_dot", &c.attn);
+
+        if batch == 1 {
+            c.attn.matmul_into(&c.values_all, &mut c.out);
+        } else {
+            c.out.resize_to(batch, hdim);
+            for i in 0..k {
+                for b in 0..batch {
+                    let a = c.attn.get(b, i);
+                    let vrow = c.values_all.row(i * batch + b);
+                    for (o, &v) in c.out.row_mut(b).iter_mut().zip(vrow) {
+                        *o += a * v;
+                    }
+                }
+            }
+        }
+        crate::sanitize::check_finite("attention", "forward", &c.out);
+        &c.out
+    }
+
+    /// The attention weights of the last forward pass (`batch × k`).
+    pub fn attention_weights(&self) -> Option<&Matrix<T>> {
+        self.cache.as_ref().map(|c| &c.attn)
+    }
 }
 
 impl ExogenousAttention {
@@ -59,92 +140,6 @@ impl ExogenousAttention {
             cache: None,
             pool: MatrixPool::new(),
         }
-    }
-
-    /// Attention output dimensionality (= hdim).
-    pub fn out_dim(&self) -> usize {
-        self.hdim
-    }
-
-    /// Forward pass. `xn` must be non-empty and each element must have the
-    /// same batch size as `xt`.
-    pub fn forward(&mut self, xt: &Matrix, xn: &[Matrix]) -> Matrix {
-        assert!(!xn.is_empty(), "attention needs at least one news item");
-        let batch = xt.rows();
-        assert!(
-            xn.iter().all(|n| n.rows() == batch),
-            "news batch size must match tweet batch size"
-        );
-        if let Some(old) = self.cache.take() {
-            for m in [
-                old.xt,
-                old.xn_all,
-                old.q,
-                old.keys_all,
-                old.values_all,
-                old.attn,
-            ] {
-                self.pool.recycle(m);
-            }
-        }
-        let k = xn.len();
-        let scale = 1.0 / (self.hdim.max(1) as f64).sqrt();
-
-        let mut q = self.pool.grab(0, 0);
-        xt.matmul_into(&self.wq.value, &mut q);
-        // Project all k news items with one matmul each over the stacked
-        // (k·batch × d_n) input — bit-identical to k per-item matmuls
-        // because each output row only accumulates over its own input row.
-        let mut xn_all = self.pool.grab(0, 0);
-        Matrix::vstack_into(xn, &mut xn_all);
-        let mut keys_all = self.pool.grab(0, 0);
-        xn_all.matmul_into(&self.wk.value, &mut keys_all);
-        let mut values_all = self.pool.grab(0, 0);
-        xn_all.matmul_into(&self.wv.value, &mut values_all);
-
-        let mut attn = self.pool.grab(batch, k);
-        for i in 0..k {
-            for b in 0..batch {
-                let s: f64 = q
-                    .row(b)
-                    .iter()
-                    .zip(keys_all.row(i * batch + b))
-                    .map(|(a, c)| a * c)
-                    .sum();
-                attn.set(b, i, s * scale);
-            }
-        }
-        attn.softmax_rows_assign();
-        crate::sanitize::check_finite("attention", "scaled_dot", &attn);
-
-        let mut out = self.pool.grab(batch, self.hdim);
-        for i in 0..k {
-            for b in 0..batch {
-                let a = attn.get(b, i);
-                let orow = out.row_mut(b);
-                for (o, &v) in orow.iter_mut().zip(values_all.row(i * batch + b)) {
-                    *o += a * v;
-                }
-            }
-        }
-
-        crate::sanitize::check_finite("attention", "forward", &out);
-        let mut xt_cache = self.pool.grab(0, 0);
-        xt_cache.copy_from(xt);
-        self.cache = Some(Cache {
-            xt: xt_cache,
-            xn_all,
-            q,
-            keys_all,
-            values_all,
-            attn,
-        });
-        out
-    }
-
-    /// The attention weights of the last forward pass (`batch × k`).
-    pub fn attention_weights(&self) -> Option<&Matrix> {
-        self.cache.as_ref().map(|c| &c.attn)
     }
 
     /// Backward pass: accumulate kernel gradients; return
@@ -266,6 +261,18 @@ impl ExogenousAttention {
     /// [`ExogenousAttention::params_mut`] (used by the snapshot writer).
     pub fn params(&self) -> Vec<&Param> {
         vec![&self.wq, &self.wk, &self.wv]
+    }
+
+    /// The forward-only `f32` copy of this block, kernels narrowed once.
+    pub fn to_f32(&self) -> ExogenousAttention<f32> {
+        ExogenousAttention {
+            wq: self.wq.to_f32(),
+            wk: self.wk.to_f32(),
+            wv: self.wv.to_f32(),
+            hdim: self.hdim,
+            cache: None,
+            pool: MatrixPool::new(),
+        }
     }
 }
 
@@ -460,6 +467,65 @@ mod tests {
             "weights must sum to 1, got {sum}"
         );
         assert!(a.get(0, 0) > 0.999, "dominant logit takes the mass");
+    }
+
+    #[test]
+    fn batch_one_fast_path_matches_the_general_loops_bitwise() {
+        // A batch of two identical rows takes the general loops; each of
+        // its rows must equal the batch-1 kernel path bit for bit. Zeros
+        // in the inputs exercise the kernels' exact-zero skip.
+        for (d, hdim, k, seed) in [
+            (3, 1, 1, 0u64),
+            (7, 5, 9, 1),
+            (50, 64, 60, 2),
+            (12, 33, 70, 3),
+        ] {
+            let mut att = ExogenousAttention::new(d, d, hdim, seed);
+            let sparse = |m: Matrix| m.map(|v| if v.abs() < 0.1 { 0.0 } else { v * 3.0 });
+            let xt = sparse(Matrix::xavier_seeded(1, d, 100 + seed));
+            let xn: Vec<Matrix> = (0..k as u64)
+                .map(|i| sparse(Matrix::xavier_seeded(1, d, 200 + seed * 100 + i)))
+                .collect();
+            let twice = |m: &Matrix| Matrix::from_rows(&[m.row(0).to_vec(), m.row(0).to_vec()]);
+            let xn2: Vec<Matrix> = xn.iter().map(twice).collect();
+            let out1 = att.forward(&xt, &xn).clone();
+            let attn1 = att.attention_weights().unwrap().clone();
+            let out2 = att.forward(&twice(&xt), &xn2).clone();
+            let attn2 = att.attention_weights().unwrap().clone();
+            for b in 0..2 {
+                let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(out2.row(b)),
+                    bits(out1.row(0)),
+                    "context d={d} h={hdim} k={k}"
+                );
+                assert_eq!(
+                    bits(attn2.row(b)),
+                    bits(attn1.row(0)),
+                    "weights d={d} h={hdim} k={k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn f32_forward_tracks_f64_layer() {
+        let mut att = ExogenousAttention::new(6, 6, 8, 5);
+        let xt = Matrix::xavier_seeded(2, 6, 11);
+        let xn: Vec<Matrix> = (0..4)
+            .map(|i| Matrix::xavier_seeded(2, 6, 20 + i))
+            .collect();
+        let want = att.forward(&xt, &xn).clone();
+        let mut att32 = att.to_f32();
+        assert_eq!(att32.out_dim(), 8);
+        let xn32: Vec<Matrix<f32>> = xn.iter().map(Matrix::from_f64).collect();
+        let got = att32.forward(&Matrix::from_f64(&xt), &xn32).to_f64();
+        let gap = want
+            .sub(&got)
+            .data()
+            .iter()
+            .fold(0.0f64, |m, v| m.max(v.abs()));
+        assert!(gap < 1e-5, "f32 attention drifted by {gap}");
     }
 
     #[test]

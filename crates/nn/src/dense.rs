@@ -1,32 +1,21 @@
 //! Fully-connected layer `y = x·W + b`.
 
 use crate::param::Param;
-use crate::tensor::{Matrix, MatrixPool};
+use crate::tensor::{Matrix, Scalar};
 
-/// A dense (feed-forward) layer.
+/// A dense (feed-forward) layer. The forward keeps no state: backward
+/// takes the forward's input from the caller, who holds it anyway.
 #[derive(Debug, Clone)]
-pub struct Dense {
+pub struct Dense<T: Scalar = f64> {
     /// `in × out` weight.
-    pub w: Param,
+    pub w: Param<T>,
     /// `1 × out` bias.
-    pub b: Param,
-    /// Cached input for backward.
-    cache_x: Option<Matrix>,
-    /// Scratch buffers reused across forward/backward calls.
-    pool: MatrixPool,
+    pub b: Param<T>,
+    /// Scratch for the parameter gradients in backward.
+    grad_tmp: Matrix<T>,
 }
 
-impl Dense {
-    /// Create with Xavier weights.
-    pub fn new(in_dim: usize, out_dim: usize, seed: u64) -> Self {
-        Self {
-            w: Param::xavier(in_dim, out_dim, seed),
-            b: Param::zeros(1, out_dim),
-            cache_x: None,
-            pool: MatrixPool::new(),
-        }
-    }
-
+impl<T: Scalar> Dense<T> {
     /// Input dimensionality.
     pub fn in_dim(&self) -> usize {
         self.w.value.rows()
@@ -37,50 +26,44 @@ impl Dense {
         self.w.value.cols()
     }
 
-    /// Forward pass, caching the input.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
+    /// Forward pass into a caller-owned buffer (resized as needed).
+    pub fn forward_into(&self, x: &Matrix<T>, out: &mut Matrix<T>) {
         crate::sanitize::check_shape("dense", "forward", x.cols(), self.in_dim());
-        let mut out = x.matmul(&self.w.value);
+        x.matmul_into(&self.w.value, out);
         out.add_row_broadcast_assign(&self.b.value);
-        crate::sanitize::check_finite("dense", "forward", &out);
-        // Reuse the previous cache allocation instead of cloning afresh.
-        let mut cx = match self.cache_x.take() {
-            Some(m) => m,
-            None => self.pool.grab(0, 0),
-        };
-        cx.copy_from(x);
-        self.cache_x = Some(cx);
-        out
+        crate::sanitize::check_finite("dense", "forward", out);
     }
 
-    /// Forward without caching (inference).
-    pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        crate::sanitize::check_shape("dense", "forward_inference", x.cols(), self.in_dim());
-        let mut out = x.matmul(&self.w.value);
-        out.add_row_broadcast_assign(&self.b.value);
-        crate::sanitize::check_finite("dense", "forward_inference", &out);
+    /// Forward pass.
+    pub fn forward(&self, x: &Matrix<T>) -> Matrix<T> {
+        let mut out = Matrix::default();
+        self.forward_into(x, &mut out);
         out
     }
+}
 
-    /// Backward pass: accumulate dW, db; return dx.
+impl Dense {
+    /// Create with Xavier weights.
+    pub fn new(in_dim: usize, out_dim: usize, seed: u64) -> Self {
+        Self {
+            w: Param::xavier(in_dim, out_dim, seed),
+            b: Param::zeros(1, out_dim),
+            grad_tmp: Matrix::default(),
+        }
+    }
+
+    /// Backward pass for the forward that saw input `x`: accumulate dW,
+    /// db; return dx.
     ///
-    /// Gradients are computed into a pooled scratch buffer and then
-    /// `add_assign`ed — never fused into the accumulator — so the
-    /// floating-point grouping matches the allocating formulation
-    /// exactly.
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let mut tmp = self.pool.grab(0, 0);
-        let x = self
-            .cache_x
-            .as_ref()
-            // lint: allow(unwrap) API contract: backward requires a prior forward; lint: allow(panic-reach) API contract, not a data-dependent failure
-            .expect("backward called before forward");
+    /// Gradients are computed into scratch and then `add_assign`ed —
+    /// never fused into the accumulator — so the floating-point grouping
+    /// matches the allocating formulation exactly.
+    pub fn backward(&mut self, x: &Matrix, grad_out: &Matrix) -> Matrix {
         // dW = xᵀ · g ; db = Σ_rows g ; dx = g · Wᵀ
-        x.t_matmul_into(grad_out, &mut tmp);
-        self.w.grad.add_assign(&tmp);
-        grad_out.sum_rows_into(&mut tmp);
-        self.b.grad.add_assign(&tmp);
-        self.pool.recycle(tmp);
+        x.t_matmul_into(grad_out, &mut self.grad_tmp);
+        self.w.grad.add_assign(&self.grad_tmp);
+        grad_out.sum_rows_into(&mut self.grad_tmp);
+        self.b.grad.add_assign(&self.grad_tmp);
         grad_out.matmul_t(&self.w.value)
     }
 
@@ -93,6 +76,15 @@ impl Dense {
     /// [`Dense::params_mut`] (used by the snapshot writer).
     pub fn params(&self) -> Vec<&Param> {
         vec![&self.w, &self.b]
+    }
+
+    /// The `f32` copy of this layer, weights narrowed once.
+    pub fn to_f32(&self) -> Dense<f32> {
+        Dense {
+            w: self.w.to_f32(),
+            b: self.b.to_f32(),
+            grad_tmp: Matrix::default(),
+        }
     }
 }
 
@@ -119,7 +111,7 @@ mod tests {
         check_gradients(
             &x,
             |layer: &mut Dense, input| layer.forward(input),
-            |layer, g| layer.backward(g),
+            |layer, g| layer.backward(&x, g),
             |layer| layer.params_mut(),
             &mut d,
             1e-5,
@@ -128,11 +120,27 @@ mod tests {
     }
 
     #[test]
-    fn inference_matches_training_forward() {
-        let mut d = Dense::new(3, 2, 3);
+    fn forward_into_reuses_a_dirty_buffer_without_changing_bits() {
+        let d = Dense::new(3, 2, 3);
         let x = Matrix::xavier_seeded(4, 3, 4);
-        let a = d.forward(&x);
-        let b = d.forward_inference(&x);
-        assert_eq!(a, b);
+        let mut out = Matrix::from_fn(7, 7, |r, c| (r * 7 + c) as f64);
+        d.forward_into(&x, &mut out);
+        assert_eq!(out, d.forward(&x));
+    }
+
+    #[test]
+    fn f32_forward_tracks_f64_layer() {
+        let d = Dense::new(7, 4, 3);
+        let x = Matrix::xavier_seeded(5, 7, 8);
+        let want = d.forward(&x);
+        let d32 = d.to_f32();
+        assert_eq!((d32.in_dim(), d32.out_dim()), (7, 4));
+        let got = d32.forward(&Matrix::<f32>::from_f64(&x)).to_f64();
+        let gap = want
+            .sub(&got)
+            .data()
+            .iter()
+            .fold(0.0f64, |m, v| m.max(v.abs()));
+        assert!(gap < 1e-5, "f32 dense drifted by {gap}");
     }
 }

@@ -254,7 +254,7 @@ pub fn gradient_fingerprint() -> u64 {
     let mut dense = crate::dense::Dense::new(4, 3, 7);
     let x = Matrix::xavier_seeded(5, 4, 8);
     let y = dense.forward(&x);
-    let dx = dense.backward(&probe_coeffs(y.rows(), y.cols()));
+    let dx = dense.backward(&x, &probe_coeffs(y.rows(), y.cols()));
     absorb(&dx, &mut hash);
     absorb(&dense.w.grad, &mut hash);
     absorb(&dense.b.grad, &mut hash);
@@ -284,7 +284,8 @@ pub fn gradient_fingerprint() -> u64 {
         .map(|i| Matrix::xavier_seeded(2, 4, 40 + i).scaled(3.0))
         .collect();
     let y = att.forward(&xt, &xn);
-    let (d_xt, d_xn) = att.backward(&probe_coeffs(y.rows(), y.cols()));
+    let probe = probe_coeffs(y.rows(), y.cols());
+    let (d_xt, d_xn) = att.backward(&probe);
     absorb(&d_xt, &mut hash);
     for d in &d_xn {
         absorb(d, &mut hash);

@@ -14,37 +14,121 @@
 //! Backward is full BPTT; exactness is proven by finite differences in the
 //! tests.
 
-use crate::activation::stable_sigmoid;
+use crate::activation::gate_into;
 use crate::param::Param;
-use crate::tensor::{Matrix, MatrixPool};
+use crate::tensor::{Matrix, MatrixPool, Scalar};
 
 /// A single-layer GRU.
 #[derive(Debug, Clone)]
-pub struct Gru {
-    pub wz: Param,
-    pub uz: Param,
-    pub bz: Param,
-    pub wr: Param,
-    pub ur: Param,
-    pub br: Param,
-    pub wh: Param,
-    pub uh: Param,
-    pub bh: Param,
+pub struct Gru<T: Scalar = f64> {
+    pub wz: Param<T>,
+    pub uz: Param<T>,
+    pub bz: Param<T>,
+    pub wr: Param<T>,
+    pub ur: Param<T>,
+    pub br: Param<T>,
+    pub wh: Param<T>,
+    pub uh: Param<T>,
+    pub bh: Param<T>,
     in_dim: usize,
     hidden: usize,
-    cache: Option<Cache>,
-    /// Scratch buffers reused across steps and calls; retired cache
-    /// matrices are recycled here at the start of each forward.
-    pool: MatrixPool,
+    /// Activations of the last forward (`None` before the first); the
+    /// next forward overwrites them in place.
+    cache: Option<Cache<T>>,
+    /// Scratch buffers reused across steps and calls.
+    pool: MatrixPool<T>,
 }
 
-#[derive(Debug, Clone)]
-struct Cache {
-    xs: Vec<Matrix>,
-    hs: Vec<Matrix>, // h_0..h_T (T+1 entries)
-    zs: Vec<Matrix>,
-    rs: Vec<Matrix>,
-    h_hats: Vec<Matrix>,
+#[derive(Debug, Clone, Default)]
+struct Cache<T: Scalar> {
+    xs: Vec<Matrix<T>>,
+    hs: Vec<Matrix<T>>, // h_0..h_T (T+1 entries)
+    zs: Vec<Matrix<T>>,
+    rs: Vec<Matrix<T>>,
+    h_hats: Vec<Matrix<T>>,
+}
+
+impl<T: Scalar> Gru<T> {
+    /// Hidden dimensionality.
+    pub fn hidden_dim(&self) -> usize {
+        self.hidden
+    }
+
+    /// Input dimensionality.
+    pub fn in_dim(&self) -> usize {
+        self.in_dim
+    }
+
+    /// Forward over a sequence; returns hidden states `h_1..h_T`, valid
+    /// until the next call.
+    ///
+    /// Gate pre-activations are built with `*_into` kernels and in-place
+    /// elementwise ops, overwriting the previous call's activations, so
+    /// steady-state calls allocate nothing. The per-element arithmetic
+    /// order matches the allocating formulation exactly.
+    pub fn forward(&mut self, xs: &[Matrix<T>]) -> &[Matrix<T>] {
+        assert!(!xs.is_empty(), "GRU needs a non-empty sequence");
+        crate::sanitize::check_shape("gru", "forward", xs[0].cols(), self.in_dim);
+        let c = self.cache.get_or_insert_with(Cache::default);
+        for v in [&mut c.xs, &mut c.zs, &mut c.rs, &mut c.h_hats] {
+            v.resize_with(xs.len(), Matrix::default);
+        }
+        c.hs.resize_with(xs.len() + 1, Matrix::default);
+        c.hs[0].resize_to(xs[0].rows(), self.hidden);
+        let mut tmp = self.pool.grab(0, 0);
+        let mut rh = self.pool.grab(0, 0);
+
+        for (t, x) in xs.iter().enumerate() {
+            c.xs[t].copy_from(x);
+            let (done, rest) = c.hs.split_at_mut(t + 1);
+            let (h_prev, h) = (&done[t], &mut rest[0]);
+            let (z, r, h_hat) = (&mut c.zs[t], &mut c.rs[t], &mut c.h_hats[t]);
+            // z = σ(x·Wz + h·Uz + bz) ; r = σ(x·Wr + h·Ur + br)
+            gate_into(
+                x,
+                h_prev,
+                (&self.wz, &self.uz, &self.bz),
+                T::sigmoid,
+                z,
+                &mut tmp,
+            );
+            gate_into(
+                x,
+                h_prev,
+                (&self.wr, &self.ur, &self.br),
+                T::sigmoid,
+                r,
+                &mut tmp,
+            );
+            // ĥ = tanh(x·Wh + (r ⊙ h)·Uh + bh)
+            rh.copy_from(r);
+            rh.hadamard_assign(h_prev);
+            gate_into(
+                x,
+                &rh,
+                (&self.wh, &self.uh, &self.bh),
+                T::tanh,
+                h_hat,
+                &mut tmp,
+            );
+            // h = (1−z) ⊙ h_prev + z ⊙ ĥ
+            h.copy_from(h_prev);
+            h.zip_assign(z, |hp, zv| (T::ONE - zv) * hp);
+            tmp.copy_from(z);
+            tmp.hadamard_assign(h_hat);
+            h.add_assign(&tmp);
+            crate::sanitize::check_finite("gru", "step", h);
+        }
+        self.pool.recycle(tmp);
+        self.pool.recycle(rh);
+        &c.hs[1..]
+    }
+
+    /// Hidden states `h_1..h_T` of the last forward (empty before the
+    /// first).
+    pub fn outputs(&self) -> &[Matrix<T>] {
+        self.cache.as_ref().map_or(&[], |c| &c.hs[1..])
+    }
 }
 
 impl Gru {
@@ -66,107 +150,6 @@ impl Gru {
             cache: None,
             pool: MatrixPool::new(),
         }
-    }
-
-    /// Hidden dimensionality.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden
-    }
-
-    /// Input dimensionality.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Forward over a sequence; returns hidden states `h_1..h_T`.
-    ///
-    /// Gate pre-activations are built with `*_into` kernels and in-place
-    /// elementwise ops on pooled scratch; the per-element arithmetic
-    /// order matches the allocating formulation exactly, so results are
-    /// bit-identical to it. Retired cache matrices from the previous
-    /// call are recycled, making steady-state training allocation-free
-    /// inside the step loop.
-    pub fn forward(&mut self, xs: &[Matrix]) -> Vec<Matrix> {
-        assert!(!xs.is_empty(), "GRU needs a non-empty sequence");
-        crate::sanitize::check_shape("gru", "forward", xs[0].cols(), self.in_dim);
-        if let Some(old) = self.cache.take() {
-            for m in old
-                .xs
-                .into_iter()
-                .chain(old.hs)
-                .chain(old.zs)
-                .chain(old.rs)
-                .chain(old.h_hats)
-            {
-                self.pool.recycle(m);
-            }
-        }
-        let batch = xs[0].rows();
-        // `h_prev` is carried as an owned local and retired into `hs` via
-        // `mem::replace` each step — no `last().unwrap()` on the hot path.
-        let mut h_prev = self.pool.grab(batch, self.hidden);
-        let mut hs: Vec<Matrix> = Vec::with_capacity(xs.len() + 1);
-        let mut zs = Vec::with_capacity(xs.len());
-        let mut rs = Vec::with_capacity(xs.len());
-        let mut h_hats = Vec::with_capacity(xs.len());
-        let mut tmp = self.pool.grab(0, 0);
-
-        for x in xs {
-            // z = σ(x·Wz + h·Uz + bz)
-            let mut z = self.pool.grab(0, 0);
-            x.matmul_into(&self.wz.value, &mut z);
-            h_prev.matmul_into(&self.uz.value, &mut tmp);
-            z.add_assign(&tmp);
-            z.add_row_broadcast_assign(&self.bz.value);
-            z.map_assign(stable_sigmoid);
-            // r = σ(x·Wr + h·Ur + br)
-            let mut r = self.pool.grab(0, 0);
-            x.matmul_into(&self.wr.value, &mut r);
-            h_prev.matmul_into(&self.ur.value, &mut tmp);
-            r.add_assign(&tmp);
-            r.add_row_broadcast_assign(&self.br.value);
-            r.map_assign(stable_sigmoid);
-            // ĥ = tanh(x·Wh + (r ⊙ h)·Uh + bh)
-            let mut rh = self.pool.grab(0, 0);
-            rh.copy_from(&r);
-            rh.hadamard_assign(&h_prev);
-            let mut h_hat = self.pool.grab(0, 0);
-            x.matmul_into(&self.wh.value, &mut h_hat);
-            rh.matmul_into(&self.uh.value, &mut tmp);
-            h_hat.add_assign(&tmp);
-            h_hat.add_row_broadcast_assign(&self.bh.value);
-            h_hat.map_assign(f64::tanh);
-            self.pool.recycle(rh);
-            // h = (1−z) ⊙ h_prev + z ⊙ ĥ
-            let mut h = self.pool.grab(0, 0);
-            h.copy_from(&h_prev);
-            h.zip_assign(&z, |hp, zv| (1.0 - zv) * hp);
-            tmp.copy_from(&z);
-            tmp.hadamard_assign(&h_hat);
-            h.add_assign(&tmp);
-            crate::sanitize::check_finite("gru", "step", &h);
-            zs.push(z);
-            rs.push(r);
-            h_hats.push(h_hat);
-            hs.push(std::mem::replace(&mut h_prev, h));
-        }
-        hs.push(h_prev);
-        self.pool.recycle(tmp);
-        let out = hs[1..].to_vec();
-        let mut xs_cache = Vec::with_capacity(xs.len());
-        for x in xs {
-            let mut cx = self.pool.grab(0, 0);
-            cx.copy_from(x);
-            xs_cache.push(cx);
-        }
-        self.cache = Some(Cache {
-            xs: xs_cache,
-            hs,
-            zs,
-            rs,
-            h_hats,
-        });
-        out
     }
 
     /// BPTT backward: `grad_hs[t]` is the loss gradient on `h_{t+1}`.
@@ -297,6 +280,25 @@ impl Gru {
             &self.bh,
         ]
     }
+
+    /// The forward-only `f32` copy of this GRU, weights narrowed once.
+    pub fn to_f32(&self) -> Gru<f32> {
+        Gru {
+            wz: self.wz.to_f32(),
+            uz: self.uz.to_f32(),
+            bz: self.bz.to_f32(),
+            wr: self.wr.to_f32(),
+            ur: self.ur.to_f32(),
+            br: self.br.to_f32(),
+            wh: self.wh.to_f32(),
+            uh: self.uh.to_f32(),
+            bh: self.bh.to_f32(),
+            in_dim: self.in_dim,
+            hidden: self.hidden,
+            cache: None,
+            pool: MatrixPool::new(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -335,13 +337,34 @@ mod tests {
             .collect();
         check_recurrent_gradients(
             &xs,
-            |l: &mut Gru, seq| l.forward(seq),
+            |l: &mut Gru, seq| l.forward(seq).to_vec(),
             |l, g| l.backward(g),
             |l| l.params_mut(),
             &mut gru,
             1e-6,
             1e-5,
         );
+    }
+
+    #[test]
+    fn f32_forward_tracks_f64_layer() {
+        let xs: Vec<Matrix> = (0..4)
+            .map(|i| Matrix::xavier_seeded(3, 5, 40 + i))
+            .collect();
+        let mut gru = Gru::new(5, 6, 9);
+        let want = gru.forward(&xs).to_vec();
+        let mut gru32 = gru.to_f32();
+        let xs32: Vec<Matrix<f32>> = xs.iter().map(Matrix::from_f64).collect();
+        let got = gru32.forward(&xs32);
+        assert_eq!(got.len(), want.len());
+        for (w, g) in want.iter().zip(got) {
+            let gap = w
+                .sub(&g.to_f64())
+                .data()
+                .iter()
+                .fold(0.0f64, |m, v| m.max(v.abs()));
+            assert!(gap < 1e-5, "f32 GRU drifted by {gap}");
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! this crate implements the required subset from scratch:
 //!
 //! * [`tensor`] — a dense row-major `Matrix<T>` (batch × features) over
-//!   `f64` (the default) or `f32`, with the usual operations, blocked
+//!   the sealed [`Scalar`]: `f64` (the default, the training width) or
+//!   `f32` (the inference width), with the usual operations, blocked
 //!   matmul kernels (optional AVX2 path behind `--features simd`,
 //!   bit-identical to the scalar fallback), output-reuse `*_into`
 //!   variants and a scratch [`tensor::MatrixPool`].
@@ -20,9 +21,6 @@
 //!   sequences (the paper ablates GRU vs LSTM vs simple RNN).
 //! * [`attention`] — the exogenous scaled dot-product attention of Eqs.
 //!   3–5.
-//! * [`infer32`] — the `f32` inference tier: forward-only replicas of
-//!   the layers above on `Matrix<f32>`, built by narrowing a trained
-//!   `f64` model once.
 //! * [`loss`] — weighted BCE (Eq. 6) computed on logits for stability.
 //! * [`optim`] — SGD and Adam.
 //! * [`gradcheck`] — finite-difference gradient verification used by the
@@ -31,9 +29,15 @@
 //!   checks at every layer boundary, reporting structured
 //!   [`sanitize::NumericError`]s.
 //!
-//! Every layer exposes `forward` (caching what backward needs), `backward`
-//! (returning the input gradient and accumulating parameter gradients) and
-//! `params_mut` (for the optimizer).
+//! The dense, attention and recurrent layers are generic over the
+//! [`Scalar`] width with one forward body each: `Layer<f64>` trains,
+//! and its `to_f32()` narrows the weights once into a forward-only
+//! `Layer<f32>` for the inference tier. A forward overwrites the layer's
+//! activations from the previous call in place (zero steady-state
+//! allocation); `backward` (`f64` only) reads them, returns the input
+//! gradient and accumulates parameter gradients for `params_mut` (the
+//! optimizer). The dense layer keeps no activations: its `backward`
+//! takes the forward's input.
 
 pub mod activation;
 pub mod attention;
@@ -41,7 +45,6 @@ pub mod dense;
 pub mod embedding;
 pub mod gradcheck;
 pub mod gru;
-pub mod infer32;
 pub mod loss;
 pub mod lstm;
 pub mod optim;
@@ -56,7 +59,6 @@ pub use attention::ExogenousAttention;
 pub use dense::Dense;
 pub use embedding::Embedding;
 pub use gru::Gru;
-pub use infer32::{fast_sigmoid32, fast_tanh32, AttentionF32, DenseF32, GruF32, LstmF32, RnnF32};
 pub use loss::WeightedBce;
 pub use lstm::Lstm;
 pub use optim::{Adam, Optimizer, Sgd};

@@ -8,42 +8,135 @@
 //! c_t = f_t ⊙ c_{t−1} + i_t ⊙ g_t   h_t = o_t ⊙ tanh(c_t)
 //! ```
 
-use crate::activation::stable_sigmoid;
+use crate::activation::gate_into;
 use crate::param::Param;
-use crate::tensor::{Matrix, MatrixPool};
+use crate::tensor::{Matrix, MatrixPool, Scalar};
 
 /// A single-layer LSTM.
 #[derive(Debug, Clone)]
-pub struct Lstm {
-    pub wi: Param,
-    pub ui: Param,
-    pub bi: Param,
-    pub wf: Param,
-    pub uf: Param,
-    pub bf: Param,
-    pub wo: Param,
-    pub uo: Param,
-    pub bo: Param,
-    pub wg: Param,
-    pub ug: Param,
-    pub bg: Param,
+pub struct Lstm<T: Scalar = f64> {
+    pub wi: Param<T>,
+    pub ui: Param<T>,
+    pub bi: Param<T>,
+    pub wf: Param<T>,
+    pub uf: Param<T>,
+    pub bf: Param<T>,
+    pub wo: Param<T>,
+    pub uo: Param<T>,
+    pub bo: Param<T>,
+    pub wg: Param<T>,
+    pub ug: Param<T>,
+    pub bg: Param<T>,
     in_dim: usize,
     hidden: usize,
-    cache: Option<Cache>,
-    /// Scratch buffers reused across steps and calls; retired cache
-    /// matrices are recycled here at the start of each forward.
-    pool: MatrixPool,
+    /// Activations of the last forward (`None` before the first); the
+    /// next forward overwrites them in place.
+    cache: Option<Cache<T>>,
+    /// Scratch buffers reused across steps and calls.
+    pool: MatrixPool<T>,
 }
 
-#[derive(Debug, Clone)]
-struct Cache {
-    xs: Vec<Matrix>,
-    hs: Vec<Matrix>,
-    cs: Vec<Matrix>,
-    is_: Vec<Matrix>,
-    fs: Vec<Matrix>,
-    os: Vec<Matrix>,
-    gs: Vec<Matrix>,
+#[derive(Debug, Clone, Default)]
+struct Cache<T: Scalar> {
+    xs: Vec<Matrix<T>>,
+    hs: Vec<Matrix<T>>, // h_0..h_T (T+1 entries)
+    cs: Vec<Matrix<T>>, // c_0..c_T (T+1 entries)
+    is_: Vec<Matrix<T>>,
+    fs: Vec<Matrix<T>>,
+    os: Vec<Matrix<T>>,
+    gs: Vec<Matrix<T>>,
+}
+
+impl<T: Scalar> Lstm<T> {
+    /// Hidden dimensionality.
+    pub fn hidden_dim(&self) -> usize {
+        self.hidden
+    }
+
+    /// Input dimensionality.
+    pub fn in_dim(&self) -> usize {
+        self.in_dim
+    }
+
+    /// Forward over a sequence; returns `h_1..h_T`, valid until the next
+    /// call.
+    ///
+    /// Built on `*_into` kernels, overwriting the previous call's
+    /// activations in place, with per-element arithmetic order identical
+    /// to the allocating formulation, so the results are bit-identical
+    /// to it; steady-state calls allocate nothing.
+    pub fn forward(&mut self, xs: &[Matrix<T>]) -> &[Matrix<T>] {
+        assert!(!xs.is_empty(), "LSTM needs a non-empty sequence");
+        let c = self.cache.get_or_insert_with(Cache::default);
+        for v in [&mut c.xs, &mut c.is_, &mut c.fs, &mut c.os, &mut c.gs] {
+            v.resize_with(xs.len(), Matrix::default);
+        }
+        for v in [&mut c.hs, &mut c.cs] {
+            v.resize_with(xs.len() + 1, Matrix::default);
+            v[0].resize_to(xs[0].rows(), self.hidden);
+        }
+        let mut tmp = self.pool.grab(0, 0);
+
+        for (t, x) in xs.iter().enumerate() {
+            c.xs[t].copy_from(x);
+            let (h_done, h_rest) = c.hs.split_at_mut(t + 1);
+            let (h_prev, h) = (&h_done[t], &mut h_rest[0]);
+            let (c_done, c_rest) = c.cs.split_at_mut(t + 1);
+            let (c_prev, cell) = (&c_done[t], &mut c_rest[0]);
+            let (i, f) = (&mut c.is_[t], &mut c.fs[t]);
+            let (o, g) = (&mut c.os[t], &mut c.gs[t]);
+            gate_into(
+                x,
+                h_prev,
+                (&self.wi, &self.ui, &self.bi),
+                T::sigmoid,
+                i,
+                &mut tmp,
+            );
+            gate_into(
+                x,
+                h_prev,
+                (&self.wf, &self.uf, &self.bf),
+                T::sigmoid,
+                f,
+                &mut tmp,
+            );
+            gate_into(
+                x,
+                h_prev,
+                (&self.wo, &self.uo, &self.bo),
+                T::sigmoid,
+                o,
+                &mut tmp,
+            );
+            gate_into(
+                x,
+                h_prev,
+                (&self.wg, &self.ug, &self.bg),
+                T::tanh,
+                g,
+                &mut tmp,
+            );
+            // c = f ⊙ c_prev + i ⊙ g
+            cell.copy_from(f);
+            cell.hadamard_assign(c_prev);
+            tmp.copy_from(i);
+            tmp.hadamard_assign(g);
+            cell.add_assign(&tmp);
+            // h = o ⊙ tanh(c)
+            h.copy_from(cell);
+            h.map_assign(T::tanh);
+            h.hadamard_assign(o);
+        }
+        self.pool.recycle(tmp);
+        &c.hs[1..]
+    }
+
+    /// Hidden states `h_1..h_T` of the last forward (empty before the
+    /// first).
+    pub fn outputs(&self) -> &[Matrix<T>] {
+        self.cache.as_ref().map_or(&[], |c| &c.hs[1..])
+    }
 }
 
 impl Lstm {
@@ -71,116 +164,6 @@ impl Lstm {
             cache: None,
             pool: MatrixPool::new(),
         }
-    }
-
-    /// Hidden dimensionality.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden
-    }
-
-    /// Input dimensionality.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Forward over a sequence; returns `h_1..h_T`.
-    ///
-    /// Built on `*_into` kernels and pooled scratch with per-element
-    /// arithmetic order identical to the allocating formulation, so the
-    /// results are bit-identical to it; the step loop is allocation-free
-    /// in steady state.
-    pub fn forward(&mut self, xs: &[Matrix]) -> Vec<Matrix> {
-        assert!(!xs.is_empty(), "LSTM needs a non-empty sequence");
-        if let Some(old) = self.cache.take() {
-            for m in old
-                .xs
-                .into_iter()
-                .chain(old.hs)
-                .chain(old.cs)
-                .chain(old.is_)
-                .chain(old.fs)
-                .chain(old.os)
-                .chain(old.gs)
-            {
-                self.pool.recycle(m);
-            }
-        }
-        let batch = xs[0].rows();
-        // `h_prev`/`c_prev` are carried as owned locals and retired into
-        // `hs`/`cs` via `mem::replace` each step — no `last().unwrap()`
-        // on the hot path.
-        let mut h_prev = self.pool.grab(batch, self.hidden);
-        let mut c_prev = self.pool.grab(batch, self.hidden);
-        let mut hs: Vec<Matrix> = Vec::with_capacity(xs.len() + 1);
-        let mut cs: Vec<Matrix> = Vec::with_capacity(xs.len() + 1);
-        let (mut is_, mut fs, mut os, mut gs) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        let mut tmp = self.pool.grab(0, 0);
-
-        for x in xs {
-            // gate = act(x·W + h·U + b), each on pooled scratch.
-            let mut i = self.pool.grab(0, 0);
-            x.matmul_into(&self.wi.value, &mut i);
-            h_prev.matmul_into(&self.ui.value, &mut tmp);
-            i.add_assign(&tmp);
-            i.add_row_broadcast_assign(&self.bi.value);
-            i.map_assign(stable_sigmoid);
-            let mut f = self.pool.grab(0, 0);
-            x.matmul_into(&self.wf.value, &mut f);
-            h_prev.matmul_into(&self.uf.value, &mut tmp);
-            f.add_assign(&tmp);
-            f.add_row_broadcast_assign(&self.bf.value);
-            f.map_assign(stable_sigmoid);
-            let mut o = self.pool.grab(0, 0);
-            x.matmul_into(&self.wo.value, &mut o);
-            h_prev.matmul_into(&self.uo.value, &mut tmp);
-            o.add_assign(&tmp);
-            o.add_row_broadcast_assign(&self.bo.value);
-            o.map_assign(stable_sigmoid);
-            let mut g = self.pool.grab(0, 0);
-            x.matmul_into(&self.wg.value, &mut g);
-            h_prev.matmul_into(&self.ug.value, &mut tmp);
-            g.add_assign(&tmp);
-            g.add_row_broadcast_assign(&self.bg.value);
-            g.map_assign(f64::tanh);
-            // c = f ⊙ c_prev + i ⊙ g
-            let mut c = self.pool.grab(0, 0);
-            c.copy_from(&f);
-            c.hadamard_assign(&c_prev);
-            tmp.copy_from(&i);
-            tmp.hadamard_assign(&g);
-            c.add_assign(&tmp);
-            // h = o ⊙ tanh(c)
-            let mut h = self.pool.grab(0, 0);
-            h.copy_from(&c);
-            h.map_assign(f64::tanh);
-            h.hadamard_assign(&o);
-            is_.push(i);
-            fs.push(f);
-            os.push(o);
-            gs.push(g);
-            cs.push(std::mem::replace(&mut c_prev, c));
-            hs.push(std::mem::replace(&mut h_prev, h));
-        }
-        hs.push(h_prev);
-        cs.push(c_prev);
-        self.pool.recycle(tmp);
-        let out = hs[1..].to_vec();
-        let mut xs_cache = Vec::with_capacity(xs.len());
-        for x in xs {
-            let mut cx = self.pool.grab(0, 0);
-            cx.copy_from(x);
-            xs_cache.push(cx);
-        }
-        self.cache = Some(Cache {
-            xs: xs_cache,
-            hs,
-            cs,
-            is_,
-            fs,
-            os,
-            gs,
-        });
-        out
     }
 
     /// Full BPTT backward. Returns input gradients.
@@ -313,6 +296,28 @@ impl Lstm {
             &self.bo, &self.wg, &self.ug, &self.bg,
         ]
     }
+
+    /// The forward-only `f32` copy of this LSTM, weights narrowed once.
+    pub fn to_f32(&self) -> Lstm<f32> {
+        Lstm {
+            wi: self.wi.to_f32(),
+            ui: self.ui.to_f32(),
+            bi: self.bi.to_f32(),
+            wf: self.wf.to_f32(),
+            uf: self.uf.to_f32(),
+            bf: self.bf.to_f32(),
+            wo: self.wo.to_f32(),
+            uo: self.uo.to_f32(),
+            bo: self.bo.to_f32(),
+            wg: self.wg.to_f32(),
+            ug: self.ug.to_f32(),
+            bg: self.bg.to_f32(),
+            in_dim: self.in_dim,
+            hidden: self.hidden,
+            cache: None,
+            pool: MatrixPool::new(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -337,13 +342,34 @@ mod tests {
             .collect();
         check_recurrent_gradients(
             &xs,
-            |l: &mut Lstm, seq| l.forward(seq),
+            |l: &mut Lstm, seq| l.forward(seq).to_vec(),
             |l, g| l.backward(g),
             |l| l.params_mut(),
             &mut lstm,
             1e-6,
             1e-5,
         );
+    }
+
+    #[test]
+    fn f32_forward_tracks_f64_layer() {
+        let xs: Vec<Matrix> = (0..4)
+            .map(|i| Matrix::xavier_seeded(3, 5, 40 + i))
+            .collect();
+        let mut lstm = Lstm::new(5, 6, 9);
+        let want = lstm.forward(&xs).to_vec();
+        let mut lstm32 = lstm.to_f32();
+        let xs32: Vec<Matrix<f32>> = xs.iter().map(Matrix::from_f64).collect();
+        let got = lstm32.forward(&xs32);
+        assert_eq!(got.len(), want.len());
+        for (w, g) in want.iter().zip(got) {
+            let gap = w
+                .sub(&g.to_f64())
+                .data()
+                .iter()
+                .fold(0.0f64, |m, v| m.max(v.abs()));
+            assert!(gap < 1e-5, "f32 LSTM drifted by {gap}");
+        }
     }
 
     #[test]

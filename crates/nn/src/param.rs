@@ -1,22 +1,35 @@
 //! Trainable parameters: value + accumulated gradient + Adam moments.
 
-use crate::tensor::Matrix;
+use crate::tensor::{Matrix, Scalar};
 
 /// A trainable parameter tensor.
 ///
 /// The gradient is *accumulated* by `backward` passes and must be cleared
 /// with [`Param::zero_grad`] between steps (the optimizers do this after
-/// applying an update).
+/// applying an update). Only `f64` parameters train; an `f32` one is a
+/// narrowed value with empty gradient state (see [`Param::to_f32`]).
 #[derive(Debug, Clone)]
-pub struct Param {
+pub struct Param<T: Scalar = f64> {
     /// Current value.
-    pub value: Matrix,
+    pub value: Matrix<T>,
     /// Accumulated gradient (same shape as `value`).
-    pub grad: Matrix,
+    pub grad: Matrix<T>,
     /// Adam first moment.
-    pub(crate) m: Matrix,
+    pub(crate) m: Matrix<T>,
     /// Adam second moment.
-    pub(crate) v: Matrix,
+    pub(crate) v: Matrix<T>,
+}
+
+impl<T: Scalar> Param<T> {
+    /// Number of scalar weights.
+    pub fn len(&self) -> usize {
+        self.value.rows() * self.value.cols()
+    }
+
+    /// True for an empty parameter (never the case in practice).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 impl Param {
@@ -43,14 +56,15 @@ impl Param {
         self.grad.fill_zero();
     }
 
-    /// Number of scalar weights.
-    pub fn len(&self) -> usize {
-        self.value.rows() * self.value.cols()
-    }
-
-    /// True for an empty parameter (never the case in practice).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// The value narrowed to `f32` for the inference tier. The gradient
+    /// and moments stay empty: `f32` never trains.
+    pub fn to_f32(&self) -> Param<f32> {
+        Param {
+            value: Matrix::from_f64(&self.value),
+            grad: Matrix::default(),
+            m: Matrix::default(),
+            v: Matrix::default(),
+        }
     }
 }
 

@@ -3,26 +3,76 @@
 //!
 //! `h_t = tanh(x_t·W + h_{t−1}·U + b)`
 
+use crate::activation::gate_into;
 use crate::param::Param;
-use crate::tensor::{Matrix, MatrixPool};
+use crate::tensor::{Matrix, MatrixPool, Scalar};
 
 /// A single-layer tanh RNN.
 #[derive(Debug, Clone)]
-pub struct SimpleRnn {
-    pub w: Param,
-    pub u: Param,
-    pub b: Param,
+pub struct SimpleRnn<T: Scalar = f64> {
+    pub w: Param<T>,
+    pub u: Param<T>,
+    pub b: Param<T>,
     in_dim: usize,
     hidden: usize,
-    cache: Option<Cache>,
+    /// Activations of the last forward (`None` before the first); the
+    /// next forward overwrites them in place.
+    cache: Option<Cache<T>>,
     /// Scratch buffers reused across steps and calls.
-    pool: MatrixPool,
+    pool: MatrixPool<T>,
 }
 
-#[derive(Debug, Clone)]
-struct Cache {
-    xs: Vec<Matrix>,
-    hs: Vec<Matrix>,
+#[derive(Debug, Clone, Default)]
+struct Cache<T: Scalar> {
+    xs: Vec<Matrix<T>>,
+    hs: Vec<Matrix<T>>, // h_0..h_T (T+1 entries)
+}
+
+impl<T: Scalar> SimpleRnn<T> {
+    /// Hidden dimensionality.
+    pub fn hidden_dim(&self) -> usize {
+        self.hidden
+    }
+
+    /// Input dimensionality.
+    pub fn in_dim(&self) -> usize {
+        self.in_dim
+    }
+
+    /// Forward over a sequence; returns `h_1..h_T`, valid until the next
+    /// call.
+    ///
+    /// Built on `*_into` kernels, overwriting the previous call's
+    /// activations in place; the per-element arithmetic order matches
+    /// the allocating formulation exactly.
+    pub fn forward(&mut self, xs: &[Matrix<T>]) -> &[Matrix<T>] {
+        assert!(!xs.is_empty(), "RNN needs a non-empty sequence");
+        let c = self.cache.get_or_insert_with(Cache::default);
+        c.xs.resize_with(xs.len(), Matrix::default);
+        c.hs.resize_with(xs.len() + 1, Matrix::default);
+        c.hs[0].resize_to(xs[0].rows(), self.hidden);
+        let mut tmp = self.pool.grab(0, 0);
+        for (t, x) in xs.iter().enumerate() {
+            c.xs[t].copy_from(x);
+            let (done, rest) = c.hs.split_at_mut(t + 1);
+            gate_into(
+                x,
+                &done[t],
+                (&self.w, &self.u, &self.b),
+                T::tanh,
+                &mut rest[0],
+                &mut tmp,
+            );
+        }
+        self.pool.recycle(tmp);
+        &c.hs[1..]
+    }
+
+    /// Hidden states `h_1..h_T` of the last forward (empty before the
+    /// first).
+    pub fn outputs(&self) -> &[Matrix<T>] {
+        self.cache.as_ref().map_or(&[], |c| &c.hs[1..])
+    }
 }
 
 impl SimpleRnn {
@@ -37,55 +87,6 @@ impl SimpleRnn {
             cache: None,
             pool: MatrixPool::new(),
         }
-    }
-
-    /// Hidden dimensionality.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden
-    }
-
-    /// Input dimensionality.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Forward over a sequence; returns `h_1..h_T`.
-    ///
-    /// Built on `*_into` kernels and pooled scratch; the per-element
-    /// arithmetic order matches the allocating formulation exactly.
-    pub fn forward(&mut self, xs: &[Matrix]) -> Vec<Matrix> {
-        assert!(!xs.is_empty(), "RNN needs a non-empty sequence");
-        if let Some(old) = self.cache.take() {
-            for m in old.xs.into_iter().chain(old.hs) {
-                self.pool.recycle(m);
-            }
-        }
-        let batch = xs[0].rows();
-        // `h_prev` is carried as an owned local and retired into `hs` via
-        // `mem::replace` each step — no `last().unwrap()` on the hot path.
-        let mut h_prev = self.pool.grab(batch, self.hidden);
-        let mut hs: Vec<Matrix> = Vec::with_capacity(xs.len() + 1);
-        let mut tmp = self.pool.grab(0, 0);
-        for x in xs {
-            let mut h = self.pool.grab(0, 0);
-            x.matmul_into(&self.w.value, &mut h);
-            h_prev.matmul_into(&self.u.value, &mut tmp);
-            h.add_assign(&tmp);
-            h.add_row_broadcast_assign(&self.b.value);
-            h.map_assign(f64::tanh);
-            hs.push(std::mem::replace(&mut h_prev, h));
-        }
-        hs.push(h_prev);
-        self.pool.recycle(tmp);
-        let out = hs[1..].to_vec();
-        let mut xs_cache = Vec::with_capacity(xs.len());
-        for x in xs {
-            let mut cx = self.pool.grab(0, 0);
-            cx.copy_from(x);
-            xs_cache.push(cx);
-        }
-        self.cache = Some(Cache { xs: xs_cache, hs });
-        out
     }
 
     /// Full BPTT backward. Returns input gradients.
@@ -138,6 +139,19 @@ impl SimpleRnn {
     pub fn params(&self) -> Vec<&Param> {
         vec![&self.w, &self.u, &self.b]
     }
+
+    /// The forward-only `f32` copy of this RNN, weights narrowed once.
+    pub fn to_f32(&self) -> SimpleRnn<f32> {
+        SimpleRnn {
+            w: self.w.to_f32(),
+            u: self.u.to_f32(),
+            b: self.b.to_f32(),
+            in_dim: self.in_dim,
+            hidden: self.hidden,
+            cache: None,
+            pool: MatrixPool::new(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -162,13 +176,34 @@ mod tests {
             .collect();
         check_recurrent_gradients(
             &xs,
-            |l: &mut SimpleRnn, seq| l.forward(seq),
+            |l: &mut SimpleRnn, seq| l.forward(seq).to_vec(),
             |l, g| l.backward(g),
             |l| l.params_mut(),
             &mut rnn,
             1e-6,
             1e-5,
         );
+    }
+
+    #[test]
+    fn f32_forward_tracks_f64_layer() {
+        let xs: Vec<Matrix> = (0..4)
+            .map(|i| Matrix::xavier_seeded(3, 5, 40 + i))
+            .collect();
+        let mut rnn = SimpleRnn::new(5, 6, 9);
+        let want = rnn.forward(&xs).to_vec();
+        let mut rnn32 = rnn.to_f32();
+        let xs32: Vec<Matrix<f32>> = xs.iter().map(Matrix::from_f64).collect();
+        let got = rnn32.forward(&xs32);
+        assert_eq!(got.len(), want.len());
+        for (w, g) in want.iter().zip(got) {
+            let gap = w
+                .sub(&g.to_f64())
+                .data()
+                .iter()
+                .fold(0.0f64, |m, v| m.max(v.abs()));
+            assert!(gap < 1e-5, "f32 RNN drifted by {gap}");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! and gradients are bit-identical either way (asserted by
 //! [`crate::gradcheck::gradient_fingerprint`]'s tests).
 
-use crate::tensor::Matrix;
+use crate::tensor::{Matrix, Scalar};
 use std::fmt;
 
 /// A structured numeric-sanitizer report.
@@ -52,8 +52,12 @@ impl std::error::Error for NumericError {}
 
 /// Fallible core: first non-finite entry of `m`, if any. Always compiled
 /// so the report format is testable without the feature.
-pub fn scan_finite(layer: &'static str, op: &'static str, m: &Matrix) -> Result<(), NumericError> {
-    for (index, &value) in m.data().iter().enumerate() {
+pub fn scan_finite<T: Scalar>(
+    layer: &'static str,
+    op: &'static str,
+    m: &Matrix<T>,
+) -> Result<(), NumericError> {
+    for (index, value) in m.data().iter().map(|v| v.to_f64()).enumerate() {
         if !value.is_finite() {
             return Err(NumericError {
                 layer,
@@ -95,7 +99,7 @@ fn raise(err: NumericError) -> ! {
 /// Check every entry of `m` for finiteness (feature-gated; no-op when
 /// `sanitize` is off).
 #[cfg(feature = "sanitize")]
-pub fn check_finite(layer: &'static str, op: &'static str, m: &Matrix) {
+pub fn check_finite<T: Scalar>(layer: &'static str, op: &'static str, m: &Matrix<T>) {
     if let Err(e) = scan_finite(layer, op, m) {
         raise(e);
     }
@@ -104,7 +108,7 @@ pub fn check_finite(layer: &'static str, op: &'static str, m: &Matrix) {
 /// No-op stand-in when the sanitizer is disabled.
 #[cfg(not(feature = "sanitize"))]
 #[inline(always)]
-pub fn check_finite(_layer: &'static str, _op: &'static str, _m: &Matrix) {}
+pub fn check_finite<T: Scalar>(_layer: &'static str, _op: &'static str, _m: &Matrix<T>) {}
 
 /// Check a scalar for finiteness (feature-gated).
 #[cfg(feature = "sanitize")]
@@ -195,7 +199,7 @@ mod tests {
     #[test]
     fn shape_mismatch_is_caught_at_the_dense_boundary() {
         use crate::dense::Dense;
-        let mut d = Dense::new(3, 2, 0);
+        let d = Dense::new(3, 2, 0);
         let x = Matrix::zeros(1, 5);
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.forward(&x)))
             .expect_err("sanitizer must trip on the shape mismatch");

@@ -84,10 +84,20 @@ pub trait Scalar:
     fn exp(self) -> Self;
     fn sqrt(self) -> Self;
     fn max(self, other: Self) -> Self;
+    /// The precision boundary: identity at `f64`, round-to-nearest-even
+    /// at `f32`. Weights cross it once when a trained model is narrowed,
+    /// inputs once per request.
+    fn from_f64(v: f64) -> Self;
+    /// Exact widening to `f64`.
+    fn to_f64(self) -> f64;
+    /// Gate sigmoid of the recurrent layers.
+    fn sigmoid(self) -> Self;
+    /// Gate tanh of the recurrent layers.
+    fn tanh(self) -> Self;
 }
 
 macro_rules! impl_scalar {
-    ($t:ident) => {
+    ($t:ident, $($width_specific:tt)*) => {
         impl Scalar for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -104,14 +114,113 @@ macro_rules! impl_scalar {
             fn max(self, other: Self) -> Self {
                 $t::max(self, other)
             }
+            $($width_specific)*
         }
     };
 }
-impl_scalar!(f32);
-impl_scalar!(f64);
+
+// The training width: libm `tanh` and the stable sigmoid.
+impl_scalar! {
+    f64,
+    #[inline]
+    fn from_f64(v: f64) -> Self {
+        v
+    }
+    #[inline]
+    fn to_f64(self) -> f64 {
+        self
+    }
+    #[inline]
+    fn sigmoid(self) -> Self {
+        crate::activation::stable_sigmoid(self)
+    }
+    #[inline]
+    fn tanh(self) -> Self {
+        f64::tanh(self)
+    }
+}
+
+// The inference width: gates go through the polynomial [`exp2_poly`]
+// instead of scalar libm calls, so `map_assign` loops over them
+// autovectorize. Its ≈2e-7 relative error sits three orders of
+// magnitude inside the f32 tier's tolerance contract (DESIGN.md §13).
+impl_scalar! {
+    f32,
+    #[inline]
+    fn from_f64(v: f64) -> Self {
+        // lint: allow(float-flow) deliberate f64→f32 narrowing at the inference-tier boundary; lint: allow(lossy-cast) finite weights and scaled inputs are far inside f32 range
+        v as f32
+    }
+    #[inline]
+    fn to_f64(self) -> f64 {
+        f64::from(self)
+    }
+    /// `σ(x) = 1/(1+e^{-x})` on `-|x|` (always-stable form), reflected
+    /// for positive inputs. Branch arms are pure, so the autovectorizer
+    /// turns the select into a blend.
+    #[inline(always)]
+    fn sigmoid(self) -> Self {
+        let t = (-self.abs() * LOG2_E_F32).max(-126.0);
+        let e = exp2_poly(t); // e^{-|x|} ∈ (0, 1]
+        let s = e / (1.0 + e); // σ(-|x|)
+        if self >= 0.0 {
+            1.0 - s
+        } else {
+            s
+        }
+    }
+    /// `tanh(|x|) = (e^{2|x|} − 1)/(e^{2|x|} + 1)`, sign restored with
+    /// `copysign`.
+    #[inline(always)]
+    fn tanh(self) -> Self {
+        let t = (2.0 * self.abs() * LOG2_E_F32).min(126.0);
+        let e = exp2_poly(t); // e^{2|x|} ∈ [1, 2^126]
+        let th = (e - 1.0) / (e + 1.0);
+        th.copysign(self)
+    }
+}
+
+const LOG2_E_F32: f32 = std::f32::consts::LOG2_E;
+
+/// `2^t` over clamped inputs via exponent-bit assembly and a degree-6
+/// polynomial for the fractional part — every operation is a plain IEEE
+/// add/mul/convert, so loops over it autovectorize on bare SSE2 (no
+/// `exp2f` libcall, no SSE4 `roundps`). Callers clamp `t` to
+/// `[-126, 126]` so the assembled exponent stays normal.
+///
+/// Identical bits scalar or vectorized: per-lane IEEE mul/add/convert
+/// round the same way, and Rust never contracts to FMA.
+#[inline(always)]
+fn exp2_poly(t: f32) -> f32 {
+    // Round-to-nearest-even without `roundps`: adding 1.5·2²³ pushes the
+    // fraction off the end of the f32 mantissa, the subtraction brings
+    // back the rounded integer. Valid for |t| < 2²², far beyond the
+    // clamped range.
+    const MAGIC: f32 = 12_582_912.0; // 1.5 * 2^23
+    let n_f = (t + MAGIC) - MAGIC;
+    // Fractional part in [-0.5, 0.5], then the degree-6 Taylor of
+    // 2^f = e^{f·ln2}: max relative error ≈ 2e-7 on the reduced
+    // interval — below one f32 ulp of the final product.
+    let f = t - n_f;
+    let p = 1.540_353e-4_f32;
+    let p = p * f + 1.333_355_8e-3;
+    let p = p * f + 9.618_13e-3;
+    let p = p * f + 5.550_411e-2;
+    let p = p * f + 2.402_265_1e-1;
+    let p = p * f + 6.931_472e-1;
+    let p = p * f + 1.0;
+    // lint: allow(lossy-cast) n_f is an exact small integer after the magic-constant round
+    let n = n_f as i32;
+    // 2^n assembled directly in the exponent field; n ∈ [-126, 126] keeps
+    // the result normal on both ends.
+    // lint: allow(lossy-cast) n+127 ∈ [1, 253] after the clamp, so the i32→u32 bit pattern is the intended exponent field
+    let scale = f32::from_bits(((n + 127) << 23) as u32);
+    p * scale
+}
 
 /// A dense row-major `rows × cols` matrix of `T` (`f64` unless stated).
-#[derive(Debug, Clone, PartialEq)]
+/// The default is the empty `0 × 0` matrix.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Matrix<T: Scalar = f64> {
     rows: usize,
     cols: usize,
@@ -456,23 +565,8 @@ impl<T: Scalar> Matrix<T> {
         }
     }
 
-    /// Concatenate columns: `[self | other]`.
-    pub fn concat_cols(&self, other: &Self) -> Self {
-        assert_eq!(self.rows, other.rows);
-        let cols = self.cols + other.cols;
-        let mut data = Vec::with_capacity(self.rows * cols);
-        for r in 0..self.rows {
-            data.extend_from_slice(self.row(r));
-            data.extend_from_slice(other.row(r));
-        }
-        Self {
-            rows: self.rows,
-            cols,
-            data,
-        }
-    }
-
-    /// Split columns back: inverse of [`Matrix::concat_cols`].
+    /// Split columns: `self = [left | right]` with `left_cols` columns
+    /// on the left.
     pub fn split_cols(&self, left_cols: usize) -> (Self, Self) {
         assert!(left_cols <= self.cols);
         let right_cols = self.cols - left_cols;
@@ -550,25 +644,15 @@ impl Matrix {
     }
 }
 
-/// The f32 tier's precision boundary: weights cross it once, at model
-/// conversion time; inputs cross it once per request.
+/// The f32 tier's precision boundary ([`Scalar::from_f64`] per element).
 impl Matrix<f32> {
-    /// Narrow an `f64` matrix to `f32` storage, with round-to-nearest-even
-    /// per element.
+    /// Narrow an `f64` matrix to `f32` storage.
     pub fn from_f64(src: &Matrix) -> Self {
-        let mut out = Self::zeros(0, 0);
-        out.copy_from_f64(src);
-        out
-    }
-
-    /// Become the narrowed copy of an `f64` matrix, reusing the
-    /// allocation (the steady-state input boundary of the f32 tier).
-    pub fn copy_from_f64(&mut self, src: &Matrix) {
-        self.rows = src.rows;
-        self.cols = src.cols;
-        self.data.clear();
-        // lint: allow(float-flow) deliberate f64→f32 narrowing at the inference-tier boundary; lint: allow(lossy-cast) finite weights and scaled inputs are far inside f32 range
-        self.data.extend(src.data.iter().map(|&v| v as f32));
+        Self {
+            rows: src.rows,
+            cols: src.cols,
+            data: src.data.iter().map(|&v| f32::from_f64(v)).collect(),
+        }
     }
 
     /// Widen back to `f64` (exact — every `f32` is representable).
@@ -576,8 +660,7 @@ impl Matrix<f32> {
         Matrix {
             rows: self.rows,
             cols: self.cols,
-            // lint: allow(float-flow) exact f32→f64 widening for parity tests and logit output
-            data: self.data.iter().map(|&v| f64::from(v)).collect(),
+            data: self.data.iter().map(|&v| v.to_f64()).collect(),
         }
     }
 }
@@ -1128,14 +1211,11 @@ mod tests {
     }
 
     #[test]
-    fn concat_split_roundtrip() {
-        let a = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
-        let b = Matrix::from_vec(2, 1, vec![5., 6.]);
-        let cat = a.concat_cols(&b);
-        assert_eq!(cat.cols(), 3);
+    fn split_cols_partitions_each_row() {
+        let cat = Matrix::from_vec(2, 3, vec![1., 2., 5., 3., 4., 6.]);
         let (l, r) = cat.split_cols(2);
-        assert_eq!(l, a);
-        assert_eq!(r, b);
+        assert_eq!(l, Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]));
+        assert_eq!(r, Matrix::from_vec(2, 1, vec![5., 6.]));
     }
 
     #[test]
@@ -1169,9 +1249,49 @@ mod tests {
         // Widening is exact: round-tripping the narrowed values changes
         // nothing.
         assert_eq!(Matrix::<f32>::from_f64(&wide).data(), narrow.data());
-        let mut reused = Matrix::<f32>::zeros(9, 9);
-        reused.copy_from_f64(&src);
-        assert_eq!(reused, narrow);
+    }
+
+    #[test]
+    fn f32_gates_track_libm_within_budget() {
+        use crate::activation::stable_sigmoid;
+        // Dense sweep over the range gate pre-activations live in, plus
+        // the saturation tails. The documented budget is 2e-7 relative
+        // (≈ absolute here, both functions are bounded by 1).
+        let mut x = -40.0f32;
+        while x <= 40.0 {
+            let s = Scalar::sigmoid(x);
+            let t = Scalar::tanh(x);
+            assert!(
+                (s - stable_sigmoid(x)).abs() < 5e-7,
+                "sigmoid gap at {x}: {s} vs {}",
+                stable_sigmoid(x)
+            );
+            assert!(
+                (t - x.tanh()).abs() < 5e-7,
+                "tanh gap at {x}: {t} vs {}",
+                x.tanh()
+            );
+            x += 0.0137;
+        }
+        // Saturation and edge cases stay finite and exact-signed.
+        let sig = <f32 as Scalar>::sigmoid;
+        let tanh = <f32 as Scalar>::tanh;
+        assert_eq!(sig(0.0), 0.5);
+        assert_eq!(tanh(0.0), 0.0);
+        assert!(sig(1000.0) <= 1.0 && sig(1000.0) > 0.999);
+        assert!(sig(-1000.0) >= 0.0 && sig(-1000.0) < 1e-6);
+        assert_eq!(tanh(1000.0), 1.0);
+        assert_eq!(tanh(-1000.0), -1.0);
+        assert!(tanh(-3.0) == -tanh(3.0));
+    }
+
+    #[test]
+    fn f64_gates_are_the_training_functions() {
+        use crate::activation::stable_sigmoid;
+        for x in [-30.0f64, -1.5, -0.0, 0.0, 0.3, 2.0, 700.0] {
+            assert_eq!(Scalar::sigmoid(x).to_bits(), stable_sigmoid(x).to_bits());
+            assert_eq!(Scalar::tanh(x).to_bits(), x.tanh().to_bits());
+        }
     }
 
     #[test]

@@ -222,27 +222,36 @@ fn f32_into_variants_reuse_buffers_without_changing_bits() {
     into_variants_reuse_buffers(Matrix::<f32>::from_f64);
 }
 
+fn stable_on_reuse<T: Scalar, L>(
+    what: &str,
+    layer: &mut L,
+    xs: &[Matrix<T>],
+    mut forward: impl FnMut(&mut L, &[Matrix<T>]) -> Vec<Matrix<T>>,
+) {
+    let first = forward(layer, xs);
+    for _ in 0..3 {
+        let again = forward(layer, xs);
+        for (t, (y0, y1)) in first.iter().zip(&again).enumerate() {
+            assert_eq!(y0.data(), y1.data(), "{what} step {t} drifted on reuse");
+        }
+    }
+}
+
 #[test]
 fn repeated_forward_through_reused_scratch_is_bit_identical() {
     let xs: Vec<Matrix> = (0..4).map(|t| fill(3, 5, 100 + t)).collect();
-
-    let mut gru = Gru::new(5, 6, 9);
-    let first: Vec<Matrix> = gru.forward(&xs);
-    for _ in 0..3 {
-        let again = gru.forward(&xs);
-        for (t, (y0, y1)) in first.iter().zip(&again).enumerate() {
-            assert_eq!(y0.data(), y1.data(), "GRU step {t} drifted on reuse");
-        }
-    }
-
-    let mut lstm = Lstm::new(5, 6, 9);
-    let first: Vec<Matrix> = lstm.forward(&xs);
-    for _ in 0..3 {
-        let again = lstm.forward(&xs);
-        for (t, (y0, y1)) in first.iter().zip(&again).enumerate() {
-            assert_eq!(y0.data(), y1.data(), "LSTM step {t} drifted on reuse");
-        }
-    }
+    let xs32: Vec<Matrix<f32>> = xs.iter().map(Matrix::from_f64).collect();
+    let (gru, lstm) = (Gru::new(5, 6, 9), Lstm::new(5, 6, 9));
+    stable_on_reuse("GRU", &mut gru.clone(), &xs, |l, xs| l.forward(xs).to_vec());
+    stable_on_reuse("GRU f32", &mut gru.to_f32(), &xs32, |l, xs| {
+        l.forward(xs).to_vec()
+    });
+    stable_on_reuse("LSTM", &mut lstm.clone(), &xs, |l, xs| {
+        l.forward(xs).to_vec()
+    });
+    stable_on_reuse("LSTM f32", &mut lstm.to_f32(), &xs32, |l, xs| {
+        l.forward(xs).to_vec()
+    });
 }
 
 /// Tolerance contract of the f32 tier against f64 (DESIGN.md §13).
@@ -289,7 +298,7 @@ fn gru_gradcheck_through_scratch_buffers() {
     let _ = gru.forward(&xs);
     check_recurrent_gradients(
         &xs,
-        |l: &mut Gru, seq| l.forward(seq),
+        |l: &mut Gru, seq| l.forward(seq).to_vec(),
         |l, g| l.backward(g),
         |l| l.params_mut(),
         &mut gru,
@@ -307,7 +316,7 @@ fn lstm_gradcheck_through_scratch_buffers() {
     let _ = lstm.forward(&xs);
     check_recurrent_gradients(
         &xs,
-        |l: &mut Lstm, seq| l.forward(seq),
+        |l: &mut Lstm, seq| l.forward(seq).to_vec(),
         |l, g| l.backward(g),
         |l| l.params_mut(),
         &mut lstm,

@@ -44,9 +44,9 @@ fn mlp_learns_xor() {
         }
         last_loss = loss;
         let g = bce.grad(&z, &t);
-        let gh = l2.backward(&g);
+        let gh = l2.backward(&h, &g);
         let gp = act.backward(&gh);
-        let _ = l1.backward(&gp);
+        let _ = l1.backward(&x, &gp);
         let mut params = l1.params_mut();
         params.extend(l2.params_mut());
         opt.step(&mut params);
@@ -95,11 +95,11 @@ fn gru_learns_sequence_memory() {
 
     let mut last_loss = f64::INFINITY;
     for _ in 0..150 {
-        let hs = gru.forward(&xs);
-        let z = head.forward(hs.last().unwrap());
+        let h_last = gru.forward(&xs).last().unwrap();
+        let z = head.forward(h_last);
         last_loss = bce.loss(&z, &targets);
         let g = bce.grad(&z, &targets);
-        let gh = head.backward(&g);
+        let gh = head.backward(h_last, &g);
         let mut grads: Vec<Matrix> = (0..t_len - 1).map(|_| Matrix::zeros(n, 8)).collect();
         grads.push(gh);
         let _ = gru.backward(&grads);
@@ -156,11 +156,11 @@ fn attention_learns_to_route() {
                 .map(|v| Matrix::from_rows(&[v.clone()]))
                 .collect();
             let ctx = att.forward(&xt, &xn);
-            let z = head.forward(&ctx);
+            let z = head.forward(ctx);
             let t = Matrix::from_vec(1, 1, vec![labels[i]]);
             total += bce.loss(&z, &t);
             let g = bce.grad(&z, &t);
-            let gctx = head.backward(&g);
+            let gctx = head.backward(ctx, &g);
             let _ = att.backward(&gctx);
             let mut params = att.params_mut();
             params.extend(head.params_mut());

@@ -10,7 +10,6 @@
 //! recover from poisoning via `into_inner` — a panicking peer must
 //! degrade service, not wedge it.
 
-use retina_core::infer32::RetinaF32;
 use retina_core::retina::{PackedSample, Retina};
 use retina_core::snapshot::{Snapshot, SnapshotError};
 use std::collections::VecDeque;
@@ -21,17 +20,18 @@ use std::time::{Duration, Instant};
 /// Numeric tier the worker replicas run in.
 ///
 /// `F32` restores the f64 model once, narrows it via
-/// [`Retina::to_f32_inference`], and serves on `nn::Matrix<f32>`
-/// kernels. Probabilities stay `f64` on the wire; the divergence from
-/// `F64` is bounded by the tolerance contract in `retina_core::infer32`
-/// (DESIGN.md §13), and for a fixed request the answer is bit-identical
-/// regardless of worker count, batch boundaries, or the `simd` feature.
+/// [`Retina::to_f32_inference`], and serves the same forward at
+/// `T = f32`. Probabilities stay `f64` on the wire; the divergence from
+/// `F64` is bounded by the tolerance contract documented on
+/// [`Retina`] (DESIGN.md §13), and for a fixed request the answer is
+/// bit-identical regardless of worker count, batch boundaries, or the
+/// `simd` feature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
     /// Full-width replicas (`Retina`), the training-time arithmetic.
     #[default]
     F64,
-    /// Narrowed inference replicas (`RetinaF32`).
+    /// Narrowed inference replicas (`Retina<f32>`).
     F32,
 }
 
@@ -150,8 +150,10 @@ impl From<SnapshotError> for ServeError {
     }
 }
 
-/// Counters since server start. `completed + queue depth` always equals
-/// `accepted` once submission stops — nothing is dropped.
+/// Counters since server start. Nothing accepted is dropped:
+/// `accepted == completed + in flight + queue depth`, where a request
+/// in flight is taken by a worker but not yet answered, and once
+/// [`PredictionServer::shutdown`] returns, `completed == accepted`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStats {
     pub accepted: u64,
@@ -219,7 +221,7 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 /// One worker's model, in the configured numeric tier.
 enum Replica {
     F64(Retina),
-    F32(Box<RetinaF32>),
+    F32(Retina<f32>),
 }
 
 impl Replica {
@@ -256,7 +258,7 @@ impl PredictionServer {
             let model = snapshot.restore()?;
             let replica = match config.precision {
                 Precision::F64 => Replica::F64(model),
-                Precision::F32 => Replica::F32(Box::new(model.to_f32_inference())),
+                Precision::F32 => Replica::F32(model.to_f32_inference()),
             };
             replicas.push(Mutex::new(Some(replica)));
         }

@@ -5,12 +5,12 @@
 //!
 //! Regenerate with:
 //! `cargo test -p serving --test golden_fixture -- --ignored regenerate`
-//! and commit both files under `tests/fixtures/`.
+//! and commit the files it writes under `tests/fixtures/`.
 
 mod common;
 
 use common::sample;
-use retina_core::retina::{PackedSample, Retina, RetinaConfig};
+use retina_core::retina::{PackedSample, RecurrentKind, Retina, RetinaConfig};
 use retina_core::snapshot::{
     PipelineState, Snapshot, FORMAT_VERSION, MAGIC, SECTION_CONFIG, SECTION_PIPELINE,
     SECTION_SCALER, SECTION_TRAINER, SECTION_WEIGHTS,
@@ -178,6 +178,95 @@ fn golden_snapshot_f32_predictions_are_pinned_bit_exactly() {
     );
 }
 
+fn predictions_variants_path() -> PathBuf {
+    fixture_dir().join("golden_predictions_variants.txt")
+}
+
+/// The model variants the golden snapshot does not cover: RETINA-D with
+/// each recurrent cell of the paper's ablation, and RETINA-S without
+/// the exogenous attention branch (the † ablation).
+fn variant_configs() -> Vec<(&'static str, RetinaConfig, TrainConfig)> {
+    let dynamic = |recurrent| RetinaConfig {
+        recurrent,
+        ..RetinaConfig::dynamic_default()
+    };
+    let dynamic_train = TrainConfig {
+        epochs: 2,
+        ..TrainConfig::dynamic_default()
+    };
+    let static_train = TrainConfig {
+        epochs: 2,
+        ..TrainConfig::static_default()
+    };
+    vec![
+        (
+            "dynamic-gru",
+            dynamic(RecurrentKind::Gru),
+            dynamic_train.clone(),
+        ),
+        (
+            "dynamic-lstm",
+            dynamic(RecurrentKind::Lstm),
+            dynamic_train.clone(),
+        ),
+        (
+            "dynamic-rnn",
+            dynamic(RecurrentKind::SimpleRnn),
+            dynamic_train,
+        ),
+        (
+            "static-no-exogenous",
+            RetinaConfig {
+                use_exogenous: false,
+                ..RetinaConfig::static_default()
+            },
+            static_train,
+        ),
+    ]
+}
+
+/// Every variant trained in-test (so the pin covers backward and Adam
+/// too), then scored at f64 and, narrowed, at f32, as exact `to_bits()`
+/// hex. Training and probes both include a sample with no news items.
+fn render_predictions_variants() -> String {
+    let mut data: Vec<PackedSample> = (0..5).map(|i| sample(7, D_USER, 50, 3, 40 + i)).collect();
+    data.push(sample(7, D_USER, 50, 0, 45));
+    let mut probes = probes();
+    probes.push(sample(5, D_USER, 50, 0, 7100 + N_PROBES));
+    let mut out = String::new();
+    for (name, config, train) in variant_configs() {
+        let mut model = Retina::new(D_USER, config);
+        train_retina(&mut model, &data, &train);
+        let mut narrow = model.to_f32_inference();
+        for (i, probe) in probes.iter().enumerate() {
+            for (width, p) in [
+                ("f64", model.predict_proba(probe)),
+                ("f32", narrow.predict_proba(probe)),
+            ] {
+                out.push_str(&format!("{name} {width} {i}:"));
+                for v in p {
+                    out.push_str(&format!(" {:016x}", v.to_bits()));
+                }
+                out.push('\n');
+            }
+        }
+    }
+    out
+}
+
+/// RETINA-D (GRU, LSTM, simple RNN) and the † ablation are pinned bit
+/// for bit at both widths.
+#[test]
+fn variant_predictions_are_pinned_bit_exactly() {
+    let expected =
+        std::fs::read_to_string(predictions_variants_path()).expect("variant predictions file");
+    assert_eq!(
+        render_predictions_variants(),
+        expected,
+        "variant prediction bits drifted"
+    );
+}
+
 /// Re-encoding the committed fixture must reproduce its exact bytes:
 /// the encoder and the committed file agree on the wire format.
 #[test]
@@ -198,4 +287,6 @@ fn regenerate() {
         .expect("write predictions fixture");
     std::fs::write(predictions_f32_path(), render_predictions_f32(&snap))
         .expect("write f32 predictions fixture");
+    std::fs::write(predictions_variants_path(), render_predictions_variants())
+        .expect("write variant predictions fixture");
 }
