@@ -23,13 +23,11 @@ step "xtask analyze"
 # Semantic passes (A1 shape-flow, A2 determinism, A3 cast-safety, A4
 # panic-reachability, A5 hot-loop allocation, A6 discarded-Result, A7
 # lock-order, A8 blocking-under-lock, A9 condvar-discipline, A10
-# division/log-guard, A11 probability-domain, A12 reduction-inventory,
-# A13 unsafe-contract, A14 capacity/growth, A15 footprint-inventory).
-# Fails on any finding not grandfathered in xtask-baseline.json; the
-# SARIF log is kept for CI systems and editors that ingest it.
-# `cargo run -p xtask -- explain <rule>` documents any failing rule.
-mkdir -p target
-cargo run -p xtask -- analyze --format sarif --baseline > target/analyze.sarif
+# division/log-guard, A11 probability-domain, A13 unsafe-contract, A14
+# capacity/growth). Prints and fails on any finding not grandfathered in
+# xtask-baseline.json. `cargo run -p xtask -- explain <rule>` documents
+# any failing rule.
+cargo run -p xtask -- analyze --baseline
 
 step "cargo build --release"
 cargo build --release
@@ -40,8 +38,8 @@ cargo test -q
 step "workspace test suites (release)"
 # `cargo test -q` builds only the root package. Every other crate's
 # tests run here: kernel parity, f32 parity, the golden pins, server
-# determinism and the stress suite, the xtask real-tree pins (dot
-# freshness, A13, zero-stale baseline) and the bench/ml/text/socialsim/
+# determinism and the stress suite, the xtask real-tree pins (clean
+# analyze, A13, zero-stale baseline) and the bench/ml/text/socialsim/
 # diffusion unit tests. Release mode keeps the training-heavy suites to
 # under a minute on a 2-core host once built.
 cargo test -q --release --workspace

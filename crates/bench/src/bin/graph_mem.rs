@@ -7,8 +7,7 @@
 //! process-lifetime high-water mark, so scenarios run smallest first
 //! and each line reports the ceiling up to and including its own run —
 //! the committed `BENCH_graph.json` is the measured memory ceiling the
-//! million-user scale-up (ROADMAP item 1) diffs against, alongside the
-//! per-type estimates in `docs/memgraph.dot` (analyze pass A15).
+//! million-user scale-up (ROADMAP item 1) diffs against.
 //!
 //! Off Linux there is no `/proc`; the harness prints a skip notice and
 //! exits successfully (`mem-report` treats a sampleless run as a skip).

@@ -148,7 +148,7 @@ impl_scalar! {
     f32,
     #[inline]
     fn from_f64(v: f64) -> Self {
-        // lint: allow(float-flow) deliberate f64→f32 narrowing at the inference-tier boundary; lint: allow(lossy-cast) finite weights and scaled inputs are far inside f32 range
+        // lint: allow(lossy-cast) deliberate f64→f32 narrowing at the inference-tier boundary; finite weights and scaled inputs are far inside f32 range
         v as f32
     }
     #[inline]

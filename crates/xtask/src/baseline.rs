@@ -137,9 +137,9 @@ impl Baseline {
                  \"path\": {}, \"message\": {}}}{}\n",
                 fp,
                 count,
-                crate::json_str(f.rule),
-                crate::json_str(&f.path),
-                crate::json_str(&f.message),
+                json_str(f.rule),
+                json_str(&f.path),
+                json_str(&f.message),
                 if i + 1 < n { "," } else { "" }
             ));
         }
@@ -151,6 +151,25 @@ impl Baseline {
     pub fn save(root: &Path, findings: &[Finding]) -> std::io::Result<()> {
         fs::write(root.join(BASELINE_FILE), Self::render(findings))
     }
+}
+
+/// JSON string literal with escaping.
+fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 #[cfg(test)]
@@ -219,6 +238,16 @@ mod tests {
         let pruned = Baseline::parse(&Baseline::render(&absorbed)).unwrap();
         assert_eq!(pruned.len(), 1);
         assert_eq!(pruned.stale(&[finding("p.rs", "m1", 1)]), 0);
+    }
+
+    #[test]
+    fn render_escapes_quotes_and_backslashes() {
+        let payload = Baseline::render(&[finding("p.rs", "say \"hi\" to C:\\tmp", 1)]);
+        assert!(
+            payload.contains(r#""message": "say \"hi\" to C:\\tmp""#),
+            "{payload}"
+        );
+        assert_eq!(Baseline::parse(&payload).expect("parses").len(), 1);
     }
 
     #[test]

@@ -572,52 +572,6 @@ impl CallGraph {
             .collect::<Vec<_>>()
             .join(" → ")
     }
-
-    /// DOT rendering of the hot-path subgraph: the roots, everything
-    /// reachable from them, and the resolved edges among those nodes.
-    pub fn to_dot(&self, roots: &[usize], reach: &BTreeMap<usize, Vec<usize>>) -> String {
-        let root_set: BTreeSet<usize> = roots.iter().copied().collect();
-        let mut out = String::from("digraph callgraph {\n");
-        out.push_str("  rankdir=LR;\n  node [shape=box, fontsize=10];\n");
-        out.push_str(&format!(
-            "  // {} fn item(s) indexed, {} resolved edge(s), {} unresolved call(s)\n",
-            self.index.fns.len(),
-            self.edges.len(),
-            self.unresolved.len()
-        ));
-        for &i in reach.keys() {
-            let f = &self.index.fns[i];
-            let attrs = if root_set.contains(&i) {
-                ", style=bold, color=firebrick"
-            } else {
-                ""
-            };
-            out.push_str(&format!(
-                "  \"{}\" [label=\"{}\"{attrs}];\n",
-                f.display(),
-                f.display()
-            ));
-        }
-        let mut seen = BTreeSet::new();
-        let mut edges: Vec<(&str, String, String)> = Vec::new();
-        for e in &self.edges {
-            if reach.contains_key(&e.caller) && reach.contains_key(&e.callee) {
-                edges.push((
-                    "",
-                    self.index.fns[e.caller].display(),
-                    self.index.fns[e.callee].display(),
-                ));
-            }
-        }
-        edges.sort();
-        for (_, a, b) in edges {
-            if seen.insert((a.clone(), b.clone())) {
-                out.push_str(&format!("  \"{a}\" -> \"{b}\";\n"));
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 enum Res {
@@ -1003,17 +957,14 @@ mod tests {
     }
 
     #[test]
-    fn dot_marks_roots_and_lists_reachable_edges() {
+    fn reachable_holds_callees_and_skips_islands() {
         let g = CallGraph::build(&ctx_of(&[(
             "crates/core/src/x.rs",
             "pub fn root() { helper(); }\npub fn helper() {}\npub fn island() {}\n",
         )]));
         let root = id(&g, None, "root");
         let reach = g.reachable(&[root]);
-        let dot = g.to_dot(&[root], &reach);
-        assert!(dot.starts_with("digraph callgraph {"));
-        assert!(dot.contains("\"core::root\" [label=\"core::root\", style=bold, color=firebrick]"));
-        assert!(dot.contains("\"core::root\" -> \"core::helper\";"));
-        assert!(!dot.contains("island"));
+        assert!(reach.contains_key(&id(&g, None, "helper")));
+        assert!(!reach.contains_key(&id(&g, None, "island")));
     }
 }

@@ -1,7 +1,5 @@
 //! Rule catalogue: one entry per lint rule / analysis pass with its
-//! rationale and fix guidance. Shared by the `xtask explain <code>`
-//! subcommand and the SARIF `fullDescription`/`help` metadata, so the
-//! terminal and the code-scanning UI tell the same story.
+//! rationale and fix guidance, printed by `xtask explain <code>`.
 
 /// One rule's documentation.
 pub struct RuleDoc {
@@ -60,21 +58,15 @@ pub const CATALOGUE: &[RuleDoc] = &[
               inside the blessed kernels where the bounds are hoisted.",
     },
     RuleDoc {
-        code: "R5",
-        key: "(none — R5 is inventory-only)",
-        title: "TODO/FIXME/HACK markers are inventoried",
-        rationale: "Deferred work should be visible in review, not buried; the \
-                    inventory keeps the count from silently growing.",
-        fix: "Resolve the marker or keep it — R5 is a Note-level inventory, \
-              never a failure.",
-    },
-    RuleDoc {
         code: "allow",
         key: "allow",
         title: "allow-comments must carry a reason",
         rationale: "A bare `// lint: allow(key)` records that a finding was \
                     silenced but not why, which makes the suppression \
-                    unreviewable.",
+                    unreviewable. It suppresses nothing, and for the lint \
+                    keys (`unwrap`, `float-cmp`, `prob-guard`, `index`) and \
+                    the A4, A5 and A7–A14 keys it is itself a failing \
+                    finding; `float-flow` is shared by A10–A11.",
         fix: "State the invariant that makes the finding safe, in at least a \
               few words: `// lint: allow(key) <reason>`.",
     },
@@ -136,7 +128,7 @@ pub const CATALOGUE: &[RuleDoc] = &[
         rationale: "`let _ = fallible()` silently swallows errors that the \
                     caller should at least log or propagate.",
         fix: "Handle or propagate the Result; annotate deliberate fire-and-\
-              forget sites with `// lint: allow(discarded-result) <reason>`.",
+              forget sites with `// lint: allow(discard-result) <reason>`.",
     },
     RuleDoc {
         code: "A7",
@@ -195,20 +187,6 @@ pub const CATALOGUE: &[RuleDoc] = &[
               family, or annotate `// lint: allow(float-flow) <range proof>`.",
     },
     RuleDoc {
-        code: "A12",
-        key: "float-flow",
-        title: "reduction-order / precision inventory (Notes only)",
-        rationale: "Every float accumulation loop outside the blessed `*_into`/\
-                    `*_rows` kernels, every `as f32` narrowing, and every \
-                    mixed-width line is exactly the set of sites a future \
-                    SIMD/f32 tier would silently change; the inventory (also \
-                    rendered to docs/floatflow.dot) is that tier's pre-flight \
-                    checklist.",
-        fix: "Nothing to fix — A12 is an inventory and never fails the build. \
-              Route new reductions through the blessed kernels to keep it \
-              short.",
-    },
-    RuleDoc {
         code: "A13",
         key: "unsafe-contract",
         title: "unsafe contracts: SAFETY comments and feature-gated dispatch",
@@ -240,20 +218,6 @@ pub const CATALOGUE: &[RuleDoc] = &[
               drain long-lived collections, or annotate \
               `// lint: allow(mem-flow) <why the growth is bounded>`.",
     },
-    RuleDoc {
-        code: "A15",
-        key: "mem-flow",
-        title: "memory-footprint inventory (Notes only)",
-        rationale: "The million-user scale-up (ROADMAP item 1) is budgeted \
-                    against per-element bytes of the socialsim graph/cascade/\
-                    dataset types and the serving queue types; the estimated \
-                    layout inventory (also rendered to docs/memgraph.dot and \
-                    measured end-to-end by `mem-report`'s VmHWM ceiling in \
-                    BENCH_graph.json) is that budget's line-item sheet.",
-        fix: "Nothing to fix — A15 is an inventory and never fails the \
-              build. Keep per-element types lean (u32 ids, SoA layouts) to \
-              keep the sheet short.",
-    },
 ];
 
 /// Look up one rule by id (case-insensitive).
@@ -276,8 +240,8 @@ mod tests {
     #[test]
     fn every_analysis_pass_and_rule_is_documented() {
         for code in [
-            "R1", "R2", "R3", "R4", "R5", "allow", "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",
-            "A9", "A10", "A11", "A12", "A13", "A14", "A15",
+            "R1", "R2", "R3", "R4", "allow", "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9",
+            "A10", "A11", "A13", "A14",
         ] {
             assert!(lookup(code).is_some(), "missing catalogue entry for {code}");
         }

@@ -18,9 +18,8 @@
 //! (nonzero-ness is what division needs; `ln` of a guarded negative is
 //! an accepted false-clean).
 //!
-//! Three passes consume the model: A10 (division/log/sqrt guards on the
-//! hot path), A11 (probability-domain escapes), A12 (reduction-order /
-//! precision inventory rendered to `docs/floatflow.dot`).
+//! Two passes consume the model: A10 (division/log/sqrt guards on the
+//! hot path) and A11 (probability-domain escapes).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -53,16 +52,6 @@ impl Domain {
             Domain::NonNeg => "non-negative but possibly zero",
             Domain::Positive => "positive",
             Domain::EpsGuarded => "epsilon-guarded",
-        }
-    }
-
-    /// Short label for DOT rendering.
-    pub fn label(self) -> &'static str {
-        match self {
-            Domain::Unknown => "?",
-            Domain::NonNeg => ">=0",
-            Domain::Positive => ">0",
-            Domain::EpsGuarded => ">=eps",
         }
     }
 }
@@ -334,32 +323,6 @@ pub struct ProbRet {
     pub has_guard: bool,
 }
 
-/// Float accumulation (`+=` / `x = x + ..`) inside a loop body.
-#[derive(Debug, Clone)]
-pub struct AccSite {
-    pub fn_id: usize,
-    pub line: usize,
-    pub in_test: bool,
-    pub target: String,
-}
-
-/// `as f32` narrowing cast.
-#[derive(Debug, Clone)]
-pub struct CastSite {
-    pub fn_id: usize,
-    pub line: usize,
-    pub in_test: bool,
-    pub expr: String,
-}
-
-/// Line mentioning both `f32` and `f64` (mixed-width arithmetic risk).
-#[derive(Debug, Clone)]
-pub struct MixedSite {
-    pub fn_id: usize,
-    pub line: usize,
-    pub in_test: bool,
-}
-
 /// All check sites gathered in one analysis round.
 #[derive(Debug, Default)]
 pub struct Sites {
@@ -367,9 +330,6 @@ pub struct Sites {
     pub pcalls: Vec<ProbCall>,
     pub pbinds: Vec<ProbBind>,
     pub prets: Vec<ProbRet>,
-    pub accs: Vec<AccSite>,
-    pub casts: Vec<CastSite>,
-    pub mixed: Vec<MixedSite>,
 }
 
 /// The workspace float-domain model: per-fn return summaries plus every
@@ -381,7 +341,7 @@ pub struct FloatFlow {
 
 /// The A10 root set: the §9 hot roots plus every non-test serving fn
 /// (same composition as the lock-region roots).
-pub fn hot_reach(graph: &CallGraph) -> (Vec<usize>, BTreeMap<usize, Vec<usize>>) {
+pub fn hot_reach(graph: &CallGraph) -> BTreeMap<usize, Vec<usize>> {
     let mut roots: BTreeSet<usize> = graph.hot_roots().into_iter().collect();
     for (i, f) in graph.index.fns.iter().enumerate() {
         if !f.in_test && f.body.is_some() && f.path.starts_with("crates/serving/src/") {
@@ -389,8 +349,7 @@ pub fn hot_reach(graph: &CallGraph) -> (Vec<usize>, BTreeMap<usize, Vec<usize>>)
         }
     }
     let roots: Vec<usize> = roots.into_iter().collect();
-    let reach = graph.reachable(&roots);
-    (roots, reach)
+    graph.reachable(&roots)
 }
 
 impl FloatFlow {
@@ -427,7 +386,6 @@ impl FloatFlow {
                     env: BTreeMap::new(),
                     guards: Vec::new(),
                     len_pos: Vec::new(),
-                    loops: Vec::new(),
                     rets: Vec::new(),
                 };
                 let s = flow.run(&mut sites);
@@ -441,86 +399,6 @@ impl FloatFlow {
                 return FloatFlow { summaries, sites };
             }
         }
-    }
-
-    /// DOT rendering: hot-reachable float-returning fns labeled with
-    /// their return domains, call edges among them, and the A12
-    /// inventory (accumulation loops, casts, mixed-width lines) as
-    /// header comments. Committed at `docs/floatflow.dot`.
-    pub fn to_dot(&self, graph: &CallGraph, reach: &BTreeMap<usize, Vec<usize>>) -> String {
-        let fns = &graph.index.fns;
-        let mut out = String::from("digraph floatflow {\n");
-        out.push_str("  rankdir=LR;\n  node [shape=box, fontsize=10];\n");
-        let accs: Vec<&AccSite> = self.sites.accs.iter().filter(|a| !a.in_test).collect();
-        let casts: Vec<&CastSite> = self.sites.casts.iter().filter(|c| !c.in_test).collect();
-        let mixed: Vec<&MixedSite> = self.sites.mixed.iter().filter(|m| !m.in_test).collect();
-        out.push_str(&format!(
-            "  // hot-reachable fns: {} | float accumulation loops: {} | \
-             as-f32 casts: {} | mixed-width lines: {}\n",
-            reach.len(),
-            accs.len(),
-            casts.len(),
-            mixed.len()
-        ));
-        for a in &accs {
-            out.push_str(&format!(
-                "  // acc: {}:{} `{}` in {}\n",
-                fns[a.fn_id].path,
-                a.line,
-                a.target,
-                fns[a.fn_id].display()
-            ));
-        }
-        for c in &casts {
-            out.push_str(&format!(
-                "  // cast: {}:{} `{}` in {}\n",
-                fns[c.fn_id].path,
-                c.line,
-                c.expr,
-                fns[c.fn_id].display()
-            ));
-        }
-        for m in &mixed {
-            out.push_str(&format!(
-                "  // mixed-width: {}:{} in {}\n",
-                fns[m.fn_id].path,
-                m.line,
-                fns[m.fn_id].display()
-            ));
-        }
-        let include: BTreeSet<usize> = reach
-            .keys()
-            .copied()
-            .filter(|&i| fns[i].returns_float && !fns[i].in_test)
-            .collect();
-        for &i in &include {
-            let s = &self.summaries[i];
-            let mut tag = s.domain.label().to_string();
-            if s.p01 {
-                tag.push_str(" in [0,1]");
-            }
-            out.push_str(&format!(
-                "  \"{}\" [label=\"{}\\n{}\"];\n",
-                fns[i].display(),
-                fns[i].display(),
-                tag
-            ));
-        }
-        let mut seen = BTreeSet::new();
-        for e in &graph.edges {
-            if include.contains(&e.caller)
-                && include.contains(&e.callee)
-                && seen.insert((e.caller, e.callee))
-            {
-                out.push_str(&format!(
-                    "  \"{}\" -> \"{}\";\n",
-                    fns[e.caller].display(),
-                    fns[e.callee].display()
-                ));
-            }
-        }
-        out.push_str("}\n");
-        out
     }
 }
 
@@ -616,7 +494,6 @@ struct FnFlow<'a> {
     guards: Vec<(String, usize, usize, Domain)>,
     /// Idents proven non-empty over a token range (`.len()` positive).
     len_pos: Vec<(String, usize, usize)>,
-    loops: Vec<(usize, usize)>,
     rets: Vec<Val>,
 }
 
@@ -624,7 +501,6 @@ impl<'a> FnFlow<'a> {
     fn run(&mut self, sites: &mut Sites) -> Val {
         self.seed_params();
         self.walk(sites);
-        self.mixed_lines(sites);
         let tail = self.tail_range();
         if let Some((s, e)) = tail {
             let v = self.eval(s, e);
@@ -668,7 +544,7 @@ impl<'a> FnFlow<'a> {
     }
 
     /// Linear walk over the body: environment updates, guard regions,
-    /// loop regions, and every check-site record.
+    /// and every check-site record.
     fn walk(&mut self, sites: &mut Sites) {
         let mut k = self.lo;
         while k < self.hi {
@@ -683,23 +559,12 @@ impl<'a> FnFlow<'a> {
                 }
                 (TokKind::Ident, "let") => self.handle_let(sites, k),
                 (TokKind::Ident, "if") | (TokKind::Ident, "while") => self.handle_guard(k),
-                (TokKind::Ident, "for") | (TokKind::Ident, "loop") => self.handle_loop(k),
+                (TokKind::Ident, "for") => self.handle_for(k),
                 (TokKind::Ident, "return") => {
                     let end = self.stmt_end(k + 1);
                     if end > k + 1 {
                         let v = self.eval(k + 1, end);
                         self.record_ret(sites, v, t.line, k + 1, end);
-                    }
-                }
-                (TokKind::Ident, "as") => {
-                    if self.toks.get(k + 1).is_some_and(|n| n.is_ident("f32")) {
-                        let start = k.saturating_sub(3).max(self.lo);
-                        sites.casts.push(CastSite {
-                            fn_id: self.fn_id,
-                            line: t.line,
-                            in_test: t.in_test,
-                            expr: render(self.toks, start, k + 2),
-                        });
                     }
                 }
                 (TokKind::Ident, "loss_probs") => self.handle_loss_probs(sites, k),
@@ -710,7 +575,7 @@ impl<'a> FnFlow<'a> {
                 | (TokKind::Ident, "sqrt")
                 | (TokKind::Ident, "recip") => self.handle_method_site(sites, k),
                 (TokKind::Punct, "/") => self.handle_div(sites, k),
-                (TokKind::Ident, _) => self.handle_assign(sites, k),
+                (TokKind::Ident, _) => self.handle_assign(k),
                 (TokKind::Punct, "*") => {
                     // `*x += ..` / `*x = ..` deref-assignment.
                     let stmtish =
@@ -721,7 +586,7 @@ impl<'a> FnFlow<'a> {
                             .get(k + 1)
                             .is_some_and(|n| n.kind == TokKind::Ident)
                     {
-                        self.handle_assign(sites, k + 1);
+                        self.handle_assign(k + 1);
                     }
                 }
                 _ => {}
@@ -853,9 +718,6 @@ impl<'a> FnFlow<'a> {
         let Some(close) = matching_close(self.toks, open) else {
             return;
         };
-        if self.toks[k].is_ident("while") || self.toks[k].is_ident("loop") {
-            self.loops.push((open + 1, close));
-        }
         let c = k + 1;
         if c >= open || self.toks[c].is_ident("let") {
             return;
@@ -960,43 +822,21 @@ impl<'a> FnFlow<'a> {
         })
     }
 
-    fn handle_loop(&mut self, k: usize) {
-        if self.toks[k].is_ident("for")
-            && self.toks.get(k + 1).map(|t| t.kind) == Some(TokKind::Ident)
+    /// `for i in ..` — loop variables over ranges are ints.
+    fn handle_for(&mut self, k: usize) {
+        if self.toks.get(k + 1).map(|t| t.kind) == Some(TokKind::Ident)
             && self.toks.get(k + 2).is_some_and(|t| t.is_ident("in"))
         {
-            // `for i in ..` — loop variables over ranges are ints.
             let mut v = Val::unknown();
             v.domain = Domain::NonNeg;
             self.env.insert(self.toks[k + 1].text.clone(), v);
         }
-        let mut depth = 0i32;
-        let mut j = k + 1;
-        while j < self.hi {
-            match self.toks[j].text.as_str() {
-                "(" | "[" => depth += 1,
-                ")" | "]" => depth -= 1,
-                "{" if depth == 0 => {
-                    if let Some(close) = matching_close(self.toks, j) {
-                        self.loops.push((j + 1, close));
-                    }
-                    return;
-                }
-                ";" if depth == 0 => return,
-                _ => {}
-            }
-            j += 1;
-        }
-    }
-
-    fn in_loop(&self, k: usize) -> bool {
-        self.loops.iter().any(|&(s, e)| s <= k && k < e)
     }
 
     /// Assignment / compound-assignment at an ident: update the
-    /// environment and record accumulation sites. Never consumes
-    /// tokens — operand sites inside the rhs are found by the walker.
-    fn handle_assign(&mut self, sites: &mut Sites, k: usize) {
+    /// environment. Never consumes tokens — operand sites inside the
+    /// rhs are found by the walker.
+    fn handle_assign(&mut self, k: usize) {
         if k > self.lo {
             let p = &self.toks[k - 1];
             if p.is_punct(".") || p.is_punct("::") || p.is_ident("let") || p.is_ident("mut") {
@@ -1062,20 +902,7 @@ impl<'a> FnFlow<'a> {
         if simple {
             let mut new = new;
             new.def = self.env.get(&base).and_then(|v| v.def);
-            self.env.insert(base.clone(), new);
-        }
-        // Accumulation: `x += rhs` or `x = x + rhs` inside a loop.
-        let is_acc = kind == '+'
-            || (kind == '='
-                && self.toks[rhs_at].text == base
-                && self.toks.get(rhs_at + 1).is_some_and(|n| n.is_punct("+")));
-        if is_acc && self.in_loop(k) && (old.is_float || rhs.is_float) {
-            sites.accs.push(AccSite {
-                fn_id: self.fn_id,
-                line: self.toks[k].line,
-                in_test: self.toks[k].in_test,
-                target: render(self.toks, k, t_end),
-            });
+            self.env.insert(base, new);
         }
     }
 
@@ -1201,32 +1028,6 @@ impl<'a> FnFlow<'a> {
             Some((start, self.hi))
         } else {
             None
-        }
-    }
-
-    /// Per-line mixed-width scan: a body line mentioning both `f32`
-    /// and `f64`.
-    fn mixed_lines(&self, sites: &mut Sites) {
-        let mut lines: BTreeMap<usize, (bool, bool, bool)> = BTreeMap::new();
-        for t in &self.toks[self.lo..self.hi] {
-            if t.kind != TokKind::Ident {
-                continue;
-            }
-            let e = lines.entry(t.line).or_insert((false, false, t.in_test));
-            match t.text.as_str() {
-                "f32" => e.0 = true,
-                "f64" => e.1 = true,
-                _ => {}
-            }
-        }
-        for (line, (a, b, in_test)) in lines {
-            if a && b {
-                sites.mixed.push(MixedSite {
-                    fn_id: self.fn_id,
-                    line,
-                    in_test,
-                });
-            }
         }
     }
 
@@ -2183,24 +1984,6 @@ mod tests {
     }
 
     #[test]
-    fn accumulation_loops_and_casts_are_inventoried() {
-        let (g, f) = flow_of(&[(
-            "crates/nn/src/a.rs",
-            "pub fn rogue(xs: f64) -> f64 {\n\
-                 let mut acc = 0.0;\n\
-                 for x in xs { acc += x; }\n\
-                 acc\n\
-             }\n\
-             pub fn narrowed(x: f64) -> f64 { let y = x as f32; y as f64 }\n",
-        )]);
-        let acc = f.sites.accs.first().expect("acc site");
-        assert_eq!(acc.target, "acc");
-        assert_eq!(g.index.fns[acc.fn_id].name, "rogue");
-        let cast = f.sites.casts.first().expect("cast site");
-        assert!(cast.expr.contains("as f32"), "{cast:?}");
-    }
-
-    #[test]
     fn len_guard_promotes_division_by_len() {
         let (_, f) = flow_of(&[(
             "crates/nn/src/a.rs",
@@ -2238,7 +2021,7 @@ mod tests {
     }
 
     #[test]
-    fn dot_rendering_lists_inventory_and_domains() {
+    fn eps_floored_accumulator_summary_is_eps_guarded() {
         let (g, f) = flow_of(&[(
             "crates/core/src/a.rs",
             "impl Retina {\n\
@@ -2250,14 +2033,6 @@ mod tests {
                  }\n\
              }\n",
         )]);
-        let (_, reach) = hot_reach(&g);
-        let dot = f.to_dot(&g, &reach);
-        assert!(dot.contains("digraph floatflow"));
-        assert!(dot.contains("float accumulation loops: 1"), "{dot}");
-        assert!(dot.contains(">=eps"), "summary label rendered: {dot}");
-        assert!(
-            dot.contains("\"core::Retina::forward\" -> \"core::Retina::step\""),
-            "{dot}"
-        );
+        assert_eq!(summary_of(&g, &f, "step").domain, Domain::EpsGuarded);
     }
 }

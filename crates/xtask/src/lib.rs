@@ -3,30 +3,27 @@
 //! The `lint` subcommand runs a rule-driven line scanner over every
 //! crate's library sources:
 //!
-//! - R1  no `.unwrap()` / `.expect()` in non-test library code of the
-//!       model crates (nn, ml, diffusion, core)
-//! - R2  no direct float `==` / `!=` outside tests
-//! - R3  epsilon-guarded `ln()`/`log()`/probability division in the
-//!       numerically hot files (loss.rs, attention.rs, gru.rs)
-//! - R4  no raw buffer indexing in the tensor hot kernels
-//! - R5  open-marker (todo/fixme) inventory — report-only, never fails
-//!       the lint
+//! - R1: no `.unwrap()` / `.expect()` in non-test library code of every
+//!   workspace member except `bench`, `socialsim` and `text`
+//! - R2: no direct float `==` / `!=` outside tests
+//! - R3: epsilon-guarded `ln()`/`log()`/probability division in the
+//!   numerically hot files (loss.rs, attention.rs, gru.rs)
+//! - R4: no raw buffer indexing in the tensor hot kernels
 //!
 //! The `analyze` subcommand runs the token-stream semantic passes
 //! (A1 shape-flow, A2 determinism, A3 cast-safety, the
 //! call-graph-based A4 panic-reachability, A5 hot-loop allocation and
 //! A6 discarded-Result, the lock-region-model-based A7 lock-order,
 //! A8 blocking-under-lock and A9 condvar-discipline, the
-//! float-value-lattice-based A10 division/log-guard, A11
-//! probability-domain and A12 reduction-inventory, plus the
-//! memory-shape-model-based A13 unsafe-contract, A14 capacity/growth
-//! and A15 footprint-inventory — see [`passes`], [`items`],
-//! [`callgraph`], [`lockmodel`], [`floatflow`], [`memflow`]) with SARIF
-//! 2.1.0 output ([`sarif`]) and a committed finding baseline
-//! ([`baseline`]). `explain <rule>` prints each rule's rationale and
-//! fix guidance from the shared catalogue ([`explain`]). `mem-report`
-//! measures peak RSS for the dataset-generation scenario and maintains
-//! `BENCH_graph.json` ([`memreport`]).
+//! float-value-lattice-based A10 division/log-guard and A11
+//! probability-domain, plus the memory-shape-model-based A13
+//! unsafe-contract and A14 capacity/growth — see [`passes`], [`items`],
+//! [`callgraph`], [`lockmodel`], [`floatflow`], [`memflow`]) against a
+//! committed finding baseline ([`baseline`]). `explain <rule>` prints
+//! each rule's rationale and fix guidance from the shared catalogue
+//! ([`explain`]). `mem-report` measures peak RSS for the
+//! dataset-generation scenario and maintains `BENCH_graph.json`
+//! ([`memreport`]).
 //!
 //! Violations can be suppressed in place with
 //! `// lint: allow(<key>) <reason>` where `<key>` is one of
@@ -48,11 +45,10 @@ pub mod memflow;
 pub mod memreport;
 pub mod passes;
 pub mod rules;
-pub mod sarif;
 pub mod serving;
 pub mod source;
 
-use rules::{InventoryItem, Violation};
+use rules::Violation;
 use source::SourceFile;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -61,7 +57,6 @@ use std::path::{Path, PathBuf};
 #[derive(Debug, Default)]
 pub struct Report {
     pub violations: Vec<Violation>,
-    pub inventory: Vec<InventoryItem>,
     pub files_scanned: usize,
 }
 
@@ -79,112 +74,13 @@ impl Report {
                 v.path, v.line, v.rule, v.message
             ));
         }
-        if !self.inventory.is_empty() {
-            out.push_str(&format!(
-                "\n-- inventory ({} open markers) --\n",
-                self.inventory.len()
-            ));
-            for item in &self.inventory {
-                out.push_str(&format!(
-                    "{}:{}: [{}] {}\n",
-                    item.path, item.line, item.kind, item.text
-                ));
-            }
-        }
         out.push_str(&format!(
-            "\n{} file(s) scanned, {} violation(s), {} inventory item(s)\n",
+            "\n{} file(s) scanned, {} violation(s)\n",
             self.files_scanned,
-            self.violations.len(),
-            self.inventory.len()
+            self.violations.len()
         ));
         out
     }
-
-    /// Per-crate (violations, inventory) counts, sorted by crate name.
-    pub fn per_crate_counts(&self) -> Vec<(String, usize, usize)> {
-        let mut counts: std::collections::BTreeMap<String, (usize, usize)> =
-            std::collections::BTreeMap::new();
-        for v in &self.violations {
-            counts
-                .entry(passes::crate_of(&v.path).to_string())
-                .or_default()
-                .0 += 1;
-        }
-        for item in &self.inventory {
-            counts
-                .entry(passes::crate_of(&item.path).to_string())
-                .or_default()
-                .1 += 1;
-        }
-        counts.into_iter().map(|(k, (v, i))| (k, v, i)).collect()
-    }
-
-    /// Machine-readable inventory + violations (`--fix-inventory`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"violations\": [\n");
-        for (i, v) in self.violations.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"rule\": {}, \"path\": {}, \"line\": {}, \"message\": {}}}{}\n",
-                json_str(v.rule),
-                json_str(&v.path),
-                v.line,
-                json_str(&v.message),
-                if i + 1 < self.violations.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        out.push_str("  ],\n  \"inventory\": [\n");
-        for (i, item) in self.inventory.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"kind\": {}, \"path\": {}, \"line\": {}, \"text\": {}}}{}\n",
-                json_str(&item.kind),
-                json_str(&item.path),
-                item.line,
-                json_str(&item.text),
-                if i + 1 < self.inventory.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        let per_crate = self.per_crate_counts();
-        out.push_str("  ],\n  \"per_crate\": {\n");
-        for (i, (name, v, inv)) in per_crate.iter().enumerate() {
-            out.push_str(&format!(
-                "    {}: {{\"violations\": {v}, \"inventory\": {inv}}}{}\n",
-                json_str(name),
-                if i + 1 < per_crate.len() { "," } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "  }},\n  \"files_scanned\": {}\n}}\n",
-            self.files_scanned
-        ));
-        out
-    }
-}
-
-/// JSON string literal with escaping.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Workspace member source roots, enumerated from the root
@@ -253,43 +149,45 @@ fn member_globs(manifest: &str) -> Vec<String> {
         .collect()
 }
 
-/// Lint all library sources under `root` (the workspace root): every
-/// manifest-listed member's `src/**.rs` plus the root package's `src/`.
-/// Vendored stub crates, tests/, benches/ and examples/ trees are out
-/// of scope.
-pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
-    let mut files = Vec::new();
+/// Read every library source under `root` (the workspace root): each
+/// manifest-listed member's `src/**.rs` plus the root package's `src/`,
+/// sorted by path. Vendored stub crates, tests/, benches/ and examples/
+/// trees are out of scope. `lint` and `analyze` share this file set.
+pub fn load_sources(root: &Path) -> std::io::Result<Vec<SourceFile>> {
+    let mut paths = Vec::new();
     for member in workspace_members(root)? {
-        collect_rs(&member.join("src"), &mut files)?;
+        collect_rs(&member.join("src"), &mut paths)?;
     }
-    collect_rs(&root.join("src"), &mut files)?;
-    files.sort();
+    collect_rs(&root.join("src"), &mut paths)?;
+    paths.sort();
+    paths
+        .iter()
+        .map(|path| {
+            let raw = fs::read_to_string(path)?;
+            let rel = path.strip_prefix(root).unwrap_or(path).to_string_lossy();
+            Ok(SourceFile::parse(&rel, &raw))
+        })
+        .collect()
+}
 
-    let mut report = Report::default();
-    for path in files {
-        let raw = fs::read_to_string(&path)?;
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let file = SourceFile::parse(&rel, &raw);
-        let (violations, inventory) = rules::lint_file(&file);
-        report.violations.extend(violations);
-        report.inventory.extend(inventory);
-        report.files_scanned += 1;
+/// Lint all library sources under `root` (the workspace root).
+pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
+    let sources = load_sources(root)?;
+    let mut report = Report {
+        files_scanned: sources.len(),
+        ..Report::default()
+    };
+    for file in &sources {
+        report.violations.extend(rules::lint_file(file));
     }
     report
         .violations
         .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
-    report
-        .inventory
-        .sort_by(|a, b| (a.path.as_str(), a.line).cmp(&(b.path.as_str(), b.line)));
     Ok(report)
 }
 
 /// Recursively gather `.rs` files under `dir` (no-op when absent).
-pub(crate) fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     if !dir.is_dir() {
         return Ok(());
     }
@@ -354,7 +252,7 @@ mod tests {
     }
 
     #[test]
-    fn clean_fixture_passes_and_inventory_does_not_fail() {
+    fn clean_fixture_passes() {
         let root = fixture(
             "clean",
             &[(
@@ -365,8 +263,6 @@ mod tests {
         );
         let report = lint_workspace(&root).expect("lint runs");
         assert!(report.is_clean(), "{:?}", report.violations);
-        assert_eq!(report.inventory.len(), 1);
-        assert_eq!(report.inventory[0].kind, "TODO");
     }
 
     #[test]
@@ -388,27 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn json_output_is_well_formed() {
-        let root = fixture(
-            "json",
-            &[(
-                "crates/nn/src/x.rs",
-                "// TODO: quote \"this\" and a backslash \\ path\npub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
-            )],
-        );
-        let report = lint_workspace(&root).expect("lint runs");
-        let json = report.to_json();
-        assert!(json.contains("\"violations\""));
-        assert!(json.contains("\"inventory\""));
-        assert!(json.contains("\\\"this\\\""));
-        assert!(json.contains("\"files_scanned\": 1"));
-        // Balanced braces/brackets as a cheap well-formedness check.
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes);
-    }
-
-    #[test]
     fn allow_comments_suppress_in_fixture() {
         let root = fixture(
             "allowed",
@@ -422,29 +297,6 @@ mod tests {
         );
         let report = lint_workspace(&root).expect("lint runs");
         assert!(report.is_clean(), "{:?}", report.violations);
-    }
-
-    #[test]
-    fn json_reports_per_crate_counts() {
-        let root = fixture(
-            "per-crate",
-            &[
-                (
-                    "crates/nn/src/a.rs",
-                    "// TODO: one marker\npub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
-                ),
-                ("crates/ml/src/b.rs", "// FIXME: another marker\n"),
-            ],
-        );
-        let report = lint_workspace(&root).expect("lint runs");
-        let counts = report.per_crate_counts();
-        assert_eq!(
-            counts,
-            vec![("ml".to_string(), 0, 1), ("nn".to_string(), 1, 1)]
-        );
-        let json = report.to_json();
-        assert!(json.contains("\"per_crate\""));
-        assert!(json.contains("\"nn\": {\"violations\": 1, \"inventory\": 1}"));
     }
 
     #[test]
@@ -466,7 +318,7 @@ mod tests {
 
     #[test]
     fn real_workspace_tree_analyzes_clean_with_baseline() {
-        // The analyze acceptance gate: A1+A2+A3 over the shipped tree,
+        // The analyze acceptance gate: every pass over the shipped tree,
         // minus the committed baseline, must be clean.
         let root = Path::new(env!("CARGO_MANIFEST_DIR"))
             .ancestors()
@@ -492,63 +344,35 @@ mod tests {
                 .any(|(name, dot)| name == "model_graph.dot" && dot.contains("digraph retina")),
             "A1 produced no model-graph artifact"
         );
-        // The A4 pass rendered the hot-path call graph.
-        assert!(
-            report
-                .artifacts
-                .iter()
-                .any(|(name, dot)| name == "callgraph.dot" && dot.contains("digraph callgraph")),
-            "A4 produced no call-graph artifact"
-        );
-        // The A7 pass rendered the lock-order graph, and the lock-region
-        // model behind it found the serving queue's lock/condvar pairs.
-        assert!(
-            report
-                .artifacts
-                .iter()
-                .any(|(name, dot)| name == "lockgraph.dot"
-                    && dot.contains("digraph lockgraph")
-                    && dot.contains("Shared.state")
-                    && dot.contains("Slot.ready")),
-            "A7 produced no lock-graph artifact"
-        );
-        // The A12 pass rendered the float-domain/reduction-inventory
-        // graph, and the committed docs/floatflow.dot matches it (the
-        // shipped rendering must not drift from the analysis).
-        let flowdot = report
-            .artifacts
-            .iter()
-            .find(|(name, _)| name == "floatflow.dot")
-            .map(|(_, dot)| dot.as_str())
-            .expect("A12 produced no float-flow artifact");
-        assert!(flowdot.contains("digraph floatflow"));
-        let committed =
-            fs::read_to_string(root.join("docs/floatflow.dot")).expect("docs/floatflow.dot");
+        // The lock-region model behind A7–A9 found the serving queue's
+        // lock and the condvar its waits pair with it.
+        let ctx = passes::load_workspace(&root).expect("workspace loads");
+        let graph = callgraph::CallGraph::build(&ctx);
+        let locks = lockmodel::LockModel::build(&ctx, &graph);
         assert_eq!(
-            committed, flowdot,
-            "docs/floatflow.dot is stale — regenerate with \
-             `cargo run -p xtask -- analyze --emit-floatflow docs/floatflow.dot`"
+            locks.locks.get("Shared.state"),
+            Some(&lockmodel::LockKind::Mutex),
+            "lock model lost the serving queue lock: {:?}",
+            locks.locks
         );
-        // The A15 pass rendered the memory-footprint graph, and the
-        // committed docs/memgraph.dot matches it.
-        let memdot = report
-            .artifacts
-            .iter()
-            .find(|(name, _)| name == "memgraph.dot")
-            .map(|(_, dot)| dot.as_str())
-            .expect("A15 produced no memgraph artifact");
-        assert!(memdot.contains("digraph memgraph"));
         assert!(
-            memdot.contains("socialsim::Tweet") && memdot.contains("serving::QueueState"),
-            "memgraph is missing the scale-critical types:\n{memdot}"
+            locks
+                .assoc
+                .get("Shared.work")
+                .is_some_and(|m| m.contains("Shared.state")),
+            "condvar association Shared.work → Shared.state missing: {:?}",
+            locks.assoc
         );
-        let committed =
-            fs::read_to_string(root.join("docs/memgraph.dot")).expect("docs/memgraph.dot");
-        assert_eq!(
-            committed, memdot,
-            "docs/memgraph.dot is stale — regenerate with \
-             `cargo run -p xtask -- analyze --emit-memgraph docs/memgraph.dot`"
-        );
+        // The memory model behind A14 classifies the server and the queue
+        // state it owns as long-lived.
+        let mem = memflow::MemModel::build(&ctx);
+        for name in ["PredictionServer", "Shared", "QueueState"] {
+            assert!(
+                mem.long_lived.contains(name),
+                "{name} is not long-lived: {:?}",
+                mem.long_lived
+            );
+        }
     }
 
     #[test]
@@ -607,14 +431,8 @@ mod tests {
             .to_path_buf();
         let report = passes::analyze_workspace(&root).expect("analyze runs");
         let base = baseline::Baseline::load(&root).expect("baseline parses");
-        let failing: Vec<passes::Finding> = report
-            .findings
-            .iter()
-            .filter(|f| f.severity.is_failing())
-            .cloned()
-            .collect();
         assert_eq!(
-            base.stale(&failing),
+            base.stale(&report.findings),
             0,
             "baseline has stale entries — run \
              `cargo run -p xtask -- analyze --prune-baseline`"
@@ -642,7 +460,7 @@ mod tests {
         );
         for rule in [
             "\"A1\"", "\"A2\"", "\"A3\"", "\"A6\"", "\"A7\"", "\"A8\"", "\"A9\"", "\"A10\"",
-            "\"A11\"", "\"A12\"",
+            "\"A11\"",
         ] {
             assert!(
                 !raw.contains(rule),

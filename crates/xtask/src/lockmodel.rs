@@ -29,8 +29,8 @@
 //! condvar waits reacquire the same lock.
 //!
 //! Known approximations: receivers that are call results
-//! (`chan().lock()`) and guards bound by `if let` are unresolved
-//! (counted in [`LockModel::unresolved_receivers`]); a region ending in
+//! (`chan().lock()`) and guards bound by `if let` are unresolved and
+//! skipped; a region ending in
 //! one `match` arm is assumed to span the whole arm's statement.
 
 use crate::callgraph::CallGraph;
@@ -145,8 +145,6 @@ pub struct LockModel {
     pub assoc: BTreeMap<String, BTreeSet<String>>,
     /// The global acquisition-order graph.
     pub order_edges: Vec<OrderEdge>,
-    /// `.lock()` / guard-wrapper receivers we could not resolve.
-    pub unresolved_receivers: usize,
 }
 
 impl LockModel {
@@ -166,17 +164,9 @@ impl LockModel {
                 wrapper_sites.insert((e.caller, e.site), e.callee);
             }
         }
-        let mut unresolved = 0usize;
         let mut fns = Vec::with_capacity(index.fns.len());
         for fid in 0..index.fns.len() {
-            fns.push(scan_fn(
-                ctx,
-                graph,
-                fid,
-                &wrapper_sites,
-                &mut locks,
-                &mut unresolved,
-            ));
+            fns.push(scan_fn(ctx, graph, fid, &wrapper_sites, &mut locks));
         }
 
         // Condvar ↔ mutex association: the region whose guard is handed
@@ -274,7 +264,6 @@ impl LockModel {
             acquires,
             assoc,
             order_edges,
-            unresolved_receivers: unresolved,
         }
     }
 
@@ -373,47 +362,6 @@ impl LockModel {
         }
         held
     }
-
-    /// DOT rendering of the lock graph: every named lock, the
-    /// acquisition-order edges (labelled with the establishing fn and
-    /// line), and dashed condvar→mutex association edges.
-    pub fn to_dot(&self) -> String {
-        let mut out = String::from("digraph lockgraph {\n");
-        out.push_str("  rankdir=LR;\n  node [fontsize=10];\n");
-        out.push_str(&format!(
-            "  // {} lock(s), {} order edge(s), {} condvar association(s), \
-             {} unresolved receiver(s)\n",
-            self.locks.len(),
-            self.order_edges.len(),
-            self.assoc.values().map(|s| s.len()).sum::<usize>(),
-            self.unresolved_receivers
-        ));
-        for (lock, kind) in &self.locks {
-            let shape = match kind {
-                LockKind::Condvar => "ellipse, style=dashed",
-                _ => "box",
-            };
-            out.push_str(&format!("  \"{lock}\" [shape={shape}];\n"));
-        }
-        let mut seen: BTreeSet<(&str, &str)> = BTreeSet::new();
-        for e in &self.order_edges {
-            if seen.insert((&e.from, &e.to)) {
-                out.push_str(&format!(
-                    "  \"{}\" -> \"{}\" [label=\"{}:{}\"];\n",
-                    e.from, e.to, e.fn_disp, e.line
-                ));
-            }
-        }
-        for (cv, mutexes) in &self.assoc {
-            for m in mutexes {
-                out.push_str(&format!(
-                    "  \"{cv}\" -> \"{m}\" [style=dashed, label=\"guards\"];\n"
-                ));
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 /// A resolved receiver: lock identity, kind, and whether it came in as
@@ -438,7 +386,6 @@ fn scan_fn(
     fid: usize,
     wrapper_sites: &BTreeMap<(usize, usize), usize>,
     locks: &mut BTreeMap<String, LockKind>,
-    unresolved: &mut usize,
 ) -> FnLocks {
     let item = &graph.index.fns[fid];
     let mut out = FnLocks::default();
@@ -477,11 +424,8 @@ fn scan_fn(
             // `let state = lock(&self.shared.state);` — the wrapper's
             // guard return makes this call an acquisition site.
             let _ = callee;
-            match sc.resolve_wrapper_arg(k) {
-                Some((lockid, kind, param)) => {
-                    out.regions.push(sc.make_region(k, lockid, kind, param));
-                }
-                None => *unresolved += 1,
+            if let Some((lockid, kind, param)) = sc.resolve_wrapper_arg(k) {
+                out.regions.push(sc.make_region(k, lockid, kind, param));
             }
             k += 1;
             continue;
@@ -495,14 +439,12 @@ fn scan_fn(
             continue;
         }
         match t.text.as_str() {
-            "lock" => match sc.resolve_receiver(k) {
-                Some((lockid, LockKind::Mutex, param)) => {
+            "lock" => {
+                if let Some((lockid, LockKind::Mutex, param)) = sc.resolve_receiver(k) {
                     out.regions
                         .push(sc.make_region(k, lockid, LockKind::Mutex, param));
                 }
-                Some(_) => {}
-                None => *unresolved += 1,
-            },
+            }
             "read" | "write" => {
                 // Only an acquisition when the receiver is a known
                 // RwLock — `.read()`/`.write()` are ubiquitous IO names.
@@ -1290,7 +1232,7 @@ mod tests {
     }
 
     #[test]
-    fn dot_renders_locks_edges_and_associations() {
+    fn model_records_locks_order_edges_and_associations() {
         let (m, _) = model_of(&[(
             "crates/serving/src/x.rs",
             "pub struct S { a: Mutex<u8>, b: Mutex<u8>, cv: Condvar }\n\
@@ -1303,11 +1245,19 @@ mod tests {
              }\n\
              pub fn broke() -> bool { true }\n",
         )]);
-        let dot = m.to_dot();
-        assert!(dot.starts_with("digraph lockgraph {"), "{dot}");
-        assert!(dot.contains("\"S.a\" [shape=box];"));
-        assert!(dot.contains("\"S.cv\" [shape=ellipse, style=dashed];"));
-        assert!(dot.contains("\"S.a\" -> \"S.b\" [label=\"serving::S::f:"));
-        assert!(dot.contains("\"S.cv\" -> \"S.a\" [style=dashed, label=\"guards\"];"));
+        assert_eq!(m.locks.get("S.a"), Some(&LockKind::Mutex));
+        assert_eq!(m.locks.get("S.cv"), Some(&LockKind::Condvar));
+        assert!(
+            m.order_edges
+                .iter()
+                .any(|e| e.from == "S.a" && e.to == "S.b" && e.fn_disp == "serving::S::f"),
+            "{:?}",
+            m.order_edges
+        );
+        assert!(
+            m.assoc.get("S.cv").is_some_and(|ms| ms.contains("S.a")),
+            "{:?}",
+            m.assoc
+        );
     }
 }

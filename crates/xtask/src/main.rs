@@ -1,43 +1,27 @@
-//! `cargo run -p xtask -- lint [--fix-inventory]`
-//! `cargo run -p xtask -- analyze [--format text|json|sarif] [--baseline]
-//!                                [--update-baseline] [--prune-baseline]
-//!                                [--emit-dot <path>]
-//!                                [--emit-callgraph <path>]
-//!                                [--emit-lockgraph <path>]
-//!                                [--emit-floatflow <path>]
-//!                                [--emit-memgraph <path>]`
+//! `cargo run -p xtask -- lint`
+//! `cargo run -p xtask -- analyze [--baseline] [--update-baseline]
+//!                                [--prune-baseline] [--emit-dot <path>]`
 //! `cargo run -p xtask -- explain [<rule>]`
 //! `cargo run -p xtask -- bench-report [--check]`
 //! `cargo run -p xtask -- serving-report [--check]`
 //! `cargo run -p xtask -- mem-report [--check]`
 //!
 //! `lint` exits nonzero when any R1–R4 violation (or malformed
-//! allow-comment) is found. The R5 open-marker (todo/fixme) inventory
-//! is always reported but never fails the run. `--fix-inventory`
-//! switches the output to JSON for tooling that files the inventory
-//! items.
+//! allow-comment) is found.
 //!
 //! `analyze` runs the semantic passes (A1 shape-flow, A2 determinism,
 //! A3 cast-safety, A4 panic-reachability, A5 hot-loop allocation, A6
 //! discarded-Result, A7 lock-order, A8 blocking-under-lock, A9
 //! condvar-discipline, A10 division/log-guard, A11 probability-domain,
-//! A12 reduction-inventory, A13 unsafe-contract, A14 capacity/growth,
-//! A15 footprint-inventory) over the workspace and exits nonzero when
-//! any non-baselined warning/error-severity finding remains.
-//! `--update-baseline` grandfathers the current failing findings (Notes
-//! are never baselined); `--prune-baseline` rewrites the committed
-//! baseline keeping only entries a current finding still matches.
-//! `--emit-dot` writes the A1 model graph; `--emit-callgraph` writes
-//! the A4 hot-path call graph (`docs/callgraph.dot` is the committed
-//! rendering); `--emit-lockgraph` writes the A7 lock-order graph
-//! (`docs/lockgraph.dot` is the committed rendering); `--emit-floatflow`
-//! writes the A12 float-domain/reduction-inventory graph
-//! (`docs/floatflow.dot` is the committed rendering); `--emit-memgraph`
-//! writes the A15 memory-footprint graph (`docs/memgraph.dot` is the
-//! committed rendering).
+//! A13 unsafe-contract, A14 capacity/growth) over the workspace, prints
+//! every finding, and exits nonzero when any non-baselined finding
+//! remains. `--update-baseline` grandfathers the current findings;
+//! `--prune-baseline` rewrites the committed baseline keeping only
+//! entries a current finding still matches. `--emit-dot` writes the A1
+//! model graph (`docs/model_graph.dot` is the committed rendering).
 //!
 //! `explain <rule>` prints the rationale and fix guidance for one rule
-//! or pass (`R1`..`R5`, `allow`, `A1`..`A15`); with no argument it
+//! or pass (`R1`..`R4`, `allow`, `A1`..`A14`); with no argument it
 //! prints the whole catalogue.
 //!
 //! `bench-report` runs the substrates criterion benchmark and rewrites
@@ -70,12 +54,9 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
         eprintln!(
-            "usage: cargo run -p xtask -- lint [--fix-inventory]\n       \
-             cargo run -p xtask -- analyze [--format text|json|sarif] \
-             [--baseline] [--update-baseline] [--prune-baseline] \
-             [--emit-dot <path>] [--emit-callgraph <path>] \
-             [--emit-lockgraph <path>] [--emit-floatflow <path>] \
-             [--emit-memgraph <path>]\n       \
+            "usage: cargo run -p xtask -- lint\n       \
+             cargo run -p xtask -- analyze [--baseline] [--update-baseline] \
+             [--prune-baseline] [--emit-dot <path>]\n       \
              cargo run -p xtask -- explain [<rule>]\n       \
              cargo run -p xtask -- bench-report [--check]\n       \
              cargo run -p xtask -- serving-report [--check]\n       \
@@ -85,16 +66,11 @@ fn main() -> ExitCode {
     };
     match cmd.as_str() {
         "lint" => {
-            let json = args.iter().any(|a| a == "--fix-inventory");
-            let unknown: Vec<&String> = args[1..]
-                .iter()
-                .filter(|a| a.as_str() != "--fix-inventory")
-                .collect();
-            if !unknown.is_empty() {
-                eprintln!("unknown lint option(s): {unknown:?}");
+            if args.len() > 1 {
+                eprintln!("unknown lint option(s): {:?}", &args[1..]);
                 return ExitCode::from(2);
             }
-            run_lint(json)
+            run_lint()
         }
         "explain" => run_explain(args.get(1).map(String::as_str)),
         "analyze" => match AnalyzeOpts::parse(&args[1..]) {
@@ -188,14 +164,10 @@ fn workspace_root() -> &'static Path {
     }
 }
 
-fn run_lint(json: bool) -> ExitCode {
+fn run_lint() -> ExitCode {
     match xtask::lint_workspace(workspace_root()) {
         Ok(report) => {
-            if json {
-                print!("{}", report.to_json());
-            } else {
-                print!("{}", report.render());
-            }
+            print!("{}", report.render());
             if report.is_clean() {
                 ExitCode::SUCCESS
             } else {
@@ -602,83 +574,29 @@ fn run_mem_report(check: bool) -> ExitCode {
 }
 
 struct AnalyzeOpts {
-    format: Format,
     use_baseline: bool,
     update_baseline: bool,
     prune_baseline: bool,
     emit_dot: Option<String>,
-    emit_callgraph: Option<String>,
-    emit_lockgraph: Option<String>,
-    emit_floatflow: Option<String>,
-    emit_memgraph: Option<String>,
-}
-
-enum Format {
-    Text,
-    Json,
-    Sarif,
 }
 
 impl AnalyzeOpts {
     fn parse(args: &[String]) -> Result<Self, String> {
         let mut opts = AnalyzeOpts {
-            format: Format::Text,
             use_baseline: false,
             update_baseline: false,
             prune_baseline: false,
             emit_dot: None,
-            emit_callgraph: None,
-            emit_lockgraph: None,
-            emit_floatflow: None,
-            emit_memgraph: None,
         };
         let mut it = args.iter();
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--format" => {
-                    opts.format = match it.next().map(String::as_str) {
-                        Some("text") => Format::Text,
-                        Some("json") => Format::Json,
-                        Some("sarif") => Format::Sarif,
-                        other => {
-                            return Err(format!("--format expects text|json|sarif, got {other:?}"))
-                        }
-                    };
-                }
                 "--baseline" => opts.use_baseline = true,
                 "--update-baseline" => opts.update_baseline = true,
                 "--prune-baseline" => opts.prune_baseline = true,
                 "--emit-dot" => {
                     opts.emit_dot =
                         Some(it.next().ok_or("--emit-dot expects a file path")?.clone());
-                }
-                "--emit-callgraph" => {
-                    opts.emit_callgraph = Some(
-                        it.next()
-                            .ok_or("--emit-callgraph expects a file path")?
-                            .clone(),
-                    );
-                }
-                "--emit-lockgraph" => {
-                    opts.emit_lockgraph = Some(
-                        it.next()
-                            .ok_or("--emit-lockgraph expects a file path")?
-                            .clone(),
-                    );
-                }
-                "--emit-floatflow" => {
-                    opts.emit_floatflow = Some(
-                        it.next()
-                            .ok_or("--emit-floatflow expects a file path")?
-                            .clone(),
-                    );
-                }
-                "--emit-memgraph" => {
-                    opts.emit_memgraph = Some(
-                        it.next()
-                            .ok_or("--emit-memgraph expects a file path")?
-                            .clone(),
-                    );
                 }
                 other => return Err(format!("unknown analyze option `{other}`")),
             }
@@ -698,22 +616,14 @@ fn run_analyze(opts: &AnalyzeOpts) -> ExitCode {
     };
 
     if opts.update_baseline {
-        // Notes (the A12/R5 inventories) never enter the baseline: they
-        // cannot fail the run, so grandfathering them only hides drift.
-        let failing: Vec<xtask::passes::Finding> = report
-            .findings
-            .iter()
-            .filter(|f| f.severity.is_failing())
-            .cloned()
-            .collect();
-        if let Err(e) = xtask::baseline::Baseline::save(root, &failing) {
+        if let Err(e) = xtask::baseline::Baseline::save(root, &report.findings) {
             eprintln!("failed to write {}: {e}", xtask::baseline::BASELINE_FILE);
             return ExitCode::from(2);
         }
         eprintln!(
             "wrote {} grandfathering {} finding(s)",
             xtask::baseline::BASELINE_FILE,
-            failing.len()
+            report.findings.len()
         );
         return ExitCode::SUCCESS;
     }
@@ -726,14 +636,8 @@ fn run_analyze(opts: &AnalyzeOpts) -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let failing: Vec<xtask::passes::Finding> = report
-            .findings
-            .iter()
-            .filter(|f| f.severity.is_failing())
-            .cloned()
-            .collect();
-        let stale = base.stale(&failing);
-        let (_, absorbed) = base.split(failing);
+        let stale = base.stale(&report.findings);
+        let (_, absorbed) = base.split(report.findings);
         if let Err(e) = xtask::baseline::Baseline::save(root, &absorbed) {
             eprintln!("failed to write {}: {e}", xtask::baseline::BASELINE_FILE);
             return ExitCode::from(2);
@@ -780,94 +684,7 @@ fn run_analyze(opts: &AnalyzeOpts) -> ExitCode {
         }
     }
 
-    if let Some(path) = &opts.emit_callgraph {
-        match report
-            .artifacts
-            .iter()
-            .find(|(name, _)| name == "callgraph.dot")
-        {
-            Some((_, dot)) => {
-                if let Err(e) = std::fs::write(path, dot) {
-                    eprintln!("failed to write {path}: {e}");
-                    return ExitCode::from(2);
-                }
-                eprintln!("wrote hot-path call graph to {path}");
-            }
-            None => {
-                eprintln!("no call-graph artifact produced (A4 emitted nothing)");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    if let Some(path) = &opts.emit_lockgraph {
-        match report
-            .artifacts
-            .iter()
-            .find(|(name, _)| name == "lockgraph.dot")
-        {
-            Some((_, dot)) => {
-                if let Err(e) = std::fs::write(path, dot) {
-                    eprintln!("failed to write {path}: {e}");
-                    return ExitCode::from(2);
-                }
-                eprintln!("wrote lock-order graph to {path}");
-            }
-            None => {
-                eprintln!("no lock-graph artifact produced (A7 emitted nothing)");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    if let Some(path) = &opts.emit_floatflow {
-        match report
-            .artifacts
-            .iter()
-            .find(|(name, _)| name == "floatflow.dot")
-        {
-            Some((_, dot)) => {
-                if let Err(e) = std::fs::write(path, dot) {
-                    eprintln!("failed to write {path}: {e}");
-                    return ExitCode::from(2);
-                }
-                eprintln!("wrote float-domain graph to {path}");
-            }
-            None => {
-                eprintln!("no float-flow artifact produced (A12 emitted nothing)");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    if let Some(path) = &opts.emit_memgraph {
-        match report
-            .artifacts
-            .iter()
-            .find(|(name, _)| name == "memgraph.dot")
-        {
-            Some((_, dot)) => {
-                if let Err(e) = std::fs::write(path, dot) {
-                    eprintln!("failed to write {path}: {e}");
-                    return ExitCode::from(2);
-                }
-                eprintln!("wrote memory footprint graph to {path}");
-            }
-            None => {
-                eprintln!("no memgraph artifact produced (A15 emitted nothing)");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    match opts.format {
-        Format::Text => print!("{}", report.render()),
-        Format::Json => print!("{}", report.to_json()),
-        Format::Sarif => print!(
-            "{}",
-            xtask::sarif::render(&report, &xtask::passes::registry())
-        ),
-    }
+    print!("{}", report.render());
     if report.is_clean() {
         ExitCode::SUCCESS
     } else {

@@ -1,16 +1,13 @@
 //! Memory-shape model over the item index ([`crate::items`]) and call
-//! graph ([`crate::callgraph`]): the IR behind the A13–A15 passes.
+//! graph ([`crate::callgraph`]): the IR behind the A14 capacity/growth
+//! pass.
 //!
 //! Three views are built from the lexed workspace:
 //!
-//! - **Type-size estimation** — every `struct` declaration is re-parsed
-//!   with its full field types (the item index keeps only base-type
-//!   hints), producing a [`StructLayout`] per type: estimated inline
-//!   bytes per instance with per-field attribution, and per-element heap
-//!   bytes for owning containers (`Vec`/`VecDeque`/`String`/maps/
-//!   `Box`/`Arc`). Estimates are unpadded lower bounds — the point is
-//!   comparing refactors (the CSR graph rework diffs against this), not
-//!   reproducing rustc layout.
+//! - **Field types** — every `struct` declaration is re-parsed with its
+//!   full field types (the item index keeps only base-type hints) into
+//!   a [`StructLayout`], so owning containers (`Vec`/`VecDeque`/
+//!   `String`/maps/sets) are told apart from borrows and scalars.
 //! - **Allocation-site inventory** — every allocation-shaped call (the
 //!   A5 `alloc_shape` matcher) classified by loop depth and hot-path
 //!   reachability from the memory root set ([`mem_roots`]: the A4 hot
@@ -21,28 +18,25 @@
 //!   state, and everything those structs' fields reach) are *long-lived*;
 //!   growable collections on them are the unbounded-growth candidates
 //!   A14 audits for a remove/clear/bound site.
-//!
-//! The whole model renders to DOT (`docs/memgraph.dot`, regenerated by
-//! `analyze --emit-memgraph`) so footprint changes show up in review.
 
 use crate::callgraph::CallGraph;
 use crate::lexer::{matching_close, render, TokKind, Token};
 use crate::passes::Context;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// A parsed field type, shallow enough to size but deep enough to know
-/// what owns heap memory.
+/// A parsed field type, shallow but deep enough to know what owns heap
+/// memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Ty {
-    /// Primitive with a known size (`u32`, `f64`, `bool`, ...).
-    Prim(&'static str, usize),
-    /// A named (workspace or unknown) type; sized via its layout.
+    /// Primitive scalar (`u32`, `f64`, `bool`, `Duration`, ...).
+    Prim(&'static str),
+    /// A named (workspace or unknown) type.
     Named(String),
     Tuple(Vec<Ty>),
     /// `[T; N]`.
     Array(Box<Ty>, usize),
-    /// `&T`, `&mut T`, `*const T`, `*mut T`, slices: one pointer,
-    /// borrowed — no owned heap.
+    /// `&T`, `&mut T`, `*const T`, `*mut T`, slices: borrowed — no
+    /// owned heap.
     Ref,
     Vec(Box<Ty>),
     VecDeque(Box<Ty>),
@@ -51,30 +45,17 @@ pub enum Ty {
     /// `Arc<T>` / `Rc<T>`: shared pointer + refcounted heap payload.
     Shared(Box<Ty>),
     Opt(Box<Ty>),
-    /// `HashMap`/`BTreeMap` with per-entry key+value attribution.
+    /// `HashMap`/`BTreeMap`.
     Map(&'static str, Box<Ty>, Box<Ty>),
     /// `HashSet`/`BTreeSet`.
     Set(&'static str, Box<Ty>),
-    /// `Mutex<T>` / `RwLock<T>`: poison/word overhead + payload.
+    /// `Mutex<T>` / `RwLock<T>`.
     Lock(Box<Ty>),
-    Atomic(usize),
+    Atomic,
     Condvar,
-    /// Unparseable (generics, `impl Trait`, fn pointers): one word.
+    /// Unparseable (generics, `impl Trait`, fn pointers).
     Unknown,
 }
-
-/// Size of a `Vec`/`String` header (ptr, len, cap).
-const VEC_HEADER: usize = 24;
-/// Size of a `VecDeque` header (ptr, cap, head, len).
-const DEQUE_HEADER: usize = 32;
-/// Flat estimate for a hash-table header.
-const HASH_HEADER: usize = 48;
-/// Flat estimate for a B-tree root (root ptr + length).
-const BTREE_HEADER: usize = 24;
-/// Lock word + poison flag estimate for `Mutex`/`RwLock`.
-const LOCK_OVERHEAD: usize = 16;
-/// Fallback size for opaque/unknown types: one word.
-const WORD: usize = 8;
 
 impl Ty {
     /// Is this a collection that can grow without bound at runtime?
@@ -117,10 +98,10 @@ impl Ty {
         }
     }
 
-    /// Short human rendering for findings and DOT labels.
+    /// Short human rendering for findings.
     pub fn describe(&self) -> String {
         match self {
-            Ty::Prim(name, _) => (*name).to_string(),
+            Ty::Prim(name) => (*name).to_string(),
             Ty::Named(n) => n.clone(),
             Ty::Tuple(parts) => format!(
                 "({})",
@@ -141,50 +122,25 @@ impl Ty {
             Ty::Map(kind, k, v) => format!("{kind}<{}, {}>", k.describe(), v.describe()),
             Ty::Set(kind, t) => format!("{kind}<{}>", t.describe()),
             Ty::Lock(t) => format!("Mutex<{}>", t.describe()),
-            Ty::Atomic(n) => format!("Atomic{}", n * 8),
+            Ty::Atomic => "Atomic".to_string(),
             Ty::Condvar => "Condvar".to_string(),
             Ty::Unknown => "?".to_string(),
         }
     }
 }
 
-/// Heap ownership of one field: what container, what element, how many
-/// estimated bytes each element costs.
-#[derive(Debug, Clone)]
-pub struct HeapInfo {
-    /// `"Vec"`, `"VecDeque"`, `"String"`, `"HashMap"`, `"Box"`, ...
-    pub container: &'static str,
-    /// Rendered element type (key+value for maps).
-    pub elem: String,
-    /// Estimated bytes per element (allocation size for `Box`/`Arc`).
-    pub elem_bytes: usize,
-    /// Can this grow without bound (false for `Box`/`Arc`)?
-    pub growable: bool,
-}
-
-/// One struct field with byte attribution.
+/// One struct field with its parsed type.
 #[derive(Debug, Clone)]
 pub struct FieldInfo {
     pub name: String,
     pub ty: Ty,
-    /// Estimated bytes inside the owning struct.
-    pub inline_bytes: usize,
-    /// Heap the field owns through pointer indirection, if any.
-    pub heap: Option<HeapInfo>,
 }
 
-/// Estimated layout of one workspace struct.
+/// Parsed field list of one workspace struct.
 #[derive(Debug, Clone)]
 pub struct StructLayout {
-    pub name: String,
-    /// Workspace-relative path of the declaration.
-    pub path: String,
-    /// 1-based line of the `struct` keyword.
-    pub line: usize,
     pub crate_name: String,
     pub fields: Vec<FieldInfo>,
-    /// Sum of field inline estimates (unpadded lower bound).
-    pub inline_bytes: usize,
 }
 
 /// One allocation-shaped call site from the inventory.
@@ -205,7 +161,7 @@ pub struct AllocSite {
 /// The assembled memory model.
 #[derive(Debug, Default)]
 pub struct MemModel {
-    /// Struct name → estimated layout (first declaration wins).
+    /// Struct name → parsed layout (first declaration wins).
     pub layouts: BTreeMap<String, StructLayout>,
     /// Struct names classified as long-lived.
     pub long_lived: BTreeSet<String>,
@@ -219,96 +175,8 @@ impl MemModel {
         for file in &ctx.files {
             collect_structs(file, &mut model.layouts);
         }
-        // Field inline sizes depend on other layouts; resolve now that
-        // every declaration is in.
-        let names: Vec<String> = model.layouts.keys().cloned().collect();
-        let mut sizes: BTreeMap<String, usize> = BTreeMap::new();
-        for name in &names {
-            let mut visiting = BTreeSet::new();
-            resolve_size(name, &model.layouts, &mut sizes, &mut visiting);
-        }
-        for layout in model.layouts.values_mut() {
-            let mut total = 0;
-            for field in &mut layout.fields {
-                field.inline_bytes = inline_size(&field.ty, &sizes);
-                field.heap = heap_info(&field.ty, &sizes);
-                total += field.inline_bytes;
-            }
-            layout.inline_bytes = total;
-        }
         model.long_lived = classify_long_lived(&model.layouts);
         model
-    }
-
-    /// Layouts in the A15 footprint target set: the socialsim graph/
-    /// cascade/dataset node types and the serving queue types.
-    pub fn footprint_targets(&self) -> Vec<&StructLayout> {
-        const TARGET_FILES: [&str; 4] = [
-            "crates/socialsim/src/graph.rs",
-            "crates/socialsim/src/cascade.rs",
-            "crates/socialsim/src/dataset.rs",
-            "crates/serving/src/server.rs",
-        ];
-        self.layouts
-            .values()
-            .filter(|l| TARGET_FILES.iter().any(|t| l.path.ends_with(t)))
-            .collect()
-    }
-
-    /// DOT rendering of the footprint targets: one node per type with
-    /// its byte estimate, one edge per owning container field into a
-    /// workspace element type. Long-lived types are highlighted.
-    pub fn to_dot(&self) -> String {
-        let targets = self.footprint_targets();
-        let target_names: BTreeSet<&str> = targets.iter().map(|l| l.name.as_str()).collect();
-        let mut out = String::from("digraph memgraph {\n");
-        out.push_str("  rankdir=LR;\n  node [shape=box, fontsize=10];\n");
-        out.push_str(&format!(
-            "  // {} struct layout(s) modeled, {} long-lived, {} in the footprint set\n",
-            self.layouts.len(),
-            self.long_lived.len(),
-            targets.len()
-        ));
-        for layout in &targets {
-            let style = if self.long_lived.contains(&layout.name) {
-                ", style=bold, color=firebrick"
-            } else {
-                ""
-            };
-            let heap_fields = layout.fields.iter().filter(|f| f.heap.is_some()).count();
-            out.push_str(&format!(
-                "  \"{}::{}\" [label=\"{}::{}\\n~{} B inline, {} heap field(s)\"{style}];\n",
-                layout.crate_name,
-                layout.name,
-                layout.crate_name,
-                layout.name,
-                layout.inline_bytes,
-                heap_fields
-            ));
-        }
-        for layout in &targets {
-            for field in &layout.fields {
-                let Some(heap) = &field.heap else { continue };
-                let mut named = BTreeSet::new();
-                field.ty.named_types(&mut named);
-                for elem in named {
-                    if !target_names.contains(elem.as_str()) {
-                        continue;
-                    }
-                    let elem_crate = self
-                        .layouts
-                        .get(&elem)
-                        .map(|l| l.crate_name.as_str())
-                        .unwrap_or("?");
-                    out.push_str(&format!(
-                        "  \"{}::{}\" -> \"{elem_crate}::{elem}\" [label=\"{}: {} ~{} B/elem\"];\n",
-                        layout.crate_name, layout.name, field.name, heap.container, heap.elem_bytes
-                    ));
-                }
-            }
-        }
-        out.push_str("}\n");
-        out
     }
 }
 
@@ -402,7 +270,7 @@ pub fn loop_depths(toks: &[Token], b0: usize, b1: usize) -> Vec<u32> {
 /// Parse the type in token range `[s, e)` into a [`Ty`].
 pub fn parse_ty(toks: &[Token], s: usize, e: usize) -> Ty {
     let mut k = s;
-    // References, raw pointers and slices borrow — one word, no heap.
+    // References, raw pointers and slices borrow — no heap.
     while k < e {
         let t = &toks[k];
         if t.is_punct("&") || t.is_punct("'") || t.is_ident("mut") || t.is_ident("dyn") {
@@ -473,11 +341,8 @@ pub fn parse_ty(toks: &[Token], s: usize, e: usize) -> Ty {
             .unwrap_or(Ty::Unknown)
     };
     match name {
-        "u8" | "i8" | "bool" => Ty::Prim(prim_name(name), 1),
-        "u16" | "i16" => Ty::Prim(prim_name(name), 2),
-        "u32" | "i32" | "f32" | "char" | "TopicId" => Ty::Prim(prim_name(name), 4),
-        "u64" | "i64" | "f64" | "usize" | "isize" => Ty::Prim(prim_name(name), 8),
-        "u128" | "i128" => Ty::Prim(prim_name(name), 16),
+        "u8" | "i8" | "bool" | "u16" | "i16" | "u32" | "i32" | "f32" | "char" | "TopicId"
+        | "u64" | "i64" | "f64" | "usize" | "isize" | "u128" | "i128" => Ty::Prim(prim_name(name)),
         "String" | "PathBuf" => Ty::Str,
         "Vec" => Ty::Vec(Box::new(arg(0))),
         "VecDeque" => Ty::VecDeque(Box::new(arg(0))),
@@ -489,11 +354,10 @@ pub fn parse_ty(toks: &[Token], s: usize, e: usize) -> Ty {
         "HashSet" => Ty::Set("HashSet", Box::new(arg(0))),
         "BTreeSet" => Ty::Set("BTreeSet", Box::new(arg(0))),
         "Mutex" | "RwLock" => Ty::Lock(Box::new(arg(0))),
-        "AtomicBool" | "AtomicU8" => Ty::Atomic(1),
-        "AtomicU32" | "AtomicI32" => Ty::Atomic(4),
-        "AtomicU64" | "AtomicI64" | "AtomicUsize" => Ty::Atomic(8),
+        "AtomicBool" | "AtomicU8" | "AtomicU32" | "AtomicI32" | "AtomicU64" | "AtomicI64"
+        | "AtomicUsize" => Ty::Atomic,
         "Condvar" => Ty::Condvar,
-        "Duration" | "Instant" => Ty::Prim("Duration", 16),
+        "Duration" | "Instant" => Ty::Prim("Duration"),
         _ => Ty::Named(toks[head].text.clone()),
     }
 }
@@ -581,7 +445,7 @@ fn collect_structs(file: &crate::passes::AnalyzedFile, out: &mut BTreeMap<String
             k = crate::items::skip_generics(toks, k);
         }
         let Some(open) = toks.get(k).filter(|t| t.is_punct("{")).map(|_| k) else {
-            j += 2; // tuple/unit struct: nothing to attribute
+            j += 2; // tuple/unit struct: no named fields
             continue;
         };
         let Some(close) = matching_close(toks, open) else {
@@ -599,153 +463,13 @@ fn collect_structs(file: &crate::passes::AnalyzedFile, out: &mut BTreeMap<String
             fields.push(FieldInfo {
                 name: toks[colon - 1].text.clone(),
                 ty: parse_ty(toks, colon + 1, fe),
-                inline_bytes: 0,
-                heap: None,
             });
         }
         out.entry(name_tok.text.clone()).or_insert(StructLayout {
-            name: name_tok.text.clone(),
-            path: file.source.path.clone(),
-            line: toks[j].line,
             crate_name: file.crate_name().to_string(),
             fields,
-            inline_bytes: 0,
         });
         j = close + 1;
-    }
-}
-
-/// Resolve the inline size of named struct `name`, memoized, with a
-/// cycle guard (recursive types fall back to one word — they can only
-/// recurse through indirection anyway).
-fn resolve_size(
-    name: &str,
-    layouts: &BTreeMap<String, StructLayout>,
-    sizes: &mut BTreeMap<String, usize>,
-    visiting: &mut BTreeSet<String>,
-) -> usize {
-    if let Some(&n) = sizes.get(name) {
-        return n;
-    }
-    let Some(layout) = layouts.get(name) else {
-        return WORD;
-    };
-    if !visiting.insert(name.to_string()) {
-        return WORD;
-    }
-    let mut total = 0;
-    for field in &layout.fields {
-        total += inline_size_rec(&field.ty, layouts, sizes, visiting);
-    }
-    visiting.remove(name);
-    sizes.insert(name.to_string(), total);
-    total
-}
-
-fn inline_size_rec(
-    ty: &Ty,
-    layouts: &BTreeMap<String, StructLayout>,
-    sizes: &mut BTreeMap<String, usize>,
-    visiting: &mut BTreeSet<String>,
-) -> usize {
-    match ty {
-        Ty::Named(n) => resolve_size(n, layouts, sizes, visiting),
-        Ty::Tuple(parts) => parts
-            .iter()
-            .map(|p| inline_size_rec(p, layouts, sizes, visiting))
-            .sum(),
-        Ty::Array(t, n) => n * inline_size_rec(t, layouts, sizes, visiting),
-        Ty::Opt(t) => option_size(ty, inline_size_rec(t, layouts, sizes, visiting)),
-        Ty::Lock(t) => LOCK_OVERHEAD + inline_size_rec(t, layouts, sizes, visiting),
-        other => flat_size(other),
-    }
-}
-
-/// Inline size once every named layout is resolved.
-fn inline_size(ty: &Ty, sizes: &BTreeMap<String, usize>) -> usize {
-    match ty {
-        Ty::Named(n) => sizes.get(n).copied().unwrap_or(WORD),
-        Ty::Tuple(parts) => parts.iter().map(|p| inline_size(p, sizes)).sum(),
-        Ty::Array(t, n) => n * inline_size(t, sizes),
-        Ty::Opt(t) => option_size(ty, inline_size(t, sizes)),
-        Ty::Lock(t) => LOCK_OVERHEAD + inline_size(t, sizes),
-        other => flat_size(other),
-    }
-}
-
-/// Sizes that do not depend on other layouts.
-fn flat_size(ty: &Ty) -> usize {
-    match ty {
-        Ty::Prim(_, n) => *n,
-        Ty::Ref | Ty::Boxed(_) | Ty::Shared(_) | Ty::Unknown => WORD,
-        Ty::Vec(_) | Ty::Str => VEC_HEADER,
-        Ty::VecDeque(_) => DEQUE_HEADER,
-        Ty::Map("HashMap", ..) | Ty::Set("HashSet", _) => HASH_HEADER,
-        Ty::Map(..) | Ty::Set(..) => BTREE_HEADER,
-        Ty::Atomic(n) => *n,
-        Ty::Condvar => LOCK_OVERHEAD,
-        // Handled by the recursive callers.
-        Ty::Named(_) | Ty::Tuple(_) | Ty::Array(..) | Ty::Opt(_) | Ty::Lock(_) => WORD,
-    }
-}
-
-/// `Option<pointer>` uses the niche; everything else pays a tag word.
-fn option_size(ty: &Ty, inner: usize) -> usize {
-    match ty {
-        Ty::Opt(t) if matches!(**t, Ty::Boxed(_) | Ty::Shared(_) | Ty::Ref) => WORD,
-        _ => inner + WORD,
-    }
-}
-
-/// Heap attribution for a field type, looking through `Option`/lock
-/// wrappers to the owning container.
-fn heap_info(ty: &Ty, sizes: &BTreeMap<String, usize>) -> Option<HeapInfo> {
-    match ty {
-        Ty::Vec(t) => Some(HeapInfo {
-            container: "Vec",
-            elem: t.describe(),
-            elem_bytes: inline_size(t, sizes),
-            growable: true,
-        }),
-        Ty::VecDeque(t) => Some(HeapInfo {
-            container: "VecDeque",
-            elem: t.describe(),
-            elem_bytes: inline_size(t, sizes),
-            growable: true,
-        }),
-        Ty::Str => Some(HeapInfo {
-            container: "String",
-            elem: "u8".to_string(),
-            elem_bytes: 1,
-            growable: true,
-        }),
-        Ty::Map(kind, k, v) => Some(HeapInfo {
-            container: kind,
-            elem: format!("({}, {})", k.describe(), v.describe()),
-            elem_bytes: inline_size(k, sizes) + inline_size(v, sizes),
-            growable: true,
-        }),
-        Ty::Set(kind, t) => Some(HeapInfo {
-            container: kind,
-            elem: t.describe(),
-            elem_bytes: inline_size(t, sizes),
-            growable: true,
-        }),
-        Ty::Boxed(t) => Some(HeapInfo {
-            container: "Box",
-            elem: t.describe(),
-            elem_bytes: inline_size(t, sizes),
-            growable: false,
-        }),
-        Ty::Shared(t) => Some(HeapInfo {
-            container: "Arc",
-            elem: t.describe(),
-            // Two refcount words precede the payload.
-            elem_bytes: inline_size(t, sizes) + 16,
-            growable: false,
-        }),
-        Ty::Opt(t) | Ty::Lock(t) => heap_info(t, sizes),
-        _ => None,
     }
 }
 
@@ -922,60 +646,43 @@ mod tests {
         }
     }
 
-    #[test]
-    fn primitive_and_container_fields_are_sized() {
-        let ctx = ctx_of(&[(
-            "crates/socialsim/src/cascade.rs",
-            "pub struct Retweet {\n\
-                 pub user: u32,\n\
-                 pub time_hours: f64,\n\
-                 pub depth: u8,\n\
-                 pub parent: u32,\n\
-             }\n\
-             pub struct Tweet {\n\
-                 pub tokens: Vec<String>,\n\
-                 pub retweets: Vec<Retweet>,\n\
-                 pub hate: bool,\n\
-             }\n",
-        )]);
+    /// Parse the field type of the first `struct` in `src`.
+    fn first_field_ty(src: &str) -> Ty {
+        let ctx = ctx_of(&[("crates/serving/src/server.rs", src)]);
         let model = MemModel::build(&ctx);
-        let rt = &model.layouts["Retweet"];
-        assert_eq!(rt.inline_bytes, 4 + 8 + 1 + 4);
-        let tw = &model.layouts["Tweet"];
-        assert_eq!(tw.inline_bytes, 24 + 24 + 1);
-        let retweets = tw.fields.iter().find(|f| f.name == "retweets").unwrap();
-        let heap = retweets.heap.as_ref().expect("vec owns heap");
-        assert_eq!(heap.container, "Vec");
-        assert_eq!(heap.elem_bytes, 17, "per-element Retweet bytes");
-        assert!(heap.growable);
+        let layout = model.layouts.values().next().expect("one struct");
+        layout.fields[0].ty.clone()
     }
 
     #[test]
-    fn wrappers_arcs_and_maps_attribute_indirection() {
-        let ctx = ctx_of(&[(
-            "crates/serving/src/server.rs",
-            "pub struct Slot { result: Mutex<Option<u64>>, ready: Condvar }\n\
-             pub struct QueueState {\n\
-                 pending: VecDeque<(u64, Arc<Slot>)>,\n\
-                 shutting_down: bool,\n\
-             }\n\
-             pub struct Index { by_user: std::collections::HashMap<u32, Vec<u32>> }\n",
-        )]);
-        let model = MemModel::build(&ctx);
-        let slot = &model.layouts["Slot"];
-        // Mutex<Option<u64>> = 16 + (8 + 8); Condvar = 16.
-        assert_eq!(slot.inline_bytes, 16 + 16 + 16);
-        let qs = &model.layouts["QueueState"];
-        let pending = qs.fields.iter().find(|f| f.name == "pending").unwrap();
-        let heap = pending.heap.as_ref().expect("deque owns heap");
-        assert_eq!(heap.container, "VecDeque");
-        // (u64, Arc<Slot>) = 8 + 8.
-        assert_eq!(heap.elem_bytes, 16);
-        let ix = &model.layouts["Index"];
-        let by_user = ix.fields.iter().find(|f| f.name == "by_user").unwrap();
-        let heap = by_user.heap.as_ref().expect("map owns heap");
-        assert_eq!(heap.container, "HashMap");
-        assert_eq!(heap.elem_bytes, 4 + 24, "key + Vec header per entry");
+    fn container_field_types_parse_through_paths_and_tuples() {
+        let ty = first_field_ty("pub struct QueueState { pending: VecDeque<(u64, Arc<Slot>)> }\n");
+        assert_eq!(
+            ty,
+            Ty::VecDeque(Box::new(Ty::Tuple(vec![
+                Ty::Prim("u64"),
+                Ty::Shared(Box::new(Ty::Named("Slot".into())))
+            ])))
+        );
+        assert_eq!(ty.describe(), "VecDeque<(u64, Arc<Slot>)>");
+        assert!(ty.growable());
+
+        let ty = first_field_ty(
+            "pub struct Index { by_user: std::collections::HashMap<u32, Vec<u32>> }\n",
+        );
+        assert_eq!(ty.describe(), "HashMap<u32, Vec<u32>>");
+        assert!(ty.growable());
+    }
+
+    #[test]
+    fn growth_looks_through_locks_and_options_but_not_scalars() {
+        let ty = first_field_ty("pub struct Slot { result: Mutex<Option<Vec<u8>>> }\n");
+        assert_eq!(ty.describe(), "Mutex<Option<Vec<u8>>>");
+        assert!(ty.growable(), "a locked optional Vec still grows");
+        let ty = first_field_ty("pub struct Slot { result: Mutex<Option<u64>> }\n");
+        assert!(!ty.growable());
+        let ty = first_field_ty("pub struct Slot { shared: Arc<Slot> }\n");
+        assert!(!ty.growable(), "Arc allocates once");
     }
 
     #[test]
@@ -1039,25 +746,6 @@ mod tests {
         assert_eq!(shrinks.len(), 1);
         assert!(has_len_bound(&ctx, "serving", "pending"));
         assert!(!has_len_bound(&ctx, "serving", "nonexistent"));
-    }
-
-    #[test]
-    fn memgraph_dot_renders_target_nodes_and_ownership_edges() {
-        let ctx = ctx_of(&[(
-            "crates/socialsim/src/dataset.rs",
-            "pub struct Retweet { pub user: u32 }\n\
-             pub struct Tweet { pub retweets: Vec<Retweet> }\n",
-        )]);
-        let model = MemModel::build(&ctx);
-        let dot = model.to_dot();
-        assert!(dot.starts_with("digraph memgraph {"));
-        assert!(dot.contains("socialsim::Tweet"));
-        assert!(dot.contains("socialsim::Retweet"));
-        assert!(
-            dot.contains("\"socialsim::Tweet\" -> \"socialsim::Retweet\""),
-            "{dot}"
-        );
-        assert!(dot.contains("~4 B/elem"), "{dot}");
     }
 
     #[test]

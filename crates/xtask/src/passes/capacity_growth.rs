@@ -20,8 +20,7 @@
 //!   the memory roots.
 //!
 //! Suppress (with a reason) via `// lint: allow(mem-flow) <reason>`;
-//! the key is shared with A15, whose findings are Notes. The
-//! reasonless-allow misuse check for `mem-flow` runs once, here.
+//! a reasonless `mem-flow` allow is itself an Error.
 
 use super::{Context, Finding, Pass, PassOutput, Severity};
 use crate::callgraph::CallGraph;
@@ -51,12 +50,6 @@ impl Pass for CapacityGrowth {
         "A14"
     }
 
-    fn description(&self) -> &'static str {
-        "capacity/growth: derivable-length Vec::new+push loops on the memory \
-         hot path must pre-size with with_capacity; growable collections on \
-         long-lived structs must have a remove/clear/bound site"
-    }
-
     fn run(&self, ctx: &Context) -> PassOutput {
         let mut out = PassOutput::default();
         let graph = CallGraph::build(ctx);
@@ -72,8 +65,7 @@ impl Pass for CapacityGrowth {
         }
         out.findings = findings;
 
-        // Satellite lint (shared with A15, run once): every
-        // allow(mem-flow) must carry a reason.
+        // Satellite lint: every allow(mem-flow) must carry a reason.
         for file in &ctx.files {
             let (_, missing) = file.source.allows("mem-flow");
             for line in missing {
@@ -277,8 +269,7 @@ fn unbounded_growth(ctx: &Context, graph: &CallGraph, model: &MemModel) -> Vec<F
             continue;
         };
         for field in &layout.fields {
-            let growable = field.heap.as_ref().is_some_and(|h| h.growable) || field.ty.growable();
-            if !growable {
+            if !field.ty.growable() {
                 continue;
             }
             let grows = field_method_sites(ctx, &layout.crate_name, &field.name, &GROW_VERBS);

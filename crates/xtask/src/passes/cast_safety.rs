@@ -38,11 +38,6 @@ impl Pass for CastSafety {
         "A3"
     }
 
-    fn description(&self) -> &'static str {
-        "cast safety: lossy narrowing `as` casts and unchecked usize \
-         subtraction in index arithmetic in the ml/nn/diffusion kernels"
-    }
-
     fn run(&self, ctx: &Context) -> PassOutput {
         let mut out = PassOutput::default();
         for file in &ctx.files {

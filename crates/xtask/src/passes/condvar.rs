@@ -45,12 +45,6 @@ impl Pass for CondvarDiscipline {
         "A9"
     }
 
-    fn description(&self) -> &'static str {
-        "condvar-discipline: waits outside predicate loops, ambiguous \
-         wait guards, and mutations of condvar-associated state without \
-         a following notify"
-    }
-
     fn run(&self, ctx: &Context) -> PassOutput {
         let mut out = PassOutput::default();
         let graph = CallGraph::build(ctx);

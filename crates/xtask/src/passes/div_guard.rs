@@ -25,16 +25,11 @@ impl Pass for DivGuard {
         "A10"
     }
 
-    fn description(&self) -> &'static str {
-        "float-flow: hot-path divisions, logs and sqrts whose operands \
-         are not provably epsilon-guarded/positive in the value lattice"
-    }
-
     fn run(&self, ctx: &Context) -> PassOutput {
         let mut out = PassOutput::default();
         let graph = CallGraph::build(ctx);
         let flow = FloatFlow::build(ctx, &graph);
-        let (_, reach) = hot_reach(&graph);
+        let reach = hot_reach(&graph);
 
         for site in &flow.sites.checks {
             if site.in_test {

@@ -27,12 +27,6 @@ impl Pass for HotAlloc {
         "A5"
     }
 
-    fn description(&self) -> &'static str {
-        "hot-loop allocation: Vec::new/vec!/to_vec/clone/collect/String \
-         allocations inside loops of functions reachable from the \
-         hot-path roots"
-    }
-
     fn run(&self, ctx: &Context) -> PassOutput {
         let mut out = PassOutput::default();
         let graph = CallGraph::build(ctx);

@@ -31,12 +31,6 @@ impl Pass for LockBlock {
         "A8"
     }
 
-    fn description(&self) -> &'static str {
-        "blocking-under-lock: condvar waits, channel recv, join, \
-         sleep/IO and alloc-shaped calls inside lock regions reachable \
-         from the serving hot path"
-    }
-
     fn run(&self, ctx: &Context) -> PassOutput {
         let mut out = PassOutput::default();
         let graph = CallGraph::build(ctx);

@@ -11,10 +11,6 @@
 //! (`L → L`) is re-entrant acquisition of a non-reentrant std lock,
 //! which deadlocks a single thread, and is reported the same way.
 //!
-//! The full graph (locks, order edges, condvar associations) is emitted
-//! as the `lockgraph.dot` artifact, written to `docs/lockgraph.dot` by
-//! `analyze --emit-lockgraph`.
-//!
 //! Fix by restructuring to a single global acquisition order (or by
 //! narrowing one region so the locks are never held together); a
 //! deliberate exception needs `// lint: allow(lock-order) <reason>`.
@@ -30,17 +26,10 @@ impl Pass for LockOrder {
         "A7"
     }
 
-    fn description(&self) -> &'static str {
-        "lock-order: cycles (and re-entrant self-edges) in the global \
-         lock-acquisition-order graph built from the lock-region model"
-    }
-
     fn run(&self, ctx: &Context) -> PassOutput {
         let mut out = PassOutput::default();
         let graph = CallGraph::build(ctx);
         let model = LockModel::build(ctx, &graph);
-        out.artifacts
-            .push(("lockgraph.dot".to_string(), model.to_dot()));
 
         for group in model.cycles() {
             let Some(first) = group.first() else {
@@ -168,7 +157,7 @@ mod tests {
     }
 
     #[test]
-    fn the_fixed_ordering_is_clean_and_emits_the_lockgraph() {
+    fn the_fixed_ordering_is_clean() {
         let out = run_on(&[(
             "crates/serving/src/x.rs",
             "pub struct S { a: Mutex<u8>, b: Mutex<u8> }\n\
@@ -178,10 +167,6 @@ mod tests {
              }\n",
         )]);
         assert!(out.findings.is_empty(), "{:?}", out.findings);
-        let (name, dot) = &out.artifacts[0];
-        assert_eq!(name, "lockgraph.dot");
-        assert!(dot.contains("digraph lockgraph"));
-        assert!(dot.contains("\"S.a\" -> \"S.b\""));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The semantic analysis framework: a pass manager over pre-lexed
-//! sources. Unlike the line-based lint rules (R1–R5), passes see every
+//! sources. Unlike the line-based lint rules (R1–R4), passes see every
 //! file of the workspace as a token stream and can build cross-line IR
 //! (the A1 model graph) before reporting.
 //!
@@ -18,8 +18,7 @@
 //! - **A4 panic-reachability** (`panic_reach`): builds the workspace
 //!   call graph ([`crate::callgraph`]) and reports `unwrap`/`expect`/
 //!   `panic!` and unguarded indexing in every fn reachable from the
-//!   hot-path roots, with the shortest call chain; emits the
-//!   `callgraph.dot` artifact.
+//!   hot-path roots, with the shortest call chain.
 //! - **A5 hot-loop allocation** (`hot_alloc`): allocation-shaped calls
 //!   (`Vec::new`/`vec!`/`to_vec`/`clone`/`collect`/`String::from`)
 //!   inside loops of hot-path-reachable functions.
@@ -27,8 +26,7 @@
 //!   bare-statement discards of fallible APIs, workspace-wide.
 //! - **A7 lock-order** (`lock_order`): cycles and re-entrant self-edges
 //!   in the global lock-acquisition-order graph built from the
-//!   lock-region model ([`crate::lockmodel`]); emits the
-//!   `lockgraph.dot` artifact.
+//!   lock-region model ([`crate::lockmodel`]).
 //! - **A8 blocking-under-lock** (`lock_block`): condvar waits holding a
 //!   foreign lock, channel recv, thread join, sleep/IO and
 //!   alloc-shaped calls inside lock regions reachable from the serving
@@ -44,10 +42,6 @@
 //!   arguments, prob-named bindings and `predict_proba*` returns that
 //!   arithmetic can push outside [0,1] without a clamp — the
 //!   inter-procedural upgrade of R3.
-//! - **A12 reduction-inventory** (`reduction_inventory`): Notes-only
-//!   inventory of float accumulation loops outside the blessed
-//!   `*_into`/`*_rows` kernels, `as f32` narrowings and mixed-width
-//!   lines; emits the `floatflow.dot` artifact.
 //! - **A13 unsafe-contract** (`unsafe_contract`): every `unsafe` must
 //!   carry a `// SAFETY:` comment; `#[target_feature]` fns callable
 //!   only behind runtime `is_x86_feature_detected!` dispatch;
@@ -56,19 +50,16 @@
 //!   `Vec::new()`+`push` loops on the memory hot path must pre-size
 //!   with `with_capacity`; growable collections on long-lived structs
 //!   ([`crate::memflow`]) must have a remove/clear/bound site.
-//! - **A15 footprint-inventory** (`footprint`): Notes-only per-element
-//!   byte estimates for the socialsim graph/cascade/dataset and
-//!   serving queue types; emits the `memgraph.dot` artifact.
 //!
-//! Findings carry a severity; `Error` and `Warning` fail the run,
-//! `Note` never does. Suppression uses the same allow-comment machinery
-//! as the lint: `// lint: allow(<key>) <reason>` with the pass-specific
-//! keys `shape`, `determinism`, `lossy-cast`, `index-underflow`,
-//! `panic-reach`, `hot-alloc`, `discard-result`, `lock-order`,
-//! `lock-block`, `condvar`, `float-flow` (shared by A10–A12; the
-//! misuse check for it runs once, in A10), `unsafe-contract`,
-//! `mem-flow` (shared by A14–A15; misuse check runs once, in A14). A
-//! reasonless allow for the A4–A15 keys is itself an Error (rule
+//! Every finding is a `Warning` or an `Error` and fails the run unless
+//! the committed baseline grandfathers it. Suppression uses the same
+//! allow-comment machinery as the lint: `// lint: allow(<key>) <reason>`
+//! with the pass-specific keys `shape`, `determinism`, `lossy-cast`,
+//! `index-underflow`, `panic-reach`, `hot-alloc`, `discard-result`,
+//! `lock-order`, `lock-block`, `condvar`, `float-flow` (shared by
+//! A10–A11; the misuse check for it runs once, in A10),
+//! `unsafe-contract`, `mem-flow` (A14). A reasonless allow suppresses
+//! nothing; for the A4, A5 and A7–A14 keys it is itself an Error (rule
 //! `allow`).
 
 pub mod capacity_growth;
@@ -76,43 +67,33 @@ pub mod cast_safety;
 pub mod condvar;
 pub mod determinism;
 pub mod div_guard;
-pub mod footprint;
 pub mod hot_alloc;
 pub mod lock_block;
 pub mod lock_order;
 pub mod panic_reach;
 pub mod prob_domain;
-pub mod reduction_inventory;
 pub mod result_discard;
 pub mod shape_flow;
 pub mod unsafe_contract;
 
 use crate::lexer::{self, Token};
 use crate::source::SourceFile;
-use std::fs;
 use std::path::Path;
 
-/// Finding severity. Ordering: `Error > Warning > Note`.
+/// Finding severity. Ordering: `Error > Warning`; both fail the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
-    Note,
     Warning,
     Error,
 }
 
 impl Severity {
-    /// SARIF `level` string.
-    pub fn sarif_level(self) -> &'static str {
+    /// Lower-case label used in the text report (`[A4/warning]`).
+    pub fn label(self) -> &'static str {
         match self {
             Severity::Error => "error",
             Severity::Warning => "warning",
-            Severity::Note => "note",
         }
-    }
-
-    /// Does this severity fail the run?
-    pub fn is_failing(self) -> bool {
-        self >= Severity::Warning
     }
 }
 
@@ -201,8 +182,6 @@ pub struct PassOutput {
 pub trait Pass {
     /// Stable rule id ("A1", "A2", "A3").
     fn id(&self) -> &'static str;
-    /// One-line description (used in SARIF rule metadata).
-    fn description(&self) -> &'static str;
     fn run(&self, ctx: &Context) -> PassOutput;
 }
 
@@ -220,10 +199,8 @@ pub fn registry() -> Vec<Box<dyn Pass>> {
         Box::new(condvar::CondvarDiscipline),
         Box::new(div_guard::DivGuard),
         Box::new(prob_domain::ProbDomain),
-        Box::new(reduction_inventory::ReductionInventory),
         Box::new(unsafe_contract::UnsafeContract),
         Box::new(capacity_growth::CapacityGrowth),
-        Box::new(footprint::Footprint),
     ]
 }
 
@@ -238,9 +215,9 @@ pub struct AnalysisReport {
 }
 
 impl AnalysisReport {
-    /// Does the run pass? (no Error/Warning findings left)
+    /// Does the run pass? (no findings left)
     pub fn is_clean(&self) -> bool {
-        !self.findings.iter().any(|f| f.severity.is_failing())
+        self.findings.is_empty()
     }
 
     /// Human-readable rendering.
@@ -252,7 +229,7 @@ impl AnalysisReport {
                 f.path,
                 f.line,
                 f.rule,
-                f.severity.sarif_level(),
+                f.severity.label(),
                 f.message
             ));
         }
@@ -268,56 +245,19 @@ impl AnalysisReport {
         ));
         out
     }
-
-    /// Machine-readable JSON rendering.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"findings\": [\n");
-        for (i, f) in self.findings.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"rule\": {}, \"severity\": {}, \"path\": {}, \"line\": {}, \
-                 \"fingerprint\": \"{:016x}\", \"message\": {}}}{}\n",
-                crate::json_str(f.rule),
-                crate::json_str(f.severity.sarif_level()),
-                crate::json_str(&f.path),
-                f.line,
-                f.fingerprint(),
-                crate::json_str(&f.message),
-                if i + 1 < self.findings.len() { "," } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "  ],\n  \"files_scanned\": {},\n  \"baselined\": {}\n}}\n",
-            self.files_scanned, self.baselined
-        ));
-        out
-    }
 }
 
-/// Read and lex every library source under `root` into a pass context.
-/// Members come from the root manifest via
-/// [`crate::workspace_members`] (library sources only; vendor/,
-/// tests/, benches/ are out of scope).
+/// Read and lex every library source under `root` into a pass context
+/// (the same file set `lint` scans, see [`crate::load_sources`]).
 pub fn load_workspace(root: &Path) -> std::io::Result<Context> {
-    let mut files = Vec::new();
-    for member in crate::workspace_members(root)? {
-        crate::collect_rs(&member.join("src"), &mut files)?;
-    }
-    crate::collect_rs(&root.join("src"), &mut files)?;
-    files.sort();
-
-    let mut analyzed = Vec::new();
-    for path in &files {
-        let raw = fs::read_to_string(path)?;
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let source = SourceFile::parse(&rel, &raw);
-        let tokens = lexer::lex(&source);
-        analyzed.push(AnalyzedFile { source, tokens });
-    }
-    Ok(Context { files: analyzed })
+    let files = crate::load_sources(root)?
+        .into_iter()
+        .map(|source| {
+            let tokens = lexer::lex(&source);
+            AnalyzedFile { source, tokens }
+        })
+        .collect();
+    Ok(Context { files })
 }
 
 /// Run every registered pass over the workspace at `root`.
@@ -349,12 +289,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn severity_ordering_and_failing() {
+    fn severity_ordering_and_labels() {
         assert!(Severity::Error > Severity::Warning);
-        assert!(Severity::Warning > Severity::Note);
-        assert!(Severity::Error.is_failing());
-        assert!(Severity::Warning.is_failing());
-        assert!(!Severity::Note.is_failing());
+        assert_eq!(Severity::Error.label(), "error");
+        assert_eq!(Severity::Warning.label(), "warning");
     }
 
     #[test]

@@ -31,12 +31,6 @@ impl Pass for ProbDomain {
         "A11"
     }
 
-    fn description(&self) -> &'static str {
-        "float-flow: values used as probabilities (loss_probs arguments, \
-         prob-named bindings, predict_proba returns) that arithmetic can \
-         push outside [0,1] without a clamp"
-    }
-
     fn run(&self, ctx: &Context) -> PassOutput {
         let mut out = PassOutput::default();
         let graph = CallGraph::build(ctx);

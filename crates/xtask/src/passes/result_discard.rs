@@ -40,11 +40,6 @@ impl Pass for ResultDiscard {
         "A6"
     }
 
-    fn description(&self) -> &'static str {
-        "discarded Result: `let _ =` or bare-statement calls to fallible \
-         APIs, workspace-wide"
-    }
-
     fn run(&self, ctx: &Context) -> PassOutput {
         let mut out = PassOutput::default();
         let graph = CallGraph::build(ctx);

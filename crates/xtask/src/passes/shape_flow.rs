@@ -37,11 +37,6 @@ impl Pass for ShapeFlow {
         "A1"
     }
 
-    fn description(&self) -> &'static str {
-        "model-graph shape-flow: layer dimension compatibility across the \
-         static and dynamic RETINA heads"
-    }
-
     fn run(&self, ctx: &Context) -> PassOutput {
         let mut out = PassOutput::default();
         let Some(file) = ctx.file_ending_with(RETINA_PATH) else {

@@ -48,12 +48,6 @@ impl Pass for UnsafeContract {
         "A13"
     }
 
-    fn description(&self) -> &'static str {
-        "unsafe-contract: SAFETY comments on every unsafe block, runtime \
-         feature detection before target_feature calls, and no unchecked/raw- \
-         pointer ops outside the blessed simd kernels"
-    }
-
     fn run(&self, ctx: &Context) -> PassOutput {
         let mut out = PassOutput::default();
         let index = crate::items::index(ctx);

@@ -1,4 +1,4 @@
-//! The lint rules (R1–R5). Each rule is a pure function over a
+//! The lint rules (R1–R4). Each rule is a pure function over a
 //! preprocessed [`SourceFile`] so fixture snippets can drive the unit
 //! tests directly.
 
@@ -17,19 +17,6 @@ pub struct Violation {
     pub line: usize,
     /// Human-readable description.
     pub message: String,
-}
-
-/// A non-failing inventory entry (R5).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InventoryItem {
-    /// Marker kind (todo / fixme / xxx / hack, upper-cased in source).
-    pub kind: String,
-    /// Workspace-relative path.
-    pub path: String,
-    /// 1-based line number.
-    pub line: usize,
-    /// Comment text.
-    pub text: String,
 }
 
 /// Crates exempt from R1: the bench harness and the corpus-ingestion
@@ -243,42 +230,13 @@ pub fn r4_tensor_indexing(file: &SourceFile) -> Vec<Violation> {
     out
 }
 
-/// R5: open-marker inventory over all comments (tests included).
-pub fn r5_todo_inventory(file: &SourceFile) -> Vec<InventoryItem> {
-    let mut out = Vec::new();
-    for (i, line) in file.lines.iter().enumerate() {
-        for kind in ["TODO", "FIXME", "XXX", "HACK"] {
-            if let Some(pos) = line.comment.find(kind) {
-                // Require a word boundary before the marker (a marker
-                // embedded in an identifier-like word should not count).
-                let boundary = pos == 0
-                    || !line.comment[..pos]
-                        .chars()
-                        .next_back()
-                        .is_some_and(|c| c.is_alphanumeric());
-                if boundary {
-                    out.push(InventoryItem {
-                        kind: kind.to_string(),
-                        path: file.path.clone(),
-                        line: i + 1,
-                        text: line.comment[pos..].trim().to_string(),
-                    });
-                    break;
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Run every rule on one file.
-pub fn lint_file(file: &SourceFile) -> (Vec<Violation>, Vec<InventoryItem>) {
-    let mut v = Vec::new();
-    v.extend(r1_no_unwrap(file));
+pub fn lint_file(file: &SourceFile) -> Vec<Violation> {
+    let mut v = r1_no_unwrap(file);
     v.extend(r2_no_float_eq(file));
     v.extend(r3_prob_guard(file));
     v.extend(r4_tensor_indexing(file));
-    (v, r5_todo_inventory(file))
+    v
 }
 
 /// Positions of bare `==` / `!=` operators (excluding `<=`, `>=`, `=>`).
@@ -626,30 +584,6 @@ mod tests {
         assert!(r4_tensor_indexing(&f).is_empty());
     }
 
-    // -------- R5 --------
-
-    #[test]
-    fn r5_collects_markers_with_positions() {
-        let f = nn_file(
-            "// TODO: vectorize this loop\n\
-             fn f() {}\n\
-             // a FIXME(perf): quadratic fallback\n\
-             /* XXX edge case */\n",
-        );
-        let inv = r5_todo_inventory(&f);
-        assert_eq!(inv.len(), 3);
-        assert_eq!(inv[0].kind, "TODO");
-        assert_eq!(inv[0].line, 1);
-        assert_eq!(inv[1].kind, "FIXME");
-        assert_eq!(inv[2].kind, "XXX");
-    }
-
-    #[test]
-    fn r5_requires_word_boundary() {
-        let f = nn_file("// MAXXX is not a marker\n");
-        assert!(r5_todo_inventory(&f).is_empty());
-    }
-
     // -------- engine --------
 
     #[test]
@@ -661,10 +595,9 @@ mod tests {
                  p.ln()\n\
              }\n",
         );
-        let (v, inv) = lint_file(&f);
+        let v = lint_file(&f);
         let rules: Vec<&str> = v.iter().map(|x| x.rule).collect();
         assert!(rules.contains(&"R2"), "{rules:?}");
         assert!(rules.contains(&"R3"), "{rules:?}");
-        assert_eq!(inv.len(), 1);
     }
 }
