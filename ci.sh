@@ -57,11 +57,17 @@ else
 fi
 
 step "serving load-harness smoke"
-# Tiny request counts — proves the snapshot + batched-server path works
-# end to end (build snapshot, start workers, drain under load). Full
-# numbers come from `cargo run -p xtask -- serving-report` (see
+# Tiny request counts — proves the snapshot + server path works end to
+# end (build snapshot, start workers, drain under load). Full numbers
+# come from `cargo run -p xtask -- serving-report` (see
 # BENCH_serving.json).
 cargo run --release -p bench --bin retina_serve -- bench --smoke
+
+step "perfbench build + unit tests"
+# perfbench/ is its own Cargo workspace (BENCHMARK.json runs it), so no
+# step above compiles it. Building and unit-testing it here catches an
+# API change in serving/core/nn that would break the benchmark.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 step "criterion smoke (bench --test)"
 # One sample per benchmark — proves the bench suite still compiles and
@@ -96,7 +102,7 @@ fi
 
 if [[ "${RETINA_TSAN:-0}" == "1" ]]; then
     # ThreadSanitizer over the concurrency surface: the serving test
-    # suite (batched server, stress/backpressure races) and the nn
+    # suite (queue dispatch, stress/backpressure races) and the nn
     # crate's tests (the par worker pool). Complements the static A7–A9
     # passes with a dynamic race detector. Opt-in: needs a nightly
     # toolchain with rust-src — std must be rebuilt instrumented

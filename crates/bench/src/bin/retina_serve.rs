@@ -1,5 +1,5 @@
 //! Prediction-server tooling: snapshot generation and a synthetic load
-//! harness for the batched serving path.
+//! harness for the serving path.
 //!
 //! ```text
 //! cargo run --release -p bench --bin retina_serve -- snapshot <path>
@@ -128,7 +128,7 @@ fn sample(n: usize, seed: u64) -> PackedSample {
 }
 
 /// Train the harness model: small enough to build in seconds, large
-/// enough that a batch of predictions is real work.
+/// enough that a request's predictions are real work.
 fn build_snapshot() -> Snapshot {
     let config = RetinaConfig {
         hdim: 32,
@@ -160,41 +160,36 @@ fn build_snapshot() -> Snapshot {
 struct Scenario {
     name: &'static str,
     workers: usize,
-    max_batch: usize,
     submitters: usize,
     precision: Precision,
 }
 
 const SCENARIOS: [Scenario; 4] = [
-    // Latency floor: one worker, no batching, one submitter.
+    // Latency floor: one worker, one submitter.
     Scenario {
-        name: "serve/static_w1_b1",
+        name: "serve/static_w1",
         workers: 1,
-        max_batch: 1,
         submitters: 1,
         precision: Precision::F64,
     },
-    // The intended operating point: batching with a couple of workers.
+    // The intended operating point: a couple of workers.
     Scenario {
-        name: "serve/static_w2_b16",
+        name: "serve/static_w2",
         workers: 2,
-        max_batch: 16,
         submitters: 4,
         precision: Precision::F64,
     },
-    // Saturation: more submitters than workers, deep batches.
+    // Saturation: more submitters than workers.
     Scenario {
-        name: "serve/static_w4_b32",
+        name: "serve/static_w4",
         workers: 4,
-        max_batch: 32,
         submitters: 8,
         precision: Precision::F64,
     },
     // The operating point on the f32 inference tier.
     Scenario {
-        name: "serve/static_f32_w2_b16",
+        name: "serve/static_f32_w2",
         workers: 2,
-        max_batch: 16,
         submitters: 4,
         precision: Precision::F32,
     },
@@ -211,8 +206,6 @@ fn run_scenario(snapshot: &Snapshot, sc: &Scenario, n_requests: u64) {
     let config = ServerConfig {
         workers: sc.workers,
         queue_capacity: 128,
-        max_batch: sc.max_batch,
-        max_delay: Duration::from_millis(1),
         precision: sc.precision,
     };
     let server = Arc::new(PredictionServer::start(snapshot, config).expect("start server"));
@@ -270,13 +263,12 @@ fn request(id: u64) -> PredictRequest {
     }
 }
 
-/// Submit with backpressure handling: sleep out the server's
-/// retry-after hint and try again.
+/// Submit with backpressure handling: yield and try again.
 fn submit_blocking(server: &PredictionServer, req: PredictRequest) -> serving::Ticket {
     loop {
         match server.submit(req.clone()) {
             Ok(t) => return t,
-            Err(SubmitError::QueueFull { retry_after, .. }) => std::thread::sleep(retry_after),
+            Err(SubmitError::QueueFull { .. }) => std::thread::yield_now(),
             Err(e) => panic!("submit failed: {e}"),
         }
     }

@@ -1,29 +1,33 @@
-//! Long-lived batched prediction serving for RETINA.
+//! Long-lived prediction serving for RETINA.
 //!
 //! This crate turns a [`retina_core::Snapshot`] into a running
 //! [`PredictionServer`]: a pool of worker threads (spawned through the
 //! blessed [`nn::par::WorkerPool`]), each holding its own restored model
 //! replica with warm per-worker scratch buffers, fed from one bounded
-//! request queue with batch accumulation.
+//! FIFO request queue. A free worker takes the oldest request as soon as
+//! it arrives; one request already scores all of a root tweet's
+//! candidates in one forward pass.
 //!
 //! ## Determinism contract
 //!
 //! Serving inherits the workspace's bit-identity guarantee: a request's
 //! prediction is a pure function of the snapshot weights and the request
-//! sample. Which worker picks a request up, how requests are grouped
-//! into batches, the submission order, and the worker count change only
-//! wall-clock behaviour — never a single output bit. Every worker's
-//! model is restored from the same snapshot, and `predict_proba` carries
-//! no cross-request state. The serving test suite pins this for serial
-//! vs concurrent submission at several worker counts.
+//! sample. Which worker picks a request up, the submission order, and
+//! the worker count change only wall-clock behaviour — never a single
+//! output bit. Every worker's model is restored from the same snapshot,
+//! and `predict_proba` carries no cross-request state. The serving test
+//! suite pins this for serial vs concurrent submission at several worker
+//! counts.
 //!
 //! ## Backpressure
 //!
 //! The queue is bounded. When it is full, [`PredictionServer::submit`]
 //! rejects immediately with [`SubmitError::QueueFull`] carrying the
-//! observed depth, the capacity, and a retry-after hint — callers never
-//! block and requests are never silently dropped. Shutdown is graceful:
-//! accepted requests are drained and fulfilled before workers exit.
+//! capacity — callers never block, own their retry policy, and requests
+//! are never silently dropped. Shutdown is graceful: accepted requests
+//! are drained and fulfilled before workers exit. A ticket whose worker
+//! dropped its request without answering fails on [`Ticket::wait`]
+//! instead of blocking forever.
 
 pub mod server;
 

@@ -1,21 +1,23 @@
-//! The batched prediction server.
+//! The prediction server.
 //!
-//! One bounded queue, N worker threads, one model replica per worker.
-//! Workers accumulate batches up to [`ServerConfig::max_batch`] requests
-//! or [`ServerConfig::max_delay`] of waiting — whichever comes first —
-//! then run each sample through the replica's `predict_proba` (which
-//! reuses the model's pooled `*_into` scratch buffers across requests).
+//! One bounded FIFO queue, N worker threads, one model replica per
+//! worker. A free worker takes the oldest request at once and runs it
+//! through its replica's `predict_proba`, which reuses the model's
+//! pooled `*_into` scratch buffers across requests. RETINA scores all of
+//! a root tweet's candidates in one forward pass, so a request is
+//! already a batch and never waits for others to arrive.
 //!
-//! Locking is `std::sync::{Mutex, Condvar}`. All lock acquisitions
-//! recover from poisoning via `into_inner` — a panicking peer must
-//! degrade service, not wedge it.
+//! The queue is a `std::sync::{Mutex, Condvar}` pair, and each answer
+//! travels back over the request's own `sync_channel(1)`. All lock
+//! acquisitions recover from poisoning via `into_inner` — a panicking
+//! peer must degrade service, not wedge it.
 
 use retina_core::retina::{PackedSample, Retina};
 use retina_core::snapshot::{Snapshot, SnapshotError};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
 
 /// Numeric tier the worker replicas run in.
 ///
@@ -24,7 +26,7 @@ use std::time::{Duration, Instant};
 /// `T = f32`. Probabilities stay `f64` on the wire; the divergence from
 /// `F64` is bounded by the tolerance contract documented on
 /// [`Retina`] (DESIGN.md §13), and for a fixed request the answer is
-/// bit-identical regardless of worker count, batch boundaries, or the
+/// bit-identical regardless of worker count, submission order, or the
 /// `simd` feature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
@@ -44,11 +46,6 @@ pub struct ServerConfig {
     /// Maximum queued (accepted but unprocessed) requests. Submissions
     /// beyond this are rejected with [`SubmitError::QueueFull`].
     pub queue_capacity: usize,
-    /// A worker dispatches as soon as it can take this many requests.
-    pub max_batch: usize,
-    /// A worker dispatches a partial batch after waiting this long for
-    /// more requests. Latency-only: never changes results.
-    pub max_delay: Duration,
     /// Numeric tier of the worker replicas (default: `F64`).
     pub precision: Precision,
 }
@@ -58,8 +55,6 @@ impl Default for ServerConfig {
         Self {
             workers: 0,
             queue_capacity: 256,
-            max_batch: 16,
-            max_delay: Duration::from_millis(2),
             precision: Precision::F64,
         }
     }
@@ -87,14 +82,9 @@ pub struct Prediction {
 /// server never drops an accepted request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The bounded queue is at capacity. `depth` is the queue depth
-    /// observed at rejection time and `retry_after` a resubmission hint
-    /// (one batch deadline).
-    QueueFull {
-        depth: usize,
-        capacity: usize,
-        retry_after: Duration,
-    },
+    /// The bounded queue holds `capacity` requests; the caller owns
+    /// the retry policy.
+    QueueFull { capacity: usize },
     /// The request disagrees with the model's input dimensions, or
     /// carries a NaN/±inf feature value, and would fault a worker or
     /// answer with NaN probabilities.
@@ -106,14 +96,9 @@ pub enum SubmitError {
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SubmitError::QueueFull {
-                depth,
-                capacity,
-                retry_after,
-            } => write!(
-                f,
-                "queue full ({depth}/{capacity}); retry after {retry_after:?}"
-            ),
+            SubmitError::QueueFull { capacity } => {
+                write!(f, "queue full ({capacity} requests)")
+            }
             SubmitError::InvalidRequest { context } => {
                 write!(f, "invalid request: {context}")
             }
@@ -163,38 +148,32 @@ pub struct ServerStats {
 
 /// A claim on one in-flight request; redeem with [`Ticket::wait`].
 pub struct Ticket {
-    slot: Arc<Slot>,
+    answer: Receiver<Prediction>,
 }
 
 impl Ticket {
     /// Block until the prediction is ready.
+    ///
+    /// # Panics
+    ///
+    /// If the request's answer can never come: its worker unwound
+    /// mid-request and dropped it.
     pub fn wait(self) -> Prediction {
-        let mut guard = lock(&self.slot.result);
-        loop {
-            if let Some(p) = guard.take() {
-                return p;
-            }
-            guard = self
-                .slot
-                .ready
-                .wait(guard)
-                .unwrap_or_else(|e| e.into_inner());
-        }
+        self.answer
+            .recv()
+            // lint: allow(unwrap) a dropped sender means the worker unwound mid-request; failing beats blocking forever
+            .expect("prediction worker dropped the request without answering")
     }
 
-    /// Non-blocking poll; returns the prediction once ready.
+    /// Non-blocking poll; returns the prediction once ready. `None`
+    /// while it is pending, and for good if its worker dropped it.
     pub fn try_take(&self) -> Option<Prediction> {
-        lock(&self.slot.result).take()
+        self.answer.try_recv().ok()
     }
-}
-
-struct Slot {
-    result: Mutex<Option<Prediction>>,
-    ready: Condvar,
 }
 
 struct QueueState {
-    pending: VecDeque<(PredictRequest, Arc<Slot>)>,
+    pending: VecDeque<(PredictRequest, SyncSender<Prediction>)>,
     shutting_down: bool,
 }
 
@@ -203,8 +182,6 @@ struct Shared {
     /// Signalled on new work and on shutdown.
     work: Condvar,
     queue_capacity: usize,
-    max_batch: usize,
-    max_delay: Duration,
     accepted: AtomicU64,
     completed: AtomicU64,
     rejected: AtomicU64,
@@ -212,6 +189,28 @@ struct Shared {
     d_user: usize,
     d2v_dim: usize,
     use_exogenous: bool,
+}
+
+impl Shared {
+    /// An empty, open queue of `queue_capacity` (at least 1) that
+    /// validates requests against `snapshot`'s input dimensions.
+    fn new(snapshot: &Snapshot, queue_capacity: usize) -> Self {
+        let queue_capacity = queue_capacity.max(1);
+        Self {
+            state: Mutex::new(QueueState {
+                pending: VecDeque::with_capacity(queue_capacity),
+                shutting_down: false,
+            }),
+            work: Condvar::new(),
+            queue_capacity,
+            accepted: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+            d_user: snapshot.d_user,
+            d2v_dim: snapshot.config.d2v_dim,
+            use_exogenous: snapshot.config.use_exogenous,
+        }
+    }
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
@@ -263,22 +262,7 @@ impl PredictionServer {
             replicas.push(Mutex::new(Some(replica)));
         }
         let replicas = Arc::new(replicas);
-        let shared = Arc::new(Shared {
-            state: Mutex::new(QueueState {
-                pending: VecDeque::with_capacity(config.queue_capacity),
-                shutting_down: false,
-            }),
-            work: Condvar::new(),
-            queue_capacity: config.queue_capacity.max(1),
-            max_batch: config.max_batch.max(1),
-            max_delay: config.max_delay,
-            accepted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            d_user: snapshot.d_user,
-            d2v_dim: snapshot.config.d2v_dim,
-            use_exogenous: snapshot.config.use_exogenous,
-        });
+        let shared = Arc::new(Shared::new(snapshot, config.queue_capacity));
         let worker_shared = Arc::clone(&shared);
         let pool = nn::par::WorkerPool::spawn(workers, "retina-serve", move |i| {
             // Every replica was restored above, so the take can only be
@@ -312,10 +296,7 @@ impl PredictionServer {
         // Allocated outside the lock region: the queue mutex guards only
         // the push itself, keeping the producer critical section minimal
         // (the A8 blocking-under-lock pass polices this path).
-        let slot = Arc::new(Slot {
-            result: Mutex::new(None),
-            ready: Condvar::new(),
-        });
+        let (answer_tx, answer) = mpsc::sync_channel(1);
         let mut state = lock(&self.shared.state);
         if state.shutting_down {
             drop(state);
@@ -323,20 +304,17 @@ impl PredictionServer {
             return Err(SubmitError::ShutDown);
         }
         if state.pending.len() >= self.shared.queue_capacity {
-            let depth = state.pending.len();
             drop(state);
             self.shared.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::QueueFull {
-                depth,
                 capacity: self.shared.queue_capacity,
-                retry_after: self.shared.max_delay,
             });
         }
-        state.pending.push_back((request, Arc::clone(&slot)));
+        state.pending.push_back((request, answer_tx));
         drop(state);
         self.shared.accepted.fetch_add(1, Ordering::Relaxed);
         self.shared.work.notify_one();
-        Ok(Ticket { slot })
+        Ok(Ticket { answer })
     }
 
     fn validate(&self, sample: &PackedSample) -> Result<(), SubmitError> {
@@ -382,7 +360,7 @@ impl PredictionServer {
         Ok(())
     }
 
-    /// Requests accepted but not yet dispatched to a worker.
+    /// Requests accepted but not yet taken by a worker.
     pub fn queue_depth(&self) -> usize {
         lock(&self.shared.state).pending.len()
     }
@@ -428,65 +406,95 @@ impl Drop for PredictionServer {
     }
 }
 
-/// Worker body: collect a batch (size or deadline cutover), then run it
-/// on this worker's replica outside the queue lock.
+/// Worker body: take the oldest request, answer it from this worker's
+/// replica outside the queue lock, and repeat until shutdown has
+/// drained the queue.
 fn worker_loop(shared: &Shared, model: &mut Replica) {
-    // A batch never exceeds the queue capacity, whatever `max_batch`
-    // says (callers may pass usize::MAX for "drain everything").
-    let mut batch: Vec<(PredictRequest, Arc<Slot>)> =
-        Vec::with_capacity(shared.max_batch.min(shared.queue_capacity));
     loop {
-        {
+        let (req, answer) = {
             let mut state = lock(&shared.state);
             loop {
-                if !state.pending.is_empty() {
-                    if !state.shutting_down && state.pending.len() < shared.max_batch {
-                        // Deadline cutover: wait (bounded) for the batch
-                        // to fill. Affects only latency; the prediction
-                        // for each request is batch-independent.
-                        // lint: allow(determinism) batching deadline is latency-only, results are batch-independent
-                        let deadline = Instant::now() + shared.max_delay;
-                        while state.pending.len() < shared.max_batch && !state.shutting_down {
-                            // lint: allow(determinism) batching deadline is latency-only, results are batch-independent
-                            let now = Instant::now();
-                            if now >= deadline {
-                                break;
-                            }
-                            let (next, timeout) = shared
-                                .work
-                                .wait_timeout(state, deadline - now)
-                                .unwrap_or_else(|e| e.into_inner());
-                            state = next;
-                            if timeout.timed_out() || state.pending.is_empty() {
-                                break;
-                            }
-                        }
-                    }
-                    if state.pending.is_empty() {
-                        // Another worker drained the queue while we
-                        // waited; go back to sleeping for work.
-                        continue;
-                    }
-                    let n = shared.max_batch.min(state.pending.len());
-                    batch.extend(state.pending.drain(..n));
-                    break;
+                if let Some(job) = state.pending.pop_front() {
+                    break job;
                 }
                 if state.shutting_down {
                     return;
                 }
                 state = shared.work.wait(state).unwrap_or_else(|e| e.into_inner());
             }
+        };
+        let probabilities = model.predict_proba(&req.sample);
+        // A caller that dropped its ticket no longer wants the answer.
+        let _ = answer.send(Prediction {
+            id: req.id,
+            probabilities,
+        });
+        shared.completed.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use retina_core::retina::RetinaConfig;
+
+    const D_USER: usize = 4;
+
+    /// A request that passes validation; no test here computes it.
+    fn request(id: u64) -> PredictRequest {
+        let d2v = RetinaConfig::static_default().d2v_dim;
+        PredictRequest {
+            id,
+            sample: PackedSample {
+                user_rows: vec![vec![0.5; D_USER]; 2],
+                labels: vec![0; 2],
+                interval_labels: vec![vec![0; 6]; 2],
+                tweet_d2v: vec![0.1; d2v],
+                news_d2v: vec![vec![0.1; d2v]; 3],
+                hateful: false,
+                t0: 0.0,
+                retweet_times: vec![f64::INFINITY; 2],
+            },
         }
-        for (req, slot) in batch.drain(..) {
-            let probabilities = model.predict_proba(&req.sample);
-            let mut result = lock(&slot.result);
-            *result = Some(Prediction {
-                id: req.id,
-                probabilities,
-            });
-            drop(result);
-            slot.ready.notify_all();
-            shared.completed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    #[test]
+    fn full_queue_rejects_with_its_capacity() {
+        // No worker pool is spawned, so nothing drains the queue and it
+        // fills deterministically.
+        let snapshot = Snapshot::capture(&Retina::new(D_USER, RetinaConfig::static_default()));
+        let server = PredictionServer {
+            shared: Arc::new(Shared::new(&snapshot, 4)),
+            pool: None,
+            workers: 0,
+        };
+        let tickets: Vec<Ticket> = (0..4)
+            .map(|id| server.submit(request(id)).expect("within capacity"))
+            .collect();
+        assert_eq!(server.queue_depth(), 4);
+        match server.submit(request(99)) {
+            Err(SubmitError::QueueFull { capacity }) => assert_eq!(capacity, 4),
+            Ok(_) => panic!("submission beyond capacity was accepted"),
+            Err(e) => panic!("wrong rejection: {e}"),
         }
+        let stats = server.stats();
+        assert_eq!(stats.accepted, 4);
+        assert_eq!(stats.rejected, 1);
+        // With no worker left to answer them, the queued requests are
+        // dropped with the server and their tickets disconnect.
+        drop(server);
+        for t in &tickets {
+            assert_eq!(t.answer.try_recv(), Err(mpsc::TryRecvError::Disconnected));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dropped the request without answering")]
+    fn a_ticket_whose_answer_never_comes_fails_instead_of_hanging() {
+        let (answer_tx, answer) = mpsc::sync_channel(1);
+        let ticket = Ticket { answer };
+        drop(answer_tx);
+        assert!(ticket.try_take().is_none());
+        ticket.wait();
     }
 }

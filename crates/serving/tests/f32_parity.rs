@@ -8,12 +8,12 @@
 //!    (~1e-6 for this model) because it must hold for any realistic
 //!    weight scale, not just the fixture; DESIGN.md §13 documents the
 //!    derivation.
-//! 2. **Bit-identity across batching** — for a fixed request, the f32
-//!    tier's answer is byte-identical regardless of worker count,
-//!    batch size, or submission order. Batching only groups requests;
-//!    each sample runs the same single-sample forward, and the f32
-//!    kernels are bit-identical across thread counts and the `simd`
-//!    feature gate (pinned in `nn/tests/kernel_parity.rs`).
+//! 2. **Bit-identity across serving** — for a fixed request, the f32
+//!    tier's answer is byte-identical regardless of worker count or
+//!    submission order. Each sample runs the same single-sample
+//!    forward, and the f32 kernels are bit-identical across thread
+//!    counts and the `simd` feature gate (pinned in
+//!    `nn/tests/kernel_parity.rs`).
 
 mod common;
 
@@ -22,7 +22,6 @@ use retina_core::retina::PackedSample;
 use retina_core::snapshot::Snapshot;
 use serving::{Precision, PredictRequest, PredictionServer, ServerConfig};
 use std::path::PathBuf;
-use std::time::Duration;
 
 const D_USER: usize = 6;
 /// Absolute probability tolerance of the f32 tier vs f64.
@@ -47,7 +46,6 @@ fn serve_all(
     snap: &Snapshot,
     precision: Precision,
     workers: usize,
-    max_batch: usize,
     order: &[usize],
 ) -> Vec<Vec<f64>> {
     let server = PredictionServer::start(
@@ -55,8 +53,6 @@ fn serve_all(
         ServerConfig {
             workers,
             queue_capacity: 64,
-            max_batch,
-            max_delay: Duration::from_micros(200),
             precision,
         },
     )
@@ -86,8 +82,8 @@ fn serve_all(
 fn f32_replica_matches_f64_within_documented_tolerance() {
     let snap = snapshot();
     let order: Vec<usize> = (0..probes().len()).collect();
-    let f64_probs = serve_all(&snap, Precision::F64, 1, 1, &order);
-    let f32_probs = serve_all(&snap, Precision::F32, 1, 1, &order);
+    let f64_probs = serve_all(&snap, Precision::F64, 1, &order);
+    let f32_probs = serve_all(&snap, Precision::F32, 1, &order);
     for (i, (a, b)) in f64_probs.iter().zip(&f32_probs).enumerate() {
         assert_eq!(a.len(), b.len(), "probe {i}: candidate count drifted");
         let mut worst = 0.0f64;
@@ -102,7 +98,7 @@ fn f32_replica_matches_f64_within_documented_tolerance() {
 }
 
 #[test]
-fn f32_predictions_are_byte_identical_across_batching_orders() {
+fn f32_predictions_are_byte_identical_across_workers_and_orders() {
     let snap = snapshot();
     let n = probes().len();
     let forward: Vec<usize> = (0..n).collect();
@@ -110,22 +106,22 @@ fn f32_predictions_are_byte_identical_across_batching_orders() {
     // Deterministic interleave: evens then odds.
     let interleaved: Vec<usize> = (0..n).step_by(2).chain((1..n).step_by(2)).collect();
 
-    let baseline = serve_all(&snap, Precision::F32, 1, 1, &forward);
-    for (workers, max_batch, order) in [
-        (1usize, 8usize, &reverse),
-        (2, 1, &forward),
-        (2, 4, &interleaved),
-        (4, 8, &reverse),
+    let baseline = serve_all(&snap, Precision::F32, 1, &forward);
+    for (workers, order) in [
+        (1usize, &reverse),
+        (2, &forward),
+        (2, &interleaved),
+        (4, &reverse),
     ] {
-        let got = serve_all(&snap, Precision::F32, workers, max_batch, order);
+        let got = serve_all(&snap, Precision::F32, workers, order);
         for (i, (want, have)) in baseline.iter().zip(&got).enumerate() {
             assert_eq!(want.len(), have.len(), "probe {i}: candidate count drifted");
             for (j, (w, h)) in want.iter().zip(have).enumerate() {
                 assert_eq!(
                     w.to_bits(),
                     h.to_bits(),
-                    "probe {i} candidate {j}: {workers} workers / batch {max_batch} \
-                     changed bits ({w:.17e} vs {h:.17e})"
+                    "probe {i} candidate {j}: {workers} workers changed bits \
+                     ({w:.17e} vs {h:.17e})"
                 );
             }
         }

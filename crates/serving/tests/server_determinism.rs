@@ -48,7 +48,7 @@ fn submit_with_retry(server: &PredictionServer, id: u64) -> serving::Ticket {
     loop {
         match server.submit(req.clone()) {
             Ok(ticket) => return ticket,
-            Err(SubmitError::QueueFull { retry_after, .. }) => std::thread::sleep(retry_after),
+            Err(SubmitError::QueueFull { .. }) => std::thread::yield_now(),
             Err(e) => panic!("submit failed: {e}"),
         }
     }
@@ -120,8 +120,6 @@ fn predictions_are_identical_across_submission_patterns_and_thread_counts() {
         let config = ServerConfig {
             workers: threads,
             queue_capacity: N_REQUESTS as usize + 8,
-            max_batch: 4,
-            max_delay: std::time::Duration::from_millis(1),
             ..ServerConfig::default()
         };
 

@@ -1,9 +1,9 @@
 //! Concurrency stress: several producer threads submit through
 //! backpressure while a delayed `initiate_shutdown()` races the
-//! workers' batch-deadline cutover. A watchdog bounds the whole run so
-//! a deadlock fails the test instead of hanging CI, and conservation
-//! invariants prove that no accepted request is dropped and no request
-//! completes twice, at worker counts 1, 2 and 8.
+//! workers taking requests off the queue. A watchdog bounds the whole
+//! run so a deadlock fails the test instead of hanging CI, and
+//! conservation invariants prove that no accepted request is dropped
+//! and no request completes twice, at worker counts 1, 2 and 8.
 
 mod common;
 
@@ -55,9 +55,8 @@ where
     }
 }
 
-/// One producer: submit its id range, retrying `QueueFull` after the
-/// server's own `retry_after` hint and abandoning ids once shutdown is
-/// observed. Returns the tickets it got in, waited to completion.
+/// One producer: submit its id range, retrying `QueueFull` after a
+/// yield and abandoning ids once shutdown is observed. Returns the tickets it got in, waited to completion.
 fn produce(
     server: &PredictionServer,
     range: std::ops::Range<u64>,
@@ -71,9 +70,7 @@ fn produce(
                     tickets.push((id, t));
                     break;
                 }
-                Err(SubmitError::QueueFull { retry_after, .. }) => {
-                    thread::sleep(retry_after.min(Duration::from_micros(200)));
-                }
+                Err(SubmitError::QueueFull { .. }) => thread::yield_now(),
                 Err(SubmitError::ShutDown) => {
                     gave_up.fetch_add(1, Ordering::Relaxed);
                     continue 'ids;
@@ -85,8 +82,8 @@ fn produce(
     tickets.into_iter().map(|(id, t)| (id, t.wait())).collect()
 }
 
-/// The stress body: producers × bounded queue × tiny batch deadline,
-/// with shutdown initiated mid-flight from a separate thread.
+/// The stress body: producers × a tiny bounded queue, with shutdown
+/// initiated mid-flight from a separate thread.
 fn stress(workers: usize) {
     let server = Arc::new(
         PredictionServer::start(
@@ -94,8 +91,6 @@ fn stress(workers: usize) {
             ServerConfig {
                 workers,
                 queue_capacity: 4,
-                max_batch: 3,
-                max_delay: Duration::from_micros(200),
                 ..ServerConfig::default()
             },
         )
@@ -103,9 +98,8 @@ fn stress(workers: usize) {
     );
     let gave_up = Arc::new(AtomicU64::new(0));
 
-    // Delayed shutdown, racing the deadline cutover: by the time it
-    // lands, some requests are queued, some mid-batch, some still
-    // unsubmitted.
+    // Delayed shutdown, racing dispatch: by the time it lands, some
+    // requests are queued, some being computed, some still unsubmitted.
     let closer = {
         let server = Arc::clone(&server);
         thread::spawn(move || {
@@ -156,16 +150,16 @@ fn stress(workers: usize) {
 }
 
 #[test]
-fn shutdown_races_cutover_one_worker() {
+fn shutdown_races_dispatch_one_worker() {
     with_watchdog(Duration::from_secs(30), || stress(1));
 }
 
 #[test]
-fn shutdown_races_cutover_two_workers() {
+fn shutdown_races_dispatch_two_workers() {
     with_watchdog(Duration::from_secs(30), || stress(2));
 }
 
 #[test]
-fn shutdown_races_cutover_eight_workers() {
+fn shutdown_races_dispatch_eight_workers() {
     with_watchdog(Duration::from_secs(30), || stress(8));
 }

@@ -89,7 +89,7 @@ pub const CATALOGUE: &[RuleDoc] = &[
                     regression suites; HashMap iteration order and wall-clock \
                     reads make results machine-dependent.",
         fix: "Use seeded RNG, BTreeMap/BTreeSet for iterated state, and keep \
-              clock reads out of result paths (annotate deadline clocks with \
+              clock reads out of result paths (annotate latency-only clocks with \
               `// lint: allow(determinism) <reason>`).",
     },
     RuleDoc {
@@ -146,7 +146,7 @@ pub const CATALOGUE: &[RuleDoc] = &[
         title: "blocking calls while holding a lock",
         rationale: "Waiting on a condvar/channel/join/IO while holding an \
                     unrelated lock stalls every thread that needs it and can \
-                    deadlock the batching pipeline.",
+                    deadlock the serving pipeline.",
         fix: "Drop the guard before blocking (move the blocking call out of \
               the region), or annotate a proven-bounded wait.",
     },

@@ -7,7 +7,7 @@
 //! ## Lock identities
 //!
 //! - Struct fields whose base type is a lock: `Owner.field`
-//!   (`Shared.state`, `Slot.ready`). `Arc`/`Box`/`Option` wrappers are
+//!   (`Shared.state`, `Shared.work`). `Arc`/`Box`/`Option` wrappers are
 //!   looked through by the field indexer.
 //! - Locals declared with a lock anywhere in their ascribed type
 //!   (`let slots: Vec<Mutex<Option<R>>>`) or constructed directly
@@ -679,7 +679,7 @@ impl<'a> FnScanner<'a> {
         }
         // Unique lock-field fallback: an unhinted receiver whose final
         // segment names exactly one lock-typed field workspace-wide
-        // (`slot.result` → `Slot.result`).
+        // (`job.state` → `Shared.state`).
         let last = segs.last()?;
         let cands: Vec<(&String, LockKind)> = self
             .fields

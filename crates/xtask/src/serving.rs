@@ -15,7 +15,7 @@ use crate::bench::parse_duration_ns;
 /// nanoseconds; throughput is predictions per second.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingEntry {
-    /// Scenario id, e.g. `serve/static_w2_b16`.
+    /// Scenario id, e.g. `serve/static_w2`.
     pub name: String,
     /// Completed predictions per second over the timed window.
     pub pps: f64,
