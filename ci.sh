@@ -39,9 +39,11 @@ step "workspace test suites (release)"
 # `cargo test -q` builds only the root package. Every other crate's
 # tests run here: kernel parity, f32 parity, the golden pins, server
 # determinism and the stress suite, the xtask real-tree pins (clean
-# analyze, A13, zero-stale baseline) and the bench/ml/text/socialsim/
-# diffusion unit tests. Release mode keeps the training-heavy suites to
-# under a minute on a 2-core host once built.
+# analyze, A13, zero-stale baseline, the committed BENCH_*.json
+# reports), the harness runs that check `retina_serve` and `graph_mem`
+# print only records, and the bench/ml/text/socialsim/diffusion unit
+# tests. Release mode keeps the training-heavy suites to under a minute
+# on a 2-core host once built.
 cargo test -q --release --workspace
 
 step "simd feature matrix"
@@ -56,12 +58,13 @@ else
     echo "host CPU lacks AVX2 — simd build checked, runtime tests skipped"
 fi
 
-step "serving load-harness smoke"
-# Tiny request counts — proves the snapshot + server path works end to
-# end (build snapshot, start workers, drain under load). Full numbers
-# come from `cargo run -p xtask -- serving-report` (see
-# BENCH_serving.json).
-cargo run --release -p bench --bin retina_serve -- bench --smoke
+step "serving load harness"
+# The full harness (4 scenarios x 4,000 requests, under a second once
+# built) proves the snapshot + server path works end to end: build a
+# snapshot, start workers, drain under load. It prints records only;
+# `cargo run -p xtask -- serving-report` turns them into
+# BENCH_serving.json.
+cargo run --release -p bench --bin retina_serve -- bench
 
 step "perfbench build + unit tests"
 # perfbench/ is its own Cargo workspace (BENCHMARK.json runs it), so no
@@ -70,28 +73,29 @@ step "perfbench build + unit tests"
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 step "criterion smoke (bench --test)"
-# One sample per benchmark — proves the bench suite still compiles and
-# every routine runs, without paying for real measurements. Full numbers
-# come from `cargo run -p xtask -- bench-report` (see BENCH_kernels.json).
-cargo bench -p bench --bench substrates -- --test
+# `cargo test` builds no [[bench]] target, so this is the step that
+# compiles all eight of them. One sample per benchmark proves each still
+# builds and every routine runs, without paying for real measurements.
+# Full `substrates` numbers come from `cargo run -p xtask -- bench-report`
+# (see BENCH_kernels.json).
+cargo bench -p bench --benches -- --test
 
 if [[ "${RETINA_BENCH_CHECK:-0}" == "1" ]]; then
+    # Each check re-runs one harness and compares its records with the
+    # `current` section of the committed BENCH_*.json, through the one
+    # gate table in `xtask::report`. Opt-in (slow, and noisy on loaded
+    # machines).
     step "bench regression check"
-    # Full measurement run compared against the committed
-    # BENCH_kernels.json `current` section; fails on any kernel row more
-    # than 15% slower. Opt-in (slow, and noisy on loaded machines).
+    # Fails on any kernel `mean` more than 15% slower.
     cargo run -p xtask -- bench-report --check
 
     step "serving regression check"
-    # Full load run compared against the committed BENCH_serving.json
-    # `current` section; fails on a >15% throughput drop or a >25% p99
-    # latency rise on any scenario.
+    # Fails on a `pps` drop beyond 15% or a `p99` rise beyond 25%.
     cargo run -p xtask -- serving-report --check
 
     step "memory ceiling check"
-    # Dataset generation re-measured against the committed
-    # BENCH_graph.json `current` section; fails when any scenario's
-    # peak RSS (VmHWM) grows more than 25%. Skips itself off Linux.
+    # Fails when any scenario's `vmhwm` (peak RSS) grows more than 25%.
+    # Skips itself off Linux.
     cargo run -p xtask -- mem-report --check
 fi
 

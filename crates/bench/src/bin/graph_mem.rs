@@ -1,17 +1,18 @@
 //! Peak-RSS harness behind `cargo run -p xtask -- mem-report`.
 //!
-//! Generates the socialsim dataset at two scales and prints one
-//! `memgraph <scenario> vmhwm_kb <n> users <n> tweets <n> retweets <n>`
-//! line per scenario, sampling the process peak resident set (`VmHWM`
-//! from `/proc/self/status`) after each generation. VmHWM is a
+//! Generates the socialsim dataset at two scales and, after each, prints
+//! four records on stdout in perfbench's fragment format
+//! ([`bench::record`]): `<scenario>.vmhwm`, the process peak resident
+//! set (`VmHWM` from `/proc/self/status`) in KiB, and the corpus size it
+//! paid for as `.users`, `.tweets` and `.retweets`. VmHWM is a
 //! process-lifetime high-water mark, so scenarios run smallest first
-//! and each line reports the ceiling up to and including its own run —
-//! the committed `BENCH_graph.json` is the measured memory ceiling the
-//! million-user scale-up (ROADMAP item 1) diffs against.
+//! and each `vmhwm` is the ceiling up to and including its own run.
 //!
-//! Off Linux there is no `/proc`; the harness prints a skip notice and
-//! exits successfully (`mem-report` treats a sampleless run as a skip).
+//! Off Linux there is no `/proc`; the harness prints a notice on stderr
+//! and no records, and exits successfully (`mem-report` treats a run
+//! without records as a skip).
 
+use bench::record;
 use socialsim::{Dataset, SimConfig};
 
 /// Read the peak resident set size in KiB from `/proc/self/status`
@@ -22,19 +23,20 @@ fn vmhwm_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// Print one report line; `false` when the platform has no VmHWM.
+/// Print one scenario's records; `false` when the platform has no VmHWM.
 fn report(scenario: &str, data: &Dataset) -> bool {
     let Some(peak) = vmhwm_kb() else {
-        println!("mem-report: VmHWM unavailable on this platform, skipping");
+        eprintln!("graph_mem: VmHWM unavailable on this platform, skipping");
         return false;
     };
     let retweets: usize = data.tweets().iter().map(|t| t.retweets.len()).sum();
+    println!("{}", record(scenario, "vmhwm", peak, "KiB"));
+    println!("{}", record(scenario, "users", data.users().len(), "count"));
     println!(
-        "memgraph {scenario} vmhwm_kb {peak} users {} tweets {} retweets {}",
-        data.users().len(),
-        data.root_tweets().count(),
-        retweets
+        "{}",
+        record(scenario, "tweets", data.root_tweets().count(), "count")
     );
+    println!("{}", record(scenario, "retweets", retweets, "count"));
     true
 }
 

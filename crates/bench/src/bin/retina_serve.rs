@@ -3,24 +3,22 @@
 //!
 //! ```text
 //! cargo run --release -p bench --bin retina_serve -- snapshot <path>
-//! cargo run --release -p bench --bin retina_serve -- serve <path> [--smoke]
-//! cargo run --release -p bench --bin retina_serve -- bench [--smoke]
+//! cargo run --release -p bench --bin retina_serve -- serve <path>
+//! cargo run --release -p bench --bin retina_serve -- bench
 //! ```
 //!
 //! `snapshot` trains a small deterministic model and writes it (with
 //! its text pipeline and trainer config) to `<path>`. `serve` loads a
-//! snapshot and drives the standard load scenarios against it. `bench`
+//! snapshot and drives the standard load scenarios against it, with
+//! requests sized to the snapshot's `d_user` and Doc2Vec width. `bench`
 //! does the same against an in-memory snapshot and is what
-//! `cargo run -p xtask -- serving-report` shells out to; its
-//! measurement lines have the machine-readable shape
-//!
-//! ```text
-//! serving <scenario> pps <f64>  p50 <dur>  p99 <dur>  (<n> requests)
-//! ```
-//!
-//! `--smoke` shrinks the request counts for CI wiring checks; the
-//! committed `BENCH_serving.json` numbers come from full runs.
+//! `cargo run -p xtask -- serving-report` shells out to. Both print four
+//! records per scenario on stdout, in perfbench's fragment format
+//! ([`bench::record`]): `<scenario>.pps` in 1/s, `.p50` and `.p99`
+//! submit-to-resolve latency in integer ns, and `.requests`. Notices go
+//! to stderr.
 
+use bench::record;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use retina_core::retina::{PackedSample, Retina, RetinaConfig};
@@ -28,15 +26,26 @@ use retina_core::snapshot::{PipelineState, Snapshot};
 use retina_core::trainer::{train_retina, TrainConfig};
 use serving::{Precision, PredictRequest, PredictionServer, ServerConfig, SubmitError};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-const D_USER: usize = 12;
-const D2V: usize = 50;
+/// Row widths of a request: one candidate row and one Doc2Vec vector.
+#[derive(Clone, Copy)]
+struct Widths {
+    d_user: usize,
+    d2v: usize,
+}
+
+/// The widths of the model `snapshot` and `bench` train.
+const HARNESS: Widths = Widths {
+    d_user: 12,
+    d2v: 50,
+};
+
+/// News vectors per request, and the harness model's news window.
 const NEWS_K: usize = 8;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
     match args.first().map(String::as_str) {
         Some("snapshot") => {
             let Some(path) = args.get(1).filter(|p| !p.starts_with("--")) else {
@@ -48,7 +57,7 @@ fn main() {
                 eprintln!("failed to write {path}: {e}");
                 std::process::exit(1);
             }
-            println!(
+            eprintln!(
                 "wrote {path}: d_user={} sections=config+weights{}{}{}",
                 snap.d_user,
                 if snap.has_scaler() { "+scaler" } else { "" },
@@ -66,7 +75,7 @@ fn main() {
         }
         Some("serve") => {
             let Some(path) = args.get(1).filter(|p| !p.starts_with("--")) else {
-                eprintln!("usage: retina_serve serve <path> [--smoke]");
+                eprintln!("usage: retina_serve serve <path>");
                 std::process::exit(2);
             };
             let snap = match Snapshot::load(path.as_ref()) {
@@ -77,17 +86,14 @@ fn main() {
                 }
             };
             eprintln!("loaded {path} (d_user={})", snap.d_user);
-            run_scenarios(&snap, smoke);
+            run_scenarios(&snap);
         }
-        Some("bench") => {
-            let snap = build_snapshot();
-            run_scenarios(&snap, smoke);
-        }
+        Some("bench") => run_scenarios(&build_snapshot()),
         _ => {
             eprintln!(
                 "usage: retina_serve snapshot <path>\n       \
-                 retina_serve serve <path> [--smoke]\n       \
-                 retina_serve bench [--smoke]"
+                 retina_serve serve <path>\n       \
+                 retina_serve bench"
             );
             std::process::exit(2);
         }
@@ -96,12 +102,12 @@ fn main() {
 
 /// Deterministic synthetic sample, mirroring the packed-tensor shape
 /// the feature extractor produces.
-fn sample(n: usize, seed: u64) -> PackedSample {
+fn sample(w: Widths, n: usize, seed: u64) -> PackedSample {
     let mut rng = StdRng::seed_from_u64(seed);
     let labels: Vec<u8> = (0..n).map(|i| u8::from(i % 3 == 0)).collect();
     PackedSample {
         user_rows: (0..n)
-            .map(|_| (0..D_USER).map(|_| rng.gen_range(-1.0..1.0)).collect())
+            .map(|_| (0..w.d_user).map(|_| rng.gen_range(-1.0..1.0)).collect())
             .collect(),
         interval_labels: labels
             .iter()
@@ -118,9 +124,9 @@ fn sample(n: usize, seed: u64) -> PackedSample {
             .map(|&l| if l == 1 { 2.0 } else { f64::INFINITY })
             .collect(),
         labels,
-        tweet_d2v: (0..D2V).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+        tweet_d2v: (0..w.d2v).map(|_| rng.gen_range(-1.0..1.0)).collect(),
         news_d2v: (0..NEWS_K)
-            .map(|_| (0..D2V).map(|_| rng.gen_range(-1.0..1.0)).collect())
+            .map(|_| (0..w.d2v).map(|_| rng.gen_range(-1.0..1.0)).collect())
             .collect(),
         hateful: false,
         t0: 0.0,
@@ -133,10 +139,11 @@ fn build_snapshot() -> Snapshot {
     let config = RetinaConfig {
         hdim: 32,
         news_k: NEWS_K,
+        d2v_dim: HARNESS.d2v,
         ..RetinaConfig::static_default()
     };
-    let mut model = Retina::new(D_USER, config);
-    let data: Vec<PackedSample> = (0..12).map(|i| sample(10, 300 + i)).collect();
+    let mut model = Retina::new(HARNESS.d_user, config);
+    let data: Vec<PackedSample> = (0..12).map(|i| sample(HARNESS, 10, 300 + i)).collect();
     let cfg = TrainConfig {
         epochs: 2,
         ..TrainConfig::static_default()
@@ -195,14 +202,20 @@ const SCENARIOS: [Scenario; 4] = [
     },
 ];
 
-fn run_scenarios(snapshot: &Snapshot, smoke: bool) {
-    let requests_per_scenario: u64 = if smoke { 200 } else { 4000 };
+/// Requests timed per scenario.
+const REQUESTS: u64 = 4000;
+
+fn run_scenarios(snapshot: &Snapshot) {
+    let widths = Widths {
+        d_user: snapshot.d_user,
+        d2v: snapshot.config.d2v_dim,
+    };
     for sc in &SCENARIOS {
-        run_scenario(snapshot, sc, requests_per_scenario);
+        run_scenario(snapshot, widths, sc, REQUESTS);
     }
 }
 
-fn run_scenario(snapshot: &Snapshot, sc: &Scenario, n_requests: u64) {
+fn run_scenario(snapshot: &Snapshot, widths: Widths, sc: &Scenario, n_requests: u64) {
     let config = ServerConfig {
         workers: sc.workers,
         queue_capacity: 128,
@@ -212,7 +225,7 @@ fn run_scenario(snapshot: &Snapshot, sc: &Scenario, n_requests: u64) {
 
     // Warmup: fill scratch buffers and fault in the model replicas.
     for id in 0..32 {
-        submit_blocking(&server, request(id)).wait();
+        submit_blocking(&server, request(widths, id)).wait();
     }
 
     // Timed window: `submitters` threads, each a strided share of the
@@ -226,7 +239,7 @@ fn run_scenario(snapshot: &Snapshot, sc: &Scenario, n_requests: u64) {
         let mut local = Vec::new();
         for id in ((lane as u64)..n_requests).step_by(lanes) {
             let t0 = Instant::now();
-            submit_blocking(&job_server, request(id)).wait();
+            submit_blocking(&job_server, request(widths, id)).wait();
             local.push(t0.elapsed().as_nanos() as u64);
         }
         job_latencies.lock().unwrap().extend(local);
@@ -247,19 +260,22 @@ fn run_scenario(snapshot: &Snapshot, sc: &Scenario, n_requests: u64) {
     let mut lat = latencies.lock().unwrap().clone();
     assert_eq!(lat.len() as u64, n_requests, "missing latency samples");
     lat.sort_unstable();
-    let p50 = Duration::from_nanos(lat[lat.len() / 2]);
-    let p99 = Duration::from_nanos(lat[(lat.len() as f64 * 0.99) as usize - 1]);
+    let p50 = lat[lat.len() / 2];
+    let p99 = lat[(lat.len() as f64 * 0.99) as usize - 1];
     let pps = n_requests as f64 / wall.as_secs_f64();
     println!(
-        "serving {:<24} pps {:.1}  p50 {:?}  p99 {:?}  ({} requests)",
-        sc.name, pps, p50, p99, n_requests
+        "{}",
+        record(sc.name, "pps", format_args!("{pps:.1}"), "1/s")
     );
+    println!("{}", record(sc.name, "p50", p50, "ns"));
+    println!("{}", record(sc.name, "p99", p99, "ns"));
+    println!("{}", record(sc.name, "requests", n_requests, "count"));
 }
 
-fn request(id: u64) -> PredictRequest {
+fn request(w: Widths, id: u64) -> PredictRequest {
     PredictRequest {
         id,
-        sample: sample(8, 7000 + id),
+        sample: sample(w, 8, 7000 + id),
     }
 }
 

@@ -1,9 +1,12 @@
 //! # bench — experiment binaries and Criterion benchmarks
 //!
 //! One `exp_*` binary per table/figure of the paper (see DESIGN.md §4 and
-//! EXPERIMENTS.md), plus Criterion micro/meso-benchmarks in `benches/`.
+//! EXPERIMENTS.md), plus Criterion micro/meso-benchmarks in `benches/`
+//! and two harnesses, `retina_serve` (snapshots and serving load) and
+//! `graph_mem` (dataset-generation peak RSS). The harnesses print only
+//! [`record`] lines on stdout.
 //!
-//! All binaries accept:
+//! All `exp_*` binaries accept:
 //!
 //! ```text
 //! --scale <f64>       tweet-volume scale vs the paper corpus (default 0.1)
@@ -77,6 +80,13 @@ pub fn build_context(opts: &ExpOptions) -> ExperimentContext {
         ctx.detector.report.auc
     );
     ctx
+}
+
+/// One benchmark record, in the fragment format perfbench prints and
+/// `cargo run -p xtask -- {serving,mem}-report` reads:
+/// `"<scenario>.<leaf>": {"value": <value>, "unit": "<unit>"}`.
+pub fn record(scenario: &str, leaf: &str, value: impl std::fmt::Display, unit: &str) -> String {
+    format!("\"{scenario}.{leaf}\": {{\"value\": {value}, \"unit\": \"{unit}\"}}")
 }
 
 /// Print a section header.

@@ -21,9 +21,10 @@
 //! [`callgraph`], [`lockmodel`], [`floatflow`], [`memflow`]) against a
 //! committed finding baseline ([`baseline`]). `explain <rule>` prints
 //! each rule's rationale and fix guidance from the shared catalogue
-//! ([`explain`]). `mem-report` measures peak RSS for the
-//! dataset-generation scenario and maintains `BENCH_graph.json`
-//! ([`memreport`]).
+//! ([`explain`]). `bench-report`, `serving-report` and `mem-report` run
+//! the kernel, serving and peak-RSS harnesses and maintain their
+//! `BENCH_*.json` files through one record format and gate table
+//! ([`report`]).
 //!
 //! Violations can be suppressed in place with
 //! `// lint: allow(<key>) <reason>` where `<key>` is one of
@@ -34,7 +35,6 @@
 //! the reason is required.
 
 pub mod baseline;
-pub mod bench;
 pub mod callgraph;
 pub mod explain;
 pub mod floatflow;
@@ -42,10 +42,9 @@ pub mod items;
 pub mod lexer;
 pub mod lockmodel;
 pub mod memflow;
-pub mod memreport;
 pub mod passes;
+pub mod report;
 pub mod rules;
-pub mod serving;
 pub mod source;
 
 use rules::Violation;
