@@ -89,6 +89,21 @@ fn bench_nn(c: &mut Criterion) {
         )
     });
 
+    // RETINA-D's input pattern: one 64×128 input repeated over the six
+    // steps, through the constant-input path.
+    let x = &xs[0];
+    c.bench_function("nn/gru_bptt_6steps_batch64_repeated", |b| {
+        b.iter_batched(
+            || Gru::new(128, 64, 0),
+            |mut gru| {
+                let hs = gru.forward_repeated(x, 6);
+                let grads: Vec<Matrix> = hs.iter().map(|h| h.map(|v| v * 0.01)).collect();
+                black_box(gru.backward(&grads))
+            },
+            BatchSize::SmallInput,
+        )
+    });
+
     // Inference-path pairs: forward-only at the same production shapes,
     // f64 vs the f32 tier narrowed from the same f64 layer. Layers are
     // built once — the serving pattern — so steady-state scratch reuse
@@ -113,6 +128,11 @@ fn bench_nn(c: &mut Criterion) {
     c.bench_function("nn/gru_infer_6steps_batch64", |b| {
         b.iter(|| {
             black_box(gru.forward(&xs));
+        })
+    });
+    c.bench_function("nn/gru_infer_6steps_batch64_repeated", |b| {
+        b.iter(|| {
+            black_box(gru.forward_repeated(x, 6));
         })
     });
     let xs32: Vec<Matrix<f32>> = xs.iter().map(Matrix::from_f64).collect();

@@ -102,11 +102,11 @@ enum RecurrentCell<T: Scalar> {
 }
 
 impl<T: Scalar> RecurrentCell<T> {
-    fn forward(&mut self, xs: &[Matrix<T>]) -> &[Matrix<T>] {
+    fn forward_repeated(&mut self, x: &Matrix<T>, steps: usize) -> &[Matrix<T>] {
         match self {
-            RecurrentCell::Gru(c) => c.forward(xs),
-            RecurrentCell::Lstm(c) => c.forward(xs),
-            RecurrentCell::Rnn(c) => c.forward(xs),
+            RecurrentCell::Gru(c) => c.forward_repeated(x, steps),
+            RecurrentCell::Lstm(c) => c.forward_repeated(x, steps),
+            RecurrentCell::Rnn(c) => c.forward_repeated(x, steps),
         }
     }
 
@@ -301,8 +301,6 @@ struct Activations<T: Scalar> {
     /// Whether the attention layer ran: it is skipped for a sample with
     /// no news, whose context is zero.
     attended: bool,
-    /// Recurrent input (`merged` once per interval).
-    xs: Vec<Matrix<T>>,
     /// One interval's step-dense output.
     step_out: Matrix<T>,
 }
@@ -404,13 +402,10 @@ impl<T: Scalar> Retina<T> {
         match &mut self.head {
             Head::Static(out) => out.forward_into(&a.merged, &mut a.logits),
             Head::Dynamic { cell, step } => {
+                // Every interval sees the same merged vector (Fig. 4c).
                 let t_len = self.config.intervals.len();
-                a.xs.resize_with(t_len, Matrix::default);
-                for x in &mut a.xs {
-                    x.copy_from(&a.merged);
-                }
                 a.logits.resize_to(n, t_len);
-                for (t, h) in cell.forward(&a.xs).iter().enumerate() {
+                for (t, h) in cell.forward_repeated(&a.merged, t_len).iter().enumerate() {
                     step.forward_into(h, &mut a.step_out);
                     for r in 0..n {
                         a.logits.set(r, t, a.step_out.get(r, 0));
@@ -501,9 +496,9 @@ impl Retina {
 
     /// Fit the input scaler on training rows (called by the trainer).
     pub(crate) fn fit_scaler(&mut self, samples: &[PackedSample]) {
-        let rows: Vec<Vec<f64>> = samples
+        let rows: Vec<&[f64]> = samples
             .iter()
-            .flat_map(|s| s.user_rows.iter().cloned())
+            .flat_map(|s| s.user_rows.iter().map(Vec::as_slice))
             .collect();
         self.scaler = Some(StandardScaler::fit(&rows));
     }
@@ -517,7 +512,7 @@ impl Retina {
         let d_merged = match &mut self.head {
             Head::Static(out) => out.backward(&a.merged, grad_logits),
             Head::Dynamic { cell, step } => {
-                let mut grad_hs: Vec<Matrix> = Vec::with_capacity(a.xs.len());
+                let mut grad_hs: Vec<Matrix> = Vec::with_capacity(cell.outputs().len());
                 for (t, hmat) in cell.outputs().iter().enumerate() {
                     let g = Matrix::from_fn(n, 1, |r, _| grad_logits.get(r, t));
                     grad_hs.push(step.backward(hmat, &g));
@@ -548,7 +543,7 @@ impl Retina {
         };
         // ReLU: `hidden > 0` exactly where its pre-activation was.
         d_hidden.zip_assign(&a.hidden, |g, hv| if hv > 0.0 { g } else { 0.0 });
-        let _ = self.user_dense.backward(&a.x, &d_hidden);
+        self.user_dense.backward_params(&a.x, &d_hidden);
     }
 
     /// All trainable parameters.

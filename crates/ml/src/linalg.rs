@@ -71,14 +71,14 @@ where
 }
 
 /// Per-column mean of a row-major matrix.
-pub fn column_means(x: &[Vec<f64>]) -> Vec<f64> {
+pub fn column_means<R: AsRef<[f64]>>(x: &[R]) -> Vec<f64> {
     if x.is_empty() {
         return Vec::new();
     }
-    let d = x[0].len();
+    let d = x[0].as_ref().len();
     let mut m = vec![0.0; d];
     for row in x {
-        for (mi, &v) in m.iter_mut().zip(row) {
+        for (mi, &v) in m.iter_mut().zip(row.as_ref()) {
             *mi += v;
         }
     }
@@ -90,13 +90,13 @@ pub fn column_means(x: &[Vec<f64>]) -> Vec<f64> {
 }
 
 /// Per-column (population) standard deviation given precomputed means.
-pub fn column_stds(x: &[Vec<f64>], means: &[f64]) -> Vec<f64> {
+pub fn column_stds<R: AsRef<[f64]>>(x: &[R], means: &[f64]) -> Vec<f64> {
     if x.is_empty() {
         return Vec::new();
     }
     let mut s = vec![0.0; means.len()];
     for row in x {
-        for ((si, &v), &m) in s.iter_mut().zip(row).zip(means) {
+        for ((si, &v), &m) in s.iter_mut().zip(row.as_ref()).zip(means) {
             let d = v - m;
             *si += d * d;
         }

@@ -11,8 +11,8 @@ pub struct StandardScaler {
 }
 
 impl StandardScaler {
-    /// Fit on a row-major matrix.
-    pub fn fit(x: &[Vec<f64>]) -> Self {
+    /// Fit on a row-major matrix, owned rows or borrowed.
+    pub fn fit<R: AsRef<[f64]>>(x: &[R]) -> Self {
         let means = column_means(x);
         let mut stds = column_stds(x, &means);
         // Constant columns scale to 0 after centering; avoid div-by-zero.
@@ -100,6 +100,22 @@ mod tests {
         let (_, t) = StandardScaler::fit_transform(&x);
         assert_eq!(t[0][0], 0.0);
         assert_eq!(t[1][0], 0.0);
+    }
+
+    #[test]
+    fn fit_over_borrowed_rows_is_bit_equal_to_owned() {
+        let owned: Vec<Vec<f64>> = (0..9)
+            .map(|r| {
+                (0..5)
+                    .map(|c| ((r * 7 + c * 3) % 11) as f64 * 0.37 - 1.1)
+                    .collect()
+            })
+            .collect();
+        let borrowed: Vec<&[f64]> = owned.iter().map(Vec::as_slice).collect();
+        let (a, b) = (StandardScaler::fit(&owned), StandardScaler::fit(&borrowed));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a.means()), bits(b.means()));
+        assert_eq!(bits(a.stds()), bits(b.stds()));
     }
 
     #[test]

@@ -75,22 +75,71 @@ impl Activation {
     }
 }
 
-/// One recurrent gate, `out = act(x·W + h·U + b)`, as the GRU, LSTM and
-/// RNN forwards build it: products into `out`/`tmp`, then in-place adds
-/// and the activation. `tmp` is scratch.
+/// One recurrent gate, `out = act(x·W + h·U + b)`, from the gate's input
+/// projection `xw = x·W`. The GRU, LSTM and RNN forwards project each
+/// input once, so an input repeated over the steps is projected once for
+/// all of them. `h·U` is written into `out` and `xw` added to it: float
+/// addition commutes, so the sum has the bits of `x·W + h·U`.
 pub(crate) fn gate_into<T: Scalar>(
-    x: &Matrix<T>,
+    xw: &Matrix<T>,
     h: &Matrix<T>,
-    (w, u, b): (&Param<T>, &Param<T>, &Param<T>),
+    (u, b): (&Param<T>, &Param<T>),
     act: impl Fn(T) -> T,
     out: &mut Matrix<T>,
-    tmp: &mut Matrix<T>,
 ) {
-    x.matmul_into(&w.value, out);
-    h.matmul_into(&u.value, tmp);
-    out.add_assign(tmp);
+    h.matmul_into(&u.value, out);
+    out.add_assign(xw);
     out.add_row_broadcast_assign(&b.value);
     out.map_assign(act);
+}
+
+/// The input side of a recurrent backward: for gates `g` in the
+/// forward's order, `dW_g += xᵀ·dg_g` and `dx = Σ_g dg_g·W_gᵀ`, where
+/// `dg_g` is the gate's pre-activation gradient at one step. Each step
+/// applies them with the input it saw (for a repeated input, the same
+/// one at every step) and keeps one `dx` per step.
+pub(crate) struct InputGrads {
+    dxs: Vec<Matrix>,
+    tmp: Matrix,
+}
+
+impl InputGrads {
+    /// For a backward over `steps` steps.
+    pub(crate) fn new(steps: usize) -> Self {
+        Self {
+            dxs: (0..steps).map(|_| Matrix::zeros(0, 0)).collect(),
+            tmp: Matrix::default(),
+        }
+    }
+
+    /// Step `t`'s gate gradients `dgs`, with the weights `ws` in the same
+    /// order; `xs` holds the forward's inputs.
+    pub(crate) fn step<const G: usize>(
+        &mut self,
+        t: usize,
+        xs: &[Matrix],
+        ws: [&mut Param; G],
+        dgs: [&Matrix; G],
+    ) {
+        debug_assert!(t < self.dxs.len(), "step {t} past the backward's steps");
+        let x = xs.get(t).unwrap_or(&xs[0]);
+        let (dx, tmp) = (&mut self.dxs[t], &mut self.tmp);
+        for (g, (w, dg)) in ws.into_iter().zip(dgs).enumerate() {
+            x.t_matmul_into(dg, tmp);
+            w.grad.add_assign(tmp);
+            if g == 0 {
+                dg.matmul_t_into(&w.value, dx);
+            } else {
+                dg.matmul_t_into(&w.value, tmp);
+                dx.add_assign(tmp);
+            }
+        }
+    }
+
+    /// The input gradients, one per step.
+    pub(crate) fn finish(self) -> Vec<Matrix> {
+        self.dxs
+    }
 }
 
 /// Numerically-stable sigmoid, at either width: `exp` only ever sees a

@@ -59,12 +59,20 @@ impl Dense {
     /// never fused into the accumulator — so the floating-point grouping
     /// matches the allocating formulation exactly.
     pub fn backward(&mut self, x: &Matrix, grad_out: &Matrix) -> Matrix {
-        // dW = xᵀ · g ; db = Σ_rows g ; dx = g · Wᵀ
+        self.backward_params(x, grad_out);
+        // dx = g · Wᵀ
+        grad_out.matmul_t(&self.w.value)
+    }
+
+    /// [`Dense::backward`] without the input gradient, for a layer whose
+    /// input is data rather than another layer's output: accumulate dW
+    /// and db only.
+    pub fn backward_params(&mut self, x: &Matrix, grad_out: &Matrix) {
+        // dW = xᵀ · g ; db = Σ_rows g
         x.t_matmul_into(grad_out, &mut self.grad_tmp);
         self.w.grad.add_assign(&self.grad_tmp);
         grad_out.sum_rows_into(&mut self.grad_tmp);
         self.b.grad.add_assign(&self.grad_tmp);
-        grad_out.matmul_t(&self.w.value)
     }
 
     /// Trainable parameters.
@@ -117,6 +125,19 @@ mod tests {
             1e-5,
             1e-6,
         );
+    }
+
+    #[test]
+    fn backward_params_accumulates_what_backward_does() {
+        let x = Matrix::xavier_seeded(6, 5, 4);
+        let g = Matrix::xavier_seeded(6, 3, 5);
+        let (mut full, mut params_only) = (Dense::new(5, 3, 6), Dense::new(5, 3, 6));
+        for _ in 0..2 {
+            let _ = full.backward(&x, &g);
+            params_only.backward_params(&x, &g);
+        }
+        assert_eq!(full.w.grad.data(), params_only.w.grad.data());
+        assert_eq!(full.b.grad.data(), params_only.b.grad.data());
     }
 
     #[test]

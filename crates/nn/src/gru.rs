@@ -14,7 +14,7 @@
 //! Backward is full BPTT; exactness is proven by finite differences in the
 //! tests.
 
-use crate::activation::gate_into;
+use crate::activation::{gate_into, InputGrads};
 use crate::param::Param;
 use crate::tensor::{Matrix, MatrixPool, Scalar};
 
@@ -41,7 +41,7 @@ pub struct Gru<T: Scalar = f64> {
 
 #[derive(Debug, Clone, Default)]
 struct Cache<T: Scalar> {
-    xs: Vec<Matrix<T>>,
+    xs: Vec<Matrix<T>>, // one per step, or one for every step
     hs: Vec<Matrix<T>>, // h_0..h_T (T+1 entries)
     zs: Vec<Matrix<T>>,
     rs: Vec<Matrix<T>>,
@@ -67,50 +67,49 @@ impl<T: Scalar> Gru<T> {
     /// steady-state calls allocate nothing. The per-element arithmetic
     /// order matches the allocating formulation exactly.
     pub fn forward(&mut self, xs: &[Matrix<T>]) -> &[Matrix<T>] {
-        assert!(!xs.is_empty(), "GRU needs a non-empty sequence");
+        self.unroll(xs, xs.len())
+    }
+
+    /// Forward over `steps` steps that all see the input `x` (RETINA-D's
+    /// intervals). Each gate's `x·W` is computed once and reused at every
+    /// step; the steps run the sequence forward's body, so the hidden
+    /// states equal [`Gru::forward`] on `steps` copies of `x` bit for bit.
+    pub fn forward_repeated(&mut self, x: &Matrix<T>, steps: usize) -> &[Matrix<T>] {
+        self.unroll(std::slice::from_ref(x), steps)
+    }
+
+    /// The forward body: `steps` steps over `xs`, which holds one input
+    /// per step or one input for every step. A step projects its input
+    /// only when it has its own, so a repeated input is projected once.
+    fn unroll(&mut self, xs: &[Matrix<T>], steps: usize) -> &[Matrix<T>] {
+        assert!(steps > 0, "GRU needs a non-empty sequence");
         crate::sanitize::check_shape("gru", "forward", xs[0].cols(), self.in_dim);
         let c = self.cache.get_or_insert_with(Cache::default);
-        for v in [&mut c.xs, &mut c.zs, &mut c.rs, &mut c.h_hats] {
-            v.resize_with(xs.len(), Matrix::default);
+        c.xs.resize_with(xs.len(), Matrix::default);
+        for v in [&mut c.zs, &mut c.rs, &mut c.h_hats] {
+            v.resize_with(steps, Matrix::default);
         }
-        c.hs.resize_with(xs.len() + 1, Matrix::default);
+        c.hs.resize_with(steps + 1, Matrix::default);
         c.hs[0].resize_to(xs[0].rows(), self.hidden);
-        let mut tmp = self.pool.grab(0, 0);
-        let mut rh = self.pool.grab(0, 0);
+        let [mut xz, mut xr, mut xh, mut rh, mut tmp] = [(); 5].map(|()| self.pool.grab(0, 0));
 
-        for (t, x) in xs.iter().enumerate() {
-            c.xs[t].copy_from(x);
+        for t in 0..steps {
+            if let Some(x) = xs.get(t) {
+                c.xs[t].copy_from(x);
+                x.matmul_into(&self.wz.value, &mut xz);
+                x.matmul_into(&self.wr.value, &mut xr);
+                x.matmul_into(&self.wh.value, &mut xh);
+            }
             let (done, rest) = c.hs.split_at_mut(t + 1);
             let (h_prev, h) = (&done[t], &mut rest[0]);
             let (z, r, h_hat) = (&mut c.zs[t], &mut c.rs[t], &mut c.h_hats[t]);
             // z = σ(x·Wz + h·Uz + bz) ; r = σ(x·Wr + h·Ur + br)
-            gate_into(
-                x,
-                h_prev,
-                (&self.wz, &self.uz, &self.bz),
-                T::sigmoid,
-                z,
-                &mut tmp,
-            );
-            gate_into(
-                x,
-                h_prev,
-                (&self.wr, &self.ur, &self.br),
-                T::sigmoid,
-                r,
-                &mut tmp,
-            );
+            gate_into(&xz, h_prev, (&self.uz, &self.bz), T::sigmoid, z);
+            gate_into(&xr, h_prev, (&self.ur, &self.br), T::sigmoid, r);
             // ĥ = tanh(x·Wh + (r ⊙ h)·Uh + bh)
             rh.copy_from(r);
             rh.hadamard_assign(h_prev);
-            gate_into(
-                x,
-                &rh,
-                (&self.wh, &self.uh, &self.bh),
-                T::tanh,
-                h_hat,
-                &mut tmp,
-            );
+            gate_into(&xh, &rh, (&self.uh, &self.bh), T::tanh, h_hat);
             // h = (1−z) ⊙ h_prev + z ⊙ ĥ
             h.copy_from(h_prev);
             h.zip_assign(z, |hp, zv| (T::ONE - zv) * hp);
@@ -119,8 +118,9 @@ impl<T: Scalar> Gru<T> {
             h.add_assign(&tmp);
             crate::sanitize::check_finite("gru", "step", h);
         }
-        self.pool.recycle(tmp);
-        self.pool.recycle(rh);
+        for m in [xz, xr, xh, rh, tmp] {
+            self.pool.recycle(m);
+        }
         &c.hs[1..]
     }
 
@@ -153,7 +153,8 @@ impl Gru {
     }
 
     /// BPTT backward: `grad_hs[t]` is the loss gradient on `h_{t+1}`.
-    /// Returns gradients on the inputs.
+    /// Returns the gradient on the input of each step; after
+    /// [`Gru::forward_repeated`] every step's input is the one `x`.
     ///
     /// Every temporary comes from the scratch pool; parameter gradients
     /// are computed into scratch and then `add_assign`ed (never fused),
@@ -162,10 +163,10 @@ impl Gru {
     pub fn backward(&mut self, grad_hs: &[Matrix]) -> Vec<Matrix> {
         // lint: allow(unwrap) API contract: backward requires a prior forward; lint: allow(panic-reach) API contract, not a data-dependent failure
         let cache = self.cache.as_ref().expect("backward before forward");
-        let t_len = cache.xs.len();
+        let t_len = cache.zs.len();
         assert_eq!(grad_hs.len(), t_len);
-        let batch = cache.xs[0].rows();
-        let mut dxs: Vec<Matrix> = (0..t_len).map(|_| Matrix::zeros(0, 0)).collect();
+        let batch = cache.hs[0].rows();
+        let mut input = InputGrads::new(t_len);
         let mut dh_next = self.pool.grab(batch, self.hidden);
         let mut tmp = self.pool.grab(0, 0);
 
@@ -174,7 +175,6 @@ impl Gru {
             let z = &cache.zs[t];
             let r = &cache.rs[t];
             let h_hat = &cache.h_hats[t];
-            let x = &cache.xs[t];
 
             let mut dh = self.pool.grab(0, 0);
             dh.copy_from(&grad_hs[t]);
@@ -199,8 +199,6 @@ impl Gru {
             let mut rh = self.pool.grab(0, 0);
             rh.copy_from(r);
             rh.hadamard_assign(h_prev);
-            x.t_matmul_into(&dh_hat_raw, &mut tmp);
-            self.wh.grad.add_assign(&tmp);
             rh.t_matmul_into(&dh_hat_raw, &mut tmp);
             self.uh.grad.add_assign(&tmp);
             dh_hat_raw.sum_rows_into(&mut tmp);
@@ -221,14 +219,10 @@ impl Gru {
             let mut dr_raw = self.pool.grab(0, 0);
             dr_raw.copy_from(&dr);
             dr_raw.zip_assign(r, |g, rv| g * rv * (1.0 - rv));
-            x.t_matmul_into(&dz_raw, &mut tmp);
-            self.wz.grad.add_assign(&tmp);
             h_prev.t_matmul_into(&dz_raw, &mut tmp);
             self.uz.grad.add_assign(&tmp);
             dz_raw.sum_rows_into(&mut tmp);
             self.bz.grad.add_assign(&tmp);
-            x.t_matmul_into(&dr_raw, &mut tmp);
-            self.wr.grad.add_assign(&tmp);
             h_prev.t_matmul_into(&dr_raw, &mut tmp);
             self.ur.grad.add_assign(&tmp);
             dr_raw.sum_rows_into(&mut tmp);
@@ -239,13 +233,12 @@ impl Gru {
             dr_raw.matmul_t_into(&self.ur.value, &mut tmp);
             dh_prev.add_assign(&tmp);
 
-            let mut dx = self.pool.grab(0, 0);
-            dz_raw.matmul_t_into(&self.wz.value, &mut dx);
-            dr_raw.matmul_t_into(&self.wr.value, &mut tmp);
-            dx.add_assign(&tmp);
-            dh_hat_raw.matmul_t_into(&self.wh.value, &mut tmp);
-            dx.add_assign(&tmp);
-            dxs[t] = dx;
+            input.step(
+                t,
+                &cache.xs,
+                [&mut self.wz, &mut self.wr, &mut self.wh],
+                [&dz_raw, &dr_raw, &dh_hat_raw],
+            );
 
             self.pool.recycle(std::mem::replace(&mut dh_next, dh_prev));
             for m in [dh, dz, dh_hat_grad, dh_hat_raw, rh, drh, dr, dz_raw, dr_raw] {
@@ -254,7 +247,7 @@ impl Gru {
         }
         self.pool.recycle(dh_next);
         self.pool.recycle(tmp);
-        dxs
+        input.finish()
     }
 
     /// Trainable parameters.

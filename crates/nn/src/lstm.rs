@@ -8,7 +8,7 @@
 //! c_t = f_t ⊙ c_{t−1} + i_t ⊙ g_t   h_t = o_t ⊙ tanh(c_t)
 //! ```
 
-use crate::activation::gate_into;
+use crate::activation::{gate_into, InputGrads};
 use crate::param::Param;
 use crate::tensor::{Matrix, MatrixPool, Scalar};
 
@@ -38,7 +38,7 @@ pub struct Lstm<T: Scalar = f64> {
 
 #[derive(Debug, Clone, Default)]
 struct Cache<T: Scalar> {
-    xs: Vec<Matrix<T>>,
+    xs: Vec<Matrix<T>>, // one per step, or one for every step
     hs: Vec<Matrix<T>>, // h_0..h_T (T+1 entries)
     cs: Vec<Matrix<T>>, // c_0..c_T (T+1 entries)
     is_: Vec<Matrix<T>>,
@@ -66,57 +66,49 @@ impl<T: Scalar> Lstm<T> {
     /// to the allocating formulation, so the results are bit-identical
     /// to it; steady-state calls allocate nothing.
     pub fn forward(&mut self, xs: &[Matrix<T>]) -> &[Matrix<T>] {
-        assert!(!xs.is_empty(), "LSTM needs a non-empty sequence");
+        self.unroll(xs, xs.len())
+    }
+
+    /// Forward over `steps` steps that all see the input `x`: each gate's
+    /// `x·W` is computed once, and the hidden states equal
+    /// [`Lstm::forward`] on `steps` copies of `x` bit for bit.
+    pub fn forward_repeated(&mut self, x: &Matrix<T>, steps: usize) -> &[Matrix<T>] {
+        self.unroll(std::slice::from_ref(x), steps)
+    }
+
+    /// The forward body over `xs`, one input per step or one for every
+    /// step (projected once).
+    fn unroll(&mut self, xs: &[Matrix<T>], steps: usize) -> &[Matrix<T>] {
+        assert!(steps > 0, "LSTM needs a non-empty sequence");
         let c = self.cache.get_or_insert_with(Cache::default);
-        for v in [&mut c.xs, &mut c.is_, &mut c.fs, &mut c.os, &mut c.gs] {
-            v.resize_with(xs.len(), Matrix::default);
+        c.xs.resize_with(xs.len(), Matrix::default);
+        for v in [&mut c.is_, &mut c.fs, &mut c.os, &mut c.gs] {
+            v.resize_with(steps, Matrix::default);
         }
         for v in [&mut c.hs, &mut c.cs] {
-            v.resize_with(xs.len() + 1, Matrix::default);
+            v.resize_with(steps + 1, Matrix::default);
             v[0].resize_to(xs[0].rows(), self.hidden);
         }
-        let mut tmp = self.pool.grab(0, 0);
+        let [mut xi, mut xf, mut xo, mut xg, mut tmp] = [(); 5].map(|()| self.pool.grab(0, 0));
 
-        for (t, x) in xs.iter().enumerate() {
-            c.xs[t].copy_from(x);
+        for t in 0..steps {
+            if let Some(x) = xs.get(t) {
+                c.xs[t].copy_from(x);
+                x.matmul_into(&self.wi.value, &mut xi);
+                x.matmul_into(&self.wf.value, &mut xf);
+                x.matmul_into(&self.wo.value, &mut xo);
+                x.matmul_into(&self.wg.value, &mut xg);
+            }
             let (h_done, h_rest) = c.hs.split_at_mut(t + 1);
             let (h_prev, h) = (&h_done[t], &mut h_rest[0]);
             let (c_done, c_rest) = c.cs.split_at_mut(t + 1);
             let (c_prev, cell) = (&c_done[t], &mut c_rest[0]);
             let (i, f) = (&mut c.is_[t], &mut c.fs[t]);
             let (o, g) = (&mut c.os[t], &mut c.gs[t]);
-            gate_into(
-                x,
-                h_prev,
-                (&self.wi, &self.ui, &self.bi),
-                T::sigmoid,
-                i,
-                &mut tmp,
-            );
-            gate_into(
-                x,
-                h_prev,
-                (&self.wf, &self.uf, &self.bf),
-                T::sigmoid,
-                f,
-                &mut tmp,
-            );
-            gate_into(
-                x,
-                h_prev,
-                (&self.wo, &self.uo, &self.bo),
-                T::sigmoid,
-                o,
-                &mut tmp,
-            );
-            gate_into(
-                x,
-                h_prev,
-                (&self.wg, &self.ug, &self.bg),
-                T::tanh,
-                g,
-                &mut tmp,
-            );
+            gate_into(&xi, h_prev, (&self.ui, &self.bi), T::sigmoid, i);
+            gate_into(&xf, h_prev, (&self.uf, &self.bf), T::sigmoid, f);
+            gate_into(&xo, h_prev, (&self.uo, &self.bo), T::sigmoid, o);
+            gate_into(&xg, h_prev, (&self.ug, &self.bg), T::tanh, g);
             // c = f ⊙ c_prev + i ⊙ g
             cell.copy_from(f);
             cell.hadamard_assign(c_prev);
@@ -128,7 +120,9 @@ impl<T: Scalar> Lstm<T> {
             h.map_assign(T::tanh);
             h.hadamard_assign(o);
         }
-        self.pool.recycle(tmp);
+        for m in [xi, xf, xo, xg, tmp] {
+            self.pool.recycle(m);
+        }
         &c.hs[1..]
     }
 
@@ -166,7 +160,9 @@ impl Lstm {
         }
     }
 
-    /// Full BPTT backward. Returns input gradients.
+    /// Full BPTT backward. Returns the gradient on the input of each
+    /// step; after [`Lstm::forward_repeated`] every step's input is the
+    /// one `x`.
     ///
     /// Temporaries come from the scratch pool; parameter gradients are
     /// computed into scratch then `add_assign`ed (never fused), keeping
@@ -174,10 +170,10 @@ impl Lstm {
     pub fn backward(&mut self, grad_hs: &[Matrix]) -> Vec<Matrix> {
         // lint: allow(unwrap) API contract: backward requires a prior forward; lint: allow(panic-reach) API contract, not a data-dependent failure
         let cache = self.cache.as_ref().expect("backward before forward");
-        let t_len = cache.xs.len();
+        let t_len = cache.is_.len();
         assert_eq!(grad_hs.len(), t_len);
-        let batch = cache.xs[0].rows();
-        let mut dxs: Vec<Matrix> = (0..t_len).map(|_| Matrix::zeros(0, 0)).collect();
+        let batch = cache.hs[0].rows();
+        let mut input = InputGrads::new(t_len);
         let mut dh_next = self.pool.grab(batch, self.hidden);
         let mut dc_next = self.pool.grab(batch, self.hidden);
         let mut tmp = self.pool.grab(0, 0);
@@ -186,7 +182,6 @@ impl Lstm {
             let c = &cache.cs[t + 1];
             let c_prev = &cache.cs[t];
             let h_prev = &cache.hs[t];
-            let x = &cache.xs[t];
             let (i, f, o, g) = (&cache.is_[t], &cache.fs[t], &cache.os[t], &cache.gs[t]);
 
             let mut dh = self.pool.grab(0, 0);
@@ -225,22 +220,16 @@ impl Lstm {
             do_.zip_assign(o, |v, s| v * s * (1.0 - s));
             dg.zip_assign(g, |v, s| v * (1.0 - s * s));
 
-            let acc = |w: &mut Param,
-                       u: &mut Param,
-                       b: &mut Param,
-                       raw: &Matrix,
-                       scratch: &mut Matrix| {
-                x.t_matmul_into(raw, scratch);
-                w.grad.add_assign(scratch);
+            let acc = |u: &mut Param, b: &mut Param, raw: &Matrix, scratch: &mut Matrix| {
                 h_prev.t_matmul_into(raw, scratch);
                 u.grad.add_assign(scratch);
                 raw.sum_rows_into(scratch);
                 b.grad.add_assign(scratch);
             };
-            acc(&mut self.wi, &mut self.ui, &mut self.bi, &di, &mut tmp);
-            acc(&mut self.wf, &mut self.uf, &mut self.bf, &df, &mut tmp);
-            acc(&mut self.wo, &mut self.uo, &mut self.bo, &do_, &mut tmp);
-            acc(&mut self.wg, &mut self.ug, &mut self.bg, &dg, &mut tmp);
+            acc(&mut self.ui, &mut self.bi, &di, &mut tmp);
+            acc(&mut self.uf, &mut self.bf, &df, &mut tmp);
+            acc(&mut self.uo, &mut self.bo, &do_, &mut tmp);
+            acc(&mut self.ug, &mut self.bg, &dg, &mut tmp);
 
             di.matmul_t_into(&self.ui.value, &mut dh_next);
             df.matmul_t_into(&self.uf.value, &mut tmp);
@@ -250,15 +239,12 @@ impl Lstm {
             dg.matmul_t_into(&self.ug.value, &mut tmp);
             dh_next.add_assign(&tmp);
 
-            let mut dx = self.pool.grab(0, 0);
-            di.matmul_t_into(&self.wi.value, &mut dx);
-            df.matmul_t_into(&self.wf.value, &mut tmp);
-            dx.add_assign(&tmp);
-            do_.matmul_t_into(&self.wo.value, &mut tmp);
-            dx.add_assign(&tmp);
-            dg.matmul_t_into(&self.wg.value, &mut tmp);
-            dx.add_assign(&tmp);
-            dxs[t] = dx;
+            input.step(
+                t,
+                &cache.xs,
+                [&mut self.wi, &mut self.wf, &mut self.wo, &mut self.wg],
+                [&di, &df, &do_, &dg],
+            );
 
             for m in [dh, tanh_c, do_, dc, di, dg, df] {
                 self.pool.recycle(m);
@@ -267,7 +253,7 @@ impl Lstm {
         for m in [dh_next, dc_next, tmp] {
             self.pool.recycle(m);
         }
-        dxs
+        input.finish()
     }
 
     /// Trainable parameters.

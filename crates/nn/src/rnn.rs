@@ -3,7 +3,7 @@
 //!
 //! `h_t = tanh(x_t·W + h_{t−1}·U + b)`
 
-use crate::activation::gate_into;
+use crate::activation::{gate_into, InputGrads};
 use crate::param::Param;
 use crate::tensor::{Matrix, MatrixPool, Scalar};
 
@@ -24,7 +24,7 @@ pub struct SimpleRnn<T: Scalar = f64> {
 
 #[derive(Debug, Clone, Default)]
 struct Cache<T: Scalar> {
-    xs: Vec<Matrix<T>>,
+    xs: Vec<Matrix<T>>, // one per step, or one for every step
     hs: Vec<Matrix<T>>, // h_0..h_T (T+1 entries)
 }
 
@@ -46,25 +46,34 @@ impl<T: Scalar> SimpleRnn<T> {
     /// activations in place; the per-element arithmetic order matches
     /// the allocating formulation exactly.
     pub fn forward(&mut self, xs: &[Matrix<T>]) -> &[Matrix<T>] {
-        assert!(!xs.is_empty(), "RNN needs a non-empty sequence");
+        self.unroll(xs, xs.len())
+    }
+
+    /// Forward over `steps` steps that all see the input `x`: `x·W` is
+    /// computed once, and the hidden states equal [`SimpleRnn::forward`]
+    /// on `steps` copies of `x` bit for bit.
+    pub fn forward_repeated(&mut self, x: &Matrix<T>, steps: usize) -> &[Matrix<T>] {
+        self.unroll(std::slice::from_ref(x), steps)
+    }
+
+    /// The forward body over `xs`, one input per step or one for every
+    /// step (projected once).
+    fn unroll(&mut self, xs: &[Matrix<T>], steps: usize) -> &[Matrix<T>] {
+        assert!(steps > 0, "RNN needs a non-empty sequence");
         let c = self.cache.get_or_insert_with(Cache::default);
         c.xs.resize_with(xs.len(), Matrix::default);
-        c.hs.resize_with(xs.len() + 1, Matrix::default);
+        c.hs.resize_with(steps + 1, Matrix::default);
         c.hs[0].resize_to(xs[0].rows(), self.hidden);
-        let mut tmp = self.pool.grab(0, 0);
-        for (t, x) in xs.iter().enumerate() {
-            c.xs[t].copy_from(x);
+        let mut xw = self.pool.grab(0, 0);
+        for t in 0..steps {
+            if let Some(x) = xs.get(t) {
+                c.xs[t].copy_from(x);
+                x.matmul_into(&self.w.value, &mut xw);
+            }
             let (done, rest) = c.hs.split_at_mut(t + 1);
-            gate_into(
-                x,
-                &done[t],
-                (&self.w, &self.u, &self.b),
-                T::tanh,
-                &mut rest[0],
-                &mut tmp,
-            );
+            gate_into(&xw, &done[t], (&self.u, &self.b), T::tanh, &mut rest[0]);
         }
-        self.pool.recycle(tmp);
+        self.pool.recycle(xw);
         &c.hs[1..]
     }
 
@@ -89,7 +98,9 @@ impl SimpleRnn {
         }
     }
 
-    /// Full BPTT backward. Returns input gradients.
+    /// Full BPTT backward. Returns the gradient on the input of each
+    /// step; after [`SimpleRnn::forward_repeated`] every step's input is
+    /// the one `x`.
     ///
     /// Parameter gradients are computed into pooled scratch then
     /// `add_assign`ed, preserving the allocating formulation's
@@ -97,36 +108,31 @@ impl SimpleRnn {
     pub fn backward(&mut self, grad_hs: &[Matrix]) -> Vec<Matrix> {
         // lint: allow(unwrap) API contract: backward requires a prior forward; lint: allow(panic-reach) API contract, not a data-dependent failure
         let cache = self.cache.as_ref().expect("backward before forward");
-        let t_len = cache.xs.len();
-        assert_eq!(grad_hs.len(), t_len);
-        let batch = cache.xs[0].rows();
-        let mut dxs: Vec<Matrix> = (0..t_len).map(|_| Matrix::zeros(0, 0)).collect();
+        let t_len = grad_hs.len();
+        assert_eq!(cache.hs.len(), t_len + 1);
+        let batch = cache.hs[0].rows();
+        let mut input = InputGrads::new(t_len);
         let mut dh_next = self.pool.grab(batch, self.hidden);
         let mut tmp = self.pool.grab(0, 0);
 
         for t in (0..t_len).rev() {
             let h = &cache.hs[t + 1];
             let h_prev = &cache.hs[t];
-            let x = &cache.xs[t];
             let mut dr = self.pool.grab(0, 0);
             dr.copy_from(&grad_hs[t]);
             dr.add_assign(&dh_next);
             dr.zip_assign(h, |g, hv| g * (1.0 - hv * hv));
-            x.t_matmul_into(&dr, &mut tmp);
-            self.w.grad.add_assign(&tmp);
             h_prev.t_matmul_into(&dr, &mut tmp);
             self.u.grad.add_assign(&tmp);
             dr.sum_rows_into(&mut tmp);
             self.b.grad.add_assign(&tmp);
             dr.matmul_t_into(&self.u.value, &mut dh_next);
-            let mut dx = self.pool.grab(0, 0);
-            dr.matmul_t_into(&self.w.value, &mut dx);
-            dxs[t] = dx;
+            input.step(t, &cache.xs, [&mut self.w], [&dr]);
             self.pool.recycle(dr);
         }
         self.pool.recycle(dh_next);
         self.pool.recycle(tmp);
-        dxs
+        input.finish()
     }
 
     /// Trainable parameters.

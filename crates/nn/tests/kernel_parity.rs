@@ -15,7 +15,7 @@
 
 use nn::gradcheck::seq::check_recurrent_gradients;
 use nn::tensor::{Matrix, Scalar};
-use nn::{Gru, Lstm};
+use nn::{Gru, Lstm, SimpleRnn};
 
 fn naive_matmul<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     Matrix::from_fn(a.rows(), b.cols(), |i, j| {
@@ -252,6 +252,60 @@ fn repeated_forward_through_reused_scratch_is_bit_identical() {
     stable_on_reuse("LSTM f32", &mut lstm.to_f32(), &xs32, |l, xs| {
         l.forward(xs).to_vec()
     });
+}
+
+/// The forward surface the three recurrent cells share, at either width.
+trait Recurrent<T: Scalar>: Clone {
+    fn sequence(&mut self, xs: &[Matrix<T>]) -> Vec<Matrix<T>>;
+    fn repeated(&mut self, x: &Matrix<T>, steps: usize) -> Vec<Matrix<T>>;
+}
+
+macro_rules! recurrent {
+    ($($cell:ident),*) => {$(
+        impl<T: Scalar> Recurrent<T> for $cell<T> {
+            fn sequence(&mut self, xs: &[Matrix<T>]) -> Vec<Matrix<T>> {
+                self.forward(xs).to_vec()
+            }
+            fn repeated(&mut self, x: &Matrix<T>, steps: usize) -> Vec<Matrix<T>> {
+                self.forward_repeated(x, steps).to_vec()
+            }
+        }
+    )*};
+}
+recurrent!(Gru, Lstm, SimpleRnn);
+
+/// `forward_repeated(x, T)` projects `x` once and runs the sequence
+/// forward's step body, so it must equal `forward` on `T` clones of `x`
+/// bit for bit, on fresh and on reused scratch.
+fn repeated_forward_matches_clones<T: Scalar>(what: &str, cell: &impl Recurrent<T>, x: &Matrix<T>) {
+    for steps in [1, 6] {
+        let want = cell.clone().sequence(&vec![x.clone(); steps]);
+        let mut reused = cell.clone();
+        for pass in 0..2 {
+            let got = reused.repeated(x, steps);
+            assert_eq!(got.len(), steps);
+            for (t, (w, g)) in want.iter().zip(&got).enumerate() {
+                assert_eq!(w.data(), g.data(), "{what} T={steps} step {t} pass {pass}");
+            }
+        }
+    }
+}
+
+#[test]
+fn repeated_input_forward_matches_the_sequence_forward_on_clones() {
+    let x = fill(3, 5, 200);
+    let x32 = Matrix::<f32>::from_f64(&x);
+    let (gru, lstm, rnn) = (
+        Gru::new(5, 6, 9),
+        Lstm::new(5, 6, 9),
+        SimpleRnn::new(5, 6, 9),
+    );
+    repeated_forward_matches_clones("GRU", &gru, &x);
+    repeated_forward_matches_clones("LSTM", &lstm, &x);
+    repeated_forward_matches_clones("RNN", &rnn, &x);
+    repeated_forward_matches_clones("GRU f32", &gru.to_f32(), &x32);
+    repeated_forward_matches_clones("LSTM f32", &lstm.to_f32(), &x32);
+    repeated_forward_matches_clones("RNN f32", &rnn.to_f32(), &x32);
 }
 
 /// Tolerance contract of the f32 tier against f64 (DESIGN.md §13).

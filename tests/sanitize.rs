@@ -46,6 +46,19 @@ fn injected_nan_is_caught_inside_the_gru_scan() {
 }
 
 #[test]
+fn injected_nan_is_caught_on_the_repeated_input_gru_forward() {
+    // RETINA-D's path: one input projected once for all six steps.
+    let mut gru = Gru::new(2, 3, 7);
+    gru.wh.value.set(0, 0, f64::NAN);
+    let x = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
+    let err = trap(AssertUnwindSafe(|| {
+        let _ = gru.forward_repeated(&x, 6);
+    }));
+    assert_eq!(err.layer, "gru");
+    assert_eq!(err.op, "step");
+}
+
+#[test]
 fn shape_mismatch_is_a_structured_report_not_an_index_panic() {
     let mut dense = Dense::new(4, 2, 1);
     let x = Matrix::zeros(2, 6);
