@@ -517,17 +517,11 @@ impl Retina {
                     let g = Matrix::from_fn(n, 1, |r, _| grad_logits.get(r, t));
                     grad_hs.push(step.backward(hmat, &g));
                 }
-                // Inputs were identical at each step: sum the gradients
-                // in step order (bit-for-bit the same as the serial sum).
-                let mut dxs = cell.backward(&grad_hs).into_iter();
-                let mut acc = match dxs.next() {
-                    Some(first) => first,
-                    None => Matrix::zeros(n, a.merged.cols()),
-                };
-                for d in dxs {
-                    acc.add_assign(&d);
-                }
-                acc
+                // One input fed every interval: the cell returns its
+                // gradient, summed over the steps.
+                let mut dxs = cell.backward(&grad_hs);
+                assert_eq!(dxs.len(), 1, "one recurrent input per forward");
+                dxs.swap_remove(0)
             }
         };
         // Split merged gradient into hidden part and attention context.

@@ -95,50 +95,75 @@ pub(crate) fn gate_into<T: Scalar>(
 
 /// The input side of a recurrent backward: for gates `g` in the
 /// forward's order, `dW_g += xᵀ·dg_g` and `dx = Σ_g dg_g·W_gᵀ`, where
-/// `dg_g` is the gate's pre-activation gradient at one step. Each step
-/// applies them with the input it saw (for a repeated input, the same
-/// one at every step) and keeps one `dx` per step.
-pub(crate) struct InputGrads {
+/// `dg_g` is the gate's pre-activation gradient. After a sequence
+/// forward each step applies them with its own input. After a repeated
+/// forward each step only adds its `dg_g` to a per-gate sum, and
+/// [`InputGrads::finish`] applies them once with the shared input: one
+/// `xᵀ·Σ_t dg_t` and one `(Σ_t dg_t)·Wᵀ` per gate instead of one of each
+/// per step. That regroups the sums over steps, so the repeated path
+/// matches the per-step terms to rounding, not bit for bit.
+pub(crate) struct InputGrads<const G: usize> {
+    /// One per input of the forward.
     dxs: Vec<Matrix>,
+    /// `Σ_t dg_t` per gate, after a repeated forward.
+    sums: Option<[Matrix; G]>,
     tmp: Matrix,
 }
 
-impl InputGrads {
-    /// For a backward over `steps` steps.
-    pub(crate) fn new(steps: usize) -> Self {
+impl<const G: usize> InputGrads<G> {
+    /// For a backward over `steps` steps of a forward that took `inputs`
+    /// inputs (one per step, or one for every step), with `rows × hidden`
+    /// gates.
+    pub(crate) fn new(inputs: usize, steps: usize, rows: usize, hidden: usize) -> Self {
         Self {
-            dxs: (0..steps).map(|_| Matrix::zeros(0, 0)).collect(),
+            dxs: (0..inputs).map(|_| Matrix::zeros(0, 0)).collect(),
+            sums: (inputs < steps).then(|| [(); G].map(|()| Matrix::zeros(rows, hidden))),
             tmp: Matrix::default(),
         }
     }
 
     /// Step `t`'s gate gradients `dgs`, with the weights `ws` in the same
     /// order; `xs` holds the forward's inputs.
-    pub(crate) fn step<const G: usize>(
-        &mut self,
-        t: usize,
-        xs: &[Matrix],
-        ws: [&mut Param; G],
-        dgs: [&Matrix; G],
-    ) {
-        debug_assert!(t < self.dxs.len(), "step {t} past the backward's steps");
-        let x = xs.get(t).unwrap_or(&xs[0]);
-        let (dx, tmp) = (&mut self.dxs[t], &mut self.tmp);
-        for (g, (w, dg)) in ws.into_iter().zip(dgs).enumerate() {
-            x.t_matmul_into(dg, tmp);
-            w.grad.add_assign(tmp);
-            if g == 0 {
-                dg.matmul_t_into(&w.value, dx);
-            } else {
-                dg.matmul_t_into(&w.value, tmp);
-                dx.add_assign(tmp);
+    pub(crate) fn step(&mut self, t: usize, xs: &[Matrix], ws: [&mut Param; G], dgs: [&Matrix; G]) {
+        debug_assert_eq!(xs.len(), self.dxs.len(), "one gradient per input");
+        match &mut self.sums {
+            Some(sums) => {
+                for (sum, dg) in sums.iter_mut().zip(dgs) {
+                    sum.add_assign(dg);
+                }
             }
+            None => apply_input_grads(&xs[t], ws, dgs, &mut self.dxs[t], &mut self.tmp),
         }
     }
 
-    /// The input gradients, one per step.
-    pub(crate) fn finish(self) -> Vec<Matrix> {
+    /// The input gradients, one per input of the forward.
+    pub(crate) fn finish(mut self, xs: &[Matrix], ws: [&mut Param; G]) -> Vec<Matrix> {
+        debug_assert_eq!(xs.len(), self.dxs.len(), "one gradient per input");
+        if let Some(sums) = &self.sums {
+            apply_input_grads(&xs[0], ws, sums.each_ref(), &mut self.dxs[0], &mut self.tmp);
+        }
         self.dxs
+    }
+}
+
+/// `dW_g += xᵀ·dg_g` for each gate and `dx = Σ_g dg_g·W_gᵀ`, summed in
+/// gate order. `tmp` is scratch.
+fn apply_input_grads<const G: usize>(
+    x: &Matrix,
+    ws: [&mut Param; G],
+    dgs: [&Matrix; G],
+    dx: &mut Matrix,
+    tmp: &mut Matrix,
+) {
+    for (g, (w, dg)) in ws.into_iter().zip(dgs).enumerate() {
+        x.t_matmul_into(dg, tmp);
+        w.grad.add_assign(tmp);
+        if g == 0 {
+            dg.matmul_t_into(&w.value, dx);
+        } else {
+            dg.matmul_t_into(&w.value, tmp);
+            dx.add_assign(tmp);
+        }
     }
 }
 

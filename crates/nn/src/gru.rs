@@ -153,8 +153,12 @@ impl Gru {
     }
 
     /// BPTT backward: `grad_hs[t]` is the loss gradient on `h_{t+1}`.
-    /// Returns the gradient on the input of each step; after
-    /// [`Gru::forward_repeated`] every step's input is the one `x`.
+    /// Returns the gradient on each input of the last forward: one per
+    /// step after [`Gru::forward`], and after [`Gru::forward_repeated`]
+    /// the one `x`'s, summed over the steps. The repeated path collapses
+    /// each gate's input terms across steps (one `xᵀ·Σ_t dg_t` and one
+    /// `(Σ_t dg_t)·Wᵀ`), which matches the backward over `steps` copies of
+    /// `x` to rounding rather than bit for bit.
     ///
     /// Every temporary comes from the scratch pool; parameter gradients
     /// are computed into scratch and then `add_assign`ed (never fused),
@@ -166,7 +170,7 @@ impl Gru {
         let t_len = cache.zs.len();
         assert_eq!(grad_hs.len(), t_len);
         let batch = cache.hs[0].rows();
-        let mut input = InputGrads::new(t_len);
+        let mut input = InputGrads::new(cache.xs.len(), t_len, batch, self.hidden);
         let mut dh_next = self.pool.grab(batch, self.hidden);
         let mut tmp = self.pool.grab(0, 0);
 
@@ -247,7 +251,7 @@ impl Gru {
         }
         self.pool.recycle(dh_next);
         self.pool.recycle(tmp);
-        input.finish()
+        input.finish(&cache.xs, [&mut self.wz, &mut self.wr, &mut self.wh])
     }
 
     /// Trainable parameters.

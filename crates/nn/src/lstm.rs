@@ -160,9 +160,10 @@ impl Lstm {
         }
     }
 
-    /// Full BPTT backward. Returns the gradient on the input of each
-    /// step; after [`Lstm::forward_repeated`] every step's input is the
-    /// one `x`.
+    /// Full BPTT backward. Returns the gradient on each input of the last
+    /// forward: one per step, or after [`Lstm::forward_repeated`] the one
+    /// `x`'s, with each gate's input terms collapsed across steps as in
+    /// [`crate::Gru::backward`].
     ///
     /// Temporaries come from the scratch pool; parameter gradients are
     /// computed into scratch then `add_assign`ed (never fused), keeping
@@ -173,7 +174,7 @@ impl Lstm {
         let t_len = cache.is_.len();
         assert_eq!(grad_hs.len(), t_len);
         let batch = cache.hs[0].rows();
-        let mut input = InputGrads::new(t_len);
+        let mut input = InputGrads::new(cache.xs.len(), t_len, batch, self.hidden);
         let mut dh_next = self.pool.grab(batch, self.hidden);
         let mut dc_next = self.pool.grab(batch, self.hidden);
         let mut tmp = self.pool.grab(0, 0);
@@ -253,7 +254,10 @@ impl Lstm {
         for m in [dh_next, dc_next, tmp] {
             self.pool.recycle(m);
         }
-        input.finish()
+        input.finish(
+            &cache.xs,
+            [&mut self.wi, &mut self.wf, &mut self.wo, &mut self.wg],
+        )
     }
 
     /// Trainable parameters.

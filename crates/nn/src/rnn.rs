@@ -98,9 +98,10 @@ impl SimpleRnn {
         }
     }
 
-    /// Full BPTT backward. Returns the gradient on the input of each
-    /// step; after [`SimpleRnn::forward_repeated`] every step's input is
-    /// the one `x`.
+    /// Full BPTT backward. Returns the gradient on each input of the last
+    /// forward: one per step, or after [`SimpleRnn::forward_repeated`] the
+    /// one `x`'s, with the input terms collapsed across steps as in
+    /// [`crate::Gru::backward`].
     ///
     /// Parameter gradients are computed into pooled scratch then
     /// `add_assign`ed, preserving the allocating formulation's
@@ -111,7 +112,7 @@ impl SimpleRnn {
         let t_len = grad_hs.len();
         assert_eq!(cache.hs.len(), t_len + 1);
         let batch = cache.hs[0].rows();
-        let mut input = InputGrads::new(t_len);
+        let mut input = InputGrads::new(cache.xs.len(), t_len, batch, self.hidden);
         let mut dh_next = self.pool.grab(batch, self.hidden);
         let mut tmp = self.pool.grab(0, 0);
 
@@ -132,7 +133,7 @@ impl SimpleRnn {
         }
         self.pool.recycle(dh_next);
         self.pool.recycle(tmp);
-        input.finish()
+        input.finish(&cache.xs, [&mut self.w])
     }
 
     /// Trainable parameters.

@@ -15,7 +15,7 @@
 
 use nn::gradcheck::seq::check_recurrent_gradients;
 use nn::tensor::{Matrix, Scalar};
-use nn::{Gru, Lstm, SimpleRnn};
+use nn::{Gru, Lstm, Param, SimpleRnn};
 
 fn naive_matmul<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     Matrix::from_fn(a.rows(), b.cols(), |i, j| {
@@ -260,6 +260,12 @@ trait Recurrent<T: Scalar>: Clone {
     fn repeated(&mut self, x: &Matrix<T>, steps: usize) -> Vec<Matrix<T>>;
 }
 
+/// Their training surface (`f64` only).
+trait Trainable: Recurrent<f64> {
+    fn bptt(&mut self, grad_hs: &[Matrix]) -> Vec<Matrix>;
+    fn grads(&mut self) -> Vec<&mut Param>;
+}
+
 macro_rules! recurrent {
     ($($cell:ident),*) => {$(
         impl<T: Scalar> Recurrent<T> for $cell<T> {
@@ -268,6 +274,14 @@ macro_rules! recurrent {
             }
             fn repeated(&mut self, x: &Matrix<T>, steps: usize) -> Vec<Matrix<T>> {
                 self.forward_repeated(x, steps).to_vec()
+            }
+        }
+        impl Trainable for $cell {
+            fn bptt(&mut self, grad_hs: &[Matrix]) -> Vec<Matrix> {
+                self.backward(grad_hs)
+            }
+            fn grads(&mut self) -> Vec<&mut Param> {
+                self.params_mut()
             }
         }
     )*};
@@ -306,6 +320,74 @@ fn repeated_input_forward_matches_the_sequence_forward_on_clones() {
     repeated_forward_matches_clones("GRU f32", &gru.to_f32(), &x32);
     repeated_forward_matches_clones("LSTM f32", &lstm.to_f32(), &x32);
     repeated_forward_matches_clones("RNN f32", &rnn.to_f32(), &x32);
+}
+
+/// Finite differences against the collapsed backward of the repeated
+/// path, with respect to `x` and every parameter.
+fn gradcheck_repeated(what: &str, cell: &impl Trainable) {
+    let x = Matrix::xavier_seeded(2, 3, 90).scaled(2.0);
+    for steps in [1, 6] {
+        eprintln!("{what}: T={steps}");
+        check_recurrent_gradients(
+            std::slice::from_ref(&x),
+            |l, seq| l.repeated(&seq[0], steps),
+            |l, g| l.bptt(g),
+            |l| l.grads(),
+            &mut cell.clone(),
+            1e-6,
+            1e-5,
+        );
+    }
+}
+
+#[test]
+fn repeated_input_backward_passes_gradcheck() {
+    gradcheck_repeated("GRU", &Gru::new(3, 4, 23));
+    gradcheck_repeated("LSTM", &Lstm::new(3, 4, 24));
+    gradcheck_repeated("RNN", &SimpleRnn::new(3, 4, 25));
+}
+
+/// `‖got − want‖∞ ≤ 1e-12·‖want‖∞`.
+fn assert_close(what: &str, want: &Matrix, got: &Matrix) {
+    let norm = |m: &Matrix| m.data().iter().fold(0.0f64, |a, v| a.max(v.abs()));
+    let gap = norm(&want.sub(got));
+    assert!(
+        gap <= 1e-12 * norm(want),
+        "{what}: ‖Δ‖∞ = {gap:e} against ‖ref‖∞ = {:e}",
+        norm(want)
+    );
+}
+
+/// The collapsed backward regroups the per-step input terms, so against
+/// the sequence backward on `T` clones (with `dx` summed over the steps)
+/// every gradient agrees to rounding.
+fn collapsed_matches_per_step(what: &str, cell: &impl Trainable) {
+    let x = fill(5, 7, 300);
+    for steps in [1, 6] {
+        let grad_hs: Vec<Matrix> = (0..steps).map(|t| fill(5, 4, 400 + t as u64)).collect();
+        let mut per_step = cell.clone();
+        let _ = per_step.sequence(&vec![x.clone(); steps]);
+        let dxs = per_step.bptt(&grad_hs);
+        let mut want_dx = dxs[0].clone();
+        for d in &dxs[1..] {
+            want_dx.add_assign(d);
+        }
+        let mut collapsed = cell.clone();
+        let _ = collapsed.repeated(&x, steps);
+        let got_dx = collapsed.bptt(&grad_hs);
+        assert_eq!(got_dx.len(), 1, "{what}: one input, one gradient");
+        assert_close(&format!("{what} T={steps} dx"), &want_dx, &got_dx[0]);
+        for (i, (w, g)) in per_step.grads().iter().zip(collapsed.grads()).enumerate() {
+            assert_close(&format!("{what} T={steps} param {i}"), &w.grad, &g.grad);
+        }
+    }
+}
+
+#[test]
+fn collapsed_backward_matches_the_per_step_backward_on_clones() {
+    collapsed_matches_per_step("GRU", &Gru::new(7, 4, 26));
+    collapsed_matches_per_step("LSTM", &Lstm::new(7, 4, 27));
+    collapsed_matches_per_step("RNN", &SimpleRnn::new(7, 4, 28));
 }
 
 /// Tolerance contract of the f32 tier against f64 (DESIGN.md §13).
