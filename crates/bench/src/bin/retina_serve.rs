@@ -107,7 +107,10 @@ fn sample(w: Widths, n: usize, seed: u64) -> PackedSample {
     let labels: Vec<u8> = (0..n).map(|i| u8::from(i % 3 == 0)).collect();
     PackedSample {
         user_rows: (0..n)
-            .map(|_| (0..w.d_user).map(|_| rng.gen_range(-1.0..1.0)).collect())
+            .map(|_| {
+                let row: Vec<f64> = (0..w.d_user).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                nn::SparseRow::from_dense(&row)
+            })
             .collect(),
         interval_labels: labels
             .iter()

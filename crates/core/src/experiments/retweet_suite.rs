@@ -426,7 +426,7 @@ fn run_feature_baselines(
             .filter(|&i| s.labels[i] == 1 || neg_idx.contains(&i))
             .collect();
         for i in keep {
-            rows_noexo.push(p.user_rows[i].clone());
+            rows_noexo.push(p.user_rows[i].to_dense());
             exo_parts.push(exo.clone());
             labels.push(s.labels[i]);
         }
@@ -450,14 +450,10 @@ fn run_feature_baselines(
                 .user_rows
                 .iter()
                 .map(|r| {
-                    let row: Vec<f64> = match &exo {
-                        Some(e) => {
-                            let mut v = r.clone();
-                            v.extend_from_slice(e);
-                            v
-                        }
-                        None => r.clone(),
-                    };
+                    let mut row = r.to_dense();
+                    if let Some(e) = &exo {
+                        row.extend_from_slice(e);
+                    }
                     model.predict_proba(&row)
                 })
                 .collect();

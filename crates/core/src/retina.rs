@@ -19,7 +19,9 @@ use crate::seed::SeedStream;
 use diffusion::CascadeSample;
 use ml::StandardScaler;
 use nn::activation::stable_sigmoid;
-use nn::{Dense, ExogenousAttention, Gru, Lstm, Matrix, Param, Scalar, SimpleRnn, WeightedBce};
+use nn::{
+    Dense, ExogenousAttention, Gru, Lstm, Matrix, Param, Scalar, SimpleRnn, SparseRow, WeightedBce,
+};
 
 /// Static vs dynamic prediction (Section V).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,8 +159,9 @@ impl RecurrentCell<f64> {
 /// root tweet, ready for batched tensor ops.
 #[derive(Debug, Clone)]
 pub struct PackedSample {
-    /// Per-candidate feature rows (`candidates × d_user`).
-    pub user_rows: Vec<Vec<f64>>,
+    /// Per-candidate feature rows (`candidates × d_user`), stored
+    /// sparse: about 96% of their entries are exact zeros.
+    pub user_rows: Vec<SparseRow>,
     /// Static labels per candidate.
     pub labels: Vec<u8>,
     /// Dynamic labels per candidate per interval.
@@ -182,10 +185,16 @@ pub fn pack_sample(
     intervals: &[f64],
     news_k: usize,
 ) -> PackedSample {
-    let user_rows: Vec<Vec<f64>> = sample
+    let user_rows: Vec<SparseRow> = sample
         .candidates
         .iter()
-        .map(|&c| features.retina_user_row(sample.tweet, sample.root_user, c as usize))
+        .map(|&c| {
+            SparseRow::from_dense(&features.retina_user_row(
+                sample.tweet,
+                sample.root_user,
+                c as usize,
+            ))
+        })
         .collect();
     let interval_labels: Vec<Vec<u8>> = sample
         .retweet_times
@@ -289,6 +298,8 @@ impl Head<f64> {
 struct Activations<T: Scalar> {
     /// Scaled candidate rows (`n × d_user`), the user dense's input.
     x: Matrix<T>,
+    /// One candidate row, densified before scaling.
+    dense: Vec<f64>,
     /// `ReLU(x·W + b)` of the user dense (`n × hdim`).
     hidden: Matrix<T>,
     /// `[hidden | attention context]`, the head's input.
@@ -361,11 +372,13 @@ impl<T: Scalar> Retina<T> {
         let n = sample.user_rows.len();
         let d = self.user_dense.in_dim();
         a.x.resize_to(n, d);
+        a.dense.resize(d, 0.0);
         for (r, row) in sample.user_rows.iter().enumerate() {
             assert_eq!(row.len(), d, "candidate row width mismatch");
+            row.densify_into(&mut a.dense);
             match &self.scaler {
-                Some(s) => s.transform_row_into(row, a.x.row_mut(r), T::from_f64),
-                None => narrow_into(row, a.x.row_mut(r)),
+                Some(s) => s.transform_row_into(&a.dense, a.x.row_mut(r), T::from_f64),
+                None => narrow_into(&a.dense, a.x.row_mut(r)),
             }
         }
         self.user_dense.forward_into(&a.x, &mut a.hidden);
@@ -496,11 +509,8 @@ impl Retina {
 
     /// Fit the input scaler on training rows (called by the trainer).
     pub(crate) fn fit_scaler(&mut self, samples: &[PackedSample]) {
-        let rows: Vec<&[f64]> = samples
-            .iter()
-            .flat_map(|s| s.user_rows.iter().map(Vec::as_slice))
-            .collect();
-        self.scaler = Some(StandardScaler::fit(&rows));
+        let rows: Vec<&SparseRow> = samples.iter().flat_map(|s| &s.user_rows).collect();
+        self.scaler = Some(StandardScaler::fit_sparse(&rows));
     }
 
     /// Backward for the last forward (on `sample`) given the logit
@@ -646,8 +656,11 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
-        let user_rows: Vec<Vec<f64>> = (0..n)
-            .map(|_| (0..d).map(|_| rng.gen_range(-1.0..1.0)).collect())
+        let user_rows: Vec<SparseRow> = (0..n)
+            .map(|_| {
+                let row: Vec<f64> = (0..d).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                SparseRow::from_dense(&row)
+            })
             .collect();
         let labels: Vec<u8> = (0..n).map(|i| u8::from(i % 4 == 0)).collect();
         let intervals = default_intervals();

@@ -843,7 +843,10 @@ mod tests {
             .collect();
         PackedSample {
             user_rows: (0..n)
-                .map(|_| (0..d).map(|_| rng.gen_range(-1.0..1.0)).collect())
+                .map(|_| {
+                    let row: Vec<f64> = (0..d).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                    nn::SparseRow::from_dense(&row)
+                })
                 .collect(),
             labels,
             interval_labels: retweet_times

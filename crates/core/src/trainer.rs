@@ -169,6 +169,7 @@ pub fn train_retina(model: &mut Retina, train: &[PackedSample], config: &TrainCo
 mod tests {
     use super::*;
     use crate::retina::{default_intervals, RetinaConfig};
+    use nn::SparseRow;
 
     fn toy_data(n_samples: usize, seed: u64) -> Vec<PackedSample> {
         use rand::Rng;
@@ -178,12 +179,12 @@ mod tests {
                 let n = 10;
                 let labels: Vec<u8> = (0..n).map(|i| u8::from(i % 5 == 0)).collect();
                 // Make the task learnable: feature 0 encodes the label.
-                let user_rows: Vec<Vec<f64>> = labels
+                let user_rows: Vec<SparseRow> = labels
                     .iter()
                     .map(|&l| {
                         let mut row: Vec<f64> = (0..12).map(|_| rng.gen_range(-0.5..0.5)).collect();
                         row[0] = l as f64 * 2.0 - 1.0;
-                        row
+                        SparseRow::from_dense(&row)
                     })
                     .collect();
                 let intervals = default_intervals();

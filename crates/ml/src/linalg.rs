@@ -89,25 +89,6 @@ pub fn column_means<R: AsRef<[f64]>>(x: &[R]) -> Vec<f64> {
     m
 }
 
-/// Per-column (population) standard deviation given precomputed means.
-pub fn column_stds<R: AsRef<[f64]>>(x: &[R], means: &[f64]) -> Vec<f64> {
-    if x.is_empty() {
-        return Vec::new();
-    }
-    let mut s = vec![0.0; means.len()];
-    for row in x {
-        for ((si, &v), &m) in s.iter_mut().zip(row.as_ref()).zip(means) {
-            let d = v - m;
-            *si += d * d;
-        }
-    }
-    let n = x.len() as f64;
-    for si in &mut s {
-        *si = (*si / n).sqrt();
-    }
-    s
-}
-
 /// Modified Gram–Schmidt orthonormalization of the columns of `v`
 /// (`v` is a list of column vectors). Columns that collapse to ~zero are
 /// replaced by zero vectors.
@@ -155,10 +136,7 @@ mod tests {
     #[test]
     fn column_stats() {
         let x = vec![vec![1.0, 2.0], vec![3.0, 6.0]];
-        let m = column_means(&x);
-        assert_eq!(m, vec![2.0, 4.0]);
-        let s = column_stds(&x, &m);
-        assert_eq!(s, vec![1.0, 2.0]);
+        assert_eq!(column_means(&x), vec![2.0, 4.0]);
     }
 
     #[test]

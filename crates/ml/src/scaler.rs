@@ -1,7 +1,7 @@
 //! Feature standardization (zero mean, unit variance), as applied before
 //! PCA and the margin-based classifiers.
 
-use crate::linalg::{column_means, column_stds};
+use nn::SparseRow;
 
 /// A fitted standard scaler.
 #[derive(Debug, Clone, Default)]
@@ -13,14 +13,58 @@ pub struct StandardScaler {
 impl StandardScaler {
     /// Fit on a row-major matrix, owned rows or borrowed.
     pub fn fit<R: AsRef<[f64]>>(x: &[R]) -> Self {
-        let means = column_means(x);
-        let mut stds = column_stds(x, &means);
-        // Constant columns scale to 0 after centering; avoid div-by-zero.
-        for s in &mut stds {
-            if *s <= 0.0 {
-                *s = 1.0;
+        Self::fit_visiting(|visit| x.iter().for_each(|r| visit(r.as_ref())))
+    }
+
+    /// [`StandardScaler::fit`] over sparse rows. Each row is scattered
+    /// into one dense scratch row in turn, so every column sums its rows
+    /// in the same order and the fit is bit-equal to the dense one.
+    pub fn fit_sparse(rows: &[&SparseRow]) -> Self {
+        let mut dense = Vec::new();
+        Self::fit_visiting(|visit| {
+            for row in rows {
+                dense.resize(row.len(), 0.0);
+                row.densify_into(&mut dense);
+                visit(&dense);
             }
-        }
+        })
+    }
+
+    /// Per-column population mean and standard deviation over the rows
+    /// `rows` visits, in two passes, each in row order.
+    fn fit_visiting(mut rows: impl FnMut(&mut dyn FnMut(&[f64]))) -> Self {
+        let mut n = 0usize;
+        let mut sums = Vec::new();
+        rows(&mut |row| {
+            if n == 0 {
+                sums = vec![0.0; row.len()];
+            }
+            for (s, &v) in sums.iter_mut().zip(row) {
+                *s += v;
+            }
+            n += 1;
+        });
+        let count = n.max(1) as f64;
+        let means: Vec<f64> = sums.iter().map(|s| s / count).collect();
+        let mut squares = vec![0.0; means.len()];
+        rows(&mut |row| {
+            for ((q, &v), &m) in squares.iter_mut().zip(row).zip(&means) {
+                let d = v - m;
+                *q += d * d;
+            }
+        });
+        // Constant columns scale to 0 after centering; avoid div-by-zero.
+        let stds = squares
+            .iter()
+            .map(|q| {
+                let s = (q / count).max(0.0).sqrt();
+                if s <= 0.0 {
+                    1.0
+                } else {
+                    s
+                }
+            })
+            .collect();
         Self { means, stds }
     }
 
@@ -104,18 +148,37 @@ mod tests {
 
     #[test]
     fn fit_over_borrowed_rows_is_bit_equal_to_owned() {
+        // Mostly zeros, as candidate rows are, so the sparse fit has
+        // gaps to fill; column 4 is all zeros.
         let owned: Vec<Vec<f64>> = (0..9)
             .map(|r| {
                 (0..5)
-                    .map(|c| ((r * 7 + c * 3) % 11) as f64 * 0.37 - 1.1)
+                    .map(|c| match (r * 7 + c * 3) % 11 {
+                        k if k < 4 && c < 4 => k as f64 * 0.37 - 1.1,
+                        _ => 0.0,
+                    })
                     .collect()
             })
             .collect();
         let borrowed: Vec<&[f64]> = owned.iter().map(Vec::as_slice).collect();
-        let (a, b) = (StandardScaler::fit(&owned), StandardScaler::fit(&borrowed));
+        let sparse: Vec<SparseRow> = owned.iter().map(|r| SparseRow::from_dense(r)).collect();
+        let sparse_refs: Vec<&SparseRow> = sparse.iter().collect();
+        let a = StandardScaler::fit(&owned);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(a.means()), bits(b.means()));
-        assert_eq!(bits(a.stds()), bits(b.stds()));
+        for b in [
+            StandardScaler::fit(&borrowed),
+            StandardScaler::fit_sparse(&sparse_refs),
+        ] {
+            assert_eq!(bits(a.means()), bits(b.means()));
+            assert_eq!(bits(a.stds()), bits(b.stds()));
+        }
+    }
+
+    #[test]
+    fn fits_population_means_and_stds() {
+        let s = StandardScaler::fit(&[vec![1.0, 2.0], vec![3.0, 6.0]]);
+        assert_eq!(s.means(), &[2.0, 4.0]);
+        assert_eq!(s.stds(), &[1.0, 2.0]);
     }
 
     #[test]

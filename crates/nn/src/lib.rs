@@ -25,6 +25,7 @@
 //! * [`optim`] — SGD and Adam.
 //! * [`gradcheck`] — finite-difference gradient verification used by the
 //!   test-suite to prove every backward pass exact.
+//! * [`sparse`] — sparse input rows ([`SparseRow`]).
 //! * [`sanitize`] — opt-in (`--features sanitize`) finiteness and shape
 //!   checks at every layer boundary, reporting structured
 //!   [`sanitize::NumericError`]s.
@@ -52,6 +53,7 @@ pub mod par;
 pub mod param;
 pub mod rnn;
 pub mod sanitize;
+pub mod sparse;
 pub mod tensor;
 
 pub use activation::{Activation, ActivationKind};
@@ -65,4 +67,5 @@ pub use optim::{Adam, Optimizer, Sgd};
 pub use param::Param;
 pub use rnn::SimpleRnn;
 pub use sanitize::NumericError;
+pub use sparse::SparseRow;
 pub use tensor::{Matrix, MatrixPool, Scalar};

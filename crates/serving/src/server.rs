@@ -323,6 +323,9 @@ impl PredictionServer {
                 context: "no candidate rows",
             });
         }
+        // A `SparseRow`'s columns are ascending and inside its width by
+        // construction, so its width and stored values are all there is
+        // to check.
         if sample
             .user_rows
             .iter()
@@ -349,7 +352,7 @@ impl PredictionServer {
             }
         }
         let finite = |row: &[f64]| row.iter().all(|v| v.is_finite());
-        if !(sample.user_rows.iter().all(|r| finite(r))
+        if !(sample.user_rows.iter().all(|r| finite(r.values()))
             && finite(&sample.tweet_d2v)
             && sample.news_d2v.iter().all(|r| finite(r)))
         {
@@ -446,7 +449,7 @@ mod tests {
         PredictRequest {
             id,
             sample: PackedSample {
-                user_rows: vec![vec![0.5; D_USER]; 2],
+                user_rows: vec![nn::SparseRow::from_dense(&[0.5; D_USER]); 2],
                 labels: vec![0; 2],
                 interval_labels: vec![vec![0; 6]; 2],
                 tweet_d2v: vec![0.1; d2v],

@@ -6,6 +6,7 @@
 mod common;
 
 use common::sample;
+use nn::SparseRow;
 use retina_core::retina::{Retina, RetinaConfig};
 use retina_core::snapshot::Snapshot;
 use serving::{PredictRequest, PredictionServer, ServerConfig, SubmitError};
@@ -122,7 +123,7 @@ fn invalid_requests_are_rejected_not_panicked() {
     let server = one_worker_server(8);
     // Wrong feature width.
     let mut bad = request(0);
-    bad.sample.user_rows[0].push(1.0);
+    bad.sample.user_rows[0] = SparseRow::from_dense(&[0.5; D_USER + 1]);
     match server.submit(bad) {
         Err(SubmitError::InvalidRequest { .. }) => {}
         other => panic!("expected InvalidRequest, got {:?}", other.err()),
@@ -165,7 +166,11 @@ fn drop_performs_graceful_drain() {
 fn non_finite_features_are_rejected_and_service_continues() {
     let server = one_worker_server(8);
     let poisons: [(&str, fn(&mut PredictRequest, f64)); 3] = [
-        ("user_rows", |r, v| r.sample.user_rows[1][2] = v),
+        ("user_rows", |r, v| {
+            let mut row = r.sample.user_rows[1].to_dense();
+            row[2] = v;
+            r.sample.user_rows[1] = SparseRow::from_dense(&row);
+        }),
         ("tweet_d2v", |r, v| r.sample.tweet_d2v[3] = v),
         ("news_d2v", |r, v| r.sample.news_d2v[1][4] = v),
     ];

@@ -2,6 +2,7 @@
 //! and randomized-but-seeded model configurations.
 #![allow(dead_code)]
 
+use nn::SparseRow;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use retina_core::retina::{PackedSample, RecurrentKind, RetinaConfig, RetinaMode};
@@ -18,7 +19,10 @@ pub fn sample(n: usize, d_user: usize, d2v: usize, k: usize, seed: u64) -> Packe
         .collect();
     PackedSample {
         user_rows: (0..n)
-            .map(|_| (0..d_user).map(|_| rng.gen_range(-1.0..1.0)).collect())
+            .map(|_| {
+                let row: Vec<f64> = (0..d_user).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                SparseRow::from_dense(&row)
+            })
             .collect(),
         labels: labels.clone(),
         interval_labels: labels
