@@ -230,10 +230,15 @@ impl Snapshot {
             }
         }
         let scaler = match &self.scaler {
+            Some((means, _)) if means.len() != self.d_user => {
+                return Err(SnapshotError::Malformed {
+                    context: "scaler width disagrees with d_user",
+                })
+            }
             Some((means, stds)) => Some(
                 StandardScaler::from_parts(means.clone(), stds.clone()).ok_or(
                     SnapshotError::Malformed {
-                        context: "scaler means/stds length mismatch",
+                        context: "scaler statistics are not finite with positive stds",
                     },
                 )?,
             ),

@@ -32,20 +32,29 @@ impl StandardScaler {
 
     /// Per-column population mean and standard deviation over the rows
     /// `rows` visits, in two passes, each in row order.
+    ///
+    /// A column whose values are all equal fits that value with σ = 1,
+    /// so it scales to exactly 0. Its summed mean would not be exact
+    /// (8,000 rows of 0.2 average to 0.20000000000002835), and σ would
+    /// come out as the rounding error, ≈3e-14, instead of 0.
     fn fit_visiting(mut rows: impl FnMut(&mut dyn FnMut(&[f64]))) -> Self {
         let mut n = 0usize;
-        let mut sums = Vec::new();
+        let (mut sums, mut first, mut constant) = (Vec::new(), Vec::new(), Vec::new());
         rows(&mut |row| {
             if n == 0 {
                 sums = vec![0.0; row.len()];
+                first = row.to_vec();
+                constant = vec![true; row.len()];
             }
-            for (s, &v) in sums.iter_mut().zip(row) {
+            for (((s, c), &v), &f) in sums.iter_mut().zip(&mut constant).zip(row).zip(&first) {
                 *s += v;
+                // lint: allow(float-cmp) a column is constant only when every value is exactly equal
+                *c &= v == f;
             }
             n += 1;
         });
         let count = n.max(1) as f64;
-        let means: Vec<f64> = sums.iter().map(|s| s / count).collect();
+        let mut means: Vec<f64> = sums.iter().map(|s| s / count).collect();
         let mut squares = vec![0.0; means.len()];
         rows(&mut |row| {
             for ((q, &v), &m) in squares.iter_mut().zip(row).zip(&means) {
@@ -53,18 +62,18 @@ impl StandardScaler {
                 *q += d * d;
             }
         });
-        // Constant columns scale to 0 after centering; avoid div-by-zero.
-        let stds = squares
+        let mut stds: Vec<f64> = squares
             .iter()
-            .map(|q| {
-                let s = (q / count).max(0.0).sqrt();
-                if s <= 0.0 {
-                    1.0
-                } else {
-                    s
-                }
-            })
+            .map(|q| (q / count).max(0.0).sqrt())
             .collect();
+        for (((m, s), &c), &f) in means.iter_mut().zip(&mut stds).zip(&constant).zip(&first) {
+            if c {
+                (*m, *s) = (f, 1.0);
+            } else if *s <= 0.0 {
+                // Distinct values whose spread underflows.
+                *s = 1.0;
+            }
+        }
         Self { means, stds }
     }
 
@@ -107,20 +116,21 @@ impl StandardScaler {
     }
 
     /// Per-column standard deviations of the fit (snapshot
-    /// serialization). Constant columns were already clamped to 1 by
-    /// [`StandardScaler::fit`].
+    /// serialization). Constant columns have σ = 1 (see
+    /// [`StandardScaler::fit`]).
     pub fn stds(&self) -> &[f64] {
         &self.stds
     }
 
     /// Rebuild a scaler from previously exported statistics. Returns
-    /// `None` when the two vectors disagree in length (a malformed
-    /// snapshot, never a fit result).
+    /// `None` unless the two vectors agree in length, every mean is
+    /// finite and every σ is finite and positive: anything else would
+    /// divide by zero or poison every row it scales.
     pub fn from_parts(means: Vec<f64>, stds: Vec<f64>) -> Option<Self> {
-        if means.len() != stds.len() {
-            return None;
-        }
-        Some(Self { means, stds })
+        let valid = means.len() == stds.len()
+            && means.iter().all(|m| m.is_finite())
+            && stds.iter().all(|&s| s.is_finite() && s > 0.0);
+        valid.then_some(Self { means, stds })
     }
 }
 
@@ -144,6 +154,35 @@ mod tests {
         let (_, t) = StandardScaler::fit_transform(&x);
         assert_eq!(t[0][0], 0.0);
         assert_eq!(t[1][0], 0.0);
+    }
+
+    #[test]
+    fn constant_column_with_an_inexact_sum_maps_to_zero() {
+        // 8,000 × 0.2 does not sum exactly: the averaged mean is off by
+        // ≈3e-14, and a σ fitted from that mean would be the error.
+        let x = vec![vec![0.2, 1.0]; 8000];
+        let s = StandardScaler::fit(&x);
+        assert_eq!((s.means()[0], s.stds()[0]), (0.2, 1.0));
+        assert_eq!(s.transform_row(&[0.2, 1.0]), vec![0.0, 0.0]);
+        // Another value keeps its deviation at unit scale.
+        assert!((s.transform_row(&[0.7, 1.0])[0] - 0.5).abs() < 1e-15);
+    }
+
+    #[test]
+    fn from_parts_rejects_statistics_that_cannot_scale() {
+        let ok = || (vec![0.5, -1.0], vec![2.0, 0.25]);
+        assert!(StandardScaler::from_parts(ok().0, ok().1).is_some());
+        assert!(StandardScaler::from_parts(vec![0.5], ok().1).is_none());
+        for bad_std in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let (m, mut s) = ok();
+            s[1] = bad_std;
+            assert!(StandardScaler::from_parts(m, s).is_none(), "σ = {bad_std}");
+        }
+        for bad_mean in [f64::NAN, f64::NEG_INFINITY] {
+            let (mut m, s) = ok();
+            m[0] = bad_mean;
+            assert!(StandardScaler::from_parts(m, s).is_none(), "μ = {bad_mean}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ mod common;
 use common::sample;
 use retina_core::retina::{Retina, RetinaConfig};
 use retina_core::snapshot::{
-    PipelineState, Snapshot, SnapshotError, FORMAT_VERSION, SECTION_CONFIG,
+    fnv1a64, PipelineState, Snapshot, SnapshotError, FORMAT_VERSION, SECTION_CONFIG, SECTION_SCALER,
 };
 use retina_core::trainer::TrainConfig;
 use text::{HateLexicon, TfIdfConfig, TfIdfVectorizer};
@@ -44,6 +44,46 @@ fn section_table(bytes: &[u8]) -> Vec<(u32, usize, usize)> {
             (id, off, len)
         })
         .collect()
+}
+
+/// Rebuild `bytes` with section `id`'s payload replaced: offsets are
+/// recomputed and its checksum re-sealed, so the file decodes and only
+/// the values inside are wrong.
+fn with_payload(bytes: &[u8], id: u32, payload: &[u8]) -> Vec<u8> {
+    let table = section_table(bytes);
+    let payloads: Vec<&[u8]> = table
+        .iter()
+        .map(|&(i, off, len)| {
+            if i == id {
+                payload
+            } else {
+                &bytes[off..off + len]
+            }
+        })
+        .collect();
+    let mut out = bytes[..16].to_vec();
+    let mut offset = 16 + table.len() * 28;
+    for (&(i, _, _), p) in table.iter().zip(&payloads) {
+        out.extend_from_slice(&i.to_le_bytes());
+        out.extend_from_slice(&(offset as u64).to_le_bytes());
+        out.extend_from_slice(&(p.len() as u64).to_le_bytes());
+        out.extend_from_slice(&fnv1a64(p).to_le_bytes());
+        offset += p.len();
+    }
+    for p in payloads {
+        out.extend_from_slice(p);
+    }
+    out
+}
+
+/// A scaler section payload: presence tag, width, means, stds.
+fn scaler_payload(means: &[f64], stds: &[f64]) -> Vec<u8> {
+    let mut out = vec![1u8];
+    out.extend_from_slice(&(means.len() as u64).to_le_bytes());
+    for v in means.iter().chain(stds) {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    out
 }
 
 #[test]
@@ -212,5 +252,54 @@ fn truncated_garbage_never_panics() {
         }
         let cut = rng.gen_range(0..=mutated.len());
         let _ = Snapshot::decode(&mutated[..cut]);
+    }
+}
+
+#[test]
+fn resealed_scaler_statistics_that_cannot_scale_are_malformed() {
+    let bytes = full_snapshot();
+    let (_, off, len) = section_table(&bytes)
+        .into_iter()
+        .find(|&(id, ..)| id == SECTION_SCALER)
+        .expect("trained snapshot has a scaler");
+    let payload = &bytes[off..off + len];
+    let n = u64::from_le_bytes(payload[1..9].try_into().unwrap()) as usize;
+    let read = |i: usize| f64::from_le_bytes(payload[9 + 8 * i..17 + 8 * i].try_into().unwrap());
+    let means: Vec<f64> = (0..n).map(read).collect();
+    let stds: Vec<f64> = (n..2 * n).map(read).collect();
+    let reseal = |m: &[f64], s: &[f64]| {
+        Snapshot::decode(&with_payload(&bytes, SECTION_SCALER, &scaler_payload(m, s)))
+            .expect("a re-sealed section decodes")
+    };
+    // Re-sealing the untouched statistics changes nothing.
+    assert!(reseal(&means, &stds).restore().is_ok());
+    let with = |v: &[f64], at: usize, x: f64| {
+        let mut v = v.to_vec();
+        v[at] = x;
+        v
+    };
+    let cases = [
+        ("zero σ", means.clone(), with(&stds, 2, 0.0)),
+        ("negative σ", means.clone(), with(&stds, 2, -1.0)),
+        ("NaN σ", means.clone(), with(&stds, 0, f64::NAN)),
+        ("infinite σ", means.clone(), with(&stds, 0, f64::INFINITY)),
+        ("infinite μ", with(&means, 1, f64::INFINITY), stds.clone()),
+        ("NaN μ", with(&means, 1, f64::NAN), stds.clone()),
+        (
+            "one column short of d_user",
+            means[..n - 1].to_vec(),
+            stds[..n - 1].to_vec(),
+        ),
+        (
+            "one column past d_user",
+            [means.as_slice(), &[0.0]].concat(),
+            [stds.as_slice(), &[1.0]].concat(),
+        ),
+    ];
+    for (what, m, s) in cases {
+        match reseal(&m, &s).restore() {
+            Err(SnapshotError::Malformed { .. }) => {}
+            other => panic!("{what}: expected Malformed, got {:?}", other.err()),
+        }
     }
 }
