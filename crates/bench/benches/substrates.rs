@@ -1,9 +1,9 @@
 //! Substrate micro-benchmarks: graph generation, TF-IDF, Doc2Vec,
-//! attention forward/backward, GRU BPTT — the building blocks every
-//! experiment rests on.
+//! attention forward/backward, GRU BPTT, RETINA's user layer — the
+//! building blocks every experiment rests on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use nn::{ExogenousAttention, Gru, Matrix};
+use nn::{Dense, ExogenousAttention, Gru, Matrix, SparseRow, Standardization};
 use socialsim::FollowerGraph;
 use std::hint::black_box;
 use text::{Doc2Vec, Doc2VecConfig, TfIdfConfig, TfIdfVectorizer};
@@ -143,9 +143,70 @@ fn bench_nn(c: &mut Criterion) {
     });
 }
 
+/// RETINA's user layer at the production shape: 28 candidate rows ×
+/// 1,062 columns at 4% density into hdim 64, forward then backward. The
+/// folded row multiplies only the stored entries; its sibling
+/// standardizes the rows densely and runs the dense product, as the
+/// layer did before the fold.
+fn bench_user_layer(c: &mut Criterion) {
+    let (n, d, h) = (28, 1062, 64);
+    let v = Matrix::from_fn(n, d, |r, j| {
+        let k = (r * 7919 + j * 104_729) % 100;
+        if k < 4 {
+            0.25 * (k + 1) as f64
+        } else {
+            0.0
+        }
+    });
+    let rows: Vec<SparseRow> = (0..n).map(|r| SparseRow::from_dense(v.row(r))).collect();
+    let means: Vec<f64> = (0..d)
+        .map(|j| (0..n).map(|r| v.get(r, j)).sum::<f64>() / n as f64)
+        .collect();
+    let stds: Vec<f64> = (0..d)
+        .map(|j| {
+            let var = (0..n)
+                .map(|r| (v.get(r, j) - means[j]).powi(2))
+                .sum::<f64>()
+                / n as f64;
+            if var > 0.0 {
+                var.sqrt()
+            } else {
+                1.0
+            }
+        })
+        .collect();
+    let scale = Standardization::new(&means, &stds);
+    let g = Matrix::xavier_seeded(n, h, 3);
+
+    let mut layer = Dense::new(d, h, 0);
+    let mut out = Matrix::default();
+    c.bench_function("nn/user_layer_fwd_bwd_28x1062_folded", |b| {
+        b.iter(|| {
+            layer.forward_sparse_into(black_box(&rows), Some(&scale), &mut out);
+            layer.backward_params_sparse(&rows, Some(&scale), &g);
+            black_box(&out);
+        })
+    });
+    let mut layer = Dense::new(d, h, 0);
+    let mut x = Matrix::zeros(n, d);
+    c.bench_function("nn/user_layer_fwd_bwd_28x1062_dense_scaled", |b| {
+        b.iter(|| {
+            for r in 0..n {
+                let dense = black_box(&v).row(r);
+                for (j, o) in x.row_mut(r).iter_mut().enumerate() {
+                    *o = (dense[j] - means[j]) / stds[j];
+                }
+            }
+            layer.forward_into(&x, &mut out);
+            layer.backward_params(&x, &g);
+            black_box(&out);
+        })
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_graph, bench_text, bench_nn
+    targets = bench_graph, bench_text, bench_nn, bench_user_layer
 }
 criterion_main!(benches);

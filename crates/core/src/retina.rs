@@ -296,11 +296,8 @@ impl Head<f64> {
 /// (zero steady-state allocation); backward reads them.
 #[derive(Default)]
 struct Activations<T: Scalar> {
-    /// Scaled candidate rows (`n × d_user`), the user dense's input.
-    x: Matrix<T>,
-    /// One candidate row, densified before scaling.
-    dense: Vec<f64>,
-    /// `ReLU(x·W + b)` of the user dense (`n × hdim`).
+    /// `ReLU(x·W + b)` of the user dense (`n × hdim`), where `x` is the
+    /// standardized candidate rows.
     hidden: Matrix<T>,
     /// `[hidden | attention context]`, the head's input.
     merged: Matrix<T>,
@@ -320,10 +317,10 @@ struct Activations<T: Scalar> {
 /// [`Retina::to_f32_inference`] narrows it into a forward-only
 /// `Retina<f32>` for the serving tier. Both run the same forward.
 ///
-/// The `f32` tier's tolerance contract: input normalization runs in
-/// `f64` through the fitted scaler and the rows are narrowed after it,
-/// so the f32 model sees exactly the rows the f64 model sees, rounded
-/// once. Logits widen back to `f64` for the probability map. The
+/// The `f32` tier's tolerance contract: the user layer folds the
+/// fitted scaler into its product and computes each term it multiplies
+/// (`v/σ`, `μ/σ`, or a centred column's `(v − μ)/σ`) in `f64`, narrowing
+/// it once. Logits widen back to `f64` for the probability map. The
 /// divergence from `f64` is therefore `f32` rounding through the
 /// forward plus the polynomial gate activations ([`Scalar::sigmoid`]);
 /// `crates/serving/tests/f32_parity.rs` pins it below `1e-3` absolute
@@ -334,7 +331,8 @@ pub struct Retina<T: Scalar = f64> {
     user_dense: Dense<T>,
     attention: Option<ExogenousAttention<T>>,
     head: Head<T>,
-    /// Input normalization stays `f64` at both widths.
+    /// Input normalization, folded into `user_dense`; its factors stay
+    /// `f64` at both widths.
     scaler: Option<StandardScaler>,
     act: Activations<T>,
 }
@@ -370,18 +368,11 @@ impl<T: Scalar> Retina<T> {
     pub fn forward(&mut self, sample: &PackedSample) -> &Matrix<T> {
         let a = &mut self.act;
         let n = sample.user_rows.len();
-        let d = self.user_dense.in_dim();
-        a.x.resize_to(n, d);
-        a.dense.resize(d, 0.0);
-        for (r, row) in sample.user_rows.iter().enumerate() {
-            assert_eq!(row.len(), d, "candidate row width mismatch");
-            row.densify_into(&mut a.dense);
-            match &self.scaler {
-                Some(s) => s.transform_row_into(&a.dense, a.x.row_mut(r), T::from_f64),
-                None => narrow_into(&a.dense, a.x.row_mut(r)),
-            }
-        }
-        self.user_dense.forward_into(&a.x, &mut a.hidden);
+        // The scaler folds into the user layer, which multiplies only
+        // the rows' stored entries (nn::sparse).
+        let scale = self.scaler.as_ref().map(StandardScaler::standardization);
+        self.user_dense
+            .forward_sparse_into(&sample.user_rows, scale, &mut a.hidden);
         a.hidden.map_assign(|v| v.max(T::ZERO));
 
         a.attended = false;
@@ -547,7 +538,9 @@ impl Retina {
         };
         // ReLU: `hidden > 0` exactly where its pre-activation was.
         d_hidden.zip_assign(&a.hidden, |g, hv| if hv > 0.0 { g } else { 0.0 });
-        self.user_dense.backward_params(&a.x, &d_hidden);
+        let scale = self.scaler.as_ref().map(StandardScaler::standardization);
+        self.user_dense
+            .backward_params_sparse(&sample.user_rows, scale, &d_hidden);
     }
 
     /// All trainable parameters.

@@ -1,13 +1,15 @@
 //! Feature standardization (zero mean, unit variance), as applied before
 //! PCA and the margin-based classifiers.
 
-use nn::SparseRow;
+use nn::{SparseRow, Standardization};
 
 /// A fitted standard scaler.
 #[derive(Debug, Clone, Default)]
 pub struct StandardScaler {
     means: Vec<f64>,
     stds: Vec<f64>,
+    /// `1/σ`, `μ/σ` and the centred columns, for a folded product.
+    standardization: Standardization,
 }
 
 impl StandardScaler {
@@ -74,28 +76,30 @@ impl StandardScaler {
                 *s = 1.0;
             }
         }
-        Self { means, stds }
+        Self::from_stats(means, stds)
+    }
+
+    fn from_stats(means: Vec<f64>, stds: Vec<f64>) -> Self {
+        let standardization = Standardization::new(&means, &stds);
+        Self {
+            means,
+            stds,
+            standardization,
+        }
     }
 
     /// Transform a single row.
     pub fn transform_row(&self, row: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; row.len()];
-        self.transform_row_into(row, &mut out, |v| v);
-        out
-    }
-
-    /// [`StandardScaler::transform_row`] into a caller-owned buffer,
-    /// passing each standardized value through `map` (e.g. a narrowing
-    /// cast).
-    pub fn transform_row_into<T>(&self, row: &[f64], out: &mut [T], map: impl Fn(f64) -> T) {
         assert_eq!(
             row.len(),
             self.means.len(),
             "row width disagrees with the fit"
         );
-        for (((o, &v), &m), &s) in out.iter_mut().zip(row).zip(&self.means).zip(&self.stds) {
-            *o = map((v - m) / s);
-        }
+        row.iter()
+            .zip(&self.means)
+            .zip(&self.stds)
+            .map(|((&v, &m), &s)| (v - m) / s)
+            .collect()
     }
 
     /// Transform a batch.
@@ -130,7 +134,13 @@ impl StandardScaler {
         let valid = means.len() == stds.len()
             && means.iter().all(|m| m.is_finite())
             && stds.iter().all(|&s| s.is_finite() && s > 0.0);
-        valid.then_some(Self { means, stds })
+        valid.then(|| Self::from_stats(means, stds))
+    }
+
+    /// The fit as the factors [`nn::Dense::forward_sparse_into`]
+    /// multiplies by, computed once at fit or restore.
+    pub fn standardization(&self) -> &Standardization {
+        &self.standardization
     }
 }
 

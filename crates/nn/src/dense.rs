@@ -11,8 +11,9 @@ pub struct Dense<T: Scalar = f64> {
     pub w: Param<T>,
     /// `1 × out` bias.
     pub b: Param<T>,
-    /// Scratch for the parameter gradients in backward.
-    grad_tmp: Matrix<T>,
+    /// Scratch: the parameter gradients in backward, and the folded
+    /// sparse forward's bias row ([`Dense::forward_sparse_into`]).
+    pub(crate) scratch: Matrix<T>,
 }
 
 impl<T: Scalar> Dense<T> {
@@ -48,7 +49,7 @@ impl Dense {
         Self {
             w: Param::xavier(in_dim, out_dim, seed),
             b: Param::zeros(1, out_dim),
-            grad_tmp: Matrix::default(),
+            scratch: Matrix::default(),
         }
     }
 
@@ -69,10 +70,10 @@ impl Dense {
     /// and db only.
     pub fn backward_params(&mut self, x: &Matrix, grad_out: &Matrix) {
         // dW = xᵀ · g ; db = Σ_rows g
-        x.t_matmul_into(grad_out, &mut self.grad_tmp);
-        self.w.grad.add_assign(&self.grad_tmp);
-        grad_out.sum_rows_into(&mut self.grad_tmp);
-        self.b.grad.add_assign(&self.grad_tmp);
+        x.t_matmul_into(grad_out, &mut self.scratch);
+        self.w.grad.add_assign(&self.scratch);
+        grad_out.sum_rows_into(&mut self.scratch);
+        self.b.grad.add_assign(&self.scratch);
     }
 
     /// Trainable parameters.
@@ -91,7 +92,7 @@ impl Dense {
         Dense {
             w: self.w.to_f32(),
             b: self.b.to_f32(),
-            grad_tmp: Matrix::default(),
+            scratch: Matrix::default(),
         }
     }
 }

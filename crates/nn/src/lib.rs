@@ -25,7 +25,8 @@
 //! * [`optim`] — SGD and Adam.
 //! * [`gradcheck`] — finite-difference gradient verification used by the
 //!   test-suite to prove every backward pass exact.
-//! * [`sparse`] — sparse input rows ([`SparseRow`]).
+//! * [`sparse`] — sparse input rows ([`SparseRow`]) and the user
+//!   layer's folded standardize-then-dense product.
 //! * [`sanitize`] — opt-in (`--features sanitize`) finiteness and shape
 //!   checks at every layer boundary, reporting structured
 //!   [`sanitize::NumericError`]s.
@@ -67,5 +68,5 @@ pub use optim::{Adam, Optimizer, Sgd};
 pub use param::Param;
 pub use rnn::SimpleRnn;
 pub use sanitize::NumericError;
-pub use sparse::SparseRow;
+pub use sparse::{SparseRow, Standardization};
 pub use tensor::{Matrix, MatrixPool, Scalar};

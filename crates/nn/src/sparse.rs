@@ -1,9 +1,27 @@
-//! Sparse input rows.
+//! Sparse input rows and the folded standardize-then-dense product.
 //!
 //! RETINA's candidate rows (paper §V-A: the user's history, trending,
 //! peer and topic-match features plus the root tweet's lexicon and
 //! TF-IDF block) are about 96% exact zeros, so they are stored as sorted
 //! `(column, value)` pairs rather than as dense vectors.
+//!
+//! Standardizing such a row, `x_j = (v_j − μ_j)/σ_j`, makes it dense, so
+//! the user layer folds the scaler into its product instead:
+//!
+//! ```text
+//! x_r·W + b = Σ_{j ∈ nz(r)} (v_rj/σ_j)·W_j + base,   base = b − Σ_j (μ_j/σ_j)·W_j
+//! ```
+//!
+//! `base` is computed once per forward, and each row then costs one
+//! `hdim`-wide multiply-add per stored entry. A column with `|μ_j| > σ_j`
+//! would cancel catastrophically in that split (`v/σ` and `μ/σ` are both
+//! large and nearly equal), so it stays *centred*: `(v − μ)/σ` on every
+//! row, as a dense scaler computes it. [`Standardization`] holds
+//! `1/σ`, `μ/σ` and the centred columns, precomputed once, so the
+//! product only multiplies.
+
+use crate::dense::Dense;
+use crate::tensor::{Matrix, Scalar};
 
 /// One row of a `len()`-wide vector, stored sparse: sorted, unique `u32`
 /// column indices and their `f64` values. Exact zeros of either sign are
@@ -82,6 +100,179 @@ impl SparseRow {
         let mut out = vec![0.0; self.width];
         self.densify_into(&mut out);
         out
+    }
+}
+
+/// A per-column standardization `x_j = (v_j − μ_j)/σ_j`, precomputed
+/// into the factors the folded product multiplies by.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Standardization {
+    /// `1/σ_j`.
+    inv_stds: Vec<f64>,
+    /// `μ_j/σ_j` on folded columns, `0` on centred ones.
+    shifts: Vec<f64>,
+    /// `(j, μ_j)` for each centred column (`|μ_j| > σ_j`), ascending.
+    centred: Vec<(usize, f64)>,
+}
+
+impl Standardization {
+    /// From per-column means and standard deviations; every σ must be
+    /// positive (the scaler's fit and restore guarantee it).
+    pub fn new(means: &[f64], stds: &[f64]) -> Self {
+        assert_eq!(means.len(), stds.len(), "one σ per mean");
+        let inv_stds: Vec<f64> = stds
+            .iter()
+            .map(|&s| 1.0 / s.max(f64::MIN_POSITIVE))
+            .collect();
+        let mut centred = Vec::new();
+        let shifts = (0..means.len())
+            .map(|j| {
+                if means[j].abs() > stds[j] {
+                    centred.push((j, means[j]));
+                    0.0
+                } else {
+                    means[j] * inv_stds[j]
+                }
+            })
+            .collect();
+        Self {
+            inv_stds,
+            shifts,
+            centred,
+        }
+    }
+
+    /// Number of columns.
+    pub fn len(&self) -> usize {
+        self.inv_stds.len()
+    }
+
+    /// True for a zero-column standardization.
+    pub fn is_empty(&self) -> bool {
+        self.inv_stds.is_empty()
+    }
+
+    /// The centred columns, ascending.
+    pub fn centred(&self) -> impl Iterator<Item = usize> + '_ {
+        self.centred.iter().map(|&(j, _)| j)
+    }
+
+    /// Call `f(j, x_j)` for every term of `row` the folded product
+    /// multiplies, in ascending `j`: each stored entry of a folded column
+    /// as `v·(1/σ)`, and every centred column as `(v − μ)·(1/σ)`, with
+    /// `v = 0` where the row stores nothing.
+    fn for_each_term(&self, row: &SparseRow, mut f: impl FnMut(usize, f64)) {
+        let inv = self.inv_stds.as_slice();
+        assert_eq!(row.len(), inv.len(), "row width disagrees with the scaler");
+        let mut centred = self.centred.iter().peekable();
+        for (j, v) in row.iter() {
+            while let Some(&(c, mu)) = centred.next_if(|&&(c, _)| c < j) {
+                f(c, -mu * inv[c]);
+            }
+            match centred.next_if(|&&(c, _)| c == j) {
+                Some(&(_, mu)) => f(j, (v - mu) * inv[j]),
+                None => f(j, v * inv[j]),
+            }
+        }
+        for &(c, mu) in centred {
+            f(c, -mu * inv[c]);
+        }
+    }
+}
+
+/// `f(j, x_j)` for every term of `row` under `scale`; unscaled, the
+/// stored entries themselves.
+fn for_each_term(row: &SparseRow, scale: Option<&Standardization>, mut f: impl FnMut(usize, f64)) {
+    match scale {
+        Some(s) => s.for_each_term(row, f),
+        None => row.iter().for_each(|(j, v)| f(j, v)),
+    }
+}
+
+/// `y += a·x`.
+#[inline]
+fn axpy<T: Scalar>(a: T, x: &[T], y: &mut [T]) {
+    for (yi, &xi) in y.iter_mut().zip(x) {
+        *yi += a * xi;
+    }
+}
+
+impl<T: Scalar> Dense<T> {
+    /// `out = x·W + b` for the sparse rows `v`, standardized by `scale`
+    /// (`x = (v − μ)/σ`) or used as they are (`None`), as the folded
+    /// product (module docs). Each term `x_j` is computed in `f64` and
+    /// narrowed once, like every input at the precision boundary.
+    ///
+    /// Per row the terms accumulate in ascending column order from zero
+    /// and the bias row is added last, so without a scaler the result
+    /// is bit-equal to [`Dense::forward_into`] on the dense rows.
+    pub fn forward_sparse_into(
+        &mut self,
+        rows: &[SparseRow],
+        scale: Option<&Standardization>,
+        out: &mut Matrix<T>,
+    ) {
+        let (d, h) = (self.in_dim(), self.out_dim());
+        let w = &self.w.value;
+        // base = b − Σ_j (μ_j/σ_j)·W_j
+        let base = &mut self.scratch;
+        base.resize_to(1, h);
+        if let Some(s) = scale {
+            crate::sanitize::check_shape("dense", "sparse_forward", s.len(), d);
+            assert_eq!(s.len(), d, "scaler width disagrees with the layer");
+            for (j, &shift) in s.shifts.iter().enumerate() {
+                let c = T::from_f64(shift);
+                if c != T::ZERO {
+                    axpy(c, w.row(j), base.row_mut(0));
+                }
+            }
+        }
+        for (o, &b) in base.row_mut(0).iter_mut().zip(self.b.value.row(0)) {
+            *o = b - *o;
+        }
+        out.resize_to(rows.len(), h);
+        for (r, row) in rows.iter().enumerate() {
+            crate::sanitize::check_shape("dense", "sparse_forward", row.len(), d);
+            assert_eq!(row.len(), d, "sparse row width disagrees with the layer");
+            let o = out.row_mut(r);
+            for_each_term(row, scale, |j, x| axpy(T::from_f64(x), w.row(j), o));
+            for (o, &b) in o.iter_mut().zip(base.row(0)) {
+                *o += b;
+            }
+        }
+        crate::sanitize::check_finite("dense", "sparse_forward", out);
+    }
+}
+
+impl Dense {
+    /// Backward of [`Dense::forward_sparse_into`]: accumulate
+    /// `dW = xᵀ·g` and `db = Σ_r g_r`. For the folded columns the
+    /// former is `diag(1/σ)·vᵀ·g − (μ/σ)ᵀ ⊗ Σ_r g_r`: one multiply-add
+    /// per stored entry, then one rank-one correction per sample.
+    pub fn backward_params_sparse(
+        &mut self,
+        rows: &[SparseRow],
+        scale: Option<&Standardization>,
+        grad_out: &Matrix,
+    ) {
+        assert_eq!(
+            grad_out.rows(),
+            rows.len(),
+            "one gradient row per input row"
+        );
+        grad_out.sum_rows_into(&mut self.scratch);
+        self.b.grad.add_assign(&self.scratch);
+        let dw = &mut self.w.grad;
+        for (r, row) in rows.iter().enumerate() {
+            let g = grad_out.row(r);
+            for_each_term(row, scale, |j, x| axpy(x, g, dw.row_mut(j)));
+        }
+        if let Some(s) = scale {
+            let g_sum = self.scratch.row(0);
+            for (j, &shift) in s.shifts.iter().enumerate() {
+                axpy(-shift, g_sum, dw.row_mut(j));
+            }
+        }
     }
 }
 

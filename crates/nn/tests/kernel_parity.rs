@@ -13,9 +13,10 @@
 //! the suite with and without `--features simd`, and both legs must
 //! equal the *same* scalar reference — hence each other.
 
+use nn::gradcheck::check_gradients;
 use nn::gradcheck::seq::check_recurrent_gradients;
 use nn::tensor::{Matrix, Scalar};
-use nn::{Gru, Lstm, Param, SimpleRnn};
+use nn::{Dense, Gru, Lstm, Param, SimpleRnn, SparseRow, Standardization};
 
 fn naive_matmul<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     Matrix::from_fn(a.rows(), b.cols(), |i, j| {
@@ -458,5 +459,196 @@ fn lstm_gradcheck_through_scratch_buffers() {
         &mut lstm,
         1e-6,
         1e-5,
+    );
+}
+
+/// The folded user layer's fixture, `(v, means, stds)`: seven sparse
+/// rows over 19 columns standardized by statistics that cover every
+/// case the fold must get right.
+/// - Column 0 is constant (0.2, fitted as μ = 0.2, σ = 1).
+/// - Column 1 has `|μ| > σ` (values near 5), so it stays centred.
+/// - Column 2 is a near-zero-σ column as the old scaler fitted it:
+///   every value 0.2, μ off by the summation error, σ = 1e-14·|μ|.
+/// - Column 3 is all zeros.
+/// - Row 4 stores nothing at all; the rest come from `fill`, about a
+///   fifth of them exact zeros.
+fn fold_fixture() -> (Matrix, Vec<f64>, Vec<f64>) {
+    let (n, d) = (7, 19);
+    let mut v = fill(n, d, 500);
+    for r in 0..n {
+        v.set(r, 0, 0.2);
+        v.set(r, 1, 5.0 + 0.1 * (r % 3) as f64);
+        v.set(r, 2, 0.2);
+        v.set(r, 3, 0.0);
+    }
+    for c in 0..d {
+        v.set(4, c, 0.0);
+    }
+    let mut means: Vec<f64> = (0..d)
+        .map(|c| (0..n).map(|r| v.get(r, c)).sum::<f64>() / n as f64)
+        .collect();
+    let mut stds: Vec<f64> = (0..d)
+        .map(|c| {
+            let var = (0..n)
+                .map(|r| (v.get(r, c) - means[c]).powi(2))
+                .sum::<f64>()
+                / n as f64;
+            if var > 0.0 {
+                var.sqrt()
+            } else {
+                1.0
+            }
+        })
+        .collect();
+    (means[0], stds[0]) = (0.2, 1.0);
+    (means[1], stds[1]) = (5.1, 0.08);
+    means[2] = 0.200_000_000_000_028_35;
+    stds[2] = 1e-14 * means[2];
+    (means[3], stds[3]) = (0.0, 1.0);
+    (v, means, stds)
+}
+
+fn sparse_rows(v: &Matrix) -> Vec<SparseRow> {
+    (0..v.rows())
+        .map(|r| SparseRow::from_dense(v.row(r)))
+        .collect()
+}
+
+/// The dense scaled reference input, `x = (v − μ)/σ`.
+fn standardized(v: &Matrix, means: &[f64], stds: &[f64]) -> Matrix {
+    Matrix::from_fn(v.rows(), v.cols(), |r, c| {
+        (v.get(r, c) - means[c]) / stds[c]
+    })
+}
+
+/// Every row within `1e-12` of its own max norm: the all-zero row's
+/// `(0 − μ)/σ` on the near-zero-σ column is ≈1e14, which would swamp a
+/// whole-matrix norm.
+fn assert_rows_close(what: &str, want: &Matrix, got: &Matrix) {
+    assert_eq!(
+        (want.rows(), want.cols()),
+        (got.rows(), got.cols()),
+        "{what}"
+    );
+    for r in 0..want.rows() {
+        let norm = want.row(r).iter().fold(0.0f64, |a, v| a.max(v.abs()));
+        let gap = want
+            .row(r)
+            .iter()
+            .zip(got.row(r))
+            .fold(0.0f64, |a, (w, g)| a.max((w - g).abs()));
+        assert!(
+            gap <= 1e-12 * norm,
+            "{what} row {r}: ‖Δ‖∞ = {gap:e} against ‖ref‖∞ = {norm:e}"
+        );
+    }
+}
+
+fn folded_forward<T: Scalar>(
+    layer: &mut Dense<T>,
+    rows: &[SparseRow],
+    scale: Option<&Standardization>,
+) -> Matrix<T> {
+    let mut out = Matrix::from_fn(3, 3, |_, _| T::from_f64(9.0));
+    layer.forward_sparse_into(rows, scale, &mut out);
+    out
+}
+
+#[test]
+fn folded_forward_matches_the_dense_scaled_reference() {
+    let (v, means, stds) = fold_fixture();
+    let scale = Standardization::new(&means, &stds);
+    assert_eq!(
+        scale.centred().collect::<Vec<_>>(),
+        vec![1, 2],
+        "|μ| > σ columns stay centred"
+    );
+    let rows = sparse_rows(&v);
+    let mut layer = Dense::new(19, 5, 31);
+    layer.b.value = fill(1, 5, 32);
+    let want = layer.forward(&standardized(&v, &means, &stds));
+    let got = folded_forward(&mut layer, &rows, Some(&scale));
+    assert_rows_close("f64 fold", &want, &got);
+    // Reused scratch gives the same bits.
+    assert_eq!(folded_forward(&mut layer, &rows, Some(&scale)), got);
+
+    // f32: the existing kernel contract, against an f64 reference over
+    // the narrowed weights.
+    let mut narrow = layer.to_f32();
+    let mut wide = layer.clone();
+    wide.w.value = narrow.w.value.to_f64();
+    wide.b.value = narrow.b.value.to_f64();
+    let want = wide.forward(&standardized(&v, &means, &stds));
+    let got = folded_forward(&mut narrow, &rows, Some(&scale)).to_f64();
+    for r in 0..want.rows() {
+        for c in 0..want.cols() {
+            let (w, g) = (want.get(r, c), got.get(r, c));
+            assert!(
+                (w - g).abs() / w.abs().max(1.0) <= 1e-4,
+                "f32 fold at ({r},{c}): {w} vs {g}"
+            );
+        }
+    }
+}
+
+#[test]
+fn unscaled_sparse_forward_is_the_dense_forward_bit_for_bit() {
+    let (v, ..) = fold_fixture();
+    let rows = sparse_rows(&v);
+    let mut layer = Dense::new(19, 5, 33);
+    layer.b.value = fill(1, 5, 34);
+    assert_eq!(folded_forward(&mut layer, &rows, None), layer.forward(&v));
+    let mut narrow = layer.to_f32();
+    let want = narrow.forward(&Matrix::<f32>::from_f64(&v));
+    assert_eq!(folded_forward(&mut narrow, &rows, None), want);
+}
+
+#[test]
+fn folded_backward_matches_the_dense_gradients() {
+    let (v, means, stds) = fold_fixture();
+    let scale = Standardization::new(&means, &stds);
+    let rows = sparse_rows(&v);
+    let g = fill(7, 5, 35);
+    let x = standardized(&v, &means, &stds);
+    for scaled in [true, false] {
+        let mut layer = Dense::new(19, 5, 36);
+        let s = scaled.then_some(&scale);
+        layer.backward_params_sparse(&rows, s, &g);
+        let input = if scaled { &x } else { &v };
+        assert_rows_close(
+            &format!("dW, scaled {scaled}"),
+            &naive_t_matmul(input, &g),
+            &layer.w.grad,
+        );
+        assert_rows_close(
+            &format!("db, scaled {scaled}"),
+            &g.sum_rows(),
+            &layer.b.grad,
+        );
+    }
+}
+
+#[test]
+fn folded_backward_passes_gradcheck() {
+    // The rows that store something: the all-zero row's ≈1e14 input
+    // would drown the finite differences of every other weight.
+    let (v, means, stds) = fold_fixture();
+    let scale = Standardization::new(&means, &stds);
+    let rows: Vec<SparseRow> = sparse_rows(&v)
+        .into_iter()
+        .filter(|r| r.nnz() > 0)
+        .collect();
+    let mut layer = Dense::new(19, 4, 37);
+    check_gradients(
+        &Matrix::zeros(0, 0),
+        |l: &mut Dense, _| folded_forward(l, &rows, Some(&scale)),
+        |l, g| {
+            l.backward_params_sparse(&rows, Some(&scale), g);
+            Matrix::zeros(0, 0)
+        },
+        |l| l.params_mut(),
+        &mut layer,
+        1e-6,
+        1e-6,
     );
 }

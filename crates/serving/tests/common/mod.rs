@@ -6,6 +6,7 @@ use nn::SparseRow;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use retina_core::retina::{PackedSample, RecurrentKind, RetinaConfig, RetinaMode};
+use retina_core::snapshot::{fnv1a64, SECTION_SCALER};
 
 /// A deterministic packed sample: `n` candidates of width `d_user`,
 /// Doc2Vec width `d2v`, `k` news items. Same `(dims, seed)` → same
@@ -81,4 +82,71 @@ pub fn random_config(rng: &mut StdRng) -> (usize, RetinaConfig) {
 /// Bit-pattern view of a probability vector, for exact comparisons.
 pub fn bits(p: &[f64]) -> Vec<u64> {
     p.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Parse the section table straight off the bytes: `(id, offset, len)`.
+pub fn section_table(bytes: &[u8]) -> Vec<(u32, usize, usize)> {
+    let n = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    (0..n)
+        .map(|i| {
+            let at = 16 + i * 28;
+            let id = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+            let off = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
+            let len = u64::from_le_bytes(bytes[at + 12..at + 20].try_into().unwrap()) as usize;
+            (id, off, len)
+        })
+        .collect()
+}
+
+/// Rebuild `bytes` with section `id`'s payload replaced: offsets are
+/// recomputed and its checksum re-sealed, so the file decodes and only
+/// the values inside are wrong.
+pub fn with_payload(bytes: &[u8], id: u32, payload: &[u8]) -> Vec<u8> {
+    let table = section_table(bytes);
+    let payloads: Vec<&[u8]> = table
+        .iter()
+        .map(|&(i, off, len)| {
+            if i == id {
+                payload
+            } else {
+                &bytes[off..off + len]
+            }
+        })
+        .collect();
+    let mut out = bytes[..16].to_vec();
+    let mut offset = 16 + table.len() * 28;
+    for (&(i, _, _), p) in table.iter().zip(&payloads) {
+        out.extend_from_slice(&i.to_le_bytes());
+        out.extend_from_slice(&(offset as u64).to_le_bytes());
+        out.extend_from_slice(&(p.len() as u64).to_le_bytes());
+        out.extend_from_slice(&fnv1a64(p).to_le_bytes());
+        offset += p.len();
+    }
+    for p in payloads {
+        out.extend_from_slice(p);
+    }
+    out
+}
+
+/// A scaler section payload: presence tag, width, means, stds.
+pub fn scaler_payload(means: &[f64], stds: &[f64]) -> Vec<u8> {
+    let mut out = vec![1u8];
+    out.extend_from_slice(&(means.len() as u64).to_le_bytes());
+    for v in means.iter().chain(stds) {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    out
+}
+
+/// The `(means, stds)` in `bytes`' scaler section.
+pub fn scaler_stats(bytes: &[u8]) -> (Vec<f64>, Vec<f64>) {
+    let (_, off, len) = section_table(bytes)
+        .into_iter()
+        .find(|&(id, ..)| id == SECTION_SCALER)
+        .expect("snapshot has a scaler section");
+    let payload = &bytes[off..off + len];
+    assert_eq!(payload[0], 1, "the scaler is present");
+    let n = u64::from_le_bytes(payload[1..9].try_into().unwrap()) as usize;
+    let read = |i: usize| f64::from_le_bytes(payload[9 + 8 * i..17 + 8 * i].try_into().unwrap());
+    ((0..n).map(read).collect(), (n..2 * n).map(read).collect())
 }

@@ -3,7 +3,7 @@
 
 mod common;
 
-use common::sample;
+use common::{sample, scaler_payload, scaler_stats, section_table, with_payload};
 use retina_core::retina::{Retina, RetinaConfig};
 use retina_core::snapshot::{
     fnv1a64, PipelineState, Snapshot, SnapshotError, FORMAT_VERSION, SECTION_CONFIG, SECTION_SCALER,
@@ -30,60 +30,6 @@ fn full_snapshot() -> Vec<u8> {
         })
         .with_trainer(cfg)
         .encode()
-}
-
-/// Parse the section table straight off the bytes: `(id, offset, len)`.
-fn section_table(bytes: &[u8]) -> Vec<(u32, usize, usize)> {
-    let n = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-    (0..n)
-        .map(|i| {
-            let at = 16 + i * 28;
-            let id = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-            let off = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
-            let len = u64::from_le_bytes(bytes[at + 12..at + 20].try_into().unwrap()) as usize;
-            (id, off, len)
-        })
-        .collect()
-}
-
-/// Rebuild `bytes` with section `id`'s payload replaced: offsets are
-/// recomputed and its checksum re-sealed, so the file decodes and only
-/// the values inside are wrong.
-fn with_payload(bytes: &[u8], id: u32, payload: &[u8]) -> Vec<u8> {
-    let table = section_table(bytes);
-    let payloads: Vec<&[u8]> = table
-        .iter()
-        .map(|&(i, off, len)| {
-            if i == id {
-                payload
-            } else {
-                &bytes[off..off + len]
-            }
-        })
-        .collect();
-    let mut out = bytes[..16].to_vec();
-    let mut offset = 16 + table.len() * 28;
-    for (&(i, _, _), p) in table.iter().zip(&payloads) {
-        out.extend_from_slice(&i.to_le_bytes());
-        out.extend_from_slice(&(offset as u64).to_le_bytes());
-        out.extend_from_slice(&(p.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(p).to_le_bytes());
-        offset += p.len();
-    }
-    for p in payloads {
-        out.extend_from_slice(p);
-    }
-    out
-}
-
-/// A scaler section payload: presence tag, width, means, stds.
-fn scaler_payload(means: &[f64], stds: &[f64]) -> Vec<u8> {
-    let mut out = vec![1u8];
-    out.extend_from_slice(&(means.len() as u64).to_le_bytes());
-    for v in means.iter().chain(stds) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
 }
 
 #[test]
@@ -258,15 +204,8 @@ fn truncated_garbage_never_panics() {
 #[test]
 fn resealed_scaler_statistics_that_cannot_scale_are_malformed() {
     let bytes = full_snapshot();
-    let (_, off, len) = section_table(&bytes)
-        .into_iter()
-        .find(|&(id, ..)| id == SECTION_SCALER)
-        .expect("trained snapshot has a scaler");
-    let payload = &bytes[off..off + len];
-    let n = u64::from_le_bytes(payload[1..9].try_into().unwrap()) as usize;
-    let read = |i: usize| f64::from_le_bytes(payload[9 + 8 * i..17 + 8 * i].try_into().unwrap());
-    let means: Vec<f64> = (0..n).map(read).collect();
-    let stds: Vec<f64> = (n..2 * n).map(read).collect();
+    let (means, stds) = scaler_stats(&bytes);
+    let n = means.len();
     let reseal = |m: &[f64], s: &[f64]| {
         Snapshot::decode(&with_payload(&bytes, SECTION_SCALER, &scaler_payload(m, s)))
             .expect("a re-sealed section decodes")

@@ -4,7 +4,7 @@
 //! shape checks at every layer boundary.
 #![cfg(feature = "sanitize")]
 
-use nn::{Dense, Gru, Matrix, NumericError};
+use nn::{Dense, Gru, Matrix, NumericError, SparseRow, Standardization};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Run `f`, expecting it to trip the sanitizer, and return the report.
@@ -56,6 +56,28 @@ fn injected_nan_is_caught_on_the_repeated_input_gru_forward() {
     }));
     assert_eq!(err.layer, "gru");
     assert_eq!(err.op, "step");
+}
+
+#[test]
+fn injected_nan_is_caught_in_the_folded_user_layer() {
+    // RETINA's user layer: sparse rows through the scaler folded into
+    // the product. Column 1 is stored on no row, but its μ/σ shift
+    // still carries the NaN weight into every output through the bias
+    // row.
+    let mut dense = Dense::new(3, 2, 42);
+    dense.w.value.set(1, 0, f64::NAN);
+    let rows = vec![
+        SparseRow::from_dense(&[0.5, 0.0, 2.0]),
+        SparseRow::from_dense(&[0.0, 0.0, -1.0]),
+    ];
+    let scale = Standardization::new(&[0.25, 0.5, 0.1], &[1.0, 2.0, 0.5]);
+    let mut out = Matrix::default();
+    let err = trap(AssertUnwindSafe(|| {
+        dense.forward_sparse_into(&rows, Some(&scale), &mut out);
+    }));
+    assert_eq!((err.layer, err.op), ("dense", "sparse_forward"));
+    assert_eq!(err.index, 0, "first output of the first row");
+    assert!(err.value.is_nan());
 }
 
 #[test]
