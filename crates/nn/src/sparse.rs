@@ -67,11 +67,6 @@ impl SparseRow {
         self.width == 0
     }
 
-    /// Number of stored (nonzero) entries.
-    pub fn nnz(&self) -> usize {
-        self.cols.len()
-    }
-
     /// The stored values, in column order.
     pub fn values(&self) -> &[f64] {
         &self.values
@@ -142,16 +137,6 @@ impl Standardization {
         }
     }
 
-    /// Number of columns.
-    pub fn len(&self) -> usize {
-        self.inv_stds.len()
-    }
-
-    /// True for a zero-column standardization.
-    pub fn is_empty(&self) -> bool {
-        self.inv_stds.is_empty()
-    }
-
     /// The centred columns, ascending.
     pub fn centred(&self) -> impl Iterator<Item = usize> + '_ {
         self.centred.iter().map(|&(j, _)| j)
@@ -218,8 +203,9 @@ impl<T: Scalar> Dense<T> {
         let base = &mut self.scratch;
         base.resize_to(1, h);
         if let Some(s) = scale {
-            crate::sanitize::check_shape("dense", "sparse_forward", s.len(), d);
-            assert_eq!(s.len(), d, "scaler width disagrees with the layer");
+            let width = s.inv_stds.len();
+            crate::sanitize::check_shape("dense", "sparse_forward", width, d);
+            assert_eq!(width, d, "scaler width disagrees with the layer");
             for (j, &shift) in s.shifts.iter().enumerate() {
                 let c = T::from_f64(shift);
                 if c != T::ZERO {
@@ -285,7 +271,7 @@ mod tests {
         let dense = [0.0, 1.5, -0.0, f64::NAN, 0.0, -2.0, f64::INFINITY];
         let row = SparseRow::from_dense(&dense);
         assert_eq!(row.len(), 7);
-        assert_eq!(row.nnz(), 4, "both zeros dropped");
+        assert_eq!(row.values().len(), 4, "both zeros dropped");
         let cols: Vec<usize> = row.iter().map(|(j, _)| j).collect();
         assert_eq!(cols, vec![1, 3, 5, 6]);
         assert!(row.values()[1].is_nan(), "NaN is stored");
@@ -304,7 +290,7 @@ mod tests {
     #[test]
     fn an_all_zero_row_stores_nothing_but_keeps_its_width() {
         let row = SparseRow::from_dense(&[0.0; 5]);
-        assert_eq!((row.len(), row.nnz()), (5, 0));
+        assert_eq!((row.len(), row.values().len()), (5, 0));
         assert_eq!(row.to_dense(), vec![0.0; 5]);
         assert!(SparseRow::default().is_empty());
     }

@@ -636,7 +636,7 @@ fn folded_backward_passes_gradcheck() {
     let scale = Standardization::new(&means, &stds);
     let rows: Vec<SparseRow> = sparse_rows(&v)
         .into_iter()
-        .filter(|r| r.nnz() > 0)
+        .filter(|r| !r.values().is_empty())
         .collect();
     let mut layer = Dense::new(19, 4, 37);
     check_gradients(
