@@ -50,8 +50,8 @@ impl StandardScaler {
             }
             for (((s, c), &v), &f) in sums.iter_mut().zip(&mut constant).zip(row).zip(&first) {
                 *s += v;
-                // lint: allow(float-cmp) a column is constant only when every value is exactly equal
-                *c &= v == f;
+                // Constant: every value has the first row's bits.
+                *c &= v.to_bits() == f.to_bits();
             }
             n += 1;
         });

@@ -141,36 +141,31 @@ impl Standardization {
     pub fn centred(&self) -> impl Iterator<Item = usize> + '_ {
         self.centred.iter().map(|&(j, _)| j)
     }
-
-    /// Call `f(j, x_j)` for every term of `row` the folded product
-    /// multiplies, in ascending `j`: each stored entry of a folded column
-    /// as `v·(1/σ)`, and every centred column as `(v − μ)·(1/σ)`, with
-    /// `v = 0` where the row stores nothing.
-    fn for_each_term(&self, row: &SparseRow, mut f: impl FnMut(usize, f64)) {
-        let inv = self.inv_stds.as_slice();
-        assert_eq!(row.len(), inv.len(), "row width disagrees with the scaler");
-        let mut centred = self.centred.iter().peekable();
-        for (j, v) in row.iter() {
-            while let Some(&(c, mu)) = centred.next_if(|&&(c, _)| c < j) {
-                f(c, -mu * inv[c]);
-            }
-            match centred.next_if(|&&(c, _)| c == j) {
-                Some(&(_, mu)) => f(j, (v - mu) * inv[j]),
-                None => f(j, v * inv[j]),
-            }
-        }
-        for &(c, mu) in centred {
-            f(c, -mu * inv[c]);
-        }
-    }
 }
 
-/// `f(j, x_j)` for every term of `row` under `scale`; unscaled, the
-/// stored entries themselves.
+/// Call `f(j, x_j)` for every term of `row` the folded product
+/// multiplies, in ascending `j`. Unscaled, these are the stored entries.
+/// Under `scale` they are each stored entry of a folded column as
+/// `v·(1/σ)`, and every centred column as `(v − μ)·(1/σ)`, with `v = 0`
+/// where the row stores nothing.
 fn for_each_term(row: &SparseRow, scale: Option<&Standardization>, mut f: impl FnMut(usize, f64)) {
-    match scale {
-        Some(s) => s.for_each_term(row, f),
-        None => row.iter().for_each(|(j, v)| f(j, v)),
+    let Some(s) = scale else {
+        return row.iter().for_each(|(j, v)| f(j, v));
+    };
+    let inv = s.inv_stds.as_slice();
+    assert_eq!(row.len(), inv.len(), "row width disagrees with the scaler");
+    let mut centred = s.centred.iter().peekable();
+    for (j, v) in row.iter() {
+        while let Some(&(c, mu)) = centred.next_if(|&&(c, _)| c < j) {
+            f(c, -mu * inv[c]);
+        }
+        match centred.next_if(|&&(c, _)| c == j) {
+            Some(&(_, mu)) => f(j, (v - mu) * inv[j]),
+            None => f(j, v * inv[j]),
+        }
+    }
+    for &(c, mu) in centred {
+        f(c, -mu * inv[c]);
     }
 }
 
