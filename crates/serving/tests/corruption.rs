@@ -6,7 +6,7 @@ mod common;
 use common::{sample, scaler_payload, scaler_stats, section_table, with_payload};
 use retina_core::retina::{Retina, RetinaConfig};
 use retina_core::snapshot::{
-    fnv1a64, PipelineState, Snapshot, SnapshotError, FORMAT_VERSION, SECTION_CONFIG, SECTION_SCALER,
+    PipelineState, Snapshot, SnapshotError, FORMAT_VERSION, SECTION_CONFIG, SECTION_SCALER,
 };
 use retina_core::trainer::TrainConfig;
 use text::{HateLexicon, TfIdfConfig, TfIdfVectorizer};
