@@ -198,7 +198,8 @@ where
                 let Some(slot) = slots.get(i) else {
                     break;
                 };
-                *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(f(i));
+                let r = f(i);
+                *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
             });
         }
     });
@@ -211,15 +212,15 @@ where
 }
 
 /// A pool of long-lived named worker threads — the sanctioned way to run
-/// *service* workers (e.g. the `serving` crate's batch predictors) that
+/// *service* workers (e.g. the `serving` crate's prediction workers) that
 /// outlive a single parallel region, which the scoped helpers above
 /// cannot express.
 ///
 /// The determinism contract of this module still applies: each worker's
 /// job must produce outputs disjoint from every other worker's (in the
-/// serving crate, each worker fulfils the per-request slots of requests
-/// it alone dequeued), so the worker count changes throughput only,
-/// never any produced value.
+/// serving crate, each worker answers, over the request's own channel,
+/// only the requests it alone dequeued), so the worker count changes
+/// throughput only, never any produced value.
 ///
 /// Workers run `job(worker_index)` exactly once, to completion; a
 /// long-running worker loops inside its job until an external shutdown
