@@ -22,11 +22,10 @@ cargo run -p xtask -- lint
 step "xtask analyze"
 # Semantic passes (A1 shape-flow, A2 determinism, A3 cast-safety, A4
 # panic-reachability, A5 hot-loop allocation, A6 discarded-Result, A7
-# lock-order, A8 blocking-under-lock, A9 condvar-discipline, A10
-# division/log-guard, A11 probability-domain, A13 unsafe-contract, A14
-# capacity/growth). Prints and fails on any finding not grandfathered in
-# xtask-baseline.json. `cargo run -p xtask -- explain <rule>` documents
-# any failing rule.
+# lock discipline, A10 division/log-guard, A11 probability-domain, A13
+# unsafe-contract, A14 capacity/growth). Prints and fails on any finding
+# not grandfathered in xtask-baseline.json. `cargo run -p xtask --
+# explain <rule>` documents any failing rule.
 cargo run -p xtask -- analyze --baseline
 
 step "cargo build --release"
@@ -107,8 +106,8 @@ fi
 if [[ "${RETINA_TSAN:-0}" == "1" ]]; then
     # ThreadSanitizer over the concurrency surface: the serving test
     # suite (queue dispatch, stress/backpressure races) and the nn
-    # crate's tests (the par worker pool). Complements the static A7–A9
-    # passes with a dynamic race detector. Opt-in: needs a nightly
+    # crate's tests (the par worker pool). Complements the static A7
+    # lock pass with a dynamic race detector. Opt-in: needs a nightly
     # toolchain with rust-src — std must be rebuilt instrumented
     # (-Zbuild-std) or its sync primitives show up as false positives.
     if rustup run nightly rustc --version >/dev/null 2>&1 \

@@ -295,7 +295,8 @@ impl PredictionServer {
         }
         // Allocated outside the lock region: the queue mutex guards only
         // the push itself, keeping the producer critical section minimal
-        // (the A8 blocking-under-lock pass polices this path).
+        // (the A7 lock-discipline pass rejects any call but a std method
+        // under the lock, so moving the channel below it fails analyze).
         let (answer_tx, answer) = mpsc::sync_channel(1);
         let mut state = lock(&self.shared.state);
         if state.shutting_down {

@@ -28,7 +28,7 @@
 
 use crate::items::{self, FnItem, ItemIndex};
 use crate::lexer::{TokKind, Token};
-use crate::passes::Context;
+use crate::passes::AnalyzedFile;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// A resolved call edge.
@@ -51,6 +51,8 @@ pub struct Unresolved {
     pub caller: usize,
     pub name: String,
     pub line: usize,
+    /// Token index of the name at the call site, like [`Edge::site`].
+    pub site: usize,
     pub reason: String,
 }
 
@@ -86,7 +88,8 @@ const STD_MACROS: [&str; 18] = [
 ];
 
 /// Keywords that look like `name(...)` but are not calls.
-const CALL_KEYWORDS: [&str; 8] = ["if", "while", "for", "match", "return", "fn", "move", "in"];
+pub(crate) const CALL_KEYWORDS: [&str; 8] =
+    ["if", "while", "for", "match", "return", "fn", "move", "in"];
 
 /// Method names so common on std types that an unhinted receiver must
 /// never resolve to a workspace item through the unique-name fallback
@@ -140,9 +143,9 @@ const STD_METHODS: [&str; 44] = [
 ];
 
 impl CallGraph {
-    /// Build the graph for every fn body in the context.
-    pub fn build(ctx: &Context) -> CallGraph {
-        let index = items::index(ctx);
+    /// Build the graph for every fn body in `files`.
+    pub fn build(files: &[AnalyzedFile]) -> CallGraph {
+        let index = items::index(files);
         let mut g = CallGraph {
             adj: vec![Vec::new(); index.fns.len()],
             index,
@@ -152,7 +155,7 @@ impl CallGraph {
         let method_map = g.method_map();
         let free_by_name = g.free_by_name();
         for caller in 0..g.index.fns.len() {
-            g.scan_body(ctx, caller, &method_map, &free_by_name);
+            g.scan_body(files, caller, &method_map, &free_by_name);
         }
         for e in &g.edges {
             g.adj[e.caller].push(e.callee);
@@ -216,7 +219,7 @@ impl CallGraph {
 
     fn scan_body(
         &mut self,
-        ctx: &Context,
+        files: &[AnalyzedFile],
         caller: usize,
         method_map: &BTreeMap<(String, String), Vec<usize>>,
         free_by_name: &BTreeMap<String, Vec<usize>>,
@@ -225,7 +228,7 @@ impl CallGraph {
         let Some((b0, b1)) = item.body else {
             return;
         };
-        let toks = &ctx.files[item.file].tokens;
+        let toks = &files[item.file].tokens;
         let nested = self.nested_ranges(caller);
         let hints = local_hints(toks, b0, b1, &self.index.owners);
         let mut k = b0;
@@ -252,6 +255,7 @@ impl CallGraph {
                         caller,
                         name: format!("{}!", t.text),
                         line: t.line,
+                        site: k,
                         reason: "macro invocation (expansion not indexed)".into(),
                     });
                 }
@@ -286,6 +290,7 @@ impl CallGraph {
                     caller,
                     name,
                     line,
+                    site: k,
                     reason,
                 }),
                 Res::External => {}
@@ -646,21 +651,10 @@ fn local_hints(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-    use crate::passes::AnalyzedFile;
-    use crate::source::SourceFile;
+    use crate::passes::Context;
 
-    fn ctx_of(files: &[(&str, &str)]) -> Context {
-        Context {
-            files: files
-                .iter()
-                .map(|(p, s)| {
-                    let source = SourceFile::parse(p, s);
-                    let tokens = lex(&source);
-                    AnalyzedFile { source, tokens }
-                })
-                .collect(),
-        }
+    fn graph_of(files: &[(&str, &str)]) -> CallGraph {
+        CallGraph::build(&Context::of(files).files)
     }
 
     fn id(g: &CallGraph, owner: Option<&str>, name: &str) -> usize {
@@ -677,7 +671,7 @@ mod tests {
 
     #[test]
     fn qualified_self_and_field_calls_resolve() {
-        let g = CallGraph::build(&ctx_of(&[(
+        let g = graph_of(&[(
             "crates/nn/src/x.rs",
             "pub struct Dense { w: Matrix }\n\
              pub struct Matrix;\n\
@@ -691,7 +685,7 @@ mod tests {
                  }\n\
                  fn statik() {}\n\
              }\n",
-        )]));
+        )]);
         let fwd = id(&g, Some("Dense"), "forward");
         assert!(has_edge(&g, fwd, id(&g, Some("Dense"), "helper")));
         assert!(has_edge(&g, fwd, id(&g, Some("Dense"), "statik")));
@@ -700,7 +694,7 @@ mod tests {
 
     #[test]
     fn module_qualified_free_fn_prefers_file_stem() {
-        let g = CallGraph::build(&ctx_of(&[
+        let g = graph_of(&[
             (
                 "crates/nn/src/par.rs",
                 "pub fn map_indexed(n: usize) -> usize { n }\n",
@@ -709,7 +703,7 @@ mod tests {
                 "crates/core/src/retina.rs",
                 "pub fn pack(n: usize) -> usize { par::map_indexed(n) }\n",
             ),
-        ]));
+        ]);
         assert!(has_edge(
             &g,
             id(&g, None, "pack"),
@@ -719,7 +713,7 @@ mod tests {
 
     #[test]
     fn shadowed_method_names_resolve_via_hints_or_go_unresolved() {
-        let g = CallGraph::build(&ctx_of(&[(
+        let g = graph_of(&[(
             "crates/nn/src/x.rs",
             "pub struct Gru;\n\
              pub struct Lstm;\n\
@@ -730,7 +724,7 @@ mod tests {
                  typed.step();\n\
                  opaque.step();\n\
              }\n",
-        )]));
+        )]);
         let drive = id(&g, None, "drive");
         assert!(
             has_edge(&g, drive, id(&g, Some("Gru"), "step")),
@@ -747,7 +741,7 @@ mod tests {
 
     #[test]
     fn trait_default_methods_resolve_through_impl_relations() {
-        let g = CallGraph::build(&ctx_of(&[(
+        let g = graph_of(&[(
             "crates/ml/src/x.rs",
             "pub trait Classifier {\n\
                  fn predict_proba(&self) -> f64;\n\
@@ -761,7 +755,7 @@ mod tests {
                  let model: LogReg = make();\n\
                  model.predict()\n\
              }\n",
-        )]));
+        )]);
         let eval = id(&g, None, "eval");
         let default_predict = id(&g, Some("Classifier"), "predict");
         assert!(
@@ -778,7 +772,7 @@ mod tests {
 
     #[test]
     fn closures_attribute_calls_to_the_enclosing_fn() {
-        let g = CallGraph::build(&ctx_of(&[(
+        let g = graph_of(&[(
             "crates/nn/src/x.rs",
             "pub fn leaf(v: usize) -> usize { v }\n\
              pub fn for_each_chunk(n: usize) -> usize { n }\n\
@@ -788,7 +782,7 @@ mod tests {
                      inner(i)\n\
                  })\n\
              }\n",
-        )]));
+        )]);
         let mm = id(&g, None, "matmul");
         assert!(has_edge(&g, mm, id(&g, None, "for_each_chunk")));
         assert!(
@@ -799,14 +793,14 @@ mod tests {
 
     #[test]
     fn macro_invocations_are_unresolved_not_silent() {
-        let g = CallGraph::build(&ctx_of(&[(
+        let g = graph_of(&[(
             "crates/core/src/x.rs",
             "pub fn f() {\n\
                  my_table!(a, b);\n\
                  assert!(true);\n\
                  vec![1, 2];\n\
              }\n",
-        )]));
+        )]);
         let f = id(&g, None, "f");
         assert!(
             g.unresolved
@@ -825,14 +819,14 @@ mod tests {
 
     #[test]
     fn nested_fn_calls_belong_to_the_nested_fn() {
-        let g = CallGraph::build(&ctx_of(&[(
+        let g = graph_of(&[(
             "crates/core/src/x.rs",
             "pub fn target() {}\n\
              pub fn outer() {\n\
                  fn inner() { target(); }\n\
                  inner();\n\
              }\n",
-        )]));
+        )]);
         let outer = id(&g, None, "outer");
         let inner = id(&g, None, "inner");
         assert!(has_edge(&g, inner, id(&g, None, "target")));
@@ -848,14 +842,14 @@ mod tests {
                    pub fn c() { leaf(); }\n\
                    pub fn leaf() {}\n\
                    pub fn island() {}\n";
-        let g = CallGraph::build(&ctx_of(&[("crates/core/src/x.rs", src)]));
+        let g = graph_of(&[("crates/core/src/x.rs", src)]);
         let root = id(&g, None, "root");
         let reach = g.reachable(&[root]);
         assert!(!reach.contains_key(&id(&g, None, "island")));
         let leaf_chain = &reach[&id(&g, None, "leaf")];
         assert_eq!(leaf_chain.len(), 4, "root → a|b → c → leaf");
         // Determinism: a second build+query gives the identical chain.
-        let g2 = CallGraph::build(&ctx_of(&[("crates/core/src/x.rs", src)]));
+        let g2 = graph_of(&[("crates/core/src/x.rs", src)]);
         let reach2 = g2.reachable(&[id(&g2, None, "root")]);
         assert_eq!(
             g.chain_display(leaf_chain),
@@ -869,7 +863,7 @@ mod tests {
 
     #[test]
     fn typed_local_hints_resolve_both_declaration_forms() {
-        let g = CallGraph::build(&ctx_of(&[(
+        let g = graph_of(&[(
             "crates/nn/src/x.rs",
             "pub struct Pool;\n\
              impl Pool { pub fn acquire(&self) {} }\n\
@@ -879,7 +873,7 @@ mod tests {
                  ascribed.acquire();\n\
                  constructed.acquire();\n\
              }\n",
-        )]));
+        )]);
         let drive = id(&g, None, "drive");
         let acquire = id(&g, Some("Pool"), "acquire");
         assert_eq!(
@@ -895,12 +889,12 @@ mod tests {
 
     #[test]
     fn unique_name_fallback_resolves_unhinted_receivers() {
-        let g = CallGraph::build(&ctx_of(&[(
+        let g = graph_of(&[(
             "crates/nn/src/x.rs",
             "pub struct Gru;\n\
              impl Gru { pub fn step_gate(&self) {} }\n\
              pub fn drive(cell: &Gru) { cell.step_gate(); }\n",
-        )]));
+        )]);
         // `cell` has no let-hint, but `step_gate` names exactly one
         // workspace method and is not a ubiquitous std name.
         assert!(has_edge(
@@ -912,7 +906,7 @@ mod tests {
 
     #[test]
     fn std_method_names_never_resolve_through_the_fallback() {
-        let g = CallGraph::build(&ctx_of(&[(
+        let g = graph_of(&[(
             "crates/nn/src/x.rs",
             "pub struct Baseline;\n\
              impl Baseline { pub fn load(&self) {} }\n\
@@ -928,7 +922,7 @@ mod tests {
                  unhinted.recv();\n\
                  unhinted.notify_one();\n\
              }\n",
-        )]));
+        )]);
         let drive = id(&g, None, "drive");
         assert!(
             g.edges.iter().all(|e| e.caller != drive),
@@ -940,7 +934,7 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         // A hinted receiver still bypasses the blocklist.
-        let g2 = CallGraph::build(&ctx_of(&[(
+        let g2 = graph_of(&[(
             "crates/nn/src/x.rs",
             "pub struct WorkerPool;\n\
              impl WorkerPool { pub fn join(&self) {} }\n\
@@ -948,7 +942,7 @@ mod tests {
                  let pool: WorkerPool = make();\n\
                  pool.join();\n\
              }\n",
-        )]));
+        )]);
         assert!(has_edge(
             &g2,
             id(&g2, None, "drive"),
@@ -958,10 +952,10 @@ mod tests {
 
     #[test]
     fn reachable_holds_callees_and_skips_islands() {
-        let g = CallGraph::build(&ctx_of(&[(
+        let g = graph_of(&[(
             "crates/core/src/x.rs",
             "pub fn root() { helper(); }\npub fn helper() {}\npub fn island() {}\n",
-        )]));
+        )]);
         let root = id(&g, None, "root");
         let reach = g.reachable(&[root]);
         assert!(reach.contains_key(&id(&g, None, "helper")));

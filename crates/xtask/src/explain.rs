@@ -63,10 +63,9 @@ pub const CATALOGUE: &[RuleDoc] = &[
         title: "allow-comments must carry a reason",
         rationale: "A bare `// lint: allow(key)` records that a finding was \
                     silenced but not why, which makes the suppression \
-                    unreviewable. It suppresses nothing, and for the lint \
-                    keys (`unwrap`, `float-cmp`, `prob-guard`, `index`) and \
-                    the A4, A5 and A7–A14 keys it is itself a failing \
-                    finding; `float-flow` is shared by A10–A11.",
+                    unreviewable. It suppresses nothing and is itself a \
+                    failing finding, for every lint and analyze key; \
+                    `float-flow` is shared by A10–A11.",
         fix: "State the invariant that makes the finding safe, in at least a \
               few words: `// lint: allow(key) <reason>`.",
     },
@@ -132,32 +131,18 @@ pub const CATALOGUE: &[RuleDoc] = &[
     },
     RuleDoc {
         code: "A7",
-        key: "lock-order",
-        title: "lock-acquisition-order cycles",
-        rationale: "Two threads taking the same locks in different orders can \
-                    each wait on the other forever; a cycle in the global \
-                    acquisition-order graph is a latent deadlock.",
-        fix: "Pick one global acquisition order or narrow a region so the \
-              locks are never held together (DESIGN.md §11).",
-    },
-    RuleDoc {
-        code: "A8",
-        key: "lock-block",
-        title: "blocking calls while holding a lock",
-        rationale: "Waiting on a condvar/channel/join/IO while holding an \
-                    unrelated lock stalls every thread that needs it and can \
-                    deadlock the serving pipeline.",
-        fix: "Drop the guard before blocking (move the blocking call out of \
-              the region), or annotate a proven-bounded wait.",
-    },
-    RuleDoc {
-        code: "A9",
-        key: "condvar",
-        title: "condvar discipline: while-loops and notify pairing",
-        rationale: "`if`-guarded waits miss spurious wakeups; mutating condvar-\
-                    associated state without a notify strands sleeping waiters.",
-        fix: "Re-check the predicate in a `while` loop around every wait and \
-              notify after every associated-state mutation.",
+        key: "lock",
+        title: "lock discipline: nothing but std methods under a lock",
+        rationale: "A critical section that takes a second lock, calls \
+                    workspace code or a closure, or blocks on a channel, join \
+                    or print can deadlock or stall every thread behind the \
+                    serving queue; an `if`-guarded condvar wait misses \
+                    spurious wakeups, and a change with no `notify_*` strands \
+                    sleeping waiters.",
+        fix: "Move the call out of the critical section (compute before the \
+              lock, store under it), wait in a `while`/`loop` opened under the \
+              guard, and notify after every change a waiter depends on \
+              (DESIGN.md §11).",
     },
     RuleDoc {
         code: "A10",
@@ -240,11 +225,12 @@ mod tests {
     #[test]
     fn every_analysis_pass_and_rule_is_documented() {
         for code in [
-            "R1", "R2", "R3", "R4", "allow", "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9",
-            "A10", "A11", "A13", "A14",
+            "R1", "R2", "R3", "R4", "allow", "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A10",
+            "A11", "A13", "A14",
         ] {
             assert!(lookup(code).is_some(), "missing catalogue entry for {code}");
         }
+        assert_eq!(CATALOGUE.iter().filter(|d| d.code == "A7").count(), 1);
     }
 
     #[test]
@@ -257,6 +243,9 @@ mod tests {
 
     #[test]
     fn unknown_codes_miss() {
-        assert!(lookup("A99").is_none());
+        // A8 and A9 are retired ids: they miss like any unknown code.
+        for code in ["A8", "A9", "A99"] {
+            assert!(lookup(code).is_none(), "{code}");
+        }
     }
 }

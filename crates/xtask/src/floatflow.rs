@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::callgraph::CallGraph;
 use crate::items::FnItem;
 use crate::lexer::{matching_close, render, split_args, TokKind, Token};
-use crate::passes::Context;
+use crate::passes::AnalyzedFile;
 
 /// Positivity lattice, ordered by knowledge: joining two control-flow
 /// paths takes the minimum.
@@ -353,8 +353,8 @@ pub fn hot_reach(graph: &CallGraph) -> BTreeMap<usize, Vec<usize>> {
 }
 
 impl FloatFlow {
-    pub fn build(ctx: &Context, graph: &CallGraph) -> FloatFlow {
-        let consts = collect_consts(ctx);
+    pub fn build(files: &[AnalyzedFile], graph: &CallGraph) -> FloatFlow {
+        let consts = collect_consts(files);
         let site_map: BTreeMap<(usize, usize), usize> = graph
             .edges
             .iter()
@@ -371,7 +371,7 @@ impl FloatFlow {
             let mut changed = false;
             for (i, f) in graph.index.fns.iter().enumerate() {
                 let Some(body) = f.body else { continue };
-                let toks = &ctx.files[f.file].tokens;
+                let toks = &files[f.file].tokens;
                 let mut flow = FnFlow {
                     toks,
                     file: f.file,
@@ -405,9 +405,9 @@ impl FloatFlow {
 /// `const NAME: <num type> = [-]<literal>;` declarations, workspace-wide.
 /// `Self`-typed consts count as floats: the only ones in the tree are
 /// the `nn::Scalar` constants (`T::ZERO`, `T::ONE`) of the f32/f64 impls.
-fn collect_consts(ctx: &Context) -> BTreeMap<String, (f64, bool)> {
+fn collect_consts(files: &[AnalyzedFile]) -> BTreeMap<String, (f64, bool)> {
     let mut out = BTreeMap::new();
-    for file in &ctx.files {
+    for file in files {
         let toks = &file.tokens;
         let mut k = 0usize;
         while k + 5 < toks.len() {
@@ -1782,23 +1782,12 @@ impl<'a> FnFlow<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-    use crate::passes::AnalyzedFile;
-    use crate::source::SourceFile;
+    use crate::passes::Context;
 
     fn flow_of(files: &[(&str, &str)]) -> (CallGraph, FloatFlow) {
-        let ctx = Context {
-            files: files
-                .iter()
-                .map(|(p, s)| {
-                    let source = SourceFile::parse(p, s);
-                    let tokens = lex(&source);
-                    AnalyzedFile { source, tokens }
-                })
-                .collect(),
-        };
-        let graph = CallGraph::build(&ctx);
-        let flow = FloatFlow::build(&ctx, &graph);
+        let files = Context::of(files).files;
+        let graph = CallGraph::build(&files);
+        let flow = FloatFlow::build(&files, &graph);
         (graph, flow)
     }
 

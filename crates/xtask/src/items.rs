@@ -13,7 +13,7 @@
 //! want for closures handed to `nn::par`).
 
 use crate::lexer::{matching_close, split_args, TokKind, Token};
-use crate::passes::{crate_of, Context};
+use crate::passes::{crate_of, AnalyzedFile};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One indexed `fn` item.
@@ -27,7 +27,7 @@ pub struct FnItem {
     pub path: String,
     /// Crate the file belongs to.
     pub crate_name: String,
-    /// Index of the file in [`Context::files`].
+    /// Index of the file in [`crate::passes::Context::files`].
     pub file: usize,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
@@ -92,10 +92,10 @@ impl ItemIndex {
     }
 }
 
-/// Index every file in the context.
-pub fn index(ctx: &Context) -> ItemIndex {
+/// Index every file.
+pub fn index(files: &[AnalyzedFile]) -> ItemIndex {
     let mut ix = ItemIndex::default();
-    for (fi, file) in ctx.files.iter().enumerate() {
+    for (fi, file) in files.iter().enumerate() {
         index_file(fi, file, &mut ix);
     }
     ix
@@ -207,7 +207,7 @@ struct Scope {
     close: usize,
 }
 
-fn index_file(fi: usize, file: &crate::passes::AnalyzedFile, ix: &mut ItemIndex) {
+fn index_file(fi: usize, file: &AnalyzedFile, ix: &mut ItemIndex) {
     let toks = &file.tokens;
     let path = file.source.path.clone();
     let krate = crate_of(&path).to_string();
@@ -448,21 +448,10 @@ fn is_pub_before(toks: &[Token], j: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-    use crate::passes::AnalyzedFile;
-    use crate::source::SourceFile;
+    use crate::passes::Context;
 
-    fn ctx_of(files: &[(&str, &str)]) -> Context {
-        Context {
-            files: files
-                .iter()
-                .map(|(p, s)| {
-                    let source = SourceFile::parse(p, s);
-                    let tokens = lex(&source);
-                    AnalyzedFile { source, tokens }
-                })
-                .collect(),
-        }
+    fn index_of(files: &[(&str, &str)]) -> ItemIndex {
+        index(&Context::of(files).files)
     }
 
     fn find<'a>(ix: &'a ItemIndex, owner: Option<&str>, name: &str) -> &'a FnItem {
@@ -474,7 +463,7 @@ mod tests {
 
     #[test]
     fn free_and_method_fns_are_indexed() {
-        let ix = index(&ctx_of(&[(
+        let ix = index_of(&[(
             "crates/nn/src/x.rs",
             "pub fn free(a: usize) -> usize { a }\n\
              struct Foo { w: Matrix }\n\
@@ -482,7 +471,7 @@ mod tests {
                  pub fn forward(&mut self, x: &Matrix) -> Matrix { self.w.clone() }\n\
                  fn private_helper(&self) {}\n\
              }\n",
-        )]));
+        )]);
         let free = find(&ix, None, "free");
         assert!(free.is_pub && free.body.is_some() && !free.returns_result);
         let fwd = find(&ix, Some("Foo"), "forward");
@@ -497,7 +486,7 @@ mod tests {
 
     #[test]
     fn generic_impls_strip_to_the_base_type() {
-        let ix = index(&ctx_of(&[(
+        let ix = index_of(&[(
             "crates/ml/src/x.rs",
             "impl<T: Cost + Clone> Forest<T> where T: Send {\n\
                  pub fn fit(&mut self, n: usize) -> Result<(), FitError> { Ok(()) }\n\
@@ -505,7 +494,7 @@ mod tests {
              impl<'a> ops::Index<usize> for Matrix {\n\
                  fn index(&self, i: usize) -> &f64 { self.get(i) }\n\
              }\n",
-        )]));
+        )]);
         let fit = find(&ix, Some("Forest"), "fit");
         assert!(fit.returns_result);
         let idx = find(&ix, Some("Matrix"), "index");
@@ -515,7 +504,7 @@ mod tests {
 
     #[test]
     fn trait_default_methods_belong_to_the_trait() {
-        let ix = index(&ctx_of(&[(
+        let ix = index_of(&[(
             "crates/ml/src/x.rs",
             "pub trait Classifier {\n\
                  fn predict_proba(&self, x: &[f64]) -> f64;\n\
@@ -523,7 +512,7 @@ mod tests {
                      self.predict_proba(x) >= 0.5\n\
                  }\n\
              }\n",
-        )]));
+        )]);
         let decl = find(&ix, Some("Classifier"), "predict_proba");
         assert!(decl.body.is_none(), "bodiless declaration");
         let default = find(&ix, Some("Classifier"), "predict");
@@ -532,13 +521,13 @@ mod tests {
 
     #[test]
     fn fn_pointer_types_are_not_items_and_nested_fns_are() {
-        let ix = index(&ctx_of(&[(
+        let ix = index_of(&[(
             "crates/core/src/x.rs",
             "pub fn outer(cb: fn(usize) -> f64) -> f64 {\n\
                  fn inner(v: usize) -> f64 { v as f64 }\n\
                  cb(1) + inner(2)\n\
              }\n",
-        )]));
+        )]);
         assert_eq!(ix.fns.len(), 2, "{:?}", ix.fns);
         assert!(ix.fns.iter().any(|f| f.name == "outer"));
         assert!(ix.fns.iter().any(|f| f.name == "inner"));
@@ -546,14 +535,14 @@ mod tests {
 
     #[test]
     fn option_wrapped_fields_hint_the_inner_type() {
-        let ix = index(&ctx_of(&[(
+        let ix = index_of(&[(
             "crates/core/src/x.rs",
             "pub struct Model {\n\
                  pub head: Option<Dense>,\n\
                  scratch: Box<Matrix>,\n\
                  name: String,\n\
              }\n",
-        )]));
+        )]);
         assert_eq!(
             ix.fields.get(&("Model".into(), "head".into())).unwrap(),
             "Dense"
@@ -570,26 +559,26 @@ mod tests {
 
     #[test]
     fn test_region_items_are_marked() {
-        let ix = index(&ctx_of(&[(
+        let ix = index_of(&[(
             "crates/nn/src/x.rs",
             "pub fn lib() {}\n\
              #[cfg(test)]\n\
              mod tests {\n\
                  fn helper() {}\n\
              }\n",
-        )]));
+        )]);
         assert!(!find(&ix, None, "lib").in_test);
         assert!(find(&ix, None, "helper").in_test);
     }
 
     #[test]
     fn guard_returning_fns_are_marked() {
-        let ix = index(&ctx_of(&[(
+        let ix = index_of(&[(
             "crates/serving/src/x.rs",
             "fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> { m.lock().unwrap() }\n\
              fn read<'a>(l: &'a RwLock<u8>) -> RwLockReadGuard<'a, u8> { l.read().unwrap() }\n\
              pub fn plain(n: usize) -> usize { n }\n",
-        )]));
+        )]);
         assert!(find(&ix, None, "lock").returns_guard);
         assert!(find(&ix, None, "read").returns_guard);
         assert!(!find(&ix, None, "plain").returns_guard);
@@ -599,10 +588,10 @@ mod tests {
 
     #[test]
     fn where_clause_result_does_not_mark_return() {
-        let ix = index(&ctx_of(&[(
+        let ix = index_of(&[(
             "crates/nn/src/x.rs",
             "pub fn map<F>(f: F) -> f64 where F: Fn(usize) -> Result<f64, ()> { 0.0 }\n",
-        )]));
+        )]);
         assert!(!find(&ix, None, "map").returns_result);
     }
 }

@@ -12,14 +12,13 @@
 //!
 //! The `analyze` subcommand runs the token-stream semantic passes
 //! (A1 shape-flow, A2 determinism, A3 cast-safety, the
-//! call-graph-based A4 panic-reachability, A5 hot-loop allocation and
-//! A6 discarded-Result, the lock-region-model-based A7 lock-order,
-//! A8 blocking-under-lock and A9 condvar-discipline, the
+//! call-graph-based A4 panic-reachability, A5 hot-loop allocation, A6
+//! discarded-Result and A7 lock discipline, the
 //! float-value-lattice-based A10 division/log-guard and A11
 //! probability-domain, plus the memory-shape-model-based A13
 //! unsafe-contract and A14 capacity/growth — see [`passes`], [`items`],
-//! [`callgraph`], [`lockmodel`], [`floatflow`], [`memflow`]) against a
-//! committed finding baseline ([`baseline`]). `explain <rule>` prints
+//! [`callgraph`], [`floatflow`], [`memflow`]) against a committed
+//! finding baseline ([`baseline`]). `explain <rule>` prints
 //! each rule's rationale and fix guidance from the shared catalogue
 //! ([`explain`]). `bench-report`, `serving-report` and `mem-report` run
 //! the kernel, serving and peak-RSS harnesses and maintain their
@@ -30,9 +29,9 @@
 //! `// lint: allow(<key>) <reason>` where `<key>` is one of
 //! `unwrap`, `float-cmp`, `prob-guard`, `index` (lint) or `shape`,
 //! `determinism`, `lossy-cast`, `index-underflow`, `panic-reach`,
-//! `hot-alloc`, `discard-result`, `lock-order`, `lock-block`,
-//! `condvar`, `float-flow`, `unsafe-contract`, `mem-flow` (analyze);
-//! the reason is required.
+//! `hot-alloc`, `discard-result`, `lock`, `float-flow`,
+//! `unsafe-contract`, `mem-flow` (analyze, [`passes::ALLOW_KEYS`]); the
+//! reason is required.
 
 pub mod baseline;
 pub mod callgraph;
@@ -40,7 +39,6 @@ pub mod explain;
 pub mod floatflow;
 pub mod items;
 pub mod lexer;
-pub mod lockmodel;
 pub mod memflow;
 pub mod passes;
 pub mod report;
@@ -343,27 +341,9 @@ mod tests {
                 .any(|(name, dot)| name == "model_graph.dot" && dot.contains("digraph retina")),
             "A1 produced no model-graph artifact"
         );
-        // The lock-region model behind A7–A9 found the serving queue's
-        // lock and the condvar its waits pair with it.
-        let ctx = passes::load_workspace(&root).expect("workspace loads");
-        let graph = callgraph::CallGraph::build(&ctx);
-        let locks = lockmodel::LockModel::build(&ctx, &graph);
-        assert_eq!(
-            locks.locks.get("Shared.state"),
-            Some(&lockmodel::LockKind::Mutex),
-            "lock model lost the serving queue lock: {:?}",
-            locks.locks
-        );
-        assert!(
-            locks
-                .assoc
-                .get("Shared.work")
-                .is_some_and(|m| m.contains("Shared.state")),
-            "condvar association Shared.work → Shared.state missing: {:?}",
-            locks.assoc
-        );
         // The memory model behind A14 classifies the server and the queue
         // state it owns as long-lived.
+        let ctx = passes::load_workspace(&root).expect("workspace loads");
         let mem = memflow::MemModel::build(&ctx);
         for name in ["PredictionServer", "Shared", "QueueState"] {
             assert!(
@@ -459,8 +439,7 @@ mod tests {
             "baseline entry count changed — re-pin deliberately"
         );
         for rule in [
-            "\"A1\"", "\"A2\"", "\"A3\"", "\"A6\"", "\"A7\"", "\"A8\"", "\"A9\"", "\"A10\"",
-            "\"A11\"",
+            "\"A1\"", "\"A2\"", "\"A3\"", "\"A6\"", "\"A7\"", "\"A10\"", "\"A11\"",
         ] {
             assert!(
                 !raw.contains(rule),
@@ -509,7 +488,7 @@ mod tests {
             .expect("workspace root")
             .to_path_buf();
         let ctx = passes::load_workspace(&root).expect("workspace loads");
-        let graph = callgraph::CallGraph::build(&ctx);
+        let graph = ctx.graph();
         let roots = graph.hot_roots();
         assert!(!roots.is_empty(), "empty hot-path root set");
         let names: Vec<String> = roots

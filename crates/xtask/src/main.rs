@@ -11,11 +11,10 @@
 //!
 //! `analyze` runs the semantic passes (A1 shape-flow, A2 determinism,
 //! A3 cast-safety, A4 panic-reachability, A5 hot-loop allocation, A6
-//! discarded-Result, A7 lock-order, A8 blocking-under-lock, A9
-//! condvar-discipline, A10 division/log-guard, A11 probability-domain,
-//! A13 unsafe-contract, A14 capacity/growth) over the workspace, prints
-//! every finding, and exits nonzero when any non-baselined finding
-//! remains. `--update-baseline` grandfathers the current findings;
+//! discarded-Result, A7 lock discipline, A10 division/log-guard, A11
+//! probability-domain, A13 unsafe-contract, A14 capacity/growth) over
+//! the workspace, prints every finding, and exits nonzero when any
+//! non-baselined finding remains. `--update-baseline` grandfathers the current findings;
 //! `--prune-baseline` rewrites the committed baseline keeping only
 //! entries a current finding still matches. `--emit-dot` writes the A1
 //! model graph (`docs/model_graph.dot` is the committed rendering).

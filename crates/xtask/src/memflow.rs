@@ -629,26 +629,10 @@ pub fn short_render(toks: &[Token], s: usize, e: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-    use crate::passes::AnalyzedFile;
-    use crate::source::SourceFile;
-
-    fn ctx_of(files: &[(&str, &str)]) -> Context {
-        Context {
-            files: files
-                .iter()
-                .map(|(p, s)| {
-                    let source = SourceFile::parse(p, s);
-                    let tokens = lex(&source);
-                    AnalyzedFile { source, tokens }
-                })
-                .collect(),
-        }
-    }
 
     /// Parse the field type of the first `struct` in `src`.
     fn first_field_ty(src: &str) -> Ty {
-        let ctx = ctx_of(&[("crates/serving/src/server.rs", src)]);
+        let ctx = Context::of(&[("crates/serving/src/server.rs", src)]);
         let model = MemModel::build(&ctx);
         let layout = model.layouts.values().next().expect("one struct");
         layout.fields[0].ty.clone()
@@ -687,7 +671,7 @@ mod tests {
 
     #[test]
     fn long_lived_classification_seeds_and_closes_transitively() {
-        let ctx = ctx_of(&[(
+        let ctx = Context::of(&[(
             "crates/serving/src/server.rs",
             "pub struct PredictionServer { shared: Arc<Shared> }\n\
              pub struct Shared { state: Mutex<QueueState> }\n\
@@ -707,7 +691,7 @@ mod tests {
 
     #[test]
     fn loop_depths_count_nesting() {
-        let ctx = ctx_of(&[(
+        let ctx = Context::of(&[(
             "crates/nn/src/x.rs",
             "pub fn f(xs: &[u8]) {\n\
                  let a = 1;\n\
@@ -732,7 +716,7 @@ mod tests {
 
     #[test]
     fn field_method_sites_and_len_bounds_are_found() {
-        let ctx = ctx_of(&[(
+        let ctx = Context::of(&[(
             "crates/serving/src/server.rs",
             "pub fn submit(&self) {\n\
                  if state.pending.len() >= self.queue_capacity { return; }\n\
@@ -750,14 +734,14 @@ mod tests {
 
     #[test]
     fn mem_roots_extend_the_hot_roots_with_the_generation_surface() {
-        let ctx = ctx_of(&[(
+        let ctx = Context::of(&[(
             "crates/socialsim/src/dataset.rs",
             "pub struct Dataset;\n\
              impl Dataset { pub fn generate(n: usize) -> usize { n } }\n\
              pub fn helper() {}\n",
         )]);
-        let graph = CallGraph::build(&ctx);
-        let roots = mem_roots(&graph);
+        let graph = ctx.graph();
+        let roots = mem_roots(graph);
         let names: Vec<String> = roots
             .iter()
             .map(|&i| graph.index.fns[i].display())
@@ -771,7 +755,7 @@ mod tests {
 
     #[test]
     fn alloc_sites_classify_depth_and_heat() {
-        let ctx = ctx_of(&[(
+        let ctx = Context::of(&[(
             "crates/socialsim/src/dataset.rs",
             "pub struct Dataset;\n\
              impl Dataset {\n\
@@ -783,8 +767,7 @@ mod tests {
              }\n\
              pub fn cold() { let w: Vec<u8> = Vec::new(); }\n",
         )]);
-        let graph = CallGraph::build(&ctx);
-        let sites = alloc_sites(&ctx, &graph);
+        let sites = alloc_sites(&ctx, ctx.graph());
         let new_site = sites
             .iter()
             .find(|s| s.shape == "Vec::new" && s.hot)

@@ -52,35 +52,11 @@ impl Pass for CapacityGrowth {
 
     fn run(&self, ctx: &Context) -> PassOutput {
         let mut out = PassOutput::default();
-        let graph = CallGraph::build(ctx);
+        let graph = ctx.graph();
         let model = MemModel::build(ctx);
 
-        let mut findings = missing_presize(ctx, &graph);
-        findings.extend(unbounded_growth(ctx, &graph, &model));
-
-        // Allow-comment filtering, per file.
-        for file in &ctx.files {
-            let (allowed, _) = file.source.allows("mem-flow");
-            findings.retain(|f| f.path != file.source.path || !allowed.contains(&f.line));
-        }
-        out.findings = findings;
-
-        // Satellite lint: every allow(mem-flow) must carry a reason.
-        for file in &ctx.files {
-            let (_, missing) = file.source.allows("mem-flow");
-            for line in missing {
-                out.findings.push(Finding {
-                    rule: "allow",
-                    key: "allow",
-                    severity: Severity::Error,
-                    path: file.source.path.clone(),
-                    line,
-                    message: "allow(mem-flow) without a reason — state why this \
-                              growth pattern is acceptable"
-                        .into(),
-                });
-            }
-        }
+        out.findings = missing_presize(ctx, graph);
+        out.findings.extend(unbounded_growth(ctx, graph, &model));
         out
     }
 }
@@ -322,22 +298,10 @@ fn unbounded_growth(ctx: &Context, graph: &CallGraph, model: &MemModel) -> Vec<F
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-    use crate::passes::AnalyzedFile;
-    use crate::source::SourceFile;
+    use crate::passes::run_passes;
 
     fn run_on(files: &[(&str, &str)]) -> Vec<Finding> {
-        let ctx = Context {
-            files: files
-                .iter()
-                .map(|(p, s)| {
-                    let source = SourceFile::parse(p, s);
-                    let tokens = lex(&source);
-                    AnalyzedFile { source, tokens }
-                })
-                .collect(),
-        };
-        CapacityGrowth.run(&ctx).findings
+        run_passes(&Context::of(files), &[Box::new(CapacityGrowth)]).findings
     }
 
     #[test]
@@ -462,7 +426,7 @@ mod tests {
     }
 
     #[test]
-    fn allow_comment_suppresses_and_needs_a_reason() {
+    fn a_reasoned_allow_suppresses_and_a_bare_one_does_not() {
         let f = run_on(&[(
             "crates/socialsim/src/dataset.rs",
             "pub struct Dataset;\n\
@@ -480,7 +444,5 @@ mod tests {
         )]);
         let a14: Vec<&Finding> = f.iter().filter(|x| x.rule == "A14").collect();
         assert_eq!(a14.len(), 1, "reasonless allow does not suppress: {f:?}");
-        let misuses: Vec<&Finding> = f.iter().filter(|x| x.rule == "allow").collect();
-        assert_eq!(misuses.len(), 1, "{f:?}");
     }
 }

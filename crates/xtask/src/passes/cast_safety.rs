@@ -44,14 +44,8 @@ impl Pass for CastSafety {
             if !SCOPE.contains(&file.crate_name()) {
                 continue;
             }
-            let mut findings = Vec::new();
-            check_narrowing_casts(file, &mut findings);
-            check_index_subtraction(file, &mut findings);
-            for key in ["lossy-cast", "index-underflow"] {
-                let (allowed, _) = file.source.allows(key);
-                findings.retain(|f| f.key != key || !allowed.contains(&f.line));
-            }
-            out.findings.extend(findings);
+            check_narrowing_casts(file, &mut out.findings);
+            check_index_subtraction(file, &mut out.findings);
         }
         out
     }
@@ -182,17 +176,10 @@ fn check_index_subtraction(file: &super::AnalyzedFile, findings: &mut Vec<Findin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-    use crate::passes::AnalyzedFile;
-    use crate::source::SourceFile;
+    use crate::passes::run_passes;
 
     fn run_on(path: &str, src: &str) -> Vec<Finding> {
-        let source = SourceFile::parse(path, src);
-        let tokens = lex(&source);
-        let ctx = Context {
-            files: vec![AnalyzedFile { source, tokens }],
-        };
-        CastSafety.run(&ctx).findings
+        run_passes(&Context::of(&[(path, src)]), &[Box::new(CastSafety)]).findings
     }
 
     #[test]

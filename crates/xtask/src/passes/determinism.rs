@@ -61,13 +61,9 @@ impl Pass for Determinism {
             if EXEMPT.contains(&file.crate_name()) {
                 continue;
             }
-            let (allowed, _) = file.source.allows("determinism");
-            let mut findings = Vec::new();
-            check_rng_and_clock(file, &mut findings);
-            check_hash_iteration(file, &mut findings);
-            check_adhoc_threading(file, &mut findings);
-            findings.retain(|f| !allowed.contains(&f.line));
-            out.findings.extend(findings);
+            check_rng_and_clock(file, &mut out.findings);
+            check_hash_iteration(file, &mut out.findings);
+            check_adhoc_threading(file, &mut out.findings);
         }
         out
     }
@@ -278,17 +274,10 @@ fn check_hash_iteration(file: &super::AnalyzedFile, findings: &mut Vec<Finding>)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-    use crate::passes::AnalyzedFile;
-    use crate::source::SourceFile;
+    use crate::passes::run_passes;
 
     fn run_on(path: &str, src: &str) -> Vec<Finding> {
-        let source = SourceFile::parse(path, src);
-        let tokens = lex(&source);
-        let ctx = Context {
-            files: vec![AnalyzedFile { source, tokens }],
-        };
-        Determinism.run(&ctx).findings
+        run_passes(&Context::of(&[(path, src)]), &[Box::new(Determinism)]).findings
     }
 
     #[test]

@@ -10,13 +10,11 @@
 //! operand's defining site and the hot call chain.
 //!
 //! Deliberate exceptions need `// lint: allow(float-flow) <reason>` —
-//! the key is shared with A11/A12 (one annotation covers all numeric-
-//! dataflow findings on a line); A10 is the pass that reports bare
-//! `allow(float-flow)` misuses.
+//! the key is shared with A11 (one annotation covers all numeric-
+//! dataflow findings on a line).
 
 use super::{Context, Finding, Pass, PassOutput, Severity};
-use crate::callgraph::CallGraph;
-use crate::floatflow::{hot_reach, CheckKind, FloatFlow};
+use crate::floatflow::{hot_reach, CheckKind};
 
 pub struct DivGuard;
 
@@ -27,9 +25,8 @@ impl Pass for DivGuard {
 
     fn run(&self, ctx: &Context) -> PassOutput {
         let mut out = PassOutput::default();
-        let graph = CallGraph::build(ctx);
-        let flow = FloatFlow::build(ctx, &graph);
-        let reach = hot_reach(&graph);
+        let (graph, flow) = (ctx.graph(), ctx.flow());
+        let reach = hot_reach(graph);
 
         for site in &flow.sites.checks {
             if site.in_test {
@@ -74,26 +71,6 @@ impl Pass for DivGuard {
                 ),
             });
         }
-
-        // Allow-comment suppression; A10 owns misuse reporting for the
-        // shared `float-flow` key.
-        for file in &ctx.files {
-            let (allowed, missing) = file.source.allows("float-flow");
-            out.findings
-                .retain(|f| !(f.path == file.source.path && allowed.contains(&f.line)));
-            for line in missing {
-                out.findings.push(Finding {
-                    rule: "allow",
-                    key: "allow",
-                    severity: Severity::Error,
-                    path: file.source.path.clone(),
-                    line,
-                    message: "allow(float-flow) without a reason — state why this \
-                              value cannot reach zero / leave its domain"
-                        .into(),
-                });
-            }
-        }
         out
     }
 }
@@ -101,22 +78,10 @@ impl Pass for DivGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-    use crate::passes::AnalyzedFile;
-    use crate::source::SourceFile;
+    use crate::passes::run_passes;
 
     fn run_on(files: &[(&str, &str)]) -> PassOutput {
-        let ctx = Context {
-            files: files
-                .iter()
-                .map(|(p, s)| {
-                    let source = SourceFile::parse(p, s);
-                    let tokens = lex(&source);
-                    AnalyzedFile { source, tokens }
-                })
-                .collect(),
-        };
-        DivGuard.run(&ctx)
+        run_passes(&Context::of(files), &[Box::new(DivGuard)])
     }
 
     #[test]
@@ -201,7 +166,7 @@ mod tests {
     }
 
     #[test]
-    fn allow_comment_suppresses_and_bare_allow_is_flagged() {
+    fn allow_comment_suppresses() {
         let out = run_on(&[(
             "crates/serving/src/x.rs",
             "pub fn serve(a: f64, b: f64) -> f64 {\n\
@@ -213,7 +178,5 @@ mod tests {
         )]);
         let a10: Vec<&Finding> = out.findings.iter().filter(|f| f.rule == "A10").collect();
         assert!(a10.is_empty(), "{a10:?}");
-        let misuses: Vec<&Finding> = out.findings.iter().filter(|f| f.rule == "allow").collect();
-        assert_eq!(misuses.len(), 1, "{:?}", out.findings);
     }
 }

@@ -17,7 +17,6 @@
 //! `// lint: allow(hot-alloc) <reason>` (the reason is mandatory).
 
 use super::{Context, Finding, Pass, PassOutput, Severity};
-use crate::callgraph::CallGraph;
 use crate::lexer::{matching_close, TokKind, Token};
 
 pub struct HotAlloc;
@@ -29,7 +28,7 @@ impl Pass for HotAlloc {
 
     fn run(&self, ctx: &Context) -> PassOutput {
         let mut out = PassOutput::default();
-        let graph = CallGraph::build(ctx);
+        let graph = ctx.graph();
         let roots = graph.hot_roots();
         let reach = graph.reachable(&roots);
 
@@ -67,34 +66,15 @@ impl Pass for HotAlloc {
                     });
                 }
             }
-            let (allowed, _) = file.source.allows("hot-alloc");
-            findings.retain(|f| !allowed.contains(&f.line));
             out.findings.extend(findings);
-        }
-
-        // Satellite lint: every allow(hot-alloc) must carry a reason.
-        for file in &ctx.files {
-            let (_, missing) = file.source.allows("hot-alloc");
-            for line in missing {
-                out.findings.push(Finding {
-                    rule: "allow",
-                    key: "allow",
-                    severity: Severity::Error,
-                    path: file.source.path.clone(),
-                    line,
-                    message: "allow(hot-alloc) without a reason — state why this \
-                              allocation is acceptable in a hot loop"
-                        .into(),
-                });
-            }
         }
         out
     }
 }
 
-/// The allocation-shaped call at token `k`, if any — shared with the A8
-/// blocking-under-lock pass, which flags the same shapes inside lock
-/// regions instead of loop bodies.
+/// The allocation-shaped call at token `k`, if any — shared with the A7
+/// lock pass, which flags the same shapes inside critical sections
+/// instead of loop bodies.
 pub(crate) fn alloc_shape(toks: &[Token], k: usize) -> Option<String> {
     let t = &toks[k];
     if t.kind != TokKind::Ident {
@@ -159,17 +139,11 @@ pub(crate) fn loop_mask(toks: &[Token], b0: usize, b1: usize) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-    use crate::passes::AnalyzedFile;
-    use crate::source::SourceFile;
+    use crate::passes::run_passes;
 
     fn run_on(src: &str) -> Vec<Finding> {
-        let files = vec![{
-            let source = SourceFile::parse("crates/core/src/retina.rs", src);
-            let tokens = lex(&source);
-            AnalyzedFile { source, tokens }
-        }];
-        HotAlloc.run(&Context { files }).findings
+        let ctx = Context::of(&[("crates/core/src/retina.rs", src)]);
+        run_passes(&ctx, &[Box::new(HotAlloc)]).findings
     }
 
     #[test]
@@ -226,7 +200,7 @@ mod tests {
     }
 
     #[test]
-    fn allow_comment_suppresses_and_needs_a_reason() {
+    fn a_reasoned_allow_suppresses_and_a_bare_one_does_not() {
         let f = run_on(
             "pub struct Retina;\n\
              impl Retina {\n\
@@ -242,7 +216,5 @@ mod tests {
         );
         let a5: Vec<&Finding> = f.iter().filter(|x| x.rule == "A5").collect();
         assert_eq!(a5.len(), 1, "reasonless allow does not suppress: {f:?}");
-        let misuses: Vec<&Finding> = f.iter().filter(|x| x.rule == "allow").collect();
-        assert_eq!(misuses.len(), 1, "{f:?}");
     }
 }

@@ -15,7 +15,7 @@
 //! - **A3 cast-safety** (`cast_safety`): lossy narrowing `as` casts and
 //!   unchecked `usize` subtraction in index arithmetic in the
 //!   `ml`/`nn`/`diffusion` kernels.
-//! - **A4 panic-reachability** (`panic_reach`): builds the workspace
+//! - **A4 panic-reachability** (`panic_reach`): walks the workspace
 //!   call graph ([`crate::callgraph`]) and reports `unwrap`/`expect`/
 //!   `panic!` and unguarded indexing in every fn reachable from the
 //!   hot-path roots, with the shortest call chain.
@@ -24,16 +24,12 @@
 //!   inside loops of hot-path-reachable functions.
 //! - **A6 discarded-Result** (`result_discard`): `let _ =` and
 //!   bare-statement discards of fallible APIs, workspace-wide.
-//! - **A7 lock-order** (`lock_order`): cycles and re-entrant self-edges
-//!   in the global lock-acquisition-order graph built from the
-//!   lock-region model ([`crate::lockmodel`]).
-//! - **A8 blocking-under-lock** (`lock_block`): condvar waits holding a
-//!   foreign lock, channel recv, thread join, sleep/IO and
-//!   alloc-shaped calls inside lock regions reachable from the serving
-//!   hot path.
-//! - **A9 condvar-discipline** (`condvar`): waits outside predicate
-//!   loops, ambiguous wait guards, and mutations of condvar-associated
-//!   state with no following notify.
+//! - **A7 lock discipline** (`locks`): inside a critical section only
+//!   std method calls, `drop`, variant constructors and the wait on its
+//!   own guard may run; nesting, workspace or closure calls, path
+//!   functions, `recv`/`join` and prints are Errors. Condvar waits must
+//!   sit in a predicate loop opened under their guard, and state a wait
+//!   depends on needs a `notify_*` after it changes.
 //! - **A10 division/log-guard** (`div_guard`): divisions, `ln`/`log*`
 //!   and `sqrt` in hot-path-reachable fns whose operands are not
 //!   provably epsilon-guarded/positive in the float value lattice
@@ -51,34 +47,51 @@
 //!   with `with_capacity`; growable collections on long-lived structs
 //!   ([`crate::memflow`]) must have a remove/clear/bound site.
 //!
+//! [`Context`] builds the call graph and the float-flow model once per
+//! run, on first use, for every pass that reads them.
+//!
 //! Every finding is a `Warning` or an `Error` and fails the run unless
-//! the committed baseline grandfathers it. Suppression uses the same
-//! allow-comment machinery as the lint: `// lint: allow(<key>) <reason>`
-//! with the pass-specific keys `shape`, `determinism`, `lossy-cast`,
-//! `index-underflow`, `panic-reach`, `hot-alloc`, `discard-result`,
-//! `lock-order`, `lock-block`, `condvar`, `float-flow` (shared by
-//! A10–A11; the misuse check for it runs once, in A10),
-//! `unsafe-contract`, `mem-flow` (A14). A reasonless allow suppresses
-//! nothing; for the A4, A5 and A7–A14 keys it is itself an Error (rule
-//! `allow`).
+//! the committed baseline grandfathers it. Suppression is the pass
+//! manager's job ([`run_passes`]), done once for all passes by each
+//! finding's `key`: `// lint: allow(<key>) <reason>` covers its own line
+//! and the next, with the keys in [`ALLOW_KEYS`] (`float-flow` is shared
+//! by A10–A11, `mem-flow` is A14's). A reasonless allow suppresses
+//! nothing and is itself an Error (rule `allow`), once per file, line
+//! and key.
 
 pub mod capacity_growth;
 pub mod cast_safety;
-pub mod condvar;
 pub mod determinism;
 pub mod div_guard;
 pub mod hot_alloc;
-pub mod lock_block;
-pub mod lock_order;
+pub mod locks;
 pub mod panic_reach;
 pub mod prob_domain;
 pub mod result_discard;
 pub mod shape_flow;
 pub mod unsafe_contract;
 
+use crate::callgraph::CallGraph;
+use crate::floatflow::FloatFlow;
 use crate::lexer::{self, Token};
 use crate::source::SourceFile;
+use std::cell::OnceCell;
 use std::path::Path;
+
+/// Every analyze allow-comment key, in pass order.
+pub const ALLOW_KEYS: [&str; 11] = [
+    "shape",
+    "determinism",
+    "lossy-cast",
+    "index-underflow",
+    "panic-reach",
+    "hot-alloc",
+    "discard-result",
+    "lock",
+    "float-flow",
+    "unsafe-contract",
+    "mem-flow",
+];
 
 /// Finding severity. Ordering: `Error > Warning`; both fail the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -100,7 +113,7 @@ impl Severity {
 /// One semantic finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Pass id: "A1".."A3" (or "allow" for malformed allow-comments).
+    /// Pass id: "A1".."A14" (or "allow" for malformed allow-comments).
     pub rule: &'static str,
     /// Allow-comment key that suppresses this finding.
     pub key: &'static str,
@@ -136,12 +149,18 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 }
 
 /// A pre-lexed source file shared by all passes.
+#[derive(Clone)]
 pub struct AnalyzedFile {
     pub source: SourceFile,
     pub tokens: Vec<Token>,
 }
 
 impl AnalyzedFile {
+    pub fn new(source: SourceFile) -> Self {
+        let tokens = lexer::lex(&source);
+        AnalyzedFile { source, tokens }
+    }
+
     /// Crate name for a `crates/<name>/src/...` path (`"root"` for the
     /// workspace package's own `src/`).
     pub fn crate_name(&self) -> &str {
@@ -157,12 +176,43 @@ pub fn crate_of(path: &str) -> &str {
     }
 }
 
-/// Everything a pass gets to look at.
+/// Everything a pass gets to look at: the lexed files, plus the call
+/// graph and float-flow model, each built once on first use.
 pub struct Context {
     pub files: Vec<AnalyzedFile>,
+    graph: OnceCell<CallGraph>,
+    flow: OnceCell<FloatFlow>,
 }
 
 impl Context {
+    pub fn new(files: Vec<AnalyzedFile>) -> Self {
+        Context {
+            files,
+            graph: OnceCell::new(),
+            flow: OnceCell::new(),
+        }
+    }
+
+    /// A context over in-memory `(path, source)` pairs.
+    #[cfg(test)]
+    pub fn of(files: &[(&str, &str)]) -> Self {
+        Context::new(
+            files
+                .iter()
+                .map(|(p, s)| AnalyzedFile::new(SourceFile::parse(p, s)))
+                .collect(),
+        )
+    }
+
+    pub fn graph(&self) -> &CallGraph {
+        self.graph.get_or_init(|| CallGraph::build(&self.files))
+    }
+
+    pub fn flow(&self) -> &FloatFlow {
+        self.flow
+            .get_or_init(|| FloatFlow::build(&self.files, self.graph()))
+    }
+
     /// The file whose path ends with `suffix`, if present.
     pub fn file_ending_with(&self, suffix: &str) -> Option<&AnalyzedFile> {
         self.files.iter().find(|f| f.source.path.ends_with(suffix))
@@ -180,7 +230,7 @@ pub struct PassOutput {
 
 /// A registered semantic pass.
 pub trait Pass {
-    /// Stable rule id ("A1", "A2", "A3").
+    /// Stable rule id ("A1", "A2", …).
     fn id(&self) -> &'static str;
     fn run(&self, ctx: &Context) -> PassOutput;
 }
@@ -194,9 +244,7 @@ pub fn registry() -> Vec<Box<dyn Pass>> {
         Box::new(panic_reach::PanicReach),
         Box::new(hot_alloc::HotAlloc),
         Box::new(result_discard::ResultDiscard),
-        Box::new(lock_order::LockOrder),
-        Box::new(lock_block::LockBlock),
-        Box::new(condvar::CondvarDiscipline),
+        Box::new(locks::Locks),
         Box::new(div_guard::DivGuard),
         Box::new(prob_domain::ProbDomain),
         Box::new(unsafe_contract::UnsafeContract),
@@ -252,27 +300,60 @@ impl AnalysisReport {
 pub fn load_workspace(root: &Path) -> std::io::Result<Context> {
     let files = crate::load_sources(root)?
         .into_iter()
-        .map(|source| {
-            let tokens = lexer::lex(&source);
-            AnalyzedFile { source, tokens }
-        })
+        .map(AnalyzedFile::new)
         .collect();
-    Ok(Context { files })
+    Ok(Context::new(files))
+}
+
+/// Run `passes` over `ctx`, then apply every file's allow-comments to
+/// their findings by key: a reasoned allow drops the findings with its
+/// key on its own line and the next; a reasonless one drops nothing and
+/// becomes an Error.
+pub fn run_passes(ctx: &Context, passes: &[Box<dyn Pass>]) -> PassOutput {
+    let mut out = PassOutput::default();
+    for pass in passes {
+        let mut o = pass.run(ctx);
+        out.findings.append(&mut o.findings);
+        out.artifacts.append(&mut o.artifacts);
+    }
+    for file in &ctx.files {
+        // Most files carry no allow-comment: skip their per-key scans.
+        if !file
+            .source
+            .lines
+            .iter()
+            .any(|l| l.comment.contains("lint: allow("))
+        {
+            continue;
+        }
+        let path = &file.source.path;
+        for key in ALLOW_KEYS {
+            let (allowed, missing) = file.source.allows(key);
+            out.findings
+                .retain(|f| !(f.key == key && &f.path == path && allowed.contains(&f.line)));
+            out.findings.extend(missing.into_iter().map(|line| Finding {
+                rule: "allow",
+                key: "allow",
+                severity: Severity::Error,
+                path: path.clone(),
+                line,
+                message: format!("`lint: allow({key})` needs a reason after the closing paren"),
+            }));
+        }
+    }
+    out
 }
 
 /// Run every registered pass over the workspace at `root`.
 pub fn analyze_workspace(root: &Path) -> std::io::Result<AnalysisReport> {
     let ctx = load_workspace(root)?;
-
+    let out = run_passes(&ctx, &registry());
     let mut report = AnalysisReport {
+        findings: out.findings,
+        artifacts: out.artifacts,
         files_scanned: ctx.files.len(),
-        ..Default::default()
+        baselined: 0,
     };
-    for pass in registry() {
-        let mut out = pass.run(&ctx);
-        report.findings.append(&mut out.findings);
-        report.artifacts.append(&mut out.artifacts);
-    }
     report.findings.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.rule, a.message.as_str()).cmp(&(
             b.path.as_str(),
@@ -315,6 +396,70 @@ mod tests {
             ..a.clone()
         };
         assert_ne!(a.fingerprint(), c.fingerprint());
+    }
+
+    /// Three wall-clock reads (A2) and a float division on the serving
+    /// path (A10), with `allows` above the code.
+    fn allowed(allows: &str) -> Vec<Finding> {
+        let src = format!(
+            "{allows}\
+             pub fn serve(a: f64, b: f64) -> f64 {{\n\
+                 let t = std::time::Instant::now(); // lint: allow(determinism) latency only\n\
+                 // lint: allow(determinism) latency only\n\
+                 let u = std::time::Instant::now();\n\
+                 let v = std::time::Instant::now();\n\
+                 a / b\n\
+             }}\n"
+        );
+        let ctx = Context::of(&[("crates/serving/src/x.rs", &src)]);
+        run_passes(&ctx, &registry()).findings
+    }
+
+    #[test]
+    fn an_allow_suppresses_its_own_line_and_the_next() {
+        let f = allowed("");
+        let lines: Vec<(&str, usize)> = f.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(lines, [("A2", 5), ("A10", 6)], "{f:?}");
+    }
+
+    #[test]
+    fn a_reasonless_allow_is_one_error_per_file_line_and_key() {
+        // `float-flow` is shared by A10 and A11, and `lock` has no
+        // finding to suppress: each reasonless allow is still one Error.
+        let f = allowed(
+            "// lint: allow(determinism)\n\
+             // lint: allow(float-flow)\n\
+             // lint: allow(lock)\n",
+        );
+        let mut misuses: Vec<(usize, &str)> = f
+            .iter()
+            .filter(|f| f.rule == "allow")
+            .map(|f| (f.line, f.message.as_str()))
+            .collect();
+        misuses.sort_unstable();
+        assert_eq!(
+            misuses,
+            [
+                (
+                    1,
+                    "`lint: allow(determinism)` needs a reason after the closing paren"
+                ),
+                (
+                    2,
+                    "`lint: allow(float-flow)` needs a reason after the closing paren"
+                ),
+                (
+                    3,
+                    "`lint: allow(lock)` needs a reason after the closing paren"
+                ),
+            ],
+            "{f:?}"
+        );
+        assert!(f
+            .iter()
+            .all(|f| f.rule != "allow" || f.severity == Severity::Error));
+        // A reasonless allow suppresses nothing.
+        assert_eq!(f.iter().filter(|f| f.rule != "allow").count(), 2, "{f:?}");
     }
 
     #[test]

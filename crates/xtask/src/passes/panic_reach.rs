@@ -25,7 +25,6 @@
 //! site is obvious without re-deriving the graph by hand.
 
 use super::{Context, Finding, Pass, PassOutput, Severity};
-use crate::callgraph::CallGraph;
 use crate::lexer::TokKind;
 use std::collections::BTreeSet;
 
@@ -38,7 +37,7 @@ impl Pass for PanicReach {
 
     fn run(&self, ctx: &Context) -> PassOutput {
         let mut out = PassOutput::default();
-        let graph = CallGraph::build(ctx);
+        let graph = ctx.graph();
         let roots = graph.hot_roots();
         let reach = graph.reachable(&roots);
 
@@ -141,26 +140,7 @@ impl Pass for PanicReach {
                 }
                 k += 1;
             }
-            let (allowed, _) = file.source.allows("panic-reach");
-            findings.retain(|f| !allowed.contains(&f.line));
             out.findings.extend(findings);
-        }
-
-        // Satellite lint: every allow(panic-reach) must carry a reason.
-        for file in &ctx.files {
-            let (_, missing) = file.source.allows("panic-reach");
-            for line in missing {
-                out.findings.push(Finding {
-                    rule: "allow",
-                    key: "allow",
-                    severity: Severity::Error,
-                    path: file.source.path.clone(),
-                    line,
-                    message: "allow(panic-reach) without a reason — state why this panic \
-                              is acceptable on the hot path"
-                        .into(),
-                });
-            }
         }
         out
     }
@@ -180,22 +160,10 @@ fn finding(path: &str, line: usize, severity: Severity, message: String) -> Find
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-    use crate::passes::AnalyzedFile;
-    use crate::source::SourceFile;
+    use crate::passes::run_passes;
 
     fn run_on(files: &[(&str, &str)]) -> PassOutput {
-        let ctx = Context {
-            files: files
-                .iter()
-                .map(|(p, s)| {
-                    let source = SourceFile::parse(p, s);
-                    let tokens = lex(&source);
-                    AnalyzedFile { source, tokens }
-                })
-                .collect(),
-        };
-        PanicReach.run(&ctx)
+        run_passes(&Context::of(files), &[Box::new(PanicReach)])
     }
 
     const MODEL: &str = "pub struct Retina;\n\
@@ -290,7 +258,7 @@ mod tests {
     }
 
     #[test]
-    fn allow_comment_suppresses_and_bare_allow_is_flagged() {
+    fn a_reasoned_allow_suppresses_and_a_bare_one_does_not() {
         let out = run_on(&[(
             "crates/core/src/retina.rs",
             "pub struct Retina;\n\
@@ -312,9 +280,6 @@ mod tests {
         // does NOT suppress its unwrap.
         assert_eq!(a4_errors.len(), 1, "{:?}", out.findings);
         assert!(a4_errors[0].message.contains(".unwrap()"));
-        let misuses: Vec<&Finding> = out.findings.iter().filter(|f| f.rule == "allow").collect();
-        assert_eq!(misuses.len(), 1, "{:?}", out.findings);
-        assert!(misuses[0].message.contains("without a reason"));
     }
 
     #[test]

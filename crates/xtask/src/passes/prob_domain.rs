@@ -17,12 +17,9 @@
 //! This upgrades the token-local R3 guard heuristic to the
 //! inter-procedural value domain: sigmoid-family results and clamped
 //! values pass by proof, not by pattern. Escapes are **Errors** with
-//! the shared `float-flow` allow key (misuse of a bare allow is
-//! reported by A10).
+//! the shared `float-flow` allow key.
 
 use super::{Context, Finding, Pass, PassOutput, Severity};
-use crate::callgraph::CallGraph;
-use crate::floatflow::FloatFlow;
 
 pub struct ProbDomain;
 
@@ -33,8 +30,7 @@ impl Pass for ProbDomain {
 
     fn run(&self, ctx: &Context) -> PassOutput {
         let mut out = PassOutput::default();
-        let graph = CallGraph::build(ctx);
-        let flow = FloatFlow::build(ctx, &graph);
+        let (graph, flow) = (ctx.graph(), ctx.flow());
         let fns = &graph.index.fns;
 
         for call in &flow.sites.pcalls {
@@ -102,13 +98,6 @@ impl Pass for ProbDomain {
                 ),
             });
         }
-
-        // Shared-key suppression; misuse reporting lives in A10.
-        for file in &ctx.files {
-            let (allowed, _) = file.source.allows("float-flow");
-            out.findings
-                .retain(|f| !(f.path == file.source.path && allowed.contains(&f.line)));
-        }
         out
     }
 }
@@ -116,22 +105,10 @@ impl Pass for ProbDomain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-    use crate::passes::AnalyzedFile;
-    use crate::source::SourceFile;
+    use crate::passes::run_passes;
 
     fn run_on(files: &[(&str, &str)]) -> PassOutput {
-        let ctx = Context {
-            files: files
-                .iter()
-                .map(|(p, s)| {
-                    let source = SourceFile::parse(p, s);
-                    let tokens = lex(&source);
-                    AnalyzedFile { source, tokens }
-                })
-                .collect(),
-        };
-        ProbDomain.run(&ctx)
+        run_passes(&Context::of(files), &[Box::new(ProbDomain)])
     }
 
     #[test]
@@ -198,7 +175,7 @@ mod tests {
     }
 
     #[test]
-    fn allow_comment_suppresses_without_a_duplicate_misuse_report() {
+    fn allow_comment_suppresses() {
         let out = run_on(&[(
             "crates/diffusion/src/x.rs",
             "pub fn escape(p: f64, boost: f64) -> f64 {\n\

@@ -19,7 +19,6 @@
 //! e.g. pre-cleanup `remove_dir_all`).
 
 use super::{Context, Finding, Pass, PassOutput, Severity};
-use crate::callgraph::CallGraph;
 use crate::lexer::{matching_close, TokKind, Token};
 
 pub struct ResultDiscard;
@@ -42,7 +41,7 @@ impl Pass for ResultDiscard {
 
     fn run(&self, ctx: &Context) -> PassOutput {
         let mut out = PassOutput::default();
-        let graph = CallGraph::build(ctx);
+        let graph = ctx.graph();
         let mut findings: Vec<Finding> = Vec::new();
 
         // (1) Resolved calls to workspace fns that return Result.
@@ -128,10 +127,6 @@ impl Pass for ResultDiscard {
         // Dedup (a `let _ = workspace_fallible()` matches both detectors).
         findings.sort_by(|a, b| (a.path.as_str(), a.line).cmp(&(b.path.as_str(), b.line)));
         findings.dedup_by(|a, b| a.path == b.path && a.line == b.line);
-        for file in &ctx.files {
-            let (allowed, _) = file.source.allows("discard-result");
-            findings.retain(|f| f.path != file.source.path || !allowed.contains(&f.line));
-        }
         out.findings = findings;
         out
     }
@@ -194,22 +189,10 @@ fn discard_kind(toks: &[Token], site: usize) -> Option<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-    use crate::passes::AnalyzedFile;
-    use crate::source::SourceFile;
+    use crate::passes::run_passes;
 
     fn run_on(files: &[(&str, &str)]) -> Vec<Finding> {
-        let ctx = Context {
-            files: files
-                .iter()
-                .map(|(p, s)| {
-                    let source = SourceFile::parse(p, s);
-                    let tokens = lex(&source);
-                    AnalyzedFile { source, tokens }
-                })
-                .collect(),
-        };
-        ResultDiscard.run(&ctx).findings
+        run_passes(&Context::of(files), &[Box::new(ResultDiscard)]).findings
     }
 
     const FALLIBLE: &str = "pub fn save(v: f64) -> Result<(), String> { Ok(()) }\n";

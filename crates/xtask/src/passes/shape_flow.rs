@@ -43,18 +43,14 @@ impl Pass for ShapeFlow {
             // Nothing to check in trees without the model file (fixtures).
             return out;
         };
-        let (allowed, _) = file.source.allows("shape");
         let graph = match extract_graph(file) {
             Ok(g) => g,
-            Err(mut findings) => {
-                findings.retain(|f| !allowed.contains(&f.line));
+            Err(findings) => {
                 out.findings = findings;
                 return out;
             }
         };
-        let mut findings = check_graph(&graph, &file.source.path);
-        findings.retain(|f| !allowed.contains(&f.line));
-        out.findings = findings;
+        out.findings = check_graph(&graph, &file.source.path);
         out.artifacts
             .push(("model_graph.dot".into(), graph.to_dot()));
         out
@@ -694,7 +690,6 @@ fn read_path(toks: &[Token], pos: usize, end: usize) -> Option<(String, usize)> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
     use crate::source::SourceFile;
 
     /// A miniature retina.rs in the shape of the real one.
@@ -718,9 +713,7 @@ mod tests {
                  }}\n\
              }}\n"
         );
-        let source = SourceFile::parse(RETINA_PATH, &src);
-        let tokens = lex(&source);
-        AnalyzedFile { source, tokens }
+        AnalyzedFile::new(SourceFile::parse(RETINA_PATH, &src))
     }
 
     #[test]
@@ -775,9 +768,7 @@ mod tests {
     fn config_overrides_are_read_from_static_default() {
         let src = "pub fn static_default() -> Self { Self { hdim: 32, news_k: 10, d2v_dim: 8 } }\n\
                    fn new() { let h = config.hdim; let d = Dense::new(d_user, h, 1); }\n";
-        let source = SourceFile::parse(RETINA_PATH, src);
-        let tokens = lex(&source);
-        let f = AnalyzedFile { source, tokens };
+        let f = AnalyzedFile::new(SourceFile::parse(RETINA_PATH, src));
         let g = extract_graph(&f).expect("extracts");
         assert_eq!(g.config["hdim"], 32);
         assert_eq!(g.layers[0].dims[1], 32);
@@ -785,11 +776,7 @@ mod tests {
 
     #[test]
     fn pass_skips_trees_without_retina() {
-        let source = SourceFile::parse("crates/ml/src/x.rs", "pub fn f() {}\n");
-        let tokens = lex(&source);
-        let ctx = Context {
-            files: vec![AnalyzedFile { source, tokens }],
-        };
+        let ctx = Context::of(&[("crates/ml/src/x.rs", "pub fn f() {}\n")]);
         let out = ShapeFlow.run(&ctx);
         assert!(out.findings.is_empty());
         assert!(out.artifacts.is_empty());

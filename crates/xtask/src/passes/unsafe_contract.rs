@@ -50,7 +50,7 @@ impl Pass for UnsafeContract {
 
     fn run(&self, ctx: &Context) -> PassOutput {
         let mut out = PassOutput::default();
-        let index = crate::items::index(ctx);
+        let index = &ctx.graph().index;
         let tf_fns = target_feature_fns(ctx);
 
         for (fi, file) in ctx.files.iter().enumerate() {
@@ -79,7 +79,7 @@ impl Pass for UnsafeContract {
                 if tf_fns.iter().any(|n| n == &t.text)
                     && toks.get(k + 1).is_some_and(|n| n.is_punct("("))
                     && !(k > 0 && toks[k - 1].is_ident("fn"))
-                    && !detected_before(ctx, &index, fi, k)
+                    && !detected_before(ctx, index, fi, k)
                 {
                     findings.push(Finding {
                         rule: "A13",
@@ -127,26 +127,7 @@ impl Pass for UnsafeContract {
                     });
                 }
             }
-            let (allowed, _) = file.source.allows("unsafe-contract");
-            findings.retain(|f| !allowed.contains(&f.line));
             out.findings.extend(findings);
-        }
-
-        // Satellite lint: every allow(unsafe-contract) must carry a reason.
-        for file in &ctx.files {
-            let (_, missing) = file.source.allows("unsafe-contract");
-            for line in missing {
-                out.findings.push(Finding {
-                    rule: "allow",
-                    key: "allow",
-                    severity: Severity::Error,
-                    path: file.source.path.clone(),
-                    line,
-                    message: "allow(unsafe-contract) without a reason — state why this \
-                              unsafe contract deviation is sound"
-                        .into(),
-                });
-            }
         }
         out
     }
@@ -233,22 +214,10 @@ fn detected_before(ctx: &Context, index: &ItemIndex, fi: usize, k: usize) -> boo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-    use crate::passes::AnalyzedFile;
-    use crate::source::SourceFile;
+    use crate::passes::run_passes;
 
     fn run_on(files: &[(&str, &str)]) -> Vec<Finding> {
-        let ctx = Context {
-            files: files
-                .iter()
-                .map(|(p, s)| {
-                    let source = SourceFile::parse(p, s);
-                    let tokens = lex(&source);
-                    AnalyzedFile { source, tokens }
-                })
-                .collect(),
-        };
-        UnsafeContract.run(&ctx).findings
+        run_passes(&Context::of(files), &[Box::new(UnsafeContract)]).findings
     }
 
     #[test]
@@ -352,7 +321,7 @@ mod tests {
     }
 
     #[test]
-    fn allow_comment_suppresses_and_needs_a_reason() {
+    fn a_reasoned_allow_suppresses_and_a_bare_one_does_not() {
         let f = run_on(&[(
             "crates/nn/src/x.rs",
             "pub fn f(xs: &[f32]) -> f32 {\n\
@@ -366,7 +335,5 @@ mod tests {
         )]);
         let a13: Vec<&Finding> = f.iter().filter(|x| x.rule == "A13").collect();
         assert_eq!(a13.len(), 1, "reasonless allow does not suppress: {f:?}");
-        let misuses: Vec<&Finding> = f.iter().filter(|x| x.rule == "allow").collect();
-        assert_eq!(misuses.len(), 1, "{f:?}");
     }
 }

@@ -15,7 +15,7 @@ pub struct Line {
 }
 
 /// A preprocessed source file.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SourceFile {
     /// Workspace-relative path, `/`-separated.
     pub path: String,
