@@ -1,9 +1,12 @@
 //! Substrate micro-benchmarks: graph generation, TF-IDF, Doc2Vec,
-//! attention forward/backward, GRU BPTT, RETINA's user layer — the
-//! building blocks every experiment rests on.
+//! attention forward/backward, GRU BPTT, RETINA's user layer, the
+//! gradient-boosting fit — the building blocks every experiment rests on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use ml::{Classifier, Gbdt, GbdtConfig};
 use nn::{Dense, ExogenousAttention, Gru, Matrix, SparseRow, Standardization};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use socialsim::FollowerGraph;
 use std::hint::black_box;
 use text::{Doc2Vec, Doc2VecConfig, TfIdfConfig, TfIdfVectorizer};
@@ -204,9 +207,48 @@ fn bench_user_layer(c: &mut Criterion) {
     });
 }
 
+/// One gradient-boosting fit with Table III's XGBoost settings (the
+/// default config) at Table IV's training shape: 960 rows × 850
+/// features, 8% positives, 40% of the columns mostly zeros and a few
+/// constant, as the hate-generation features are.
+fn bench_gbdt(c: &mut Criterion) {
+    let (n, d) = (960, 850);
+    let mut rng = StdRng::seed_from_u64(11);
+    let y: Vec<u8> = (0..n).map(|_| u8::from(rng.gen_bool(0.08))).collect();
+    let x: Vec<Vec<f64>> = y
+        .iter()
+        .map(|&label| {
+            let lift = f64::from(label);
+            (0..d)
+                .map(|j| match j % 100 {
+                    0 => 1.0,
+                    k if k % 5 < 2 => {
+                        if rng.gen_bool(0.04 + 0.04 * lift) {
+                            rng.gen_range(0.0..1.0)
+                        } else {
+                            0.0
+                        }
+                    }
+                    k => {
+                        let signal = if k % 7 == 0 { 0.2 * lift } else { 0.0 };
+                        rng.gen_range(-1.0..1.0) + signal
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    c.bench_function("ml/gbdt_fit_960x850", |b| {
+        b.iter(|| {
+            let mut m = Gbdt::new(GbdtConfig::default());
+            m.fit(black_box(&x), black_box(&y));
+            m
+        })
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_graph, bench_text, bench_nn, bench_user_layer
+    targets = bench_graph, bench_text, bench_nn, bench_user_layer, bench_gbdt
 }
 criterion_main!(benches);

@@ -15,6 +15,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use socialsim::Dataset;
+use std::borrow::Cow;
 
 /// One labelled sample of the hate-generation task.
 #[derive(Debug, Clone)]
@@ -132,6 +133,9 @@ impl Processing {
     }
 }
 
+/// Feature rows, borrowed where a treatment leaves them unchanged.
+type Rows<'a> = Cow<'a, [Vec<f64>]>;
+
 /// The full Table IV pipeline.
 pub struct HategenPipeline {
     /// Training features/labels.
@@ -205,34 +209,49 @@ impl HategenPipeline {
     /// the natural test distribution. Recorded in EXPERIMENTS.md.
     pub fn run_cell(&self, model: ModelKind, proc: Processing) -> ClassificationReport {
         // Feature-space processing fitted on train, applied to both.
-        let (x_train, x_test): (Vec<Vec<f64>>, Vec<Vec<f64>>) = match proc {
+        let (x_train, x_test): (Rows, Rows) = match proc {
             Processing::Pca => {
                 let pca = Pca::fit(&self.x_train, 50, 12, self.seed);
-                (pca.transform(&self.x_train), pca.transform(&self.x_test))
+                (
+                    pca.transform(&self.x_train).into(),
+                    pca.transform(&self.x_test).into(),
+                )
             }
             Processing::TopK => {
                 let sel = MutualInfoSelector::fit(&self.x_train, &self.y_train, 50, 8);
-                (sel.transform(&self.x_train), sel.transform(&self.x_test))
+                (
+                    sel.transform(&self.x_train).into(),
+                    sel.transform(&self.x_test).into(),
+                )
             }
-            _ => (self.x_train.clone(), self.x_test.clone()),
+            _ => (
+                self.x_train.as_slice().into(),
+                self.x_test.as_slice().into(),
+            ),
         };
         // Label sampling.
-        let (x_fit, y_fit) = match proc {
+        let (x_fit, y_fit): (Rows, Vec<u8>) = match proc {
             Processing::Downsample => {
-                ml::sampling::downsample_majority(&x_train, &self.y_train, 1.0, self.seed)
+                let (x, y) =
+                    ml::sampling::downsample_majority(&x_train, &self.y_train, 1.0, self.seed);
+                (x.into(), y)
             }
             Processing::UpDown => {
-                ml::sampling::upsample_then_downsample(&x_train, &self.y_train, 3.0, self.seed)
+                let (x, y) =
+                    ml::sampling::upsample_then_downsample(&x_train, &self.y_train, 3.0, self.seed);
+                (x.into(), y)
             }
-            _ => (x_train.clone(), self.y_train.clone()),
+            _ => (x_train, self.y_train.clone()),
         };
 
         let mut clf = model.build();
         clf.fit(&x_fit, &y_fit);
         // Balanced test split for the sampled rows (see doc comment).
-        let (x_eval, y_eval) = match proc {
+        let (x_eval, y_eval): (Rows, Vec<u8>) = match proc {
             Processing::Downsample | Processing::UpDown => {
-                ml::sampling::downsample_majority(&x_test, &self.y_test, 1.0, self.seed ^ 0xE7)
+                let (x, y) =
+                    ml::sampling::downsample_majority(&x_test, &self.y_test, 1.0, self.seed ^ 0xE7);
+                (x.into(), y)
             }
             _ => (x_test, self.y_test.clone()),
         };

@@ -6,9 +6,15 @@
 //! Each round fits a regression tree to the (gradient, hessian) statistics
 //! of the logistic loss; leaf weights are `-G/(H+λ)` soft-thresholded by
 //! `reg_alpha` (L1), as in XGBoost.
+//!
+//! Trees grow by XGBoost's exact greedy method (Chen & Guestrin, KDD 2016,
+//! §4.1): each feature is sorted once per fit, and each depth finds the
+//! best split of every open node in one scan per feature. It chooses the
+//! splits a sort per node would (DESIGN.md §15).
 
 use crate::linalg::sigmoid;
 use crate::model::{check_fit_inputs, Classifier};
+use std::cmp::Ordering;
 
 /// Hyperparameters for [`Gbdt`].
 #[derive(Debug, Clone)]
@@ -44,47 +50,86 @@ impl Default for GbdtConfig {
     }
 }
 
-/// A regression tree node over (grad, hess) statistics.
-#[derive(Debug, Clone)]
-enum RNode {
-    Leaf {
-        weight: f64,
-    },
+/// A regression tree node. A split names its children by their index in
+/// the tree's node array; a leaf's weight is already multiplied by `eta`.
+#[derive(Debug, Clone, Copy)]
+enum Node {
+    Leaf(f64),
     Split {
         feature: usize,
         threshold: f64,
-        left: Box<RNode>,
-        right: Box<RNode>,
+        left: usize,
+        right: usize,
     },
 }
 
+/// A regression tree as one node array, root first.
 #[derive(Debug, Clone)]
 struct RegTree {
-    root: RNode,
+    nodes: Vec<Node>,
 }
 
 impl RegTree {
     fn predict(&self, x: &[f64]) -> f64 {
-        let mut node = &self.root;
-        loop {
+        let mut i = 0;
+        while let Some(&node) = self.nodes.get(i) {
             match node {
-                RNode::Leaf { weight } => return *weight,
-                RNode::Split {
+                Node::Leaf(weight) => return weight,
+                Node::Split {
                     feature,
                     threshold,
                     left,
                     right,
                 } => {
-                    node = if x[*feature] <= *threshold {
-                        left
-                    } else {
-                        right
-                    };
+                    i = if x[feature] <= threshold { left } else { right };
                 }
             }
         }
+        // Unreachable: `Gbdt::grow` pushes both children of every split.
+        f64::NAN
     }
 }
+
+/// Every non-constant feature with its `(value, row)` pairs, sorted once
+/// per fit by value with ties in row order: the order in which a stable
+/// per-node sort by `partial_cmp` lists any node's rows, because finite
+/// values make `partial_cmp` a total preorder. 16 B per entry.
+fn presort(x: &[Vec<f64>]) -> Vec<(usize, Vec<(f64, usize)>)> {
+    let d = x.first().map_or(0, Vec::len);
+    (0..d)
+        .filter_map(|f| {
+            let mut column: Vec<(f64, usize)> =
+                x.iter().enumerate().map(|(row, xi)| (xi[f], row)).collect();
+            column.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
+            // A constant feature offers no split at any node.
+            let constant = column.first().map(|e| e.0) == column.last().map(|e| e.0);
+            (!constant).then_some((f, column))
+        })
+        .collect()
+}
+
+/// A node of the level being grown, with the state of the scan that
+/// looks for its best split.
+#[derive(Debug, Clone, Copy, Default)]
+struct LevelNode {
+    /// Index in the tree's node array.
+    node: usize,
+    rows: usize,
+    /// Gradient and hessian sums over the node's rows, in row order.
+    g: f64,
+    h: f64,
+    parent_score: f64,
+    /// Sums over the node's rows the scan of the current feature has
+    /// passed, and the value of the last of them.
+    gl: f64,
+    hl: f64,
+    last: Option<f64>,
+    /// `(feature, threshold, gain)` of the best split found so far.
+    best: Option<(usize, f64, f64)>,
+}
+
+/// `slot` of a row whose node is not split further.
+const CLOSED: usize = usize::MAX;
 
 /// Gradient-boosted tree classifier for binary logistic loss.
 #[derive(Debug, Clone)]
@@ -140,65 +185,163 @@ impl Gbdt {
         num * num / (h + self.config.reg_lambda)
     }
 
-    fn build(
+    /// Grow one tree level by level and add each row's leaf weight to its
+    /// margin.
+    ///
+    /// A node is split when it is shallower than `max_depth`, holds at
+    /// least two rows, and its best split leaves neither side empty; the
+    /// best split has the largest positive gain, the first found winning
+    /// ties, scanning features in order and each feature's values in
+    /// ascending order.
+    fn grow(
         &self,
         x: &[Vec<f64>],
+        sorted: &[(usize, Vec<(f64, usize)>)],
         grad: &[f64],
         hess: &[f64],
-        idx: Vec<usize>,
-        depth: usize,
-    ) -> RNode {
-        let g_sum: f64 = idx.iter().map(|&i| grad[i]).sum();
-        let h_sum: f64 = idx.iter().map(|&i| hess[i]).sum();
-        let leaf = RNode::Leaf {
-            weight: self.leaf_weight(g_sum, h_sum),
-        };
-        if depth >= self.config.max_depth || idx.len() < 2 {
-            return leaf;
-        }
-        let parent_score = self.score(g_sum, h_sum);
-        let d = x[0].len();
-        let mut best: Option<(usize, f64, f64)> = None;
-        let mut vals: Vec<(f64, f64, f64)> = Vec::with_capacity(idx.len());
-        for f in 0..d {
-            vals.clear();
-            for &i in &idx {
-                vals.push((x[i][f], grad[i], hess[i]));
-            }
-            vals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-            let mut gl = 0.0;
-            let mut hl = 0.0;
-            for k in 0..vals.len().saturating_sub(1) {
-                gl += vals[k].1;
-                hl += vals[k].2;
-                if vals[k].0 == vals[k + 1].0 {
-                    continue;
-                }
-                let gr = g_sum - gl;
-                let hr = h_sum - hl;
-                if hl < self.config.min_child_weight || hr < self.config.min_child_weight {
-                    continue;
-                }
-                let gain = 0.5 * (self.score(gl, hl) + self.score(gr, hr) - parent_score)
-                    - self.config.gamma;
-                if gain > 0.0 && best.map_or(true, |(_, _, bg)| gain > bg) {
-                    best = Some((f, (vals[k].0 + vals[k + 1].0) / 2.0, gain));
+        margins: &mut [f64],
+    ) -> RegTree {
+        let cfg = &self.config;
+        let mut nodes = vec![Node::Leaf(0.0)];
+        // The node each row is in: one of the current level, or the leaf
+        // it settled in above it.
+        let mut node_of = vec![0usize; x.len()];
+        // Each row's index in `level_nodes` while its node may split.
+        let mut slot = vec![CLOSED; x.len()];
+        let (mut level, mut depth) = (0, 0);
+        while level < nodes.len() {
+            let end = nodes.len();
+            let mut level_nodes: Vec<LevelNode> = (level..end)
+                .map(|node| LevelNode {
+                    node,
+                    ..Default::default()
+                })
+                .collect();
+            for (row, &node) in node_of.iter().enumerate() {
+                if let Some(n) = node.checked_sub(level).and_then(|k| level_nodes.get_mut(k)) {
+                    n.g += grad[row];
+                    n.h += hess[row];
+                    n.rows += 1;
                 }
             }
+            for n in &mut level_nodes {
+                nodes[n.node] = Node::Leaf(cfg.eta * self.leaf_weight(n.g, n.h));
+                n.parent_score = self.score(n.g, n.h);
+            }
+            let splits = |k: usize| {
+                level_nodes
+                    .get(k)
+                    .is_some_and(|n| depth < cfg.max_depth && n.rows >= 2)
+            };
+            for (s, &node) in slot.iter_mut().zip(&node_of) {
+                *s = node
+                    .checked_sub(level)
+                    .filter(|&k| splits(k))
+                    .unwrap_or(CLOSED);
+            }
+            if slot.iter().any(|&s| s != CLOSED) {
+                self.find_splits(sorted, grad, hess, &slot, &mut level_nodes);
+                Self::split(x, &slot, &level_nodes, &mut nodes, &mut node_of);
+            }
+            level = end;
+            depth += 1;
         }
-        let Some((feature, threshold, _)) = best else {
-            return leaf;
-        };
-        let (li, ri): (Vec<usize>, Vec<usize>) =
-            idx.into_iter().partition(|&i| x[i][feature] <= threshold);
-        if li.is_empty() || ri.is_empty() {
-            return leaf;
+        for (m, &node) in margins.iter_mut().zip(&node_of) {
+            if let Node::Leaf(weight) = nodes[node] {
+                *m += weight;
+            }
         }
-        RNode::Split {
-            feature,
-            threshold,
-            left: Box::new(self.build(x, grad, hess, li, depth + 1)),
-            right: Box::new(self.build(x, grad, hess, ri, depth + 1)),
+        RegTree { nodes }
+    }
+
+    /// One pass over each sorted column, evaluating the splits of every
+    /// node a row has a `slot` in, in the order of the node's own rows
+    /// sorted by that feature.
+    fn find_splits(
+        &self,
+        sorted: &[(usize, Vec<(f64, usize)>)],
+        grad: &[f64],
+        hess: &[f64],
+        slot: &[usize],
+        level_nodes: &mut [LevelNode],
+    ) {
+        let cfg = &self.config;
+        for (feature, column) in sorted {
+            for n in level_nodes.iter_mut() {
+                n.gl = 0.0;
+                n.hl = 0.0;
+                n.last = None;
+            }
+            for &(value, row) in column {
+                let Some(n) = level_nodes.get_mut(slot[row]) else {
+                    continue;
+                };
+                // The split between the node's previous row and this one.
+                if let Some(last) = n.last.filter(|&last| last != value) {
+                    let gr = n.g - n.gl;
+                    let hr = n.h - n.hl;
+                    if n.hl >= cfg.min_child_weight && hr >= cfg.min_child_weight {
+                        let gain = 0.5
+                            * (self.score(n.gl, n.hl) + self.score(gr, hr) - n.parent_score)
+                            - cfg.gamma;
+                        if gain > 0.0 && n.best.is_none_or(|(_, _, bg)| gain > bg) {
+                            n.best = Some((*feature, (last + value) / 2.0, gain));
+                        }
+                    }
+                }
+                n.gl += grad[row];
+                n.hl += hess[row];
+                n.last = Some(value);
+            }
+        }
+    }
+
+    /// Turn each node whose best split leaves neither side empty into a
+    /// split with two new nodes, and move its rows into them.
+    fn split(
+        x: &[Vec<f64>],
+        slot: &[usize],
+        level_nodes: &[LevelNode],
+        nodes: &mut Vec<Node>,
+        node_of: &mut [usize],
+    ) {
+        let mut left_rows = vec![0; level_nodes.len()];
+        for (row, &s) in slot.iter().enumerate() {
+            if let Some((feature, threshold, _)) = level_nodes.get(s).and_then(|n| n.best) {
+                if x[row][feature] <= threshold {
+                    left_rows[s] += 1;
+                }
+            }
+        }
+        for (n, &left) in level_nodes.iter().zip(&left_rows) {
+            let Some((feature, threshold, _)) = n.best else {
+                continue;
+            };
+            if left == 0 || left == n.rows {
+                continue;
+            }
+            nodes[n.node] = Node::Split {
+                feature,
+                threshold,
+                left: nodes.len(),
+                right: nodes.len() + 1,
+            };
+            nodes.extend([Node::Leaf(0.0); 2]);
+        }
+        for (row, &s) in slot.iter().enumerate() {
+            if let Some(&Node::Split {
+                feature,
+                threshold,
+                left,
+                right,
+            }) = level_nodes.get(s).and_then(|n| nodes.get(n.node))
+            {
+                node_of[row] = if x[row][feature] <= threshold {
+                    left
+                } else {
+                    right
+                };
+            }
         }
     }
 }
@@ -215,6 +358,7 @@ impl Classifier for Gbdt {
         self.base_score = (p0 / (1.0 - p0)).ln();
         self.trees.clear();
 
+        let sorted = presort(x);
         let mut margins = vec![self.base_score; n];
         let mut grad = vec![0.0; n];
         let mut hess = vec![0.0; n];
@@ -224,39 +368,13 @@ impl Classifier for Gbdt {
                 grad[i] = p - y[i] as f64; // dL/dmargin
                 hess[i] = (p * (1.0 - p)).max(1e-16);
             }
-            let idx: Vec<usize> = (0..n).collect();
-            let root = self.build(x, &grad, &hess, idx, 0);
-            let tree = RegTree { root };
-            for i in 0..n {
-                margins[i] += self.config.eta * tree.predict(&x[i]);
-            }
-            // Shrink the stored tree by eta so decision() is consistent.
-            let shrunk = scale_tree(&tree.root, self.config.eta);
-            self.trees.push(RegTree { root: shrunk });
+            let tree = self.grow(x, &sorted, &grad, &hess, &mut margins);
+            self.trees.push(tree);
         }
     }
 
     fn predict_proba(&self, x: &[f64]) -> f64 {
         sigmoid(self.decision(x))
-    }
-}
-
-fn scale_tree(node: &RNode, eta: f64) -> RNode {
-    match node {
-        RNode::Leaf { weight } => RNode::Leaf {
-            weight: weight * eta,
-        },
-        RNode::Split {
-            feature,
-            threshold,
-            left,
-            right,
-        } => RNode::Split {
-            feature: *feature,
-            threshold: *threshold,
-            left: Box::new(scale_tree(left, eta)),
-            right: Box::new(scale_tree(right, eta)),
-        },
     }
 }
 
@@ -375,5 +493,323 @@ mod tests {
         assert_eq!(m.leaf_weight(0.5, 1.0), 0.0); // |g| < alpha
         assert!((m.leaf_weight(3.0, 1.0) + 1.0).abs() < 1e-12); // -(3-1)/2
         assert!((m.leaf_weight(-3.0, 1.0) - 1.0).abs() < 1e-12);
+    }
+
+    /// The sort-per-node builder that `Gbdt::grow` replaced, with its
+    /// boxed tree: the reference the level-wise grower must match bit for
+    /// bit.
+    #[derive(Debug)]
+    enum RNode {
+        Leaf {
+            weight: f64,
+        },
+        Split {
+            feature: usize,
+            threshold: f64,
+            left: Box<RNode>,
+            right: Box<RNode>,
+        },
+    }
+
+    impl RNode {
+        fn predict(&self, x: &[f64]) -> f64 {
+            match self {
+                RNode::Leaf { weight } => *weight,
+                RNode::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    if x[*feature] <= *threshold {
+                        left.predict(x)
+                    } else {
+                        right.predict(x)
+                    }
+                }
+            }
+        }
+
+        fn count(&self) -> usize {
+            match self {
+                RNode::Leaf { .. } => 1,
+                RNode::Split { left, right, .. } => 1 + left.count() + right.count(),
+            }
+        }
+    }
+
+    fn build(
+        m: &Gbdt,
+        x: &[Vec<f64>],
+        grad: &[f64],
+        hess: &[f64],
+        idx: Vec<usize>,
+        depth: usize,
+    ) -> RNode {
+        let g_sum: f64 = idx.iter().map(|&i| grad[i]).sum();
+        let h_sum: f64 = idx.iter().map(|&i| hess[i]).sum();
+        let leaf = RNode::Leaf {
+            weight: m.leaf_weight(g_sum, h_sum),
+        };
+        if depth >= m.config.max_depth || idx.len() < 2 {
+            return leaf;
+        }
+        let parent_score = m.score(g_sum, h_sum);
+        let d = x[0].len();
+        let mut best: Option<(usize, f64, f64)> = None;
+        let mut vals: Vec<(f64, f64, f64)> = Vec::with_capacity(idx.len());
+        for f in 0..d {
+            vals.clear();
+            for &i in &idx {
+                vals.push((x[i][f], grad[i], hess[i]));
+            }
+            vals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+            let mut gl = 0.0;
+            let mut hl = 0.0;
+            for k in 0..vals.len().saturating_sub(1) {
+                gl += vals[k].1;
+                hl += vals[k].2;
+                if vals[k].0 == vals[k + 1].0 {
+                    continue;
+                }
+                let gr = g_sum - gl;
+                let hr = h_sum - hl;
+                if hl < m.config.min_child_weight || hr < m.config.min_child_weight {
+                    continue;
+                }
+                let gain =
+                    0.5 * (m.score(gl, hl) + m.score(gr, hr) - parent_score) - m.config.gamma;
+                if gain > 0.0 && best.is_none_or(|(_, _, bg)| gain > bg) {
+                    best = Some((f, (vals[k].0 + vals[k + 1].0) / 2.0, gain));
+                }
+            }
+        }
+        let Some((feature, threshold, _)) = best else {
+            return leaf;
+        };
+        let (li, ri): (Vec<usize>, Vec<usize>) =
+            idx.into_iter().partition(|&i| x[i][feature] <= threshold);
+        if li.is_empty() || ri.is_empty() {
+            return leaf;
+        }
+        RNode::Split {
+            feature,
+            threshold,
+            left: Box::new(build(m, x, grad, hess, li, depth + 1)),
+            right: Box::new(build(m, x, grad, hess, ri, depth + 1)),
+        }
+    }
+
+    fn scale_tree(node: &RNode, eta: f64) -> RNode {
+        match node {
+            RNode::Leaf { weight } => RNode::Leaf {
+                weight: weight * eta,
+            },
+            RNode::Split {
+                feature,
+                threshold,
+                left,
+                right,
+            } => RNode::Split {
+                feature: *feature,
+                threshold: *threshold,
+                left: Box::new(scale_tree(left, eta)),
+                right: Box::new(scale_tree(right, eta)),
+            },
+        }
+    }
+
+    /// The booster `Gbdt::fit` trained before the level-wise grower.
+    struct Oracle {
+        base_score: f64,
+        trees: Vec<RNode>,
+    }
+
+    impl Oracle {
+        fn fit(config: GbdtConfig, x: &[Vec<f64>], y: &[u8]) -> Self {
+            let m = Gbdt::new(config);
+            let n = x.len();
+            let pos = y.iter().filter(|&&l| l == 1).count() as f64;
+            let p0 = (pos / n as f64).clamp(1e-6, 1.0 - 1e-6);
+            let base_score = (p0 / (1.0 - p0)).ln();
+            let mut trees = Vec::new();
+            let mut margins = vec![base_score; n];
+            let mut grad = vec![0.0; n];
+            let mut hess = vec![0.0; n];
+            for _round in 0..m.config.n_rounds {
+                for i in 0..n {
+                    let p = sigmoid(margins[i]);
+                    grad[i] = p - y[i] as f64;
+                    hess[i] = (p * (1.0 - p)).max(1e-16);
+                }
+                let root = build(&m, x, &grad, &hess, (0..n).collect(), 0);
+                for i in 0..n {
+                    margins[i] += m.config.eta * root.predict(&x[i]);
+                }
+                trees.push(scale_tree(&root, m.config.eta));
+            }
+            Self { base_score, trees }
+        }
+
+        fn decision(&self, x: &[f64]) -> f64 {
+            self.base_score + self.trees.iter().map(|t| t.predict(x)).sum::<f64>()
+        }
+    }
+
+    /// Whether the flat subtree at `i` is the oracle's `node`, bit for bit.
+    fn same_tree(flat: &RegTree, i: usize, node: &RNode) -> bool {
+        match (flat.nodes[i], node) {
+            (Node::Leaf(w), RNode::Leaf { weight }) => w.to_bits() == weight.to_bits(),
+            (
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                },
+                RNode::Split {
+                    feature: f,
+                    threshold: t,
+                    left: l,
+                    right: r,
+                },
+            ) => {
+                feature == *f
+                    && threshold.to_bits() == t.to_bits()
+                    && same_tree(flat, left, l)
+                    && same_tree(flat, right, r)
+            }
+            _ => false,
+        }
+    }
+
+    /// Fit both builders and require the same trees and the same
+    /// `decision` bits on every training row and every probe.
+    fn assert_matches_oracle(config: GbdtConfig, x: &[Vec<f64>], y: &[u8], probes: &[Vec<f64>]) {
+        let oracle = Oracle::fit(config.clone(), x, y);
+        let mut m = Gbdt::new(config.clone());
+        m.fit(x, y);
+        assert_eq!(m.trees.len(), oracle.trees.len(), "{config:?}");
+        for (t, (flat, boxed)) in m.trees.iter().zip(&oracle.trees).enumerate() {
+            assert_eq!(
+                flat.nodes.len(),
+                boxed.count(),
+                "tree {t} node count, {config:?}"
+            );
+            assert!(same_tree(flat, 0, boxed), "tree {t} differs, {config:?}");
+        }
+        for row in x.iter().chain(probes) {
+            assert_eq!(
+                m.decision(row).to_bits(),
+                oracle.decision(row).to_bits(),
+                "decision on {row:?}, {config:?}"
+            );
+        }
+    }
+
+    /// A dataset mixing the column kinds the presort must order exactly
+    /// as a per-node sort does: continuous values, four heavily tied
+    /// levels, a constant, a mix of `-0.0` and `0.0` with a few nonzeros,
+    /// a column that is at least 90% zeros, and the signed-zero column
+    /// again with every zero positive, whose splits tie with its twin's
+    /// only while both sum their zeros in row order. Labels follow a
+    /// noisy score, or are one class throughout for every seventh seed.
+    fn mixed(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<u8>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let single = (seed % 7 == 3).then(|| u8::from(seed.is_multiple_of(2)));
+        let mut x = Vec::with_capacity(n);
+        let mut y = Vec::with_capacity(n);
+        for _ in 0..n {
+            let c: f64 = rng.gen_range(-3.0..3.0);
+            let level = f64::from(rng.gen_range(0u8..4));
+            let signed_zero = match rng.gen_range(0..10) {
+                0 => 1.5,
+                1..=4 => -0.0,
+                _ => 0.0,
+            };
+            let sparse = if rng.gen_bool(0.06) {
+                rng.gen_range(0.1..2.0)
+            } else {
+                0.0
+            };
+            let score = c + level - 1.5 + 2.0 * signed_zero + 3.0 * sparse;
+            y.push(single.unwrap_or(u8::from(score + rng.gen_range(-2.0..2.0) > 0.0)));
+            x.push(vec![
+                c,
+                level,
+                4.25,
+                signed_zero,
+                sparse,
+                rng.gen_range(-1.0..1.0),
+                signed_zero.abs(),
+            ]);
+        }
+        (x, y)
+    }
+
+    #[test]
+    fn level_wise_grower_matches_the_sort_per_node_builder() {
+        let mut configs = Vec::new();
+        for max_depth in [0, 1, 4, 6] {
+            for min_child_weight in [0.0, 1.0, 50.0] {
+                for gamma in [0.0, 0.5] {
+                    for reg_alpha in [0.0, 0.9, 1e9] {
+                        configs.push(GbdtConfig {
+                            n_rounds: 6,
+                            max_depth,
+                            min_child_weight,
+                            gamma,
+                            reg_alpha,
+                            ..Default::default()
+                        });
+                    }
+                }
+            }
+        }
+        // 72 configs, each fitted on two datasets of its own: 144 seeds.
+        for (c, config) in configs.iter().enumerate() {
+            for seed in [2 * c as u64, 2 * c as u64 + 1] {
+                let n = 3 + (seed as usize * 37) % 180;
+                let (x, y) = mixed(n, seed);
+                let (probes, _) = mixed(20, seed + 10_000);
+                assert_matches_oracle(config.clone(), &x, &y, &probes);
+            }
+        }
+    }
+
+    #[test]
+    fn level_wise_grower_matches_on_edge_cases() {
+        let config = |min_child_weight| GbdtConfig {
+            n_rounds: 4,
+            reg_alpha: 0.0,
+            min_child_weight,
+            ..Default::default()
+        };
+        let probe = vec![vec![0.5, -1.0], vec![2.0, 3.0]];
+        // A side holding exactly `min_child_weight` of hessian is allowed:
+        // at the first round every hessian is 0.25.
+        let x: Vec<Vec<f64>> = (0..8).map(|i| vec![f64::from(i / 4), 0.0]).collect();
+        assert_matches_oracle(config(1.0), &x, &[0, 0, 0, 0, 1, 1, 1, 1], &probe);
+        // One row, two rows, one class.
+        assert_matches_oracle(config(0.0), &[vec![1.0, 2.0]], &[1], &probe);
+        let two = [vec![1.0, 2.0], vec![0.0, 2.0]];
+        assert_matches_oracle(config(0.0), &two, &[0, 1], &probe);
+        assert_matches_oracle(config(0.0), &two, &[1, 1], &probe);
+        let (x, _) = mixed(60, 5);
+        assert_matches_oracle(config(1.0), &x, &[0; 60], &mixed(5, 6).0);
+
+        // Adjacent floats: the midpoint of 1+ε and 1+2ε rounds to 1+2ε,
+        // so the only split sends every row left and each root stays a
+        // leaf.
+        let (a, b) = (1.0 + f64::EPSILON, 1.0 + 2.0 * f64::EPSILON);
+        assert_eq!((a + b) / 2.0, b);
+        let x: Vec<Vec<f64>> = (0..20)
+            .map(|i| vec![if i % 2 == 0 { a } else { b }])
+            .collect();
+        let y: Vec<u8> = (0..20).map(|i| u8::from(i % 2 == 1)).collect();
+        assert_matches_oracle(config(0.0), &x, &y, &[vec![a], vec![b], vec![1.0]]);
+        let mut m = Gbdt::new(config(0.0));
+        m.fit(&x, &y);
+        assert!(m.trees.iter().all(|t| t.nodes.len() == 1));
     }
 }

@@ -40,7 +40,8 @@ pub trait Classifier {
     }
 }
 
-/// Validate a training set shape; panics with a clear message on misuse.
+/// Validate a training set: its shape, binary labels and finite feature
+/// values; panics with a clear message on misuse.
 pub(crate) fn check_fit_inputs(x: &[Vec<f64>], y: &[u8]) {
     assert_eq!(x.len(), y.len(), "x and y must have the same length");
     assert!(!x.is_empty(), "cannot fit on an empty training set");
@@ -50,4 +51,10 @@ pub(crate) fn check_fit_inputs(x: &[Vec<f64>], y: &[u8]) {
         "all feature rows must have equal dimensionality"
     );
     assert!(y.iter().all(|&l| l <= 1), "labels must be binary (0 or 1)");
+    // The tree learners sort feature values, which NaN leaves without a
+    // total order, and the linear models would learn NaN weights.
+    assert!(
+        x.iter().flatten().all(|v| v.is_finite()),
+        "feature values must be finite (no NaN or infinity)"
+    );
 }

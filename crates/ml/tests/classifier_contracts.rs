@@ -157,3 +157,25 @@ fn heavy_imbalance_is_survivable() {
         assert!(auc > 0.7, "{name}: AUC {auc} on imbalanced separable data");
     }
 }
+
+#[test]
+fn non_finite_features_are_rejected_at_fit() {
+    let (x, y) = blobs(40, 4);
+    for bad in [f64::NAN, f64::INFINITY] {
+        let mut x = x.clone();
+        x[7][1] = bad;
+        for (name, mut m) in all_models() {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.fit(&x, &y)))
+                .expect_err(&format!("{name}: fit accepted a {bad} feature"));
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            assert!(
+                message.contains("feature values must be finite"),
+                "{name}: fit on a {bad} feature panicked with {message:?}"
+            );
+        }
+    }
+}
