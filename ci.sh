@@ -20,10 +20,10 @@ step "xtask lint"
 cargo run -p xtask -- lint
 
 step "xtask analyze"
-# Semantic passes (A1 shape-flow, A2 determinism, A3 cast-safety, A4
-# panic-reachability, A5 hot-loop allocation, A6 discarded-Result, A7
-# lock discipline, A10 division/log-guard, A11 probability-domain, A13
-# unsafe-contract, A14 capacity/growth). Prints and fails on any finding
+# Semantic passes (A2 determinism, A3 cast-safety, A4
+# panic-reachability, A6 discarded-Result, A7 lock discipline, A10
+# division/log-guard, A11 probability-domain, A13 unsafe-contract, A14
+# capacity/growth). Prints and fails on any finding
 # not grandfathered in xtask-baseline.json. `cargo run -p xtask --
 # explain <rule>` documents any failing rule.
 cargo run -p xtask -- analyze --baseline
@@ -44,6 +44,13 @@ step "workspace test suites (release)"
 # tests. Release mode keeps the training-heavy suites to under a minute
 # on a 2-core host once built.
 cargo test -q --release --workspace
+
+step "snapshot corruption suite (debug)"
+# The release suites above run with overflow checks off, where an
+# arithmetic overflow in a decoder wraps into a wrong error instead of
+# panicking. The corruption matrix (11 tests, about 0.1 s once built)
+# runs once more in the debug profile, where overflow checks trap it.
+cargo test -q -p serving --test corruption
 
 step "simd feature matrix"
 # The matmul kernels (f64 and f32) ship an opt-in AVX2 dispatch path

@@ -15,7 +15,9 @@ fn main() {
     // Optional model subset: --models svml,svmr,logreg,dectree,ada,xgb
     let args: Vec<String> = std::env::args().collect();
     let models: Vec<ModelKind> = match args.iter().position(|a| a == "--models") {
-        Some(i) => args[i + 1]
+        Some(i) => args
+            .get(i + 1)
+            .expect("--models takes a comma-separated list")
             .split(',')
             .map(|m| match m {
                 "svml" => ModelKind::SvmLinear,

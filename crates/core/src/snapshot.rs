@@ -588,7 +588,7 @@ impl<'a> Cursor<'a> {
         {
             return Err(SnapshotError::Truncated {
                 context: self.context,
-                needed: self.pos + n.saturating_mul(elem_size.max(1)),
+                needed: self.pos.saturating_add(n.saturating_mul(elem_size.max(1))),
                 available: self.buf.len(),
             });
         }

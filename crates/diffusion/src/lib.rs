@@ -9,7 +9,6 @@
 //!   the *beyond-organic* candidates (retweeters not visible in the
 //!   follower graph, Section III).
 //! * [`sir`] — the Susceptible–Infectious–Recovered contagion model [19].
-//! * [`sis`] — the Susceptible–Infectious–Susceptible variant [34].
 //! * [`threshold`] — the General (Linear) Threshold model of Kempe et al.
 //!   [40].
 //! * [`independent_cascade`] — Independent Cascade, an extra rudimentary
@@ -27,7 +26,6 @@ pub mod hidan;
 pub mod independent_cascade;
 pub mod neural_common;
 pub mod sir;
-pub mod sis;
 pub mod task;
 pub mod threshold;
 pub mod topolstm;
@@ -36,7 +34,6 @@ pub use forest_model::{ForestModel, ForestModelConfig};
 pub use hidan::{Hidan, HidanConfig};
 pub use independent_cascade::IndependentCascade;
 pub use sir::SirModel;
-pub use sis::SisModel;
 pub use task::{split_samples, CascadeSample, RetweetTask};
 pub use threshold::ThresholdModel;
 pub use topolstm::{TopoLstm, TopoLstmConfig};

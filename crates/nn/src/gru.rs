@@ -49,11 +49,6 @@ struct Cache<T: Scalar> {
 }
 
 impl<T: Scalar> Gru<T> {
-    /// Hidden dimensionality.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden
-    }
-
     /// Input dimensionality.
     pub fn in_dim(&self) -> usize {
         self.in_dim

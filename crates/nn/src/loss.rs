@@ -67,14 +67,13 @@ impl WeightedBce {
             (probs.rows(), probs.cols()),
             (targets.rows(), targets.cols())
         );
-        let n = (probs.rows() * probs.cols()) as f64;
+        let n = (probs.rows() * probs.cols()).max(1) as f64;
         let out = probs
             .data()
             .iter()
             .zip(targets.data())
             .map(|(&p, &t)| {
                 let pc = p.clamp(PROB_EPS, 1.0 - PROB_EPS);
-                // lint: allow(prob-guard) pc is clamped to [ε, 1−ε] above
                 -(self.pos_weight * t * pc.ln()) - (1.0 - t) * (1.0 - pc).ln()
             })
             .sum::<f64>()
@@ -199,6 +198,14 @@ mod tests {
         // And the correct-prediction direction is ~0, not NaN.
         let t_pos = Matrix::from_vec(1, 1, vec![1.0]);
         assert!(loss.loss_probs(&p, &t_pos).abs() < 1e-9);
+    }
+
+    #[test]
+    fn empty_batch_loss_is_zero_not_nan() {
+        let loss = WeightedBce::unweighted();
+        let empty = Matrix::zeros(0, 1);
+        assert_eq!(loss.loss(&empty, &empty), 0.0);
+        assert_eq!(loss.loss_probs(&empty, &empty), 0.0);
     }
 
     #[test]

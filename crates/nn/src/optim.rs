@@ -60,11 +60,6 @@ impl Adam {
             t: 0,
         }
     }
-
-    /// Default-parameter Adam.
-    pub fn default_params() -> Self {
-        Self::new(1e-3)
-    }
 }
 
 impl Optimizer for Adam {

@@ -29,11 +29,6 @@ struct Cache<T: Scalar> {
 }
 
 impl<T: Scalar> SimpleRnn<T> {
-    /// Hidden dimensionality.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden
-    }
-
     /// Input dimensionality.
     pub fn in_dim(&self) -> usize {
         self.in_dim

@@ -242,3 +242,19 @@ fn resealed_scaler_statistics_that_cannot_scale_are_malformed() {
         }
     }
 }
+
+#[test]
+fn a_length_past_the_address_space_is_truncated_not_an_overflow() {
+    // Presence tag 1, then a width of 2^60 columns: 16 · 2^60 bytes
+    // cannot exist, and the reported need must saturate rather than
+    // wrap past `usize::MAX` (a panic in a debug build).
+    let bytes = full_snapshot();
+    let mut payload = vec![1u8];
+    payload.extend_from_slice(&(1u64 << 60).to_le_bytes());
+    match Snapshot::decode(&with_payload(&bytes, SECTION_SCALER, &payload)) {
+        Err(SnapshotError::Truncated {
+            needed, available, ..
+        }) => assert!(needed > available, "needed {needed}, available {available}"),
+        other => panic!("expected Truncated, got {:?}", other.err()),
+    }
+}

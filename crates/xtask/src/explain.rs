@@ -39,16 +39,6 @@ pub const CATALOGUE: &[RuleDoc] = &[
               `// lint: allow(float-cmp) <reason>` for genuine bit-level checks.",
     },
     RuleDoc {
-        code: "R3",
-        key: "prob-guard",
-        title: "probability math in loss/attention/gru must be epsilon-guarded",
-        rationale: "ln(0) and division by an unguarded sum produce NaN/Inf that \
-                    poison every downstream gradient; the paper's weighted BCE \
-                    works on probabilities that must stay inside (0, 1).",
-        fix: "Clamp to [EPS, 1-EPS] (or `.max(EPS)` a denominator) before the \
-              log/division; A10/A11 verify these guards inter-procedurally.",
-    },
-    RuleDoc {
         code: "R4",
         key: "index",
         title: "tensor element access goes through get/set, not raw indexing",
@@ -68,17 +58,6 @@ pub const CATALOGUE: &[RuleDoc] = &[
                     `float-flow` is shared by A10–A11.",
         fix: "State the invariant that makes the finding safe, in at least a \
               few words: `// lint: allow(key) <reason>`.",
-    },
-    RuleDoc {
-        code: "A1",
-        key: "shape",
-        title: "RETINA graph wiring and symbolic shape contract",
-        rationale: "Rebuilds the user-dense → merge → static/dynamic-head graph \
-                    from retina.rs and evaluates symbolic dims, so a mis-wired \
-                    layer fails analysis instead of producing garbage outputs.",
-        fix: "Restore the documented wiring contract (DESIGN.md §6) or update \
-              the expected-graph model alongside a deliberate architecture \
-              change.",
     },
     RuleDoc {
         code: "A2",
@@ -111,16 +90,6 @@ pub const CATALOGUE: &[RuleDoc] = &[
               contract panics keep `// lint: allow(panic-reach) <invariant>`.",
     },
     RuleDoc {
-        code: "A5",
-        key: "hot-alloc",
-        title: "allocation inside hot-path loops",
-        rationale: "Per-iteration Vec/Box/format allocation in forward/backward \
-                    loops dominates small-model runtime; the kernels thread \
-                    scratch buffers instead.",
-        fix: "Hoist the allocation out of the loop or reuse a scratch buffer \
-              (see tensor.rs `*_into` variants).",
-    },
-    RuleDoc {
         code: "A6",
         key: "discard-result",
         title: "discarded Result values",
@@ -150,7 +119,8 @@ pub const CATALOGUE: &[RuleDoc] = &[
         title: "division/log/sqrt guards on the hot path",
         rationale: "A division, ln/log, or sqrt whose operand is not provably \
                     epsilon-guarded/positive in a function reachable from the \
-                    serving/training roots is one degenerate batch away from \
+                    serving/training roots, or anywhere in loss.rs, \
+                    attention.rs or gru.rs, is one degenerate batch away from \
                     NaN — and NaN in a served probability is an incident, not \
                     a test diff.",
         fix: "Floor the operand (`.max(EPS)`, `.max(1)` on an integer count \
@@ -166,8 +136,7 @@ pub const CATALOGUE: &[RuleDoc] = &[
         rationale: "Values flowing into WeightedBce::loss_probs, predict_proba \
                     heads, and prob-named bindings must stay in [0,1]; \
                     arithmetic without a clamp can push them outside and the \
-                    weighted-BCE logs then explode. Upgrades the token-local \
-                    R3 guard check to the inter-procedural value domain.",
+                    weighted-BCE logs then explode.",
         fix: "Clamp to [EPS, 1-EPS], produce the value through the sigmoid \
               family, or annotate `// lint: allow(float-flow) <range proof>`.",
     },
@@ -225,8 +194,7 @@ mod tests {
     #[test]
     fn every_analysis_pass_and_rule_is_documented() {
         for code in [
-            "R1", "R2", "R3", "R4", "allow", "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A10",
-            "A11", "A13", "A14",
+            "R1", "R2", "R4", "allow", "A2", "A3", "A4", "A6", "A7", "A10", "A11", "A13", "A14",
         ] {
             assert!(lookup(code).is_some(), "missing catalogue entry for {code}");
         }
@@ -243,8 +211,8 @@ mod tests {
 
     #[test]
     fn unknown_codes_miss() {
-        // A8 and A9 are retired ids: they miss like any unknown code.
-        for code in ["A8", "A9", "A99"] {
+        // Retired ids miss like any unknown code.
+        for code in ["A1", "A5", "R3", "A8", "A9", "A99"] {
             assert!(lookup(code).is_none(), "{code}");
         }
     }

@@ -1,5 +1,5 @@
 //! A lightweight token stream over the code channel of a
-//! [`SourceFile`](crate::source::SourceFile). The semantic passes (A1–A3)
+//! [`SourceFile`](crate::source::SourceFile). The semantic passes
 //! pattern-match token sequences instead of raw lines, which survives
 //! formatting differences (multi-line calls, aligned operators) that defeat
 //! the per-line rules.

@@ -1,26 +1,25 @@
 //! `cargo run -p xtask -- lint`
 //! `cargo run -p xtask -- analyze [--baseline] [--update-baseline]
-//!                                [--prune-baseline] [--emit-dot <path>]`
+//!                                [--prune-baseline]`
 //! `cargo run -p xtask -- explain [<rule>]`
 //! `cargo run -p xtask -- bench-report [--check]`
 //! `cargo run -p xtask -- serving-report [--check]`
 //! `cargo run -p xtask -- mem-report [--check]`
 //!
-//! `lint` exits nonzero when any R1–R4 violation (or malformed
+//! `lint` exits nonzero when any R1, R2 or R4 violation (or malformed
 //! allow-comment) is found.
 //!
-//! `analyze` runs the semantic passes (A1 shape-flow, A2 determinism,
-//! A3 cast-safety, A4 panic-reachability, A5 hot-loop allocation, A6
-//! discarded-Result, A7 lock discipline, A10 division/log-guard, A11
-//! probability-domain, A13 unsafe-contract, A14 capacity/growth) over
-//! the workspace, prints every finding, and exits nonzero when any
-//! non-baselined finding remains. `--update-baseline` grandfathers the current findings;
-//! `--prune-baseline` rewrites the committed baseline keeping only
-//! entries a current finding still matches. `--emit-dot` writes the A1
-//! model graph (`docs/model_graph.dot` is the committed rendering).
+//! `analyze` runs the semantic passes (A2 determinism, A3 cast-safety,
+//! A4 panic-reachability, A6 discarded-Result, A7 lock discipline, A10
+//! division/log-guard, A11 probability-domain, A13 unsafe-contract, A14
+//! capacity/growth) over the workspace, prints every finding, and exits
+//! nonzero when any non-baselined finding remains. `--update-baseline`
+//! grandfathers the current findings; `--prune-baseline` rewrites the
+//! committed baseline keeping only entries a current finding still
+//! matches.
 //!
 //! `explain <rule>` prints the rationale and fix guidance for one rule
-//! or pass (`R1`..`R4`, `allow`, `A1`..`A14`); with no argument it
+//! or pass (`R1`, `R2`, `R4`, `allow`, `A2`..`A14`); with no argument it
 //! prints the whole catalogue.
 //!
 //! `bench-report`, `serving-report` and `mem-report` each run one
@@ -40,7 +39,7 @@ fn main() -> ExitCode {
         eprintln!(
             "usage: cargo run -p xtask -- lint\n       \
              cargo run -p xtask -- analyze [--baseline] [--update-baseline] \
-             [--prune-baseline] [--emit-dot <path>]\n       \
+             [--prune-baseline]\n       \
              cargo run -p xtask -- explain [<rule>]\n       \
              cargo run -p xtask -- bench-report [--check]\n       \
              cargo run -p xtask -- serving-report [--check]\n       \
@@ -147,7 +146,6 @@ struct AnalyzeOpts {
     use_baseline: bool,
     update_baseline: bool,
     prune_baseline: bool,
-    emit_dot: Option<String>,
 }
 
 impl AnalyzeOpts {
@@ -156,18 +154,12 @@ impl AnalyzeOpts {
             use_baseline: false,
             update_baseline: false,
             prune_baseline: false,
-            emit_dot: None,
         };
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
+        for a in args {
             match a.as_str() {
                 "--baseline" => opts.use_baseline = true,
                 "--update-baseline" => opts.update_baseline = true,
                 "--prune-baseline" => opts.prune_baseline = true,
-                "--emit-dot" => {
-                    opts.emit_dot =
-                        Some(it.next().ok_or("--emit-dot expects a file path")?.clone());
-                }
                 other => return Err(format!("unknown analyze option `{other}`")),
             }
         }
@@ -232,26 +224,6 @@ fn run_analyze(opts: &AnalyzeOpts) -> ExitCode {
         let (kept, absorbed) = base.apply(std::mem::take(&mut report.findings));
         report.findings = kept;
         report.baselined = absorbed;
-    }
-
-    if let Some(path) = &opts.emit_dot {
-        match report
-            .artifacts
-            .iter()
-            .find(|(name, _)| name == "model_graph.dot")
-        {
-            Some((_, dot)) => {
-                if let Err(e) = std::fs::write(path, dot) {
-                    eprintln!("failed to write {path}: {e}");
-                    return ExitCode::from(2);
-                }
-                eprintln!("wrote model graph to {path}");
-            }
-            None => {
-                eprintln!("no model-graph artifact produced (A1 found no model file)");
-                return ExitCode::from(2);
-            }
-        }
     }
 
     print!("{}", report.render());

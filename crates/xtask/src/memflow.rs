@@ -8,8 +8,8 @@
 //!   full field types (the item index keeps only base-type hints) into
 //!   a [`StructLayout`], so owning containers (`Vec`/`VecDeque`/
 //!   `String`/maps/sets) are told apart from borrows and scalars.
-//! - **Allocation-site inventory** — every allocation-shaped call (the
-//!   A5 `alloc_shape` matcher) classified by loop depth and hot-path
+//! - **Allocation-site inventory** — every allocation-shaped call
+//!   ([`alloc_shape`]) classified by loop depth and hot-path
 //!   reachability from the memory root set ([`mem_roots`]: the A4 hot
 //!   roots plus the dataset/graph/cascade generation surface and the
 //!   serving queue entry points).
@@ -148,9 +148,8 @@ pub struct StructLayout {
 pub struct AllocSite {
     /// Index into the call graph's `index.fns`.
     pub fn_id: usize,
-    pub path: String,
     pub line: usize,
-    /// The A5 `alloc_shape` rendering (`Vec::new`, `.clone()`, ...).
+    /// The [`alloc_shape`] rendering (`Vec::new`, `.clone()`, ...).
     pub shape: String,
     /// How many `for`/`while`/`loop` bodies enclose the site.
     pub loop_depth: usize,
@@ -217,10 +216,9 @@ pub fn alloc_sites(ctx: &Context, graph: &CallGraph) -> Vec<AllocSite> {
         let file = &ctx.files[item.file];
         let depths = loop_depths(&file.tokens, b0, b1);
         for k in b0..b1 {
-            if let Some(shape) = crate::passes::hot_alloc::alloc_shape(&file.tokens, k) {
+            if let Some(shape) = alloc_shape(&file.tokens, k) {
                 out.push(AllocSite {
                     fn_id: fid,
-                    path: item.path.clone(),
                     line: file.tokens[k].line,
                     shape,
                     loop_depth: depths[k - b0] as usize,
@@ -232,9 +230,38 @@ pub fn alloc_sites(ctx: &Context, graph: &CallGraph) -> Vec<AllocSite> {
     out
 }
 
-/// Per-token loop-nesting depth over `[b0, b1)` — the counting variant
-/// of the A5 `loop_mask`. Loop headers track paren/bracket depth so a
-/// closure in the iterated expression does not end the header early.
+/// The allocation-shaped call at token `k`, if any: `Vec::new`/
+/// `with_capacity`/`from`, `String::…` likewise, `vec!`, `format!`, and
+/// `.to_vec()`/`.clone()`/`.collect()`/`.to_string()`/`.to_owned()`.
+/// The A7 lock pass flags the same shapes inside critical sections.
+pub(crate) fn alloc_shape(toks: &[Token], k: usize) -> Option<String> {
+    let t = &toks[k];
+    if t.kind != TokKind::Ident {
+        return None;
+    }
+    let next = toks.get(k + 1);
+    match t.text.as_str() {
+        "new" | "with_capacity" | "from"
+            if k >= 2
+                && toks[k - 1].is_punct("::")
+                && matches!(toks[k - 2].text.as_str(), "Vec" | "String")
+                && next.is_some_and(|n| n.is_punct("(")) =>
+        {
+            Some(format!("{}::{}", toks[k - 2].text, t.text))
+        }
+        "vec" | "format" if next.is_some_and(|n| n.is_punct("!")) => Some(format!("{}!", t.text)),
+        "to_vec" | "clone" | "collect" | "to_string" | "to_owned"
+            if k > 0 && toks[k - 1].is_punct(".") && next.is_some_and(|n| n.is_punct("(")) =>
+        {
+            Some(format!(".{}()", t.text))
+        }
+        _ => None,
+    }
+}
+
+/// Per-token loop-nesting depth over `[b0, b1)`. Loop headers track
+/// paren/bracket depth so a closure in the iterated expression does not
+/// end the header early.
 pub fn loop_depths(toks: &[Token], b0: usize, b1: usize) -> Vec<u32> {
     let mut depths = vec![0u32; b1 - b0];
     for k in b0..b1 {

@@ -22,7 +22,7 @@
 //! Suppress (with a reason) via `// lint: allow(mem-flow) <reason>`;
 //! a reasonless `mem-flow` allow is itself an Error.
 
-use super::{Context, Finding, Pass, PassOutput, Severity};
+use super::{Context, Finding, Pass, Severity};
 use crate::callgraph::CallGraph;
 use crate::lexer::{render, TokKind};
 use crate::memflow::{
@@ -50,13 +50,11 @@ impl Pass for CapacityGrowth {
         "A14"
     }
 
-    fn run(&self, ctx: &Context) -> PassOutput {
-        let mut out = PassOutput::default();
+    fn run(&self, ctx: &Context) -> Vec<Finding> {
         let graph = ctx.graph();
         let model = MemModel::build(ctx);
-
-        out.findings = missing_presize(ctx, graph);
-        out.findings.extend(unbounded_growth(ctx, graph, &model));
+        let mut out = missing_presize(ctx, graph);
+        out.extend(unbounded_growth(ctx, graph, &model));
         out
     }
 }
@@ -301,7 +299,7 @@ mod tests {
     use crate::passes::run_passes;
 
     fn run_on(files: &[(&str, &str)]) -> Vec<Finding> {
-        run_passes(&Context::of(files), &[Box::new(CapacityGrowth)]).findings
+        run_passes(&Context::of(files), &[Box::new(CapacityGrowth)])
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! `// lint: allow(index-underflow) <reason>` when an invariant makes
 //! the operation safe (and say which invariant).
 
-use super::{Context, Finding, Pass, PassOutput, Severity};
+use super::{Context, Finding, Pass, Severity};
 use crate::lexer::TokKind;
 use std::collections::BTreeSet;
 
@@ -38,14 +38,14 @@ impl Pass for CastSafety {
         "A3"
     }
 
-    fn run(&self, ctx: &Context) -> PassOutput {
-        let mut out = PassOutput::default();
+    fn run(&self, ctx: &Context) -> Vec<Finding> {
+        let mut out = Vec::new();
         for file in &ctx.files {
             if !SCOPE.contains(&file.crate_name()) {
                 continue;
             }
-            check_narrowing_casts(file, &mut out.findings);
-            check_index_subtraction(file, &mut out.findings);
+            check_narrowing_casts(file, &mut out);
+            check_index_subtraction(file, &mut out);
         }
         out
     }
@@ -179,7 +179,7 @@ mod tests {
     use crate::passes::run_passes;
 
     fn run_on(path: &str, src: &str) -> Vec<Finding> {
-        run_passes(&Context::of(&[(path, src)]), &[Box::new(CastSafety)]).findings
+        run_passes(&Context::of(&[(path, src)]), &[Box::new(CastSafety)])
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! `.drain()`, `.into_iter()`). Keyed lookups (`get`/`insert`/
 //! `contains`) are order-independent and stay legal.
 
-use super::{Context, Finding, Pass, PassOutput, Severity};
+use super::{Context, Finding, Pass, Severity};
 use crate::lexer::{TokKind, Token};
 use std::collections::BTreeSet;
 
@@ -55,15 +55,15 @@ impl Pass for Determinism {
         "A2"
     }
 
-    fn run(&self, ctx: &Context) -> PassOutput {
-        let mut out = PassOutput::default();
+    fn run(&self, ctx: &Context) -> Vec<Finding> {
+        let mut out = Vec::new();
         for file in &ctx.files {
             if EXEMPT.contains(&file.crate_name()) {
                 continue;
             }
-            check_rng_and_clock(file, &mut out.findings);
-            check_hash_iteration(file, &mut out.findings);
-            check_adhoc_threading(file, &mut out.findings);
+            check_rng_and_clock(file, &mut out);
+            check_hash_iteration(file, &mut out);
+            check_adhoc_threading(file, &mut out);
         }
         out
     }
@@ -277,7 +277,7 @@ mod tests {
     use crate::passes::run_passes;
 
     fn run_on(path: &str, src: &str) -> Vec<Finding> {
-        run_passes(&Context::of(&[(path, src)]), &[Box::new(Determinism)]).findings
+        run_passes(&Context::of(&[(path, src)]), &[Box::new(Determinism)])
     }
 
     #[test]

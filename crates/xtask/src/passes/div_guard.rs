@@ -1,9 +1,10 @@
-//! A10 — division/log/sqrt guards on the hot path.
+//! A10 — division/log/sqrt guards on the hot path and in the loss math.
 //!
 //! Consumes the [`crate::floatflow`] model: every binary `/` (and `/=`
 //! and `.recip()`) whose denominator is float-evidenced, every `.ln()`
 //! / `.log*()` receiver, and every `.sqrt()` receiver inside a function
-//! reachable from the serving/training roots must be provably
+//! reachable from the serving/training roots, or anywhere in
+//! `ALWAYS_CHECKED`, must be provably
 //! [`Domain::Positive`]/[`Domain::EpsGuarded`] (non-negative for sqrt)
 //! in the value lattice. Anything weaker is one degenerate batch away
 //! from a NaN in a served probability, and is an **Error** carrying the
@@ -13,49 +14,59 @@
 //! the key is shared with A11 (one annotation covers all numeric-
 //! dataflow findings on a line).
 
-use super::{Context, Finding, Pass, PassOutput, Severity};
+use super::{Context, Finding, Pass, Severity};
 use crate::floatflow::{hot_reach, CheckKind};
 
 pub struct DivGuard;
+
+/// Files whose every non-test fn is checked, hot or not: the loss,
+/// attention and GRU math, where a cold helper today is a training
+/// path tomorrow.
+const ALWAYS_CHECKED: [&str; 3] = [
+    "crates/nn/src/loss.rs",
+    "crates/nn/src/attention.rs",
+    "crates/nn/src/gru.rs",
+];
 
 impl Pass for DivGuard {
     fn id(&self) -> &'static str {
         "A10"
     }
 
-    fn run(&self, ctx: &Context) -> PassOutput {
-        let mut out = PassOutput::default();
+    fn run(&self, ctx: &Context) -> Vec<Finding> {
+        let mut out = Vec::new();
         let (graph, flow) = (ctx.graph(), ctx.flow());
         let reach = hot_reach(graph);
 
         for site in &flow.sites.checks {
-            if site.in_test {
-                continue;
-            }
-            let Some(chain) = reach.get(&site.fn_id) else {
-                continue;
-            };
             let proven = match site.kind {
                 CheckKind::Div | CheckKind::Recip => !site.val.is_float || site.val.pos(),
                 CheckKind::Ln | CheckKind::Log => site.val.pos(),
                 CheckKind::Sqrt => site.val.ge0(),
             };
-            if proven {
+            if site.in_test || proven {
                 continue;
             }
             let f = &graph.index.fns[site.fn_id];
+            let scope = match reach.get(&site.fn_id) {
+                Some(chain) => format!("hot via {}", graph.chain_display(chain)),
+                None if ALWAYS_CHECKED.iter().any(|p| f.path.ends_with(p)) => {
+                    format!("every fn in {} is checked", f.path)
+                }
+                None => continue,
+            };
             let def = match site.val.def {
                 Some(l) => format!("; operand defined at {}:{}", f.path, l),
                 None => String::new(),
             };
-            out.findings.push(Finding {
+            out.push(Finding {
                 rule: "A10",
                 key: "float-flow",
                 severity: Severity::Error,
                 path: f.path.clone(),
                 line: site.line,
                 message: format!(
-                    "{} `{}` in `{}` is not provably {} ({}{def}); hot via {}; \
+                    "{} `{}` in `{}` is not provably {} ({}{def}); {scope}; \
                      floor it (`.max(EPS)`, `.max(1)` on an integer count) or \
                      annotate `// lint: allow(float-flow) <reason>`",
                     site.kind.what(),
@@ -67,7 +78,6 @@ impl Pass for DivGuard {
                         "positive"
                     },
                     site.val.domain.describe(),
-                    graph.chain_display(chain)
                 ),
             });
         }
@@ -80,7 +90,7 @@ mod tests {
     use super::*;
     use crate::passes::run_passes;
 
-    fn run_on(files: &[(&str, &str)]) -> PassOutput {
+    fn run_on(files: &[(&str, &str)]) -> Vec<Finding> {
         run_passes(&Context::of(files), &[Box::new(DivGuard)])
     }
 
@@ -93,8 +103,8 @@ mod tests {
                  total / n\n\
              }\n",
         )]);
-        let errs: Vec<&Finding> = out.findings.iter().filter(|f| f.rule == "A10").collect();
-        assert_eq!(errs.len(), 1, "{:?}", out.findings);
+        let errs: Vec<&Finding> = out.iter().filter(|f| f.rule == "A10").collect();
+        assert_eq!(errs.len(), 1, "{:?}", out);
         assert_eq!(errs[0].severity, Severity::Error);
         assert!(
             errs[0].message.contains("denominator `n`"),
@@ -116,7 +126,41 @@ mod tests {
                  total / n\n\
              }\n",
         )]);
-        assert!(out.findings.is_empty(), "{:?}", out.findings);
+        assert!(out.is_empty(), "{:?}", out);
+    }
+
+    #[test]
+    fn every_fn_in_the_loss_attention_and_gru_files_is_checked() {
+        // An unguarded `.ln()` and a division by a probability sum, in
+        // fns no hot root reaches: errors in `loss.rs`, out of scope in
+        // a file outside `ALWAYS_CHECKED`.
+        let src = "pub fn nll(p: f64) -> f64 { -p.ln() }\n\
+                   pub fn normalize(v: &mut [f64], sum: f64) { for x in v { *x /= sum; } }\n";
+        let out = run_on(&[("crates/nn/src/loss.rs", src)]);
+        let errs: Vec<(usize, &str)> = out
+            .iter()
+            .filter(|f| f.rule == "A10" && f.severity == Severity::Error)
+            .map(|f| (f.line, f.message.as_str()))
+            .collect();
+        assert_eq!(errs.len(), 2, "{out:?}");
+        assert!(errs[0].1.contains("`p.ln()`"), "{}", errs[0].1);
+        assert!(errs[1].1.contains("denominator `sum`"), "{}", errs[1].1);
+        assert!(errs
+            .iter()
+            .all(|(_, m)| m.contains("every fn in crates/nn/src/loss.rs is checked")));
+        assert!(run_on(&[("crates/nn/src/dense.rs", src)]).is_empty());
+    }
+
+    #[test]
+    fn guarded_logs_in_the_loss_file_are_clean() {
+        let out = run_on(&[(
+            "crates/nn/src/loss.rs",
+            "const EPS: f64 = 1e-12;\n\
+             pub fn f(p: f64) -> f64 { -(p.max(EPS)).ln() }\n\
+             pub fn g(p: f64) -> f64 { -(p.clamp(1e-12, 1.0)).ln() }\n\
+             pub fn softplus(x: f64) -> f64 { (1.0 + x.exp()).ln() }\n",
+        )]);
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]
@@ -125,7 +169,7 @@ mod tests {
             "crates/text/src/x.rs",
             "pub fn helper(a: f64, b: f64) -> f64 { a / b }\n",
         )]);
-        assert!(out.findings.is_empty(), "{:?}", out.findings);
+        assert!(out.is_empty(), "{:?}", out);
     }
 
     #[test]
@@ -144,8 +188,8 @@ mod tests {
                  pub fn inner(x: f64) -> f64 { x.ln() }\n",
             ),
         ]);
-        let errs: Vec<&Finding> = out.findings.iter().filter(|f| f.rule == "A10").collect();
-        assert_eq!(errs.len(), 1, "{:?}", out.findings);
+        let errs: Vec<&Finding> = out.iter().filter(|f| f.rule == "A10").collect();
+        assert_eq!(errs.len(), 1, "{:?}", out);
         assert!(errs[0].message.contains("x.ln()"), "{}", errs[0].message);
         assert!(
             errs[0].message.contains("serving::serve → ml::inner"),
@@ -160,8 +204,8 @@ mod tests {
             "crates/serving/src/x.rs",
             "pub fn serve(v: f64) -> f64 { v.sqrt() }\n",
         )]);
-        let errs: Vec<&Finding> = out.findings.iter().filter(|f| f.rule == "A10").collect();
-        assert_eq!(errs.len(), 1, "{:?}", out.findings);
+        let errs: Vec<&Finding> = out.iter().filter(|f| f.rule == "A10").collect();
+        assert_eq!(errs.len(), 1, "{:?}", out);
         assert!(errs[0].message.contains("non-negative"));
     }
 
@@ -176,7 +220,7 @@ mod tests {
                  r / 2.0\n\
              }\n",
         )]);
-        let a10: Vec<&Finding> = out.findings.iter().filter(|f| f.rule == "A10").collect();
+        let a10: Vec<&Finding> = out.iter().filter(|f| f.rule == "A10").collect();
         assert!(a10.is_empty(), "{a10:?}");
     }
 }

@@ -22,7 +22,7 @@
 //! is one); `.recv*()`, a zero-argument `.join()` and the print macros.
 //! The wait on the section's own guard is allowed. In
 //! `crates/serving/src` and `nn/src/par.rs` an allocation-shaped method
-//! call ([`super::hot_alloc::alloc_shape`]) is a **Warning**.
+//! call ([`crate::memflow::alloc_shape`]) is a **Warning**.
 //!
 //! Condvars: a `wait`/`wait_timeout` that is not inside a `while`/`loop`
 //! opened after its guard's acquisition is an **Error** (condvars wake
@@ -35,10 +35,10 @@
 //!
 //! Suppression: `// lint: allow(lock) <reason>`.
 
-use super::hot_alloc::alloc_shape;
-use super::{Context, Finding, Pass, PassOutput, Severity};
+use super::{Context, Finding, Pass, Severity};
 use crate::callgraph::{CallGraph, CALL_KEYWORDS};
 use crate::lexer::{matching_close, render, split_args, TokKind, Token};
+use crate::memflow::alloc_shape;
 use std::collections::{BTreeMap, BTreeSet};
 
 pub struct Locks;
@@ -48,7 +48,7 @@ impl Pass for Locks {
         "A7"
     }
 
-    fn run(&self, ctx: &Context) -> PassOutput {
+    fn run(&self, ctx: &Context) -> Vec<Finding> {
         let graph = ctx.graph();
         // (file, call-site token) → the callee, or `None` for a method
         // name with several workspace candidates.
@@ -88,10 +88,10 @@ impl Pass for Locks {
             scan.scan(&mut waited);
             scans.push(scan);
         }
-        let mut out = PassOutput::default();
+        let mut out = Vec::new();
         for mut scan in scans {
             scan.check_notify(&waited);
-            out.findings.append(&mut scan.findings);
+            out.append(&mut scan.findings);
         }
         out
     }
@@ -500,7 +500,7 @@ mod tests {
     use std::path::Path;
 
     fn run_on(files: &[(&str, &str)]) -> Vec<Finding> {
-        run_passes(&Context::of(files), &[Box::new(Locks)]).findings
+        run_passes(&Context::of(files), &[Box::new(Locks)])
     }
 
     fn serving(src: &str) -> Vec<Finding> {
@@ -968,8 +968,7 @@ mod tests {
             .expect("workspace root");
         let base = load_workspace(root).expect("workspace loads").files;
         let lock_findings = |files: Vec<AnalyzedFile>| {
-            let out = run_passes(&Context::new(files), &[Box::new(Locks)]);
-            out.findings
+            run_passes(&Context::new(files), &[Box::new(Locks)])
                 .into_iter()
                 .filter(|f| f.rule == "A7")
                 .collect::<Vec<_>>()

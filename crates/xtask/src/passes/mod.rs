@@ -1,14 +1,11 @@
 //! The semantic analysis framework: a pass manager over pre-lexed
-//! sources. Unlike the line-based lint rules (R1–R4), passes see every
-//! file of the workspace as a token stream and can build cross-line IR
-//! (the A1 model graph) before reporting.
+//! sources. Unlike the line-based lint rules (R1, R2, R4), passes see
+//! every file of the workspace as a token stream and can build
+//! cross-line models (the call graph, the float value lattice, struct
+//! layouts) before reporting.
 //!
 //! Pass catalogue:
 //!
-//! - **A1 shape-flow** (`shape_flow`): extracts the RETINA layer
-//!   constructions from `crates/core/src/retina.rs`, builds a model-graph
-//!   IR, verifies dimension compatibility across the static and dynamic
-//!   heads, and renders the graph as DOT.
 //! - **A2 determinism** (`determinism`): unseeded RNG construction,
 //!   iteration over `HashMap`/`HashSet` (order-unstable) and wall-clock
 //!   reads in the model crates.
@@ -19,9 +16,6 @@
 //!   call graph ([`crate::callgraph`]) and reports `unwrap`/`expect`/
 //!   `panic!` and unguarded indexing in every fn reachable from the
 //!   hot-path roots, with the shortest call chain.
-//! - **A5 hot-loop allocation** (`hot_alloc`): allocation-shaped calls
-//!   (`Vec::new`/`vec!`/`to_vec`/`clone`/`collect`/`String::from`)
-//!   inside loops of hot-path-reachable functions.
 //! - **A6 discarded-Result** (`result_discard`): `let _ =` and
 //!   bare-statement discards of fallible APIs, workspace-wide.
 //! - **A7 lock discipline** (`locks`): inside a critical section only
@@ -31,13 +25,13 @@
 //!   sit in a predicate loop opened under their guard, and state a wait
 //!   depends on needs a `notify_*` after it changes.
 //! - **A10 division/log-guard** (`div_guard`): divisions, `ln`/`log*`
-//!   and `sqrt` in hot-path-reachable fns whose operands are not
-//!   provably epsilon-guarded/positive in the float value lattice
+//!   and `sqrt` in hot-path-reachable fns, and in every fn of
+//!   `loss.rs`/`attention.rs`/`gru.rs`, whose operands are not provably
+//!   epsilon-guarded/positive in the float value lattice
 //!   ([`crate::floatflow`]), with the operand's defining site.
 //! - **A11 probability-domain** (`prob_domain`): `loss_probs`
 //!   arguments, prob-named bindings and `predict_proba*` returns that
-//!   arithmetic can push outside [0,1] without a clamp — the
-//!   inter-procedural upgrade of R3.
+//!   arithmetic can push outside [0,1] without a clamp.
 //! - **A13 unsafe-contract** (`unsafe_contract`): every `unsafe` must
 //!   carry a `// SAFETY:` comment; `#[target_feature]` fns callable
 //!   only behind runtime `is_x86_feature_detected!` dispatch;
@@ -63,12 +57,10 @@ pub mod capacity_growth;
 pub mod cast_safety;
 pub mod determinism;
 pub mod div_guard;
-pub mod hot_alloc;
 pub mod locks;
 pub mod panic_reach;
 pub mod prob_domain;
 pub mod result_discard;
-pub mod shape_flow;
 pub mod unsafe_contract;
 
 use crate::callgraph::CallGraph;
@@ -79,13 +71,11 @@ use std::cell::OnceCell;
 use std::path::Path;
 
 /// Every analyze allow-comment key, in pass order.
-pub const ALLOW_KEYS: [&str; 11] = [
-    "shape",
+pub const ALLOW_KEYS: [&str; 9] = [
     "determinism",
     "lossy-cast",
     "index-underflow",
     "panic-reach",
-    "hot-alloc",
     "discard-result",
     "lock",
     "float-flow",
@@ -113,7 +103,7 @@ impl Severity {
 /// One semantic finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Pass id: "A1".."A14" (or "allow" for malformed allow-comments).
+    /// Pass id: "A2".."A14" (or "allow" for malformed allow-comments).
     pub rule: &'static str,
     /// Allow-comment key that suppresses this finding.
     pub key: &'static str,
@@ -219,30 +209,19 @@ impl Context {
     }
 }
 
-/// Output of one pass: findings plus optional named artifacts (the A1
-/// pass emits the DOT model-graph rendering this way).
-#[derive(Debug, Default)]
-pub struct PassOutput {
-    pub findings: Vec<Finding>,
-    /// (artifact name, content) pairs, e.g. `("model_graph.dot", …)`.
-    pub artifacts: Vec<(String, String)>,
-}
-
 /// A registered semantic pass.
 pub trait Pass {
-    /// Stable rule id ("A1", "A2", …).
+    /// Stable rule id ("A2", "A3", …).
     fn id(&self) -> &'static str;
-    fn run(&self, ctx: &Context) -> PassOutput;
+    fn run(&self, ctx: &Context) -> Vec<Finding>;
 }
 
 /// All registered passes, in execution order.
 pub fn registry() -> Vec<Box<dyn Pass>> {
     vec![
-        Box::new(shape_flow::ShapeFlow),
         Box::new(determinism::Determinism),
         Box::new(cast_safety::CastSafety),
         Box::new(panic_reach::PanicReach),
-        Box::new(hot_alloc::HotAlloc),
         Box::new(result_discard::ResultDiscard),
         Box::new(locks::Locks),
         Box::new(div_guard::DivGuard),
@@ -256,7 +235,6 @@ pub fn registry() -> Vec<Box<dyn Pass>> {
 #[derive(Debug, Default)]
 pub struct AnalysisReport {
     pub findings: Vec<Finding>,
-    pub artifacts: Vec<(String, String)>,
     pub files_scanned: usize,
     /// Findings suppressed by the baseline (count only).
     pub baselined: usize,
@@ -309,13 +287,8 @@ pub fn load_workspace(root: &Path) -> std::io::Result<Context> {
 /// their findings by key: a reasoned allow drops the findings with its
 /// key on its own line and the next; a reasonless one drops nothing and
 /// becomes an Error.
-pub fn run_passes(ctx: &Context, passes: &[Box<dyn Pass>]) -> PassOutput {
-    let mut out = PassOutput::default();
-    for pass in passes {
-        let mut o = pass.run(ctx);
-        out.findings.append(&mut o.findings);
-        out.artifacts.append(&mut o.artifacts);
-    }
+pub fn run_passes(ctx: &Context, passes: &[Box<dyn Pass>]) -> Vec<Finding> {
+    let mut findings: Vec<Finding> = passes.iter().flat_map(|p| p.run(ctx)).collect();
     for file in &ctx.files {
         // Most files carry no allow-comment: skip their per-key scans.
         if !file
@@ -329,9 +302,8 @@ pub fn run_passes(ctx: &Context, passes: &[Box<dyn Pass>]) -> PassOutput {
         let path = &file.source.path;
         for key in ALLOW_KEYS {
             let (allowed, missing) = file.source.allows(key);
-            out.findings
-                .retain(|f| !(f.key == key && &f.path == path && allowed.contains(&f.line)));
-            out.findings.extend(missing.into_iter().map(|line| Finding {
+            findings.retain(|f| !(f.key == key && &f.path == path && allowed.contains(&f.line)));
+            findings.extend(missing.into_iter().map(|line| Finding {
                 rule: "allow",
                 key: "allow",
                 severity: Severity::Error,
@@ -341,16 +313,14 @@ pub fn run_passes(ctx: &Context, passes: &[Box<dyn Pass>]) -> PassOutput {
             }));
         }
     }
-    out
+    findings
 }
 
 /// Run every registered pass over the workspace at `root`.
 pub fn analyze_workspace(root: &Path) -> std::io::Result<AnalysisReport> {
     let ctx = load_workspace(root)?;
-    let out = run_passes(&ctx, &registry());
     let mut report = AnalysisReport {
-        findings: out.findings,
-        artifacts: out.artifacts,
+        findings: run_passes(&ctx, &registry()),
         files_scanned: ctx.files.len(),
         baselined: 0,
     };
@@ -412,7 +382,7 @@ mod tests {
              }}\n"
         );
         let ctx = Context::of(&[("crates/serving/src/x.rs", &src)]);
-        run_passes(&ctx, &registry()).findings
+        run_passes(&ctx, &registry())
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! Every finding carries the shortest call chain from a root, so the fix
 //! site is obvious without re-deriving the graph by hand.
 
-use super::{Context, Finding, Pass, PassOutput, Severity};
+use super::{Context, Finding, Pass, Severity};
 use crate::lexer::TokKind;
 use std::collections::BTreeSet;
 
@@ -35,8 +35,8 @@ impl Pass for PanicReach {
         "A4"
     }
 
-    fn run(&self, ctx: &Context) -> PassOutput {
-        let mut out = PassOutput::default();
+    fn run(&self, ctx: &Context) -> Vec<Finding> {
+        let mut out = Vec::new();
         let graph = ctx.graph();
         let roots = graph.hot_roots();
         let reach = graph.reachable(&roots);
@@ -140,7 +140,7 @@ impl Pass for PanicReach {
                 }
                 k += 1;
             }
-            out.findings.extend(findings);
+            out.extend(findings);
         }
         out
     }
@@ -162,7 +162,7 @@ mod tests {
     use super::*;
     use crate::passes::run_passes;
 
-    fn run_on(files: &[(&str, &str)]) -> PassOutput {
+    fn run_on(files: &[(&str, &str)]) -> Vec<Finding> {
         run_passes(&Context::of(files), &[Box::new(PanicReach)])
     }
 
@@ -184,11 +184,10 @@ mod tests {
             ),
         ]);
         let errs: Vec<&Finding> = out
-            .findings
             .iter()
             .filter(|f| f.severity == Severity::Error)
             .collect();
-        assert_eq!(errs.len(), 1, "{:?}", out.findings);
+        assert_eq!(errs.len(), 1, "{:?}", out);
         assert!(errs[0].message.contains(".unwrap()"));
         assert!(
             errs[0]
@@ -210,7 +209,7 @@ mod tests {
                  pub fn maybe() -> Option<f64> { None }\n",
             ),
         ]);
-        assert!(out.findings.is_empty(), "{:?}", out.findings);
+        assert!(out.is_empty(), "{:?}", out);
     }
 
     #[test]
@@ -226,11 +225,10 @@ mod tests {
              }\n",
         )]);
         let errs: Vec<&Finding> = out
-            .findings
             .iter()
             .filter(|f| f.severity == Severity::Error)
             .collect();
-        assert_eq!(errs.len(), 1, "{:?}", out.findings);
+        assert_eq!(errs.len(), 1, "{:?}", out);
         assert!(errs[0].message.contains("panic!"));
     }
 
@@ -248,11 +246,10 @@ mod tests {
              }\n",
         )]);
         let warns: Vec<&Finding> = out
-            .findings
             .iter()
             .filter(|f| f.severity == Severity::Warning)
             .collect();
-        assert_eq!(warns.len(), 1, "{:?}", out.findings);
+        assert_eq!(warns.len(), 1, "{:?}", out);
         assert!(warns[0].message.contains("xs[…]"));
         assert!(warns[0].message.contains("forward"));
     }
@@ -272,13 +269,12 @@ mod tests {
              }\n",
         )]);
         let a4_errors: Vec<&Finding> = out
-            .findings
             .iter()
             .filter(|f| f.rule == "A4" && f.severity == Severity::Error)
             .collect();
         // The reasoned allow suppresses the expect; the reasonless one
         // does NOT suppress its unwrap.
-        assert_eq!(a4_errors.len(), 1, "{:?}", out.findings);
+        assert_eq!(a4_errors.len(), 1, "{:?}", out);
         assert!(a4_errors[0].message.contains(".unwrap()"));
     }
 
@@ -297,9 +293,8 @@ mod tests {
         ];
         let one = run_on(&files);
         let two = run_on(&files);
-        let msgs = |o: &PassOutput| {
-            o.findings
-                .iter()
+        let msgs = |o: &[Finding]| {
+            o.iter()
                 .map(|f| format!("{}:{} {}", f.path, f.line, f.message))
                 .collect::<Vec<_>>()
         };

@@ -19,7 +19,7 @@
 //! values pass by proof, not by pattern. Escapes are **Errors** with
 //! the shared `float-flow` allow key.
 
-use super::{Context, Finding, Pass, PassOutput, Severity};
+use super::{Context, Finding, Pass, Severity};
 
 pub struct ProbDomain;
 
@@ -28,8 +28,8 @@ impl Pass for ProbDomain {
         "A11"
     }
 
-    fn run(&self, ctx: &Context) -> PassOutput {
-        let mut out = PassOutput::default();
+    fn run(&self, ctx: &Context) -> Vec<Finding> {
+        let mut out = Vec::new();
         let (graph, flow) = (ctx.graph(), ctx.flow());
         let fns = &graph.index.fns;
 
@@ -38,7 +38,7 @@ impl Pass for ProbDomain {
                 continue;
             }
             let f = &fns[call.fn_id];
-            out.findings.push(Finding {
+            out.push(Finding {
                 rule: "A11",
                 key: "float-flow",
                 severity: Severity::Error,
@@ -61,7 +61,7 @@ impl Pass for ProbDomain {
                 continue;
             }
             let f = &fns[bind.fn_id];
-            out.findings.push(Finding {
+            out.push(Finding {
                 rule: "A11",
                 key: "float-flow",
                 severity: Severity::Error,
@@ -83,7 +83,7 @@ impl Pass for ProbDomain {
                 continue;
             }
             let f = &fns[ret.fn_id];
-            out.findings.push(Finding {
+            out.push(Finding {
                 rule: "A11",
                 key: "float-flow",
                 severity: Severity::Error,
@@ -107,7 +107,7 @@ mod tests {
     use super::*;
     use crate::passes::run_passes;
 
-    fn run_on(files: &[(&str, &str)]) -> PassOutput {
+    fn run_on(files: &[(&str, &str)]) -> Vec<Finding> {
         run_passes(&Context::of(files), &[Box::new(ProbDomain)])
     }
 
@@ -119,8 +119,8 @@ mod tests {
                  l.loss_probs(&z, &t)\n\
              }\n",
         )]);
-        let errs: Vec<&Finding> = out.findings.iter().filter(|f| f.rule == "A11").collect();
-        assert_eq!(errs.len(), 1, "{:?}", out.findings);
+        let errs: Vec<&Finding> = out.iter().filter(|f| f.rule == "A11").collect();
+        assert_eq!(errs.len(), 1, "{:?}", out);
         assert!(errs[0].message.contains("loss_probs"));
     }
 
@@ -133,7 +133,7 @@ mod tests {
                  l.loss_probs(&probs, &t)\n\
              }\n",
         )]);
-        assert!(out.findings.is_empty(), "{:?}", out.findings);
+        assert!(out.is_empty(), "{:?}", out);
     }
 
     #[test]
@@ -149,8 +149,8 @@ mod tests {
                  prob_ok\n\
              }\n",
         )]);
-        let errs: Vec<&Finding> = out.findings.iter().filter(|f| f.rule == "A11").collect();
-        assert_eq!(errs.len(), 1, "{:?}", out.findings);
+        let errs: Vec<&Finding> = out.iter().filter(|f| f.rule == "A11").collect();
+        assert_eq!(errs.len(), 1, "{:?}", out);
         assert!(errs[0].message.contains("prob_up"), "{}", errs[0].message);
     }
 
@@ -165,8 +165,8 @@ mod tests {
                  sigmoid(score)\n\
              }\n",
         )]);
-        let errs: Vec<&Finding> = out.findings.iter().filter(|f| f.rule == "A11").collect();
-        assert_eq!(errs.len(), 1, "{:?}", out.findings);
+        let errs: Vec<&Finding> = out.iter().filter(|f| f.rule == "A11").collect();
+        assert_eq!(errs.len(), 1, "{:?}", out);
         assert!(
             errs[0].message.contains("predict_proba"),
             "{}",
@@ -184,7 +184,7 @@ mod tests {
                  prob_up\n\
              }\n",
         )]);
-        assert!(out.findings.is_empty(), "{:?}", out.findings);
+        assert!(out.is_empty(), "{:?}", out);
     }
 
     #[test]
@@ -198,6 +198,6 @@ mod tests {
                  }\n\
              }\n",
         )]);
-        assert!(out.findings.is_empty(), "{:?}", out.findings);
+        assert!(out.is_empty(), "{:?}", out);
     }
 }

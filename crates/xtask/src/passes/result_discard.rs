@@ -18,7 +18,7 @@
 //! `discard-result`; test code is exempt (tests legitimately discard,
 //! e.g. pre-cleanup `remove_dir_all`).
 
-use super::{Context, Finding, Pass, PassOutput, Severity};
+use super::{Context, Finding, Pass, Severity};
 use crate::lexer::{matching_close, TokKind, Token};
 
 pub struct ResultDiscard;
@@ -39,8 +39,7 @@ impl Pass for ResultDiscard {
         "A6"
     }
 
-    fn run(&self, ctx: &Context) -> PassOutput {
-        let mut out = PassOutput::default();
+    fn run(&self, ctx: &Context) -> Vec<Finding> {
         let graph = ctx.graph();
         let mut findings: Vec<Finding> = Vec::new();
 
@@ -127,8 +126,7 @@ impl Pass for ResultDiscard {
         // Dedup (a `let _ = workspace_fallible()` matches both detectors).
         findings.sort_by(|a, b| (a.path.as_str(), a.line).cmp(&(b.path.as_str(), b.line)));
         findings.dedup_by(|a, b| a.path == b.path && a.line == b.line);
-        out.findings = findings;
-        out
+        findings
     }
 }
 
@@ -192,7 +190,7 @@ mod tests {
     use crate::passes::run_passes;
 
     fn run_on(files: &[(&str, &str)]) -> Vec<Finding> {
-        run_passes(&Context::of(files), &[Box::new(ResultDiscard)]).findings
+        run_passes(&Context::of(files), &[Box::new(ResultDiscard)])
     }
 
     const FALLIBLE: &str = "pub fn save(v: f64) -> Result<(), String> { Ok(()) }\n";

@@ -19,7 +19,7 @@
 //! upheld or it is not. Suppress (with a reason) via
 //! `// lint: allow(unsafe-contract) <reason>`.
 
-use super::{Context, Finding, Pass, PassOutput, Severity};
+use super::{Context, Finding, Pass, Severity};
 use crate::items::ItemIndex;
 use crate::lexer::TokKind;
 
@@ -48,8 +48,8 @@ impl Pass for UnsafeContract {
         "A13"
     }
 
-    fn run(&self, ctx: &Context) -> PassOutput {
-        let mut out = PassOutput::default();
+    fn run(&self, ctx: &Context) -> Vec<Finding> {
+        let mut out = Vec::new();
         let index = &ctx.graph().index;
         let tf_fns = target_feature_fns(ctx);
 
@@ -127,7 +127,7 @@ impl Pass for UnsafeContract {
                     });
                 }
             }
-            out.findings.extend(findings);
+            out.extend(findings);
         }
         out
     }
@@ -217,7 +217,7 @@ mod tests {
     use crate::passes::run_passes;
 
     fn run_on(files: &[(&str, &str)]) -> Vec<Finding> {
-        run_passes(&Context::of(files), &[Box::new(UnsafeContract)]).findings
+        run_passes(&Context::of(files), &[Box::new(UnsafeContract)])
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The lint rules (R1–R4). Each rule is a pure function over a
+//! The lint rules (R1, R2, R4). Each rule is a pure function over a
 //! preprocessed [`SourceFile`] so fixture snippets can drive the unit
 //! tests directly.
 
@@ -7,7 +7,7 @@ use crate::source::SourceFile;
 /// A hard violation (fails the lint).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule id: "R1".."R4", or "allow" for malformed allow-comments.
+    /// Rule id: "R1", "R2", "R4", or "allow" for malformed allow-comments.
     pub rule: &'static str,
     /// Allow-comment key that suppresses this violation.
     pub key: &'static str,
@@ -26,13 +26,6 @@ pub struct Violation {
 /// panic-free non-test library code; exclusion-based so new members are
 /// covered the day they appear in the manifest.
 pub const R1_EXEMPT: [&str; 3] = ["bench", "socialsim", "text"];
-
-/// Files under the R3 probability-hygiene rule.
-pub const R3_FILES: [&str; 3] = [
-    "crates/nn/src/loss.rs",
-    "crates/nn/src/attention.rs",
-    "crates/nn/src/gru.rs",
-];
 
 /// The tensor hot-kernel file under R4.
 pub const R4_FILE: &str = "crates/nn/src/tensor.rs";
@@ -131,67 +124,6 @@ pub fn r2_no_float_eq(file: &SourceFile) -> Vec<Violation> {
     out
 }
 
-/// R3: `ln()`/`log*()` (and probability-denominator division) must carry
-/// an epsilon guard on the same expression line.
-pub fn r3_prob_guard(file: &SourceFile) -> Vec<Violation> {
-    let mut out = Vec::new();
-    if !R3_FILES.iter().any(|f| file.path.ends_with(f)) {
-        return out;
-    }
-    let (allowed, _) = file.allows("prob-guard");
-    allow_misuses(file, "prob-guard", &mut out);
-    const GUARDS: [&str; 6] = ["EPS", "EPSILON", ".max(", "clamp", "1e-", "1.0 +"];
-    const PROB_DENOMS: [&str; 5] = ["sum", "total", "denom", "norm", "prob"];
-    for (i, line) in file.lines.iter().enumerate() {
-        let n = i + 1;
-        if line.in_test || allowed.contains(&n) {
-            continue;
-        }
-        let guarded = GUARDS.iter().any(|g| line.code.contains(g));
-        if guarded {
-            continue;
-        }
-        for pat in [".ln()", ".log(", ".log2()", ".log10()"] {
-            if line.code.contains(pat) {
-                out.push(Violation {
-                    rule: "R3",
-                    key: "prob-guard",
-                    path: file.path.clone(),
-                    line: n,
-                    message: format!(
-                        "`{pat}` without an epsilon guard on the line; clamp the \
-                         argument away from 0 (e.g. `.max(EPS)`) or annotate \
-                         `// lint: allow(prob-guard) <reason>`"
-                    ),
-                });
-            }
-        }
-        for d in PROB_DENOMS {
-            for pat in [format!("/ {d}"), format!("/= {d}")] {
-                if let Some(pos) = line.code.find(&pat) {
-                    // Reject longer identifiers (`/ sums`, `/ total_n`).
-                    let end = pos + pat.len();
-                    let next = line.code[end..].chars().next();
-                    if next.is_none_or(|c| !c.is_alphanumeric() && c != '_') {
-                        out.push(Violation {
-                            rule: "R3",
-                            key: "prob-guard",
-                            path: file.path.clone(),
-                            line: n,
-                            message: format!(
-                                "division by probability mass `{pat}` without an epsilon \
-                                 guard; use `.max(EPS)` on the denominator or annotate \
-                                 `// lint: allow(prob-guard) <reason>`"
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
 /// R4: in the tensor hot kernels, the backing buffer must be reached
 /// through the `debug_assert!`-guarded accessors, not raw indexing.
 pub fn r4_tensor_indexing(file: &SourceFile) -> Vec<Violation> {
@@ -234,7 +166,6 @@ pub fn r4_tensor_indexing(file: &SourceFile) -> Vec<Violation> {
 pub fn lint_file(file: &SourceFile) -> Vec<Violation> {
     let mut v = r1_no_unwrap(file);
     v.extend(r2_no_float_eq(file));
-    v.extend(r3_prob_guard(file));
     v.extend(r4_tensor_indexing(file));
     v
 }
@@ -479,53 +410,6 @@ mod tests {
         assert!(r2_no_float_eq(&f).is_empty());
     }
 
-    // -------- R3 --------
-
-    fn loss_file(src: &str) -> SourceFile {
-        SourceFile::parse("crates/nn/src/loss.rs", src)
-    }
-
-    #[test]
-    fn r3_flags_unguarded_ln() {
-        let f = loss_file("fn f(p: f64) -> f64 { -p.ln() }\n");
-        let v = r3_prob_guard(&f);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "R3");
-    }
-
-    #[test]
-    fn r3_accepts_guarded_ln() {
-        let f = loss_file(
-            "fn f(p: f64) -> f64 { -(p.max(EPS)).ln() }\n\
-             fn g(p: f64) -> f64 { -(p.clamp(1e-12, 1.0)).ln() }\n\
-             fn softplus(x: f64) -> f64 { (1.0 + x.exp()).ln() }\n",
-        );
-        assert!(r3_prob_guard(&f).is_empty());
-    }
-
-    #[test]
-    fn r3_flags_unguarded_probability_division() {
-        let f = loss_file("fn f(v: &mut [f64], sum: f64) { for x in v { *x /= sum; } }\n");
-        assert_eq!(r3_prob_guard(&f).len(), 1);
-    }
-
-    #[test]
-    fn r3_skips_longer_identifiers_and_other_files() {
-        let f = loss_file("fn f(a: f64, total_n: f64) -> f64 { a / total_n }\n");
-        assert!(r3_prob_guard(&f).is_empty());
-        let g = SourceFile::parse("crates/nn/src/dense.rs", "fn f(p: f64) -> f64 { p.ln() }\n");
-        assert!(r3_prob_guard(&g).is_empty());
-    }
-
-    #[test]
-    fn r3_respects_allow() {
-        let f = loss_file(
-            "// lint: allow(prob-guard) input is a count >= 1, not a probability\n\
-             fn f(c: f64) -> f64 { c.ln() }\n",
-        );
-        assert!(r3_prob_guard(&f).is_empty());
-    }
-
     // -------- R4 --------
 
     fn tensor_file(src: &str) -> SourceFile {
@@ -588,16 +472,16 @@ mod tests {
 
     #[test]
     fn lint_file_merges_all_rules() {
-        let f = loss_file(
+        let f = nn_file(
             "fn f(p: f64) -> f64 {\n\
                  // TODO: tighten\n\
                  if p == 0.0 { return 0.0; }\n\
-                 p.ln()\n\
+                 Some(p).unwrap()\n\
              }\n",
         );
         let v = lint_file(&f);
         let rules: Vec<&str> = v.iter().map(|x| x.rule).collect();
+        assert!(rules.contains(&"R1"), "{rules:?}");
         assert!(rules.contains(&"R2"), "{rules:?}");
-        assert!(rules.contains(&"R3"), "{rules:?}");
     }
 }
