@@ -2,8 +2,6 @@
 # Local CI gate — run before pushing. Fails fast on the first broken step.
 #
 #   ./ci.sh            # fmt-check, lint, release build, tests
-#   ./ci.sh --sanitize # additionally run the test-suite with the numeric
-#                      # sanitizer enabled (--features sanitize)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -32,11 +30,14 @@ step "cargo build --release"
 cargo build --release
 
 step "cargo test"
+# A debug build, so `nn`'s numeric sanitizer is armed and
+# tests/sanitize.rs runs (release builds compile both away).
 cargo test -q
 
 step "workspace test suites (release)"
 # `cargo test -q` builds only the root package. Every other crate's
-# tests run here: kernel parity, f32 parity, the golden pins, server
+# tests run here: kernel parity (on the leg this CPU takes, and the
+# portable-vs-AVX2 comparison), f32 parity, the golden pins, server
 # determinism and the stress suite, the xtask real-tree pins (clean
 # analyze, A13, zero-stale baseline, the committed BENCH_*.json
 # reports), the harness runs that check `retina_serve` and `graph_mem`
@@ -51,18 +52,6 @@ step "snapshot corruption suite (debug)"
 # panicking. The corruption matrix (11 tests, about 0.1 s once built)
 # runs once more in the debug profile, where overflow checks trap it.
 cargo test -q -p serving --test corruption
-
-step "simd feature matrix"
-# The matmul kernels (f64 and f32) ship an opt-in AVX2 dispatch path
-# behind the `simd` feature (DESIGN.md §13). Build it everywhere; run the nn parity
-# suites under it only when the host CPU can actually take the AVX2
-# branch, so bit-identity of simd-on vs simd-off is exercised for real.
-cargo build -q --release --features simd
-if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
-    cargo test -q -p nn --features simd
-else
-    echo "host CPU lacks AVX2 — simd build checked, runtime tests skipped"
-fi
 
 step "serving load harness"
 # The full harness (4 scenarios x 4,000 requests, under a second once
@@ -103,11 +92,6 @@ if [[ "${RETINA_BENCH_CHECK:-0}" == "1" ]]; then
     # Fails when any scenario's `vmhwm` (peak RSS) grows more than 25%.
     # Skips itself off Linux.
     cargo run -p xtask -- mem-report --check
-fi
-
-if [[ "${1:-}" == "--sanitize" ]]; then
-    step "cargo test --features sanitize"
-    cargo test -q --features sanitize
 fi
 
 if [[ "${RETINA_TSAN:-0}" == "1" ]]; then

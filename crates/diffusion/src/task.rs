@@ -13,7 +13,8 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use socialsim::{Dataset, TweetId, UserId};
+use socialsim::{Dataset, Retweet, TweetId, UserId};
+use std::collections::BTreeMap;
 
 /// One root tweet with its candidate set.
 #[derive(Debug, Clone)]
@@ -81,13 +82,7 @@ impl RetweetTask {
                 continue;
             }
             let followers = graph.followers(tweet.user);
-            // BTreeMap: iteration below feeds `retweeters_in_order`, and
-            // time ties must not fall back to hasher-dependent order (A2).
-            let retweeter_time: std::collections::BTreeMap<u32, f64> = tweet
-                .retweets
-                .iter()
-                .map(|r| (r.user, r.time_hours))
-                .collect();
+            let (retweeter_time, retweeters_in_order) = retweeters_by_time(&tweet.retweets);
 
             // Positives among followers always kept; negatives subsampled.
             let mut positives: Vec<u32> = Vec::new();
@@ -124,9 +119,6 @@ impl RetweetTask {
                 .iter()
                 .map(|c| retweeter_time.get(c).copied().unwrap_or(f64::INFINITY))
                 .collect();
-            let mut in_order: Vec<(u32, f64)> =
-                retweeter_time.iter().map(|(&u, &t)| (u, t)).collect();
-            in_order.sort_by(|a, b| a.1.total_cmp(&b.1));
 
             out.push(CascadeSample {
                 tweet: tweet.id,
@@ -137,11 +129,26 @@ impl RetweetTask {
                 candidates,
                 labels,
                 retweet_times,
-                retweeters_in_order: in_order.into_iter().map(|(u, _)| u).collect(),
+                retweeters_in_order,
             });
         }
         out
     }
+}
+
+/// Each retweeter's retweet time (the last record wins for a user who
+/// appears twice) and the retweeters in time order. Ties in time keep
+/// ascending user id: the map is a `BTreeMap` and the sort is stable,
+/// so the order never falls back to a hasher's (A2).
+fn retweeters_by_time(retweets: &[Retweet]) -> (BTreeMap<u32, f64>, Vec<u32>) {
+    let retweeter_time: BTreeMap<u32, f64> =
+        retweets.iter().map(|r| (r.user, r.time_hours)).collect();
+    let mut in_order: Vec<(u32, f64)> = retweeter_time.iter().map(|(&u, &t)| (u, t)).collect();
+    in_order.sort_by(|a, b| a.1.total_cmp(&b.1));
+    (
+        retweeter_time,
+        in_order.into_iter().map(|(u, _)| u).collect(),
+    )
 }
 
 /// Deterministic 80:20 train/test split (shuffled by seed).
@@ -189,9 +196,9 @@ mod tests {
 
     #[test]
     fn build_replays_identically() {
-        // Determinism regression (A2 fix): `retweeter_time` iteration
-        // feeds `retweeters_in_order`, so two builds must agree exactly
-        // even where retweet times tie.
+        // Two builds from one dataset agree exactly. This corpus has no
+        // tied retweet times; the tie order is pinned by
+        // `tied_retweet_times_come_out_in_ascending_user_id`.
         let d = data();
         let task = RetweetTask::default();
         let a = task.build(&d);
@@ -202,6 +209,28 @@ mod tests {
             assert_eq!(x.labels, y.labels);
             assert_eq!(x.retweeters_in_order, y.retweeters_in_order);
         }
+    }
+
+    #[test]
+    fn tied_retweet_times_come_out_in_ascending_user_id() {
+        // Nine retweeters share one time, listed out of id order, between
+        // an earlier and a later one. A hash map would hand the nine to
+        // the stable sort in hasher order, which changes per process.
+        let at = |user: u32, time_hours: f64| Retweet {
+            user,
+            time_hours,
+            depth: 1,
+            parent: 0,
+        };
+        let mut retweets: Vec<Retweet> = [41, 7, 93, 12, 68, 3, 55, 20, 86]
+            .iter()
+            .map(|&u| at(u, 5.0))
+            .collect();
+        retweets.insert(4, at(60, 1.5));
+        retweets.push(at(99, 9.0));
+        let (times, in_order) = retweeters_by_time(&retweets);
+        assert_eq!(times.len(), 11);
+        assert_eq!(in_order, vec![60, 3, 7, 12, 20, 41, 55, 68, 86, 93, 99]);
     }
 
     #[test]

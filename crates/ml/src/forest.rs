@@ -19,12 +19,6 @@ pub struct RandomForestConfig {
     pub subsample: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Worker threads for tree fitting (`0` = auto-detect; the
-    /// `RETINA_THREADS` environment variable overrides, see
-    /// [`nn::par::resolve`]). Bootstrap draws stay serial and each tree
-    /// owns a seeded RNG, so the fitted forest is identical for any
-    /// thread count.
-    pub threads: usize,
 }
 
 impl Default for RandomForestConfig {
@@ -37,7 +31,6 @@ impl Default for RandomForestConfig {
             },
             subsample: 1.0,
             seed: 0,
-            threads: 0,
         }
     }
 }
@@ -102,7 +95,7 @@ impl Classifier for RandomForest {
         // RNG from the tree index) and land in index-order slots, so the
         // fitted forest is identical for any worker count. Per-tree cost
         // varies with the bootstrap, hence the dynamic splitter.
-        let workers = nn::par::resolve(self.config.threads).min(self.config.n_estimators.max(1));
+        let workers = nn::par::resolve(0).min(self.config.n_estimators.max(1));
         self.trees = nn::par::map_indexed_dynamic(self.config.n_estimators, workers, |t| {
             let (bx, by) = &bootstraps[t];
             let mut cfg = self.config.tree.clone();

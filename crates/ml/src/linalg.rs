@@ -54,22 +54,6 @@ pub fn sigmoid(x: f64) -> f64 {
     }
 }
 
-/// Map `f` over the rows of a row-major matrix across worker threads
-/// (`threads` = 0 means auto-detect; the `RETINA_THREADS` environment
-/// variable overrides, see [`nn::par::resolve`]).
-///
-/// Each row's result is written to its own index-assigned output slot,
-/// so the returned `Vec` is in row order and bit-identical to the serial
-/// `x.iter().map(f)` for any thread count.
-pub fn par_map_rows<R, F>(x: &[Vec<f64>], threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&[f64]) -> R + Sync,
-{
-    let workers = nn::par::resolve(threads).min(x.len().max(1));
-    nn::par::map_indexed(x.len(), workers, |i| f(&x[i]))
-}
-
 /// Per-column mean of a row-major matrix.
 pub fn column_means<R: AsRef<[f64]>>(x: &[R]) -> Vec<f64> {
     if x.is_empty() {

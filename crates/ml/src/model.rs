@@ -23,17 +23,6 @@ pub trait Classifier {
         x.iter().map(|row| self.predict_proba(row)).collect()
     }
 
-    /// Probabilities for a batch, scored across worker threads
-    /// (`threads` = 0 means auto-detect, `RETINA_THREADS` overrides).
-    /// Bit-identical to [`Classifier::predict_proba_batch`] for any
-    /// thread count: each row's score lands in its index-assigned slot.
-    fn predict_proba_batch_par(&self, x: &[Vec<f64>], threads: usize) -> Vec<f64>
-    where
-        Self: Sync + Sized,
-    {
-        crate::linalg::par_map_rows(x, threads, |row| self.predict_proba(row))
-    }
-
     /// Hard predictions for a batch.
     fn predict_batch(&self, x: &[Vec<f64>]) -> Vec<u8> {
         x.iter().map(|row| self.predict(row)).collect()

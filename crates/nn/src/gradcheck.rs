@@ -234,10 +234,11 @@ pub mod seq {
 /// exogenous attention, weighted BCE) on fixed seeded inputs: FNV-1a over
 /// the IEEE-754 bit patterns of every gradient element.
 ///
-/// The same constant is asserted by the test-suite with the `sanitize`
-/// feature on and off — the sanitizer's layer-boundary checks may only
-/// observe values, never perturb them, so on finite inputs the gradients
-/// must be bit-identical across the two builds.
+/// The same constant is asserted in debug builds, where the sanitizer
+/// checks every layer boundary, and in release builds, where it is
+/// compiled away — the checks may only observe values, never perturb
+/// them, so on finite inputs the gradients must be bit-identical across
+/// the two profiles.
 pub fn gradient_fingerprint() -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -323,10 +324,11 @@ mod tests {
     }
 
     #[test]
-    fn gradient_fingerprint_is_bit_stable_across_feature_sets() {
-        // This exact constant is asserted under both `cargo test` and
-        // `cargo test --features sanitize`: the sanitize checks must not
-        // alter a single gradient bit on finite inputs.
+    fn gradient_fingerprint_is_bit_stable_across_profiles() {
+        // This exact constant is asserted under both `cargo test` (the
+        // sanitizer armed) and `cargo test --release` (compiled away):
+        // the sanitize checks must not alter a single gradient bit on
+        // finite inputs.
         assert_eq!(gradient_fingerprint(), 0x2927_a47c_c47c_8579);
     }
 

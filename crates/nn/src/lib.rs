@@ -9,9 +9,9 @@
 //! * [`tensor`] — a dense row-major `Matrix<T>` (batch × features) over
 //!   the sealed [`Scalar`]: `f64` (the default, the training width) or
 //!   `f32` (the inference width), with the usual operations, blocked
-//!   matmul kernels (optional AVX2 path behind `--features simd`,
-//!   bit-identical to the scalar fallback), output-reuse `*_into`
-//!   variants and a scratch [`tensor::MatrixPool`].
+//!   matmul kernels (an AVX2 clone picked at run time on x86_64 CPUs
+//!   that have it, bit-identical to the portable kernels), output-reuse
+//!   `*_into` variants and a scratch [`tensor::MatrixPool`].
 //! * [`par`] — deterministic work-splitting (thread count never changes
 //!   results); home of the `RETINA_THREADS` override.
 //! * [`param`] — trainable parameters carrying their gradients and Adam
@@ -27,8 +27,8 @@
 //!   test-suite to prove every backward pass exact.
 //! * [`sparse`] — sparse input rows ([`SparseRow`]) and the user
 //!   layer's folded standardize-then-dense product.
-//! * [`sanitize`] — opt-in (`--features sanitize`) finiteness and shape
-//!   checks at every layer boundary, reporting structured
+//! * [`sanitize`] — finiteness and shape checks at every layer boundary
+//!   in debug builds (compiled away in release), reporting structured
 //!   [`sanitize::NumericError`]s.
 //!
 //! The dense, attention and recurrent layers are generic over the

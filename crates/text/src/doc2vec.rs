@@ -34,12 +34,6 @@ pub struct Doc2VecConfig {
     pub min_count: u64,
     /// RNG seed for reproducibility.
     pub seed: u64,
-    /// Worker threads for the data-preparation stages (`0` =
-    /// auto-detect; the `RETINA_THREADS` environment variable overrides,
-    /// see [`nn::par::resolve`]). Training itself is unaffected — see
-    /// the note in [`Doc2Vec::train`] — so vectors are identical for any
-    /// thread count.
-    pub threads: usize,
 }
 
 impl Default for Doc2VecConfig {
@@ -52,7 +46,6 @@ impl Default for Doc2VecConfig {
             negative: 5,
             min_count: 1,
             seed: 42,
-            threads: 0,
         }
     }
 }
@@ -90,7 +83,7 @@ impl Doc2Vec {
         // Documents as id sequences — a pure per-document lookup, mapped
         // in parallel into index-assigned slots (order-preserving for any
         // thread count).
-        let workers = nn::par::resolve(config.threads).min(docs.len().max(1));
+        let workers = nn::par::resolve(0).min(docs.len().max(1));
         let id_docs: Vec<Vec<usize>> = nn::par::map_indexed(docs.len(), workers, |i| {
             docs[i].iter().filter_map(|t| vocab.get(t)).collect()
         });

@@ -148,7 +148,7 @@ pub const CATALOGUE: &[RuleDoc] = &[
                     folklore; a `#[target_feature]` fn called outside a \
                     runtime `is_x86_feature_detected!` check is undefined \
                     behaviour on older hosts; unchecked indexing and raw-\
-                    pointer arithmetic outside the blessed simd kernels \
+                    pointer arithmetic outside the blessed AVX2 kernels \
                     trades the memory-safety baseline for nothing the \
                     dispatch tier doesn't already provide.",
         fix: "Write a `// SAFETY:` comment directly above the unsafe block \

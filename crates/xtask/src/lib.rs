@@ -407,12 +407,13 @@ mod tests {
 
     #[test]
     fn committed_baseline_is_pinned() {
-        // The baseline must shrink, never silently grow: 14 fingerprints,
+        // The baseline must shrink, never silently grow: 13 fingerprints,
         // all grandfathered A4 warnings (re-pinned from 28 when the f32
         // tier landed, from 18 when `nn::par`'s dynamic map switched to a
         // checked slot lookup, from 17 when the RETINA scaler stopped
-        // fitting through `ml::column_means`, and from 16 when A5 and its
-        // two entries were retired). Regenerate deliberately with
+        // fitting through `ml::column_means`, from 16 when A5 and its
+        // two entries were retired, and from 14 when the uncalled
+        // `ml::par_map_rows` was deleted). Regenerate deliberately with
         // `cargo run -p xtask -- analyze --update-baseline` and re-pin.
         let root = Path::new(env!("CARGO_MANIFEST_DIR"))
             .ancestors()
@@ -422,7 +423,7 @@ mod tests {
         let raw = fs::read_to_string(root.join(baseline::BASELINE_FILE)).expect("baseline exists");
         let entries = raw.matches("fingerprint").count();
         assert_eq!(
-            entries, 14,
+            entries, 13,
             "baseline entry count changed — re-pin deliberately"
         );
         assert_eq!(

@@ -35,7 +35,7 @@
 //! - **A13 unsafe-contract** (`unsafe_contract`): every `unsafe` must
 //!   carry a `// SAFETY:` comment; `#[target_feature]` fns callable
 //!   only behind runtime `is_x86_feature_detected!` dispatch;
-//!   unchecked/raw-pointer ops outside the blessed simd kernels.
+//!   unchecked/raw-pointer ops outside the blessed AVX2 kernels.
 //! - **A14 capacity/growth** (`capacity_growth`): derivable-length
 //!   `Vec::new()`+`push` loops on the memory hot path must pre-size
 //!   with `with_capacity`; growable collections on long-lived structs

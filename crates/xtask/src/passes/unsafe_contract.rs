@@ -1,9 +1,9 @@
 //! A13 — unsafe-contract discipline.
 //!
-//! The simd tier holds the workspace's only `unsafe` (the AVX2 kernel
-//! dispatch in `nn::tensor`); this pass machine-enforces the
-//! contract that made it acceptable, so the next `unsafe` cannot land
-//! without the same rigor:
+//! The AVX2 kernel dispatch in `nn::tensor`, compiled into every x86_64
+//! build, holds the workspace's only `unsafe`; this pass
+//! machine-enforces the contract that made it acceptable, so the next
+//! `unsafe` cannot land without the same rigor:
 //!
 //! - every `unsafe` block/fn/impl must carry a `// SAFETY:` comment on
 //!   the same line or in the comment/attribute run immediately above it;
@@ -12,7 +12,7 @@
 //!   call — compile-time `cfg` alone is not evidence the CPU has the
 //!   feature;
 //! - `get_unchecked`/`from_raw_parts`-style unchecked ops and raw
-//!   pointer casts outside the blessed simd kernel file are Errors —
+//!   pointer casts outside the blessed kernel file are Errors —
 //!   the bounds-checked kernels are the only sanctioned hot path.
 //!
 //! All findings are **Error** severity: an unsafe contract is either
@@ -26,8 +26,9 @@ use crate::lexer::TokKind;
 pub struct UnsafeContract;
 
 /// The one file whose kernels are allowed unchecked/raw-pointer ops
-/// (today none are used even there, but the simd tier owns the budget).
-const BLESSED_SIMD_FILE: &str = "crates/nn/src/tensor.rs";
+/// (today none are used even there, but the AVX2 kernels own the
+/// budget).
+const BLESSED_KERNEL_FILE: &str = "crates/nn/src/tensor.rs";
 
 /// How many comment/attribute/blank lines above an `unsafe` token the
 /// SAFETY comment may sit (the blessed shape interleaves
@@ -96,8 +97,8 @@ impl Pass for UnsafeContract {
                     });
                 }
                 // (3) unchecked ops / raw-pointer casts outside the
-                // blessed simd kernel file.
-                if file.source.path.ends_with(BLESSED_SIMD_FILE) {
+                // blessed kernel file.
+                if file.source.path.ends_with(BLESSED_KERNEL_FILE) {
                     continue;
                 }
                 let unchecked = UNCHECKED_OPS.iter().any(|op| t.text == *op)
@@ -115,7 +116,7 @@ impl Pass for UnsafeContract {
                         path: file.source.path.clone(),
                         line: t.line,
                         message: format!(
-                            "{} outside the blessed simd kernels ({BLESSED_SIMD_FILE}) — \
+                            "{} outside the blessed kernels ({BLESSED_KERNEL_FILE}) — \
                              the bounds-checked kernel surface is the only sanctioned \
                              unchecked hot path",
                             if unchecked {

@@ -199,21 +199,13 @@ impl Suite {
 
 /// The three reports.
 pub const SUITES: [Suite; 3] = [
-    // `--features simd` measures the rollout tier: the AVX2 leg of the
-    // f64 and f32 matmul kernels, with runtime detection falling back to
-    // the bit-identical scalar path on hosts without AVX2 (DESIGN.md §13).
+    // On an AVX2 host the f64 and f32 matmul kernels take their AVX2
+    // leg; elsewhere the bit-identical portable kernels run (DESIGN.md
+    // §13).
     Suite {
         subcommand: "bench-report",
         file: "BENCH_kernels.json",
-        cargo_args: &[
-            "bench",
-            "-p",
-            "bench",
-            "--bench",
-            "substrates",
-            "--features",
-            "simd",
-        ],
+        cargo_args: &["bench", "-p", "bench", "--bench", "substrates"],
         empty_is_skip: false,
     },
     Suite {
