@@ -67,6 +67,17 @@ step "perfbench build + unit tests"
 # API change in serving/core/nn that would break the benchmark.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
+step "perfbench workloads (one short run each)"
+# The unit tests above run no workload, so they miss a change that fails
+# one of perfbench's own checks: served answers byte-equal to a restored
+# replica, identical passes, the f32 tolerance. A one-second run of each
+# workload runs all of them (about 35 s in total on a 2-core host);
+# perfbench exits 1 on any failed check.
+for workload in retweet_pipeline serve_open_loop hategen_table4; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0
+done
+
 step "criterion smoke (bench --test)"
 # `cargo test` builds no [[bench]] target, so this is the step that
 # compiles all eight of them. One sample per benchmark proves each still

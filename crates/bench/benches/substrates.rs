@@ -7,7 +7,8 @@ use ml::{Classifier, Gbdt, GbdtConfig};
 use nn::{Dense, ExogenousAttention, Gru, Matrix, SparseRow, Standardization};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use socialsim::FollowerGraph;
+use retina_core::experiments::ExperimentContext;
+use socialsim::{Dataset, FollowerGraph, SimConfig};
 use std::hint::black_box;
 use text::{Doc2Vec, Doc2VecConfig, TfIdfConfig, TfIdfVectorizer};
 
@@ -54,6 +55,36 @@ fn bench_text(c: &mut Criterion) {
                 Doc2VecConfig {
                     dim: 32,
                     epochs: 1,
+                    ..Default::default()
+                },
+            )
+        })
+    });
+    // One epoch at the product's shape: the experiment binaries' corpus
+    // at seed 1 (tweets then headlines, ≈32k documents, ≈10k words kept at
+    // `min_count` 2), dim 50. Its ≈4 MB word table does not fit in L2
+    // (the toy corpus's above does), so only this one pays the product's
+    // random-row traffic.
+    let data = Dataset::generate(SimConfig {
+        seed: 1,
+        ..ExperimentContext::default_config()
+    });
+    let corpus: Vec<Vec<String>> = data
+        .tweets()
+        .iter()
+        .map(|t| t.tokens.clone())
+        .chain(data.news().iter().map(|n| n.tokens.clone()))
+        .collect();
+    drop(data);
+    c.bench_function("text/doc2vec_train_default_corpus", |b| {
+        b.iter(|| {
+            Doc2Vec::train(
+                black_box(&corpus),
+                Doc2VecConfig {
+                    dim: 50,
+                    epochs: 1,
+                    min_count: 2,
+                    seed: 1 ^ 0xD2C,
                     ..Default::default()
                 },
             )

@@ -34,7 +34,8 @@ pub struct ExperimentContext {
 
 impl ExperimentContext {
     /// Build everything from a generation config. `d2v_epochs` controls
-    /// Doc2Vec training effort (3 for smoke runs, 8+ for experiments).
+    /// Doc2Vec training effort (the experiment binaries train 2 with
+    /// `--smoke`, 6 otherwise).
     pub fn build(config: SimConfig, d2v_epochs: usize) -> Self {
         let data = Dataset::generate(config);
         let models = TextModels::build(&data, d2v_epochs);

@@ -56,42 +56,39 @@ pub struct TextModels {
 
 impl TextModels {
     /// Train all text models on a dataset. `d2v_epochs` trades fidelity
-    /// for speed (use 2–3 in tests, 8+ in experiments).
+    /// for speed (2–3 in tests; the experiment binaries and perfbench
+    /// train 6).
     ///
     /// Fitting is *transductive*: the unsupervised components (TF-IDF
     /// vocabulary, Doc2Vec vectors) see the whole corpus, including
     /// tweets that later land in a test split (EXPERIMENTS.md deviation
     /// 6). Supervised training never sees test labels.
     pub fn build(data: &Dataset, d2v_epochs: usize) -> Self {
-        let tweet_docs: Vec<Vec<String>> = data
-            .tweets()
-            .iter()
-            .map(|t| with_bigrams(&t.tokens))
-            .collect();
-        let tweet_tfidf = TfIdfVectorizer::fit_tokenized(
-            &tweet_docs,
-            TfIdfConfig {
-                top_k: Some(300),
-                min_df: 2,
-                use_bigrams: true,
-                l2_normalize: true,
-                ..Default::default()
-            },
+        // Each bigram-extended corpus is dropped once its vectorizer is
+        // fitted, before Doc2Vec allocates its tables.
+        let tfidf = |docs: Vec<Vec<String>>| {
+            TfIdfVectorizer::fit_tokenized(
+                &docs,
+                TfIdfConfig {
+                    top_k: Some(300),
+                    min_df: 2,
+                    use_bigrams: true,
+                    l2_normalize: true,
+                    ..Default::default()
+                },
+            )
+        };
+        let tweet_tfidf = tfidf(
+            data.tweets()
+                .iter()
+                .map(|t| with_bigrams(&t.tokens))
+                .collect(),
         );
-        let news_docs: Vec<Vec<String>> = data
-            .news()
-            .iter()
-            .map(|n| with_bigrams(&n.tokens))
-            .collect();
-        let news_tfidf = TfIdfVectorizer::fit_tokenized(
-            &news_docs,
-            TfIdfConfig {
-                top_k: Some(300),
-                min_df: 2,
-                use_bigrams: true,
-                l2_normalize: true,
-                ..Default::default()
-            },
+        let news_tfidf = tfidf(
+            data.news()
+                .iter()
+                .map(|n| with_bigrams(&n.tokens))
+                .collect(),
         );
         let lexicon = HateLexicon::new(&data.lexicon_terms());
 
@@ -474,5 +471,46 @@ mod tests {
             .iter()
             .find_map(|t| models.hashtag_vec(t.hashtag));
         assert!(any_tag.is_some(), "no hashtag vector trained");
+    }
+
+    /// FNV-1a over the bits of every Doc2Vec vector `setup` trains: each
+    /// document's in corpus order, then each word's in vocabulary order
+    /// (a word's id is its first occurrence in tweets-then-news order).
+    /// The constant comes from the per-pair SGD loop that `text`'s
+    /// `doc2vec.rs` keeps as its test oracle, so a change to training
+    /// that moves any bit fails here.
+    #[test]
+    fn doc2vec_vectors_are_pinned() {
+        let (data, models) = setup();
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut absorb = |v: &[f64]| {
+            for x in v {
+                for b in x.to_bits().to_le_bytes() {
+                    hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        };
+        let d2v = &models.doc2vec;
+        for i in 0..d2v.n_docs() {
+            absorb(d2v.doc_vector(i));
+        }
+        let tokens = data
+            .tweets()
+            .iter()
+            .map(|t| &t.tokens)
+            .chain(data.news().iter().map(|n| &n.tokens))
+            .flatten();
+        let mut seen = std::collections::BTreeSet::new();
+        let mut words = 0;
+        for t in tokens {
+            if let Some(v) = d2v.word_vector(t) {
+                if seen.insert(t.as_str()) {
+                    absorb(v);
+                    words += 1;
+                }
+            }
+        }
+        assert_eq!((d2v.n_docs(), words), (5679, 2642));
+        assert_eq!(hash, 0x9b93_034b_80f9_4988);
     }
 }
