@@ -93,9 +93,12 @@ impl TextModels {
         let lexicon = HateLexicon::new(&data.lexicon_terms());
 
         // Doc2Vec corpus: tweets then news (doc ids offset by n_tweets).
-        let mut d2v_docs: Vec<Vec<String>> =
-            data.tweets().iter().map(|t| t.tokens.clone()).collect();
-        d2v_docs.extend(data.news().iter().map(|n| n.tokens.clone()));
+        let d2v_docs: Vec<&[String]> = data
+            .tweets()
+            .iter()
+            .map(|t| t.tokens.as_slice())
+            .chain(data.news().iter().map(|n| n.tokens.as_slice()))
+            .collect();
         let doc2vec = Doc2Vec::train(
             &d2v_docs,
             Doc2VecConfig {

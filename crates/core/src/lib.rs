@@ -36,4 +36,4 @@ pub use features::{FeatureGroup, HategenFeatures, RetweetFeatures, TextModels};
 pub use hategen::{HategenPipeline, HategenSample, ModelKind, Processing};
 pub use retina::{RecurrentKind, Retina, RetinaConfig, RetinaMode};
 pub use snapshot::{PipelineState, Snapshot, SnapshotError};
-pub use trainer::{TrainConfig, Trainer};
+pub use trainer::TrainConfig;

@@ -592,11 +592,13 @@ impl Retina {
             RetinaMode::Static => {
                 Matrix::from_fn(sample.labels.len(), 1, |r, _| sample.labels[r] as f64)
             }
-            RetinaMode::Dynamic => Matrix::from_fn(
-                sample.interval_labels.len(),
-                self.config.intervals.len(),
-                |r, t| sample.interval_labels[r][t] as f64,
-            ),
+            RetinaMode::Dynamic => {
+                let cols = self.config.intervals.len();
+                debug_assert!(sample.interval_labels.iter().all(|row| row.len() == cols));
+                Matrix::from_fn(sample.interval_labels.len(), cols, |r, t| {
+                    sample.interval_labels[r][t] as f64
+                })
+            }
         }
     }
 

@@ -93,38 +93,6 @@ pub fn class_weight(samples: &[PackedSample], mode: RetinaMode, lambda: f64) -> 
     WeightedBce::from_counts(total, pos, lambda)
 }
 
-/// Configured training driver: owns a [`TrainConfig`] and runs the
-/// class-weighted loop over any number of models. The [`train_retina`]
-/// free function is the single-shot form; `Trainer` is the entry point
-/// the experiment runners (and the `xtask` call-graph root set) use.
-#[derive(Debug, Clone)]
-pub struct Trainer {
-    pub config: TrainConfig,
-}
-
-impl Trainer {
-    /// Wrap a training configuration.
-    pub fn new(config: TrainConfig) -> Self {
-        Self { config }
-    }
-
-    /// Train `model` in place on `train`; returns the mean training loss
-    /// per epoch.
-    pub fn fit(&self, model: &mut Retina, train: &[PackedSample]) -> Vec<f64> {
-        train_retina(model, train, &self.config)
-    }
-}
-
-/// Batch-score `samples` on the f32 inference tier: narrows the trained
-/// model once via [`Retina::to_f32_inference`] and reuses the replica's
-/// warm scratch across the whole batch. This is the post-training
-/// predict path for throughput-bound evaluation; per-sample tolerance
-/// vs [`Retina::predict_proba`] is documented on [`Retina`].
-pub fn predict_proba_f32(model: &Retina, samples: &[PackedSample]) -> Vec<Vec<f64>> {
-    let mut replica = model.to_f32_inference();
-    samples.iter().map(|s| replica.predict_proba(s)).collect()
-}
-
 /// Train a RETINA model in place; returns the mean training loss per
 /// epoch (useful for convergence checks).
 pub fn train_retina(model: &mut Retina, train: &[PackedSample], config: &TrainConfig) -> Vec<f64> {
@@ -136,15 +104,16 @@ pub fn train_retina(model: &mut Retina, train: &[PackedSample], config: &TrainCo
     let mut adam = Adam::new(config.lr);
     let mut sgd = Sgd::new(config.lr);
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut order: Vec<usize> = (0..train.len()).collect();
+    // Shuffling depends only on the length, so shuffling references
+    // visits the samples in the order shuffled indices would.
+    let mut order: Vec<&PackedSample> = train.iter().collect();
     let mut epoch_losses = Vec::with_capacity(config.epochs);
 
     for _epoch in 0..config.epochs {
         order.shuffle(&mut rng);
         let mut total_loss = 0.0;
         for chunk in order.chunks(config.batch_tweets.max(1)) {
-            for &i in chunk {
-                let s = &train[i];
+            for &s in chunk {
                 if s.user_rows.is_empty() {
                     continue;
                 }
@@ -266,10 +235,10 @@ mod tests {
                 ..TrainConfig::static_default()
             };
             train_retina(&mut m, &data, &tc);
-            let got = predict_proba_f32(&m, &data);
-            for (s, g) in data.iter().zip(&got) {
+            let mut replica = m.to_f32_inference();
+            for s in &data {
                 let want = m.predict_proba(s);
-                for (w, p) in want.iter().zip(g) {
+                for (w, p) in want.iter().zip(replica.predict_proba(s)) {
                     assert!((w - p).abs() < 1e-3, "f32 tier drifted: {w} vs {p}");
                 }
             }
@@ -289,20 +258,6 @@ mod tests {
             },
         );
         assert!(losses.last().unwrap() < &losses[0], "{losses:?}");
-    }
-
-    #[test]
-    fn trainer_fit_matches_free_function() {
-        let data = toy_data(20, 4);
-        let cfg = TrainConfig {
-            epochs: 3,
-            ..TrainConfig::static_default()
-        };
-        let mut via_fn = Retina::new(12, RetinaConfig::static_default());
-        let losses_fn = train_retina(&mut via_fn, &data, &cfg);
-        let mut via_trainer = Retina::new(12, RetinaConfig::static_default());
-        let losses_tr = Trainer::new(cfg).fit(&mut via_trainer, &data);
-        assert_eq!(losses_fn, losses_tr, "Trainer::fit is the same loop");
     }
 
     #[test]

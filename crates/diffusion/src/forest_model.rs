@@ -16,7 +16,7 @@
 //! size (documented simplification — the RL machinery tunes the same
 //! signal).
 
-use crate::neural_common::{sample_negatives, softmax_ce_target0};
+use crate::neural_common::{dot, sample_negatives, sigmoid, softmax_ce_target0};
 use crate::task::CascadeSample;
 use nn::{Embedding, Gru, Matrix, Optimizer, Sgd};
 use rand::rngs::StdRng;
@@ -228,14 +228,6 @@ impl ForestModel {
             .map(|&c| sigmoid(dot(&h, self.emb_out.vector(c as usize))))
             .collect()
     }
-}
-
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-fn sigmoid(x: f64) -> f64 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! 0.05 — it transfers poorly to ranking a root's followers, most of whom
 //! it has never seen.
 
-use crate::neural_common::{sample_negatives, softmax_ce_target0};
+use crate::neural_common::{dot, sample_negatives, sigmoid, softmax_ce_target0};
 use crate::task::CascadeSample;
 use nn::{Embedding, Matrix, Optimizer, Sgd};
 use rand::rngs::StdRng;
@@ -207,14 +207,6 @@ impl Hidan {
             })
             .collect()
     }
-}
-
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-fn sigmoid(x: f64) -> f64 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 #[cfg(test)]

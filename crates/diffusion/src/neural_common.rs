@@ -1,5 +1,6 @@
 //! Shared machinery for the neural diffusion baselines: sampled-softmax
-//! cross-entropy and negative sampling.
+//! cross-entropy, negative sampling, and the dot product and logistic
+//! sigmoid that score a candidate.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -15,6 +16,16 @@ pub fn softmax_ce_target0(logits: &[f64]) -> (f64, Vec<f64>) {
     let mut grad = probs;
     grad[0] -= 1.0;
     (loss, grad)
+}
+
+/// Dot product of two embeddings (zipped, so the shorter length rules).
+pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// Logistic sigmoid of a candidate's score.
+pub fn sigmoid(x: f64) -> f64 {
+    1.0 / (1.0 + (-x).exp())
 }
 
 /// Sample up to `k` negatives from `pool` avoiding `exclude`.

@@ -14,7 +14,7 @@
 //! already matching the diffusion tree). As in the paper's evaluation, it
 //! is used as a *ranker* (MAP@k / HITS@k) over candidate retweeters.
 
-use crate::neural_common::{sample_negatives, softmax_ce_target0};
+use crate::neural_common::{dot, sample_negatives, sigmoid, softmax_ce_target0};
 use crate::task::CascadeSample;
 use nn::{Embedding, Lstm, Matrix, Optimizer, Sgd};
 use rand::rngs::StdRng;
@@ -187,14 +187,6 @@ impl TopoLstm {
             .map(|&c| sigmoid(dot(&h, self.emb_out.vector(c as usize))))
             .collect()
     }
-}
-
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-fn sigmoid(x: f64) -> f64 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 #[cfg(test)]

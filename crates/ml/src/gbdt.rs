@@ -81,6 +81,7 @@ impl RegTree {
                     left,
                     right,
                 } => {
+                    debug_assert!(feature < x.len());
                     i = if x[feature] <= threshold { left } else { right };
                 }
             }

@@ -243,6 +243,7 @@ impl Classifier for DecisionTree {
                     left,
                     right,
                 } => {
+                    debug_assert!(*feature < x.len());
                     node = if x[*feature] <= *threshold {
                         left
                     } else {

@@ -78,11 +78,11 @@ struct Corpus {
 }
 
 impl Corpus {
-    fn new(docs: &[Vec<String>], min_count: u64) -> Self {
+    fn new<D: AsRef<[String]> + Sync>(docs: &[D], min_count: u64) -> Self {
         let full = {
             let mut v = Vocabulary::new();
             for d in docs {
-                for t in d {
+                for t in d.as_ref() {
                     v.add(t);
                 }
             }
@@ -95,7 +95,11 @@ impl Corpus {
         // thread count).
         let workers = nn::par::resolve(0).min(docs.len().max(1));
         let id_docs: Vec<Vec<usize>> = nn::par::map_indexed(docs.len(), workers, |i| {
-            docs[i].iter().filter_map(|t| vocab.get(t)).collect()
+            docs[i]
+                .as_ref()
+                .iter()
+                .filter_map(|t| vocab.get(t))
+                .collect()
         });
         let neg_table = Doc2Vec::build_neg_table(&vocab);
         Self {
@@ -114,8 +118,9 @@ impl Corpus {
 }
 
 impl Doc2Vec {
-    /// Train PV-DBOW on pre-tokenized documents.
-    pub fn train(docs: &[Vec<String>], config: Doc2VecConfig) -> Self {
+    /// Train PV-DBOW on pre-tokenized documents, owned (`&[Vec<String>]`)
+    /// or borrowed (`&[&[String]]`).
+    pub fn train<D: AsRef<[String]> + Sync>(docs: &[D], config: Doc2VecConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let corpus = Corpus::new(docs, config.min_count);
         let dim = config.dim;

@@ -68,6 +68,7 @@ impl HateLexicon {
                 // Prefer the longest matching phrase at this position.
                 let mut best: Option<usize> = None;
                 for &e in cands {
+                    debug_assert!(e < self.entries.len());
                     let ent = &self.entries[e];
                     if i + ent.len() <= tokens.len()
                         && ent

@@ -25,7 +25,7 @@ pub mod vocab;
 
 pub use doc2vec::{Doc2Vec, Doc2VecConfig};
 pub use lexicon::HateLexicon;
-pub use similarity::{cosine, cosine_dense};
+pub use similarity::cosine_dense;
 pub use tfidf::{TfIdfConfig, TfIdfVectorizer, TopKBy};
 pub use tokenize::{bigrams, char_ngrams, tokenize, unigrams_and_bigrams};
 pub use vocab::Vocabulary;

@@ -19,21 +19,6 @@ pub fn cosine_dense(a: &[f64], b: &[f64]) -> f64 {
     }
 }
 
-/// Alias kept for API symmetry with potential sparse variants.
-pub fn cosine(a: &[f64], b: &[f64]) -> f64 {
-    cosine_dense(a, b)
-}
-
-/// Average cosine similarity of each row in `rows` against `target` — the
-/// "average cosine similarity between the user's recent tweets and the word
-/// vector representation of the hashtag" (Section IV-B).
-pub fn mean_cosine_to(rows: &[Vec<f64>], target: &[f64]) -> f64 {
-    if rows.is_empty() {
-        return 0.0;
-    }
-    rows.iter().map(|r| cosine_dense(r, target)).sum::<f64>() / rows.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,17 +50,5 @@ mod tests {
         let b = vec![1.1, 0.4, -0.2];
         let scaled: Vec<f64> = a.iter().map(|x| x * 17.0).collect();
         assert!((cosine_dense(&a, &b) - cosine_dense(&scaled, &b)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_cosine_averages() {
-        let rows = vec![vec![1.0, 0.0], vec![0.0, 1.0]];
-        let t = vec![1.0, 0.0];
-        assert!((mean_cosine_to(&rows, &t) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_cosine_empty_rows_zero() {
-        assert_eq!(mean_cosine_to(&[], &[1.0]), 0.0);
     }
 }

@@ -222,6 +222,7 @@ impl TfIdfVectorizer {
 
     /// Transform pre-tokenized feature tokens to a dense TF-IDF vector.
     pub fn transform_tokens(&self, toks: &[String]) -> Vec<f64> {
+        debug_assert!(self.selected.iter().all(|&id| id < self.idf.len()));
         let mut v = vec![0.0; self.dim()];
         for tok in toks {
             if let Some(id) = self.vocab.get(tok) {

@@ -66,12 +66,13 @@ fn is_url(tok: &str) -> bool {
 /// Produce bigram tokens (`"a b"`) from a unigram token sequence.
 pub fn bigrams(tokens: &[String]) -> Vec<String> {
     tokens
-        .windows(2)
-        .map(|w| {
-            let mut s = String::with_capacity(w[0].len() + w[1].len() + 1);
-            s.push_str(&w[0]);
+        .iter()
+        .zip(tokens.iter().skip(1))
+        .map(|(a, b)| {
+            let mut s = String::with_capacity(a.len() + b.len() + 1);
+            s.push_str(a);
             s.push(' ');
-            s.push_str(&w[1]);
+            s.push_str(b);
             s
         })
         .collect()

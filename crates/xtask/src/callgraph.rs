@@ -93,7 +93,7 @@ pub(crate) const CALL_KEYWORDS: [&str; 8] =
 
 /// Method names so common on std types that an unhinted receiver must
 /// never resolve to a workspace item through the unique-name fallback
-/// (`AtomicUsize::load` is not `Baseline::load`). Hinted receivers
+/// (`AtomicUsize::load` is not `Snapshot::load`). Hinted receivers
 /// (`self.`, typed locals, fields) bypass this list.
 const STD_METHODS: [&str; 44] = [
     "abs",
@@ -495,9 +495,9 @@ impl CallGraph {
         ))
     }
 
-    /// The hot-path root set (ISSUE 5): RETINA forward/backward, the
-    /// trainer, every public `nn::par` entry point, the layer step
-    /// functions, and the classifier predict surface.
+    /// The hot-path root set: RETINA forward/backward, `train_retina`,
+    /// every public `nn::par` entry point, the layer step functions, and
+    /// the classifier predict surface.
     pub fn hot_roots(&self) -> Vec<usize> {
         let mut roots = BTreeSet::new();
         for (i, f) in self.index.fns.iter().enumerate() {
@@ -507,7 +507,6 @@ impl CallGraph {
             let owner = f.owner.as_deref();
             let hot = match owner {
                 Some("Retina") => matches!(f.name.as_str(), "forward" | "backward"),
-                Some("Trainer") => f.name == "fit",
                 Some("Gru")
                 | Some("Lstm")
                 | Some("SimpleRnn")

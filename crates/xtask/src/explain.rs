@@ -1,4 +1,4 @@
-//! Rule catalogue: one entry per lint rule / analysis pass with its
+//! Rule catalogue: one entry per rule of `xtask analyze` with its
 //! rationale and fix guidance, printed by `xtask explain <code>`.
 
 /// One rule's documentation.
@@ -54,8 +54,9 @@ pub const CATALOGUE: &[RuleDoc] = &[
         rationale: "A bare `// lint: allow(key)` records that a finding was \
                     silenced but not why, which makes the suppression \
                     unreviewable. It suppresses nothing and is itself a \
-                    failing finding, for every lint and analyze key; \
-                    `float-flow` is shared by A10–A11.",
+                    failing finding, for every key; `float-flow` is shared \
+                    by A10–A11. Allow-comments are the only way to \
+                    silence a finding.",
         fix: "State the invariant that makes the finding safe, in at least a \
               few words: `// lint: allow(key) <reason>`.",
     },
@@ -84,10 +85,13 @@ pub const CATALOGUE: &[RuleDoc] = &[
         key: "panic-reach",
         title: "panics reachable from the hot path",
         rationale: "unwrap/expect/panic!/unguarded indexing reachable from \
-                    forward/backward/fit/predict/serving crashes a worker \
-                    mid-request; the call chain in the finding shows the route.",
+                    forward/backward/train_retina/predict/serving crashes a \
+                    worker mid-request; the call chain in the finding shows \
+                    the route.",
         fix: "Make the callee infallible or return a Result along the chain; \
-              contract panics keep `// lint: allow(panic-reach) <invariant>`.",
+              for indexing, state the precondition it relies on in a \
+              `debug_assert!` or iterate instead; contract panics keep \
+              `// lint: allow(panic-reach) <invariant>`.",
     },
     RuleDoc {
         code: "A6",

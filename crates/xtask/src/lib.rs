@@ -1,35 +1,24 @@
 //! Workspace correctness tooling.
 //!
-//! The `lint` subcommand runs a rule-driven line scanner over every
-//! crate's library sources:
-//!
-//! - R1: no `.unwrap()` / `.expect()` in non-test library code of every
-//!   workspace member except `bench`, `socialsim` and `text`
-//! - R2: no direct float `==` / `!=` outside tests
-//! - R4: no raw buffer indexing in the tensor hot kernels
-//!
-//! The `analyze` subcommand runs the token-stream semantic passes
-//! (A2 determinism, A3 cast-safety, the call-graph-based A4
-//! panic-reachability, A6 discarded-Result and A7 lock discipline, the
-//! float-value-lattice-based A10 division/log-guard and A11
-//! probability-domain, plus the memory-shape-model-based A13
+//! The `analyze` subcommand is the one static gate. It runs every pass
+//! in [`passes::registry`] over every crate's library sources: the line
+//! rules R1 unwrap, R2 float-cmp and R4 index, and the token-stream
+//! semantic passes (A2 determinism, A3 cast-safety, the
+//! call-graph-based A4 panic-reachability, A6 discarded-Result and A7
+//! lock discipline, the float-value-lattice-based A10 division/log-guard
+//! and A11 probability-domain, plus the memory-shape-model-based A13
 //! unsafe-contract and A14 capacity/growth — see [`passes`], [`items`],
-//! [`callgraph`], [`floatflow`], [`memflow`]) against a committed
-//! finding baseline ([`baseline`]). `explain <rule>` prints
-//! each rule's rationale and fix guidance from the shared catalogue
-//! ([`explain`]). `bench-report`, `serving-report` and `mem-report` run
-//! the kernel, serving and peak-RSS harnesses and maintain their
-//! `BENCH_*.json` files through one record format and gate table
-//! ([`report`]).
+//! [`callgraph`], [`floatflow`], [`memflow`]), and fails on any finding.
+//! `explain <rule>` prints each rule's rationale and fix guidance from
+//! the shared catalogue ([`explain`]). `bench-report`, `serving-report`
+//! and `mem-report` run the kernel, serving and peak-RSS harnesses and
+//! maintain their `BENCH_*.json` files through one record format and
+//! gate table ([`report`]).
 //!
-//! Violations can be suppressed in place with
+//! A finding can be silenced only in place, with
 //! `// lint: allow(<key>) <reason>` where `<key>` is one of
-//! `unwrap`, `float-cmp`, `index` (lint) or `determinism`,
-//! `lossy-cast`, `index-underflow`, `panic-reach`, `discard-result`,
-//! `lock`, `float-flow`, `unsafe-contract`, `mem-flow` (analyze,
-//! [`passes::ALLOW_KEYS`]); the reason is required.
+//! [`passes::ALLOW_KEYS`]; the reason is required.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod explain;
 pub mod floatflow;
@@ -38,49 +27,17 @@ pub mod lexer;
 pub mod memflow;
 pub mod passes;
 pub mod report;
-pub mod rules;
 pub mod source;
 
-use rules::Violation;
 use source::SourceFile;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Combined result of a lint run.
-#[derive(Debug, Default)]
-pub struct Report {
-    pub violations: Vec<Violation>,
-    pub files_scanned: usize,
-}
-
-impl Report {
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Human-readable report.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for v in &self.violations {
-            out.push_str(&format!(
-                "{}:{}: [{}] {}\n",
-                v.path, v.line, v.rule, v.message
-            ));
-        }
-        out.push_str(&format!(
-            "\n{} file(s) scanned, {} violation(s)\n",
-            self.files_scanned,
-            self.violations.len()
-        ));
-        out
-    }
-}
-
 /// Workspace member source roots, enumerated from the root
 /// `Cargo.toml`'s `[workspace] members` globs rather than a hardcoded
-/// crate list, so a newly added member is linted and analyzed the day
-/// it appears in the manifest. `vendor/*` members are skipped (they are
-/// third-party stub subsets, not ours to lint). Fixture trees without a
+/// crate list, so a newly added member is analyzed the day it appears
+/// in the manifest. `vendor/*` members are skipped (they are
+/// third-party stub subsets, not ours to check). Fixture trees without a
 /// manifest fall back to a plain `crates/` directory scan.
 pub fn workspace_members(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut patterns = match fs::read_to_string(root.join("Cargo.toml")) {
@@ -145,7 +102,7 @@ fn member_globs(manifest: &str) -> Vec<String> {
 /// Read every library source under `root` (the workspace root): each
 /// manifest-listed member's `src/**.rs` plus the root package's `src/`,
 /// sorted by path. Vendored stub crates, tests/, benches/ and examples/
-/// trees are out of scope. `lint` and `analyze` share this file set.
+/// trees are out of scope.
 pub fn load_sources(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     let mut paths = Vec::new();
     for member in workspace_members(root)? {
@@ -161,22 +118,6 @@ pub fn load_sources(root: &Path) -> std::io::Result<Vec<SourceFile>> {
             Ok(SourceFile::parse(&rel, &raw))
         })
         .collect()
-}
-
-/// Lint all library sources under `root` (the workspace root).
-pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
-    let sources = load_sources(root)?;
-    let mut report = Report {
-        files_scanned: sources.len(),
-        ..Report::default()
-    };
-    for file in &sources {
-        report.violations.extend(rules::lint_file(file));
-    }
-    report
-        .violations
-        .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
-    Ok(report)
 }
 
 /// Recursively gather `.rs` files under `dir` (no-op when absent).
@@ -217,7 +158,7 @@ mod tests {
     }
 
     #[test]
-    fn violating_fixture_fails_the_lint() {
+    fn violating_fixture_fails_the_analysis() {
         let root = fixture(
             "violating",
             &[
@@ -235,12 +176,21 @@ mod tests {
                 ),
             ],
         );
-        let report = lint_workspace(&root).expect("lint runs");
-        assert!(!report.is_clean());
-        let rules: Vec<&str> = report.violations.iter().map(|v| v.rule).collect();
-        for expected in ["R1", "R2", "R4"] {
-            assert!(rules.contains(&expected), "missing {expected} in {rules:?}");
-        }
+        let report = passes::analyze_workspace(&root).expect("analyze runs");
+        let line_rules: Vec<_> = report
+            .findings
+            .iter()
+            .filter(|f| f.rule.starts_with('R'))
+            .map(|f| (f.path.as_str(), f.line, f.rule, f.key))
+            .collect();
+        assert_eq!(
+            line_rules,
+            [
+                ("crates/nn/src/loss.rs", 2, "R2", "float-cmp"),
+                ("crates/nn/src/loss.rs", 5, "R1", "unwrap"),
+                ("crates/nn/src/tensor.rs", 1, "R4", "index"),
+            ]
+        );
         assert_eq!(report.files_scanned, 2);
     }
 
@@ -254,8 +204,8 @@ mod tests {
                  pub fn forward(x: f64) -> f64 { x.max(0.0) }\n",
             )],
         );
-        let report = lint_workspace(&root).expect("lint runs");
-        assert!(report.is_clean(), "{:?}", report.violations);
+        let report = passes::analyze_workspace(&root).expect("analyze runs");
+        assert!(report.is_clean(), "{:?}", report.findings);
     }
 
     #[test]
@@ -271,8 +221,8 @@ mod tests {
                 ("crates/nn/src/ok.rs", "pub fn f() {}\n"),
             ],
         );
-        let report = lint_workspace(&root).expect("lint runs");
-        assert!(report.is_clean());
+        let report = passes::analyze_workspace(&root).expect("analyze runs");
+        assert!(report.is_clean(), "{:?}", report.findings);
         assert_eq!(report.files_scanned, 1);
     }
 
@@ -288,44 +238,23 @@ mod tests {
                  }\n",
             )],
         );
-        let report = lint_workspace(&root).expect("lint runs");
-        assert!(report.is_clean(), "{:?}", report.violations);
+        let report = passes::analyze_workspace(&root).expect("analyze runs");
+        assert!(report.is_clean(), "{:?}", report.findings);
     }
 
     #[test]
-    fn real_workspace_tree_is_clean() {
-        // The acceptance gate: the shipped tree must lint clean.
+    fn real_workspace_tree_analyzes_clean() {
+        // The acceptance gate: every pass over the shipped tree reports
+        // nothing.
         let root = Path::new(env!("CARGO_MANIFEST_DIR"))
             .ancestors()
             .nth(2)
             .expect("workspace root")
             .to_path_buf();
-        let report = lint_workspace(&root).expect("lint runs");
+        let report = passes::analyze_workspace(&root).expect("analyze runs");
         assert!(
             report.is_clean(),
-            "workspace has lint violations:\n{}",
-            report.render()
-        );
-        assert!(report.files_scanned > 20, "walker found the crates");
-    }
-
-    #[test]
-    fn real_workspace_tree_analyzes_clean_with_baseline() {
-        // The analyze acceptance gate: every pass over the shipped tree,
-        // minus the committed baseline, must be clean.
-        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .expect("workspace root")
-            .to_path_buf();
-        let mut report = passes::analyze_workspace(&root).expect("analyze runs");
-        let base = baseline::Baseline::load(&root).expect("baseline parses");
-        let (kept, absorbed) = base.apply(std::mem::take(&mut report.findings));
-        report.findings = kept;
-        report.baselined = absorbed;
-        assert!(
-            report.is_clean(),
-            "workspace has non-baselined analysis findings:\n{}",
+            "workspace has analysis findings:\n{}",
             report.render()
         );
         assert!(report.files_scanned > 20, "walker found the crates");
@@ -386,54 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn committed_baseline_has_no_stale_entries() {
-        // Every grandfathered fingerprint must still match a live
-        // finding; a fixed finding must take its baseline entry with it
-        // (`analyze --prune-baseline` rewrites the file).
-        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .expect("workspace root")
-            .to_path_buf();
-        let report = passes::analyze_workspace(&root).expect("analyze runs");
-        let base = baseline::Baseline::load(&root).expect("baseline parses");
-        assert_eq!(
-            base.stale(&report.findings),
-            0,
-            "baseline has stale entries — run \
-             `cargo run -p xtask -- analyze --prune-baseline`"
-        );
-    }
-
-    #[test]
-    fn committed_baseline_is_pinned() {
-        // The baseline must shrink, never silently grow: 13 fingerprints,
-        // all grandfathered A4 warnings (re-pinned from 28 when the f32
-        // tier landed, from 18 when `nn::par`'s dynamic map switched to a
-        // checked slot lookup, from 17 when the RETINA scaler stopped
-        // fitting through `ml::column_means`, from 16 when A5 and its
-        // two entries were retired, and from 14 when the uncalled
-        // `ml::par_map_rows` was deleted). Regenerate deliberately with
-        // `cargo run -p xtask -- analyze --update-baseline` and re-pin.
-        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .expect("workspace root")
-            .to_path_buf();
-        let raw = fs::read_to_string(root.join(baseline::BASELINE_FILE)).expect("baseline exists");
-        let entries = raw.matches("fingerprint").count();
-        assert_eq!(
-            entries, 13,
-            "baseline entry count changed — re-pin deliberately"
-        );
-        assert_eq!(
-            raw.matches("\"rule\": \"A4\"").count(),
-            entries,
-            "baseline grandfathers a finding other than A4 — fix it instead"
-        );
-    }
-
-    #[test]
     fn workspace_members_come_from_the_manifest() {
         let root = fixture(
             "members",
@@ -466,7 +347,7 @@ mod tests {
     #[test]
     fn real_workspace_root_set_covers_the_hot_path() {
         // Acceptance: the A4 root set is non-empty and covers
-        // Retina::forward, Trainer::fit, and every nn::par entry point.
+        // Retina::forward, train_retina, and every nn::par entry point.
         let root = Path::new(env!("CARGO_MANIFEST_DIR"))
             .ancestors()
             .nth(2)
@@ -483,7 +364,6 @@ mod tests {
         for expected in [
             "core::Retina::forward",
             "core::Retina::backward",
-            "core::Trainer::fit",
             "core::train_retina",
             "nn::for_each_chunk",
             "nn::for_each_row_chunk",

@@ -1,22 +1,15 @@
-//! `cargo run -p xtask -- lint`
-//! `cargo run -p xtask -- analyze [--baseline] [--update-baseline]
-//!                                [--prune-baseline]`
+//! `cargo run -p xtask -- analyze`
 //! `cargo run -p xtask -- explain [<rule>]`
 //! `cargo run -p xtask -- bench-report [--check]`
 //! `cargo run -p xtask -- serving-report [--check]`
 //! `cargo run -p xtask -- mem-report [--check]`
 //!
-//! `lint` exits nonzero when any R1, R2 or R4 violation (or malformed
-//! allow-comment) is found.
-//!
-//! `analyze` runs the semantic passes (A2 determinism, A3 cast-safety,
-//! A4 panic-reachability, A6 discarded-Result, A7 lock discipline, A10
+//! `analyze` runs every pass over the workspace (the line rules R1
+//! unwrap, R2 float-cmp and R4 index; A2 determinism, A3 cast-safety, A4
+//! panic-reachability, A6 discarded-Result, A7 lock discipline, A10
 //! division/log-guard, A11 probability-domain, A13 unsafe-contract, A14
-//! capacity/growth) over the workspace, prints every finding, and exits
-//! nonzero when any non-baselined finding remains. `--update-baseline`
-//! grandfathers the current findings; `--prune-baseline` rewrites the
-//! committed baseline keeping only entries a current finding still
-//! matches.
+//! capacity/growth), prints every finding, and exits nonzero when there
+//! is any. It takes no options.
 //!
 //! `explain <rule>` prints the rationale and fix guidance for one rule
 //! or pass (`R1`, `R2`, `R4`, `allow`, `A2`..`A14`); with no argument it
@@ -37,9 +30,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
         eprintln!(
-            "usage: cargo run -p xtask -- lint\n       \
-             cargo run -p xtask -- analyze [--baseline] [--update-baseline] \
-             [--prune-baseline]\n       \
+            "usage: cargo run -p xtask -- analyze\n       \
              cargo run -p xtask -- explain [<rule>]\n       \
              cargo run -p xtask -- bench-report [--check]\n       \
              cargo run -p xtask -- serving-report [--check]\n       \
@@ -48,21 +39,14 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     match cmd.as_str() {
-        "lint" => {
+        "explain" => run_explain(args.get(1).map(String::as_str)),
+        "analyze" => {
             if args.len() > 1 {
-                eprintln!("unknown lint option(s): {:?}", &args[1..]);
+                eprintln!("analyze takes no options, got {:?}", &args[1..]);
                 return ExitCode::from(2);
             }
-            run_lint()
+            run_analyze()
         }
-        "explain" => run_explain(args.get(1).map(String::as_str)),
-        "analyze" => match AnalyzeOpts::parse(&args[1..]) {
-            Ok(opts) => run_analyze(&opts),
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::from(2)
-            }
-        },
         other => match xtask::report::SUITES.iter().find(|s| s.subcommand == other) {
             Some(suite) => {
                 let unknown: Vec<&String> = args[1..]
@@ -78,7 +62,7 @@ fn main() -> ExitCode {
             }
             None => {
                 eprintln!(
-                    "unknown subcommand `{other}`; expected `lint`, `analyze`, `explain`, \
+                    "unknown subcommand `{other}`; expected `analyze`, `explain`, \
                      `bench-report`, `serving-report`, or `mem-report`"
                 );
                 ExitCode::from(2)
@@ -125,8 +109,8 @@ fn workspace_root() -> &'static Path {
     }
 }
 
-fn run_lint() -> ExitCode {
-    match xtask::lint_workspace(workspace_root()) {
+fn run_analyze() -> ExitCode {
+    match xtask::passes::analyze_workspace(workspace_root()) {
         Ok(report) => {
             print!("{}", report.render());
             if report.is_clean() {
@@ -136,100 +120,8 @@ fn run_lint() -> ExitCode {
             }
         }
         Err(e) => {
-            eprintln!("lint failed to scan the workspace: {e}");
+            eprintln!("analyze failed to scan the workspace: {e}");
             ExitCode::from(2)
         }
-    }
-}
-
-struct AnalyzeOpts {
-    use_baseline: bool,
-    update_baseline: bool,
-    prune_baseline: bool,
-}
-
-impl AnalyzeOpts {
-    fn parse(args: &[String]) -> Result<Self, String> {
-        let mut opts = AnalyzeOpts {
-            use_baseline: false,
-            update_baseline: false,
-            prune_baseline: false,
-        };
-        for a in args {
-            match a.as_str() {
-                "--baseline" => opts.use_baseline = true,
-                "--update-baseline" => opts.update_baseline = true,
-                "--prune-baseline" => opts.prune_baseline = true,
-                other => return Err(format!("unknown analyze option `{other}`")),
-            }
-        }
-        Ok(opts)
-    }
-}
-
-fn run_analyze(opts: &AnalyzeOpts) -> ExitCode {
-    let root = workspace_root();
-    let mut report = match xtask::passes::analyze_workspace(root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("analyze failed to scan the workspace: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    if opts.update_baseline {
-        if let Err(e) = xtask::baseline::Baseline::save(root, &report.findings) {
-            eprintln!("failed to write {}: {e}", xtask::baseline::BASELINE_FILE);
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "wrote {} grandfathering {} finding(s)",
-            xtask::baseline::BASELINE_FILE,
-            report.findings.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if opts.prune_baseline {
-        let base = match xtask::baseline::Baseline::load(root) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("bad baseline: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let stale = base.stale(&report.findings);
-        let (_, absorbed) = base.split(report.findings);
-        if let Err(e) = xtask::baseline::Baseline::save(root, &absorbed) {
-            eprintln!("failed to write {}: {e}", xtask::baseline::BASELINE_FILE);
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "pruned {} stale grandfathered occurrence(s); {} kept in {}",
-            stale,
-            absorbed.len(),
-            xtask::baseline::BASELINE_FILE
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if opts.use_baseline {
-        let base = match xtask::baseline::Baseline::load(root) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("bad baseline: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let (kept, absorbed) = base.apply(std::mem::take(&mut report.findings));
-        report.findings = kept;
-        report.baselined = absorbed;
-    }
-
-    print!("{}", report.render());
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
     }
 }

@@ -1,27 +1,67 @@
-//! The lint rules (R1, R2, R4). Each rule is a pure function over a
-//! preprocessed [`SourceFile`] so fixture snippets can drive the unit
-//! tests directly.
+//! R1, R2 and R4, the per-line rules. Each reads the code channel of a
+//! [`SourceFile`] a line at a time (comments and string contents
+//! blanked, `#[cfg(test)]` lines masked) and reports through the pass
+//! manager, which applies their allow keys (`unwrap`, `float-cmp`,
+//! `index`) as it does every pass's.
 
+use super::{Context, Finding, Pass, Severity};
 use crate::source::SourceFile;
 
-/// A hard violation (fails the lint).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Violation {
-    /// Rule id: "R1", "R2", "R4", or "allow" for malformed allow-comments.
-    pub rule: &'static str,
-    /// Allow-comment key that suppresses this violation.
-    pub key: &'static str,
-    /// Workspace-relative path.
-    pub path: String,
-    /// 1-based line number.
-    pub line: usize,
-    /// Human-readable description.
-    pub message: String,
+/// A per-line rule: its id, its allow key, and the check that lists
+/// `(line, message)` for each violation in one file.
+pub struct LineRule {
+    id: &'static str,
+    key: &'static str,
+    check: fn(&SourceFile) -> Vec<(usize, String)>,
+}
+
+/// R1: no `.unwrap()` / `.expect(` in non-test library code.
+pub const R1: LineRule = LineRule {
+    id: "R1",
+    key: "unwrap",
+    check: r1_no_unwrap,
+};
+
+/// R2: no direct float `==` / `!=` outside tests.
+pub const R2: LineRule = LineRule {
+    id: "R2",
+    key: "float-cmp",
+    check: r2_no_float_eq,
+};
+
+/// R4: no raw `data[..]` indexing in the tensor hot kernels.
+pub const R4: LineRule = LineRule {
+    id: "R4",
+    key: "index",
+    check: r4_tensor_indexing,
+};
+
+impl Pass for LineRule {
+    fn id(&self) -> &'static str {
+        self.id
+    }
+
+    fn run(&self, ctx: &Context) -> Vec<Finding> {
+        let mut out = Vec::new();
+        for file in &ctx.files {
+            for (line, message) in (self.check)(&file.source) {
+                out.push(Finding {
+                    rule: self.id,
+                    key: self.key,
+                    severity: Severity::Error,
+                    path: file.source.path.clone(),
+                    line,
+                    message,
+                });
+            }
+        }
+        out
+    }
 }
 
 /// Crates exempt from R1: the bench harness and the corpus-ingestion
 /// crates whose parsers surface errors by panicking on malformed
-/// fixtures. Every *other* workspace member — including the lint
+/// fixtures. Every *other* workspace member — including this analysis
 /// tooling itself and any crate added after this list was written — has
 /// panic-free non-test library code; exclusion-based so new members are
 /// covered the day they appear in the manifest.
@@ -47,127 +87,83 @@ pub fn r1_applies(path: &str) -> bool {
     !R1_EXEMPT.contains(&name) && tail.starts_with("src/")
 }
 
-/// Collect malformed allow-comments for `key` as violations.
-fn allow_misuses(file: &SourceFile, key: &'static str, out: &mut Vec<Violation>) {
-    let (_, missing) = file.allows(key);
-    for line in missing {
-        out.push(Violation {
-            rule: "allow",
-            key,
-            path: file.path.clone(),
-            line,
-            message: format!("`lint: allow({key})` needs a reason after the closing paren"),
-        });
-    }
-}
-
-/// R1: no `.unwrap()` / `.expect(` in non-test library code.
-pub fn r1_no_unwrap(file: &SourceFile) -> Vec<Violation> {
+fn r1_no_unwrap(file: &SourceFile) -> Vec<(usize, String)> {
     let mut out = Vec::new();
     if !r1_applies(&file.path) {
         return out;
     }
-    let (allowed, _) = file.allows("unwrap");
-    allow_misuses(file, "unwrap", &mut out);
     for (i, line) in file.lines.iter().enumerate() {
-        let n = i + 1;
-        if line.in_test || allowed.contains(&n) {
+        if line.in_test {
             continue;
         }
         for pat in [".unwrap()", ".expect("] {
             if line.code.contains(pat) {
-                out.push(Violation {
-                    rule: "R1",
-                    key: "unwrap",
-                    path: file.path.clone(),
-                    line: n,
-                    message: format!(
+                out.push((
+                    i + 1,
+                    format!(
                         "`{pat}` in library code can panic at runtime; return a Result, \
                          handle the None/Err case, or annotate \
                          `// lint: allow(unwrap) <reason>`"
                     ),
-                });
+                ));
             }
         }
     }
     out
 }
 
-/// R2: no direct float `==` / `!=` outside tests (float-literal operand
-/// heuristic: `x == 1.0`, `y != 0.5f64`, `z == f64::INFINITY`, ...).
-pub fn r2_no_float_eq(file: &SourceFile) -> Vec<Violation> {
+/// The float-literal operand heuristic: `x == 1.0`, `y != 0.5f64`,
+/// `z == f64::INFINITY`, ...
+fn r2_no_float_eq(file: &SourceFile) -> Vec<(usize, String)> {
     let mut out = Vec::new();
-    let (allowed, _) = file.allows("float-cmp");
-    allow_misuses(file, "float-cmp", &mut out);
     for (i, line) in file.lines.iter().enumerate() {
-        let n = i + 1;
-        if line.in_test || allowed.contains(&n) {
+        if line.in_test {
             continue;
         }
         for (op_pos, op) in find_eq_ops(&line.code) {
             let lhs = token_before(&line.code, op_pos);
             let rhs = token_after(&line.code, op_pos + op.len());
             if is_float_token(&lhs) || is_float_token(&rhs) {
-                out.push(Violation {
-                    rule: "R2",
-                    key: "float-cmp",
-                    path: file.path.clone(),
-                    line: n,
-                    message: format!(
+                out.push((
+                    i + 1,
+                    format!(
                         "direct float comparison `{lhs} {op} {rhs}`; compare with an \
                          epsilon tolerance or annotate `// lint: allow(float-cmp) <reason>`"
                     ),
-                });
+                ));
             }
         }
     }
     out
 }
 
-/// R4: in the tensor hot kernels, the backing buffer must be reached
-/// through the `debug_assert!`-guarded accessors, not raw indexing.
-pub fn r4_tensor_indexing(file: &SourceFile) -> Vec<Violation> {
+/// In the tensor hot kernels, the backing buffer must be reached through
+/// the `debug_assert!`-guarded accessors, not raw indexing.
+fn r4_tensor_indexing(file: &SourceFile) -> Vec<(usize, String)> {
     let mut out = Vec::new();
     if !file.path.ends_with(R4_FILE) {
         return out;
     }
-    let (allowed, _) = file.allows("index");
-    allow_misuses(file, "index", &mut out);
     let mut current_fn = String::new();
     for (i, line) in file.lines.iter().enumerate() {
-        let n = i + 1;
         if let Some(name) = fn_name(&line.code) {
             current_fn = name;
         }
-        if line.in_test || allowed.contains(&n) {
-            continue;
-        }
-        if R4_ACCESSORS.contains(&current_fn.as_str()) {
+        if line.in_test || R4_ACCESSORS.contains(&current_fn.as_str()) {
             continue;
         }
         if has_raw_data_index(&line.code) {
-            out.push(Violation {
-                rule: "R4",
-                key: "index",
-                path: file.path.clone(),
-                line: n,
-                message: format!(
+            out.push((
+                i + 1,
+                format!(
                     "raw `data[..]` indexing in `{current_fn}`; use the \
                      debug_assert!-guarded accessors (get/set/row/row_mut) or annotate \
                      `// lint: allow(index) <reason>`"
                 ),
-            });
+            ));
         }
     }
     out
-}
-
-/// Run every rule on one file.
-pub fn lint_file(file: &SourceFile) -> Vec<Violation> {
-    let mut v = r1_no_unwrap(file);
-    v.extend(r2_no_float_eq(file));
-    v.extend(r4_tensor_indexing(file));
-    v
 }
 
 /// Positions of bare `==` / `!=` operators (excluding `<=`, `>=`, `=>`).
@@ -291,63 +287,70 @@ fn has_raw_data_index(code: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::SourceFile;
+    use crate::passes::run_passes;
 
-    fn nn_file(src: &str) -> SourceFile {
-        SourceFile::parse("crates/nn/src/example.rs", src)
+    /// `(rule, line, key)` of everything the three line rules and the
+    /// pass manager's allow check report on one file.
+    fn lint(path: &str, src: &str) -> Vec<(&'static str, usize, &'static str)> {
+        let ctx = Context::of(&[(path, src)]);
+        run_passes(&ctx, &[Box::new(R1), Box::new(R2), Box::new(R4)])
+            .iter()
+            .map(|f| (f.rule, f.line, f.key))
+            .collect()
+    }
+
+    fn nn(src: &str) -> Vec<(&'static str, usize, &'static str)> {
+        lint("crates/nn/src/example.rs", src)
+    }
+
+    fn tensor(src: &str) -> Vec<(&'static str, usize, &'static str)> {
+        lint(R4_FILE, src)
     }
 
     // -------- R1 --------
 
     #[test]
     fn r1_flags_unwrap_and_expect() {
-        let f = nn_file("pub fn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\nfn g(r: Result<u8, ()>) -> u8 { r.expect(\"boom\") }\n");
-        let v = r1_no_unwrap(&f);
-        assert_eq!(v.len(), 2);
-        assert_eq!(v[0].line, 2);
-        assert_eq!(v[1].line, 4);
-        assert!(v.iter().all(|x| x.rule == "R1"));
+        let v = nn("pub fn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\nfn g(r: Result<u8, ()>) -> u8 { r.expect(\"boom\") }\n");
+        assert_eq!(v, [("R1", 2, "unwrap"), ("R1", 4, "unwrap")]);
     }
 
     #[test]
     fn r1_skips_tests_comments_and_strings() {
-        let f = nn_file(
-            "// a comment mentioning .unwrap()\n\
+        let v = nn("// a comment mentioning .unwrap()\n\
              const S: &str = \".unwrap()\";\n\
              #[cfg(test)]\n\
              mod tests {\n\
                  fn t() { Some(1).unwrap(); }\n\
-             }\n",
-        );
-        assert!(r1_no_unwrap(&f).is_empty());
+             }\n");
+        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn r1_respects_allow_with_reason() {
-        let f = nn_file(
-            "fn f(x: Option<u8>) -> u8 {\n\
+        let v = nn("fn f(x: Option<u8>) -> u8 {\n\
                  // lint: allow(unwrap) invariant: caller checked is_some\n\
                  x.unwrap()\n\
-             }\n",
-        );
-        assert!(r1_no_unwrap(&f).is_empty());
+             }\n");
+        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
-    fn r1_rejects_allow_without_reason() {
-        let f = nn_file("fn f(x: Option<u8>) -> u8 { x.unwrap() // lint: allow(unwrap)\n}\n");
-        let v = r1_no_unwrap(&f);
-        // The malformed allow is itself a violation, and it does NOT
-        // suppress the unwrap it points at.
-        let rules: Vec<&str> = v.iter().map(|x| x.rule).collect();
-        assert!(rules.contains(&"allow"), "{v:?}");
-        assert!(rules.contains(&"R1"), "{v:?}");
+    fn a_reasonless_allow_suppresses_no_line_rule() {
+        // For each line rule's key: the malformed allow is itself an
+        // error, and it does NOT suppress the violation it points at.
+        let v = nn("fn f(x: Option<u8>) -> u8 { x.unwrap() // lint: allow(unwrap)\n}\n");
+        assert_eq!(v, [("R1", 1, "unwrap"), ("allow", 1, "allow")]);
+        let v = nn("fn f(a: f64) -> bool { a == 0.0 } // lint: allow(float-cmp)\n");
+        assert_eq!(v, [("R2", 1, "float-cmp"), ("allow", 1, "allow")]);
+        let v = tensor("fn f(&self) -> f64 { self.data[0] } // lint: allow(index)\n");
+        assert_eq!(v, [("R4", 1, "index"), ("allow", 1, "allow")]);
     }
 
     #[test]
     fn r1_ignores_out_of_scope_crates() {
-        let f = SourceFile::parse("crates/socialsim/src/x.rs", "fn f() { o().unwrap(); }\n");
-        assert!(r1_no_unwrap(&f).is_empty());
+        let v = lint("crates/socialsim/src/x.rs", "fn f() { o().unwrap(); }\n");
+        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
@@ -359,8 +362,8 @@ mod tests {
         assert!(r1_applies("crates/brandnew/src/lib.rs"));
         assert!(r1_applies("crates/serving/src/server.rs"));
         assert!(
-            r1_applies("crates/xtask/src/rules.rs"),
-            "the linter lints itself"
+            r1_applies("crates/xtask/src/passes/line_rules.rs"),
+            "the analysis checks itself"
         );
         assert!(!r1_applies("crates/text/src/tokenize.rs"));
         assert!(!r1_applies("crates/nn/tests/gru.rs"), "non-src tree");
@@ -371,68 +374,56 @@ mod tests {
 
     #[test]
     fn r2_flags_float_literal_comparison() {
-        let f = nn_file("fn f(a: f64) -> bool { a == 0.0 }\n");
-        let v = r2_no_float_eq(&f);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "R2");
+        let v = nn("fn f(a: f64) -> bool { a == 0.0 }\n");
+        assert_eq!(v, [("R2", 1, "float-cmp")]);
     }
 
     #[test]
     fn r2_flags_ne_and_suffixed_literals() {
-        let f =
-            nn_file("fn f(a: f64) -> bool { 1.5f64 != a }\nfn g(b: f32) -> bool { b == 2e-3 }\n");
-        assert_eq!(r2_no_float_eq(&f).len(), 2);
+        let v = nn("fn f(a: f64) -> bool { 1.5f64 != a }\nfn g(b: f32) -> bool { b == 2e-3 }\n");
+        assert_eq!(v, [("R2", 1, "float-cmp"), ("R2", 2, "float-cmp")]);
     }
 
     #[test]
     fn r2_skips_integer_comparisons_and_tests() {
-        let f = nn_file(
-            "fn f(a: usize) -> bool { a == 0 }\n\
+        let v = nn("fn f(a: usize) -> bool { a == 0 }\n\
              fn h(a: usize) -> bool { a != 10 }\n\
              #[cfg(test)]\n\
              mod tests {\n\
                  fn t() { assert!(x == 1.0); }\n\
-             }\n",
-        );
-        assert!(r2_no_float_eq(&f).is_empty());
+             }\n");
+        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn r2_skips_compound_operators() {
-        let f = nn_file("fn f(a: f64) -> bool { a <= 1.0 && a >= 0.0 }\nfn m() -> u8 { match 1 { _ => 2.0 as u8 } }\n");
-        assert!(r2_no_float_eq(&f).is_empty());
+        let v = nn("fn f(a: f64) -> bool { a <= 1.0 && a >= 0.0 }\nfn m() -> u8 { match 1 { _ => 2.0 as u8 } }\n");
+        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn r2_respects_allow() {
-        let f =
-            nn_file("fn f(a: f64) -> bool { a == 0.0 } // lint: allow(float-cmp) exact sentinel\n");
-        assert!(r2_no_float_eq(&f).is_empty());
+        let v = nn("fn f(a: f64) -> bool { a == 0.0 } // lint: allow(float-cmp) exact sentinel\n");
+        assert!(v.is_empty(), "{v:?}");
     }
 
     // -------- R4 --------
 
-    fn tensor_file(src: &str) -> SourceFile {
-        SourceFile::parse("crates/nn/src/tensor.rs", src)
-    }
-
     #[test]
     fn r4_flags_raw_indexing_outside_accessors() {
-        let f = tensor_file(
+        let v = tensor(
             "impl Matrix {\n\
                  pub fn matmul(&self, o: &Matrix) -> f64 {\n\
                      self.data[0] * o.data[1]\n\
                  }\n\
              }\n",
         );
-        let v = r4_tensor_indexing(&f);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "R4");
+        assert_eq!(v, [("R4", 3, "index")]);
     }
 
     #[test]
     fn r4_allows_the_guarded_accessors() {
-        let f = tensor_file(
+        let v = tensor(
             "impl Matrix {\n\
                  pub fn get(&self, r: usize, c: usize) -> f64 {\n\
                      debug_assert!(r < self.rows);\n\
@@ -443,45 +434,40 @@ mod tests {
                  }\n\
              }\n",
         );
-        assert!(r4_tensor_indexing(&f).is_empty());
+        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn r4_ignores_metadata_identifiers_and_other_files() {
-        let f = tensor_file("fn f(metadata: &[u8]) -> u8 { metadata[0] }\n");
-        assert!(r4_tensor_indexing(&f).is_empty());
-        let g = SourceFile::parse(
+        let v = tensor("fn f(metadata: &[u8]) -> u8 { metadata[0] }\n");
+        assert!(v.is_empty(), "{v:?}");
+        let v = lint(
             "crates/nn/src/dense.rs",
             "fn f(d: &[u8]) -> u8 { d.data[0] }\n",
         );
-        assert!(r4_tensor_indexing(&g).is_empty());
+        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn r4_respects_allow() {
-        let f = tensor_file(
+        let v = tensor(
             "fn fast_path(&self) -> f64 {\n\
                  // lint: allow(index) bounds proven by caller loop range\n\
                  self.data[0]\n\
              }\n",
         );
-        assert!(r4_tensor_indexing(&f).is_empty());
+        assert!(v.is_empty(), "{v:?}");
     }
 
-    // -------- engine --------
+    // -------- together --------
 
     #[test]
-    fn lint_file_merges_all_rules() {
-        let f = nn_file(
-            "fn f(p: f64) -> f64 {\n\
+    fn line_rules_report_together() {
+        let v = nn("fn f(p: f64) -> f64 {\n\
                  // TODO: tighten\n\
                  if p == 0.0 { return 0.0; }\n\
                  Some(p).unwrap()\n\
-             }\n",
-        );
-        let v = lint_file(&f);
-        let rules: Vec<&str> = v.iter().map(|x| x.rule).collect();
-        assert!(rules.contains(&"R1"), "{rules:?}");
-        assert!(rules.contains(&"R2"), "{rules:?}");
+             }\n");
+        assert_eq!(v, [("R1", 4, "unwrap"), ("R2", 3, "float-cmp")]);
     }
 }

@@ -1,11 +1,16 @@
-//! The semantic analysis framework: a pass manager over pre-lexed
-//! sources. Unlike the line-based lint rules (R1, R2, R4), passes see
-//! every file of the workspace as a token stream and can build
-//! cross-line models (the call graph, the float value lattice, struct
-//! layouts) before reporting.
+//! The analysis framework: a pass manager over pre-lexed sources. The
+//! three line rules read each file's code channel a line at a time; the
+//! semantic passes see every file of the workspace as a token stream and
+//! can build cross-line models (the call graph, the float value lattice,
+//! struct layouts) before reporting.
 //!
 //! Pass catalogue:
 //!
+//! - **R1 unwrap, R2 float-cmp, R4 index** (`line_rules`): no
+//!   `.unwrap()`/`.expect(` in non-test library code outside the
+//!   `bench`, `socialsim` and `text` crates, no direct float `==`/`!=`
+//!   outside tests, and no raw `data[..]` indexing in the tensor kernels
+//!   outside their guarded accessors.
 //! - **A2 determinism** (`determinism`): unseeded RNG construction,
 //!   iteration over `HashMap`/`HashSet` (order-unstable) and wall-clock
 //!   reads in the model crates.
@@ -44,9 +49,9 @@
 //! [`Context`] builds the call graph and the float-flow model once per
 //! run, on first use, for every pass that reads them.
 //!
-//! Every finding is a `Warning` or an `Error` and fails the run unless
-//! the committed baseline grandfathers it. Suppression is the pass
-//! manager's job ([`run_passes`]), done once for all passes by each
+//! Every finding is a `Warning` or an `Error`, and either fails the run.
+//! The one way to silence a finding is a reasoned allow-comment, which
+//! the pass manager ([`run_passes`]) applies once for all passes by each
 //! finding's `key`: `// lint: allow(<key>) <reason>` covers its own line
 //! and the next, with the keys in [`ALLOW_KEYS`] (`float-flow` is shared
 //! by A10–A11, `mem-flow` is A14's). A reasonless allow suppresses
@@ -57,6 +62,7 @@ pub mod capacity_growth;
 pub mod cast_safety;
 pub mod determinism;
 pub mod div_guard;
+pub mod line_rules;
 pub mod locks;
 pub mod panic_reach;
 pub mod prob_domain;
@@ -70,8 +76,11 @@ use crate::source::SourceFile;
 use std::cell::OnceCell;
 use std::path::Path;
 
-/// Every analyze allow-comment key, in pass order.
-pub const ALLOW_KEYS: [&str; 9] = [
+/// Every allow-comment key, in pass order.
+pub const ALLOW_KEYS: [&str; 12] = [
+    "unwrap",
+    "float-cmp",
+    "index",
     "determinism",
     "lossy-cast",
     "index-underflow",
@@ -103,7 +112,7 @@ impl Severity {
 /// One semantic finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Pass id: "A2".."A14" (or "allow" for malformed allow-comments).
+    /// Rule id: "R1".."A14" (or "allow" for malformed allow-comments).
     pub rule: &'static str,
     /// Allow-comment key that suppresses this finding.
     pub key: &'static str,
@@ -113,29 +122,6 @@ pub struct Finding {
     /// 1-based line number.
     pub line: usize,
     pub message: String,
-}
-
-impl Finding {
-    /// Stable content fingerprint for the baseline: FNV-1a over
-    /// rule + path + message, deliberately excluding the line number so
-    /// unrelated edits above a grandfathered finding do not invalidate
-    /// the baseline.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = fnv1a(0xcbf29ce484222325, self.rule.as_bytes());
-        h = fnv1a(h, b"|");
-        h = fnv1a(h, self.path.as_bytes());
-        h = fnv1a(h, b"|");
-        h = fnv1a(h, self.message.as_bytes());
-        h
-    }
-}
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
 }
 
 /// A pre-lexed source file shared by all passes.
@@ -211,7 +197,7 @@ impl Context {
 
 /// A registered semantic pass.
 pub trait Pass {
-    /// Stable rule id ("A2", "A3", …).
+    /// Stable rule id ("R1", "A2", …).
     fn id(&self) -> &'static str;
     fn run(&self, ctx: &Context) -> Vec<Finding>;
 }
@@ -219,6 +205,9 @@ pub trait Pass {
 /// All registered passes, in execution order.
 pub fn registry() -> Vec<Box<dyn Pass>> {
     vec![
+        Box::new(line_rules::R1),
+        Box::new(line_rules::R2),
+        Box::new(line_rules::R4),
         Box::new(determinism::Determinism),
         Box::new(cast_safety::CastSafety),
         Box::new(panic_reach::PanicReach),
@@ -236,8 +225,6 @@ pub fn registry() -> Vec<Box<dyn Pass>> {
 pub struct AnalysisReport {
     pub findings: Vec<Finding>,
     pub files_scanned: usize,
-    /// Findings suppressed by the baseline (count only).
-    pub baselined: usize,
 }
 
 impl AnalysisReport {
@@ -260,21 +247,16 @@ impl AnalysisReport {
             ));
         }
         out.push_str(&format!(
-            "\n{} file(s) analyzed, {} finding(s){}\n",
+            "\n{} file(s) analyzed, {} finding(s)\n",
             self.files_scanned,
-            self.findings.len(),
-            if self.baselined > 0 {
-                format!(" ({} baselined)", self.baselined)
-            } else {
-                String::new()
-            }
+            self.findings.len()
         ));
         out
     }
 }
 
 /// Read and lex every library source under `root` into a pass context
-/// (the same file set `lint` scans, see [`crate::load_sources`]).
+/// (see [`crate::load_sources`] for the file set).
 pub fn load_workspace(root: &Path) -> std::io::Result<Context> {
     let files = crate::load_sources(root)?
         .into_iter()
@@ -322,7 +304,6 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<AnalysisReport> {
     let mut report = AnalysisReport {
         findings: run_passes(&ctx, &registry()),
         files_scanned: ctx.files.len(),
-        baselined: 0,
     };
     report.findings.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.rule, a.message.as_str()).cmp(&(
@@ -344,28 +325,6 @@ mod tests {
         assert!(Severity::Error > Severity::Warning);
         assert_eq!(Severity::Error.label(), "error");
         assert_eq!(Severity::Warning.label(), "warning");
-    }
-
-    #[test]
-    fn fingerprint_ignores_line_number() {
-        let a = Finding {
-            rule: "A3",
-            key: "lossy-cast",
-            severity: Severity::Warning,
-            path: "crates/ml/src/x.rs".into(),
-            line: 10,
-            message: "m".into(),
-        };
-        let b = Finding {
-            line: 99,
-            ..a.clone()
-        };
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        let c = Finding {
-            message: "other".into(),
-            ..a.clone()
-        };
-        assert_ne!(a.fingerprint(), c.fingerprint());
     }
 
     /// Three wall-clock reads (A2) and a float division on the serving

@@ -3,7 +3,7 @@
 //! The serving north star requires the training/inference hot path to be
 //! panic-free. This pass builds the workspace call graph
 //! ([`crate::callgraph`]), takes the hot-path root set (`Retina::
-//! {forward,backward}`, `Trainer::fit`, the `nn::par` entry points, the
+//! {forward,backward}`, `train_retina`, the `nn::par` entry points, the
 //! layer step functions, `Classifier::predict*`), and reports every
 //! panic source syntactically present in a reachable fn body:
 //!
@@ -14,8 +14,10 @@
 //!   `// lint: allow(panic-reach) <reason>`.
 //! - Indexing (`x[i]`) in a reachable fn whose body carries no
 //!   `assert!`/`debug_assert!` shape guard — **Warning** (one per
-//!   receiver per fn). These are grandfathered via the baseline and
-//!   burned down over time.
+//!   receiver per fn). Fix by stating the precondition the indexing
+//!   relies on in a `debug_assert!` (free in release builds) or by
+//!   iterating instead of indexing. A keyword before `[` (`for m in
+//!   [..]`, `&mut [f64]`) is never an indexed receiver.
 //!
 //! `assert!`-style argument validation is *not* flagged: input asserts
 //! are the documented API contract, panicking early with a message
@@ -27,6 +29,15 @@
 use super::{Context, Finding, Pass, Severity};
 use crate::lexer::TokKind;
 use std::collections::BTreeSet;
+
+/// Rust's keywords, none of which can be a value indexed by the `[`
+/// after it; `self` is left out because it can.
+const KEYWORDS: [&str; 37] = [
+    "as", "async", "await", "break", "const", "continue", "crate", "dyn", "else", "enum", "extern",
+    "false", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub",
+    "ref", "return", "Self", "static", "struct", "super", "trait", "true", "type", "unsafe", "use",
+    "where", "while",
+];
 
 pub struct PanicReach;
 
@@ -121,6 +132,7 @@ impl Pass for PanicReach {
                     }
                     _ if !has_guard
                         && next.is_some_and(|n| n.is_punct("["))
+                        && !KEYWORDS.contains(&t.text.as_str())
                         && indexed.insert(t.text.clone()) =>
                     {
                         findings.push(finding(
@@ -252,6 +264,25 @@ mod tests {
         assert_eq!(warns.len(), 1, "{:?}", out);
         assert!(warns[0].message.contains("xs[…]"));
         assert!(warns[0].message.contains("forward"));
+    }
+
+    #[test]
+    fn a_keyword_before_a_bracket_is_not_an_indexed_receiver() {
+        let out = run_on(&[(
+            "crates/core/src/retina.rs",
+            "pub struct Retina;\n\
+             impl Retina {\n\
+                 pub fn forward(&mut self, a: f64, b: f64, mut v: Vec<f64>, i: usize) -> f64 {\n\
+                     for m in [a, b] {}\n\
+                     let s: &mut [f64] = &mut v;\n\
+                     v[i]\n\
+                 }\n\
+                 pub fn backward(&mut self) {}\n\
+             }\n",
+        )]);
+        let got: Vec<(usize, Severity)> = out.iter().map(|f| (f.line, f.severity)).collect();
+        assert_eq!(got, [(6, Severity::Warning)], "{out:?}");
+        assert!(out[0].message.contains("`v[…]`"), "{}", out[0].message);
     }
 
     #[test]

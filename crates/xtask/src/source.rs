@@ -1,6 +1,7 @@
-//! Source-file model for the lint rules: a lightweight lexical pass that
+//! Source-file model for the analysis: a lightweight lexical pass that
 //! separates code from comments/strings and tracks `#[cfg(test)]` regions,
-//! so rules never fire on doc examples, string contents or test code.
+//! so rules never fire on doc examples, string contents or test code. The
+//! line rules read its lines directly and the lexer tokenizes them.
 
 /// One analyzed line.
 #[derive(Debug, Clone)]
