@@ -201,19 +201,19 @@ impl HateDetector {
         kind: DetectorKind,
         tweet: usize,
     ) -> Vec<f64> {
-        let toks = &data.tweets()[tweet].tokens;
         match kind {
+            // From the tweet's stored counts: TF-IDF, total lexicon hits,
+            // lexicon counts.
             DetectorKind::Davidson | DetectorKind::Neural => {
-                let mut feats = toks.clone();
-                feats.extend(text::bigrams(toks));
-                let mut v = models.tweet_tfidf.transform_tokens(&feats);
-                let lex = models.lexicon.count_vector(toks);
-                v.push(lex.iter().sum::<u32>() as f64);
-                v.extend(lex.into_iter().map(|c| c as f64));
+                let mut v = Vec::with_capacity(models.tweet_tfidf.dim() + 1 + models.lexicon.len());
+                models.push_tweet_tfidf(&[tweet], &mut v);
+                let hits: u32 = models.tweet_lexicon(tweet).iter().map(|&(_, c)| c).sum();
+                v.push(f64::from(hits));
+                models.push_lexicon_counts(&[tweet], &mut v);
                 v
             }
             DetectorKind::WaseemHovy => {
-                let grams = text::char_ngrams(toks, 2, 4);
+                let grams = text::char_ngrams(&data.tweets()[tweet].tokens, 2, 4);
                 char_tfidf
                     // lint: allow(unwrap) fit() builds the char vectorizer for this kind; lint: allow(panic-reach) API contract: predict requires a prior fit
                     .expect("char vectorizer missing")
@@ -339,6 +339,23 @@ mod tests {
             .count() as f64
             / silver.len() as f64;
         assert!(agree > 0.9, "silver/gold agreement {agree}");
+    }
+
+    /// Every Davidson row, and so every silver label, equals what the
+    /// re-tokenizing featurizer gave, bit for bit.
+    #[test]
+    fn davidson_rows_and_silver_labels_match_the_oracle() {
+        let (data, models) = setup();
+        let det = HateDetector::train(&data, &models, 0.6, 0);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut want = Vec::with_capacity(data.tweets().len());
+        for t in 0..data.tweets().len() {
+            let oracle = crate::features::oracle::davidson_row(&data, &models, t);
+            let row = HateDetector::features_for(&data, &models, None, DetectorKind::Davidson, t);
+            assert_eq!(bits(&row), bits(&oracle), "tweet {t}");
+            want.push(det.score_row(&oracle) >= 0.5);
+        }
+        assert_eq!(det.silver_labels(&data, &models), want);
     }
 
     #[test]

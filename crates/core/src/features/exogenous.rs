@@ -5,22 +5,20 @@
 use super::TextModels;
 use socialsim::Dataset;
 
-/// Average news TF-IDF over the `k` most recent headlines before `t0`.
+/// Average news TF-IDF over the `k` most recent headlines before `t0`,
+/// from each headline's stored term counts.
 pub fn news_tfidf(data: &Dataset, models: &TextModels, t0: f64, k: usize) -> Vec<f64> {
     let idx = data.news_before(t0, k);
-    let dim = models.news_tfidf.dim();
-    let mut acc = vec![0.0; dim];
+    let mut acc = vec![0.0; models.news_tfidf.dim()];
     if idx.is_empty() {
         return acc;
     }
+    // Headline by headline in window order, as a sum of dense vectors
+    // would add them: each absent term's `+0.0` changes no sum.
     for &i in &idx {
-        let toks = &data.news()[i].tokens;
-        let mut feats = toks.clone();
-        feats.extend(text::bigrams(toks));
-        let v = models.news_tfidf.transform_tokens(&feats);
-        for (a, x) in acc.iter_mut().zip(v) {
-            *a += x;
-        }
+        models
+            .news_tfidf
+            .weigh(models.news_terms(i), |d, x| acc[d] += x);
     }
     let n = idx.len() as f64;
     for a in &mut acc {

@@ -1,23 +1,25 @@
 //! Feature extraction for both tasks (Sections IV and V-A).
 //!
 //! [`TextModels`] bundles the trained text components (TF-IDF
-//! vectorizers, hate lexicon, Doc2Vec). [`HategenFeatures`] assembles the
-//! hate-generation feature vector in four named groups — `History`
-//! (`H_{i,t}`), `Topic` (`T`), `Endogenous` (`S^en`), `Exogenous`
-//! (`S^ex`) — matching the ablation axes of Table V. [`RetweetFeatures`]
-//! extends the same stack with the peer signals (`S^P`: shortest path,
-//! prior retweets of the root author) and root-tweet features of Section
-//! V-A.
+//! vectorizers, hate lexicon, Doc2Vec) and each document's term and
+//! lexicon counts, which every text feature reads. [`HategenFeatures`]
+//! assembles the hate-generation feature vector in four named groups —
+//! `History` (`H_{i,t}`), `Topic` (`T`), `Endogenous` (`S^en`),
+//! `Exogenous` (`S^ex`) — matching the ablation axes of Table V.
+//! [`RetweetFeatures`] extends the same stack with the peer signals
+//! (`S^P`: shortest path, prior retweets of the root author) and
+//! root-tweet features of Section V-A.
 
 pub mod endogenous;
 pub mod exogenous;
+#[cfg(test)]
+pub(crate) mod oracle;
 pub mod peer;
 pub mod topic;
 pub mod user_history;
 
+use nn::SparseRow;
 use socialsim::{Dataset, TweetId, UserId};
-use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use text::{Doc2Vec, Doc2VecConfig, HateLexicon, TfIdfConfig, TfIdfVectorizer};
 
 /// The four ablatable signal groups of Eq. 1 / Table V.
@@ -41,17 +43,51 @@ pub const ALL_GROUPS: [FeatureGroup; 4] = [
     FeatureGroup::Exogenous,
 ];
 
+/// Sparse per-document counts: each document's `(index, count)` pairs in
+/// ascending index order, stored flat in corpus order.
+struct CountTable {
+    /// Document `i`'s pairs are `entries[starts[i]..starts[i + 1]]`.
+    starts: Vec<usize>,
+    entries: Vec<(u32, u32)>,
+}
+
+impl CountTable {
+    fn new(rows: impl IntoIterator<Item = Vec<(u32, u32)>>) -> Self {
+        let mut starts = vec![0];
+        let mut entries = Vec::new();
+        for row in rows {
+            entries.extend(row);
+            starts.push(entries.len());
+        }
+        Self { starts, entries }
+    }
+
+    fn row(&self, doc: usize) -> &[(u32, u32)] {
+        debug_assert!(doc + 1 < self.starts.len(), "document {doc} out of range");
+        &self.entries[self.starts[doc]..self.starts[doc + 1]]
+    }
+}
+
 /// Trained text components shared by both tasks.
 pub struct TextModels {
-    /// TF-IDF over tweet unigrams+bigrams, top 300 by IDF (Section IV-A).
+    /// TF-IDF over tweet unigrams+bigrams, the 300 terms most frequent in
+    /// the corpus (`TopKBy::TermFrequency`; Section IV-A).
     pub tweet_tfidf: TfIdfVectorizer,
-    /// TF-IDF over news headlines, top 300 (Section IV-D).
+    /// TF-IDF over news-headline unigrams+bigrams, the 300 most frequent
+    /// terms (Section IV-D).
     pub news_tfidf: TfIdfVectorizer,
     /// The 209-entry hate lexicon (Section VI-B).
     pub lexicon: HateLexicon,
     /// PV-DBOW over tweets and headlines jointly (Section IV-B / V-A).
     pub doc2vec: Doc2Vec,
     n_tweets: usize,
+    /// Per tweet, its `tweet_tfidf` term counts: its unigrams and its own
+    /// bigrams.
+    tweet_terms: CountTable,
+    /// Per tweet, its nonzero `lexicon` counts by entry.
+    tweet_lexicon: CountTable,
+    /// Per headline, its `news_tfidf` term counts.
+    news_terms: CountTable,
 }
 
 impl TextModels {
@@ -63,11 +99,14 @@ impl TextModels {
     /// vocabulary, Doc2Vec vectors) see the whole corpus, including
     /// tweets that later land in a test split (EXPERIMENTS.md deviation
     /// 6). Supervised training never sees test labels.
+    ///
+    /// Each document's term and lexicon counts are counted here, once;
+    /// no feature re-tokenizes a document afterwards (DESIGN.md §17).
     pub fn build(data: &Dataset, d2v_epochs: usize) -> Self {
-        // Each bigram-extended corpus is dropped once its vectorizer is
-        // fitted, before Doc2Vec allocates its tables.
+        // Each bigram-extended corpus is counted and dropped once its
+        // vectorizer is fitted, before Doc2Vec allocates its tables.
         let tfidf = |docs: Vec<Vec<String>>| {
-            TfIdfVectorizer::fit_tokenized(
+            let v = TfIdfVectorizer::fit_tokenized(
                 &docs,
                 TfIdfConfig {
                     top_k: Some(300),
@@ -76,21 +115,29 @@ impl TextModels {
                     l2_normalize: true,
                     ..Default::default()
                 },
-            )
+            );
+            let terms = CountTable::new(docs.iter().map(|d| v.term_counts(d)));
+            (v, terms)
         };
-        let tweet_tfidf = tfidf(
+        let (tweet_tfidf, tweet_terms) = tfidf(
             data.tweets()
                 .iter()
                 .map(|t| with_bigrams(&t.tokens))
                 .collect(),
         );
-        let news_tfidf = tfidf(
+        let (news_tfidf, news_terms) = tfidf(
             data.news()
                 .iter()
                 .map(|n| with_bigrams(&n.tokens))
                 .collect(),
         );
         let lexicon = HateLexicon::new(&data.lexicon_terms());
+        let tweet_lexicon = CountTable::new(data.tweets().iter().map(|t| {
+            (0u32..)
+                .zip(lexicon.count_vector(&t.tokens))
+                .filter(|&(_, c)| c > 0)
+                .collect()
+        }));
 
         // Doc2Vec corpus: tweets then news (doc ids offset by n_tweets).
         let d2v_docs: Vec<&[String]> = data
@@ -116,6 +163,9 @@ impl TextModels {
             lexicon,
             doc2vec,
             n_tweets: data.tweets().len(),
+            tweet_terms,
+            tweet_lexicon,
+            news_terms,
         }
     }
 
@@ -134,19 +184,65 @@ impl TextModels {
     pub fn hashtag_vec(&self, hashtag: &str) -> Option<&[f64]> {
         self.doc2vec.word_vector(hashtag)
     }
+
+    /// A tweet's `tweet_tfidf` term counts (its unigrams and its own
+    /// bigrams): `(output dimension, count)` pairs in ascending order.
+    pub(crate) fn tweet_terms(&self, tweet: TweetId) -> &[(u32, u32)] {
+        self.tweet_terms.row(tweet)
+    }
+
+    /// A tweet's nonzero hate-lexicon counts: `(entry, count)` pairs in
+    /// ascending entry order.
+    pub(crate) fn tweet_lexicon(&self, tweet: TweetId) -> &[(u32, u32)] {
+        self.tweet_lexicon.row(tweet)
+    }
+
+    /// A headline's `news_tfidf` term counts (by index into
+    /// `Dataset::news`): `(output dimension, count)` pairs in ascending
+    /// order.
+    pub(crate) fn news_terms(&self, news_idx: usize) -> &[(u32, u32)] {
+        self.news_terms.row(news_idx)
+    }
+
+    /// Append the `tweet_tfidf` vector of `tweets` taken as one document
+    /// (`tweet_tfidf.dim()` entries): their term counts summed, then
+    /// weighted.
+    pub(crate) fn push_tweet_tfidf(&self, tweets: &[TweetId], out: &mut Vec<f64>) {
+        let tfidf = &self.tweet_tfidf;
+        let mut sum = vec![0u32; tfidf.dim()];
+        for &t in tweets {
+            for &(d, c) in self.tweet_terms(t) {
+                debug_assert!((d as usize) < tfidf.dim(), "counts of another vectorizer");
+                sum[d as usize] += c;
+            }
+        }
+        let counts: Vec<(u32, u32)> = (0u32..).zip(sum).filter(|&(_, c)| c > 0).collect();
+        let start = out.len();
+        out.resize(start + tfidf.dim(), 0.0);
+        tfidf.weigh(&counts, |d, x| out[start + d] = x);
+    }
+
+    /// Append the hate-lexicon counts of `tweets`, summed per entry
+    /// (`lexicon.len()` entries).
+    pub(crate) fn push_lexicon_counts(&self, tweets: &[TweetId], out: &mut Vec<f64>) {
+        let start = out.len();
+        out.resize(start + self.lexicon.len(), 0.0);
+        for &t in tweets {
+            for &(e, c) in self.tweet_lexicon(t) {
+                debug_assert!(
+                    (e as usize) < self.lexicon.len(),
+                    "counts of another lexicon"
+                );
+                out[start + e as usize] += f64::from(c);
+            }
+        }
+    }
 }
 
 fn with_bigrams(tokens: &[String]) -> Vec<String> {
     let mut out = tokens.to_vec();
     out.extend(text::bigrams(tokens));
     out
-}
-
-/// Lock a feature cache. A poisoned cache is still consistent (entries
-/// are inserted whole, after they are computed), so a panicking peer
-/// must not take the cache down with it.
-fn lock<T>(cache: &Mutex<T>) -> MutexGuard<'_, T> {
-    cache.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Hate-generation feature extractor (Section IV).
@@ -157,7 +253,6 @@ pub struct HategenFeatures<'a> {
     /// as in Section VI-B ("machine-annotated tags for the features").
     silver: &'a [bool],
     history: user_history::UserHistoryExtractor<'a>,
-    exo_cache: Mutex<HashMap<i64, Vec<f64>>>,
 }
 
 impl<'a> HategenFeatures<'a> {
@@ -169,7 +264,6 @@ impl<'a> HategenFeatures<'a> {
             models,
             silver,
             history,
-            exo_cache: Mutex::new(HashMap::new()),
         }
     }
 
@@ -178,7 +272,8 @@ impl<'a> HategenFeatures<'a> {
         self.silver
     }
 
-    /// Extract one group of features for (user, hashtag, time).
+    /// Extract one group of features for (user, hashtag, time). Each group
+    /// is a function of its arguments alone.
     pub fn extract_group(
         &self,
         group: FeatureGroup,
@@ -192,20 +287,8 @@ impl<'a> HategenFeatures<'a> {
                 topic::topic_relatedness(self.data, self.models, user, topic, t0)
             }
             FeatureGroup::Endogenous => endogenous::trending_vector(self.data, t0),
-            FeatureGroup::Exogenous => self.exogenous_cached(t0),
+            FeatureGroup::Exogenous => exogenous::news_tfidf(self.data, self.models, t0, 60),
         }
-    }
-
-    /// Exogenous news TF-IDF, cached per ~6-minute time bucket (tweets in
-    /// the same bucket see the same most-recent-60 news window).
-    fn exogenous_cached(&self, t0: f64) -> Vec<f64> {
-        let bucket = (t0 * 10.0) as i64;
-        if let Some(v) = lock(&self.exo_cache).get(&bucket) {
-            return v.clone();
-        }
-        let v = exogenous::news_tfidf(self.data, self.models, t0, 60);
-        lock(&self.exo_cache).insert(bucket, v.clone());
-        v
     }
 
     /// Full feature vector: all groups except those in `exclude`.
@@ -237,8 +320,6 @@ pub struct RetweetFeatures<'a> {
     models: &'a TextModels,
     history: user_history::UserHistoryExtractor<'a>,
     peer: peer::PeerSignals<'a>,
-    tweet_cache: Mutex<HashMap<TweetId, Vec<f64>>>,
-    exo_cache: Mutex<HashMap<TweetId, Vec<f64>>>,
 }
 
 impl<'a> RetweetFeatures<'a> {
@@ -249,8 +330,6 @@ impl<'a> RetweetFeatures<'a> {
             models,
             history: user_history::UserHistoryExtractor::new(data, models, silver),
             peer: peer::PeerSignals::new(data),
-            tweet_cache: Mutex::new(HashMap::new()),
-            exo_cache: Mutex::new(HashMap::new()),
         }
     }
 
@@ -260,51 +339,19 @@ impl<'a> RetweetFeatures<'a> {
         self.history.history_len = k;
     }
 
-    /// Per-candidate user feature (history + endo shared with Section IV).
-    pub fn user_row(&self, candidate: UserId, t0: f64) -> Vec<f64> {
-        let mut v = self.history.extract(candidate, t0);
-        v.extend(endogenous::trending_vector(self.data, t0));
-        v
-    }
-
-    /// Peer features: shortest path root→candidate and prior retweets of
-    /// the root author by the candidate.
-    pub fn peer_row(&self, root: UserId, candidate: UserId, t0: f64) -> Vec<f64> {
-        self.peer.extract(root, candidate, t0)
-    }
-
     /// Root-tweet features: hate-lexicon vector + top-300 TF-IDF
-    /// (Section V-A), cached per tweet.
+    /// (Section V-A).
     pub fn tweet_row(&self, tweet: TweetId) -> Vec<f64> {
-        if let Some(v) = lock(&self.tweet_cache).get(&tweet) {
-            return v.clone();
-        }
-        let t = &self.data.tweets()[tweet];
-        let mut v: Vec<f64> = self
-            .models
-            .lexicon
-            .count_vector(&t.tokens)
-            .into_iter()
-            .map(|c| c as f64)
-            .collect();
-        v.extend(
-            self.models
-                .tweet_tfidf
-                .transform_tokens(&with_bigrams(&t.tokens)),
-        );
-        lock(&self.tweet_cache).insert(tweet, v.clone());
+        let mut v = Vec::with_capacity(self.models.lexicon.len() + self.models.tweet_tfidf.dim());
+        self.models.push_lexicon_counts(&[tweet], &mut v);
+        self.models.push_tweet_tfidf(&[tweet], &mut v);
         v
     }
 
-    /// Exogenous news TF-IDF for a tweet's posting time, cached per tweet.
+    /// Exogenous news TF-IDF for a tweet's posting time.
     pub fn exo_row(&self, tweet: TweetId) -> Vec<f64> {
-        if let Some(v) = lock(&self.exo_cache).get(&tweet) {
-            return v.clone();
-        }
         let t0 = self.data.tweets()[tweet].time_hours;
-        let v = exogenous::news_tfidf(self.data, self.models, t0, 60);
-        lock(&self.exo_cache).insert(tweet, v.clone());
-        v
+        exogenous::news_tfidf(self.data, self.models, t0, 60)
     }
 
     /// Topic-relatedness of the candidate towards the root tweet — the
@@ -340,34 +387,39 @@ impl<'a> RetweetFeatures<'a> {
         vec![sim_tweet, sim_tag]
     }
 
-    /// Full row for the feature-engineered baselines: user + peer +
-    /// topic-match + tweet (+ exogenous TF-IDF when `include_exo`; the †
-    /// variants drop it).
-    pub fn full_row(
+    /// RETINA's input rows for a root tweet's candidates, sparse
+    /// (exogenous signal handled by the attention module instead of
+    /// TF-IDF). Each row is the candidate's history, the trending vector,
+    /// the peer and topic-match features and the root-tweet features.
+    /// The trending vector and the root-tweet features depend on the
+    /// tweet alone, so they are computed once; each row is assembled in
+    /// one reused buffer.
+    pub(crate) fn retina_rows(
         &self,
         tweet: TweetId,
         root: UserId,
-        candidate: UserId,
-        include_exo: bool,
-    ) -> Vec<f64> {
+        candidates: &[u32],
+    ) -> Vec<SparseRow> {
         let t0 = self.data.tweets()[tweet].time_hours;
-        let mut v = self.user_row(candidate, t0);
-        v.extend(self.peer_row(root, candidate, t0));
-        v.extend(self.topic_match_row(tweet, candidate, t0));
-        v.extend(self.tweet_row(tweet));
-        if include_exo {
-            v.extend(self.exo_row(tweet));
-        }
-        v
+        let trending = endogenous::trending_vector(self.data, t0);
+        let tweet_row = self.tweet_row(tweet);
+        let mut row = Vec::with_capacity(self.retina_dim());
+        candidates
+            .iter()
+            .map(|&c| {
+                let c = c as usize;
+                row.clear();
+                self.history.extract_into(c, t0, &mut row);
+                row.extend_from_slice(&trending);
+                row.extend(self.peer.extract(root, c, t0));
+                row.extend(self.topic_match_row(tweet, c, t0));
+                row.extend_from_slice(&tweet_row);
+                SparseRow::from_dense(&row)
+            })
+            .collect()
     }
 
-    /// Per-candidate input for RETINA (exogenous signal handled by the
-    /// attention module instead of TF-IDF).
-    pub fn retina_user_row(&self, tweet: TweetId, root: UserId, candidate: UserId) -> Vec<f64> {
-        self.full_row(tweet, root, candidate, false)
-    }
-
-    /// Dimensionality of [`RetweetFeatures::retina_user_row`].
+    /// Width of [`RetweetFeatures::retina_rows`].
     pub fn retina_dim(&self) -> usize {
         self.history.dim()
             + self.data.roster().len()
@@ -426,25 +478,135 @@ mod tests {
         let silver: Vec<bool> = data.tweets().iter().map(|t| t.hate).collect();
         let f = RetweetFeatures::new(&data, &models, &silver);
         let t = data.root_tweets().find(|t| !t.retweets.is_empty()).unwrap();
-        let cand = t.retweets[0].user as usize;
-        let row = f.retina_user_row(t.id, t.user, cand);
-        assert_eq!(row.len(), f.retina_dim());
-        let with_exo = f.full_row(t.id, t.user, cand, true);
-        assert_eq!(with_exo.len(), f.retina_dim() + models.news_tfidf.dim());
+        let rows = f.retina_rows(t.id, t.user, &[t.retweets[0].user]);
+        assert_eq!(rows[0].len(), f.retina_dim());
+        assert_eq!(f.exo_row(t.id).len(), models.news_tfidf.dim());
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every hate-generation row of every root tweet, with each group
+    /// left out in turn, equals the re-tokenizing extractors bit for bit.
+    #[test]
+    fn hategen_rows_match_the_oracle_bit_for_bit() {
+        let (data, models) = setup();
+        let silver: Vec<bool> = data.tweets().iter().map(|t| t.hate).collect();
+        let samples = crate::hategen::HategenPipeline::build_samples(&data, 0);
+        assert!(samples.len() > 100, "{} samples", samples.len());
+        for history_len in [10, 30, 50] {
+            let mut f = HategenFeatures::new(&data, &models, &silver);
+            f.history.history_len = history_len;
+            for s in &samples {
+                let at = (s.user, s.topic, s.t0);
+                let groups = ALL_GROUPS
+                    .map(|g| oracle::hategen_group(&data, &models, &silver, history_len, g, at));
+                for exclude in std::iter::once(None).chain(ALL_GROUPS.map(Some)) {
+                    let want: Vec<f64> = ALL_GROUPS
+                        .iter()
+                        .zip(&groups)
+                        .filter(|(&g, _)| Some(g) != exclude)
+                        .flat_map(|(_, v)| v.iter().copied())
+                        .collect();
+                    let got = f.extract(s.user, s.topic, s.t0, exclude);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "tweet {} history {history_len} without {exclude:?}",
+                        s.tweet
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every packed candidate row equals the re-tokenizing extractors'
+    /// dense row, sparsified, in columns and value bits.
+    #[test]
+    fn packed_rows_match_the_oracle_bit_for_bit() {
+        let (data, models) = setup();
+        let silver: Vec<bool> = data.tweets().iter().map(|t| t.hate).collect();
+        let samples = diffusion::RetweetTask {
+            min_news: 10,
+            max_candidates: 25,
+            ..Default::default()
+        }
+        .build(&data);
+        assert!(samples.len() > 20, "{} samples", samples.len());
+        let intervals = crate::retina::default_intervals();
+        for history_len in [10, 30, 50] {
+            let mut f = RetweetFeatures::new(&data, &models, &silver);
+            f.set_history_len(history_len);
+            let packed = crate::retina::pack_samples_parallel(&f, &samples, &intervals, 10, 2);
+            for (s, p) in samples.iter().zip(&packed) {
+                assert_eq!(p.user_rows.len(), s.candidates.len());
+                for (&c, row) in s.candidates.iter().zip(&p.user_rows) {
+                    let dense =
+                        oracle::retina_user_row(&f, &silver, s.tweet, s.root_user, c as usize);
+                    let want = SparseRow::from_dense(&dense);
+                    let entries = |r: &SparseRow| -> Vec<(usize, u64)> {
+                        r.iter().map(|(j, v)| (j, v.to_bits())).collect()
+                    };
+                    assert_eq!(row.len(), want.len());
+                    assert_eq!(
+                        entries(row),
+                        entries(&want),
+                        "tweet {} candidate {c} history {history_len}",
+                        s.tweet
+                    );
+                }
+            }
+        }
+    }
+
+    /// Two samples in one 6-minute span, on either side of a headline,
+    /// each get the window of their own time, in either extraction order.
+    #[test]
+    fn exogenous_block_is_a_pure_function_of_t0() {
+        let (data, models) = setup();
+        let silver: Vec<bool> = data.tweets().iter().map(|t| t.hate).collect();
+        let exo = |t: f64| exogenous::news_tfidf(&data, &models, t, 60);
+        let (before, after) = data
+            .news()
+            .iter()
+            .map(|n| (n.time_hours, n.time_hours + 1e-3))
+            .find(|&(a, b)| (a * 10.0) as i64 == (b * 10.0) as i64 && exo(a) != exo(b))
+            .expect("a headline that changes the window");
+        for order in [[before, after], [after, before]] {
+            let f = HategenFeatures::new(&data, &models, &silver);
+            for t0 in order {
+                let got = f.extract_group(FeatureGroup::Exogenous, 0, 0, t0);
+                assert_eq!(bits(&got), bits(&exo(t0)), "t0 {t0} in order {order:?}");
+            }
+        }
     }
 
     #[test]
-    fn caches_are_consistent() {
+    fn every_document_has_its_counts() {
         let (data, models) = setup();
-        let silver: Vec<bool> = data.tweets().iter().map(|t| t.hate).collect();
-        let f = RetweetFeatures::new(&data, &models, &silver);
-        let t = data.root_tweets().next().unwrap();
-        let a = f.tweet_row(t.id);
-        let b = f.tweet_row(t.id);
-        assert_eq!(a, b);
-        let e1 = f.exo_row(t.id);
-        let e2 = f.exo_row(t.id);
-        assert_eq!(e1, e2);
+        let expected = |toks: &[String], v: &TfIdfVectorizer| v.term_counts(&with_bigrams(toks));
+        for t in data.tweets() {
+            assert_eq!(
+                models.tweet_terms(t.id),
+                expected(&t.tokens, &models.tweet_tfidf)
+            );
+        }
+        for (i, n) in data.news().iter().enumerate() {
+            assert_eq!(
+                models.news_terms(i),
+                expected(&n.tokens, &models.news_tfidf)
+            );
+        }
+        let hits: usize = (0..data.tweets().len())
+            .map(|t| models.tweet_lexicon(t).len())
+            .sum();
+        assert!(hits > 0, "no tweet has a lexicon hit");
+        // The fitted vectorizers keep only the terms they select.
+        for v in [&models.tweet_tfidf, &models.news_tfidf] {
+            assert_eq!(v.dim(), 300);
+            assert_eq!(v.to_parts().0.len(), v.dim());
+        }
     }
 
     #[test]

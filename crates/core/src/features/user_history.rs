@@ -39,17 +39,18 @@ impl<'a> UserHistoryExtractor<'a> {
 
     /// Extract the history features of `user` at time `t0`.
     pub fn extract(&self, user: UserId, t0: f64) -> Vec<f64> {
-        let hist = self.data.history_before(user, t0, self.history_len);
         let mut out = Vec::with_capacity(self.dim());
+        self.extract_into(user, t0, &mut out);
+        out
+    }
 
-        // TF-IDF over the concatenated recent tweets.
-        let mut all_tokens: Vec<String> = Vec::new();
-        for &tid in &hist {
-            let toks = &self.data.tweets()[tid].tokens;
-            all_tokens.extend(toks.iter().cloned());
-            all_tokens.extend(text::bigrams(toks));
-        }
-        out.extend(self.models.tweet_tfidf.transform_tokens(&all_tokens));
+    /// Append the history features of `user` at time `t0` to `out`. The
+    /// text blocks sum the recent tweets' stored counts.
+    pub(crate) fn extract_into(&self, user: UserId, t0: f64, out: &mut Vec<f64>) {
+        let hist = self.data.history_before(user, t0, self.history_len);
+
+        // TF-IDF over the recent tweets taken as one document.
+        self.models.push_tweet_tfidf(&hist, out);
 
         // Hate ratio (silver labels).
         let n_hate = hist.iter().filter(|&&tid| self.silver[tid]).count();
@@ -59,18 +60,12 @@ impl<'a> UserHistoryExtractor<'a> {
             n_hate as f64 / hist.len() as f64
         });
 
-        // Hate-lexicon frequency vector over the history.
-        let docs: Vec<Vec<String>> = hist
-            .iter()
-            .map(|&tid| self.data.tweets()[tid].tokens.clone())
-            .collect();
-        out.extend(
-            self.models
-                .lexicon
-                .count_vector_multi(&docs)
-                .into_iter()
-                .map(|c| (c as f64).min(20.0)),
-        );
+        // Hate-lexicon frequency vector over the history, capped at 20.
+        let start = out.len();
+        self.models.push_lexicon_counts(&hist, out);
+        for c in &mut out[start..] {
+            *c = c.min(20.0);
+        }
 
         // Retweet-attention ratios: hateful vs non-hateful.
         let (mut rt_hate, mut rt_clean, mut n_hate_t, mut n_clean_t) =
@@ -105,8 +100,6 @@ impl<'a> UserHistoryExtractor<'a> {
         topics.sort_unstable();
         topics.dedup();
         out.push(topics.len() as f64);
-
-        out
     }
 }
 

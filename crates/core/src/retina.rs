@@ -185,17 +185,7 @@ pub fn pack_sample(
     intervals: &[f64],
     news_k: usize,
 ) -> PackedSample {
-    let user_rows: Vec<SparseRow> = sample
-        .candidates
-        .iter()
-        .map(|&c| {
-            SparseRow::from_dense(&features.retina_user_row(
-                sample.tweet,
-                sample.root_user,
-                c as usize,
-            ))
-        })
-        .collect();
+    let user_rows = features.retina_rows(sample.tweet, sample.root_user, &sample.candidates);
     let interval_labels: Vec<Vec<u8>> = sample
         .retweet_times
         .iter()
@@ -214,8 +204,9 @@ pub fn pack_sample(
 }
 
 /// Pack many samples in parallel across `n_threads` worker threads
-/// (the [`nn::par`] chunked work-splitter; the extractor's caches are
-/// `std::sync::Mutex`es, so one extractor is shared by all workers).
+/// (the [`nn::par`] chunked work-splitter). The extractor only reads the
+/// corpus and the text models' stored counts, so one extractor is shared
+/// by all workers.
 ///
 /// ## Why chunking cannot reorder outputs
 ///
@@ -224,8 +215,9 @@ pub fn pack_sample(
 /// worker — a sample's result never travels through a shared queue or
 /// channel that could interleave it with another worker's results. The
 /// thread count only decides *who* fills a slot, never *which* slot is
-/// filled or *what* value goes into it (packing a sample reads shared
-/// caches but each sample's output is a pure function of the sample).
+/// filled or *what* value goes into it (packing a sample only reads
+/// shared state, so each sample's output is a pure function of the
+/// sample).
 /// Hence the output `Vec` is bit-identical to the serial
 /// `samples.iter().map(pack_sample)` for any `n_threads`; the test suite
 /// (`tests/parallel_packing.rs`) pins this for 1, 3, and 7 threads.

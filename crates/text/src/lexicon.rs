@@ -90,18 +90,6 @@ impl HateLexicon {
         counts
     }
 
-    /// Count vector accumulated over several documents (a user's recent
-    /// tweet history, per Section IV-A).
-    pub fn count_vector_multi(&self, docs: &[Vec<String>]) -> Vec<u32> {
-        let mut acc = vec![0u32; self.entries.len()];
-        for doc in docs {
-            for (a, c) in acc.iter_mut().zip(self.count_vector(doc)) {
-                *a += c;
-            }
-        }
-        acc
-    }
-
     /// Total lexicon hits in a token stream (sum of the count vector).
     pub fn total_hits(&self, tokens: &[String]) -> u32 {
         self.count_vector(tokens).iter().sum()
@@ -141,13 +129,6 @@ mod tests {
     fn no_hits_on_clean_text() {
         let lex = HateLexicon::new(&["slur"]);
         assert_eq!(lex.total_hits(&toks("a perfectly fine sentence")), 0);
-    }
-
-    #[test]
-    fn multi_doc_accumulation() {
-        let lex = HateLexicon::new(&["bad"]);
-        let docs = vec![toks("bad day"), toks("bad bad")];
-        assert_eq!(lex.count_vector_multi(&docs), vec![3]);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   unigram and bigram extraction.
 //! * [`vocab`] — frequency-counted vocabularies with pruning.
 //! * [`tfidf`] — TF-IDF vectorizer over unigrams+bigrams with top-K feature
-//!   selection by IDF, exactly as Section IV-A of the paper.
+//!   selection (by corpus term frequency by default, or by IDF), after
+//!   Section IV-A of the paper.
 //! * [`doc2vec`] — PV-DBOW (distributed bag of words) document embeddings
 //!   with negative sampling, the Doc2Vec variant of Le & Mikolov used for
 //!   topic-relatedness features and for the attention inputs of RETINA.

@@ -12,7 +12,6 @@
 //! document vectors are L2-normalized.
 
 use crate::vocab::Vocabulary;
-use std::collections::HashMap;
 
 /// Feature-selection criterion for the `top_k` cut.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,14 +52,19 @@ impl Default for TfIdfConfig {
 }
 
 /// A fitted TF-IDF vectorizer.
+///
+/// A fit keeps only the selected terms: its vocabulary, IDF table and
+/// selection all have [`TfIdfVectorizer::dim`] entries, in output-dimension
+/// order. A vectorizer rebuilt by [`TfIdfVectorizer::from_parts`] may hold
+/// unselected terms too (snapshots written before fits were pruned), and
+/// transforms to the same bits.
 #[derive(Debug, Clone)]
 pub struct TfIdfVectorizer {
     vocab: Vocabulary,
     idf: Vec<f64>,
-    /// Selected feature ids (into `vocab`) in output-dimension order.
+    /// Selected feature ids (into `vocab`), ascending, in output-dimension
+    /// order.
     selected: Vec<usize>,
-    /// vocab id -> output dimension.
-    dim_of: HashMap<usize, usize>,
     config: TfIdfConfig,
 }
 
@@ -127,17 +131,12 @@ impl TfIdfVectorizer {
         // regardless of IDF ties.
         candidates.sort_unstable();
 
-        let dim_of: HashMap<usize, usize> = candidates
-            .iter()
-            .enumerate()
-            .map(|(d, &id)| (id, d))
-            .collect();
-
+        // Keep only the selected terms' tokens, counts and IDF, in
+        // output-dimension order.
         Self {
-            vocab,
-            idf,
-            selected: candidates,
-            dim_of,
+            vocab: vocab.subset(&candidates),
+            idf: candidates.iter().map(|&id| idf[id]).collect(),
+            selected: (0..candidates.len()).collect(),
             config,
         }
     }
@@ -176,16 +175,10 @@ impl TfIdfVectorizer {
         if selected.last().is_some_and(|&id| id >= vocab.len()) {
             return None;
         }
-        let dim_of: HashMap<usize, usize> = selected
-            .iter()
-            .enumerate()
-            .map(|(d, &id)| (id, d))
-            .collect();
         Some(Self {
             vocab,
             idf,
             selected,
-            dim_of,
             config,
         })
     }
@@ -206,6 +199,7 @@ impl TfIdfVectorizer {
 
     /// The IDF value of output dimension `d`.
     pub fn idf_of_dim(&self, d: usize) -> f64 {
+        debug_assert!(d < self.dim(), "dimension {d} of {}", self.dim());
         self.idf[self.selected[d]]
     }
 
@@ -220,50 +214,74 @@ impl TfIdfVectorizer {
         self.transform_tokens(&toks)
     }
 
-    /// Transform pre-tokenized feature tokens to a dense TF-IDF vector.
-    pub fn transform_tokens(&self, toks: &[String]) -> Vec<f64> {
-        debug_assert!(self.selected.iter().all(|&id| id < self.idf.len()));
+    /// Output dimension of a feature token, when it is a selected term.
+    fn dim_of(&self, tok: &str) -> Option<usize> {
+        let id = self.vocab.get(tok)?;
+        self.selected.binary_search(&id).ok()
+    }
+
+    /// The selected-term counts of pre-tokenized feature tokens:
+    /// `(output dimension, count)` pairs in ascending dimension order.
+    /// Unknown and unselected tokens count nowhere.
+    pub fn term_counts(&self, toks: &[String]) -> Vec<(u32, u32)> {
+        // Dimensions fit `u32`: no vocabulary nears 2³² terms.
+        let mut dims: Vec<u32> = toks
+            .iter()
+            .filter_map(|t| self.dim_of(t))
+            .map(|d| d as u32)
+            .collect();
+        dims.sort_unstable();
+        let mut counts: Vec<(u32, u32)> = Vec::with_capacity(dims.len());
+        for d in dims {
+            match counts.last_mut() {
+                Some((last, c)) if *last == d => *c += 1,
+                _ => counts.push((d, 1)),
+            }
+        }
+        counts
+    }
+
+    /// The one weighting path. `counts` holds `(output dimension, count)`
+    /// pairs, each dimension at most once and in ascending order, as
+    /// [`TfIdfVectorizer::term_counts`] returns them or as a sum of such
+    /// lists. `emit(dim, weight)` receives each pair's TF-IDF weight in
+    /// the same order: count × IDF, then divided by the L2 norm over the
+    /// dimensions in ascending order when the config normalizes.
+    ///
+    /// Every other dimension weighs `+0.0`. A dense vector of all the
+    /// dimensions gets the same bits: its absent terms add `+0.0` to the
+    /// norm's non-negative sum and to nothing else.
+    pub fn weigh(&self, counts: &[(u32, u32)], mut emit: impl FnMut(usize, f64)) {
+        debug_assert!(counts.windows(2).all(|w| w[0].0 < w[1].0));
+        let weight =
+            |&(d, c): &(u32, u32)| (d as usize, f64::from(c) * self.idf_of_dim(d as usize));
+        let norm = if self.config.l2_normalize {
+            counts
+                .iter()
+                .map(|p| weight(p).1)
+                .map(|x| x * x)
+                .sum::<f64>()
+                .sqrt()
+        } else {
+            0.0
+        };
+        for p in counts {
+            let (d, x) = weight(p);
+            emit(d, if norm > 0.0 { x / norm } else { x });
+        }
+    }
+
+    /// Dense TF-IDF vector of term counts (see [`TfIdfVectorizer::weigh`]).
+    fn transform_counts(&self, counts: &[(u32, u32)]) -> Vec<f64> {
+        debug_assert!(counts.iter().all(|&(d, _)| (d as usize) < self.dim()));
         let mut v = vec![0.0; self.dim()];
-        for tok in toks {
-            if let Some(id) = self.vocab.get(tok) {
-                if let Some(&d) = self.dim_of.get(&id) {
-                    v[d] += 1.0;
-                }
-            }
-        }
-        for (d, val) in v.iter_mut().enumerate() {
-            *val *= self.idf[self.selected[d]];
-        }
-        if self.config.l2_normalize {
-            let norm: f64 = v.iter().map(|x| x * x).sum::<f64>().sqrt();
-            if norm > 0.0 {
-                for val in &mut v {
-                    *val /= norm;
-                }
-            }
-        }
+        self.weigh(counts, |d, x| v[d] = x);
         v
     }
 
-    /// Transform many documents and average the vectors — used for the
-    /// exogenous feature of Section IV-D ("average tf-idf vector for the 60
-    /// most recent news headlines").
-    pub fn transform_average<S: AsRef<str>>(&self, docs: &[S]) -> Vec<f64> {
-        let mut acc = vec![0.0; self.dim()];
-        if docs.is_empty() {
-            return acc;
-        }
-        for doc in docs {
-            let v = self.transform(doc.as_ref());
-            for (a, x) in acc.iter_mut().zip(v) {
-                *a += x;
-            }
-        }
-        let n = docs.len() as f64;
-        for a in &mut acc {
-            *a /= n;
-        }
-        acc
+    /// Transform pre-tokenized feature tokens to a dense TF-IDF vector.
+    pub fn transform_tokens(&self, toks: &[String]) -> Vec<f64> {
+        self.transform_counts(&self.term_counts(toks))
     }
 }
 
@@ -395,26 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn average_transform_averages() {
-        let v = TfIdfVectorizer::fit(
-            &["a", "b"],
-            TfIdfConfig {
-                top_k: None,
-                min_df: 1,
-                use_bigrams: false,
-                l2_normalize: false,
-                ..Default::default()
-            },
-        );
-        let avg = v.transform_average(&["a", "b"]);
-        let xa = v.transform("a");
-        let xb = v.transform("b");
-        for d in 0..v.dim() {
-            assert!((avg[d] - (xa[d] + xb[d]) / 2.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn parts_round_trip_preserves_transform() {
         let v = TfIdfVectorizer::fit(&small_corpus(), TfIdfConfig::default());
         let (vocab, idf, selected, config) = v.to_parts();
@@ -460,10 +458,183 @@ mod tests {
         .is_none());
     }
 
+    fn toks(s: &str) -> Vec<String> {
+        s.split_whitespace().map(str::to_string).collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `transform_tokens` as it was before the counts path: one `+= 1.0`
+    /// per selected token into a dense vector, × IDF, then L2 over every
+    /// dimension.
+    fn dense_oracle(v: &TfIdfVectorizer, toks: &[String]) -> Vec<f64> {
+        let mut out = vec![0.0; v.dim()];
+        for tok in toks {
+            if let Some(d) = (0..v.dim()).find(|&d| v.token_of_dim(d) == tok) {
+                out[d] += 1.0;
+            }
+        }
+        for (d, x) in out.iter_mut().enumerate() {
+            *x *= v.idf_of_dim(d);
+        }
+        if v.config().l2_normalize {
+            let norm: f64 = out.iter().map(|x| x * x).sum::<f64>().sqrt();
+            if norm > 0.0 {
+                for x in &mut out {
+                    *x /= norm;
+                }
+            }
+        }
+        out
+    }
+
+    /// The counts of a document's two halves, summed per dimension as a
+    /// user's history sums its tweets' counts.
+    fn summed_counts(v: &TfIdfVectorizer, doc: &[String]) -> Vec<(u32, u32)> {
+        let (a, b) = doc.split_at(doc.len() / 2);
+        let mut sum = vec![0u32; v.dim()];
+        for (d, c) in v.term_counts(a).into_iter().chain(v.term_counts(b)) {
+            sum[d as usize] += c;
+        }
+        (0u32..).zip(sum).filter(|&(_, c)| c > 0).collect()
+    }
+
     #[test]
-    fn average_of_empty_is_zero() {
-        let v = TfIdfVectorizer::fit(&["a"], TfIdfConfig::default());
-        let empty: [&str; 0] = [];
-        assert!(v.transform_average(&empty).iter().all(|&x| x == 0.0));
+    fn counts_path_matches_the_dense_transform_bit_for_bit() {
+        let corpus = ["a a b c", "b c d", "c d e a", "e e e b"];
+        let docs = [
+            "",
+            "zebra quagga okapi",
+            "a a a a b",
+            "e d c b a a b c d e",
+            "c zebra c c",
+        ];
+        for l2_normalize in [true, false] {
+            let v = TfIdfVectorizer::fit(
+                &corpus,
+                TfIdfConfig {
+                    top_k: Some(4),
+                    min_df: 1,
+                    use_bigrams: false,
+                    l2_normalize,
+                    ..Default::default()
+                },
+            );
+            for doc in docs {
+                let t = toks(doc);
+                let want = bits(&dense_oracle(&v, &t));
+                assert_eq!(
+                    bits(&v.transform_tokens(&t)),
+                    want,
+                    "{doc:?} l2 {l2_normalize}"
+                );
+                let summed = v.transform_counts(&summed_counts(&v, &t));
+                assert_eq!(bits(&summed), want, "{doc:?} l2 {l2_normalize}");
+            }
+            let repeated = v.term_counts(&toks("a a a a b zebra"));
+            assert!(repeated.iter().any(|&(_, c)| c == 4), "{repeated:?}");
+            assert!(v.term_counts(&[]).is_empty());
+        }
+    }
+
+    /// 300 seeded documents of up to 80 tokens over 150 skewed words: a
+    /// norm sums up to ~100 squares, so a sum taken in another order
+    /// shows in the last bits of some documents.
+    #[test]
+    fn counts_path_matches_the_dense_transform_on_a_seeded_corpus() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(26);
+        let docs: Vec<Vec<String>> = (0..300)
+            .map(|_| {
+                let len = rng.gen_range(0..80);
+                (0..len)
+                    .map(|_| {
+                        let u: f64 = rng.gen_range(0.0..1.0);
+                        format!("w{}", (u * u * 150.0) as usize)
+                    })
+                    .collect()
+            })
+            .collect();
+        for l2_normalize in [true, false] {
+            let v = TfIdfVectorizer::fit_tokenized(
+                &docs,
+                TfIdfConfig {
+                    top_k: Some(120),
+                    min_df: 1,
+                    use_bigrams: false,
+                    l2_normalize,
+                    ..Default::default()
+                },
+            );
+            for (i, doc) in docs.iter().enumerate() {
+                let want = bits(&dense_oracle(&v, doc));
+                assert_eq!(bits(&v.transform_tokens(doc)), want, "doc {i}");
+                let summed = v.transform_counts(&summed_counts(&v, doc));
+                assert_eq!(bits(&summed), want, "doc {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_fit_transforms_like_a_full_vocabulary() {
+        // 40 documents over a skewed 30-word universe: more than `top_k`
+        // terms survive `min_df`, so the fit drops some.
+        let docs: Vec<Vec<String>> = (0..40u32)
+            .map(|i| {
+                let words: Vec<String> = (0..6u32)
+                    .map(|j| format!("w{}", (i * 7 + j * j * 3) % (5 + i % 25)))
+                    .collect();
+                let mut doc = words.clone();
+                doc.extend(crate::tokenize::bigrams(&words));
+                doc
+            })
+            .collect();
+        for l2_normalize in [true, false] {
+            let config = TfIdfConfig {
+                top_k: Some(25),
+                min_df: 2,
+                use_bigrams: true,
+                l2_normalize,
+                ..Default::default()
+            };
+            let pruned = TfIdfVectorizer::fit_tokenized(&docs, config.clone());
+            let (vocab, idf, selected, _) = pruned.to_parts();
+            assert_eq!(pruned.dim(), 25);
+            assert_eq!((vocab.len(), idf.len()), (pruned.dim(), pruned.dim()));
+            assert_eq!(selected, (0..pruned.dim()).collect::<Vec<_>>());
+
+            // Every term, as a fit kept them before pruning.
+            let all = TfIdfVectorizer::fit_tokenized(
+                &docs,
+                TfIdfConfig {
+                    top_k: None,
+                    min_df: 1,
+                    ..config.clone()
+                },
+            );
+            let (full_vocab, full_idf, _, _) = all.to_parts();
+            let ids: Vec<usize> = (0..pruned.dim())
+                .map(|d| full_vocab.get(pruned.token_of_dim(d)).unwrap())
+                .collect();
+            let full = TfIdfVectorizer::from_parts(
+                full_vocab.clone(),
+                full_idf.to_vec(),
+                ids,
+                config.clone(),
+            )
+            .unwrap();
+            assert!(full.to_parts().0.len() > 2 * full.dim());
+            let unknown = toks("never seen w1 w1");
+            for doc in docs.iter().chain([&unknown]) {
+                assert_eq!(
+                    bits(&pruned.transform_tokens(doc)),
+                    bits(&full.transform_tokens(doc)),
+                    "{doc:?}"
+                );
+                assert_eq!(pruned.term_counts(doc), full.term_counts(doc));
+            }
+        }
     }
 }

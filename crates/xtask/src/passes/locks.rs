@@ -860,19 +860,15 @@ mod tests {
     const PLANTS: [Plant; 10] = [
         Plant {
             id: "B1",
-            path: "crates/core/src/features/mod.rs",
+            path: SERVER,
             lines: &[
-                "        if let Some(v) = lock(&self.exo_cache).get(&bucket) {",
-                "            return v.clone();",
-                "        }",
-                "        let v = exogenous::news_tfidf(self.data, self.models, t0, 60);",
-                "        lock(&self.exo_cache).insert(bucket, v.clone());",
-                "        v",
+                "        let mut state = lock(&self.shared.state);",
+                "        state.shutting_down = true;",
+                "        drop(state);",
             ],
-            with: "match lock(&self.exo_cache).get(&bucket) { Some(v) => v.clone(), None => {
-                   let v = exogenous::news_tfidf(self.data, self.models, t0, 60);
-                   lock(&self.exo_cache).insert(bucket, v.clone()); v } }",
-            expect: "takes a second lock (`self.exo_cache`)",
+            with: "match lock(&self.shared.state).shutting_down { true => {}
+                   false => lock(&self.shared.state).shutting_down = true }",
+            expect: "takes a second lock (`self.shared.state`)",
         },
         Plant {
             id: "B2",
