@@ -229,6 +229,8 @@ mod tests {
         for r in &rows {
             assert!((0.0..=1.0).contains(&r.static_f1));
         }
+        let values = rows.iter().flat_map(|r| [r.static_f1, r.static_auc]);
+        assert_eq!(super::super::pin(values), 0x9ed3_fb1f_83c9_11b4);
     }
 
     #[test]
@@ -237,5 +239,7 @@ mod tests {
         let rows = recurrent_sweep(&ctx, &smoke_cfg());
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].cell, RecurrentKind::Gru);
+        let values = rows.iter().flat_map(|r| [r.dynamic_f1, r.dynamic_auc]);
+        assert_eq!(super::super::pin(values), 0x4047_5a7a_59f0_2adf);
     }
 }

@@ -141,5 +141,7 @@ mod tests {
             assert!((0.0..=1.0).contains(&r.static_f1));
             assert!((0.0..=1.0).contains(&r.dynamic_f1));
         }
+        let values = rows.iter().flat_map(|r| [r.static_f1, r.dynamic_f1]);
+        assert_eq!(super::super::pin(values), 0x0e1f_5c60_7343_d562);
     }
 }

@@ -69,6 +69,17 @@ impl ExperimentContext {
     }
 }
 
+/// FNV-1a over the bit patterns of `values`: the tests pin every score
+/// and report an experiment produces with it.
+#[cfg(test)]
+pub(crate) fn pin(values: impl IntoIterator<Item = f64>) -> u64 {
+    let bytes: Vec<u8> = values
+        .into_iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    crate::snapshot::fnv1a64(&bytes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

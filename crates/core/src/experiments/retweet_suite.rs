@@ -574,5 +574,17 @@ mod tests {
                 assert_eq!(s.len(), t.candidates.len());
             }
         }
+        let mut values = Vec::new();
+        for r in &suite.results {
+            values.extend(r.scores.iter().flatten());
+            if let Some(rep) = &r.report {
+                values.extend([rep.macro_f1, rep.accuracy, rep.auc]);
+            }
+            values.extend(r.map20.into_iter().chain(r.hits20));
+        }
+        for m in &suite.dyn_probs {
+            values.extend(m.data());
+        }
+        assert_eq!(super::super::pin(values), 0xee68_7ee6_cacf_0b17);
     }
 }
