@@ -5,39 +5,7 @@
 //! cargo run --release -p bench --bin exp_ablations [-- --scale 0.1]
 //! ```
 
-use bench::{build_context, header, parse_options};
-use retina_core::experiments::ablations::{news_sweep, recurrent_sweep, AblationConfig};
-
 fn main() {
-    let opts = parse_options();
-    let ctx = build_context(&opts);
-    let (cfg, windows) = if opts.smoke {
-        (
-            AblationConfig {
-                max_candidates: 20,
-                min_news: 15,
-                epochs: 1,
-                seed: opts.config.seed,
-            },
-            vec![5, 15],
-        )
-    } else {
-        (
-            AblationConfig {
-                seed: opts.config.seed,
-                ..Default::default()
-            },
-            vec![5, 15, 30, 60],
-        )
-    };
-
-    header("Ablation — news-window size (paper: best at 60)");
-    for r in news_sweep(&ctx, &cfg, &windows) {
-        println!("{r}");
-    }
-
-    header("Ablation — recurrent cell for RETINA-D (paper: GRU ≥ LSTM > RNN)");
-    for r in recurrent_sweep(&ctx, &cfg) {
-        println!("{r}");
-    }
+    let opts = bench::parse_options();
+    bench::print::ablations(&bench::build_context(&opts), &opts);
 }

@@ -1,131 +1,31 @@
 //! Runs the **entire evaluation** — every table and figure — on one
-//! shared corpus, printing each section. Figures 5/6/8/9 reuse the Table
-//! VI suite run, so models are trained once.
+//! shared corpus, printing each section as its own `exp_*` binary does.
+//! Figures 5/6/8/9 reuse the Table VI suite run, so models are trained
+//! once.
 //!
 //! ```text
 //! cargo run --release -p bench --bin exp_all [-- --scale 0.1 | --smoke]
 //! ```
 
-use bench::{build_context, header, parse_options};
-use retina_core::experiments::retweet_suite::SuiteConfig;
-use retina_core::experiments::{
-    fig1, fig2, fig3, fig5, fig6, fig7, fig8, fig9, table2, table4, table5, table6,
-};
-use retina_core::hategen::{ModelKind, Processing};
+use bench::print;
+use retina_core::hategen::ModelKind;
 
 fn main() {
-    let opts = parse_options();
-    let ctx = build_context(&opts);
-    let min_news = if opts.smoke { 20 } else { 60 };
+    let opts = bench::parse_options();
+    let ctx = bench::build_context(&opts);
     let total = std::time::Instant::now();
-
-    header("Table II — dataset statistics per hashtag");
-    for row in table2::run(&ctx.data) {
-        println!("{row}");
-    }
-
-    header("Figure 1 — diffusion dynamics: hate vs non-hate");
-    let pts = fig1::run(&ctx.data, &fig1::default_offsets());
-    for p in &pts {
-        println!("{p}");
-    }
-    let (more_rts, fewer_sus) = fig1::shape_holds(&pts);
-    println!("shape: more retweets for hate = {more_rts}; fewer susceptibles = {fewer_sus}");
-
-    header("Figure 2 — hate ratio per hashtag");
-    let rows = fig2::run(&ctx.data);
-    for r in &rows {
-        println!("{r}");
-    }
-    println!(
-        "rank correlation vs paper: {:.3}",
-        fig2::rank_correlation(&rows)
-    );
-
-    header("Figure 3 — user × hashtag hatefulness");
-    let map = fig3::run(&ctx.data, 10, 12);
-    println!("{map}");
-    println!("mean spread: {:.3}", fig3::mean_spread(&map));
-
-    header("Table IV — hate-generation grid");
-    let cells = table4::run(
-        &ctx,
-        &ModelKind::ALL,
-        &Processing::ALL,
-        min_news,
-        opts.config.seed,
-    );
-    for c in &cells {
-        println!("{c}");
-    }
-    let best = table4::best_cell(&cells);
-    println!(
-        "best: {} + {} at macro-F1 {:.3}",
-        best.model.name(),
-        best.proc.name(),
-        best.report.macro_f1
-    );
-
-    header("Table V — feature ablation");
-    for row in table5::run(&ctx, min_news, opts.config.seed) {
-        println!("{row}");
-    }
-
-    header("Table VI — retweeter prediction");
-    let cfg = if opts.smoke {
-        SuiteConfig::smoke()
-    } else {
-        SuiteConfig::default()
-    };
-    let suite = table6::run(&ctx, &cfg);
-    for row in table6::ordered_rows(&suite) {
-        println!("{row}");
-    }
-    let (d_leads, exo_helps, rudimentary) = table6::shape_holds(&suite);
-    println!("shape: RETINA-D leads = {d_leads}; exo helps = {exo_helps}; rudimentary collapse = {rudimentary}");
-
-    header("Figure 5 — HITS@k");
-    for r in fig5::run(&suite) {
-        println!("{r}");
-    }
-
-    header("Figure 6 — MAP@20 hate vs non-hate");
-    for r in fig6::run(&suite) {
-        println!("{r}");
-    }
-
-    header("Figure 8 — predicted/actual per window");
-    for r in fig8::run(&suite) {
-        println!("{r}");
-    }
-
-    header("Figure 9 — macro-F1 vs cascade size");
-    let (rows, overall) = fig9::run(&suite, &fig9::default_buckets());
-    for r in &rows {
-        println!("{r}");
-    }
-    println!("overall: {overall:.3}");
-
-    header("Figure 7 — performance vs history size");
-    let f7 = if opts.smoke {
-        fig7::Fig7Config {
-            history_sizes: vec![10, 30],
-            max_candidates: 20,
-            min_news: 15,
-            news_k: 10,
-            epochs: 1,
-            seed: opts.config.seed,
-        }
-    } else {
-        fig7::Fig7Config {
-            seed: opts.config.seed,
-            ..Default::default()
-        }
-    };
-    for r in fig7::run(&ctx, &f7) {
-        println!("{r}");
-    }
-
+    print::table2(&ctx);
+    print::fig1(&ctx);
+    print::fig2(&ctx);
+    print::fig3(&ctx);
+    print::table4(&ctx, &opts, &ModelKind::ALL);
+    print::table5(&ctx, &opts);
+    let suite = print::table6(&ctx, &opts);
+    print::fig5(&suite);
+    print::fig6(&suite);
+    print::fig8(&suite);
+    print::fig9(&suite);
+    print::fig7(&ctx, &opts);
     eprintln!(
         "[timing] full evaluation completed in {:.1}s",
         total.elapsed().as_secs_f64()

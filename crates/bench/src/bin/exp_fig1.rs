@@ -5,18 +5,7 @@
 //! cargo run --release -p bench --bin exp_fig1 [-- --scale 0.1]
 //! ```
 
-use bench::{build_context, header, parse_options};
-use retina_core::experiments::fig1;
-
 fn main() {
-    let opts = parse_options();
-    let ctx = build_context(&opts);
-    header("Figure 1 — diffusion dynamics: hate vs non-hate");
-    let pts = fig1::run(&ctx.data, &fig1::default_offsets());
-    for p in &pts {
-        println!("{p}");
-    }
-    let (more_rts, fewer_sus) = fig1::shape_holds(&pts);
-    println!("\npaper shape (1a) hateful cascades out-retweet non-hate: {more_rts}");
-    println!("paper shape (1b) hateful roots expose fewer susceptibles: {fewer_sus}");
+    let opts = bench::parse_options();
+    bench::print::fig1(&bench::build_context(&opts));
 }

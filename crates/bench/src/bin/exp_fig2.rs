@@ -5,19 +5,7 @@
 //! cargo run --release -p bench --bin exp_fig2 [-- --scale 0.1]
 //! ```
 
-use bench::{build_context, header, parse_options};
-use retina_core::experiments::fig2;
-
 fn main() {
-    let opts = parse_options();
-    let ctx = build_context(&opts);
-    header("Figure 2 — hate ratio per hashtag (sorted)");
-    let rows = fig2::run(&ctx.data);
-    for r in &rows {
-        println!("{r}");
-    }
-    println!(
-        "\nSpearman rank correlation vs Table II targets: {:.3}",
-        fig2::rank_correlation(&rows)
-    );
+    let opts = bench::parse_options();
+    bench::print::fig2(&bench::build_context(&opts));
 }

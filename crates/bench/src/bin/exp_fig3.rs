@@ -4,17 +4,7 @@
 //! cargo run --release -p bench --bin exp_fig3 [-- --scale 0.1]
 //! ```
 
-use bench::{build_context, header, parse_options};
-use retina_core::experiments::fig3;
-
 fn main() {
-    let opts = parse_options();
-    let ctx = build_context(&opts);
-    header("Figure 3 — per-user, per-hashtag hate ratios (most hateful users)");
-    let map = fig3::run(&ctx.data, 12, 12);
-    println!("{map}");
-    println!(
-        "mean per-user spread of hate ratio across hashtags: {:.3} (high = hate is topical)",
-        fig3::mean_spread(&map)
-    );
+    let opts = bench::parse_options();
+    bench::print::fig3(&bench::build_context(&opts));
 }

@@ -5,23 +5,10 @@
 //! cargo run --release -p bench --bin exp_fig6 [-- --scale 0.1]
 //! ```
 
-use bench::{build_context, header, parse_options};
-use retina_core::experiments::fig6;
-use retina_core::experiments::retweet_suite::{run as run_suite, SuiteConfig, SuiteModels};
+use retina_core::experiments::retweet_suite::{run, SuiteModels};
 
 fn main() {
-    let opts = parse_options();
-    let ctx = build_context(&opts);
-    let cfg = if opts.smoke {
-        SuiteConfig::smoke()
-    } else {
-        SuiteConfig::default()
-    };
-    header("Figure 6 — MAP@20 on hateful vs non-hate roots");
-    let suite = run_suite(&ctx, &cfg, SuiteModels::figures());
-    let rows = fig6::run(&suite);
-    for r in &rows {
-        println!("{r}");
-    }
-    println!("\npaper shape: TopoLSTM's hate/non-hate gap exceeds RETINA's");
+    let opts = bench::parse_options();
+    let ctx = bench::build_context(&opts);
+    bench::print::fig6(&run(&ctx, &opts.suite(), SuiteModels::figures()));
 }

@@ -1,34 +1,11 @@
 //! Regenerates **Figure 7**: RETINA macro-F1 vs user-history size
-//! (10 → 50 tweets).
+//! (5 → 50 tweets).
 //!
 //! ```text
 //! cargo run --release -p bench --bin exp_fig7 [-- --scale 0.1]
 //! ```
 
-use bench::{build_context, header, parse_options};
-use retina_core::experiments::fig7;
-
 fn main() {
-    let opts = parse_options();
-    let ctx = build_context(&opts);
-    let cfg = if opts.smoke {
-        fig7::Fig7Config {
-            history_sizes: vec![10, 30],
-            max_candidates: 20,
-            min_news: 15,
-            news_k: 10,
-            epochs: 1,
-            seed: opts.config.seed,
-        }
-    } else {
-        fig7::Fig7Config {
-            seed: opts.config.seed,
-            ..Default::default()
-        }
-    };
-    header("Figure 7 — performance vs history size");
-    for r in fig7::run(&ctx, &cfg) {
-        println!("{r}");
-    }
-    println!("\npaper shape: performance rises to ~30 tweets of history, then flattens/drops");
+    let opts = bench::parse_options();
+    bench::print::fig7(&bench::build_context(&opts), &opts);
 }

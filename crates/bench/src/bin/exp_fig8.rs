@@ -5,26 +5,10 @@
 //! cargo run --release -p bench --bin exp_fig8 [-- --scale 0.1]
 //! ```
 
-use bench::{build_context, header, parse_options};
-use retina_core::experiments::fig8;
-use retina_core::experiments::retweet_suite::{run as run_suite, SuiteConfig, SuiteModels};
+use retina_core::experiments::retweet_suite::{run, SuiteModels};
 
 fn main() {
-    let opts = parse_options();
-    let ctx = build_context(&opts);
-    let cfg = if opts.smoke {
-        SuiteConfig::smoke()
-    } else {
-        SuiteConfig::default()
-    };
-    header("Figure 8 — predicted/actual retweet ratio per time window (RETINA-D)");
-    let suite = run_suite(&ctx, &cfg, SuiteModels::figures());
-    let rows = fig8::run(&suite);
-    for r in &rows {
-        println!("{r}");
-    }
-    println!(
-        "\npaper shape (ratio approaches 1 in later windows): {}",
-        fig8::shape_holds(&rows)
-    );
+    let opts = bench::parse_options();
+    let ctx = bench::build_context(&opts);
+    bench::print::fig8(&run(&ctx, &opts.suite(), SuiteModels::figures()));
 }

@@ -4,24 +4,10 @@
 //! cargo run --release -p bench --bin exp_fig9 [-- --scale 0.1]
 //! ```
 
-use bench::{build_context, header, parse_options};
-use retina_core::experiments::fig9;
-use retina_core::experiments::retweet_suite::{run as run_suite, SuiteConfig, SuiteModels};
+use retina_core::experiments::retweet_suite::{run, SuiteModels};
 
 fn main() {
-    let opts = parse_options();
-    let ctx = build_context(&opts);
-    let cfg = if opts.smoke {
-        SuiteConfig::smoke()
-    } else {
-        SuiteConfig::default()
-    };
-    header("Figure 9 — RETINA-S macro-F1 vs cascade size");
-    let suite = run_suite(&ctx, &cfg, SuiteModels::figures());
-    let (rows, overall) = fig9::run(&suite, &fig9::default_buckets());
-    for r in &rows {
-        println!("{r}");
-    }
-    println!("\noverall RETINA-S macro-F1 (red dashed line): {overall:.3}");
-    println!("paper shape: macro-F1 rises with cascade size");
+    let opts = bench::parse_options();
+    let ctx = bench::build_context(&opts);
+    bench::print::fig9(&run(&ctx, &opts.suite(), SuiteModels::figures()));
 }

@@ -4,19 +4,7 @@
 //! cargo run --release -p bench --bin exp_table2 [-- --scale 0.1]
 //! ```
 
-use bench::{build_context, header, parse_options};
-use retina_core::experiments::table2;
-
 fn main() {
-    let opts = parse_options();
-    let ctx = build_context(&opts);
-    header("Table II — dataset statistics per hashtag (measured vs paper targets)");
-    for row in table2::run(&ctx.data) {
-        println!("{row}");
-    }
-    let rate = ctx.data.overall_hate_rate();
-    println!(
-        "\noverall hate rate: {:.2}% (paper corpus: ~4%)",
-        rate * 100.0
-    );
+    let opts = bench::parse_options();
+    bench::print::table2(&bench::build_context(&opts));
 }

@@ -5,16 +5,7 @@
 //! cargo run --release -p bench --bin exp_table5 [-- --scale 0.1]
 //! ```
 
-use bench::{build_context, header, parse_options};
-use retina_core::experiments::table5;
-
 fn main() {
-    let opts = parse_options();
-    let ctx = build_context(&opts);
-    let min_news = if opts.smoke { 20 } else { 60 };
-    header("Table V — feature ablation (Dec-Tree + DS)");
-    for row in table5::run(&ctx, min_news, opts.config.seed) {
-        println!("{row}");
-    }
-    println!("\npaper: removing History or Exogen hurts most (0.65 -> 0.56); Topic is negligible");
+    let opts = bench::parse_options();
+    bench::print::table5(&bench::build_context(&opts), &opts);
 }

@@ -5,34 +5,7 @@
 //! cargo run --release -p bench --bin exp_table6 [-- --scale 0.1]
 //! ```
 
-use bench::{build_context, header, parse_options};
-use retina_core::experiments::retweet_suite::SuiteConfig;
-use retina_core::experiments::table6;
-
 fn main() {
-    let opts = parse_options();
-    let ctx = build_context(&opts);
-    let cfg = if opts.smoke {
-        SuiteConfig::smoke()
-    } else {
-        SuiteConfig::default()
-    };
-    header("Table VI — retweeter prediction");
-    let t = std::time::Instant::now();
-    let suite = table6::run(&ctx, &cfg);
-    for row in table6::ordered_rows(&suite) {
-        println!("{row}");
-    }
-    if opts.smoke {
-        println!("\n[note] --smoke scale: shape booleans below are noise; see");
-        println!("       EXPERIMENTS.md for the recorded experiment-scale run");
-    }
-    let (d_leads, exo_helps, rudimentary) = table6::shape_holds(&suite);
-    println!("\npaper shape: RETINA-D leads MAP@20: {d_leads}");
-    println!("paper shape: exogenous attention helps RETINA: {exo_helps}");
-    println!("paper shape: SIR / Gen.Thresh. collapse: {rudimentary}");
-    eprintln!(
-        "[timing] suite completed in {:.1}s",
-        t.elapsed().as_secs_f64()
-    );
+    let opts = bench::parse_options();
+    bench::print::table6(&bench::build_context(&opts), &opts);
 }

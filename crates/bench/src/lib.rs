@@ -1,10 +1,12 @@
-//! # bench — experiment binaries and Criterion benchmarks
+//! # bench — experiment binaries, the `substrates` benchmark and harnesses
 //!
 //! One `exp_*` binary per table/figure of the paper (see DESIGN.md §4 and
-//! EXPERIMENTS.md), plus Criterion micro/meso-benchmarks in `benches/`
+//! EXPERIMENTS.md). Each prints its section with one function of
+//! [`print`], which `exp_all` calls too, so a section reads the same from
+//! either binary. `benches/substrates.rs` times the substrate kernels,
 //! and two harnesses, `retina_serve` (snapshots and serving load) and
-//! `graph_mem` (dataset-generation peak RSS). The harnesses print only
-//! [`record`] lines on stdout.
+//! `graph_mem` (dataset-generation peak RSS), print only [`record`]
+//! lines on stdout.
 //!
 //! All `exp_*` binaries accept:
 //!
@@ -16,6 +18,9 @@
 //! --smoke             tiny configuration for a fast end-to-end check
 //! ```
 
+pub mod print;
+
+use retina_core::experiments::retweet_suite::SuiteConfig;
 use retina_core::experiments::ExperimentContext;
 use socialsim::SimConfig;
 
@@ -27,23 +32,75 @@ pub struct ExpOptions {
     pub smoke: bool,
 }
 
+/// Every experiment setting that `--smoke` shrinks.
+impl ExpOptions {
+    /// Table VI's suite, which Figs. 5, 6, 8 and 9 and the
+    /// beyond-organic runs share.
+    pub fn suite(&self) -> SuiteConfig {
+        if self.smoke {
+            SuiteConfig::smoke()
+        } else {
+            SuiteConfig::default()
+        }
+    }
+
+    /// Fig. 7's and the RETINA ablations' sweeps, seeded with `--seed`.
+    pub fn sweep(&self) -> SuiteConfig {
+        let base = if self.smoke {
+            SuiteConfig::sweep_smoke()
+        } else {
+            SuiteConfig::sweep()
+        };
+        SuiteConfig {
+            seed: self.config.seed,
+            ..base
+        }
+    }
+
+    /// Fig. 7's history sizes (tweets per candidate history).
+    pub fn history_sizes(&self) -> Vec<usize> {
+        if self.smoke {
+            vec![10, 30]
+        } else {
+            vec![5, 10, 20, 30, 40, 50]
+        }
+    }
+
+    /// The news-window ablation's windows.
+    pub fn news_windows(&self) -> Vec<usize> {
+        if self.smoke {
+            vec![5, 15]
+        } else {
+            vec![5, 15, 30, 60]
+        }
+    }
+
+    /// Minimum preceding news per hate-generation sample (Tables IV, V).
+    pub fn min_news(&self) -> usize {
+        if self.smoke {
+            20
+        } else {
+            60
+        }
+    }
+}
+
 /// Parse `std::env::args` into experiment options.
 pub fn parse_options() -> ExpOptions {
     let args: Vec<String> = std::env::args().collect();
-    let mut config = ExperimentContext::default_config();
-    let mut d2v_epochs = 6usize;
-    let mut smoke = false;
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let mut config = if smoke {
+        ExperimentContext::smoke_config()
+    } else {
+        ExperimentContext::default_config()
+    };
+    let mut d2v_epochs = if smoke { 2 } else { 6 };
 
     let value_of = |flag: &str| -> Option<String> {
         args.iter()
             .position(|a| a == flag)
             .and_then(|i| args.get(i + 1).cloned())
     };
-    if args.iter().any(|a| a == "--smoke") {
-        config = ExperimentContext::smoke_config();
-        d2v_epochs = 2;
-        smoke = true;
-    }
     if let Some(v) = value_of("--scale") {
         config.tweet_scale = v.parse().expect("--scale takes a float");
     }

@@ -18,6 +18,16 @@ pub struct AblationRow {
     pub report: ClassificationReport,
 }
 
+impl std::fmt::Display for AblationRow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{:16} | macro-F1 {:.3} | ACC {:.3} | AUC {:.3}",
+            self.label, self.report.macro_f1, self.report.accuracy, self.report.auc
+        )
+    }
+}
+
 /// Run the full Table V ablation: the full model plus each group removed
 /// in isolation, all with Decision Tree + downsampling.
 pub fn run_ablation(

@@ -5,12 +5,10 @@
 //! * **Recurrent cell** (Section V-B: "performance degraded with simple
 //!   RNN and no gain with LSTM").
 
+use super::retweet_suite::{RetinaTask, SuiteConfig};
 use super::ExperimentContext;
 use crate::features::RetweetFeatures;
-use crate::retina::{pack_sample, RecurrentKind, Retina, RetinaConfig, RetinaMode};
-use crate::trainer::{train_retina, TrainConfig};
-use diffusion::{split_samples, CascadeSample, RetweetTask};
-use ml::metrics::ClassificationReport;
+use crate::retina::{RecurrentKind, RetinaConfig};
 
 /// One row of the news-window sweep.
 #[derive(Debug, Clone)]
@@ -48,97 +46,28 @@ impl std::fmt::Display for RecurrentSweepRow {
     }
 }
 
-/// Shared sweep configuration.
-#[derive(Debug, Clone)]
-pub struct AblationConfig {
-    pub max_candidates: usize,
-    pub min_news: usize,
-    pub epochs: usize,
-    pub seed: u64,
-}
-
-impl Default for AblationConfig {
-    fn default() -> Self {
-        Self {
-            max_candidates: 40,
-            min_news: 60,
-            epochs: 3,
-            seed: 0,
-        }
-    }
-}
-
-fn build_split(
-    ctx: &ExperimentContext,
-    cfg: &AblationConfig,
-) -> (Vec<CascadeSample>, Vec<CascadeSample>) {
-    let samples = RetweetTask {
-        min_retweets: 1,
-        min_news: cfg.min_news,
-        max_candidates: cfg.max_candidates,
-        include_non_followers: false,
-        seed: cfg.seed,
-    }
-    .build(&ctx.data);
-    split_samples(samples, 0.8, cfg.seed ^ 0x5EED)
-}
-
-fn eval_static(
-    ctx: &ExperimentContext,
-    cfg: &AblationConfig,
-    train: &[CascadeSample],
-    test: &[CascadeSample],
-    news_k: usize,
-) -> ClassificationReport {
-    let feats = RetweetFeatures::new(&ctx.data, &ctx.models, &ctx.silver);
-    let intervals = crate::retina::default_intervals();
-    let packed_train: Vec<_> = train
-        .iter()
-        .map(|s| pack_sample(&feats, s, &intervals, news_k))
-        .collect();
-    let packed_test: Vec<_> = test
-        .iter()
-        .map(|s| pack_sample(&feats, s, &intervals, news_k))
-        .collect();
-    let d_user = packed_train[0].user_rows[0].len();
-    let mut model = Retina::new(
-        d_user,
-        RetinaConfig {
-            news_k,
-            seed: cfg.seed,
-            ..RetinaConfig::static_default()
-        },
-    );
-    train_retina(
-        &mut model,
-        &packed_train,
-        &TrainConfig {
-            epochs: cfg.epochs,
-            ..TrainConfig::static_default()
-        },
-    );
-    let mut ys = Vec::new();
-    let mut ss = Vec::new();
-    for p in &packed_test {
-        ss.extend(model.predict_proba(p));
-        ys.extend_from_slice(&p.labels);
-    }
-    ClassificationReport::from_scores(&ys, &ss)
-}
-
-/// Sweep the number of attended news items (paper: best at 60).
+/// Sweep the number of attended news items (paper: best at 60), each
+/// window packed and trained on the same split. The sweeps shuffle
+/// training with `TrainConfig`'s default seed (0), not `cfg.seed`.
 pub fn news_sweep(
     ctx: &ExperimentContext,
-    cfg: &AblationConfig,
+    cfg: &SuiteConfig,
     windows: &[usize],
 ) -> Vec<NewsSweepRow> {
-    let (train, test) = build_split(ctx, cfg);
+    let feats = RetweetFeatures::new(&ctx.data, &ctx.models, &ctx.silver);
     windows
         .iter()
-        .map(|&k| {
-            let rep = eval_static(ctx, cfg, &train, &test, k);
+        .map(|&news_k| {
+            let cfg = SuiteConfig {
+                news_k,
+                ..cfg.clone()
+            };
+            let task = RetinaTask::build(ctx, &cfg, &feats);
+            let rep = task
+                .train_and_score(&cfg, RetinaConfig::static_default(), 0)
+                .report;
             NewsSweepRow {
-                news_k: k,
+                news_k,
                 static_f1: rep.macro_f1,
                 static_auc: rep.auc,
             }
@@ -147,21 +76,9 @@ pub fn news_sweep(
 }
 
 /// Sweep the dynamic head's recurrent cell (paper: GRU ≥ LSTM > RNN).
-pub fn recurrent_sweep(ctx: &ExperimentContext, cfg: &AblationConfig) -> Vec<RecurrentSweepRow> {
-    let (train, test) = build_split(ctx, cfg);
+pub fn recurrent_sweep(ctx: &ExperimentContext, cfg: &SuiteConfig) -> Vec<RecurrentSweepRow> {
     let feats = RetweetFeatures::new(&ctx.data, &ctx.models, &ctx.silver);
-    let intervals = crate::retina::default_intervals();
-    let news_k = 30;
-    let packed_train: Vec<_> = train
-        .iter()
-        .map(|s| pack_sample(&feats, s, &intervals, news_k))
-        .collect();
-    let packed_test: Vec<_> = test
-        .iter()
-        .map(|s| pack_sample(&feats, s, &intervals, news_k))
-        .collect();
-    let d_user = packed_train[0].user_rows[0].len();
-
+    let task = RetinaTask::build(ctx, cfg, &feats);
     [
         RecurrentKind::Gru,
         RecurrentKind::Lstm,
@@ -169,36 +86,11 @@ pub fn recurrent_sweep(ctx: &ExperimentContext, cfg: &AblationConfig) -> Vec<Rec
     ]
     .into_iter()
     .map(|cell| {
-        let mut model = Retina::new(
-            d_user,
-            RetinaConfig {
-                mode: RetinaMode::Dynamic,
-                recurrent: cell,
-                news_k,
-                seed: cfg.seed,
-                ..RetinaConfig::static_default()
-            },
-        );
-        train_retina(
-            &mut model,
-            &packed_train,
-            &TrainConfig {
-                epochs: cfg.epochs,
-                ..TrainConfig::dynamic_default()
-            },
-        );
-        let mut ys = Vec::new();
-        let mut ss = Vec::new();
-        for p in &packed_test {
-            let probs = model.predict_proba_dynamic(p);
-            for (r, row) in p.interval_labels.iter().enumerate() {
-                for (t, &l) in row.iter().enumerate() {
-                    ys.push(l);
-                    ss.push(probs.get(r, t));
-                }
-            }
-        }
-        let rep = ClassificationReport::from_scores(&ys, &ss);
+        let variant = RetinaConfig {
+            recurrent: cell,
+            ..RetinaConfig::dynamic_default()
+        };
+        let rep = task.train_and_score(cfg, variant, 0).report;
         RecurrentSweepRow {
             cell,
             dynamic_f1: rep.macro_f1,
@@ -212,19 +104,10 @@ pub fn recurrent_sweep(ctx: &ExperimentContext, cfg: &AblationConfig) -> Vec<Rec
 mod tests {
     use super::*;
 
-    fn smoke_cfg() -> AblationConfig {
-        AblationConfig {
-            max_candidates: 20,
-            min_news: 15,
-            epochs: 1,
-            seed: 0,
-        }
-    }
-
     #[test]
     fn news_sweep_runs() {
         let ctx = ExperimentContext::build(ExperimentContext::smoke_config(), 2);
-        let rows = news_sweep(&ctx, &smoke_cfg(), &[5, 15]);
+        let rows = news_sweep(&ctx, &SuiteConfig::sweep_smoke(), &[5, 15]);
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert!((0.0..=1.0).contains(&r.static_f1));
@@ -236,7 +119,11 @@ mod tests {
     #[test]
     fn recurrent_sweep_covers_three_cells() {
         let ctx = ExperimentContext::build(ExperimentContext::smoke_config(), 2);
-        let rows = recurrent_sweep(&ctx, &smoke_cfg());
+        let cfg = SuiteConfig {
+            news_k: 30,
+            ..SuiteConfig::sweep_smoke()
+        };
+        let rows = recurrent_sweep(&ctx, &cfg);
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].cell, RecurrentKind::Gru);
         let values = rows.iter().flat_map(|r| [r.dynamic_f1, r.dynamic_auc]);

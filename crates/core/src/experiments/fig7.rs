@@ -3,12 +3,10 @@
 //! history size from 10 to 30 tweets. Afterward, it either drops or
 //! remains the same."
 
+use super::retweet_suite::{flat_report, RetinaTask, SuiteConfig};
 use super::ExperimentContext;
 use crate::features::RetweetFeatures;
-use crate::retina::{pack_sample, Retina, RetinaConfig, RetinaMode};
-use crate::trainer::{train_retina, TrainConfig};
-use diffusion::{split_samples, RetweetTask};
-use ml::metrics::ClassificationReport;
+use crate::retina::RetinaConfig;
 
 /// One bar pair of Fig. 7.
 #[derive(Debug, Clone)]
@@ -28,92 +26,23 @@ impl std::fmt::Display for Fig7Row {
     }
 }
 
-/// Sweep configuration (smaller than the Table VI run: the sweep retrains
-/// RETINA twice per history size).
-#[derive(Debug, Clone)]
-pub struct Fig7Config {
-    pub history_sizes: Vec<usize>,
-    pub max_candidates: usize,
-    pub min_news: usize,
-    pub news_k: usize,
-    pub epochs: usize,
-    pub seed: u64,
-}
-
-impl Default for Fig7Config {
-    fn default() -> Self {
-        Self {
-            history_sizes: vec![5, 10, 20, 30, 40, 50],
-            max_candidates: 40,
-            min_news: 60,
-            news_k: 30,
-            epochs: 3,
-            seed: 0,
-        }
-    }
-}
-
-/// Run the history-size sweep.
-pub fn run(ctx: &ExperimentContext, cfg: &Fig7Config) -> Vec<Fig7Row> {
-    let task = RetweetTask {
-        min_retweets: 1,
-        min_news: cfg.min_news,
-        max_candidates: cfg.max_candidates,
-        include_non_followers: false,
-        seed: cfg.seed,
-    };
-    let samples = task.build(&ctx.data);
-    let (train, test) = split_samples(samples, 0.8, cfg.seed ^ 0x5EED);
-    let intervals = crate::retina::default_intervals();
-
-    cfg.history_sizes
+/// Run the history-size sweep: RETINA-S and RETINA-D retrained on the
+/// same split at each history size. Like the ablation sweeps, it
+/// shuffles training with `TrainConfig`'s default seed (0), not
+/// `cfg.seed`.
+pub fn run(ctx: &ExperimentContext, cfg: &SuiteConfig, history_sizes: &[usize]) -> Vec<Fig7Row> {
+    history_sizes
         .iter()
         .map(|&hlen| {
             let mut feats = RetweetFeatures::new(&ctx.data, &ctx.models, &ctx.silver);
             feats.set_history_len(hlen);
-            let packed_train: Vec<_> = train
-                .iter()
-                .map(|s| pack_sample(&feats, s, &intervals, cfg.news_k))
-                .collect();
-            let packed_test: Vec<_> = test
-                .iter()
-                .map(|s| pack_sample(&feats, s, &intervals, cfg.news_k))
-                .collect();
-            let d_user = packed_train[0].user_rows[0].len();
-
-            let f1_of = |mode: RetinaMode| -> f64 {
-                let rcfg = RetinaConfig {
-                    mode,
-                    seed: cfg.seed,
-                    news_k: cfg.news_k,
-                    ..RetinaConfig::static_default()
-                };
-                let mut model = Retina::new(d_user, rcfg);
-                let tcfg = match mode {
-                    RetinaMode::Static => TrainConfig {
-                        epochs: cfg.epochs,
-                        ..TrainConfig::static_default()
-                    },
-                    RetinaMode::Dynamic => TrainConfig {
-                        epochs: cfg.epochs,
-                        ..TrainConfig::dynamic_default()
-                    },
-                };
-                train_retina(&mut model, &packed_train, &tcfg);
-                let mut ys = Vec::new();
-                let mut ss = Vec::new();
-                for p in &packed_test {
-                    let probs = model.predict_proba(p);
-                    ss.extend(probs);
-                    ys.extend_from_slice(&p.labels);
-                }
-                ClassificationReport::from_scores(&ys, &ss).macro_f1
-            };
-
+            let task = RetinaTask::build(ctx, cfg, &feats);
+            let stat = task.train_and_score(cfg, RetinaConfig::static_default(), 0);
+            let dyn_run = task.train_and_score(cfg, RetinaConfig::dynamic_default(), 0);
             Fig7Row {
                 history_len: hlen,
-                static_f1: f1_of(RetinaMode::Static),
-                dynamic_f1: f1_of(RetinaMode::Dynamic),
+                static_f1: stat.report.macro_f1,
+                dynamic_f1: flat_report(&dyn_run.scores, &task.test).macro_f1,
             }
         })
         .collect()
@@ -126,15 +55,7 @@ mod tests {
     #[test]
     fn sweep_produces_requested_sizes() {
         let ctx = ExperimentContext::build(ExperimentContext::smoke_config(), 2);
-        let cfg = Fig7Config {
-            history_sizes: vec![10, 30],
-            max_candidates: 20,
-            min_news: 15,
-            news_k: 10,
-            epochs: 1,
-            seed: 0,
-        };
-        let rows = run(&ctx, &cfg);
+        let rows = run(&ctx, &SuiteConfig::sweep_smoke(), &[10, 30]);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].history_len, 10);
         for r in &rows {

@@ -1,7 +1,8 @@
-//! Shared harness for all retweet-prediction experiments (Table VI,
-//! Figures 5, 6, 8, 9): builds the task once, trains every model once,
-//! and stores per-sample candidate scores so each table/figure reads from
-//! the same run.
+//! Shared harness for every retweet-prediction experiment. Table VI and
+//! Figures 5, 6, 8 and 9 read one suite run, which trains every model
+//! once and keeps per-sample candidate scores. Every RETINA number,
+//! there and in the Fig. 7 and ablation sweeps, comes from
+//! [`RetinaTask::train_and_score`].
 
 use super::ExperimentContext;
 use crate::features::RetweetFeatures;
@@ -21,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// Suite configuration.
+/// Configuration of every retweet-prediction experiment.
 #[derive(Debug, Clone)]
 pub struct SuiteConfig {
     /// Candidate cap per tweet.
@@ -70,6 +71,28 @@ impl SuiteConfig {
             ..Default::default()
         }
     }
+
+    /// The Fig. 7 and RETINA-ablation sweeps, which retrain RETINA at
+    /// every point: fewer candidates, news items and epochs than Table VI.
+    pub fn sweep() -> Self {
+        Self {
+            max_candidates: 40,
+            news_k: 30,
+            retina_epochs: 3,
+            ..Default::default()
+        }
+    }
+
+    /// A small sweep configuration for smoke tests.
+    pub fn sweep_smoke() -> Self {
+        Self {
+            max_candidates: 20,
+            min_news: 15,
+            news_k: 10,
+            retina_epochs: 1,
+            ..Default::default()
+        }
+    }
 }
 
 /// Which model families to run (figures need only a subset).
@@ -102,6 +125,118 @@ impl SuiteModels {
             feature_baselines: false,
             neural_baselines: true,
             rudimentary: false,
+        }
+    }
+}
+
+/// The retweet task of a [`SuiteConfig`], split 80/20 into train and
+/// test samples and packed for RETINA.
+pub struct RetinaTask {
+    pub train: Vec<CascadeSample>,
+    pub test: Vec<CascadeSample>,
+    pub packed_train: Vec<PackedSample>,
+    pub packed_test: Vec<PackedSample>,
+}
+
+/// One RETINA variant's predictions on a task's test samples.
+pub struct RetinaScores {
+    /// Per test sample, per candidate retweet probability.
+    pub scores: Vec<Vec<f64>>,
+    /// RETINA-S is scored per candidate, RETINA-D per (candidate,
+    /// interval), as each is trained.
+    pub report: ClassificationReport,
+    /// RETINA-D's per-interval probabilities (`candidates × T` per test
+    /// sample); empty for RETINA-S.
+    pub dyn_probs: Vec<Matrix>,
+}
+
+impl RetinaTask {
+    /// Build and split the task of `cfg`, then pack both halves with
+    /// `feats` and `cfg.news_k` attended news items.
+    pub fn build(ctx: &ExperimentContext, cfg: &SuiteConfig, feats: &RetweetFeatures<'_>) -> Self {
+        let samples = RetweetTask {
+            min_retweets: 1,
+            min_news: cfg.min_news,
+            max_candidates: cfg.max_candidates,
+            include_non_followers: cfg.include_non_followers,
+            seed: cfg.seed,
+        }
+        .build(&ctx.data);
+        let (train, test) = split_samples(samples, 0.8, cfg.seed ^ 0x5EED);
+        let intervals = crate::retina::default_intervals();
+        // 0 = auto; honors the RETINA_THREADS env override.
+        let threads = nn::par::resolve(0);
+        let packed_train = pack_samples_parallel(feats, &train, &intervals, cfg.news_k, threads);
+        let packed_test = pack_samples_parallel(feats, &test, &intervals, cfg.news_k, threads);
+        Self {
+            train,
+            test,
+            packed_train,
+            packed_test,
+        }
+    }
+
+    /// Train the RETINA `variant` (its mode, exogenous branch and
+    /// recurrent cell; news window and seed come from `cfg`) for
+    /// `cfg.retina_epochs` with the mode's default training setup,
+    /// shuffled by `train_seed`, and score it on the test samples.
+    pub fn train_and_score(
+        &self,
+        cfg: &SuiteConfig,
+        variant: RetinaConfig,
+        train_seed: u64,
+    ) -> RetinaScores {
+        let d_user = self
+            .packed_train
+            .first()
+            .map_or(1, |p| p.user_rows[0].len());
+        let mode = variant.mode;
+        let mut model = Retina::new(
+            d_user,
+            RetinaConfig {
+                news_k: cfg.news_k,
+                seed: cfg.seed,
+                ..variant
+            },
+        );
+        let defaults = match mode {
+            RetinaMode::Static => TrainConfig::static_default(),
+            RetinaMode::Dynamic => TrainConfig::dynamic_default(),
+        };
+        let tcfg = TrainConfig {
+            epochs: cfg.retina_epochs,
+            seed: train_seed,
+            ..defaults
+        };
+        train_retina(&mut model, &self.packed_train, &tcfg);
+        let scores: Vec<Vec<f64>> = self
+            .packed_test
+            .iter()
+            .map(|p| model.predict_proba(p))
+            .collect();
+        let (mut ys, mut ss, mut dyn_probs) = (Vec::new(), Vec::new(), Vec::new());
+        for (p, s) in self.packed_test.iter().zip(&scores) {
+            match mode {
+                RetinaMode::Static => {
+                    ys.extend_from_slice(&p.labels);
+                    ss.extend_from_slice(s);
+                }
+                RetinaMode::Dynamic => {
+                    let probs = model.predict_proba_dynamic(p);
+                    for (r, row) in p.interval_labels.iter().enumerate() {
+                        for (t, &l) in row.iter().enumerate() {
+                            ys.push(l);
+                            ss.push(probs.get(r, t));
+                        }
+                    }
+                    dyn_probs.push(probs);
+                }
+            }
+        }
+        RetinaScores {
+            scores,
+            report: ClassificationReport::from_scores(&ys, &ss),
+            dyn_probs,
         }
     }
 }
@@ -165,18 +300,8 @@ impl RetweetSuite {
     }
 }
 
-/// Ranking metrics helper.
-fn rank_metrics(scores: &[Vec<f64>], test: &[CascadeSample], k: usize) -> (f64, f64) {
-    let lists: Vec<Vec<bool>> = scores
-        .iter()
-        .zip(test)
-        .map(|(s, t)| rank_by_score(s, &t.labels))
-        .collect();
-    (map_at_k(&lists, k), hits_at_k(&lists, k))
-}
-
-/// Flattened binary report helper.
-fn flat_report(scores: &[Vec<f64>], test: &[CascadeSample]) -> ClassificationReport {
+/// Flattened binary report over every candidate of `test`.
+pub(super) fn flat_report(scores: &[Vec<f64>], test: &[CascadeSample]) -> ClassificationReport {
     let mut ys = Vec::new();
     let mut ss = Vec::new();
     for (s, t) in scores.iter().zip(test) {
@@ -186,117 +311,75 @@ fn flat_report(scores: &[Vec<f64>], test: &[CascadeSample]) -> ClassificationRep
     ClassificationReport::from_scores(&ys, &ss)
 }
 
+/// A result with a flattened binary report and no ranking metrics.
+fn scored(name: &str, scores: Vec<Vec<f64>>, test: &[CascadeSample]) -> ModelResult {
+    ModelResult {
+        name: name.to_string(),
+        report: Some(flat_report(&scores, test)),
+        scores,
+        map20: None,
+        hits20: None,
+    }
+}
+
+/// A result with MAP@20 and HITS@20 added to `report`.
+fn ranked(
+    name: &str,
+    scores: Vec<Vec<f64>>,
+    report: Option<ClassificationReport>,
+    test: &[CascadeSample],
+) -> ModelResult {
+    let lists: Vec<Vec<bool>> = scores
+        .iter()
+        .zip(test)
+        .map(|(s, t)| rank_by_score(s, &t.labels))
+        .collect();
+    ModelResult {
+        name: name.to_string(),
+        scores,
+        report,
+        map20: Some(map_at_k(&lists, 20)),
+        hits20: Some(hits_at_k(&lists, 20)),
+    }
+}
+
 /// Run the suite.
 pub fn run(ctx: &ExperimentContext, cfg: &SuiteConfig, which: SuiteModels) -> RetweetSuite {
-    let task = RetweetTask {
-        min_retweets: 1,
-        min_news: cfg.min_news,
-        max_candidates: cfg.max_candidates,
-        include_non_followers: cfg.include_non_followers,
-        seed: cfg.seed,
-    };
-    let samples = task.build(&ctx.data);
-    let (train, test) = split_samples(samples, 0.8, cfg.seed ^ 0x5EED);
-
     let feats = RetweetFeatures::new(&ctx.data, &ctx.models, &ctx.silver);
-    let intervals = crate::retina::default_intervals();
-    // 0 = auto; honors the RETINA_THREADS env override.
-    let threads = nn::par::resolve(0);
-    let packed_train: Vec<PackedSample> =
-        pack_samples_parallel(&feats, &train, &intervals, cfg.news_k, threads);
-    let packed_test: Vec<PackedSample> =
-        pack_samples_parallel(&feats, &test, &intervals, cfg.news_k, threads);
-
+    let task = RetinaTask::build(ctx, cfg, &feats);
     let mut results = Vec::new();
     let mut dyn_probs = Vec::new();
 
     if which.retina {
-        // RETINA-S.
-        let mut variants: Vec<(&str, bool, RetinaMode)> = vec![
-            ("RETINA-S", true, RetinaMode::Static),
-            ("RETINA-D", true, RetinaMode::Dynamic),
+        let mut variants = vec![
+            ("RETINA-S", RetinaConfig::static_default()),
+            ("RETINA-D", RetinaConfig::dynamic_default()),
         ];
         if which.retina_ablation {
-            variants.push(("RETINA-S (no exo)", false, RetinaMode::Static));
-            variants.push(("RETINA-D (no exo)", false, RetinaMode::Dynamic));
+            let no_exo = |v: RetinaConfig| RetinaConfig {
+                use_exogenous: false,
+                ..v
+            };
+            variants.push(("RETINA-S (no exo)", no_exo(RetinaConfig::static_default())));
+            variants.push(("RETINA-D (no exo)", no_exo(RetinaConfig::dynamic_default())));
         }
-        for (name, exo, mode) in variants {
-            let d_user = packed_train
-                .first()
-                .map(|p| p.user_rows[0].len())
-                .unwrap_or(1);
-            let rcfg = RetinaConfig {
-                mode,
-                use_exogenous: exo,
-                seed: cfg.seed,
-                news_k: cfg.news_k,
-                ..RetinaConfig::static_default()
-            };
-            let mut model = Retina::new(d_user, rcfg);
-            let tcfg = match mode {
-                RetinaMode::Static => TrainConfig {
-                    epochs: cfg.retina_epochs,
-                    seed: cfg.seed,
-                    ..TrainConfig::static_default()
-                },
-                RetinaMode::Dynamic => TrainConfig {
-                    epochs: cfg.retina_epochs,
-                    seed: cfg.seed,
-                    ..TrainConfig::dynamic_default()
-                },
-            };
-            train_retina(&mut model, &packed_train, &tcfg);
-            let scores: Vec<Vec<f64>> =
-                packed_test.iter().map(|p| model.predict_proba(p)).collect();
-            // Binary metrics: static thresholds candidate probabilities;
-            // dynamic is evaluated per (candidate, interval) as trained.
-            let report = match mode {
-                RetinaMode::Static => Some(flat_report(&scores, &test)),
-                RetinaMode::Dynamic => {
-                    let mut ys = Vec::new();
-                    let mut ss = Vec::new();
-                    for p in &packed_test {
-                        let probs = model.predict_proba_dynamic(p);
-                        if name == "RETINA-D" {
-                            dyn_probs.push(probs.clone());
-                        }
-                        for (r, row) in p.interval_labels.iter().enumerate() {
-                            for (t, &l) in row.iter().enumerate() {
-                                ys.push(l);
-                                ss.push(probs.get(r, t));
-                            }
-                        }
-                    }
-                    Some(ClassificationReport::from_scores(&ys, &ss))
-                }
-            };
-            let (map20, hits20) = rank_metrics(&scores, &test, 20);
-            results.push(ModelResult {
-                name: name.to_string(),
-                scores,
-                report,
-                map20: Some(map20),
-                hits20: Some(hits20),
-            });
+        for (name, variant) in variants {
+            let run = task.train_and_score(cfg, variant, cfg.seed);
+            if name == "RETINA-D" {
+                dyn_probs = run.dyn_probs;
+            }
+            results.push(ranked(name, run.scores, Some(run.report), &task.test));
         }
     }
 
     if which.feature_baselines {
-        run_feature_baselines(
-            ctx,
-            cfg,
-            &feats,
-            &train,
-            &test,
-            &packed_train,
-            &packed_test,
-            &mut results,
-        );
+        run_feature_baselines(cfg, &feats, &task, &mut results);
     }
 
+    let (train, test) = (&task.train, &task.test);
+    let graph = ctx.data.graph();
     if which.neural_baselines {
         let n_users = ctx.data.users().len();
-        // TopoLSTM.
         let mut topo = TopoLstm::new(
             n_users,
             TopoLstmConfig {
@@ -305,17 +388,9 @@ pub fn run(ctx: &ExperimentContext, cfg: &SuiteConfig, which: SuiteModels) -> Re
                 ..Default::default()
             },
         );
-        topo.train(&train);
-        let scores: Vec<Vec<f64>> = test.iter().map(|s| topo.predict_proba(s)).collect();
-        let (map20, hits20) = rank_metrics(&scores, &test, 20);
-        results.push(ModelResult {
-            name: "TopoLSTM".into(),
-            scores,
-            report: None,
-            map20: Some(map20),
-            hits20: Some(hits20),
-        });
-        // FOREST.
+        topo.train(train);
+        let scores = test.iter().map(|s| topo.predict_proba(s)).collect();
+        results.push(ranked("TopoLSTM", scores, None, test));
         let mut forest = ForestModel::new(
             n_users,
             ForestModelConfig {
@@ -324,20 +399,12 @@ pub fn run(ctx: &ExperimentContext, cfg: &SuiteConfig, which: SuiteModels) -> Re
                 ..Default::default()
             },
         );
-        forest.train(ctx.data.graph(), &train);
-        let scores: Vec<Vec<f64>> = test
+        forest.train(graph, train);
+        let scores = test
             .iter()
-            .map(|s| forest.predict_proba(ctx.data.graph(), s))
+            .map(|s| forest.predict_proba(graph, s))
             .collect();
-        let (map20, hits20) = rank_metrics(&scores, &test, 20);
-        results.push(ModelResult {
-            name: "FOREST".into(),
-            scores,
-            report: None,
-            map20: Some(map20),
-            hits20: Some(hits20),
-        });
-        // HIDAN.
+        results.push(ranked("FOREST", scores, None, test));
         let mut hidan = Hidan::new(
             n_users,
             HidanConfig {
@@ -346,68 +413,41 @@ pub fn run(ctx: &ExperimentContext, cfg: &SuiteConfig, which: SuiteModels) -> Re
                 ..Default::default()
             },
         );
-        hidan.train(&train);
-        let scores: Vec<Vec<f64>> = test.iter().map(|s| hidan.predict_proba(s)).collect();
-        let (map20, hits20) = rank_metrics(&scores, &test, 20);
-        results.push(ModelResult {
-            name: "HIDAN".into(),
-            scores,
-            report: None,
-            map20: Some(map20),
-            hits20: Some(hits20),
-        });
+        hidan.train(train);
+        let scores = test.iter().map(|s| hidan.predict_proba(s)).collect();
+        results.push(ranked("HIDAN", scores, None, test));
     }
 
     if which.rudimentary {
-        let sir = SirModel::fit(ctx.data.graph(), &train, cfg.seed);
-        let scores: Vec<Vec<f64>> = test
-            .iter()
-            .map(|s| sir.predict_proba(ctx.data.graph(), s))
-            .collect();
-        results.push(ModelResult {
-            name: "SIR".into(),
-            report: Some(flat_report(&scores, &test)),
-            scores,
-            map20: None,
-            hits20: None,
-        });
+        let sir = SirModel::fit(graph, train, cfg.seed);
+        let scores = test.iter().map(|s| sir.predict_proba(graph, s)).collect();
+        results.push(scored("SIR", scores, test));
         let thresh = ThresholdModel::new(1.5, cfg.seed);
-        let scores: Vec<Vec<f64>> = test
+        let scores = test
             .iter()
-            .map(|s| thresh.predict_proba(ctx.data.graph(), s))
+            .map(|s| thresh.predict_proba(graph, s))
             .collect();
-        results.push(ModelResult {
-            name: "Gen.Thresh.".into(),
-            report: Some(flat_report(&scores, &test)),
-            scores,
-            map20: None,
-            hits20: None,
-        });
+        results.push(scored("Gen.Thresh.", scores, test));
     }
 
     RetweetSuite {
-        train,
-        test,
-        packed_test,
+        train: task.train,
+        test: task.test,
+        packed_test: task.packed_test,
         dyn_probs,
-        intervals,
+        intervals: crate::retina::default_intervals(),
         results,
     }
 }
 
 /// The feature-engineered baselines of Section VII-B: Logistic
-/// Regression, Decision Tree, Random Forest (each ± exogenous news
-/// features) and Linear SVC (without exogenous only — the paper reports
-/// it could not fit the news features in memory).
-#[allow(clippy::too_many_arguments)]
+/// Regression, Decision Tree and Random Forest, each with and without
+/// the exogenous news features, and Linear SVC without them only (the
+/// paper reports it could not fit the news features in memory).
 fn run_feature_baselines(
-    _ctx: &ExperimentContext,
     cfg: &SuiteConfig,
     feats: &RetweetFeatures<'_>,
-    train: &[CascadeSample],
-    test: &[CascadeSample],
-    packed_train: &[PackedSample],
-    packed_test: &[PackedSample],
+    task: &RetinaTask,
     results: &mut Vec<ModelResult>,
 ) {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xFEA7);
@@ -415,135 +455,100 @@ fn run_feature_baselines(
     // (keeps the classical models tractable; predictions run on the full
     // candidate sets).
     let mut rows_noexo: Vec<Vec<f64>> = Vec::new();
-    let mut exo_parts: Vec<Vec<f64>> = Vec::new();
+    let mut rows_exo: Vec<Vec<f64>> = Vec::new();
     let mut labels: Vec<u8> = Vec::new();
-    for (s, p) in train.iter().zip(packed_train) {
+    for (s, p) in task.train.iter().zip(&task.packed_train) {
         let exo = feats.exo_row(s.tweet);
         let mut neg_idx: Vec<usize> = (0..s.labels.len()).filter(|&i| s.labels[i] == 0).collect();
         neg_idx.shuffle(&mut rng);
         neg_idx.truncate(cfg.baseline_negs_per_tweet);
-        let keep: Vec<usize> = (0..s.labels.len())
-            .filter(|&i| s.labels[i] == 1 || neg_idx.contains(&i))
-            .collect();
-        for i in keep {
-            rows_noexo.push(p.user_rows[i].to_dense());
-            exo_parts.push(exo.clone());
+        for i in (0..s.labels.len()).filter(|&i| s.labels[i] == 1 || neg_idx.contains(&i)) {
+            let row = p.user_rows[i].to_dense();
+            rows_exo.push([row.as_slice(), &exo].concat());
+            rows_noexo.push(row);
             labels.push(s.labels[i]);
         }
     }
-    let rows_exo: Vec<Vec<f64>> = rows_noexo
-        .iter()
-        .zip(&exo_parts)
-        .map(|(r, e)| {
-            let mut v = r.clone();
-            v.extend_from_slice(e);
-            v
-        })
-        .collect();
 
     // Evaluation rows come from the packs (no recomputation).
-    let eval = |model: &dyn Classifier, with_exo: bool| -> (Vec<Vec<f64>>, ClassificationReport) {
-        let mut scores = Vec::with_capacity(test.len());
-        for (s, p) in test.iter().zip(packed_test) {
-            let exo = with_exo.then(|| feats.exo_row(s.tweet));
-            let per: Vec<f64> = p
-                .user_rows
-                .iter()
-                .map(|r| {
-                    let mut row = r.to_dense();
-                    if let Some(e) = &exo {
-                        row.extend_from_slice(e);
-                    }
-                    model.predict_proba(&row)
-                })
-                .collect();
-            scores.push(per);
-        }
-        let report = flat_report(&scores, test);
-        (scores, report)
+    let eval = |model: &dyn Classifier, with_exo: bool| -> Vec<Vec<f64>> {
+        task.test
+            .iter()
+            .zip(&task.packed_test)
+            .map(|(s, p)| {
+                let exo = if with_exo {
+                    feats.exo_row(s.tweet)
+                } else {
+                    Vec::new()
+                };
+                p.user_rows
+                    .iter()
+                    .map(|r| {
+                        let mut row = r.to_dense();
+                        row.extend_from_slice(&exo);
+                        model.predict_proba(&row)
+                    })
+                    .collect()
+            })
+            .collect()
     };
 
-    type ModelCtor = Box<dyn Fn() -> Box<dyn Classifier>>;
-    let ctors: Vec<(&str, bool, ModelCtor)> = vec![
+    type Ctor = fn() -> Box<dyn Classifier>;
+    let models: [(&str, Ctor, bool); 4] = [
         (
             "Logistic Regression",
+            || {
+                Box::new(LogisticRegression::new(LogisticRegressionConfig {
+                    epochs: 12,
+                    balanced: true,
+                    ..Default::default()
+                }))
+            },
             true,
-            Box::new(|| {
-                Box::new(LogisticRegression::new(LogisticRegressionConfig {
-                    epochs: 12,
-                    balanced: true,
-                    ..Default::default()
-                }))
-            }),
-        ),
-        (
-            "Logistic Regression (no exo)",
-            false,
-            Box::new(|| {
-                Box::new(LogisticRegression::new(LogisticRegressionConfig {
-                    epochs: 12,
-                    balanced: true,
-                    ..Default::default()
-                }))
-            }),
         ),
         (
             "Decision Tree",
+            || Box::new(DecisionTree::new(DecisionTreeConfig::default())),
             true,
-            Box::new(|| Box::new(DecisionTree::new(DecisionTreeConfig::default()))),
-        ),
-        (
-            "Decision Tree (no exo)",
-            false,
-            Box::new(|| Box::new(DecisionTree::new(DecisionTreeConfig::default()))),
         ),
         (
             "Random Forest",
+            || {
+                Box::new(RandomForest::new(RandomForestConfig {
+                    n_estimators: 20,
+                    subsample: 0.5,
+                    ..Default::default()
+                }))
+            },
             true,
-            Box::new(|| {
-                Box::new(RandomForest::new(RandomForestConfig {
-                    n_estimators: 20,
-                    subsample: 0.5,
-                    ..Default::default()
-                }))
-            }),
         ),
         (
-            "Random Forest (no exo)",
-            false,
-            Box::new(|| {
-                Box::new(RandomForest::new(RandomForestConfig {
-                    n_estimators: 20,
-                    subsample: 0.5,
-                    ..Default::default()
-                }))
-            }),
-        ),
-        (
-            "Linear SVC (no exo)",
-            false,
-            Box::new(|| {
+            "Linear SVC",
+            || {
                 Box::new(LinearSvm::new(LinearSvmConfig {
                     epochs: 15,
                     balanced: false,
                     ..Default::default()
                 }))
-            }),
+            },
+            false,
         ),
     ];
-
-    for (name, with_exo, ctor) in ctors {
-        let mut model = ctor();
-        let rows = if with_exo { &rows_exo } else { &rows_noexo };
-        model.fit(rows, &labels);
-        let (scores, report) = eval(model.as_ref(), with_exo);
-        results.push(ModelResult {
-            name: name.to_string(),
-            scores,
-            report: Some(report),
-            map20: None,
-            hits20: None,
-        });
+    for (name, ctor, fits_exo) in models {
+        for with_exo in [true, false] {
+            if with_exo && !fits_exo {
+                continue;
+            }
+            let mut model = ctor();
+            model.fit(if with_exo { &rows_exo } else { &rows_noexo }, &labels);
+            let scores = eval(model.as_ref(), with_exo);
+            let name = if with_exo {
+                name.to_string()
+            } else {
+                format!("{name} (no exo)")
+            };
+            results.push(scored(&name, scores, &task.test));
+        }
     }
 }
 

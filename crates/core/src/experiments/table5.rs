@@ -7,27 +7,11 @@ use crate::ablation::{run_ablation, AblationRow};
 use crate::features::HategenFeatures;
 use crate::hategen::HategenPipeline;
 
-/// Pretty-printable Table V row.
-pub struct Table5Row(pub AblationRow);
-
-impl std::fmt::Display for Table5Row {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{:16} | macro-F1 {:.3} | ACC {:.3} | AUC {:.3}",
-            self.0.label, self.0.report.macro_f1, self.0.report.accuracy, self.0.report.auc
-        )
-    }
-}
-
 /// Run the Table V ablation.
-pub fn run(ctx: &ExperimentContext, min_news: usize, seed: u64) -> Vec<Table5Row> {
+pub fn run(ctx: &ExperimentContext, min_news: usize, seed: u64) -> Vec<AblationRow> {
     let feats = HategenFeatures::new(&ctx.data, &ctx.models, &ctx.silver);
     let samples = HategenPipeline::build_samples(&ctx.data, min_news);
     run_ablation(&feats, &samples, seed)
-        .into_iter()
-        .map(Table5Row)
-        .collect()
 }
 
 #[cfg(test)]
@@ -39,6 +23,6 @@ mod tests {
         let ctx = ExperimentContext::build(ExperimentContext::smoke_config(), 2);
         let rows = run(&ctx, 20, 0);
         assert_eq!(rows.len(), 5);
-        assert_eq!(rows[0].0.label, "All");
+        assert_eq!(rows[0].label, "All");
     }
 }
