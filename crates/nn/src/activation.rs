@@ -57,17 +57,17 @@ impl Activation {
     pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
         match self.kind {
             ActivationKind::Sigmoid => {
-                // lint: allow(unwrap) API contract: backward requires a prior forward; lint: allow(panic-reach) API contract, not a data-dependent failure
+                // lint: allow(unwrap) API contract: backward requires a prior forward
                 let y = self.cache_y.as_ref().expect("backward before forward");
                 grad_out.zip(y, |g, yv| g * yv * (1.0 - yv))
             }
             ActivationKind::Tanh => {
-                // lint: allow(unwrap) API contract: backward requires a prior forward; lint: allow(panic-reach) API contract, not a data-dependent failure
+                // lint: allow(unwrap) API contract: backward requires a prior forward
                 let y = self.cache_y.as_ref().expect("backward before forward");
                 grad_out.zip(y, |g, yv| g * (1.0 - yv * yv))
             }
             ActivationKind::Relu => {
-                // lint: allow(unwrap) API contract: backward requires a prior forward; lint: allow(panic-reach) API contract, not a data-dependent failure
+                // lint: allow(unwrap) API contract: backward requires a prior forward
                 let x = self.cache_x.as_ref().expect("backward before forward");
                 grad_out.zip(x, |g, xv| if xv > 0.0 { g } else { 0.0 })
             }

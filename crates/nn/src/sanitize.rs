@@ -160,7 +160,6 @@ mod tests {
         assert_eq!(e.index, 7);
         // Shape errors carry the expected dim in `value`; exact by
         // construction from a usize.
-        // lint: allow(float-cmp) integral value round-trips exactly
         assert!(e.value == 4.0);
         let msg = e.to_string();
         assert!(msg.contains("got 7, expected 4"), "{msg}");

@@ -725,7 +725,6 @@ fn run_kernel<T: Scalar>(
         // SAFETY: AVX2 support was verified at runtime on the line
         // above; the target_feature clone has no other requirements.
         #[allow(unsafe_code)]
-        // lint: allow(panic-reach) runtime-detected intrinsic dispatch, no panic path
         unsafe {
             return simd::kernel_rows_avx2(kernel, a, b, first_row, out_chunk);
         }
@@ -811,9 +810,8 @@ fn mm_rows<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, first_row: usize, out_chunk:
                 let (v0, v1, v2, v3) = (arow[k], arow[k + 1], arow[k + 2], arow[k + 3]);
                 let (v4, v5, v6, v7) = (arow[k + 4], arow[k + 5], arow[k + 6], arow[k + 7]);
                 let z = T::ZERO;
-                // lint: allow(float-cmp) sparsity fast path skips exact zeros only
+                // Sparsity fast path: skip exact zeros only.
                 let live_lo = v0 != z || v1 != z || v2 != z || v3 != z;
-                // lint: allow(float-cmp) sparsity fast path skips exact zeros only
                 let live_hi = v4 != z || v5 != z || v6 != z || v7 != z;
                 if live_lo || live_hi {
                     let (b0, b1, b2, b3) = (b.row(k), b.row(k + 1), b.row(k + 2), b.row(k + 3));
@@ -845,7 +843,7 @@ fn mm_rows<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, first_row: usize, out_chunk:
             }
             while k < k_end {
                 let v = arow[k];
-                // lint: allow(float-cmp) sparsity fast path skips exact zeros only
+                // Sparsity fast path: skip exact zeros only.
                 if v != T::ZERO {
                     for (o, &w) in out_row.iter_mut().zip(b.row(k)) {
                         *o += v * w;
@@ -887,9 +885,8 @@ fn tmm_rows<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, first_row: usize, out_chunk
             let (v0, v1, v2, v3) = (a0[i], a1[i], a2[i], a3[i]);
             let (v4, v5, v6, v7) = (a4[i], a5[i], a6[i], a7[i]);
             let z = T::ZERO;
-            // lint: allow(float-cmp) sparsity fast path skips exact zeros only
+            // Sparsity fast path: skip exact zeros only.
             let zero_lo = v0 == z && v1 == z && v2 == z && v3 == z;
-            // lint: allow(float-cmp) sparsity fast path skips exact zeros only
             let zero_hi = v4 == z && v5 == z && v6 == z && v7 == z;
             if zero_lo && zero_hi {
                 continue;
@@ -924,7 +921,7 @@ fn tmm_rows<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, first_row: usize, out_chunk
         let arow = &a.row(r)[first_row..first_row + n_out];
         let brow = b.row(r);
         for (i, &v) in arow.iter().enumerate() {
-            // lint: allow(float-cmp) sparsity fast path skips exact zeros only
+            // Sparsity fast path: skip exact zeros only.
             if v == T::ZERO {
                 continue;
             }

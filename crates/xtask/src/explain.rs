@@ -50,15 +50,19 @@ pub const CATALOGUE: &[RuleDoc] = &[
     RuleDoc {
         code: "allow",
         key: "allow",
-        title: "allow-comments must carry a reason",
+        title: "allow-comments must carry a reason and silence a finding",
         rationale: "A bare `// lint: allow(key)` records that a finding was \
                     silenced but not why, which makes the suppression \
                     unreviewable. It suppresses nothing and is itself a \
                     failing finding, for every key; `float-flow` is shared \
-                    by A10–A11. Allow-comments are the only way to \
-                    silence a finding.",
+                    by A10–A11. A reasoned allow with no finding of its key \
+                    on its line or the next is a failing finding too: it \
+                    would hide the next bug written there. Only a plain \
+                    `//` comment is an allow; doc comments are prose. \
+                    Allow-comments are the only way to silence a finding.",
         fix: "State the invariant that makes the finding safe, in at least a \
-              few words: `// lint: allow(key) <reason>`.",
+              few words: `// lint: allow(key) <reason>`. Delete an allow \
+              that silences nothing.",
     },
     RuleDoc {
         code: "A2",

@@ -54,9 +54,10 @@
 //! the pass manager ([`run_passes`]) applies once for all passes by each
 //! finding's `key`: `// lint: allow(<key>) <reason>` covers its own line
 //! and the next, with the keys in [`ALLOW_KEYS`] (`float-flow` is shared
-//! by A10–A11, `mem-flow` is A14's). A reasonless allow suppresses
-//! nothing and is itself an Error (rule `allow`), once per file, line
-//! and key.
+//! by A10–A11, `mem-flow` is A14's). Only a plain `//` comment is an
+//! allow, never a doc comment. A reasonless allow suppresses nothing
+//! and is itself an Error (rule `allow`), once per file, line and key,
+//! and so is a reasoned one with no finding of its key to silence.
 
 pub mod capacity_growth;
 pub mod cast_safety;
@@ -267,8 +268,8 @@ pub fn load_workspace(root: &Path) -> std::io::Result<Context> {
 
 /// Run `passes` over `ctx`, then apply every file's allow-comments to
 /// their findings by key: a reasoned allow drops the findings with its
-/// key on its own line and the next; a reasonless one drops nothing and
-/// becomes an Error.
+/// key on its own line and the next, and is an Error when there are
+/// none; a reasonless one drops nothing and is an Error.
 pub fn run_passes(ctx: &Context, passes: &[Box<dyn Pass>]) -> Vec<Finding> {
     let mut findings: Vec<Finding> = passes.iter().flat_map(|p| p.run(ctx)).collect();
     for file in &ctx.files {
@@ -282,16 +283,36 @@ pub fn run_passes(ctx: &Context, passes: &[Box<dyn Pass>]) -> Vec<Finding> {
             continue;
         }
         let path = &file.source.path;
+        let misuse = |line: usize, message: String| Finding {
+            rule: "allow",
+            key: "allow",
+            severity: Severity::Error,
+            path: path.clone(),
+            line,
+            message,
+        };
         for key in ALLOW_KEYS {
             let (allowed, missing) = file.source.allows(key);
-            findings.retain(|f| !(f.key == key && &f.path == path && allowed.contains(&f.line)));
-            findings.extend(missing.into_iter().map(|line| Finding {
-                rule: "allow",
-                key: "allow",
-                severity: Severity::Error,
-                path: path.clone(),
-                line,
-                message: format!("`lint: allow({key})` needs a reason after the closing paren"),
+            let silences = |allow: usize, f: &Finding| {
+                f.key == key && &f.path == path && (f.line == allow || f.line == allow + 1)
+            };
+            let dead: Vec<usize> = allowed
+                .iter()
+                .copied()
+                .filter(|&a| !findings.iter().any(|f| silences(a, f)))
+                .collect();
+            findings.retain(|f| !allowed.iter().any(|&a| silences(a, f)));
+            findings.extend(missing.into_iter().map(|line| {
+                misuse(
+                    line,
+                    format!("`lint: allow({key})` needs a reason after the closing paren"),
+                )
+            }));
+            findings.extend(dead.into_iter().map(|line| {
+                misuse(
+                    line,
+                    format!("`lint: allow({key})` silences no finding on its line or the next"),
+                )
             }));
         }
     }
@@ -347,8 +368,7 @@ mod tests {
     #[test]
     fn an_allow_suppresses_its_own_line_and_the_next() {
         let f = allowed("");
-        let lines: Vec<(&str, usize)> = f.iter().map(|f| (f.rule, f.line)).collect();
-        assert_eq!(lines, [("A2", 5), ("A10", 6)], "{f:?}");
+        assert_eq!(rules_and_lines(&f), [("A2", 5), ("A10", 6)], "{f:?}");
     }
 
     #[test]
@@ -389,6 +409,30 @@ mod tests {
             .all(|f| f.rule != "allow" || f.severity == Severity::Error));
         // A reasonless allow suppresses nothing.
         assert_eq!(f.iter().filter(|f| f.rule != "allow").count(), 2, "{f:?}");
+    }
+
+    fn rules_and_lines(findings: &[Finding]) -> Vec<(&str, usize)> {
+        findings.iter().map(|f| (f.rule, f.line)).collect()
+    }
+
+    #[test]
+    fn an_allow_that_silences_nothing_is_an_error() {
+        // Line 1 has no A2 finding on it or on line 2.
+        let f = allowed("// lint: allow(determinism) nothing to silence here\n");
+        assert_eq!(rules_and_lines(&f), [("A2", 6), ("A10", 7), ("allow", 1)]);
+        assert_eq!(
+            f[2].message,
+            "`lint: allow(determinism)` silences no finding on its line or the next"
+        );
+    }
+
+    #[test]
+    fn a_doc_comment_allow_silences_nothing() {
+        let src = "/// lint: allow(determinism) quoted in a doc comment\n\
+                   pub fn stamp() -> std::time::Instant { std::time::Instant::now() }\n";
+        let ctx = Context::of(&[("crates/serving/src/x.rs", src)]);
+        let f = run_passes(&ctx, &registry());
+        assert_eq!(rules_and_lines(&f), [("A2", 2)], "{f:?}");
     }
 
     #[test]

@@ -48,20 +48,26 @@ impl SourceFile {
     }
 
     /// Line numbers (1-based) carrying a `lint: allow(<key>) <reason>`
-    /// comment for `key`. An allow covers its own line and the next one.
+    /// comment for `key`; each covers its own line and the next one.
     /// Allows with an empty reason are returned separately as misuses.
+    /// Only a plain `//` comment is an allow: a doc comment (`///`,
+    /// `//!`) or a block comment quoting the syntax is prose.
     pub fn allows(&self, key: &str) -> (Vec<usize>, Vec<usize>) {
         let needle = format!("lint: allow({key})");
         let mut allowed = Vec::new();
         let mut missing_reason = Vec::new();
         for (i, line) in self.lines.iter().enumerate() {
-            if let Some(pos) = line.comment.find(&needle) {
-                let reason = line.comment[pos + needle.len()..].trim();
-                if reason.len() < 3 {
+            // The comment channel keeps the marker's second character:
+            // `// x` reads `/ x`, `/// x` reads `// x`, `//! x` reads `/! x`.
+            let c = &line.comment;
+            if !c.starts_with('/') || c.starts_with("//") || c.starts_with("/!") {
+                continue;
+            }
+            if let Some(pos) = c.find(&needle) {
+                if c[pos + needle.len()..].trim().len() < 3 {
                     missing_reason.push(i + 1);
                 } else {
                     allowed.push(i + 1);
-                    allowed.push(i + 2);
                 }
             }
         }
@@ -370,7 +376,18 @@ mod tests {
                    b.unwrap(); // lint: allow(unwrap)\n";
         let f = SourceFile::parse("t.rs", src);
         let (allowed, missing) = f.allows("unwrap");
-        assert!(allowed.contains(&1));
+        assert_eq!(allowed, vec![1]);
         assert_eq!(missing, vec![2]);
+    }
+
+    #[test]
+    fn only_a_plain_line_comment_is_an_allow() {
+        let src = "/// `// lint: allow(unwrap) <reason>` in a doc comment\n\
+                   //! `// lint: allow(unwrap) <reason>` in a module doc\n\
+                   /* lint: allow(unwrap) in a block comment */\n\
+                   // lint: allow(unwrap) a plain comment\n\
+                   x.unwrap(); // lint: allow(unwrap) a trailing comment\n";
+        let f = SourceFile::parse("t.rs", src);
+        assert_eq!(f.allows("unwrap"), (vec![4, 5], vec![]));
     }
 }
