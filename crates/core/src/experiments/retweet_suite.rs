@@ -301,7 +301,7 @@ impl RetweetSuite {
 }
 
 /// Flattened binary report over every candidate of `test`.
-pub(super) fn flat_report(scores: &[Vec<f64>], test: &[CascadeSample]) -> ClassificationReport {
+fn flat_report(scores: &[Vec<f64>], test: &[CascadeSample]) -> ClassificationReport {
     let mut ys = Vec::new();
     let mut ss = Vec::new();
     for (s, t) in scores.iter().zip(test) {
