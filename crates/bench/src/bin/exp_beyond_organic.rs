@@ -12,9 +12,7 @@
 //! ```
 
 use bench::{build_context, header, parse_options};
-use retina_core::experiments::retweet_suite::{
-    run as run_suite, RetweetSuite, SuiteConfig, SuiteModels,
-};
+use retina_core::experiments::retweet_suite::{run as run_suite, SuiteConfig, SuiteModels};
 
 fn main() {
     let opts = parse_options();
@@ -47,11 +45,13 @@ fn main() {
         println!("{r}");
     }
 
-    let map = |suite: &RetweetSuite| suite.result("RETINA-S").and_then(|r| r.map20);
+    let map = |suite: &retina_core::experiments::retweet_suite::RetweetSuite, name: &str| {
+        suite.result(name).and_then(|r| r.map20).unwrap_or(0.0)
+    };
     println!(
         "\nRETINA-S MAP@20: organic {:.3} vs beyond-organic {:.3}",
-        map(&organic).unwrap_or(0.0),
-        map(&extended).unwrap_or(0.0)
+        map(&organic, "RETINA-S"),
+        map(&extended, "RETINA-S")
     );
     println!("(beyond-organic mode adds non-follower retweeters as extra positives:");
     println!(" positive density rises and MAP with it. The substantive finding is");

@@ -58,20 +58,20 @@ impl ExpOptions {
     }
 
     /// Fig. 7's history sizes (tweets per candidate history).
-    pub fn history_sizes(&self) -> Vec<usize> {
+    pub fn history_sizes(&self) -> &'static [usize] {
         if self.smoke {
-            vec![10, 30]
+            &[10, 30]
         } else {
-            vec![5, 10, 20, 30, 40, 50]
+            &[5, 10, 20, 30, 40, 50]
         }
     }
 
     /// The news-window ablation's windows.
-    pub fn news_windows(&self) -> Vec<usize> {
+    pub fn news_windows(&self) -> &'static [usize] {
         if self.smoke {
-            vec![5, 15]
+            &[5, 15]
         } else {
-            vec![5, 15, 30, 60]
+            &[5, 15, 30, 60]
         }
     }
 

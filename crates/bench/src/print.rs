@@ -145,7 +145,7 @@ pub fn fig6(suite: &RetweetSuite) {
 /// Figure 7: RETINA macro-F1 vs user-history size.
 pub fn fig7(ctx: &ExperimentContext, opts: &ExpOptions) {
     header("Figure 7 — performance vs history size");
-    for r in fig7::run(ctx, &opts.sweep(), &opts.history_sizes()) {
+    for r in fig7::run(ctx, &opts.sweep(), opts.history_sizes()) {
         println!("{r}");
     }
     println!("\npaper shape: performance rises to ~30 tweets of history, then flattens/drops");
@@ -179,7 +179,7 @@ pub fn fig9(suite: &RetweetSuite) {
 pub fn ablations(ctx: &ExperimentContext, opts: &ExpOptions) {
     let cfg = opts.sweep();
     header("Ablation — news-window size (paper: best at 60)");
-    for r in news_sweep(ctx, &cfg, &opts.news_windows()) {
+    for r in news_sweep(ctx, &cfg, opts.news_windows()) {
         println!("{r}");
     }
     header("Ablation — recurrent cell for RETINA-D (paper: GRU ≥ LSTM > RNN)");

@@ -15,9 +15,10 @@
 //! maintain their `BENCH_*.json` files through one record format and
 //! gate table ([`report`]).
 //!
-//! A finding can be silenced only in place, with
-//! `// lint: allow(<key>) <reason>` where `<key>` is one of
-//! [`passes::ALLOW_KEYS`]; the reason is required.
+//! A finding can be silenced only in place, with a plain
+//! `// lint: allow(<key>) <reason>` comment where `<key>` is one of
+//! [`passes::ALLOW_KEYS`]; the reason is required, and an allow with no
+//! finding of its key to silence is itself a finding.
 
 pub mod callgraph;
 pub mod explain;

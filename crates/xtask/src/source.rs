@@ -373,21 +373,14 @@ mod tests {
     #[test]
     fn allow_comment_requires_reason() {
         let src = "a.unwrap(); // lint: allow(unwrap) startup config is mandatory\n\
-                   b.unwrap(); // lint: allow(unwrap)\n";
+                   b.unwrap(); // lint: allow(unwrap)\n\
+                   // lint: allow(unwrap) a plain comment\n\
+                   /// `// lint: allow(unwrap) <reason>` in a doc comment\n\
+                   //! `// lint: allow(unwrap) <reason>` in a module doc\n\
+                   /* lint: allow(unwrap) in a block comment */\n";
         let f = SourceFile::parse("t.rs", src);
         let (allowed, missing) = f.allows("unwrap");
-        assert_eq!(allowed, vec![1]);
+        assert_eq!(allowed, vec![1, 3]);
         assert_eq!(missing, vec![2]);
-    }
-
-    #[test]
-    fn only_a_plain_line_comment_is_an_allow() {
-        let src = "/// `// lint: allow(unwrap) <reason>` in a doc comment\n\
-                   //! `// lint: allow(unwrap) <reason>` in a module doc\n\
-                   /* lint: allow(unwrap) in a block comment */\n\
-                   // lint: allow(unwrap) a plain comment\n\
-                   x.unwrap(); // lint: allow(unwrap) a trailing comment\n";
-        let f = SourceFile::parse("t.rs", src);
-        assert_eq!(f.allows("unwrap"), (vec![4, 5], vec![]));
     }
 }
