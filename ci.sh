@@ -44,6 +44,18 @@ step "workspace test suites (release)"
 # on a 2-core host once built.
 cargo test -q --release --workspace
 
+step "experiments (--smoke)"
+# Every table and figure of the paper through the binaries that
+# regenerate it: exp_all prints each section with the same
+# `bench::print` function as that section's own exp_* binary, and the
+# other three run the RETINA ablation sweeps, the beyond-organic suite
+# and the detector comparison. About 30 s on a 2-core host once built;
+# a panic in any experiment fails the gate. Stdout (the tables) is
+# dropped; the setup and timing notices stay on stderr.
+for exp in exp_all exp_ablations exp_beyond_organic exp_detectors; do
+    cargo run --release -q -p bench --bin "$exp" -- --smoke >/dev/null
+done
+
 step "snapshot corruption suite (debug)"
 # The release suites above run with overflow checks off, where an
 # arithmetic overflow in a decoder wraps into a wrong error instead of
@@ -78,10 +90,10 @@ done
 
 step "criterion smoke (bench --test)"
 # `cargo test` builds no [[bench]] target, so this is the step that
-# compiles all eight of them. One sample per benchmark proves each still
-# builds and every routine runs, without paying for real measurements.
-# Full `substrates` numbers come from `cargo run -p xtask -- bench-report`
-# (see BENCH_kernels.json).
+# compiles the one there is, `substrates`. One sample per benchmark
+# proves it still builds and every routine runs, without paying for
+# real measurements. Full numbers come from
+# `cargo run -p xtask -- bench-report` (see BENCH_kernels.json).
 cargo bench -p bench --benches -- --test
 
 if [[ "${RETINA_BENCH_CHECK:-0}" == "1" ]]; then
