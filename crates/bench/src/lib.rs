@@ -35,22 +35,25 @@ pub struct ExpOptions {
 /// Every experiment setting that `--smoke` shrinks.
 impl ExpOptions {
     /// Table VI's suite, which Figs. 5, 6, 8 and 9 and the
-    /// beyond-organic runs share.
+    /// beyond-organic runs share, seeded with `--seed`.
     pub fn suite(&self) -> SuiteConfig {
-        if self.smoke {
+        self.seeded(if self.smoke {
             SuiteConfig::smoke()
         } else {
             SuiteConfig::default()
-        }
+        })
     }
 
     /// Fig. 7's and the RETINA ablations' sweeps, seeded with `--seed`.
     pub fn sweep(&self) -> SuiteConfig {
-        let base = if self.smoke {
+        self.seeded(if self.smoke {
             SuiteConfig::sweep_smoke()
         } else {
             SuiteConfig::sweep()
-        };
+        })
+    }
+
+    fn seeded(&self, base: SuiteConfig) -> SuiteConfig {
         SuiteConfig {
             seed: self.config.seed,
             ..base
@@ -87,7 +90,11 @@ impl ExpOptions {
 
 /// Parse `std::env::args` into experiment options.
 pub fn parse_options() -> ExpOptions {
-    let args: Vec<String> = std::env::args().collect();
+    parse_args(&std::env::args().collect::<Vec<_>>())
+}
+
+/// Parse a command line (program name first) into experiment options.
+fn parse_args(args: &[String]) -> ExpOptions {
     let smoke = args.iter().any(|a| a == "--smoke");
     let mut config = if smoke {
         ExperimentContext::smoke_config()
@@ -151,4 +158,23 @@ pub fn header(title: &str) {
     println!("\n================================================================");
     println!("{title}");
     println!("================================================================");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn seed_reaches_the_suite_and_the_sweeps() {
+        for smoke in [false, true] {
+            let mut args = vec!["exp".to_string(), "--seed".into(), "17".into()];
+            if smoke {
+                args.push("--smoke".into());
+            }
+            let opts = parse_args(&args);
+            assert_eq!(opts.config.seed, 17);
+            assert_eq!(opts.suite().seed, 17, "suite, smoke {smoke}");
+            assert_eq!(opts.sweep().seed, 17, "sweep, smoke {smoke}");
+        }
+    }
 }

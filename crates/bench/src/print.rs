@@ -172,7 +172,10 @@ pub fn fig9(suite: &RetweetSuite) {
         println!("{r}");
     }
     println!("\noverall RETINA-S macro-F1 (red dashed line): {overall:.3}");
-    println!("paper shape: macro-F1 rises with cascade size");
+    println!(
+        "paper shape (macro-F1 rises with cascade size): {}",
+        fig9::shape_holds(&rows)
+    );
 }
 
 /// The news-window and recurrent-cell sweeps of RETINA.

@@ -47,8 +47,7 @@ impl std::fmt::Display for RecurrentSweepRow {
 }
 
 /// Sweep the number of attended news items (paper: best at 60), each
-/// window packed and trained on the same split. The sweeps shuffle
-/// training with `TrainConfig`'s default seed (0), not `cfg.seed`.
+/// window packed and trained on the same split.
 pub fn news_sweep(
     ctx: &ExperimentContext,
     cfg: &SuiteConfig,
@@ -64,7 +63,7 @@ pub fn news_sweep(
             };
             let task = RetinaTask::build(ctx, &cfg, &feats);
             let rep = task
-                .train_and_score(&cfg, RetinaConfig::static_default(), 0)
+                .train_and_score(&cfg, RetinaConfig::static_default())
                 .report;
             NewsSweepRow {
                 news_k,
@@ -90,7 +89,7 @@ pub fn recurrent_sweep(ctx: &ExperimentContext, cfg: &SuiteConfig) -> Vec<Recurr
             recurrent: cell,
             ..RetinaConfig::dynamic_default()
         };
-        let rep = task.train_and_score(cfg, variant, 0).report;
+        let rep = task.train_and_score(cfg, variant).report;
         RecurrentSweepRow {
             cell,
             dynamic_f1: rep.macro_f1,

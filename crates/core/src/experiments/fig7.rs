@@ -28,9 +28,7 @@ impl std::fmt::Display for Fig7Row {
 
 /// Run the history-size sweep: RETINA-S and RETINA-D retrained on the
 /// same split at each history size and scored as Table VI scores them,
-/// RETINA-D per (candidate, interval). Like the ablation sweeps, it
-/// shuffles training with `TrainConfig`'s default seed (0), not
-/// `cfg.seed`.
+/// RETINA-D per (candidate, interval).
 pub fn run(ctx: &ExperimentContext, cfg: &SuiteConfig, history_sizes: &[usize]) -> Vec<Fig7Row> {
     history_sizes
         .iter()
@@ -38,7 +36,7 @@ pub fn run(ctx: &ExperimentContext, cfg: &SuiteConfig, history_sizes: &[usize]) 
             let mut feats = RetweetFeatures::new(&ctx.data, &ctx.models, &ctx.silver);
             feats.set_history_len(hlen);
             let task = RetinaTask::build(ctx, cfg, &feats);
-            let f1 = |variant| task.train_and_score(cfg, variant, 0).report.macro_f1;
+            let f1 = |variant| task.train_and_score(cfg, variant).report.macro_f1;
             Fig7Row {
                 history_len: hlen,
                 static_f1: f1(RetinaConfig::static_default()),

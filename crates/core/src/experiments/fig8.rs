@@ -113,11 +113,23 @@ fn safe_ratio(pred: f64, actual: f64) -> f64 {
     }
 }
 
-/// Paper shape: among windows with actual retweets, the normalized ratio
-/// of the last such window is closer to 1 than the first's (prediction
-/// stabilizes over time).
+/// Fewest actual non-hate retweets a window needs before [`shape_holds`]
+/// reads its ratio. A window's ratio divides summed probabilities by a
+/// count, so over a handful of retweets it measures those few candidates,
+/// not the model's calibration: in one default-scale run the open-ended
+/// last window held one retweet and read 17.6, while every window with
+/// 51 or more read between 0.8 and 2.2.
+pub const MIN_WINDOW_RETWEETS: f64 = 30.0;
+
+/// Paper shape: among windows with at least [`MIN_WINDOW_RETWEETS`]
+/// actual non-hate retweets, the normalized ratio of the last such
+/// window is closer to 1 than the first's (prediction stabilizes over
+/// time).
 pub fn shape_holds(rows: &[Fig8Row]) -> bool {
-    let populated: Vec<&Fig8Row> = rows.iter().filter(|r| r.actual_nonhate > 0.0).collect();
+    let populated: Vec<&Fig8Row> = rows
+        .iter()
+        .filter(|r| r.actual_nonhate >= MIN_WINDOW_RETWEETS)
+        .collect();
     if populated.len() < 2 {
         return true;
     }
@@ -144,5 +156,43 @@ mod tests {
             assert!(r.ratio_hate >= 0.0);
             assert!(r.ratio_nonhate >= 0.0);
         }
+    }
+
+    /// A non-hate window with `actual` retweets and normalized `ratio`.
+    fn window(window: usize, ratio: f64, actual: f64) -> Fig8Row {
+        Fig8Row {
+            window,
+            upto_hours: 0.0,
+            ratio_hate: 0.0,
+            ratio_nonhate: ratio,
+            raw_hate: 0.0,
+            raw_nonhate: ratio,
+            actual_hate: 0.0,
+            actual_nonhate: actual,
+        }
+    }
+
+    #[test]
+    fn near_empty_windows_do_not_decide_the_shape() {
+        // The six non-hate windows of the default-scale run that read
+        // `false` while the open window (n = 1) decided the check.
+        let logged = [
+            (2.210, 51.0),
+            (0.998, 154.0),
+            (0.879, 308.0),
+            (0.810, 368.0),
+            (1.413, 70.0),
+            (17.625, 1.0),
+        ];
+        let rows: Vec<Fig8Row> = logged
+            .iter()
+            .enumerate()
+            .map(|(t, &(ratio, n))| window(t, ratio, n))
+            .collect();
+        assert!(shape_holds(&rows));
+        // A populated last window that drifts away from 1 still fails.
+        let mut drifted = rows.clone();
+        drifted[4] = window(4, 3.0, 70.0);
+        assert!(!shape_holds(&drifted));
     }
 }

@@ -16,7 +16,8 @@ pub struct Fig9Row {
     pub max_size: usize,
     /// Number of test tweets in the bucket.
     pub n_tweets: usize,
-    pub macro_f1: f64,
+    /// `None` when no test tweet falls in the bucket.
+    pub macro_f1: Option<f64>,
 }
 
 impl std::fmt::Display for Fig9Row {
@@ -26,10 +27,13 @@ impl std::fmt::Display for Fig9Row {
         } else {
             format!("-{}", self.max_size - 1)
         };
+        let f1 = self
+            .macro_f1
+            .map_or_else(|| "n/a".to_string(), |v| format!("{v:.3}"));
         write!(
             f,
-            "cascade size {:>3}{:<4} | n={:4} | RETINA-S macro-F1 {:.3}",
-            self.min_size, hi, self.n_tweets, self.macro_f1
+            "cascade size {:>3}{:<4} | n={:4} | RETINA-S macro-F1 {f1}",
+            self.min_size, hi, self.n_tweets
         )
     }
 }
@@ -57,16 +61,12 @@ pub fn run(suite: &RetweetSuite, buckets: &[(usize, usize)]) -> (Vec<Fig9Row>, f
                 ys.extend_from_slice(&sample.labels);
             }
         }
-        let f1 = if ys.is_empty() {
-            0.0
-        } else {
-            ClassificationReport::from_scores(&ys, &ss).macro_f1
-        };
         rows.push(Fig9Row {
             min_size: lo,
             max_size: hi,
             n_tweets: n,
-            macro_f1: f1,
+            macro_f1: (!ys.is_empty())
+                .then(|| ClassificationReport::from_scores(&ys, &ss).macro_f1),
         });
     }
     // Overall.
@@ -78,6 +78,17 @@ pub fn run(suite: &RetweetSuite, buckets: &[(usize, usize)]) -> (Vec<Fig9Row>, f
     }
     let overall = ClassificationReport::from_scores(&ys, &ss).macro_f1;
     (rows, overall)
+}
+
+/// Paper shape: over the populated buckets, the last one's macro-F1
+/// exceeds the first's. False when fewer than two buckets hold a test
+/// tweet, since a rise needs two measurements.
+pub fn shape_holds(rows: &[Fig9Row]) -> bool {
+    let mut f1s = rows.iter().filter_map(|r| r.macro_f1);
+    match (f1s.next(), f1s.next_back()) {
+        (Some(first), Some(last)) => last > first,
+        _ => false,
+    }
 }
 
 #[cfg(test)]
@@ -94,5 +105,40 @@ mod tests {
         let total: usize = rows.iter().map(|r| r.n_tweets).sum();
         assert!(total <= suite.test.len());
         assert!((0.0..=1.0).contains(&overall));
+    }
+
+    fn bucket(min_size: usize, n_tweets: usize, macro_f1: Option<f64>) -> Fig9Row {
+        Fig9Row {
+            min_size,
+            max_size: min_size * 2,
+            n_tweets,
+            macro_f1,
+        }
+    }
+
+    #[test]
+    fn empty_buckets_print_na_and_are_left_out_of_the_shape() {
+        // The default-scale run: three populated buckets, two empty.
+        let rows = [
+            bucket(2, 153, Some(0.584)),
+            bucket(4, 78, Some(0.599)),
+            bucket(8, 22, Some(0.641)),
+            bucket(16, 0, None),
+            bucket(32, 0, None),
+        ];
+        assert!(rows[3].to_string().ends_with("macro-F1 n/a"), "{}", rows[3]);
+        assert!(
+            rows[0].to_string().ends_with("macro-F1 0.584"),
+            "{}",
+            rows[0]
+        );
+        assert!(shape_holds(&rows));
+        let falling = [
+            bucket(2, 9, Some(0.7)),
+            bucket(4, 0, None),
+            bucket(8, 3, Some(0.6)),
+        ];
+        assert!(!shape_holds(&falling));
+        assert!(!shape_holds(&[bucket(2, 9, Some(0.7)), bucket(4, 0, None)]));
     }
 }

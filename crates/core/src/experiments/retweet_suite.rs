@@ -179,13 +179,8 @@ impl RetinaTask {
     /// Train the RETINA `variant` (its mode, exogenous branch and
     /// recurrent cell; news window and seed come from `cfg`) for
     /// `cfg.retina_epochs` with the mode's default training setup,
-    /// shuffled by `train_seed`, and score it on the test samples.
-    pub fn train_and_score(
-        &self,
-        cfg: &SuiteConfig,
-        variant: RetinaConfig,
-        train_seed: u64,
-    ) -> RetinaScores {
+    /// shuffled by `cfg.seed`, and score it on the test samples.
+    pub fn train_and_score(&self, cfg: &SuiteConfig, variant: RetinaConfig) -> RetinaScores {
         let d_user = self
             .packed_train
             .first()
@@ -205,7 +200,7 @@ impl RetinaTask {
         };
         let tcfg = TrainConfig {
             epochs: cfg.retina_epochs,
-            seed: train_seed,
+            seed: cfg.seed,
             ..defaults
         };
         train_retina(&mut model, &self.packed_train, &tcfg);
@@ -364,7 +359,7 @@ pub fn run(ctx: &ExperimentContext, cfg: &SuiteConfig, which: SuiteModels) -> Re
             variants.push(("RETINA-D (no exo)", no_exo(RetinaConfig::dynamic_default())));
         }
         for (name, variant) in variants {
-            let run = task.train_and_score(cfg, variant, cfg.seed);
+            let run = task.train_and_score(cfg, variant);
             if name == "RETINA-D" {
                 dyn_probs = run.dyn_probs;
             }

@@ -8,10 +8,11 @@
 //!
 //! * [`tensor`] — a dense row-major `Matrix<T>` (batch × features) over
 //!   the sealed [`Scalar`]: `f64` (the default, the training width) or
-//!   `f32` (the inference width), with the usual operations, blocked
-//!   matmul kernels (an AVX2 clone picked at run time on x86_64 CPUs
-//!   that have it, bit-identical to the portable kernels), output-reuse
-//!   `*_into` variants and a scratch [`tensor::MatrixPool`].
+//!   `f32` (the inference width), with the usual operations, one
+//!   blocked matmul kernel that the transposed products also run (an
+//!   AVX2 clone picked at run time on x86_64 CPUs that have it,
+//!   bit-identical to the portable kernel), output-reuse `*_into`
+//!   variants and a scratch [`tensor::MatrixPool`].
 //! * [`par`] — deterministic work-splitting (thread count never changes
 //!   results); home of the `RETINA_THREADS` override.
 //! * [`param`] — trainable parameters carrying their gradients and Adam
@@ -35,11 +36,11 @@
 //! [`Scalar`] width with one forward body each: `Layer<f64>` trains,
 //! and its `to_f32()` narrows the weights once into a forward-only
 //! `Layer<f32>` for the inference tier. A forward overwrites the layer's
-//! activations from the previous call in place (zero steady-state
-//! allocation); `backward` (`f64` only) reads them, returns the input
-//! gradient and accumulates parameter gradients for `params_mut` (the
-//! optimizer). The dense layer keeps no activations: its `backward`
-//! takes the forward's input.
+//! activations from the previous call in place (in steady state it
+//! allocates only the attention's transposed keys); `backward` (`f64`
+//! only) reads them, returns the input gradient and accumulates
+//! parameter gradients for `params_mut` (the optimizer). The dense
+//! layer keeps no activations: its `backward` takes the forward's input.
 
 pub mod activation;
 pub mod attention;

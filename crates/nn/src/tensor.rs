@@ -11,38 +11,41 @@
 //! ## Kernels
 //!
 //! The three matrix products (`matmul`, `t_matmul`, `matmul_t`) run on
-//! register-blocked kernels that unroll the reduction dimension by
-//! [`KERNEL_BLOCK`] while keeping the *per-output-element accumulation
-//! order* exactly that of the naive triple loop: within a block the
-//! partial products are added to the accumulator one at a time, in index
-//! order, so rounding is unchanged (Rust never reassociates float
-//! arithmetic). Large products are additionally row-partitioned across
-//! worker threads via [`crate::par`]; output rows are disjoint, so the
-//! thread count cannot change any value — serial and parallel runs are
-//! bit-identical. See DESIGN.md "Compute kernels".
+//! one register-blocked kernel, `a · b`: `t_matmul` transposes `self`
+//! and `matmul_t` transposes `other` first. The kernel unrolls the
+//! reduction dimension by [`KERNEL_BLOCK`] while keeping the
+//! *per-output-element accumulation order* exactly that of the naive
+//! triple loop: within a block the partial products are added to the
+//! accumulator one at a time, in index order, so rounding is unchanged
+//! (Rust never reassociates float arithmetic). Large products are
+//! additionally row-partitioned across worker threads via
+//! [`crate::par`]; output rows are disjoint, so the thread count cannot
+//! change any value — serial and parallel runs are bit-identical. See
+//! DESIGN.md "Compute kernels".
 //!
 //! The inner loops run over the *output columns*: each lane of a vector
 //! register holds an independent output element whose own accumulation
 //! order is untouched, so the autovectorizer is free to emit SSE2 (the
-//! portable kernels) or AVX2 (picked at run time on x86_64 CPUs that
+//! portable kernel) or AVX2 (picked at run time on x86_64 CPUs that
 //! have it) without changing results. No FMA is ever emitted from this
 //! source (Rust does not contract `a*b + c`), which is what makes
 //! scalar, SSE2 and AVX2 runs bit-equivalent.
 //!
 //! Every product has an `*_into` variant that reuses the caller's output
-//! buffer; [`MatrixPool`] provides a free-list of such buffers so layer
-//! forward/backward passes allocate nothing in steady state.
+//! buffer, and [`MatrixPool`] provides a free-list of such buffers for
+//! layer forward/backward passes; `t_matmul` and `matmul_t` allocate
+//! their transposed operand once per call.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-/// Reduction-dimension unroll factor of the blocked kernels. Parity
+/// Reduction-dimension unroll factor of the blocked kernel. Parity
 /// tests exercise shapes straddling this value.
 pub const KERNEL_BLOCK: usize = 8;
 
-/// Reduction-dimension tile length of the `matmul` kernel: the active
+/// Reduction-dimension tile length of the product kernel: the active
 /// `b` panel (`K_TILE × b.cols` values) is reused across every output
 /// row before the next tile is touched. A multiple of [`KERNEL_BLOCK`]
 /// so only the final tile takes the scalar remainder path.
@@ -397,10 +400,15 @@ impl<T: Scalar> Matrix<T> {
             "matmul shape mismatch: {}x{} · {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        product_into(Kernel::Matmul, self, other, out, self.rows, other.cols);
+        let cols = other.cols;
+        out.reshape_for_write(self.rows, cols);
+        let workers = par_workers(self.rows, self.rows * self.cols * cols);
+        crate::par::for_each_row_chunk(&mut out.data, cols, workers, |first_row, chunk| {
+            run_kernel(self, other, first_row, chunk);
+        });
     }
 
-    /// `selfᵀ · other` without materializing the transpose.
+    /// `selfᵀ · other`.
     pub fn t_matmul(&self, other: &Self) -> Self {
         let mut out = Self::zeros(0, 0);
         self.t_matmul_into(other, &mut out);
@@ -408,13 +416,16 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// [`Matrix::t_matmul`] into a caller-owned buffer (resized as
-    /// needed). `out` must not alias `self` or `other`.
+    /// needed). `out` must not alias `self` or `other`. Runs
+    /// [`Matrix::matmul_into`] on `self`'s transpose, which sums each
+    /// output element over `self`'s rows in ascending order, as the naive
+    /// loop does.
     pub fn t_matmul_into(&self, other: &Self, out: &mut Self) {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
-        product_into(Kernel::TMatmul, self, other, out, self.cols, other.cols);
+        self.transpose().matmul_into(other, out);
     }
 
-    /// `self · otherᵀ` without materializing the transpose.
+    /// `self · otherᵀ`.
     pub fn matmul_t(&self, other: &Self) -> Self {
         let mut out = Self::zeros(0, 0);
         self.matmul_t_into(other, &mut out);
@@ -422,10 +433,14 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// [`Matrix::matmul_t`] into a caller-owned buffer (resized as
-    /// needed). `out` must not alias `self` or `other`.
+    /// needed). `out` must not alias `self` or `other`. Runs
+    /// [`Matrix::matmul_into`] on `other`'s transpose: each output
+    /// element is the dot product summed in ascending column order from
+    /// `+0.0`, bit-equal to the naive loop whenever `other` is finite
+    /// (the kernel's exact-zero skip drops only `±0 · other` terms).
     pub fn matmul_t_into(&self, other: &Self, out: &mut Self) {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
-        product_into(Kernel::MatmulT, self, other, out, self.rows, other.rows);
+        self.matmul_into(&other.transpose(), out);
     }
 
     /// Transpose. A transpose has no contiguous runs to `memcpy`, so the
@@ -436,6 +451,9 @@ impl<T: Scalar> Matrix<T> {
         let mut out = Self::zeros(self.cols, self.rows);
         let rows = self.rows;
         let od = out.data_mut();
+        // Row `r`'s last write lands at `r + (cols - 1) · rows`, inside
+        // the `rows · cols` output.
+        debug_assert_eq!(od.len(), rows * self.cols);
         for r in 0..rows {
             let mut idx = r;
             for &v in self.row(r) {
@@ -677,103 +695,50 @@ fn par_workers(out_rows: usize, flops: usize) -> usize {
     }
 }
 
-/// The three blocked product kernels.
-#[derive(Debug, Clone, Copy)]
-enum Kernel {
-    /// `a · b`, [`mm_rows`].
-    Matmul,
-    /// `aᵀ · b`, [`tmm_rows`].
-    TMatmul,
-    /// `a · bᵀ`, [`mmt_rows`].
-    MatmulT,
-}
-
-/// Shared body of the `*_into` products: reshape `out` to `rows × cols`
-/// and row-partition it across workers, each running `kernel` on its
-/// rows. Every product does `a.rows · a.cols · cols` multiply-adds.
-fn product_into<T: Scalar>(
-    kernel: Kernel,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    out: &mut Matrix<T>,
-    rows: usize,
-    cols: usize,
-) {
-    out.reshape_for_write(rows, cols);
-    let workers = par_workers(rows, a.rows * a.cols * cols);
-    crate::par::for_each_row_chunk(&mut out.data, cols, workers, |first_row, chunk| {
-        run_kernel(kernel, a, b, first_row, chunk);
-    });
-}
-
 /// Kernel dispatch. On an x86_64 CPU with AVX2 an AVX2 clone of the
-/// *same source* runs; everywhere else the portable kernels run (the
-/// autovectorizer emits SSE2 for their column loops on x86_64). Both
+/// *same source* runs; everywhere else the portable kernel runs (the
+/// autovectorizer emits SSE2 for its column loops on x86_64). Both
 /// paths execute the identical sequence of IEEE-754 operations per
 /// output element, so they are bit-equivalent — pinned against each
 /// other by `dispatch_is_bit_identical_to_the_portable_kernels` and
 /// against a naive reference by kernel_parity.
-fn run_kernel<T: Scalar>(
-    kernel: Kernel,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    first_row: usize,
-    out_chunk: &mut [T],
-) {
+fn run_kernel<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, first_row: usize, out_chunk: &mut [T]) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 support was verified at runtime on the line
         // above; the target_feature clone has no other requirements.
         #[allow(unsafe_code)]
         unsafe {
-            return simd::kernel_rows_avx2(kernel, a, b, first_row, out_chunk);
+            return simd::mm_rows_avx2(a, b, first_row, out_chunk);
         }
     }
-    kernel_rows(kernel, a, b, first_row, out_chunk);
+    mm_rows(a, b, first_row, out_chunk);
 }
 
-/// The portable kernel selected by `kernel`. `#[inline(always)]` here
-/// and on the kernels is what lets the AVX2 clone compile the kernel
-/// bodies with its wider target features.
-#[inline(always)]
-fn kernel_rows<T: Scalar>(
-    kernel: Kernel,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    first_row: usize,
-    out_chunk: &mut [T],
-) {
-    match kernel {
-        Kernel::Matmul => mm_rows(a, b, first_row, out_chunk),
-        Kernel::TMatmul => tmm_rows(a, b, first_row, out_chunk),
-        Kernel::MatmulT => mmt_rows(a, b, first_row, out_chunk),
-    }
-}
-
-/// AVX2 clone of [`kernel_rows`]: the *same Rust source* compiled with
+/// AVX2 clone of [`mm_rows`]: the *same Rust source* compiled with
 /// `#[target_feature(enable = "avx2")]` so LLVM's autovectorizer widens
 /// the column loops to 256-bit lanes. AVX2 does not imply FMA here (the
 /// feature set enables only `avx2`, and Rust never contracts `a*b + c`
 /// on its own), so every per-element operation sequence — and therefore
-/// every output bit — matches the portable kernels.
+/// every output bit — matches the portable kernel.
 #[cfg(target_arch = "x86_64")]
 mod simd {
-    use super::{Kernel, Matrix, Scalar};
+    use super::{Matrix, Scalar};
 
     #[target_feature(enable = "avx2")]
-    pub fn kernel_rows_avx2<T: Scalar>(
-        kernel: Kernel,
+    pub fn mm_rows_avx2<T: Scalar>(
         a: &Matrix<T>,
         b: &Matrix<T>,
         first_row: usize,
         out_chunk: &mut [T],
     ) {
-        super::kernel_rows(kernel, a, b, first_row, out_chunk);
+        super::mm_rows(a, b, first_row, out_chunk);
     }
 }
 
-/// `matmul` kernel for output rows `[first_row, first_row + n)` where
-/// `n = out_chunk.len() / b.cols`.
+/// The product kernel, `a · b`, for output rows `[first_row, first_row +
+/// n)` where `n = out_chunk.len() / b.cols`. `#[inline(always)]` is what
+/// lets the AVX2 clone compile its body with its wider target features.
 ///
 /// Per output element the reduction runs over `k` ascending, with the
 /// [`KERNEL_BLOCK`]-unrolled partial products added sequentially — the
@@ -856,142 +821,6 @@ fn mm_rows<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, first_row: usize, out_chunk:
     }
 }
 
-/// `t_matmul` kernel for output rows `[first_row, first_row + n)` —
-/// output row `i` is `Σ_r a[r, first_row + i] · b[r, :]` with `r`
-/// ascending, matching the naive loop's accumulation order exactly
-/// (the unrolled block adds its terms sequentially).
-#[inline(always)]
-fn tmm_rows<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, first_row: usize, out_chunk: &mut [T]) {
-    let cols = b.cols;
-    if cols == 0 {
-        return;
-    }
-    let n_out = out_chunk.len() / cols;
-    debug_assert!(a.rows == b.rows && first_row + n_out <= a.cols);
-    out_chunk.fill(T::ZERO);
-    let mut r = 0;
-    while r + KERNEL_BLOCK <= a.rows {
-        let a0 = &a.row(r)[first_row..first_row + n_out];
-        let a1 = &a.row(r + 1)[first_row..first_row + n_out];
-        let a2 = &a.row(r + 2)[first_row..first_row + n_out];
-        let a3 = &a.row(r + 3)[first_row..first_row + n_out];
-        let a4 = &a.row(r + 4)[first_row..first_row + n_out];
-        let a5 = &a.row(r + 5)[first_row..first_row + n_out];
-        let a6 = &a.row(r + 6)[first_row..first_row + n_out];
-        let a7 = &a.row(r + 7)[first_row..first_row + n_out];
-        let (b0, b1, b2, b3) = (b.row(r), b.row(r + 1), b.row(r + 2), b.row(r + 3));
-        let (b4, b5, b6, b7) = (b.row(r + 4), b.row(r + 5), b.row(r + 6), b.row(r + 7));
-        for i in 0..n_out {
-            let (v0, v1, v2, v3) = (a0[i], a1[i], a2[i], a3[i]);
-            let (v4, v5, v6, v7) = (a4[i], a5[i], a6[i], a7[i]);
-            let z = T::ZERO;
-            // Sparsity fast path: skip exact zeros only.
-            let zero_lo = v0 == z && v1 == z && v2 == z && v3 == z;
-            let zero_hi = v4 == z && v5 == z && v6 == z && v7 == z;
-            if zero_lo && zero_hi {
-                continue;
-            }
-            let orow = &mut out_chunk[i * cols..(i + 1) * cols];
-            for ((((((((o, &w0), &w1), &w2), &w3), &w4), &w5), &w6), &w7) in orow
-                .iter_mut()
-                .zip(b0)
-                .zip(b1)
-                .zip(b2)
-                .zip(b3)
-                .zip(b4)
-                .zip(b5)
-                .zip(b6)
-                .zip(b7)
-            {
-                let mut acc = *o;
-                acc += v0 * w0;
-                acc += v1 * w1;
-                acc += v2 * w2;
-                acc += v3 * w3;
-                acc += v4 * w4;
-                acc += v5 * w5;
-                acc += v6 * w6;
-                acc += v7 * w7;
-                *o = acc;
-            }
-        }
-        r += KERNEL_BLOCK;
-    }
-    while r < a.rows {
-        let arow = &a.row(r)[first_row..first_row + n_out];
-        let brow = b.row(r);
-        for (i, &v) in arow.iter().enumerate() {
-            // Sparsity fast path: skip exact zeros only.
-            if v == T::ZERO {
-                continue;
-            }
-            let orow = &mut out_chunk[i * cols..(i + 1) * cols];
-            for (o, &w) in orow.iter_mut().zip(brow) {
-                *o += v * w;
-            }
-        }
-        r += 1;
-    }
-}
-
-/// `matmul_t` kernel for output rows `[first_row, first_row + n)` —
-/// each output element is a dot product accumulated in ascending column
-/// order (the unroll runs [`KERNEL_BLOCK`] *independent* dots at once,
-/// each still strictly sequential), identical to the naive loop.
-#[inline(always)]
-fn mmt_rows<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, first_row: usize, out_chunk: &mut [T]) {
-    let n_b = b.rows;
-    if n_b == 0 {
-        return;
-    }
-    debug_assert!(a.cols == b.cols && first_row + out_chunk.len() / n_b <= a.rows);
-    for (ri, out_row) in out_chunk.chunks_mut(n_b).enumerate() {
-        let arow = a.row(first_row + ri);
-        let mut rr = 0;
-        while rr + KERNEL_BLOCK <= n_b {
-            let (mut s0, mut s1, mut s2, mut s3) = (T::ZERO, T::ZERO, T::ZERO, T::ZERO);
-            let (mut s4, mut s5, mut s6, mut s7) = (T::ZERO, T::ZERO, T::ZERO, T::ZERO);
-            for ((((((((&av, &w0), &w1), &w2), &w3), &w4), &w5), &w6), &w7) in arow
-                .iter()
-                .zip(b.row(rr))
-                .zip(b.row(rr + 1))
-                .zip(b.row(rr + 2))
-                .zip(b.row(rr + 3))
-                .zip(b.row(rr + 4))
-                .zip(b.row(rr + 5))
-                .zip(b.row(rr + 6))
-                .zip(b.row(rr + 7))
-            {
-                s0 += av * w0;
-                s1 += av * w1;
-                s2 += av * w2;
-                s3 += av * w3;
-                s4 += av * w4;
-                s5 += av * w5;
-                s6 += av * w6;
-                s7 += av * w7;
-            }
-            out_row[rr] = s0;
-            out_row[rr + 1] = s1;
-            out_row[rr + 2] = s2;
-            out_row[rr + 3] = s3;
-            out_row[rr + 4] = s4;
-            out_row[rr + 5] = s5;
-            out_row[rr + 6] = s6;
-            out_row[rr + 7] = s7;
-            rr += KERNEL_BLOCK;
-        }
-        while rr < n_b {
-            let mut s = T::ZERO;
-            for (&av, &w) in arow.iter().zip(b.row(rr)) {
-                s += av * w;
-            }
-            out_row[rr] = s;
-            rr += 1;
-        }
-    }
-}
-
 /// A free-list of [`Matrix`] buffers for scratch reuse inside layer
 /// forward/backward passes: `grab` a zeroed matrix of the shape you
 /// need, `recycle` it (or a retired cache matrix) when done. Reuses
@@ -1049,21 +878,13 @@ mod tests {
     }
 
     #[test]
-    fn t_matmul_equals_explicit_transpose() {
+    fn transposed_products_hand_examples() {
         let a = Matrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
         let b = Matrix::from_vec(3, 2, vec![1., 0., 0., 1., 1., 1.]);
-        let fast = a.t_matmul(&b);
-        let slow = a.transpose().matmul(&b);
-        assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn matmul_t_equals_explicit_transpose() {
+        assert_eq!(a.t_matmul(&b).data(), &[6., 8., 8., 10.]);
         let a = Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
         let b = Matrix::from_vec(4, 3, vec![1., 0., 1., 0., 1., 1., 2., 2., 2., 1., 1., 0.]);
-        let fast = a.matmul_t(&b);
-        let slow = a.matmul(&b.transpose());
-        assert_eq!(fast, slow);
+        assert_eq!(a.matmul_t(&b).data(), &[4., 5., 12., 3., 10., 11., 30., 9.]);
     }
 
     #[test]
@@ -1115,10 +936,10 @@ mod tests {
         "portable"
     }
 
-    /// `kernel`'s operands for an `m × n` output over a length-`k`
-    /// reduction, with exact zeros mixed in so the sparsity skips run.
-    fn kernel_operands(kernel: Kernel, m: usize, k: usize, n: usize) -> (Matrix, Matrix) {
-        let fill = |(rows, cols): (usize, usize), salt: usize| {
+    /// Operands of an `m × n` product over a length-`k` reduction, with
+    /// exact zeros mixed in so the sparsity skips run.
+    fn kernel_operands(m: usize, k: usize, n: usize) -> (Matrix, Matrix) {
+        let fill = |rows: usize, cols: usize, salt: usize| {
             Matrix::from_fn(rows, cols, |i, j| {
                 let h = i * 31 + j * 17 + salt;
                 if h.is_multiple_of(5) {
@@ -1128,19 +949,13 @@ mod tests {
                 }
             })
         };
-        let (a_shape, b_shape) = match kernel {
-            Kernel::Matmul => ((m, k), (k, n)),
-            Kernel::TMatmul => ((k, m), (k, n)),
-            Kernel::MatmulT => ((m, k), (n, k)),
-        };
-        (fill(a_shape, 1), fill(b_shape, 2))
+        (fill(m, k, 1), fill(k, n, 2))
     }
 
-    /// Run the portable kernels and [`run_kernel`] over the whole
-    /// `m × n` output and over its second half alone, and compare every
-    /// output bit.
+    /// Run the portable kernel and [`run_kernel`] over the whole `m × n`
+    /// output and over its second half alone, and compare every output
+    /// bit.
     fn assert_legs_agree<T: Scalar>(
-        kernel: Kernel,
         a: &Matrix<T>,
         b: &Matrix<T>,
         (m, k, n): (usize, usize, usize),
@@ -1150,14 +965,14 @@ mod tests {
             let len = (m - first_row) * n;
             let mut portable = vec![T::ONE; len];
             let mut dispatched = vec![T::ONE; len];
-            kernel_rows(kernel, a, b, first_row, &mut portable);
-            run_kernel(kernel, a, b, first_row, &mut dispatched);
+            mm_rows(a, b, first_row, &mut portable);
+            run_kernel(a, b, first_row, &mut dispatched);
             let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
             assert_eq!(
                 bits(&dispatched),
                 bits(&portable),
-                "{kernel:?} {width} {m}x{n} over k={k} from row {first_row}: \
-                 the {leg} leg differs from the portable kernels"
+                "{width} {m}x{n} over k={k} from row {first_row}: \
+                 the {leg} leg differs from the portable kernel"
             );
         }
     }
@@ -1182,13 +997,11 @@ mod tests {
             (11, 65, 23),
         ];
         println!("run_kernel takes the {} leg here", dispatch_leg());
-        for kernel in [Kernel::Matmul, Kernel::TMatmul, Kernel::MatmulT] {
-            for &(m, k, n) in &shapes {
-                let (a, b) = kernel_operands(kernel, m, k, n);
-                assert_legs_agree(kernel, &a, &b, (m, k, n));
-                let (a, b) = (Matrix::<f32>::from_f64(&a), Matrix::<f32>::from_f64(&b));
-                assert_legs_agree(kernel, &a, &b, (m, k, n));
-            }
+        for &(m, k, n) in &shapes {
+            let (a, b) = kernel_operands(m, k, n);
+            assert_legs_agree(&a, &b, (m, k, n));
+            let (a, b) = (Matrix::<f32>::from_f64(&a), Matrix::<f32>::from_f64(&b));
+            assert_legs_agree(&a, &b, (m, k, n));
         }
     }
 
@@ -1210,7 +1023,14 @@ mod tests {
             s
         });
         assert_eq!(a.matmul(&b).data(), dense.data());
-        assert_eq!(a.t_matmul(&a), a.transpose().matmul(&a));
+        let gram = Matrix::from_fn(9, 9, |r, c| {
+            let mut s = 0.0;
+            for i in 0..6 {
+                s += a.get(i, r) * a.get(i, c);
+            }
+            s
+        });
+        assert_eq!(a.t_matmul(&a).data(), gram.data());
     }
 
     #[test]

@@ -1,16 +1,18 @@
-//! Parity suite for the blocked/parallel matmul kernels.
+//! Parity suite for the blocked/parallel matmul kernel.
 //!
-//! The kernels in `nn::tensor` (KERNEL_BLOCK unrolling, K-tiling, the
-//! exact-zero skip, and `nn::par` row partitioning) promise **bit
-//! identity** with the textbook triple loop for every shape, every
-//! thread count and both scalar types. This suite holds them to it: a
-//! naive reference is evaluated side by side over ragged shapes — 1×1,
-//! single rows/cols, prime dimensions, and sizes straddling the 8-wide
-//! block — at 1, 2, and 8 threads, at `T = f64` and `T = f32`,
-//! comparing raw `data()` bits, not an epsilon.
+//! The three products in `nn::tensor` (`matmul`, and `t_matmul` and
+//! `matmul_t` through a transposed operand) run one kernel, whose
+//! KERNEL_BLOCK unrolling, K-tiling, exact-zero skip and `nn::par` row
+//! partitioning promise **bit identity** with the textbook triple loop
+//! for every shape, every thread count and both scalar types. This
+//! suite holds them to it: a naive reference is evaluated side by side
+//! over ragged shapes — 1×1, single rows/cols, prime dimensions, and
+//! sizes straddling the 8-wide block — and the transposed products'
+//! production shapes, at 1, 2, and 8 threads, at `T = f64` and
+//! `T = f32`, comparing raw `data()` bits, not an epsilon.
 //!
-//! The kernels run on whichever leg `nn::tensor` dispatches to: the
-//! AVX2 clone on an x86_64 CPU that has it, the portable kernels
+//! The kernel runs on whichever leg `nn::tensor` dispatches to: the
+//! AVX2 clone on an x86_64 CPU that has it, the portable kernel
 //! elsewhere. Either leg must equal the *same* scalar reference here;
 //! `tensor.rs`'s `dispatch_is_bit_identical_to_the_portable_kernels`
 //! compares the two legs with each other on the host that runs it.
@@ -99,8 +101,7 @@ const SHAPES: [(usize, usize, usize); 10] = [
 /// `KERNEL_BLOCK`-wide unrolled block adds its partial products
 /// sequentially in ascending `k`, and the remainder loop finishes the
 /// tile one term at a time. Per output element this is exactly `k`
-/// ascending — the contract A12 relies on when it exempts the blessed
-/// `*_rows`/`*_into` kernels from the reduction inventory.
+/// ascending, the order of the naive loop.
 fn reference_tiled_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     const K_TILE: usize = 32;
     let block = nn::tensor::KERNEL_BLOCK;
@@ -142,7 +143,18 @@ fn blocked_matmul_summation_order_is_pinned_to_the_documented_reference() {
     }
 }
 
-/// Bit identity of all three kernels against the naive loops, across
+/// The `a·bᵀ` shapes RETINA runs, as `(m, k, n)` for an `m×k · (n×k)ᵀ`
+/// product: the GRU backward's per-step input gradient, one attention
+/// query over 60 headlines, the user layer's dense input gradient, and a
+/// 960-row batch through a 64-wide weight.
+const MATMUL_T_SHAPES: [(usize, usize, usize); 4] =
+    [(30, 64, 64), (1, 64, 60), (28, 64, 1062), (960, 64, 64)];
+
+/// The weight-gradient shape RETINA runs, as `(m, k, n)` for a
+/// `(k×m)ᵀ · k×n` product: `(30×64)ᵀ · 30×192`.
+const T_MATMUL_SHAPES: [(usize, usize, usize); 1] = [(64, 30, 192)];
+
+/// Bit identity of all three products against the naive loops, across
 /// thread counts.
 fn kernels_match_naive_across_thread_counts<T: Scalar>(narrow: fn(&Matrix) -> Matrix<T>) {
     for threads in [1usize, 2, 8] {
@@ -155,14 +167,18 @@ fn kernels_match_naive_across_thread_counts<T: Scalar>(narrow: fn(&Matrix) -> Ma
                 naive_matmul(&a, &b).data(),
                 "matmul {m}x{k}x{n} at {threads} threads"
             );
-
+        }
+        for &(m, k, n) in SHAPES.iter().chain(&T_MATMUL_SHAPES) {
             let at = fill_as(k, m, 3, narrow);
+            let b = fill_as(k, n, 2, narrow);
             assert_eq!(
                 at.t_matmul(&b).data(),
                 naive_t_matmul(&at, &b).data(),
                 "t_matmul {m}x{k}x{n} at {threads} threads"
             );
-
+        }
+        for &(m, k, n) in SHAPES.iter().chain(&MATMUL_T_SHAPES) {
+            let a = fill_as(m, k, 1, narrow);
             let bt = fill_as(n, k, 4, narrow);
             assert_eq!(
                 a.matmul_t(&bt).data(),
