@@ -56,12 +56,15 @@ for exp in exp_all exp_ablations exp_beyond_organic exp_detectors; do
     cargo run --release -q -p bench --bin "$exp" -- --smoke >/dev/null
 done
 
-step "snapshot corruption suite (debug)"
+step "snapshot corruption and round-trip suites (debug)"
 # The release suites above run with overflow checks off, where an
 # arithmetic overflow in a decoder wraps into a wrong error instead of
-# panicking. The corruption matrix (11 tests, about 0.1 s once built)
-# runs once more in the debug profile, where overflow checks trap it.
-cargo test -q -p serving --test corruption
+# panicking, and with debug assertions off, where a sample whose label
+# columns do not match the model's intervals trains silently. The
+# corruption matrix (11 tests) and the randomized snapshot round trips
+# (about 0.1 s together once built) run once more in the debug profile,
+# where both trap.
+cargo test -q -p serving --test corruption --test snapshot_roundtrip
 
 step "serving load harness"
 # The full harness (4 scenarios x 4,000 requests, under a second once
@@ -88,11 +91,11 @@ for workload in retweet_pipeline serve_open_loop hategen_table4; do
         --workload "$workload" --seed 1 --seconds 1 --trace 0
 done
 
-step "criterion smoke (bench --test)"
+step "substrates bench smoke (bench --test)"
 # `cargo test` builds no [[bench]] target, so this is the step that
-# compiles the one there is, `substrates`. One sample per benchmark
-# proves it still builds and every routine runs, without paying for
-# real measurements. Full numbers come from
+# compiles the one there is, `substrates`. `--test` times each routine
+# once, which proves it still builds and every routine runs, without
+# paying for real measurements. Full numbers come from
 # `cargo run -p xtask -- bench-report` (see BENCH_kernels.json).
 cargo bench -p bench --benches -- --test
 

@@ -1,8 +1,15 @@
 //! Substrate micro-benchmarks: graph generation, TF-IDF, Doc2Vec,
 //! attention forward/backward, GRU BPTT, RETINA's user layer, the
 //! gradient-boosting fit — the building blocks every experiment rests on.
+//!
+//! Each routine prints three records on stdout, in perfbench's fragment
+//! format (the one `cargo run -p xtask -- bench-report` reads): `.mean`
+//! and `.min` in integer ns, and `.samples`. It is timed 10 times, or
+//! once when `--test` is on the command line
+//! (`cargo bench -p bench --benches -- --test`), which proves every
+//! routine still builds and runs without paying for measurements.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use bench::record;
 use ml::{Classifier, Gbdt, GbdtConfig};
 use nn::{Dense, ExogenousAttention, Gru, Matrix, SparseRow, Standardization};
 use rand::rngs::StdRng;
@@ -10,23 +17,71 @@ use rand::{Rng, SeedableRng};
 use retina_core::experiments::ExperimentContext;
 use socialsim::{Dataset, FollowerGraph, SimConfig};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 use text::{Doc2Vec, Doc2VecConfig, TfIdfConfig, TfIdfVectorizer};
 
-fn bench_graph(c: &mut Criterion) {
-    c.bench_function("graph/generate_2k_users", |b| {
-        b.iter(|| FollowerGraph::generate(black_box(2000), 12, 12, 0.82, 7))
+/// Times each routine `samples` times and prints its records.
+struct Timer {
+    samples: usize,
+}
+
+impl Timer {
+    fn run<O>(&self, name: &str, mut routine: impl FnMut() -> O) {
+        self.run_with_setup(name, || (), |()| routine());
+    }
+
+    /// Each sample builds its input with `setup`, untimed, then times
+    /// `routine` on it.
+    fn run_with_setup<I, O>(
+        &self,
+        name: &str,
+        mut setup: impl FnMut() -> I,
+        mut routine: impl FnMut(I) -> O,
+    ) {
+        let timings: Vec<Duration> = (0..self.samples)
+            .map(|_| {
+                let input = setup();
+                let start = Instant::now();
+                black_box(routine(input));
+                start.elapsed()
+            })
+            .collect();
+        let mean = timings.iter().sum::<Duration>() / self.samples as u32;
+        let min = timings.iter().min().copied().unwrap_or_default();
+        println!("{}", record(name, "mean", mean.as_nanos(), "ns"));
+        println!("{}", record(name, "min", min.as_nanos(), "ns"));
+        println!("{}", record(name, "samples", self.samples, "count"));
+    }
+}
+
+fn main() {
+    let timer = Timer {
+        samples: if std::env::args().any(|a| a == "--test") {
+            1
+        } else {
+            10
+        },
+    };
+    bench_graph(&timer);
+    bench_text(&timer);
+    bench_nn(&timer);
+    bench_user_layer(&timer);
+    bench_gbdt(&timer);
+}
+
+fn bench_graph(timer: &Timer) {
+    timer.run("graph/generate_2k_users", || {
+        FollowerGraph::generate(black_box(2000), 12, 12, 0.82, 7)
     });
     let g = FollowerGraph::generate(2000, 12, 12, 0.82, 7);
-    c.bench_function("graph/bfs_shortest_path_cap4", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            i = (i + 17) % 1999;
-            black_box(g.shortest_path_len(i, (i + 999) % 2000, 4))
-        })
+    let mut i = 0usize;
+    timer.run("graph/bfs_shortest_path_cap4", || {
+        i = (i + 17) % 1999;
+        black_box(g.shortest_path_len(i, (i + 999) % 2000, 4))
     });
 }
 
-fn bench_text(c: &mut Criterion) {
+fn bench_text(timer: &Timer) {
     let docs: Vec<String> = (0..500)
         .map(|i| {
             format!(
@@ -37,28 +92,26 @@ fn bench_text(c: &mut Criterion) {
             )
         })
         .collect();
-    c.bench_function("text/tfidf_fit_500_docs", |b| {
-        b.iter(|| TfIdfVectorizer::fit(black_box(&docs), TfIdfConfig::default()))
+    timer.run("text/tfidf_fit_500_docs", || {
+        TfIdfVectorizer::fit(black_box(&docs), TfIdfConfig::default())
     });
     let v = TfIdfVectorizer::fit(&docs, TfIdfConfig::default());
-    c.bench_function("text/tfidf_transform", |b| {
-        b.iter(|| v.transform(black_box("common token3 filler word7 text")))
+    timer.run("text/tfidf_transform", || {
+        v.transform(black_box("common token3 filler word7 text"))
     });
     let token_docs: Vec<Vec<String>> = docs
         .iter()
         .map(|d| d.split_whitespace().map(str::to_string).collect())
         .collect();
-    c.bench_function("text/doc2vec_train_1_epoch", |b| {
-        b.iter(|| {
-            Doc2Vec::train(
-                black_box(&token_docs),
-                Doc2VecConfig {
-                    dim: 32,
-                    epochs: 1,
-                    ..Default::default()
-                },
-            )
-        })
+    timer.run("text/doc2vec_train_1_epoch", || {
+        Doc2Vec::train(
+            black_box(&token_docs),
+            Doc2VecConfig {
+                dim: 32,
+                epochs: 1,
+                ..Default::default()
+            },
+        )
     });
     // One epoch at the product's shape: the experiment binaries' corpus
     // at seed 1 (tweets then headlines, ≈32k documents, ≈10k words kept at
@@ -76,67 +129,59 @@ fn bench_text(c: &mut Criterion) {
         .chain(data.news().iter().map(|n| n.tokens.clone()))
         .collect();
     drop(data);
-    c.bench_function("text/doc2vec_train_default_corpus", |b| {
-        b.iter(|| {
-            Doc2Vec::train(
-                black_box(&corpus),
-                Doc2VecConfig {
-                    dim: 50,
-                    epochs: 1,
-                    min_count: 2,
-                    seed: 1 ^ 0xD2C,
-                    ..Default::default()
-                },
-            )
-        })
+    timer.run("text/doc2vec_train_default_corpus", || {
+        Doc2Vec::train(
+            black_box(&corpus),
+            Doc2VecConfig {
+                dim: 50,
+                epochs: 1,
+                min_count: 2,
+                seed: 1 ^ 0xD2C,
+                ..Default::default()
+            },
+        )
     });
 }
 
-fn bench_nn(c: &mut Criterion) {
+fn bench_nn(timer: &Timer) {
     // Attention at RETINA's production shape: 60 news, hdim 64.
     let xt = Matrix::xavier_seeded(1, 50, 1);
     let xn: Vec<Matrix> = (0..60)
         .map(|i| Matrix::xavier_seeded(1, 50, 2 + i))
         .collect();
-    c.bench_function("nn/attention_fwd_bwd_60news", |b| {
-        b.iter_batched(
-            || ExogenousAttention::new(50, 50, 64, 0),
-            |mut att| {
-                let out = att.forward(&xt, &xn);
-                let g = out.map(|v| v * 0.1);
-                black_box(att.backward(&g))
-            },
-            BatchSize::SmallInput,
-        )
-    });
+    timer.run_with_setup(
+        "nn/attention_fwd_bwd_60news",
+        || ExogenousAttention::new(50, 50, 64, 0),
+        |mut att| {
+            let out = att.forward(&xt, &xn);
+            let g = out.map(|v| v * 0.1);
+            black_box(att.backward(&g))
+        },
+    );
 
     let xs: Vec<Matrix> = (0..6).map(|i| Matrix::xavier_seeded(64, 128, i)).collect();
-    c.bench_function("nn/gru_bptt_6steps_batch64", |b| {
-        b.iter_batched(
-            || Gru::new(128, 64, 0),
-            |mut gru| {
-                let hs = gru.forward(&xs);
-                let grads: Vec<Matrix> = hs.iter().map(|h| h.map(|v| v * 0.01)).collect();
-                black_box(gru.backward(&grads))
-            },
-            BatchSize::SmallInput,
-        )
-    });
+    timer.run_with_setup(
+        "nn/gru_bptt_6steps_batch64",
+        || Gru::new(128, 64, 0),
+        |mut gru| {
+            let hs = gru.forward(&xs);
+            let grads: Vec<Matrix> = hs.iter().map(|h| h.map(|v| v * 0.01)).collect();
+            black_box(gru.backward(&grads))
+        },
+    );
 
     // RETINA-D's input pattern: one 64×128 input repeated over the six
     // steps, through the constant-input path.
     let x = &xs[0];
-    c.bench_function("nn/gru_bptt_6steps_batch64_repeated", |b| {
-        b.iter_batched(
-            || Gru::new(128, 64, 0),
-            |mut gru| {
-                let hs = gru.forward_repeated(x, 6);
-                let grads: Vec<Matrix> = hs.iter().map(|h| h.map(|v| v * 0.01)).collect();
-                black_box(gru.backward(&grads))
-            },
-            BatchSize::SmallInput,
-        )
-    });
+    timer.run_with_setup(
+        "nn/gru_bptt_6steps_batch64_repeated",
+        || Gru::new(128, 64, 0),
+        |mut gru| {
+            let hs = gru.forward_repeated(x, 6);
+            let grads: Vec<Matrix> = hs.iter().map(|h| h.map(|v| v * 0.01)).collect();
+            black_box(gru.backward(&grads))
+        },
+    );
 
     // Inference-path pairs: forward-only at the same production shapes,
     // f64 vs the f32 tier narrowed from the same f64 layer. Layers are
@@ -144,36 +189,26 @@ fn bench_nn(c: &mut Criterion) {
     // is what's measured.
     let mut att = ExogenousAttention::new(50, 50, 64, 0);
     let mut att32 = att.to_f32();
-    c.bench_function("nn/attention_infer_60news", |b| {
-        b.iter(|| {
-            black_box(att.forward(&xt, &xn));
-        })
+    timer.run("nn/attention_infer_60news", || {
+        black_box(att.forward(&xt, &xn));
     });
     let xt32 = Matrix::<f32>::from_f64(&xt);
     let xn32: Vec<Matrix<f32>> = xn.iter().map(Matrix::from_f64).collect();
-    c.bench_function("nn/attention_infer_60news_f32", |b| {
-        b.iter(|| {
-            black_box(att32.forward(&xt32, &xn32));
-        })
+    timer.run("nn/attention_infer_60news_f32", || {
+        black_box(att32.forward(&xt32, &xn32));
     });
 
     let mut gru = Gru::new(128, 64, 0);
     let mut gru32 = gru.to_f32();
-    c.bench_function("nn/gru_infer_6steps_batch64", |b| {
-        b.iter(|| {
-            black_box(gru.forward(&xs));
-        })
+    timer.run("nn/gru_infer_6steps_batch64", || {
+        black_box(gru.forward(&xs));
     });
-    c.bench_function("nn/gru_infer_6steps_batch64_repeated", |b| {
-        b.iter(|| {
-            black_box(gru.forward_repeated(x, 6));
-        })
+    timer.run("nn/gru_infer_6steps_batch64_repeated", || {
+        black_box(gru.forward_repeated(x, 6));
     });
     let xs32: Vec<Matrix<f32>> = xs.iter().map(Matrix::from_f64).collect();
-    c.bench_function("nn/gru_infer_6steps_batch64_f32", |b| {
-        b.iter(|| {
-            black_box(gru32.forward(&xs32));
-        })
+    timer.run("nn/gru_infer_6steps_batch64_f32", || {
+        black_box(gru32.forward(&xs32));
     });
 }
 
@@ -182,7 +217,7 @@ fn bench_nn(c: &mut Criterion) {
 /// folded row multiplies only the stored entries; its sibling
 /// standardizes the rows densely and runs the dense product, as the
 /// layer did before the fold.
-fn bench_user_layer(c: &mut Criterion) {
+fn bench_user_layer(timer: &Timer) {
     let (n, d, h) = (28, 1062, 64);
     let v = Matrix::from_fn(n, d, |r, j| {
         let k = (r * 7919 + j * 104_729) % 100;
@@ -214,27 +249,23 @@ fn bench_user_layer(c: &mut Criterion) {
 
     let mut layer = Dense::new(d, h, 0);
     let mut out = Matrix::default();
-    c.bench_function("nn/user_layer_fwd_bwd_28x1062_folded", |b| {
-        b.iter(|| {
-            layer.forward_sparse_into(black_box(&rows), Some(&scale), &mut out);
-            layer.backward_params_sparse(&rows, Some(&scale), &g);
-            black_box(&out);
-        })
+    timer.run("nn/user_layer_fwd_bwd_28x1062_folded", || {
+        layer.forward_sparse_into(black_box(&rows), Some(&scale), &mut out);
+        layer.backward_params_sparse(&rows, Some(&scale), &g);
+        black_box(&out);
     });
     let mut layer = Dense::new(d, h, 0);
     let mut x = Matrix::zeros(n, d);
-    c.bench_function("nn/user_layer_fwd_bwd_28x1062_dense_scaled", |b| {
-        b.iter(|| {
-            for r in 0..n {
-                let dense = black_box(&v).row(r);
-                for (j, o) in x.row_mut(r).iter_mut().enumerate() {
-                    *o = (dense[j] - means[j]) / stds[j];
-                }
+    timer.run("nn/user_layer_fwd_bwd_28x1062_dense_scaled", || {
+        for r in 0..n {
+            let dense = black_box(&v).row(r);
+            for (j, o) in x.row_mut(r).iter_mut().enumerate() {
+                *o = (dense[j] - means[j]) / stds[j];
             }
-            layer.forward_into(&x, &mut out);
-            layer.backward_params(&x, &g);
-            black_box(&out);
-        })
+        }
+        layer.forward_into(&x, &mut out);
+        layer.backward_params(&x, &g);
+        black_box(&out);
     });
 }
 
@@ -242,7 +273,7 @@ fn bench_user_layer(c: &mut Criterion) {
 /// default config) at Table IV's training shape: 960 rows × 850
 /// features, 8% positives, 40% of the columns mostly zeros and a few
 /// constant, as the hate-generation features are.
-fn bench_gbdt(c: &mut Criterion) {
+fn bench_gbdt(timer: &Timer) {
     let (n, d) = (960, 850);
     let mut rng = StdRng::seed_from_u64(11);
     let y: Vec<u8> = (0..n).map(|_| u8::from(rng.gen_bool(0.08))).collect();
@@ -268,18 +299,9 @@ fn bench_gbdt(c: &mut Criterion) {
                 .collect()
         })
         .collect();
-    c.bench_function("ml/gbdt_fit_960x850", |b| {
-        b.iter(|| {
-            let mut m = Gbdt::new(GbdtConfig::default());
-            m.fit(black_box(&x), black_box(&y));
-            m
-        })
+    timer.run("ml/gbdt_fit_960x850", || {
+        let mut m = Gbdt::new(GbdtConfig::default());
+        m.fit(black_box(&x), black_box(&y));
+        m
     });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_graph, bench_text, bench_nn, bench_user_layer, bench_gbdt
-}
-criterion_main!(benches);

@@ -147,7 +147,7 @@ pub fn build_context(opts: &ExpOptions) -> ExperimentContext {
 }
 
 /// One benchmark record, in the fragment format perfbench prints and
-/// `cargo run -p xtask -- {serving,mem}-report` reads:
+/// `cargo run -p xtask -- {bench,serving,mem}-report` reads:
 /// `"<scenario>.<leaf>": {"value": <value>, "unit": "<unit>"}`.
 pub fn record(scenario: &str, leaf: &str, value: impl std::fmt::Display, unit: &str) -> String {
     format!("\"{scenario}.{leaf}\": {{\"value\": {value}, \"unit\": \"{unit}\"}}")

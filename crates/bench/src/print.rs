@@ -136,19 +136,27 @@ pub fn fig5(suite: &RetweetSuite) {
 /// Figure 6: MAP@20 on hateful vs non-hate roots.
 pub fn fig6(suite: &RetweetSuite) {
     header("Figure 6 — MAP@20 on hateful vs non-hate roots");
-    for r in fig6::run(suite) {
+    let rows = fig6::run(suite);
+    for r in &rows {
         println!("{r}");
     }
-    println!("\npaper shape: TopoLSTM's hate/non-hate gap exceeds RETINA's");
+    println!(
+        "\npaper shape (TopoLSTM's hate/non-hate gap exceeds RETINA's): {}",
+        fig6::shape_holds(&rows)
+    );
 }
 
 /// Figure 7: RETINA macro-F1 vs user-history size.
 pub fn fig7(ctx: &ExperimentContext, opts: &ExpOptions) {
     header("Figure 7 — performance vs history size");
-    for r in fig7::run(ctx, &opts.sweep(), opts.history_sizes()) {
+    let rows = fig7::run(ctx, &opts.sweep(), opts.history_sizes());
+    for r in &rows {
         println!("{r}");
     }
-    println!("\npaper shape: performance rises to ~30 tweets of history, then flattens/drops");
+    println!(
+        "\npaper shape (performance rises to ~30 tweets of history, then flattens/drops): {}",
+        fig7::shape_holds(&rows)
+    );
 }
 
 /// Figure 8: RETINA-D's predicted/actual retweets per time window.

@@ -58,11 +58,52 @@ pub fn run(suite: &RetweetSuite) -> Vec<Fig6Row> {
         .collect()
 }
 
+/// Paper shape: TopoLSTM's [`Fig6Row::hate_gap`] exceeds the gap of
+/// both RETINA rows (TopoLSTM degrades on hateful roots, RETINA holds
+/// up). False when any of the three rows is missing.
+pub fn shape_holds(rows: &[Fig6Row]) -> bool {
+    let gap = |model: &str| {
+        rows.iter()
+            .find(|r| r.model == model)
+            .map(Fig6Row::hate_gap)
+    };
+    match (gap("TopoLSTM"), gap("RETINA-D"), gap("RETINA-S")) {
+        (Some(topo), Some(d), Some(s)) => topo > d && topo > s,
+        _ => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::retweet_suite::{run as run_suite, SuiteConfig, SuiteModels};
     use super::super::ExperimentContext;
     use super::*;
+
+    fn row(model: &str, map20_hate: f64, map20_nonhate: f64) -> Fig6Row {
+        Fig6Row {
+            model: model.to_string(),
+            map20_hate,
+            map20_nonhate,
+        }
+    }
+
+    #[test]
+    fn shape_compares_topolstm_gap_with_both_retina_gaps() {
+        // The default-scale run: every model reads higher on hateful
+        // roots, TopoLSTM most of all, so its gap is the lowest.
+        let logged = [
+            row("RETINA-D", 0.643, 0.489),
+            row("RETINA-S", 0.631, 0.502),
+            row("TopoLSTM", 0.663, 0.440),
+        ];
+        assert!(!shape_holds(&logged));
+        // The paper's reading: TopoLSTM 0.59 non-hate -> 0.43 hate.
+        let mut paper = logged.clone();
+        paper[2] = row("TopoLSTM", 0.43, 0.59);
+        assert!(shape_holds(&paper));
+        assert!(!shape_holds(&paper[1..]));
+        assert!(!shape_holds(&paper[..2]));
+    }
 
     #[test]
     fn rows_cover_three_models() {

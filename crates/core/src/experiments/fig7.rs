@@ -46,9 +46,59 @@ pub fn run(ctx: &ExperimentContext, cfg: &SuiteConfig, history_sizes: &[usize]) 
         .collect()
 }
 
+/// Paper shape: for each head, macro-F1 at 30 tweets of history exceeds
+/// its value at 10, and no longer history exceeds the value at 30
+/// (performance rises to ~30 tweets, then flattens or drops). False when
+/// the row for 10 or 30 is missing.
+pub fn shape_holds(rows: &[Fig7Row]) -> bool {
+    let at = |len: usize| rows.iter().find(|r| r.history_len == len);
+    let (Some(h10), Some(h30)) = (at(10), at(30)) else {
+        return false;
+    };
+    let heads: [fn(&Fig7Row) -> f64; 2] = [|r| r.static_f1, |r| r.dynamic_f1];
+    heads.iter().all(|f1| {
+        f1(h30) > f1(h10)
+            && rows
+                .iter()
+                .filter(|r| r.history_len > 30)
+                .all(|r| f1(r) <= f1(h30))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn shape_reads_both_heads_at_10_30_and_beyond() {
+        // The default-scale run: both heads peak at 30.
+        let logged: Vec<Fig7Row> = [
+            (5, 0.608, 0.572),
+            (10, 0.611, 0.570),
+            (20, 0.612, 0.571),
+            (30, 0.615, 0.577),
+            (40, 0.614, 0.573),
+            (50, 0.611, 0.572),
+        ]
+        .iter()
+        .map(|&(history_len, static_f1, dynamic_f1)| Fig7Row {
+            history_len,
+            static_f1,
+            dynamic_f1,
+        })
+        .collect();
+        assert!(shape_holds(&logged));
+        // RETINA-D still rising past 30.
+        let mut rising = logged.clone();
+        rising[5].dynamic_f1 = 0.580;
+        assert!(!shape_holds(&rising));
+        // RETINA-S no better at 30 than at 10.
+        let mut flat = logged.clone();
+        flat[1].static_f1 = 0.615;
+        assert!(!shape_holds(&flat));
+        assert!(!shape_holds(&logged[2..]));
+        assert!(!shape_holds(&logged[..3]));
+    }
 
     #[test]
     fn sweep_produces_requested_sizes() {

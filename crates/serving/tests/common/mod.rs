@@ -9,9 +9,23 @@ use retina_core::retina::{PackedSample, RecurrentKind, RetinaConfig, RetinaMode}
 use retina_core::snapshot::{fnv1a64, SECTION_SCALER};
 
 /// A deterministic packed sample: `n` candidates of width `d_user`,
-/// Doc2Vec width `d2v`, `k` news items. Same `(dims, seed)` → same
-/// sample, bit for bit.
+/// Doc2Vec width `d2v`, `k` news items, six interval-label columns.
+/// Same `(dims, seed)` → same sample, bit for bit.
 pub fn sample(n: usize, d_user: usize, d2v: usize, k: usize, seed: u64) -> PackedSample {
+    sample_with_intervals(n, d_user, d2v, k, 6, seed)
+}
+
+/// [`sample`] with `intervals` (at least 2) interval-label columns: a
+/// RETINA-D model trains only on samples with one label column per
+/// interval of its config. The column count draws nothing from the RNG.
+pub fn sample_with_intervals(
+    n: usize,
+    d_user: usize,
+    d2v: usize,
+    k: usize,
+    intervals: usize,
+    seed: u64,
+) -> PackedSample {
     let mut rng = StdRng::seed_from_u64(seed);
     let labels: Vec<u8> = (0..n).map(|i| u8::from(i % 3 == 0)).collect();
     let retweet_times: Vec<f64> = labels
@@ -29,7 +43,7 @@ pub fn sample(n: usize, d_user: usize, d2v: usize, k: usize, seed: u64) -> Packe
         interval_labels: labels
             .iter()
             .map(|&l| {
-                let mut row = vec![0u8; 6];
+                let mut row = vec![0u8; intervals];
                 if l == 1 {
                     row[1] = 1;
                 }

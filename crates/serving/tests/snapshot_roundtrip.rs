@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{bits, random_config, sample};
+use common::{bits, random_config, sample, sample_with_intervals};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use retina_core::retina::Retina;
@@ -18,13 +18,14 @@ fn randomized_configs_round_trip_bit_identically() {
         let (d_user, config) = random_config(&mut rng);
         let d2v = config.d2v_dim;
         let news_k = config.news_k;
+        let intervals = config.intervals.len();
         let mut model = Retina::new(d_user, config);
 
         // Train half the cases so the fitted scaler round-trips too.
         let trained = case % 2 == 0;
         if trained {
             let data: Vec<_> = (0..4)
-                .map(|i| sample(6, d_user, d2v, news_k, 100 * case + i))
+                .map(|i| sample_with_intervals(6, d_user, d2v, news_k, intervals, 100 * case + i))
                 .collect();
             let cfg = TrainConfig {
                 epochs: 1,

@@ -16,12 +16,13 @@
 //! prints the whole catalogue.
 //!
 //! `bench-report`, `serving-report` and `mem-report` each run one
-//! benchmark harness (the criterion `substrates` bench, `retina_serve
-//! bench`, `graph_mem`) and rewrite its committed `BENCH_*.json` at the
-//! workspace root; with `--check` they compare a fresh run against the
-//! committed `current` section instead and never write (`ci.sh` runs the
-//! checks behind `RETINA_BENCH_CHECK=1`). One record format, one file
-//! schema and one gate table serve all three: see [`xtask::report`].
+//! benchmark harness (the `substrates` bench, `retina_serve bench`,
+//! `graph_mem`) three times and write each record's median into its
+//! committed `BENCH_*.json` at the workspace root; with `--check` they
+//! compare the medians against the committed `current` section instead
+//! and never write (`ci.sh` runs the checks behind
+//! `RETINA_BENCH_CHECK=1`). One record format, one file schema and one
+//! gate table serve all three: see [`xtask::report`].
 
 use std::path::Path;
 use std::process::ExitCode;

@@ -8,8 +8,9 @@
 //! "<scenario>.<leaf>": {"value": <number>, "unit": "<unit>"}
 //! ```
 //!
-//! Each report runs one harness ([`SUITES`]) and keeps one committed
-//! file at the workspace root holding the same lines in two sections:
+//! Each report runs one harness ([`SUITES`]) three times, takes each
+//! record's median over the runs, and keeps one committed file at the
+//! workspace root holding the same lines in two sections:
 //!
 //! ```text
 //! {
@@ -19,11 +20,12 @@
 //! }
 //! ```
 //!
-//! A run preserves `baseline` (seeding it from the fresh records the
+//! A report preserves `baseline` (seeding it from the fresh medians the
 //! first time), rewrites `current`, and prints current/baseline for each
-//! gated record. `--check` never writes: it compares the fresh run with
-//! the committed `current` section and fails when a gated record moves
-//! strictly beyond its bound in its worse direction ([`GATES`]).
+//! gated record. `--check` never writes: it compares the fresh medians
+//! with the committed `current` section and fails when a gated record
+//! moves strictly beyond its bound in its worse direction ([`GATES`]).
+//! A record that one run printed and another did not fails the report.
 
 use std::fmt;
 use std::path::Path;
@@ -233,39 +235,90 @@ pub const SUITES: [Suite; 3] = [
     },
 ];
 
-/// Run `suite`'s harness in `root`, then refresh its committed file or,
-/// with `check`, compare against it.
+/// Harness runs per report. One host stall lifts one run's records, not
+/// their median, so neither a written `current` nor a check rests on it.
+const RUNS: usize = 3;
+
+/// Run `suite`'s harness `RUNS` times in `root`, then refresh its
+/// committed file or, with `check`, compare against it.
 pub fn run(suite: &Suite, root: &Path, check: bool) -> ExitCode {
     let command = suite.command();
-    eprintln!("running `{command}` (this builds in release)...");
-    let out = match Command::new("cargo")
-        .args(suite.cargo_args)
-        .current_dir(root)
-        .output()
-    {
-        Ok(o) => o,
+    let mut runs = Vec::with_capacity(RUNS);
+    for i in 1..=RUNS {
+        eprintln!("running `{command}`, run {i} of {RUNS} (the first builds in release)...");
+        let out = match Command::new("cargo")
+            .args(suite.cargo_args)
+            .current_dir(root)
+            .output()
+        {
+            Ok(o) => o,
+            Err(e) => {
+                eprintln!("failed to spawn `{command}`: {e}");
+                return ExitCode::from(2);
+            }
+        };
+        if !out.status.success() {
+            eprintln!(
+                "`{command}` failed:\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            return ExitCode::from(2);
+        }
+        runs.push(String::from_utf8_lossy(&out.stdout).into_owned());
+    }
+    update(suite, &root.join(suite.file), &runs, check)
+}
+
+/// Each record's median over `runs` (one harness stdout each), in the
+/// first run's order; an error names a record that some run lacks.
+fn median_records(runs: &[impl AsRef<str>]) -> Result<Vec<Record>, String> {
+    let parsed: Vec<Vec<Record>> = runs.iter().map(|r| parse_records(r.as_ref())).collect();
+    for record in parsed.iter().flatten() {
+        if let Some(i) = parsed
+            .iter()
+            .position(|run| !run.iter().any(|r| r.name == record.name))
+        {
+            return Err(format!(
+                "`{}` is missing from run {} of {}",
+                record.name,
+                i + 1,
+                parsed.len()
+            ));
+        }
+    }
+    let Some(first) = parsed.first() else {
+        return Ok(Vec::new());
+    };
+    Ok(first
+        .iter()
+        .map(|record| {
+            let mut values: Vec<f64> = parsed
+                .iter()
+                .flat_map(|run| run.iter().filter(|r| r.name == record.name))
+                .map(|r| r.value)
+                .collect();
+            values.sort_by(f64::total_cmp);
+            Record {
+                value: values[values.len() / 2],
+                ..record.clone()
+            }
+        })
+        .collect())
+}
+
+/// Turn the harness runs' stdout into `suite`'s report at `path`: write
+/// each record's median into its `current` section or, with `check`,
+/// compare the medians against it.
+pub fn update(suite: &Suite, path: &Path, runs: &[impl AsRef<str>], check: bool) -> ExitCode {
+    let current = match median_records(runs) {
+        Ok(records) => records,
         Err(e) => {
-            eprintln!("failed to spawn `{command}`: {e}");
+            eprintln!("{}: {e}", suite.subcommand);
             return ExitCode::from(2);
         }
     };
-    if !out.status.success() {
-        eprintln!(
-            "`{command}` failed:\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        return ExitCode::from(2);
-    }
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    update(suite, &root.join(suite.file), &stdout, check)
-}
-
-/// Turn one harness run's `stdout` into `suite`'s report at `path`:
-/// rewrite its `current` section or, with `check`, compare against it.
-pub fn update(suite: &Suite, path: &Path, stdout: &str, check: bool) -> ExitCode {
-    let current = parse_records(stdout);
     if current.is_empty() {
-        eprintln!("`{}` printed no records:\n{stdout}", suite.command());
+        eprintln!("`{}` printed no records", suite.command());
         return if suite.empty_is_skip {
             eprintln!("{}: skipping", suite.subcommand);
             ExitCode::SUCCESS
@@ -463,18 +516,81 @@ mod tests {
         path
     }
 
+    /// The same harness stdout for every run of a report.
+    fn runs(stdout: &str) -> [&str; RUNS] {
+        [stdout; RUNS]
+    }
+
     #[test]
-    fn a_run_without_records_fails_unless_the_suite_may_skip() {
+    fn a_report_without_records_fails_unless_the_suite_may_skip() {
         let path = temp_report("empty");
         let [kernels, serving, mem] = &SUITES;
         for check in [false, true] {
-            assert_eq!(update(kernels, &path, "noise\n", check), ExitCode::from(2));
-            assert_eq!(update(serving, &path, "", check), ExitCode::from(2));
             assert_eq!(
-                update(mem, &path, "VmHWM unavailable\n", check),
+                update(kernels, &path, &runs("noise\n"), check),
+                ExitCode::from(2)
+            );
+            assert_eq!(update(serving, &path, &runs(""), check), ExitCode::from(2));
+            assert_eq!(
+                update(mem, &path, &runs("VmHWM unavailable\n"), check),
                 ExitCode::SUCCESS
             );
         }
+        assert!(!path.exists());
+    }
+
+    #[test]
+    fn each_record_is_the_median_of_the_runs_so_one_stall_is_not_written() {
+        let path = temp_report("median");
+        let suite = &SUITES[0];
+        let run = |mean: f64, min: f64| {
+            format!(
+                "{}\n{}\n",
+                rec("k.mean", mean, "ns"),
+                rec("k.min", min, "ns")
+            )
+        };
+        // The second run stalled: its mean reads 3x the others'.
+        let stdout = [run(100.0, 90.0), run(300.0, 95.0), run(110.0, 80.0)];
+        assert_eq!(update(suite, &path, &stdout, false), ExitCode::SUCCESS);
+        let json = std::fs::read_to_string(&path).expect("report written");
+        let medians = [rec("k.mean", 110.0, "ns"), rec("k.min", 90.0, "ns")];
+        assert_eq!(parse_section(&json, "current"), medians);
+        // A check reads the median too: one run at 3x the committed mean
+        // passes, two fail.
+        assert_eq!(update(suite, &path, &stdout, true), ExitCode::SUCCESS);
+        let stalled = [run(330.0, 90.0), run(100.0, 90.0), run(330.0, 90.0)];
+        assert_eq!(update(suite, &path, &stalled, true), ExitCode::FAILURE);
+        std::fs::remove_file(&path).expect("remove temp report");
+    }
+
+    #[test]
+    fn a_record_missing_from_one_run_fails_the_report() {
+        let path = temp_report("missing");
+        let both = format!(
+            "{}\n{}\n",
+            rec("a.mean", 1.0, "ns"),
+            rec("b.mean", 2.0, "ns")
+        );
+        let only_a = format!("{}\n", rec("a.mean", 1.0, "ns"));
+        // The last run printed nothing: a failure even where a report
+        // with no records at all skips.
+        let nothing = String::new();
+        for check in [false, true] {
+            for suite in &SUITES {
+                for stdout in [
+                    [&both, &both, &only_a],
+                    [&only_a, &both, &both],
+                    [&both, &both, &nothing],
+                ] {
+                    assert_eq!(update(suite, &path, &stdout, check), ExitCode::from(2));
+                }
+            }
+        }
+        assert_eq!(
+            median_records(&[&both, &both, &only_a]),
+            Err("`b.mean` is missing from run 3 of 3".to_string())
+        );
         assert!(!path.exists());
     }
 
@@ -483,7 +599,10 @@ mod tests {
         let path = temp_report("check");
         let suite = &SUITES[1];
         let fresh = |pps: f64| format!("{}\n", rec("s.pps", pps, "1/s"));
-        assert_eq!(update(suite, &path, &fresh(86.0), true), ExitCode::from(2));
+        assert_eq!(
+            update(suite, &path, &runs(&fresh(86.0)), true),
+            ExitCode::from(2)
+        );
         // Against the baseline 86 would be a -91% drop; against current
         // it is inside the 15% bound.
         let committed = render(
@@ -492,8 +611,14 @@ mod tests {
             &[rec("s.pps", 100.0, "1/s")],
         );
         std::fs::write(&path, &committed).expect("write temp report");
-        assert_eq!(update(suite, &path, &fresh(86.0), true), ExitCode::SUCCESS);
-        assert_eq!(update(suite, &path, &fresh(84.0), true), ExitCode::FAILURE);
+        assert_eq!(
+            update(suite, &path, &runs(&fresh(86.0)), true),
+            ExitCode::SUCCESS
+        );
+        assert_eq!(
+            update(suite, &path, &runs(&fresh(84.0)), true),
+            ExitCode::FAILURE
+        );
         assert_eq!(std::fs::read_to_string(&path).ok(), Some(committed));
         std::fs::remove_file(&path).expect("remove temp report");
     }
@@ -503,8 +628,14 @@ mod tests {
         let path = temp_report("write");
         let suite = &SUITES[2];
         let run = |kib: f64| format!("noise\n{}\n", rec("d.vmhwm", kib, "KiB"));
-        assert_eq!(update(suite, &path, &run(100.0), false), ExitCode::SUCCESS);
-        assert_eq!(update(suite, &path, &run(200.0), false), ExitCode::SUCCESS);
+        assert_eq!(
+            update(suite, &path, &runs(&run(100.0)), false),
+            ExitCode::SUCCESS
+        );
+        assert_eq!(
+            update(suite, &path, &runs(&run(200.0)), false),
+            ExitCode::SUCCESS
+        );
         let json = std::fs::read_to_string(&path).expect("report written");
         assert_eq!(
             json,
