@@ -66,6 +66,13 @@ step "snapshot corruption and round-trip suites (debug)"
 # where both trap.
 cargo test -q -p serving --test corruption --test snapshot_roundtrip
 
+step "ml tests (debug)"
+# The classical learners run in debug too: the tree growers' index
+# arithmetic then has overflow checks, and the GBDT split search checks
+# its `debug_assert!` that every hessian is positive. Under a second once
+# built.
+cargo test -q -p ml
+
 step "serving load harness"
 # The full harness (4 scenarios x 4,000 requests, under a second once
 # built) proves the snapshot + server path works end to end: build a

@@ -85,4 +85,24 @@ mod tests {
             assert!(c.report.auc.is_finite(), "{}: AUC NaN", c.model.name());
         }
     }
+
+    /// XGBoost on the hate-generation features, whose columns are mostly
+    /// zeros: the five cell reports and the test-set probabilities of
+    /// one fit on the raw training rows.
+    #[test]
+    fn xgboost_cells_and_probabilities_are_pinned() {
+        let ctx = ExperimentContext::build(ExperimentContext::smoke_config(), 2);
+        let feats = HategenFeatures::new(&ctx.data, &ctx.models, &ctx.silver);
+        let samples = HategenPipeline::build_samples(&ctx.data, 20);
+        let pipe = HategenPipeline::new(&feats, &samples, None, 0);
+        let mut values = Vec::new();
+        for proc in Processing::ALL {
+            let report = pipe.run_cell(ModelKind::XgBoost, proc);
+            values.extend([report.macro_f1, report.accuracy, report.auc]);
+        }
+        let mut clf = ModelKind::XgBoost.build();
+        clf.fit(&pipe.x_train, &pipe.y_train);
+        values.extend(clf.predict_proba_batch(&pipe.x_test));
+        assert_eq!(super::super::pin(values), 0xccaa_5755_fe64_b8c0);
+    }
 }

@@ -9,8 +9,12 @@
 //!
 //! Trees grow by XGBoost's exact greedy method (Chen & Guestrin, KDD 2016,
 //! §4.1): each feature is sorted once per fit, and each depth finds the
-//! best split of every open node in one scan per feature. It chooses the
-//! splits a sort per node would (DESIGN.md §15).
+//! best split of every open node in one scan per feature. No split falls
+//! inside a feature's leading run, the rows tied at its smallest value
+//! (the zeros of a sparse feature), so, as in the paper's sparsity-aware
+//! search (§3.4), the scan skips it: one masked pass over the rows sums
+//! every node's share of every run, and each scan starts from those sums.
+//! It chooses the splits a sort per node would (DESIGN.md §15).
 
 use crate::linalg::sigmoid;
 use crate::model::{check_fit_inputs, Classifier};
@@ -91,22 +95,59 @@ impl RegTree {
     }
 }
 
-/// Every non-constant feature with its `(value, row)` pairs, sorted once
-/// per fit by value with ties in row order: the order in which a stable
-/// per-node sort by `partial_cmp` lists any node's rows, because finite
-/// values make `partial_cmp` a total preorder. 16 B per entry.
-fn presort(x: &[Vec<f64>]) -> Vec<(usize, Vec<(f64, usize)>)> {
+/// A non-constant feature's `(value, row)` pairs, sorted once per fit by
+/// value with ties in row order: the order in which a stable per-node sort
+/// by `partial_cmp` lists any node's rows, because finite values make
+/// `partial_cmp` a total preorder. The leading run, every row tied with
+/// the smallest value, is kept as flags in [`Presorted::in_run`]; only the
+/// pairs after it are stored, 16 B each.
+#[derive(Debug)]
+struct Column {
+    feature: usize,
+    /// The value of the run's first entry.
+    run_value: f64,
+    /// The sorted pairs after the leading run.
+    rest: Vec<(f64, usize)>,
+}
+
+/// The non-constant features of a fit, presorted.
+#[derive(Debug)]
+struct Presorted {
+    columns: Vec<Column>,
+    /// Row-major, one flag per row and column: whether the row lies in the
+    /// column's leading run. Indexed by the column's position in
+    /// `columns`, not by its feature, which differ once a constant feature
+    /// is dropped.
+    in_run: Vec<bool>,
+}
+
+/// Sort every feature of `x` and drop the constant ones.
+fn presort(x: &[Vec<f64>]) -> Presorted {
     let d = x.first().map_or(0, Vec::len);
-    (0..d)
-        .filter_map(|f| {
-            let mut column: Vec<(f64, usize)> =
-                x.iter().enumerate().map(|(row, xi)| (xi[f], row)).collect();
-            column.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
-            // A constant feature offers no split at any node.
-            let constant = column.first().map(|e| e.0) == column.last().map(|e| e.0);
-            (!constant).then_some((f, column))
-        })
-        .collect()
+    let mut entries: Vec<(f64, usize)> = Vec::with_capacity(x.len());
+    let mut columns = Vec::new();
+    for feature in 0..d {
+        entries.clear();
+        entries.extend(x.iter().enumerate().map(|(row, xi)| (xi[feature], row)));
+        entries.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
+        let Some(&(run_value, _)) = entries.first() else {
+            continue;
+        };
+        let run = entries.iter().take_while(|e| e.0 == run_value).count();
+        // A constant feature offers no split at any node.
+        if run < entries.len() {
+            columns.push(Column {
+                feature,
+                run_value,
+                rest: entries[run..].to_vec(),
+            });
+        }
+    }
+    let in_run = x
+        .iter()
+        .flat_map(|xi| columns.iter().map(move |c| xi[c.feature] == c.run_value))
+        .collect();
+    Presorted { columns, in_run }
 }
 
 /// A node of the level being grown, with the state of the scan that
@@ -197,7 +238,7 @@ impl Gbdt {
     fn grow(
         &self,
         x: &[Vec<f64>],
-        sorted: &[(usize, Vec<(f64, usize)>)],
+        sorted: &Presorted,
         grad: &[f64],
         hess: &[f64],
         margins: &mut [f64],
@@ -255,25 +296,55 @@ impl Gbdt {
         RegTree { nodes }
     }
 
-    /// One pass over each sorted column, evaluating the splits of every
-    /// node a row has a `slot` in, in the order of the node's own rows
-    /// sorted by that feature.
+    /// Evaluate the splits of every node a row has a `slot` in, for each
+    /// column in the order of the node's own rows sorted by that feature.
+    /// One masked pass over the rows sums each node's rows in every
+    /// column's leading run, where no split can fall; the scan of each
+    /// column starts from those sums and walks only the pairs after the
+    /// run.
     fn find_splits(
         &self,
-        sorted: &[(usize, Vec<(f64, usize)>)],
+        sorted: &Presorted,
         grad: &[f64],
         hess: &[f64],
         slot: &[usize],
         level_nodes: &mut [LevelNode],
     ) {
         let cfg = &self.config;
-        for (feature, column) in sorted {
-            for n in level_nodes.iter_mut() {
-                n.gl = 0.0;
-                n.hl = 0.0;
-                n.last = None;
+        let width = sorted.columns.len();
+        if width == 0 {
+            // Every feature is constant, so no node can split.
+            return;
+        }
+        // Node-major: each node's gradient and hessian sums over its rows
+        // in each column's leading run, in row order. Adding 0.0 for a row
+        // outside the run leaves a sum that started at +0.0 unchanged.
+        let mut run_g = vec![0.0; level_nodes.len() * width];
+        let mut run_h = vec![0.0; level_nodes.len() * width];
+        let rows = slot.iter().zip(grad).zip(hess);
+        for (((&s, &g), &h), flags) in rows.zip(sorted.in_run.chunks_exact(width)) {
+            if s == CLOSED {
+                continue;
             }
-            for &(value, row) in column {
+            let gs = &mut run_g[s * width..][..width];
+            let hs = &mut run_h[s * width..][..width];
+            for ((gs, hs), &hit) in gs.iter_mut().zip(hs.iter_mut()).zip(flags) {
+                *gs += if hit { g } else { 0.0 };
+                *hs += if hit { h } else { 0.0 };
+            }
+        }
+        // `fit` floors every hessian at 1e-16, so a node's run hessian sum
+        // is positive exactly when it has a row in the run.
+        debug_assert!(hess.iter().all(|&h| h > 0.0));
+        for (c, column) in sorted.columns.iter().enumerate() {
+            for (k, n) in level_nodes.iter_mut().enumerate() {
+                n.gl = run_g[k * width + c];
+                n.hl = run_h[k * width + c];
+                // The scan leaves the run at its value. A `-0.0`/`0.0` run
+                // puts the same bits in `(last + value) / 2` either way.
+                n.last = (n.hl > 0.0).then_some(column.run_value);
+            }
+            for &(value, row) in &column.rest {
                 let Some(n) = level_nodes.get_mut(slot[row]) else {
                     continue;
                 };
@@ -286,7 +357,7 @@ impl Gbdt {
                             * (self.score(n.gl, n.hl) + self.score(gr, hr) - n.parent_score)
                             - cfg.gamma;
                         if gain > 0.0 && n.best.is_none_or(|(_, _, bg)| gain > bg) {
-                            n.best = Some((*feature, (last + value) / 2.0, gain));
+                            n.best = Some((column.feature, (last + value) / 2.0, gain));
                         }
                     }
                 }
@@ -748,8 +819,42 @@ mod tests {
         (x, y)
     }
 
-    #[test]
-    fn level_wise_grower_matches_the_sort_per_node_builder() {
+    /// A dataset for the leading runs the grower sums apart from its
+    /// scan, behind a constant column so that column and feature indices
+    /// differ: a continuous column; a column tied at a negative minimum on
+    /// about 70% of rows; a column that is zero exactly where the
+    /// continuous one is positive, so a split on that one leaves a child
+    /// with none of this column's run; and a column whose minimum lies on
+    /// one row only. Labels follow a noisy score.
+    fn leading_runs(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<u8>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let lone = rng.gen_range(0..n);
+        let mut x = Vec::with_capacity(n);
+        let mut y = Vec::with_capacity(n);
+        for row in 0..n {
+            let c: f64 = rng.gen_range(-3.0..3.0);
+            let tied = if rng.gen_bool(0.7) {
+                -2.0
+            } else {
+                rng.gen_range(-1.0..2.0)
+            };
+            let zero_where_positive = if c > 0.0 { 0.0 } else { 1.0 - c };
+            let lone_min = if row == lone {
+                -5.0
+            } else {
+                f64::from(rng.gen_range(0u8..3))
+            };
+            let score = c + tied - 0.5 * zero_where_positive + lone_min;
+            y.push(u8::from(score + rng.gen_range(-2.0..2.0) > 0.0));
+            x.push(vec![-1.0, c, tied, zero_where_positive, lone_min]);
+        }
+        (x, y)
+    }
+
+    /// Fit every mix of `max_depth` {0, 1, 4, 6}, `min_child_weight`
+    /// {0, 1, 50}, `gamma` {0, 0.5} and `reg_alpha` {0, 0.9, 1e9} on two
+    /// datasets of its own from `data`.
+    fn assert_grid_matches_oracle(data: fn(usize, u64) -> (Vec<Vec<f64>>, Vec<u8>)) {
         let mut configs = Vec::new();
         for max_depth in [0, 1, 4, 6] {
             for min_child_weight in [0.0, 1.0, 50.0] {
@@ -771,11 +876,21 @@ mod tests {
         for (c, config) in configs.iter().enumerate() {
             for seed in [2 * c as u64, 2 * c as u64 + 1] {
                 let n = 3 + (seed as usize * 37) % 180;
-                let (x, y) = mixed(n, seed);
-                let (probes, _) = mixed(20, seed + 10_000);
+                let (x, y) = data(n, seed);
+                let (probes, _) = data(20, seed + 10_000);
                 assert_matches_oracle(config.clone(), &x, &y, &probes);
             }
         }
+    }
+
+    #[test]
+    fn level_wise_grower_matches_the_sort_per_node_builder() {
+        assert_grid_matches_oracle(mixed);
+    }
+
+    #[test]
+    fn level_wise_grower_matches_on_leading_runs() {
+        assert_grid_matches_oracle(leading_runs);
     }
 
     #[test]
@@ -798,6 +913,17 @@ mod tests {
         assert_matches_oracle(config(0.0), &two, &[1, 1], &probe);
         let (x, _) = mixed(60, 5);
         assert_matches_oracle(config(1.0), &x, &[0; 60], &mixed(5, 6).0);
+        // A negative `reg_alpha` scores an empty side above zero, so a
+        // node with none of a column's leading run must not try a split
+        // ahead of its first row.
+        for seed in 0..4 {
+            let (x, y) = leading_runs(90, seed);
+            let negative = GbdtConfig {
+                reg_alpha: -0.5,
+                ..config(0.0)
+            };
+            assert_matches_oracle(negative, &x, &y, &leading_runs(5, seed + 4).0);
+        }
 
         // Adjacent floats: the midpoint of 1+ε and 1+2ε rounds to 1+2ε,
         // so the only split sends every row left and each root stays a
