@@ -69,8 +69,11 @@ cargo test -q -p serving --test corruption --test snapshot_roundtrip
 step "ml tests (debug)"
 # The classical learners run in debug too: the tree growers' index
 # arithmetic then has overflow checks, and the GBDT split search checks
-# its `debug_assert!` that every hessian is positive. Under a second once
-# built.
+# its `debug_assert!` that every hessian is positive. The worker-count
+# suites (`gbdt::tests::every_worker_count_fits_the_oracle_s_trees`,
+# `tree::tests::every_worker_count_grows_the_same_tree`) fit at 1, 2, 3
+# and 8 split-search workers here, so the block slicing and the merge
+# run with those checks armed. About a second once built.
 cargo test -q -p ml
 
 step "serving load harness"
@@ -127,21 +130,23 @@ fi
 
 if [[ "${RETINA_TSAN:-0}" == "1" ]]; then
     # ThreadSanitizer over the concurrency surface: the serving test
-    # suite (queue dispatch, stress/backpressure races) and the nn
-    # crate's tests (the par worker pool). Complements the static A7
-    # lock pass with a dynamic race detector. Opt-in: needs a nightly
-    # toolchain with rust-src — std must be rebuilt instrumented
-    # (-Zbuild-std) or its sync primitives show up as false positives.
+    # suite (queue dispatch, stress/backpressure races), the nn crate's
+    # tests (the par worker pool) and the ml crate's tests (the tree
+    # learners' split searches and the forest run scoped threads through
+    # nn::par). Complements the static A7 lock pass with a dynamic race
+    # detector. Opt-in: needs a nightly toolchain with rust-src — std
+    # must be rebuilt instrumented (-Zbuild-std) or its sync primitives
+    # show up as false positives.
     if rustup run nightly rustc --version >/dev/null 2>&1 \
         && [[ -f "$(rustup run nightly rustc --print sysroot)/lib/rustlib/src/rust/library/Cargo.lock" ]]; then
-        step "thread-sanitizer (serving + nn tests, nightly)"
+        step "thread-sanitizer (serving + nn + ml tests, nightly)"
         TSAN_TARGET="$(rustc -vV | sed -n 's/^host: //p')"
         RUSTFLAGS="-Zsanitizer=thread" \
         RUSTDOCFLAGS="-Zsanitizer=thread" \
             cargo +nightly test -q -Zbuild-std \
                 --target "$TSAN_TARGET" \
                 --target-dir target/tsan \
-                -p serving -p nn --tests
+                -p serving -p nn -p ml --tests
     else
         echo "RETINA_TSAN=1 but no nightly toolchain with rust-src — skipping thread-sanitizer run"
     fi

@@ -105,4 +105,26 @@ mod tests {
         values.extend(clf.predict_proba_batch(&pipe.x_test));
         assert_eq!(super::super::pin(values), 0xccaa_5755_fe64_b8c0);
     }
+
+    /// Dec-Tree and AdaBoost, whose trees search every feature at each
+    /// node: the ten cell reports and the test-set probabilities of one
+    /// Dec-Tree fit on the raw training rows.
+    #[test]
+    fn tree_cells_and_probabilities_are_pinned() {
+        let ctx = ExperimentContext::build(ExperimentContext::smoke_config(), 2);
+        let feats = HategenFeatures::new(&ctx.data, &ctx.models, &ctx.silver);
+        let samples = HategenPipeline::build_samples(&ctx.data, 20);
+        let pipe = HategenPipeline::new(&feats, &samples, None, 0);
+        let mut values = Vec::new();
+        for model in [ModelKind::DecTree, ModelKind::AdaBoost] {
+            for proc in Processing::ALL {
+                let report = pipe.run_cell(model, proc);
+                values.extend([report.macro_f1, report.accuracy, report.auc]);
+            }
+        }
+        let mut clf = ModelKind::DecTree.build();
+        clf.fit(&pipe.x_train, &pipe.y_train);
+        values.extend(clf.predict_proba_batch(&pipe.x_test));
+        assert_eq!(super::super::pin(values), 0x18d6_1749_f7b0_521f);
+    }
 }

@@ -14,7 +14,10 @@
 //! (the zeros of a sparse feature), so, as in the paper's sparsity-aware
 //! search (§3.4), the scan skips it: one masked pass over the rows sums
 //! every node's share of every run, and each scan starts from those sums.
-//! It chooses the splits a sort per node would (DESIGN.md §15).
+//! The columns are searched in fixed blocks on `nn::par::resolve(0)`
+//! workers, the paper's column blocks for parallel learning (§4.1), and
+//! the blocks' bests merge in column order. It chooses the splits a sort
+//! per node would, for any worker count (DESIGN.md §15).
 
 use crate::linalg::sigmoid;
 use crate::model::{check_fit_inputs, Classifier};
@@ -110,14 +113,18 @@ struct Column {
     rest: Vec<(f64, usize)>,
 }
 
+/// Non-constant columns per block of the split search. The blocks' run
+/// flags are contiguous, and the workers pull whole blocks.
+const BLOCK: usize = 64;
+
 /// The non-constant features of a fit, presorted.
 #[derive(Debug)]
 struct Presorted {
     columns: Vec<Column>,
-    /// Row-major, one flag per row and column: whether the row lies in the
-    /// column's leading run. Indexed by the column's position in
-    /// `columns`, not by its feature, which differ once a constant feature
-    /// is dropped.
+    /// One flag per row and column: whether the row lies in the column's
+    /// leading run. Block after block of [`BLOCK`] columns, each one
+    /// row-major. Indexed by the column's position in `columns`, not by
+    /// its feature, which differ once a constant feature is dropped.
     in_run: Vec<bool>,
 }
 
@@ -143,9 +150,12 @@ fn presort(x: &[Vec<f64>]) -> Presorted {
             });
         }
     }
-    let in_run = x
-        .iter()
-        .flat_map(|xi| columns.iter().map(move |c| xi[c.feature] == c.run_value))
+    let in_run = columns
+        .chunks(BLOCK)
+        .flat_map(|block| {
+            x.iter()
+                .flat_map(move |xi| block.iter().map(move |c| xi[c.feature] == c.run_value))
+        })
         .collect();
     Presorted { columns, in_run }
 }
@@ -234,7 +244,7 @@ impl Gbdt {
     /// least two rows, and its best split leaves neither side empty; the
     /// best split has the largest positive gain, the first found winning
     /// ties, scanning features in order and each feature's values in
-    /// ascending order.
+    /// ascending order. `workers` search the splits.
     fn grow(
         &self,
         x: &[Vec<f64>],
@@ -242,6 +252,7 @@ impl Gbdt {
         grad: &[f64],
         hess: &[f64],
         margins: &mut [f64],
+        workers: usize,
     ) -> RegTree {
         let cfg = &self.config;
         let mut nodes = vec![Node::Leaf(0.0)];
@@ -282,7 +293,7 @@ impl Gbdt {
                     .unwrap_or(CLOSED);
             }
             if slot.iter().any(|&s| s != CLOSED) {
-                self.find_splits(sorted, grad, hess, &slot, &mut level_nodes);
+                self.find_splits(sorted, grad, hess, &slot, &mut level_nodes, workers);
                 Self::split(x, &slot, &level_nodes, &mut nodes, &mut node_of);
             }
             level = end;
@@ -296,12 +307,12 @@ impl Gbdt {
         RegTree { nodes }
     }
 
-    /// Evaluate the splits of every node a row has a `slot` in, for each
-    /// column in the order of the node's own rows sorted by that feature.
-    /// One masked pass over the rows sums each node's rows in every
-    /// column's leading run, where no split can fall; the scan of each
-    /// column starts from those sums and walks only the pairs after the
-    /// run.
+    /// Find the best split of every node a row has a `slot` in. `workers`
+    /// search the blocks of [`BLOCK`] columns, each block with its own
+    /// copy of the level's scan state. The blocks' bests merge in block
+    /// order, and a later block wins only with a strictly larger gain, so
+    /// each node keeps the first of its best splits in column order, as
+    /// one scan over all columns would, for any worker count.
     fn find_splits(
         &self,
         sorted: &Presorted,
@@ -309,20 +320,57 @@ impl Gbdt {
         hess: &[f64],
         slot: &[usize],
         level_nodes: &mut [LevelNode],
+        workers: usize,
+    ) {
+        // `fit` floors every hessian at 1e-16, so a node's run hessian sum
+        // is positive exactly when it has a row in the run.
+        debug_assert!(hess.iter().all(|&h| h > 0.0));
+        let blocks: Vec<_> = sorted
+            .columns
+            .chunks(BLOCK)
+            .zip(sorted.in_run.chunks(BLOCK * slot.len()))
+            .collect();
+        let bests = nn::par::map_indexed_dynamic(blocks.len(), workers, |b| {
+            let (columns, in_run) = blocks[b];
+            let mut scan = level_nodes.to_vec();
+            self.search_block(columns, in_run, grad, hess, slot, &mut scan);
+            scan.into_iter().map(|n| n.best).collect::<Vec<_>>()
+        });
+        for block in bests {
+            for (n, best) in level_nodes.iter_mut().zip(block) {
+                if let Some((_, _, gain)) = best {
+                    if n.best.is_none_or(|(_, _, bg)| gain > bg) {
+                        n.best = best;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Evaluate the splits of every node a row has a `slot` in, for each
+    /// of a block's columns in the order of the node's own rows sorted by
+    /// that feature. One masked pass over the rows sums each node's rows
+    /// in every column's leading run, where no split can fall; the scan of
+    /// each column starts from those sums and walks only the pairs after
+    /// the run.
+    fn search_block(
+        &self,
+        columns: &[Column],
+        in_run: &[bool],
+        grad: &[f64],
+        hess: &[f64],
+        slot: &[usize],
+        level_nodes: &mut [LevelNode],
     ) {
         let cfg = &self.config;
-        let width = sorted.columns.len();
-        if width == 0 {
-            // Every feature is constant, so no node can split.
-            return;
-        }
+        let width = columns.len();
         // Node-major: each node's gradient and hessian sums over its rows
         // in each column's leading run, in row order. Adding 0.0 for a row
         // outside the run leaves a sum that started at +0.0 unchanged.
         let mut run_g = vec![0.0; level_nodes.len() * width];
         let mut run_h = vec![0.0; level_nodes.len() * width];
         let rows = slot.iter().zip(grad).zip(hess);
-        for (((&s, &g), &h), flags) in rows.zip(sorted.in_run.chunks_exact(width)) {
+        for (((&s, &g), &h), flags) in rows.zip(in_run.chunks_exact(width)) {
             if s == CLOSED {
                 continue;
             }
@@ -333,10 +381,7 @@ impl Gbdt {
                 *hs += if hit { h } else { 0.0 };
             }
         }
-        // `fit` floors every hessian at 1e-16, so a node's run hessian sum
-        // is positive exactly when it has a row in the run.
-        debug_assert!(hess.iter().all(|&h| h > 0.0));
-        for (c, column) in sorted.columns.iter().enumerate() {
+        for (c, column) in columns.iter().enumerate() {
             for (k, n) in level_nodes.iter_mut().enumerate() {
                 n.gl = run_g[k * width + c];
                 n.hl = run_h[k * width + c];
@@ -416,10 +461,10 @@ impl Gbdt {
             }
         }
     }
-}
 
-impl Classifier for Gbdt {
-    fn fit(&mut self, x: &[Vec<f64>], y: &[u8]) {
+    /// [`Classifier::fit`] with `workers` searching the splits; every
+    /// worker count fits the same trees.
+    fn fit_with_workers(&mut self, x: &[Vec<f64>], y: &[u8], workers: usize) {
         check_fit_inputs(x, y);
         let n = x.len();
         // Base score: log-odds of the positive rate (XGBoost's default
@@ -440,9 +485,15 @@ impl Classifier for Gbdt {
                 grad[i] = p - y[i] as f64; // dL/dmargin
                 hess[i] = (p * (1.0 - p)).max(1e-16);
             }
-            let tree = self.grow(x, &sorted, &grad, &hess, &mut margins);
+            let tree = self.grow(x, &sorted, &grad, &hess, &mut margins, workers);
             self.trees.push(tree);
         }
+    }
+}
+
+impl Classifier for Gbdt {
+    fn fit(&mut self, x: &[Vec<f64>], y: &[u8]) {
+        self.fit_with_workers(x, y, nn::par::resolve(0));
     }
 
     fn predict_proba(&self, x: &[f64]) -> f64 {
@@ -761,6 +812,11 @@ mod tests {
         let oracle = Oracle::fit(config.clone(), x, y);
         let mut m = Gbdt::new(config.clone());
         m.fit(x, y);
+        assert_same_as_oracle(&m, &oracle, x, probes);
+    }
+
+    fn assert_same_as_oracle(m: &Gbdt, oracle: &Oracle, x: &[Vec<f64>], probes: &[Vec<f64>]) {
+        let config = &m.config;
         assert_eq!(m.trees.len(), oracle.trees.len(), "{config:?}");
         for (t, (flat, boxed)) in m.trees.iter().zip(&oracle.trees).enumerate() {
             assert_eq!(
@@ -891,6 +947,33 @@ mod tests {
     #[test]
     fn level_wise_grower_matches_on_leading_runs() {
         assert_grid_matches_oracle(leading_runs);
+    }
+
+    #[test]
+    fn every_worker_count_fits_the_oracle_s_trees() {
+        let (x, y) = crate::tree::tests::copied_column(240, 0);
+        let (probes, _) = crate::tree::tests::copied_column(40, 1);
+        let config = GbdtConfig {
+            n_rounds: 4,
+            ..Default::default()
+        };
+        // Columns 7 and 150 sit at positions 6 and 148 once the constant
+        // columns 3 and 103 are dropped, in blocks 0 and 2, and they tie
+        // wherever one is a node's best split.
+        let sorted = presort(&x);
+        assert!(sorted.columns.len() > 3 * BLOCK);
+        let position = |f| sorted.columns.iter().position(|c| c.feature == f);
+        assert_eq!((position(7), position(150)), (Some(6), Some(148)));
+        let oracle = Oracle::fit(config.clone(), &x, &y);
+        for workers in [1, 2, 3, 8] {
+            let mut m = Gbdt::new(config.clone());
+            m.fit_with_workers(&x, &y, workers);
+            assert!(
+                matches!(m.trees[0].nodes[0], Node::Split { feature: 7, .. }),
+                "the root must split on the first of two tied columns, workers={workers}"
+            );
+            assert_same_as_oracle(&m, &oracle, &x, &probes);
+        }
     }
 
     #[test]

@@ -6,6 +6,14 @@
 //!
 //! Supports class weights, depth / min-samples limits, and per-node random
 //! feature subsampling (used by [`crate::forest::RandomForest`]).
+//!
+//! Each node sorts its rows by every feature it examines and scans for the
+//! split of least weighted Gini impurity. A tree that examines every
+//! feature searches blocks of features on `nn::par::resolve(0)` workers
+//! and merges their bests in feature order, so it chooses the split one
+//! scan over all features would, for any worker count (DESIGN.md §15).
+//! A forest's trees, which subsample features, search on one worker each,
+//! since the forest already fits its trees on the workers.
 
 use crate::model::{check_fit_inputs, Classifier};
 use rand::rngs::StdRng;
@@ -65,7 +73,13 @@ pub struct DecisionTree {
     n_features: usize,
     /// (positive, negative) class weights computed at fit time.
     cached_cw: (f64, f64),
+    /// Workers of the split search, set at fit time.
+    workers: usize,
 }
+
+/// Features per block of a node's split search; the workers pull whole
+/// blocks.
+const BLOCK: usize = 64;
 
 impl DecisionTree {
     /// Create an unfitted tree.
@@ -75,13 +89,33 @@ impl DecisionTree {
             root: None,
             n_features: 0,
             cached_cw: (1.0, 1.0),
+            workers: 1,
         }
     }
 
     /// Fit with explicit per-sample weights (used by AdaBoost).
     pub fn fit_weighted(&mut self, x: &[Vec<f64>], y: &[u8], sample_weights: &[f64]) {
+        // A tree that subsamples features is a forest's, and the forest
+        // fits its trees on the workers already.
+        let workers = match self.config.max_features {
+            Some(_) => 1,
+            None => nn::par::resolve(0),
+        };
+        self.fit_with_workers(x, y, sample_weights, workers);
+    }
+
+    /// [`DecisionTree::fit_weighted`] with `workers` searching each node's
+    /// split; every worker count fits the same tree.
+    fn fit_with_workers(
+        &mut self,
+        x: &[Vec<f64>],
+        y: &[u8],
+        sample_weights: &[f64],
+        workers: usize,
+    ) {
         check_fit_inputs(x, y);
         assert_eq!(sample_weights.len(), x.len());
+        self.workers = workers;
         self.cached_cw = self.class_weights(y);
         self.n_features = x[0].len();
         let idx: Vec<usize> = (0..x.len()).collect();
@@ -139,7 +173,11 @@ impl DecisionTree {
         }
     }
 
-    /// Find the (feature, threshold) minimizing weighted Gini impurity.
+    /// Find the (feature, threshold) minimizing weighted Gini impurity:
+    /// the first such split, scanning features in order and each
+    /// feature's values in ascending order. The workers search blocks of
+    /// [`BLOCK`] features, and the blocks' bests merge in block order, a
+    /// later block winning only with a strictly smaller impurity.
     fn best_split(
         &self,
         x: &[Vec<f64>],
@@ -148,16 +186,38 @@ impl DecisionTree {
         idx: &[usize],
         rng: &mut StdRng,
     ) -> Option<(usize, f64)> {
-        let (wp, wn) = self.cached_cw;
         let mut features: Vec<usize> = (0..self.n_features).collect();
         if let Some(k) = self.config.max_features {
             features.shuffle(rng);
             features.truncate(k.min(self.n_features));
         }
+        let blocks: Vec<&[usize]> = features.chunks(BLOCK).collect();
+        let bests = nn::par::map_indexed_dynamic(blocks.len(), self.workers, |b| {
+            self.search_block(blocks[b], x, y, w, idx)
+        });
+        let mut best: Option<(usize, f64, f64)> = None;
+        for (f, threshold, gini) in bests.into_iter().flatten() {
+            if best.is_none_or(|(_, _, g)| gini < g) {
+                best = Some((f, threshold, gini));
+            }
+        }
+        best.map(|(f, t, _)| (f, t))
+    }
 
+    /// The first `(feature, threshold, gini)` of least impurity among
+    /// `features`, scanned in order.
+    fn search_block(
+        &self,
+        features: &[usize],
+        x: &[Vec<f64>],
+        y: &[u8],
+        w: &[f64],
+        idx: &[usize],
+    ) -> Option<(usize, f64, f64)> {
+        let (wp, wn) = self.cached_cw;
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gini)
         let mut vals: Vec<(f64, f64, f64)> = Vec::with_capacity(idx.len()); // (x, w_pos, w_neg)
-        for &f in &features {
+        for &f in features {
             vals.clear();
             for &i in idx {
                 let (p, n) = if y[i] == 1 {
@@ -188,7 +248,7 @@ impl DecisionTree {
                 }
             }
         }
-        best.map(|(f, t, _)| (f, t))
+        best
     }
 
     /// Depth of the fitted tree (0 = single leaf).
@@ -256,9 +316,84 @@ impl Classifier for DecisionTree {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::Rng;
+
+    /// A matrix for the split searches' worker counts: 200 columns, more
+    /// than three blocks of either search, continuous, tied, mostly zero
+    /// and two constant. The labels follow column 7 with noise, and
+    /// column 150 is a copy of it, so wherever one is a node's best split
+    /// the other ties with it from a later block, and column 7 must win.
+    pub(crate) fn copied_column(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<u8>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut x = Vec::with_capacity(n);
+        let mut y = Vec::with_capacity(n);
+        for _ in 0..n {
+            let mut row: Vec<f64> = (0..200)
+                .map(|j| match j % 4 {
+                    0 => rng.gen_range(-1.0..1.0),
+                    1 => f64::from(rng.gen_range(0u8..3)),
+                    2 if rng.gen_bool(0.1) => rng.gen_range(0.1..2.0),
+                    2 => 0.0,
+                    _ if j % 50 == 3 => 2.5,
+                    _ => rng.gen_range(0.0..1.0),
+                })
+                .collect();
+            row[150] = row[7];
+            y.push(u8::from(row[7] + rng.gen_range(-0.3..0.3) > 0.4));
+            x.push(row);
+        }
+        (x, y)
+    }
+
+    /// Every split's feature and threshold and every leaf's probability,
+    /// as bits, in preorder.
+    fn tree_bits(node: &Node, out: &mut Vec<u64>) {
+        match node {
+            Node::Leaf { p_pos } => out.push(p_pos.to_bits()),
+            Node::Split {
+                feature,
+                threshold,
+                left,
+                right,
+            } => {
+                out.extend([*feature as u64, threshold.to_bits()]);
+                tree_bits(left, out);
+                tree_bits(right, out);
+            }
+        }
+    }
+
+    #[test]
+    fn every_worker_count_grows_the_same_tree() {
+        let (x, y) = copied_column(240, 0);
+        let (probes, _) = copied_column(40, 1);
+        // Uneven weights, so leaf probabilities are not simple fractions.
+        let w: Vec<f64> = (0..x.len()).map(|i| 0.5 + (i % 3) as f64).collect();
+        let fit = |workers| {
+            let mut t = DecisionTree::new(DecisionTreeConfig::default());
+            t.fit_with_workers(&x, &y, &w, workers);
+            let mut bits = Vec::new();
+            tree_bits(t.root.as_ref().expect("fitted"), &mut bits);
+            let proba: Vec<u64> = (x.iter().chain(&probes))
+                .map(|r| t.predict_proba(r).to_bits())
+                .collect();
+            (t, bits, proba)
+        };
+        let (serial, bits, proba) = fit(1);
+        assert!(serial.depth() >= 3, "the tree is too shallow to test");
+        // Columns 7 and 150 lie in blocks 0 and 2 and tie at the root.
+        assert!(
+            matches!(serial.root, Some(Node::Split { feature: 7, .. })),
+            "the root must split on the first of two tied columns"
+        );
+        for workers in [2, 3, 8] {
+            let (_, b, p) = fit(workers);
+            assert_eq!(b, bits, "tree, workers={workers}");
+            assert_eq!(p, proba, "predict_proba, workers={workers}");
+        }
+    }
 
     fn xor(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<u8>) {
         let mut rng = StdRng::seed_from_u64(seed);

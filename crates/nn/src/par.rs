@@ -13,7 +13,9 @@
 //!
 //! Concretely that means the helpers here may only be used for
 //! *per-unit-independent* computations (row-partitioned matmuls, per-item
-//! attention projections, per-sample packing, per-tree forest fitting).
+//! attention projections, per-sample packing, per-tree forest fitting,
+//! the tree learners' per-block split searches, whose bests the caller
+//! merges in block order).
 //! Reductions whose floating-point grouping would depend on the partition
 //! (gradient accumulation across samples, `sum_rows`, attention's `dq`)
 //! must stay serial; see DESIGN.md "Compute kernels".
@@ -27,8 +29,9 @@
 //! 2. For the tensor kernels ([`threads`]) only, the last
 //!    [`set_threads`] call, which RETINA training makes from
 //!    `RetinaConfig::threads` (`0` = auto). The other parallel stages
-//!    (Doc2Vec's document mapping, random-forest fitting, feature
-//!    packing) call [`resolve`]`(0)` and have no knob of their own.
+//!    (Doc2Vec's document mapping, random-forest fitting, the GBDT and
+//!    CART split searches, feature packing) call [`resolve`]`(0)` and
+//!    have no knob of their own.
 //! 3. `std::thread::available_parallelism()`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -177,9 +180,16 @@ where
 /// Like [`map_indexed`] but with dynamic load balancing: workers pull
 /// the next index from a shared cursor instead of owning a fixed range,
 /// which keeps threads busy when per-item cost is uneven (forest trees,
-/// per-cascade packing). Each index is still computed exactly once, by
-/// exactly one worker, into its own slot — so output order and every
-/// value are independent of scheduling and thread count.
+/// per-cascade packing, the tree learners' split-search blocks). Each
+/// index is still computed exactly once, by exactly one worker, into its
+/// own slot — so output order and every value are independent of
+/// scheduling and thread count.
+///
+/// The calling thread is one of the workers: a region spawns one thread
+/// fewer than it has workers, so a caller that opens hundreds of short
+/// regions pays one spawn per region at two workers, and never idles.
+/// A panic in any worker, the caller included, reaches the caller once
+/// every worker has stopped.
 pub fn map_indexed_dynamic<R, F>(n: usize, n_workers: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -192,19 +202,20 @@ where
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let (slots, cursor, f) = (&slots, &cursor, &f);
-            scope.spawn(move || loop {
-                // Relaxed: the cursor only hands out indices; results
-                // travel through the slot mutexes and the scope join.
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(slot) = slots.get(i) else {
-                    break;
-                };
-                let r = f(i);
-                *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
-            });
+        let pull = || loop {
+            // Relaxed: the cursor only hands out indices; results
+            // travel through the slot mutexes and the scope join.
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = slots.get(i) else {
+                break;
+            };
+            let r = f(i);
+            *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
+        };
+        for _ in 1..workers {
+            scope.spawn(pull);
         }
+        pull();
     });
     slots
         .into_iter()
@@ -326,6 +337,54 @@ mod tests {
                 serial,
                 "workers={workers}"
             );
+        }
+    }
+
+    /// Run `map_indexed_dynamic` over 16 indices whose first `workers`
+    /// wait for each other, so each of them runs on its own thread and
+    /// every worker computes at least one index. Returns the caller's
+    /// thread and each index's thread; `then` runs after the wait.
+    fn pulled_by(
+        workers: usize,
+        then: impl Fn(usize, std::thread::ThreadId) + Sync,
+    ) -> (std::thread::ThreadId, Vec<std::thread::ThreadId>) {
+        let caller = std::thread::current().id();
+        let gate = std::sync::Barrier::new(workers);
+        let ids = map_indexed_dynamic(16, workers, |i| {
+            if i < workers {
+                gate.wait();
+            }
+            let id = std::thread::current().id();
+            then(i, id);
+            id
+        });
+        (caller, ids)
+    }
+
+    #[test]
+    fn map_indexed_dynamic_puts_the_caller_to_work() {
+        for workers in [2usize, 3] {
+            let (caller, ids) = pulled_by(workers, |_, _| {});
+            assert!(ids.contains(&caller), "workers={workers}");
+            let distinct: std::collections::HashSet<_> = ids.iter().collect();
+            assert_eq!(distinct.len(), workers, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn map_indexed_dynamic_reraises_a_panic_on_any_worker() {
+        for workers in [2usize, 3] {
+            for on_caller in [true, false] {
+                let caller = std::thread::current().id();
+                let caught = std::panic::catch_unwind(|| {
+                    pulled_by(workers, |i, id| {
+                        if i < workers && (id == caller) == on_caller {
+                            panic!("boom");
+                        }
+                    })
+                });
+                assert!(caught.is_err(), "workers={workers}, caller={on_caller}");
+            }
         }
     }
 

@@ -940,8 +940,8 @@ mod tests {
             id: "B9",
             path: "crates/nn/src/par.rs",
             lines: &[
-                "                let r = f(i);",
-                "                *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(r);",
+                "            let r = f(i);",
+                "            *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(r);",
             ],
             with: "let mut g = slot.lock().unwrap_or_else(PoisonError::into_inner);
                    *g = Some(f(i));",
