@@ -509,6 +509,45 @@ mod tests {
     }
 
     #[test]
+    fn context_weights_and_kernel_gradients_are_pinned() {
+        // Three forward+backward calls accumulating into the same kernel
+        // gradients, per shape; zeros in the inputs exercise the kernels'
+        // exact-zero skip. FNV-1a over the bits of the last context, the
+        // last weights and the three kernel gradients.
+        let fnv = |ms: &[&Matrix]| {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for b in ms
+                .iter()
+                .flat_map(|m| m.data())
+                .flat_map(|v| v.to_bits().to_le_bytes())
+            {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            h
+        };
+        for ((d, hdim, k, seed), want) in [
+            ((3, 1, 1, 0u64), 0x044b_4ef4_de6d_3f32u64),
+            ((7, 5, 9, 1), 0x4138_ff54_6183_5176),
+            ((50, 64, 60, 2), 0x6d51_336a_18df_7c69),
+            ((12, 33, 70, 3), 0x8759_7f04_03b8_1d76),
+        ] {
+            let mut att = ExogenousAttention::new(d, d, hdim, seed);
+            let sparse = |m: Matrix| m.map(|v| if v.abs() < 0.1 { 0.0 } else { v * 3.0 });
+            let xn: Vec<Matrix> = (0..k as u64)
+                .map(|i| sparse(Matrix::xavier_seeded(1, d, 200 + seed * 100 + i)))
+                .collect();
+            for call in 0..3u64 {
+                let xt = sparse(Matrix::xavier_seeded(1, d, 100 + seed + 10 * call));
+                let _ = att.forward(&xt, &xn);
+                let _ = att.backward(&probe(1, hdim).scaled(1.0 + 0.5 * call as f64));
+            }
+            let c = att.cache.as_ref().unwrap();
+            let got = fnv(&[&c.out, &c.attn, &att.wq.grad, &att.wk.grad, &att.wv.grad]);
+            assert_eq!(got, want, "d={d} h={hdim} k={k}: {got:#018x}");
+        }
+    }
+
+    #[test]
     fn f32_forward_tracks_f64_layer() {
         let mut att = ExogenousAttention::new(6, 6, 8, 5);
         let xt = Matrix::xavier_seeded(2, 6, 11);

@@ -278,19 +278,16 @@ pub fn gradient_fingerprint() -> u64 {
         absorb(&p.grad, &mut hash);
     }
 
-    // Exogenous attention.
+    // Exogenous attention: one tweet querying three news items.
     let mut att = crate::attention::ExogenousAttention::new(3, 4, 5, 11);
-    let xt = Matrix::xavier_seeded(2, 3, 30).scaled(3.0);
+    let xt = Matrix::xavier_seeded(1, 3, 30).scaled(3.0);
+    let xn_rows = Matrix::xavier_seeded(3, 4, 40).scaled(3.0);
     let xn: Vec<Matrix> = (0..3)
-        .map(|i| Matrix::xavier_seeded(2, 4, 40 + i).scaled(3.0))
+        .map(|i| Matrix::from_rows(&[xn_rows.row(i).to_vec()]))
         .collect();
     let y = att.forward(&xt, &xn);
     let probe = probe_coeffs(y.rows(), y.cols());
-    let (d_xt, d_xn) = att.backward(&probe);
-    absorb(&d_xt, &mut hash);
-    for d in &d_xn {
-        absorb(d, &mut hash);
-    }
+    let _ = att.backward(&probe);
     for p in att.params_mut() {
         absorb(&p.grad, &mut hash);
     }
@@ -329,7 +326,7 @@ mod tests {
         // sanitizer armed) and `cargo test --release` (compiled away):
         // the sanitize checks must not alter a single gradient bit on
         // finite inputs.
-        assert_eq!(gradient_fingerprint(), 0x2927_a47c_c47c_8579);
+        assert_eq!(gradient_fingerprint(), 0x8fe3_5866_5594_4e8e);
     }
 
     #[test]
