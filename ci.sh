@@ -66,6 +66,15 @@ step "snapshot corruption and round-trip suites (debug)"
 # where both trap.
 cargo test -q -p serving --test corruption --test snapshot_roundtrip
 
+step "nn unit tests (debug)"
+# The release workspace step runs nn's unit tests with the numeric
+# sanitizer compiled away; the only other debug run of them is the
+# opt-in RETINA_TSAN job, which skips itself without nightly. Here they
+# run with it armed, so `gradient_fingerprint_is_bit_stable_across_profiles`
+# checks its constant in both profiles, as it says, and every layer test
+# passes through the sanitizer's checks. Under a second once built.
+cargo test -q -p nn --lib
+
 step "ml tests (debug)"
 # The classical learners run in debug too: the tree growers' index
 # arithmetic then has overflow checks, and the GBDT split search checks

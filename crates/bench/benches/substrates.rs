@@ -146,16 +146,17 @@ fn bench_text(timer: &Timer) {
 fn bench_nn(timer: &Timer) {
     // Attention at RETINA's production shape: 60 news, hdim 64.
     let xt = Matrix::xavier_seeded(1, 50, 1);
-    let xn: Vec<Matrix> = (0..60)
-        .map(|i| Matrix::xavier_seeded(1, 50, 2 + i))
+    let news: Vec<Vec<f64>> = (0..60)
+        .map(|i| Matrix::xavier_seeded(1, 50, 2 + i).data().to_vec())
         .collect();
+    let xn = Matrix::from_rows(&news);
     timer.run_with_setup(
         "nn/attention_fwd_bwd_60news",
         || ExogenousAttention::new(50, 50, 64, 0),
         |mut att| {
-            let out = att.forward(&xt, &xn);
-            let g = out.map(|v| v * 0.1);
-            black_box(att.backward(&g))
+            let g = att.forward(&xt, &xn).map(|v| v * 0.1);
+            att.backward(&g);
+            black_box(att)
         },
     );
 
@@ -193,7 +194,7 @@ fn bench_nn(timer: &Timer) {
         black_box(att.forward(&xt, &xn));
     });
     let xt32 = Matrix::<f32>::from_f64(&xt);
-    let xn32: Vec<Matrix<f32>> = xn.iter().map(Matrix::from_f64).collect();
+    let xn32 = Matrix::<f32>::from_f64(&xn);
     timer.run("nn/attention_infer_60news_f32", || {
         black_box(att32.forward(&xt32, &xn32));
     });

@@ -203,21 +203,20 @@ pub fn pack_sample(
     }
 }
 
-/// Pack many samples in parallel across `n_threads` worker threads
-/// (the [`nn::par`] chunked work-splitter). The extractor only reads the
-/// corpus and the text models' stored counts, so one extractor is shared
-/// by all workers.
+/// Pack many samples in parallel across `n_threads` workers
+/// ([`nn::par::map_indexed`]; one worker packs inline, in order). The
+/// extractor only reads the corpus and the text models' stored counts,
+/// so one extractor is shared by all workers.
 ///
-/// ## Why chunking cannot reorder outputs
+/// ## Why scheduling cannot reorder outputs
 ///
 /// Each sample `i` is packed into the output slot at index `i`, and the
-/// contiguous index-chunk partition assigns every slot to exactly one
-/// worker — a sample's result never travels through a shared queue or
-/// channel that could interleave it with another worker's results. The
-/// thread count only decides *who* fills a slot, never *which* slot is
-/// filled or *what* value goes into it (packing a sample only reads
-/// shared state, so each sample's output is a pure function of the
-/// sample).
+/// map's cursor hands every index to exactly one worker — a sample's
+/// result never travels through a shared queue or channel that could
+/// interleave it with another worker's results. The thread count only
+/// decides *who* fills a slot, never *which* slot is filled or *what*
+/// value goes into it (packing a sample only reads shared state, so
+/// each sample's output is a pure function of the sample).
 /// Hence the output `Vec` is bit-identical to the serial
 /// `samples.iter().map(pack_sample)` for any `n_threads`; the test suite
 /// (`tests/parallel_packing.rs`) pins this for 1, 3, and 7 threads.
@@ -228,13 +227,6 @@ pub fn pack_samples_parallel(
     news_k: usize,
     n_threads: usize,
 ) -> Vec<PackedSample> {
-    let n_threads = n_threads.max(1);
-    if n_threads == 1 || samples.len() < 2 * n_threads {
-        return samples
-            .iter()
-            .map(|s| pack_sample(features, s, intervals, news_k))
-            .collect();
-    }
     nn::par::map_indexed(samples.len(), n_threads, |i| {
         pack_sample(features, &samples[i], intervals, news_k)
     })
@@ -295,9 +287,10 @@ struct Activations<T: Scalar> {
     merged: Matrix<T>,
     /// Per-candidate logits (`n × 1` static, `n × T` dynamic).
     logits: Matrix<T>,
-    /// Attention inputs: the tweet's and each news item's Doc2Vec.
+    /// Attention inputs: the tweet's Doc2Vec (`1 × d`) and the news
+    /// window's, one row per item (`k × d`).
     xt: Matrix<T>,
-    xn: Vec<Matrix<T>>,
+    xn: Matrix<T>,
     /// Whether the attention layer ran: it is skipped for a sample with
     /// no news, whose context is zero.
     attended: bool,
@@ -377,10 +370,9 @@ impl<T: Scalar> Retina<T> {
                 if !sample.news_d2v.is_empty() {
                     a.xt.resize_to(1, sample.tweet_d2v.len());
                     narrow_into(&sample.tweet_d2v, a.xt.row_mut(0));
-                    a.xn.resize_with(sample.news_d2v.len(), Matrix::default);
-                    for (m, row) in a.xn.iter_mut().zip(&sample.news_d2v) {
-                        m.resize_to(1, row.len());
-                        narrow_into(row, m.row_mut(0));
+                    a.xn.resize_to(sample.news_d2v.len(), self.config.d2v_dim);
+                    for (r, row) in sample.news_d2v.iter().enumerate() {
+                        narrow_into(row, a.xn.row_mut(r));
                     }
                     a.attended = true;
                     let ctx = att.forward(&a.xt, &a.xn);
@@ -444,8 +436,10 @@ impl<T: Scalar> Retina<T> {
     }
 }
 
-/// Narrow (or copy, at `f64`) an `f64` row into `out`.
+/// Narrow (or copy, at `f64`) an `f64` row into `out`, which has its
+/// width.
 fn narrow_into<T: Scalar>(row: &[f64], out: &mut [T]) {
+    assert_eq!(row.len(), out.len(), "feature row width");
     for (o, &v) in out.iter_mut().zip(row) {
         *o = T::from_f64(v);
     }
@@ -522,7 +516,7 @@ impl Retina {
             Some(att) => {
                 let (d_hidden, d_ctx_rows) = d_merged.split_cols(h);
                 if a.attended {
-                    let _ = att.backward(&d_ctx_rows.sum_rows());
+                    att.backward(&d_ctx_rows.sum_rows());
                 }
                 d_hidden
             }

@@ -94,9 +94,10 @@ impl Classifier for RandomForest {
         // Tree fits are independent (each tree derives its own seeded
         // RNG from the tree index) and land in index-order slots, so the
         // fitted forest is identical for any worker count. Per-tree cost
-        // varies with the bootstrap, hence the dynamic splitter.
+        // varies with the bootstrap; the map's workers pull trees one at
+        // a time, so an expensive tree does not hold up a fixed range.
         let workers = nn::par::resolve(0).min(self.config.n_estimators.max(1));
-        self.trees = nn::par::map_indexed_dynamic(self.config.n_estimators, workers, |t| {
+        self.trees = nn::par::map_indexed(self.config.n_estimators, workers, |t| {
             let (bx, by) = &bootstraps[t];
             let mut cfg = self.config.tree.clone();
             cfg.max_features = Some(max_features);

@@ -330,7 +330,7 @@ impl Gbdt {
             .chunks(BLOCK)
             .zip(sorted.in_run.chunks(BLOCK * slot.len()))
             .collect();
-        let bests = nn::par::map_indexed_dynamic(blocks.len(), workers, |b| {
+        let bests = nn::par::map_indexed(blocks.len(), workers, |b| {
             let (columns, in_run) = blocks[b];
             let mut scan = level_nodes.to_vec();
             self.search_block(columns, in_run, grad, hess, slot, &mut scan);

@@ -192,7 +192,7 @@ impl DecisionTree {
             features.truncate(k.min(self.n_features));
         }
         let blocks: Vec<&[usize]> = features.chunks(BLOCK).collect();
-        let bests = nn::par::map_indexed_dynamic(blocks.len(), self.workers, |b| {
+        let bests = nn::par::map_indexed(blocks.len(), self.workers, |b| {
             self.search_block(blocks[b], x, y, w, idx)
         });
         let mut best: Option<(usize, f64, f64)> = None;

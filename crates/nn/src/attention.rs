@@ -1,21 +1,22 @@
 //! Exogenous scaled dot-product attention — Eqs. 3–5 of the paper.
 //!
-//! Given the tweet feature `Xᵀ ∈ (batch × d_t)` and a news feature
-//! sequence `Xᴺ = {X₁ᴺ … X_kᴺ}` (each `batch × d_n`):
+//! One tweet's feature row `Xᵀ ∈ (1 × d_t)` queries its news window,
+//! the `k` rows of `Xᴺ ∈ (k × d_n)`:
 //!
 //! ```text
-//! Q = Xᵀ·W_Q        K_i = X_iᴺ·W_K        V_i = X_iᴺ·W_V
-//! A[b,i] = softmax_i( (Q[b]·K_i[b]) / √hdim )
-//! Xᵀ'ᴺ[b] = Σ_i A[b,i] · V_i[b]
+//! q = Xᵀ·W_Q        K = Xᴺ·W_K        V = Xᴺ·W_V
+//! a = softmax( q·Kᵀ / √hdim )
+//! Xᵀ'ᴺ = a·V
 //! ```
 //!
 //! The tweet representation *queries* the contemporary news stream and the
 //! attended value summary `Xᵀ'ᴺ` carries the exogenous signal into the
-//! predictor. All gradients are exact (verified by finite differences in
-//! the tests).
+//! predictor. Both inputs are fixed Doc2Vec features, so backward computes
+//! the kernel gradients only; they are exact (verified by finite
+//! differences in the tests).
 
 use crate::param::Param;
-use crate::tensor::{Matrix, MatrixPool, Scalar};
+use crate::tensor::{Matrix, Scalar};
 
 /// The exogenous attention block of RETINA.
 #[derive(Debug, Clone)]
@@ -30,24 +31,18 @@ pub struct ExogenousAttention<T: Scalar = f64> {
     /// Activations of the last forward (`None` before the first); the
     /// next forward overwrites them in place.
     cache: Option<Cache<T>>,
-    /// Scratch buffers for backward's temporaries.
-    pool: MatrixPool<T>,
 }
 
-/// Forward cache. News-side matrices are stored *stacked*: item `i`
-/// occupies rows `i·batch .. (i+1)·batch`. Stacking lets the k per-item
-/// projections run as one matmul while leaving every output row's
-/// accumulation untouched (a matmul row only reads its own input row),
-/// so the stacked form is bit-identical to the per-item form.
+/// Forward cache; backward reads all of it.
 #[derive(Debug, Clone, Default)]
 struct Cache<T: Scalar> {
-    xt: Matrix<T>,
-    xn_all: Matrix<T>, // (k·batch) × d_n
-    q: Matrix<T>,
-    keys_all: Matrix<T>,   // (k·batch) × h
-    values_all: Matrix<T>, // (k·batch) × h
-    attn: Matrix<T>,       // batch × k
-    out: Matrix<T>,        // batch × h
+    xt: Matrix<T>,     // 1 × d_t
+    xn: Matrix<T>,     // k × d_n
+    q: Matrix<T>,      // 1 × h
+    keys: Matrix<T>,   // k × h
+    values: Matrix<T>, // k × h
+    attn: Matrix<T>,   // 1 × k
+    out: Matrix<T>,    // 1 × h
 }
 
 impl<T: Scalar> ExogenousAttention<T> {
@@ -56,74 +51,31 @@ impl<T: Scalar> ExogenousAttention<T> {
         self.hdim
     }
 
-    /// Forward pass; the returned context (`batch × hdim`) stays valid
-    /// until the next call. `xn` must be non-empty and each element must
-    /// have the same batch size as `xt`.
-    pub fn forward(&mut self, xt: &Matrix<T>, xn: &[Matrix<T>]) -> &Matrix<T> {
-        assert!(!xn.is_empty(), "attention needs at least one news item");
-        let batch = xt.rows();
-        assert!(
-            xn.iter().all(|n| n.rows() == batch),
-            "news batch size must match tweet batch size"
-        );
-        let k = xn.len();
-        let hdim = self.hdim;
-        let scale = T::ONE / T::from_f64(hdim as f64).max(T::ONE).sqrt();
+    /// Forward pass for one tweet row `xt` (`1 × d_t`) over its news
+    /// window `xn` (`k × d_n`, `k ≥ 1`). Every step runs on the blocked
+    /// product kernel; the returned context (`1 × hdim`) stays valid
+    /// until the next call.
+    pub fn forward(&mut self, xt: &Matrix<T>, xn: &Matrix<T>) -> &Matrix<T> {
+        assert_eq!(xt.rows(), 1, "attention takes one tweet row");
+        assert!(xn.rows() > 0, "attention needs at least one news item");
+        let scale = T::ONE / T::from_f64(self.hdim as f64).max(T::ONE).sqrt();
         let c = self.cache.get_or_insert_with(Cache::default);
 
         c.xt.copy_from(xt);
+        c.xn.copy_from(xn);
         xt.matmul_into(&self.wq.value, &mut c.q);
-        // Project all k news items with one matmul each over the stacked
-        // (k·batch × d_n) input — bit-identical to k per-item matmuls
-        // because each output row only accumulates over its own input row.
-        Matrix::vstack_into(xn, &mut c.xn_all);
-        c.xn_all.matmul_into(&self.wk.value, &mut c.keys_all);
-        c.xn_all.matmul_into(&self.wv.value, &mut c.values_all);
-
-        // At batch 1 (one tweet per call, the production shape) the score
-        // pass is exactly q·keysᵀ and the context pass exactly
-        // attn·values, so both run on the blocked kernels. Per output
-        // element the kernels accumulate strictly ascending — the same
-        // order as the general loops, so the fast path changes no bits.
-        if batch == 1 {
-            c.q.matmul_t_into(&c.keys_all, &mut c.attn);
-            c.attn.map_assign(|s| s * scale);
-        } else {
-            c.attn.resize_to(batch, k);
-            for i in 0..k {
-                for b in 0..batch {
-                    let s: T =
-                        c.q.row(b)
-                            .iter()
-                            .zip(c.keys_all.row(i * batch + b))
-                            .map(|(&qv, &kv)| qv * kv)
-                            .sum();
-                    c.attn.set(b, i, s * scale);
-                }
-            }
-        }
+        xn.matmul_into(&self.wk.value, &mut c.keys);
+        xn.matmul_into(&self.wv.value, &mut c.values);
+        c.q.matmul_t_into(&c.keys, &mut c.attn);
+        c.attn.map_assign(|s| s * scale);
         c.attn.softmax_rows_assign();
         crate::sanitize::check_finite("attention", "scaled_dot", &c.attn);
-
-        if batch == 1 {
-            c.attn.matmul_into(&c.values_all, &mut c.out);
-        } else {
-            c.out.resize_to(batch, hdim);
-            for i in 0..k {
-                for b in 0..batch {
-                    let a = c.attn.get(b, i);
-                    let vrow = c.values_all.row(i * batch + b);
-                    for (o, &v) in c.out.row_mut(b).iter_mut().zip(vrow) {
-                        *o += a * v;
-                    }
-                }
-            }
-        }
+        c.attn.matmul_into(&c.values, &mut c.out);
         crate::sanitize::check_finite("attention", "forward", &c.out);
         &c.out
     }
 
-    /// The attention weights of the last forward pass (`batch × k`).
+    /// The attention weights of the last forward pass (`1 × k`).
     pub fn attention_weights(&self) -> Option<&Matrix<T>> {
         self.cache.as_ref().map(|c| &c.attn)
     }
@@ -138,118 +90,57 @@ impl ExogenousAttention {
             wv: Param::xavier(news_dim, hdim, seed.wrapping_add(2)),
             hdim,
             cache: None,
-            pool: MatrixPool::new(),
         }
     }
 
-    /// Backward pass: accumulate kernel gradients; return
-    /// `(d xt, d xn)`.
+    /// Backward pass for the last forward, given the context's gradient
+    /// (`1 × hdim`): accumulates the W_Q, W_K and W_V gradients.
     ///
-    /// All temporaries come from the scratch pool; kernel gradients are
-    /// computed into scratch then `add_assign`ed (never fused). The
-    /// `dq` and per-kernel accumulations sum over news items in index
-    /// order — reductions, kept serial per the [`crate::par`] contract.
-    pub fn backward(&mut self, grad_out: &Matrix) -> (Matrix, Vec<Matrix>) {
+    /// Each kernel gradient takes rank-one updates `grad[r][c] += x_r·y_c`,
+    /// news item by news item in index order (reductions, kept serial per
+    /// the [`crate::par`] contract). That is bit for bit the per-item
+    /// `t_matmul` followed by `add_assign`: a gradient that starts at
+    /// `+0.0` and only has finite terms added never becomes `−0.0`, so the
+    /// product kernel's `+0.0` start and its exact-zero skip, which only
+    /// ever add or drop a `±0.0` term, change nothing.
+    pub fn backward(&mut self, grad_out: &Matrix) {
         // lint: allow(unwrap) API contract: backward requires a prior forward; lint: allow(panic-reach) API contract, not a data-dependent failure
-        let cache = self.cache.as_ref().expect("backward before forward");
-        let batch = cache.xt.rows();
-        let k = cache.attn.cols();
+        let c = self.cache.as_ref().expect("backward before forward");
+        assert_eq!(grad_out.cols(), self.hdim, "context gradient width");
         let scale = 1.0 / (self.hdim.max(1) as f64).sqrt();
+        let (g, a, q) = (grad_out.row(0), c.attn.row(0), c.q.row(0));
 
-        // dV_i[b] = A[b,i]·gOut[b] ;  dA[b,i] = gOut[b]·V_i[b]
-        // d_values is built stacked, mirroring the cache layout.
-        let mut dv_all = self.pool.grab(k * batch, self.hdim);
-        let mut d_attn = self.pool.grab(batch, k);
-        for i in 0..k {
-            for b in 0..batch {
-                let a = cache.attn.get(b, i);
-                let g = grad_out.row(b);
-                let dvrow = dv_all.row_mut(i * batch + b);
-                let vrow = cache.values_all.row(i * batch + b);
-                let mut da = 0.0;
-                for ((dvv, &gv), &vv) in dvrow.iter_mut().zip(g).zip(vrow) {
-                    *dvv = a * gv;
-                    da += gv * vv;
-                }
-                d_attn.set(b, i, da);
+        // dA_i = g·V_i, then the softmax backward
+        // dL_i = A_i·(dA_i − Σ_j A_j·dA_j).
+        let d_attn: Vec<f64> = (0..a.len())
+            .map(|i| {
+                g.iter()
+                    .zip(c.values.row(i))
+                    .fold(0.0, |d, (&gv, &vv)| d + gv * vv)
+            })
+            .collect();
+        let dot: f64 = a.iter().zip(&d_attn).map(|(&ai, &dai)| ai * dai).sum();
+
+        // Through the scaled dot product and the weighted sum:
+        // dq = Σ_i ds_i·K_i,  dK_i = ds_i·q,  dV_i = A_i·g.
+        let mut dq = vec![0.0; self.hdim];
+        let mut dk = vec![0.0; self.hdim];
+        let mut dv = vec![0.0; self.hdim];
+        for (i, (&ai, &dai)) in a.iter().zip(&d_attn).enumerate() {
+            let ds = ai * (dai - dot) * scale;
+            for (dqv, &kv) in dq.iter_mut().zip(c.keys.row(i)) {
+                *dqv += ds * kv;
             }
-        }
-
-        // Softmax backward per row: dL[b,i] = A[b,i](dA[b,i] − Σ_j A dA).
-        let mut d_logits = self.pool.grab(batch, k);
-        for b in 0..batch {
-            let dot: f64 = (0..k)
-                .map(|j| cache.attn.get(b, j) * d_attn.get(b, j))
-                .sum();
-            for i in 0..k {
-                d_logits.set(b, i, cache.attn.get(b, i) * (d_attn.get(b, i) - dot));
+            for (dkv, &qv) in dk.iter_mut().zip(q) {
+                *dkv = ds * qv;
             }
-        }
-
-        // Through the scaled dot product. d_keys is built stacked.
-        let mut dq = self.pool.grab(batch, self.hdim);
-        let mut dk_all = self.pool.grab(k * batch, self.hdim);
-        for i in 0..k {
-            for b in 0..batch {
-                let ds = d_logits.get(b, i) * scale;
-                let qrow = cache.q.row(b);
-                let krow = cache.keys_all.row(i * batch + b);
-                {
-                    let dqrow = dq.row_mut(b);
-                    for (dqv, &kv) in dqrow.iter_mut().zip(krow) {
-                        *dqv += ds * kv;
-                    }
-                }
-                let dkrow = dk_all.row_mut(i * batch + b);
-                for (dkv, &qv) in dkrow.iter_mut().zip(qrow) {
-                    *dkv += ds * qv;
-                }
+            for (dvv, &gv) in dv.iter_mut().zip(g) {
+                *dvv = ai * gv;
             }
+            add_outer(&mut self.wk.grad, c.xn.row(i), &dk);
+            add_outer(&mut self.wv.grad, c.xn.row(i), &dv);
         }
-
-        // Kernel and input gradients.
-        let mut tmp = self.pool.grab(0, 0);
-        cache.xt.t_matmul_into(&dq, &mut tmp);
-        self.wq.grad.add_assign(&tmp);
-        let mut d_xt = self.pool.grab(0, 0);
-        dq.matmul_t_into(&self.wq.value, &mut d_xt);
-
-        // d xn[i] = dK_i·W_Kᵀ + dV_i·W_Vᵀ — both products run over the
-        // stacked gradients in one matmul each (row-independent, hence
-        // bit-identical to the per-item products) and are then split back
-        // into per-item matrices.
-        let mut dxn_k_all = self.pool.grab(0, 0);
-        dk_all.matmul_t_into(&self.wk.value, &mut dxn_k_all);
-        let mut dxn_v_all = self.pool.grab(0, 0);
-        dv_all.matmul_t_into(&self.wv.value, &mut dxn_v_all);
-
-        // The kernel gradients are reductions over news items; they stay
-        // serial in index order, each item's contribution computed on a
-        // per-item view copied out of the stacked cache.
-        let mut xn_i = self.pool.grab(0, 0);
-        let mut g_i = self.pool.grab(0, 0);
-        let mut d_xn = Vec::with_capacity(k);
-        for i in 0..k {
-            xn_i.copy_row_range_from(&cache.xn_all, i * batch, batch);
-            g_i.copy_row_range_from(&dk_all, i * batch, batch);
-            xn_i.t_matmul_into(&g_i, &mut tmp);
-            self.wk.grad.add_assign(&tmp);
-            g_i.copy_row_range_from(&dv_all, i * batch, batch);
-            xn_i.t_matmul_into(&g_i, &mut tmp);
-            self.wv.grad.add_assign(&tmp);
-            let mut dn = self.pool.grab(0, 0);
-            dn.copy_row_range_from(&dxn_k_all, i * batch, batch);
-            dn.add_assign_rows(&dxn_v_all, i * batch);
-            d_xn.push(dn);
-        }
-
-        for m in [
-            d_attn, d_logits, dq, tmp, dv_all, dk_all, dxn_k_all, dxn_v_all, xn_i, g_i,
-        ] {
-            self.pool.recycle(m);
-        }
-
-        (d_xt, d_xn)
+        add_outer(&mut self.wq.grad, c.xt.row(0), &dq);
     }
 
     /// Trainable parameters.
@@ -271,7 +162,16 @@ impl ExogenousAttention {
             wv: self.wv.to_f32(),
             hdim: self.hdim,
             cache: None,
-            pool: MatrixPool::new(),
+        }
+    }
+}
+
+/// `grad += xᵀ·y` for row vectors `x` and `y`, one rank-one term per
+/// element.
+fn add_outer(grad: &mut Matrix, x: &[f64], y: &[f64]) {
+    for (r, &xr) in x.iter().enumerate() {
+        for (gv, &yc) in grad.row_mut(r).iter_mut().zip(y) {
+            *gv += xr * yc;
         }
     }
 }
@@ -280,12 +180,10 @@ impl ExogenousAttention {
 mod tests {
     use super::*;
 
-    fn setup() -> (ExogenousAttention, Matrix, Vec<Matrix>) {
+    fn setup() -> (ExogenousAttention, Matrix, Matrix) {
         let att = ExogenousAttention::new(3, 4, 5, 7);
-        let xt = Matrix::xavier_seeded(2, 3, 11).scaled(3.0);
-        let xn: Vec<Matrix> = (0..4)
-            .map(|i| Matrix::xavier_seeded(2, 4, 20 + i).scaled(3.0))
-            .collect();
+        let xt = Matrix::xavier_seeded(1, 3, 11).scaled(3.0);
+        let xn = Matrix::xavier_seeded(4, 4, 20).scaled(3.0);
         (att, xt, xn)
     }
 
@@ -295,7 +193,7 @@ mod tests {
         })
     }
 
-    fn loss(att: &mut ExogenousAttention, xt: &Matrix, xn: &[Matrix]) -> f64 {
+    fn loss(att: &mut ExogenousAttention, xt: &Matrix, xn: &Matrix) -> f64 {
         let y = att.forward(xt, xn);
         let c = probe(y.rows(), y.cols());
         y.hadamard(&c).sum()
@@ -306,68 +204,17 @@ mod tests {
         let (mut att, xt, xn) = setup();
         let _ = att.forward(&xt, &xn);
         let a = att.attention_weights().unwrap();
-        for b in 0..a.rows() {
-            let s: f64 = a.row(b).iter().sum();
-            assert!((s - 1.0).abs() < 1e-12);
-            assert!(a.row(b).iter().all(|&v| v >= 0.0));
-        }
+        assert_eq!((a.rows(), a.cols()), (1, 4));
+        let s: f64 = a.row(0).iter().sum();
+        assert!((s - 1.0).abs() < 1e-12);
+        assert!(a.row(0).iter().all(|&v| v >= 0.0));
     }
 
     #[test]
     fn output_shape() {
         let (mut att, xt, xn) = setup();
         let y = att.forward(&xt, &xn);
-        assert_eq!((y.rows(), y.cols()), (2, 5));
-    }
-
-    #[test]
-    fn gradcheck_xt() {
-        let (mut att, xt, xn) = setup();
-        let y = att.forward(&xt, &xn);
-        let c = probe(y.rows(), y.cols());
-        let (dxt, _) = att.backward(&c);
-        let eps = 1e-6;
-        for r in 0..xt.rows() {
-            for cc in 0..xt.cols() {
-                let mut xp = xt.clone();
-                xp.set(r, cc, xt.get(r, cc) + eps);
-                let lp = loss(&mut att, &xp, &xn);
-                xp.set(r, cc, xt.get(r, cc) - eps);
-                let lm = loss(&mut att, &xp, &xn);
-                let num = (lp - lm) / (2.0 * eps);
-                let ana = dxt.get(r, cc);
-                assert!(
-                    (num - ana).abs() < 1e-5 + 1e-4 * num.abs().max(ana.abs()),
-                    "dxt[{r},{cc}] numeric {num} vs analytic {ana}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn gradcheck_xn() {
-        let (mut att, xt, xn) = setup();
-        let y = att.forward(&xt, &xn);
-        let c = probe(y.rows(), y.cols());
-        let (_, dxn) = att.backward(&c);
-        let eps = 1e-6;
-        for i in 0..xn.len() {
-            for r in 0..xn[i].rows() {
-                for cc in 0..xn[i].cols() {
-                    let mut xnp = xn.clone();
-                    xnp[i].set(r, cc, xn[i].get(r, cc) + eps);
-                    let lp = loss(&mut att, &xt, &xnp);
-                    xnp[i].set(r, cc, xn[i].get(r, cc) - eps);
-                    let lm = loss(&mut att, &xt, &xnp);
-                    let num = (lp - lm) / (2.0 * eps);
-                    let ana = dxn[i].get(r, cc);
-                    assert!(
-                        (num - ana).abs() < 1e-5 + 1e-4 * num.abs().max(ana.abs()),
-                        "dxn[{i}][{r},{cc}] numeric {num} vs analytic {ana}"
-                    );
-                }
-            }
-        }
+        assert_eq!((y.rows(), y.cols()), (1, 5));
     }
 
     #[test]
@@ -378,7 +225,7 @@ mod tests {
         }
         let y = att.forward(&xt, &xn);
         let c = probe(y.rows(), y.cols());
-        let _ = att.backward(&c);
+        att.backward(&c);
         let grads: Vec<Vec<f64>> = att
             .params_mut()
             .iter()
@@ -430,9 +277,9 @@ mod tests {
         att.wq.value = eye.clone();
         att.wk.value = eye;
         let xt = Matrix::from_vec(1, 4, vec![1.0, 0.0, 0.0, 0.0]);
-        let aligned = Matrix::from_vec(1, 4, vec![1.0, 0.0, 0.0, 0.0]);
-        let orthogonal = Matrix::from_vec(1, 4, vec![0.0, 1.0, 0.0, 0.0]);
-        let _ = att.forward(&xt, &[orthogonal, aligned]);
+        let orthogonal_then_aligned =
+            Matrix::from_rows(&[vec![0.0, 1.0, 0.0, 0.0], vec![1.0, 0.0, 0.0, 0.0]]);
+        let _ = att.forward(&xt, &orthogonal_then_aligned);
         let a = att.attention_weights().unwrap();
         assert!(
             a.get(0, 1) > 0.9,
@@ -452,11 +299,11 @@ mod tests {
         att.wq.value = eye.clone();
         att.wk.value = eye;
         let xt = Matrix::from_vec(1, 4, vec![2e3, 0.0, 0.0, 0.0]);
-        let news = [
-            Matrix::from_vec(1, 4, vec![1e3, 0.0, 0.0, 0.0]),
-            Matrix::from_vec(1, 4, vec![-1e3, 0.0, 0.0, 0.0]),
-            Matrix::from_vec(1, 4, vec![9e2, 0.0, 0.0, 0.0]),
-        ];
+        let news = Matrix::from_rows(&[
+            vec![1e3, 0.0, 0.0, 0.0],
+            vec![-1e3, 0.0, 0.0, 0.0],
+            vec![9e2, 0.0, 0.0, 0.0],
+        ]);
         let y = att.forward(&xt, &news);
         assert!(y.data().iter().all(|v| v.is_finite()));
         let a = att.attention_weights().unwrap();
@@ -470,50 +317,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_one_fast_path_matches_the_general_loops_bitwise() {
-        // A batch of two identical rows takes the general loops; each of
-        // its rows must equal the batch-1 kernel path bit for bit. Zeros
-        // in the inputs exercise the kernels' exact-zero skip.
-        for (d, hdim, k, seed) in [
-            (3, 1, 1, 0u64),
-            (7, 5, 9, 1),
-            (50, 64, 60, 2),
-            (12, 33, 70, 3),
-        ] {
-            let mut att = ExogenousAttention::new(d, d, hdim, seed);
-            let sparse = |m: Matrix| m.map(|v| if v.abs() < 0.1 { 0.0 } else { v * 3.0 });
-            let xt = sparse(Matrix::xavier_seeded(1, d, 100 + seed));
-            let xn: Vec<Matrix> = (0..k as u64)
-                .map(|i| sparse(Matrix::xavier_seeded(1, d, 200 + seed * 100 + i)))
-                .collect();
-            let twice = |m: &Matrix| Matrix::from_rows(&[m.row(0).to_vec(), m.row(0).to_vec()]);
-            let xn2: Vec<Matrix> = xn.iter().map(twice).collect();
-            let out1 = att.forward(&xt, &xn).clone();
-            let attn1 = att.attention_weights().unwrap().clone();
-            let out2 = att.forward(&twice(&xt), &xn2).clone();
-            let attn2 = att.attention_weights().unwrap().clone();
-            for b in 0..2 {
-                let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(
-                    bits(out2.row(b)),
-                    bits(out1.row(0)),
-                    "context d={d} h={hdim} k={k}"
-                );
-                assert_eq!(
-                    bits(attn2.row(b)),
-                    bits(attn1.row(0)),
-                    "weights d={d} h={hdim} k={k}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn context_weights_and_kernel_gradients_are_pinned() {
         // Three forward+backward calls accumulating into the same kernel
         // gradients, per shape; zeros in the inputs exercise the kernels'
         // exact-zero skip. FNV-1a over the bits of the last context, the
-        // last weights and the three kernel gradients.
+        // last weights and the three kernel gradients. The constants were
+        // computed by the batched layer this one replaced, which took
+        // each news item as its own one-row matrix.
         let fnv = |ms: &[&Matrix]| {
             let mut h = 0xcbf2_9ce4_8422_2325u64;
             for b in ms
@@ -533,13 +343,18 @@ mod tests {
         ] {
             let mut att = ExogenousAttention::new(d, d, hdim, seed);
             let sparse = |m: Matrix| m.map(|v| if v.abs() < 0.1 { 0.0 } else { v * 3.0 });
-            let xn: Vec<Matrix> = (0..k as u64)
-                .map(|i| sparse(Matrix::xavier_seeded(1, d, 200 + seed * 100 + i)))
+            let rows: Vec<Vec<f64>> = (0..k as u64)
+                .map(|i| {
+                    sparse(Matrix::xavier_seeded(1, d, 200 + seed * 100 + i))
+                        .data()
+                        .to_vec()
+                })
                 .collect();
+            let xn = Matrix::from_rows(&rows);
             for call in 0..3u64 {
                 let xt = sparse(Matrix::xavier_seeded(1, d, 100 + seed + 10 * call));
                 let _ = att.forward(&xt, &xn);
-                let _ = att.backward(&probe(1, hdim).scaled(1.0 + 0.5 * call as f64));
+                att.backward(&probe(1, hdim).scaled(1.0 + 0.5 * call as f64));
             }
             let c = att.cache.as_ref().unwrap();
             let got = fnv(&[&c.out, &c.attn, &att.wq.grad, &att.wk.grad, &att.wv.grad]);
@@ -550,15 +365,14 @@ mod tests {
     #[test]
     fn f32_forward_tracks_f64_layer() {
         let mut att = ExogenousAttention::new(6, 6, 8, 5);
-        let xt = Matrix::xavier_seeded(2, 6, 11);
-        let xn: Vec<Matrix> = (0..4)
-            .map(|i| Matrix::xavier_seeded(2, 6, 20 + i))
-            .collect();
+        let xt = Matrix::xavier_seeded(1, 6, 11);
+        let xn = Matrix::xavier_seeded(4, 6, 20);
         let want = att.forward(&xt, &xn).clone();
         let mut att32 = att.to_f32();
         assert_eq!(att32.out_dim(), 8);
-        let xn32: Vec<Matrix<f32>> = xn.iter().map(Matrix::from_f64).collect();
-        let got = att32.forward(&Matrix::from_f64(&xt), &xn32).to_f64();
+        let got = att32
+            .forward(&Matrix::from_f64(&xt), &Matrix::from_f64(&xn))
+            .to_f64();
         let gap = want
             .sub(&got)
             .data()
@@ -572,6 +386,6 @@ mod tests {
     fn empty_news_panics() {
         let mut att = ExogenousAttention::new(2, 2, 2, 0);
         let xt = Matrix::zeros(1, 2);
-        let _ = att.forward(&xt, &[]);
+        let _ = att.forward(&xt, &Matrix::zeros(0, 2));
     }
 }

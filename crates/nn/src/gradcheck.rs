@@ -281,13 +281,10 @@ pub fn gradient_fingerprint() -> u64 {
     // Exogenous attention: one tweet querying three news items.
     let mut att = crate::attention::ExogenousAttention::new(3, 4, 5, 11);
     let xt = Matrix::xavier_seeded(1, 3, 30).scaled(3.0);
-    let xn_rows = Matrix::xavier_seeded(3, 4, 40).scaled(3.0);
-    let xn: Vec<Matrix> = (0..3)
-        .map(|i| Matrix::from_rows(&[xn_rows.row(i).to_vec()]))
-        .collect();
+    let xn = Matrix::xavier_seeded(3, 4, 40).scaled(3.0);
     let y = att.forward(&xt, &xn);
     let probe = probe_coeffs(y.rows(), y.cols());
-    let _ = att.backward(&probe);
+    att.backward(&probe);
     for p in att.params_mut() {
         absorb(&p.grad, &mut hash);
     }

@@ -14,14 +14,15 @@
 //!   bit-identical to the portable kernel), output-reuse `*_into`
 //!   variants and a scratch [`tensor::MatrixPool`].
 //! * [`par`] — deterministic work-splitting (thread count never changes
-//!   results); home of the `RETINA_THREADS` override.
+//!   results): one parallel map, the kernels' row partition and the
+//!   serving worker pool; home of the `RETINA_THREADS` override.
 //! * [`param`] — trainable parameters carrying their gradients and Adam
 //!   moments.
 //! * [`dense`], [`activation`] — feed-forward layers.
 //! * [`gru`], [`lstm`], [`rnn`] — recurrent layers over `Vec<Matrix>`
 //!   sequences (the paper ablates GRU vs LSTM vs simple RNN).
 //! * [`attention`] — the exogenous scaled dot-product attention of Eqs.
-//!   3–5.
+//!   3–5: one tweet row querying its `k × d` news window.
 //! * [`loss`] — weighted BCE (Eq. 6) computed on logits for stability.
 //! * [`optim`] — SGD and Adam.
 //! * [`gradcheck`] — finite-difference gradient verification used by the
@@ -38,9 +39,11 @@
 //! `Layer<f32>` for the inference tier. A forward overwrites the layer's
 //! activations from the previous call in place (in steady state it
 //! allocates only the attention's transposed keys); `backward` (`f64`
-//! only) reads them, returns the input gradient and accumulates
-//! parameter gradients for `params_mut` (the optimizer). The dense
-//! layer keeps no activations: its `backward` takes the forward's input.
+//! only) reads them and accumulates parameter gradients for
+//! `params_mut` (the optimizer). It returns the input gradient where a
+//! caller reads one; the attention's inputs are fixed features, so its
+//! backward returns nothing. The dense layer keeps no activations: its
+//! `backward` takes the forward's input.
 
 pub mod activation;
 pub mod attention;

@@ -12,13 +12,18 @@
 //! > are bit-identical.
 //!
 //! Concretely that means the helpers here may only be used for
-//! *per-unit-independent* computations (row-partitioned matmuls, per-item
-//! attention projections, per-sample packing, per-tree forest fitting,
-//! the tree learners' per-block split searches, whose bests the caller
-//! merges in block order).
+//! *per-unit-independent* computations (row-partitioned matmuls,
+//! per-sample packing, per-document Doc2Vec mapping, per-tree forest
+//! fitting, the tree learners' per-block split searches, whose bests the
+//! caller merges in block order).
 //! Reductions whose floating-point grouping would depend on the partition
-//! (gradient accumulation across samples, `sum_rows`, attention's `dq`)
-//! must stay serial; see DESIGN.md "Compute kernels".
+//! (gradient accumulation across samples, `sum_rows`, attention's kernel
+//! gradients over news items) must stay serial; see DESIGN.md "Compute
+//! kernels".
+//!
+//! There are two scoped helpers: [`for_each_row_chunk`], the tensor
+//! kernels' static row partition, and [`map_indexed`], the one parallel
+//! map, whose workers pull indices from a shared cursor.
 //!
 //! ## Thread-count resolution
 //!
@@ -94,47 +99,15 @@ pub fn threads() -> usize {
 /// costs tens of microseconds; below this the serial kernel always wins.
 pub const MIN_PAR_FLOPS: usize = 1 << 21;
 
-/// Run `f(start_index, chunk)` over disjoint contiguous chunks of `data`,
-/// using at most `n_workers` scoped threads (one chunk per worker).
-///
-/// `f` must compute each element of its chunk independently of every
-/// other element (no cross-element reductions): under that precondition
-/// the chunk boundaries — and therefore the worker count — cannot change
-/// any output value, which is what makes this deterministic. With
-/// `n_workers <= 1` (or a single chunk) everything runs inline on the
-/// caller's thread in index order.
-///
-/// Panics in a worker propagate to the caller (`std::thread::scope`
-/// re-raises once every worker has stopped).
-pub fn for_each_chunk<T, F>(data: &mut [T], n_workers: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let n = data.len();
-    if n == 0 {
-        return;
-    }
-    let workers = n_workers.max(1).min(n);
-    if workers == 1 {
-        f(0, data);
-        return;
-    }
-    let chunk_len = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (ci, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            let f = &f;
-            scope.spawn(move || f(ci * chunk_len, chunk));
-        }
-    });
-}
-
-/// Row-aligned variant of [`for_each_chunk`]: splits `data` (a row-major
-/// buffer of `row_len`-element rows) into contiguous *whole-row* chunks
-/// and runs `f(first_row, chunk)` on each. Used by the tensor kernels to
-/// row-partition matmuls: each output row's accumulation order is fixed
-/// by the kernel, so the partition (and thread count) cannot change any
-/// value. `data.len()` must be a multiple of `row_len`.
+/// Split `data` (a row-major buffer of `row_len`-element rows) into at
+/// most `n_workers` contiguous *whole-row* chunks and run
+/// `f(first_row, chunk)` on each, one scoped thread per chunk. Used by
+/// the tensor kernels to row-partition matmuls: each output row's
+/// accumulation order is fixed by the kernel, so the partition (and
+/// thread count) cannot change any value. `data.len()` must be a
+/// multiple of `row_len`. With one worker (or one row) `f` runs inline on
+/// the caller's thread; a panic in a worker reaches the caller once every
+/// worker has stopped.
 pub fn for_each_row_chunk<T, F>(data: &mut [T], row_len: usize, n_workers: usize, f: F)
 where
     T: Send,
@@ -160,37 +133,19 @@ where
 }
 
 /// Deterministic parallel map: `out[i] = f(i)` for `i in 0..n`, computed
-/// by at most `n_workers` workers over disjoint index ranges. Output
-/// order always matches index order regardless of worker count.
-pub fn map_indexed<R, F>(n: usize, n_workers: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for_each_chunk(&mut out, n_workers, |start, chunk| {
-        for (off, slot) in chunk.iter_mut().enumerate() {
-            *slot = Some(f(start + off));
-        }
-    });
-    // lint: allow(unwrap) every slot is written exactly once above; lint: allow(panic-reach) slot fill is proven by the chunk partition
-    out.into_iter().map(|r| r.expect("slot filled")).collect()
-}
-
-/// Like [`map_indexed`] but with dynamic load balancing: workers pull
-/// the next index from a shared cursor instead of owning a fixed range,
-/// which keeps threads busy when per-item cost is uneven (forest trees,
-/// per-cascade packing, the tree learners' split-search blocks). Each
-/// index is still computed exactly once, by exactly one worker, into its
-/// own slot — so output order and every value are independent of
-/// scheduling and thread count.
+/// by at most `n_workers` workers. Workers pull the next index from a
+/// shared cursor instead of owning a fixed range, which keeps threads
+/// busy when per-item cost is uneven (forest trees, per-cascade packing,
+/// the tree learners' split-search blocks). Each index is computed
+/// exactly once, by exactly one worker, into its own slot — so output
+/// order and every value are independent of scheduling and thread count.
 ///
 /// The calling thread is one of the workers: a region spawns one thread
-/// fewer than it has workers, so a caller that opens hundreds of short
-/// regions pays one spawn per region at two workers, and never idles.
-/// A panic in any worker, the caller included, reaches the caller once
-/// every worker has stopped.
-pub fn map_indexed_dynamic<R, F>(n: usize, n_workers: usize, f: F) -> Vec<R>
+/// fewer than it has workers, so one worker runs inline in index order,
+/// and a caller that opens hundreds of short regions pays one spawn per
+/// region at two workers and never idles. A panic in any worker, the
+/// caller included, reaches the caller once every worker has stopped.
+pub fn map_indexed<R, F>(n: usize, n_workers: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
@@ -307,40 +262,18 @@ mod tests {
     }
 
     #[test]
-    fn for_each_chunk_covers_every_element_any_worker_count() {
-        for workers in [1usize, 2, 3, 7, 16] {
-            let mut data = vec![0usize; 23];
-            for_each_chunk(&mut data, workers, |start, chunk| {
-                for (off, v) in chunk.iter_mut().enumerate() {
-                    *v = (start + off) * 10;
-                }
-            });
-            let expect: Vec<usize> = (0..23).map(|i| i * 10).collect();
-            assert_eq!(data, expect, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn map_indexed_order_is_stable_across_worker_counts() {
-        let serial = map_indexed(17, 1, |i| i as f64 * 1.5);
-        for workers in [2usize, 5, 8] {
-            assert_eq!(map_indexed(17, workers, |i| i as f64 * 1.5), serial);
-        }
-    }
-
-    #[test]
-    fn map_indexed_dynamic_matches_serial_for_any_worker_count() {
+    fn map_indexed_matches_serial_for_any_worker_count() {
         let serial: Vec<usize> = (0..31).map(|i| i * i).collect();
         for workers in [1usize, 2, 3, 8, 64] {
             assert_eq!(
-                map_indexed_dynamic(31, workers, |i| i * i),
+                map_indexed(31, workers, |i| i * i),
                 serial,
                 "workers={workers}"
             );
         }
     }
 
-    /// Run `map_indexed_dynamic` over 16 indices whose first `workers`
+    /// Run `map_indexed` over 16 indices whose first `workers`
     /// wait for each other, so each of them runs on its own thread and
     /// every worker computes at least one index. Returns the caller's
     /// thread and each index's thread; `then` runs after the wait.
@@ -350,7 +283,7 @@ mod tests {
     ) -> (std::thread::ThreadId, Vec<std::thread::ThreadId>) {
         let caller = std::thread::current().id();
         let gate = std::sync::Barrier::new(workers);
-        let ids = map_indexed_dynamic(16, workers, |i| {
+        let ids = map_indexed(16, workers, |i| {
             if i < workers {
                 gate.wait();
             }
@@ -362,7 +295,7 @@ mod tests {
     }
 
     #[test]
-    fn map_indexed_dynamic_puts_the_caller_to_work() {
+    fn map_indexed_puts_the_caller_to_work() {
         for workers in [2usize, 3] {
             let (caller, ids) = pulled_by(workers, |_, _| {});
             assert!(ids.contains(&caller), "workers={workers}");
@@ -372,7 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn map_indexed_dynamic_reraises_a_panic_on_any_worker() {
+    fn map_indexed_reraises_a_panic_on_any_worker() {
         for workers in [2usize, 3] {
             for on_caller in [true, false] {
                 let caller = std::thread::current().id();
@@ -404,9 +337,12 @@ mod tests {
 
     #[test]
     fn empty_input_is_a_no_op() {
+        for workers in [1usize, 4] {
+            let out: Vec<u8> = map_indexed(0, workers, |_| panic!("must not be called"));
+            assert!(out.is_empty(), "workers={workers}");
+        }
         let mut data: Vec<u8> = Vec::new();
-        for_each_chunk(&mut data, 4, |_, _| panic!("must not be called"));
-        assert!(map_indexed(0, 4, |i| i).is_empty());
+        for_each_row_chunk(&mut data, 3, 4, |_, _| panic!("must not be called"));
     }
 
     #[test]
@@ -444,14 +380,16 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates() {
-        let caught = std::panic::catch_unwind(|| {
-            let mut data = vec![0u8; 8];
-            for_each_chunk(&mut data, 2, |start, _| {
-                if start > 0 {
-                    panic!("boom");
-                }
+        for workers in [1usize, 2] {
+            let caught = std::panic::catch_unwind(|| {
+                map_indexed(8, workers, |i| {
+                    if i > 0 {
+                        panic!("boom");
+                    }
+                    i
+                })
             });
-        });
-        assert!(caught.is_err());
+            assert!(caught.is_err(), "workers={workers}");
+        }
     }
 }

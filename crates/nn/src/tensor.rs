@@ -345,46 +345,6 @@ impl<T: Scalar> Matrix<T> {
         self.data.extend_from_slice(&other.data);
     }
 
-    /// Become a copy of `nrows` rows of `src` starting at row `r0`.
-    pub fn copy_row_range_from(&mut self, src: &Self, r0: usize, nrows: usize) {
-        assert!(r0 + nrows <= src.rows, "row range out of bounds");
-        self.rows = nrows;
-        self.cols = src.cols;
-        self.data.clear();
-        for r in r0..r0 + nrows {
-            self.data.extend_from_slice(src.row(r));
-        }
-    }
-
-    /// In-place `self[r] += src[r0 + r]` for every row of `self` — add a
-    /// row range of a taller matrix with the same column count.
-    pub fn add_assign_rows(&mut self, src: &Self, r0: usize) {
-        assert_eq!(self.cols, src.cols, "add_assign_rows column mismatch");
-        assert!(r0 + self.rows <= src.rows, "row range out of bounds");
-        for r in 0..self.rows {
-            for (a, &b) in self.row_mut(r).iter_mut().zip(src.row(r0 + r)) {
-                *a += b;
-            }
-        }
-    }
-
-    /// Stack same-width matrices vertically into `out` (rows in item
-    /// order), reusing `out`'s allocation.
-    pub fn vstack_into(items: &[Self], out: &mut Self) {
-        assert!(!items.is_empty(), "vstack needs at least one matrix");
-        let cols = items[0].cols;
-        assert!(
-            items.iter().all(|m| m.cols == cols),
-            "vstack width mismatch"
-        );
-        out.rows = items.iter().map(|m| m.rows).sum();
-        out.cols = cols;
-        out.data.clear();
-        for m in items {
-            out.data.extend_from_slice(&m.data);
-        }
-    }
-
     /// Matrix product `self (r×k) · other (k×c) -> (r×c)`.
     pub fn matmul(&self, other: &Self) -> Self {
         let mut out = Self::zeros(0, 0);
@@ -539,18 +499,6 @@ impl<T: Scalar> Matrix<T> {
     /// Scale all entries.
     pub fn scaled(&self, s: T) -> Self {
         self.map(|v| v * s)
-    }
-
-    /// Scale all entries in place.
-    pub fn scale_assign(&mut self, s: T) {
-        self.map_assign(|v| v * s);
-    }
-
-    /// Add a row-vector (1×cols broadcast) to every row.
-    pub fn add_row_broadcast(&self, bias: &Self) -> Self {
-        let mut out = self.clone();
-        out.add_row_broadcast_assign(bias);
-        out
     }
 
     /// In-place row-vector broadcast add.
@@ -1050,7 +998,8 @@ mod tests {
     fn broadcast_bias_and_sum_rows_roundtrip() {
         let x = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
         let b = Matrix::from_vec(1, 2, vec![10., 20.]);
-        let y = x.add_row_broadcast(&b);
+        let mut y = x.clone();
+        y.add_row_broadcast_assign(&b);
         assert_eq!(y.data(), &[11., 22., 13., 24.]);
         assert_eq!(y.sum_rows().data(), &[24., 46.]);
     }
@@ -1059,7 +1008,6 @@ mod tests {
     fn in_place_ops_match_allocating_ops() {
         let a = Matrix::xavier_seeded(3, 4, 5);
         let b = Matrix::xavier_seeded(3, 4, 6);
-        let bias = Matrix::xavier_seeded(1, 4, 7);
 
         let mut m = a.clone();
         m.sub_assign(&b);
@@ -1068,14 +1016,6 @@ mod tests {
         let mut m = a.clone();
         m.hadamard_assign(&b);
         assert_eq!(m, a.hadamard(&b));
-
-        let mut m = a.clone();
-        m.scale_assign(0.5);
-        assert_eq!(m, a.scaled(0.5));
-
-        let mut m = a.clone();
-        m.add_row_broadcast_assign(&bias);
-        assert_eq!(m, a.add_row_broadcast(&bias));
 
         let mut m = a.clone();
         m.map_assign(f64::tanh);
@@ -1196,18 +1136,6 @@ mod tests {
             assert_eq!(Scalar::sigmoid(x).to_bits(), stable_sigmoid(x).to_bits());
             assert_eq!(Scalar::tanh(x).to_bits(), x.tanh().to_bits());
         }
-    }
-
-    #[test]
-    fn vstack_into_stacks_in_item_order() {
-        let items = vec![
-            Matrix::from_vec(1, 2, vec![1.0f32, 2.]),
-            Matrix::from_vec(2, 2, vec![3., 4., 5., 6.]),
-        ];
-        let mut out = Matrix::zeros(9, 9);
-        Matrix::vstack_into(&items, &mut out);
-        assert_eq!((out.rows(), out.cols()), (3, 2));
-        assert_eq!(out.data(), &[1., 2., 3., 4., 5., 6.]);
     }
 
     #[test]

@@ -151,17 +151,14 @@ fn attention_learns_to_route() {
         let mut total = 0.0;
         for i in 0..n_samples {
             let xt = Matrix::from_rows(&[queries[i].clone()]);
-            let xn: Vec<Matrix> = news[i]
-                .iter()
-                .map(|v| Matrix::from_rows(&[v.clone()]))
-                .collect();
+            let xn = Matrix::from_rows(&news[i]);
             let ctx = att.forward(&xt, &xn);
             let z = head.forward(ctx);
             let t = Matrix::from_vec(1, 1, vec![labels[i]]);
             total += bce.loss(&z, &t);
             let g = bce.grad(&z, &t);
             let gctx = head.backward(ctx, &g);
-            let _ = att.backward(&gctx);
+            att.backward(&gctx);
             let mut params = att.params_mut();
             params.extend(head.params_mut());
             opt.step(&mut params);

@@ -366,10 +366,8 @@ mod tests {
             "core::Retina::forward",
             "core::Retina::backward",
             "core::train_retina",
-            "nn::for_each_chunk",
             "nn::for_each_row_chunk",
             "nn::map_indexed",
-            "nn::map_indexed_dynamic",
             "nn::Gru::forward",
             "nn::Lstm::backward",
             "nn::Dense::forward",

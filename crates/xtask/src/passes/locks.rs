@@ -945,7 +945,7 @@ mod tests {
             ],
             with: "let mut g = slot.lock().unwrap_or_else(PoisonError::into_inner);
                    *g = Some(f(i));",
-            expect: "`nn::map_indexed_dynamic` calls `f` while holding `slot`",
+            expect: "`nn::map_indexed` calls `f` while holding `slot`",
         },
         Plant {
             id: "B10",

@@ -98,18 +98,15 @@ fn attention_simplex() {
         let mut rng = rng_for(case, 5);
         let seed = rng.gen_range(0..1000u64);
         let k = rng.gen_range(1..6);
-        let batch = rng.gen_range(1..4);
         let mut att = ExogenousAttention::new(4, 4, 8, seed);
-        let xt = Matrix::xavier_seeded(batch, 4, seed ^ 1).scaled(5.0);
-        let xn: Vec<Matrix> = (0..k)
-            .map(|i| Matrix::xavier_seeded(batch, 4, seed ^ (2 + i as u64)).scaled(5.0))
-            .collect();
+        let xt = Matrix::xavier_seeded(1, 4, seed ^ 1).scaled(5.0);
+        let xn = Matrix::xavier_seeded(k, 4, seed ^ 2).scaled(5.0);
         let _ = att.forward(&xt, &xn);
         let w = att.attention_weights().expect("weights cached by forward");
-        for b in 0..batch {
-            let sum: f64 = w.row(b).iter().sum();
-            assert!((sum - 1.0).abs() < 1e-9, "case {case} batch {b}: {sum}");
-        }
+        assert_eq!(w.cols(), k, "case {case}: one weight per news item");
+        let sum: f64 = w.row(0).iter().sum();
+        assert!((sum - 1.0).abs() < 1e-9, "case {case}: {sum}");
+        assert!(w.row(0).iter().all(|&v| v >= 0.0), "case {case}");
     }
 }
 
