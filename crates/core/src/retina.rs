@@ -436,8 +436,7 @@ impl<T: Scalar> Retina<T> {
     }
 }
 
-/// Narrow (or copy, at `f64`) an `f64` row into `out`, which has its
-/// width.
+/// Narrow (or copy, at `f64`) an `f64` row into `out`, of the same width.
 fn narrow_into<T: Scalar>(row: &[f64], out: &mut [T]) {
     assert_eq!(row.len(), out.len(), "feature row width");
     for (o, &v) in out.iter_mut().zip(row) {

@@ -106,7 +106,8 @@ impl ExogenousAttention {
     pub fn backward(&mut self, grad_out: &Matrix) {
         // lint: allow(unwrap) API contract: backward requires a prior forward; lint: allow(panic-reach) API contract, not a data-dependent failure
         let c = self.cache.as_ref().expect("backward before forward");
-        assert_eq!(grad_out.cols(), self.hdim, "context gradient width");
+        let shape = (grad_out.rows(), grad_out.cols());
+        assert_eq!(shape, (1, self.hdim), "context gradient shape");
         let scale = 1.0 / (self.hdim.max(1) as f64).sqrt();
         let (g, a, q) = (grad_out.row(0), c.attn.row(0), c.q.row(0));
 

@@ -141,10 +141,11 @@ where
 /// order and every value are independent of scheduling and thread count.
 ///
 /// The calling thread is one of the workers: a region spawns one thread
-/// fewer than it has workers, so one worker runs inline in index order,
-/// and a caller that opens hundreds of short regions pays one spawn per
-/// region at two workers and never idles. A panic in any worker, the
-/// caller included, reaches the caller once every worker has stopped.
+/// fewer than it has workers (none for one worker, which runs inline in
+/// index order), so a caller that opens hundreds of short regions pays
+/// one spawn per region at two workers and never idles. A panic in any
+/// worker, the caller included, reaches the caller once every worker has
+/// stopped.
 pub fn map_indexed<R, F>(n: usize, n_workers: usize, f: F) -> Vec<R>
 where
     R: Send,
