@@ -85,6 +85,14 @@ step "ml tests (debug)"
 # run with those checks armed. About a second once built.
 cargo test -q -p ml
 
+step "text tests (debug)"
+# The TF-IDF fit numbers its terms with `u32` ids, stamps documents with
+# `u32` indices and counts in integers; the release workspace step runs
+# `text`'s tests with overflow checks off, so here they run once more
+# with them on, the fit's oracle suites (the tiny simulated corpus
+# among them) included. About 3 s once built.
+cargo test -q -p text
+
 step "serving load harness"
 # The full harness (4 scenarios x 4,000 requests, under a second once
 # built) proves the snapshot + server path works end to end: build a

@@ -113,8 +113,8 @@ impl HateDetector {
                 .iter()
                 .map(|&t| text::char_ngrams(&data.tweets()[t].tokens, 2, 4))
                 .collect();
-            TfIdfVectorizer::fit_tokenized(
-                &docs,
+            TfIdfVectorizer::fit_with_counts(
+                docs.iter().map(Vec::as_slice),
                 TfIdfConfig {
                     top_k: Some(400),
                     min_df: 2,
@@ -123,6 +123,7 @@ impl HateDetector {
                     ..Default::default()
                 },
             )
+            .0
         });
 
         let featurize = |tid: usize| -> Vec<f64> {

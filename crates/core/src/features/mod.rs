@@ -103,11 +103,11 @@ impl TextModels {
     /// Each document's term and lexicon counts are counted here, once;
     /// no feature re-tokenizes a document afterwards (DESIGN.md §17).
     pub fn build(data: &Dataset, d2v_epochs: usize) -> Self {
-        // Each bigram-extended corpus is counted and dropped once its
-        // vectorizer is fitted, before Doc2Vec allocates its tables.
-        let tfidf = |docs: Vec<Vec<String>>| {
-            let v = TfIdfVectorizer::fit_tokenized(
-                &docs,
+        // Each fit counts its documents' unigrams and bigrams as it goes
+        // and returns their selected-term counts.
+        let tfidf = |docs: Vec<&[String]>| {
+            let (v, counts) = TfIdfVectorizer::fit_with_counts(
+                docs,
                 TfIdfConfig {
                     top_k: Some(300),
                     min_df: 2,
@@ -116,21 +116,12 @@ impl TextModels {
                     ..Default::default()
                 },
             );
-            let terms = CountTable::new(docs.iter().map(|d| v.term_counts(d)));
-            (v, terms)
+            (v, CountTable::new(counts))
         };
-        let (tweet_tfidf, tweet_terms) = tfidf(
-            data.tweets()
-                .iter()
-                .map(|t| with_bigrams(&t.tokens))
-                .collect(),
-        );
-        let (news_tfidf, news_terms) = tfidf(
-            data.news()
-                .iter()
-                .map(|n| with_bigrams(&n.tokens))
-                .collect(),
-        );
+        let (tweet_tfidf, tweet_terms) =
+            tfidf(data.tweets().iter().map(|t| t.tokens.as_slice()).collect());
+        let (news_tfidf, news_terms) =
+            tfidf(data.news().iter().map(|n| n.tokens.as_slice()).collect());
         let lexicon = HateLexicon::new(&data.lexicon_terms());
         let tweet_lexicon = CountTable::new(data.tweets().iter().map(|t| {
             (0u32..)
@@ -237,12 +228,6 @@ impl TextModels {
             }
         }
     }
-}
-
-fn with_bigrams(tokens: &[String]) -> Vec<String> {
-    let mut out = tokens.to_vec();
-    out.extend(text::bigrams(tokens));
-    out
 }
 
 /// Hate-generation feature extractor (Section IV).
@@ -585,7 +570,8 @@ mod tests {
     #[test]
     fn every_document_has_its_counts() {
         let (data, models) = setup();
-        let expected = |toks: &[String], v: &TfIdfVectorizer| v.term_counts(&with_bigrams(toks));
+        let expected =
+            |toks: &[String], v: &TfIdfVectorizer| v.term_counts(&oracle::with_bigrams(toks));
         for t in data.tweets() {
             assert_eq!(
                 models.tweet_terms(t.id),

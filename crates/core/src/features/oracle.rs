@@ -9,7 +9,8 @@ use socialsim::{Dataset, TweetId, UserId};
 use std::collections::HashMap;
 use text::TfIdfVectorizer;
 
-fn with_bigrams(tokens: &[String]) -> Vec<String> {
+/// A document's feature tokens: its unigrams, then its bigrams.
+pub(crate) fn with_bigrams(tokens: &[String]) -> Vec<String> {
     let mut out = tokens.to_vec();
     out.extend(text::bigrams(tokens));
     out

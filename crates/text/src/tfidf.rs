@@ -12,6 +12,7 @@
 //! document vectors are L2-normalized.
 
 use crate::vocab::Vocabulary;
+use std::collections::HashMap;
 
 /// Feature-selection criterion for the `top_k` cut.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,49 +74,80 @@ impl TfIdfVectorizer {
     pub fn fit<S: AsRef<str>>(docs: &[S], config: TfIdfConfig) -> Self {
         let tokenized: Vec<Vec<String>> = docs
             .iter()
-            .map(|d| Self::feature_tokens(d.as_ref(), config.use_bigrams))
+            .map(|d| crate::tokenize::tokenize(d.as_ref()))
             .collect();
-        Self::fit_tokenized(&tokenized, config)
+        Self::fit_with_counts(tokenized.iter().map(Vec::as_slice), config).0
     }
 
-    /// Fit on pre-tokenized documents (each a list of feature tokens).
-    pub fn fit_tokenized(docs: &[Vec<String>], config: TfIdfConfig) -> Self {
-        let n_docs = docs.len();
-        let mut vocab = Vocabulary::new();
-        let mut df: Vec<u32> = Vec::new();
-        let mut seen_in_doc: Vec<bool> = Vec::new();
-        for doc in docs {
+    /// Fit on tokenized documents, each a sequence of unigram tokens, and
+    /// return with the vectorizer every document's selected-term counts,
+    /// as [`TfIdfVectorizer::term_counts`] gives them for its feature
+    /// tokens. A document's feature tokens are its unigrams, then, when
+    /// `config.use_bigrams`, its bigrams (`"a b"` for adjacent `a`, `b`).
+    ///
+    /// The fit counts over integer term ids: each unigram is interned once
+    /// by its text, each bigram by its two unigrams' ids, and a term
+    /// becomes a `String` only when it is selected. Ids follow first sight
+    /// in that feature-token order, which is what the `top_k` tie-break
+    /// reads.
+    ///
+    /// # Panics
+    /// With `use_bigrams`, on a unigram that holds a space: its text would
+    /// equal a bigram's. [`crate::tokenize::tokenize`] never yields one.
+    pub fn fit_with_counts<'a, S: AsRef<str> + 'a>(
+        docs: impl IntoIterator<Item = &'a [S]>,
+        config: TfIdfConfig,
+    ) -> (Self, Vec<Vec<(u32, u32)>>) {
+        let mut words: HashMap<&'a str, u32> = HashMap::new();
+        let mut pairs: HashMap<(u32, u32), u32> = HashMap::new();
+        let mut terms: Vec<FitTerm<'a>> = Vec::new();
+        // Document i's term ids, unigrams then bigrams, are
+        // `doc_terms[starts[i]..starts[i + 1]]`.
+        let mut doc_terms: Vec<u32> = Vec::new();
+        let mut starts = vec![0];
+        // Documents are stamped from 1, so a new term's `last_doc` of 0
+        // matches none of them.
+        for (stamp, doc) in (1u32..).zip(docs) {
+            let first = doc_terms.len();
             for tok in doc {
-                let id = vocab.add(tok);
-                if id >= df.len() {
-                    df.push(0);
-                    seen_in_doc.push(false);
-                }
-                if !seen_in_doc[id] {
-                    seen_in_doc[id] = true;
-                    df[id] += 1;
+                let tok = tok.as_ref();
+                let id = *words.entry(tok).or_insert_with(|| {
+                    assert!(
+                        !(config.use_bigrams && tok.contains(' ')),
+                        "unigram {tok:?} holds a space, the bigram separator"
+                    );
+                    FitTerm::push(&mut terms, Term::Word(tok))
+                });
+                terms[id as usize].observe(stamp);
+                doc_terms.push(id);
+            }
+            if config.use_bigrams {
+                for i in first + 1..doc_terms.len() {
+                    let key = (doc_terms[i - 1], doc_terms[i]);
+                    let id = *pairs
+                        .entry(key)
+                        .or_insert_with(|| FitTerm::push(&mut terms, Term::Pair(key.0, key.1)));
+                    terms[id as usize].observe(stamp);
+                    doc_terms.push(id);
                 }
             }
-            for tok in doc {
-                if let Some(id) = vocab.get(tok) {
-                    seen_in_doc[id] = false;
-                }
-            }
+            starts.push(doc_terms.len());
         }
+        let n_docs = starts.len() - 1;
 
-        let idf: Vec<f64> = df
+        let idf: Vec<f64> = terms
             .iter()
-            .map(|&d| (((1 + n_docs) as f64) / ((1 + d) as f64)).ln() + 1.0)
+            .map(|t| (((1 + n_docs) as f64) / ((1 + t.df) as f64)).ln() + 1.0)
             .collect();
 
         // Candidate features obeying min_df, ranked by the configured
         // criterion, tie-broken by id for determinism.
-        let mut candidates: Vec<usize> = (0..vocab.len())
-            .filter(|&i| df[i] as usize >= config.min_df)
+        let mut candidates: Vec<usize> = (0..terms.len())
+            .filter(|&i| terms[i].df as usize >= config.min_df)
             .collect();
         match config.top_k_by {
             TopKBy::TermFrequency => {
-                candidates.sort_by_key(|&i| (std::cmp::Reverse(vocab.count(i)), i))
+                candidates.sort_by_key(|&i| (std::cmp::Reverse(terms[i].count), i))
             }
             TopKBy::Idf => candidates.sort_by(|&a, &b| {
                 idf[b]
@@ -131,14 +163,42 @@ impl TfIdfVectorizer {
         // regardless of IDF ties.
         candidates.sort_unstable();
 
+        // Each document's selected-term counts, from its kept term ids.
+        let mut dim_of: Vec<Option<u32>> = vec![None; terms.len()];
+        for (d, &id) in (0u32..).zip(&candidates) {
+            dim_of[id] = Some(d);
+        }
+        let mut dims = Vec::new();
+        let counts = starts
+            .windows(2)
+            .map(|w| {
+                dims.clear();
+                dims.extend(
+                    doc_terms[w[0]..w[1]]
+                        .iter()
+                        .filter_map(|&id| dim_of[id as usize]),
+                );
+                run_lengths(&mut dims)
+            })
+            .collect();
+
         // Keep only the selected terms' tokens, counts and IDF, in
         // output-dimension order.
-        Self {
-            vocab: vocab.subset(&candidates),
+        let vocab = Vocabulary::from_entries(candidates.iter().map(|&id| {
+            let mut token = String::new();
+            terms[id].push_text(&terms, &mut token);
+            (token, terms[id].count)
+        }))
+        // Unigrams are distinct map keys, bigrams distinct id pairs joined
+        // by the one space no unigram holds.
+        .expect("distinct terms have distinct texts");
+        let v = Self {
+            vocab,
             idf: candidates.iter().map(|&id| idf[id]).collect(),
             selected: (0..candidates.len()).collect(),
             config,
-        }
+        };
+        (v, counts)
     }
 
     /// The configuration this vectorizer was fit with.
@@ -167,7 +227,7 @@ impl TfIdfVectorizer {
         if idf.len() != vocab.len() {
             return None;
         }
-        // `fit_tokenized` leaves `selected` sorted ascending (therefore
+        // A fit leaves `selected` sorted ascending (therefore
         // also duplicate-free) and in-range; require the same here.
         if selected.windows(2).any(|w| w[0] >= w[1]) {
             return None;
@@ -230,15 +290,7 @@ impl TfIdfVectorizer {
             .filter_map(|t| self.dim_of(t))
             .map(|d| d as u32)
             .collect();
-        dims.sort_unstable();
-        let mut counts: Vec<(u32, u32)> = Vec::with_capacity(dims.len());
-        for d in dims {
-            match counts.last_mut() {
-                Some((last, c)) if *last == d => *c += 1,
-                _ => counts.push((d, 1)),
-            }
-        }
-        counts
+        run_lengths(&mut dims)
     }
 
     /// The one weighting path. `counts` holds `(output dimension, count)`
@@ -283,6 +335,74 @@ impl TfIdfVectorizer {
     pub fn transform_tokens(&self, toks: &[String]) -> Vec<f64> {
         self.transform_counts(&self.term_counts(toks))
     }
+}
+
+/// A term of a fit: a unigram, borrowed from the corpus, or a bigram as
+/// its two unigrams' term ids.
+#[derive(Debug, Clone, Copy)]
+enum Term<'a> {
+    Word(&'a str),
+    Pair(u32, u32),
+}
+
+/// A fit's term and its corpus statistics.
+#[derive(Debug)]
+struct FitTerm<'a> {
+    key: Term<'a>,
+    /// Occurrences in the corpus.
+    count: u64,
+    /// Documents that hold the term.
+    df: u32,
+    /// Stamp of the last document counted in `df`.
+    last_doc: u32,
+}
+
+impl<'a> FitTerm<'a> {
+    /// Append a term not seen yet; returns its id.
+    fn push(terms: &mut Vec<Self>, key: Term<'a>) -> u32 {
+        let id = u32::try_from(terms.len()).expect("fewer than 2^32 distinct terms");
+        terms.push(Self {
+            key,
+            count: 0,
+            df: 0,
+            last_doc: 0,
+        });
+        id
+    }
+
+    /// Count one occurrence in the document stamped `stamp`.
+    fn observe(&mut self, stamp: u32) {
+        self.count += 1;
+        if self.last_doc != stamp {
+            self.last_doc = stamp;
+            self.df += 1;
+        }
+    }
+
+    /// Append the term's feature token to `out`.
+    fn push_text(&self, terms: &[Self], out: &mut String) {
+        match self.key {
+            Term::Word(w) => out.push_str(w),
+            Term::Pair(a, b) => {
+                terms[a as usize].push_text(terms, out);
+                out.push(' ');
+                terms[b as usize].push_text(terms, out);
+            }
+        }
+    }
+}
+
+/// `(dimension, count)` pairs of a list of dimensions, ascending.
+fn run_lengths(dims: &mut [u32]) -> Vec<(u32, u32)> {
+    dims.sort_unstable();
+    let mut counts: Vec<(u32, u32)> = Vec::with_capacity(dims.len());
+    for &d in dims.iter() {
+        match counts.last_mut() {
+            Some((last, c)) if *last == d => *c += 1,
+            _ => counts.push((d, 1)),
+        }
+    }
+    counts
 }
 
 #[cfg(test)]
@@ -558,7 +678,7 @@ mod tests {
             })
             .collect();
         for l2_normalize in [true, false] {
-            let v = TfIdfVectorizer::fit_tokenized(
+            let v = fit(
                 &docs,
                 TfIdfConfig {
                     top_k: Some(120),
@@ -581,16 +701,14 @@ mod tests {
     fn pruned_fit_transforms_like_a_full_vocabulary() {
         // 40 documents over a skewed 30-word universe: more than `top_k`
         // terms survive `min_df`, so the fit drops some.
-        let docs: Vec<Vec<String>> = (0..40u32)
+        let words: Vec<Vec<String>> = (0..40u32)
             .map(|i| {
-                let words: Vec<String> = (0..6u32)
+                (0..6u32)
                     .map(|j| format!("w{}", (i * 7 + j * j * 3) % (5 + i % 25)))
-                    .collect();
-                let mut doc = words.clone();
-                doc.extend(crate::tokenize::bigrams(&words));
-                doc
+                    .collect()
             })
             .collect();
+        let docs: Vec<Vec<String>> = words.iter().map(|w| with_bigrams(w)).collect();
         for l2_normalize in [true, false] {
             let config = TfIdfConfig {
                 top_k: Some(25),
@@ -599,15 +717,15 @@ mod tests {
                 l2_normalize,
                 ..Default::default()
             };
-            let pruned = TfIdfVectorizer::fit_tokenized(&docs, config.clone());
+            let pruned = fit(&words, config.clone());
             let (vocab, idf, selected, _) = pruned.to_parts();
             assert_eq!(pruned.dim(), 25);
             assert_eq!((vocab.len(), idf.len()), (pruned.dim(), pruned.dim()));
             assert_eq!(selected, (0..pruned.dim()).collect::<Vec<_>>());
 
             // Every term, as a fit kept them before pruning.
-            let all = TfIdfVectorizer::fit_tokenized(
-                &docs,
+            let all = fit(
+                &words,
                 TfIdfConfig {
                     top_k: None,
                     min_df: 1,
@@ -636,5 +754,236 @@ mod tests {
                 assert_eq!(pruned.term_counts(doc), full.term_counts(doc));
             }
         }
+    }
+
+    fn fit(docs: &[Vec<String>], config: TfIdfConfig) -> TfIdfVectorizer {
+        TfIdfVectorizer::fit_with_counts(docs.iter().map(Vec::as_slice), config).0
+    }
+
+    fn with_bigrams(tokens: &[String]) -> Vec<String> {
+        let mut out = tokens.to_vec();
+        out.extend(crate::tokenize::bigrams(tokens));
+        out
+    }
+
+    /// The fit as it was before it interned terms: each document's
+    /// unigrams, then (with `use_bigrams`) its bigrams as strings, added
+    /// to a full vocabulary, a second lookup pass resetting the document
+    /// flags; then each document's `term_counts`.
+    fn oracle_fit(
+        docs: &[Vec<String>],
+        config: TfIdfConfig,
+    ) -> (TfIdfVectorizer, Vec<Vec<(u32, u32)>>) {
+        let docs: Vec<Vec<String>> = docs
+            .iter()
+            .map(|d| {
+                if config.use_bigrams {
+                    with_bigrams(d)
+                } else {
+                    d.clone()
+                }
+            })
+            .collect();
+        let n_docs = docs.len();
+        let mut vocab = Vocabulary::new();
+        let mut df: Vec<u32> = Vec::new();
+        let mut seen_in_doc: Vec<bool> = Vec::new();
+        for doc in &docs {
+            for tok in doc {
+                let id = vocab.add(tok);
+                if id >= df.len() {
+                    df.push(0);
+                    seen_in_doc.push(false);
+                }
+                if !seen_in_doc[id] {
+                    seen_in_doc[id] = true;
+                    df[id] += 1;
+                }
+            }
+            for tok in doc {
+                if let Some(id) = vocab.get(tok) {
+                    seen_in_doc[id] = false;
+                }
+            }
+        }
+        let idf: Vec<f64> = df
+            .iter()
+            .map(|&d| (((1 + n_docs) as f64) / ((1 + d) as f64)).ln() + 1.0)
+            .collect();
+        let mut candidates: Vec<usize> = (0..vocab.len())
+            .filter(|&i| df[i] as usize >= config.min_df)
+            .collect();
+        match config.top_k_by {
+            TopKBy::TermFrequency => {
+                candidates.sort_by_key(|&i| (std::cmp::Reverse(vocab.count(i)), i))
+            }
+            TopKBy::Idf => candidates.sort_by(|&a, &b| {
+                idf[b]
+                    .partial_cmp(&idf[a])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.cmp(&b))
+            }),
+        }
+        if let Some(k) = config.top_k {
+            candidates.truncate(k);
+        }
+        candidates.sort_unstable();
+        let kept = candidates
+            .iter()
+            .map(|&id| (vocab.token(id).to_string(), vocab.count(id)));
+        let v = TfIdfVectorizer {
+            vocab: Vocabulary::from_entries(kept).unwrap(),
+            idf: candidates.iter().map(|&id| idf[id]).collect(),
+            selected: (0..candidates.len()).collect(),
+            config,
+        };
+        let counts = docs.iter().map(|d| v.term_counts(d)).collect();
+        (v, counts)
+    }
+
+    /// The fit equals the oracle: vocabulary tokens and counts in order,
+    /// IDF bits, selection, and every document's count pairs.
+    fn assert_fit_matches_the_oracle(docs: &[Vec<String>], config: TfIdfConfig) {
+        let (want, want_counts) = oracle_fit(docs, config.clone());
+        let (got, got_counts) =
+            TfIdfVectorizer::fit_with_counts(docs.iter().map(Vec::as_slice), config.clone());
+        let entries = |v: &TfIdfVectorizer| -> Vec<(String, usize, u64)> {
+            v.vocab
+                .iter()
+                .map(|(t, id, c)| (t.to_string(), id, c))
+                .collect()
+        };
+        assert_eq!(entries(&got), entries(&want), "{config:?}");
+        assert_eq!(bits(&got.idf), bits(&want.idf), "{config:?}");
+        assert_eq!(got.selected, want.selected, "{config:?}");
+        assert_eq!(got_counts, want_counts, "{config:?}");
+    }
+
+    fn docs_of(docs: &[&str]) -> Vec<Vec<String>> {
+        docs.iter().map(|d| toks(d)).collect()
+    }
+
+    #[test]
+    fn fit_matches_the_oracle_on_edge_cases() {
+        let cases = [
+            // Empty and one-token documents.
+            docs_of(&["", "a", "", "a", "b", ""]),
+            docs_of(&[]),
+            docs_of(&["", ""]),
+            // A repeated bigram: `a b` three times, `b a` twice.
+            docs_of(&["a b a b a b", "b a", "a"]),
+            // `x` in exactly two documents, `y` twice in one, `z` once.
+            docs_of(&["x y y", "x z", "w w w"]),
+            // `q` and `p q` tie on count; both first seen in document 0,
+            // the unigram first.
+            docs_of(&["p q", "p q", "p r"]),
+        ];
+        for docs in &cases {
+            for (top_k, min_df) in [
+                (None, 1),
+                (Some(1), 1),
+                (Some(2), 1),
+                (Some(3), 2),
+                (None, 2),
+            ] {
+                for top_k_by in [TopKBy::TermFrequency, TopKBy::Idf] {
+                    for use_bigrams in [true, false] {
+                        let config = TfIdfConfig {
+                            top_k,
+                            top_k_by,
+                            min_df,
+                            use_bigrams,
+                            l2_normalize: true,
+                        };
+                        assert_fit_matches_the_oracle(docs, config);
+                    }
+                }
+            }
+        }
+        // The tie: at `top_k` 2 the unigram keeps the place.
+        let v = fit(
+            &docs_of(&["p q", "p q", "p r"]),
+            TfIdfConfig {
+                top_k: Some(2),
+                min_df: 1,
+                ..Default::default()
+            },
+        );
+        assert_eq!((v.token_of_dim(0), v.token_of_dim(1)), ("p", "q"));
+    }
+
+    /// Character 2–4-grams without bigrams, as the Waseem–Hovy detector
+    /// fits them.
+    #[test]
+    fn fit_matches_the_oracle_on_char_ngrams() {
+        let docs: Vec<Vec<String>> = ["the cat sat on the mat", "a catalogue", "mat at bat", "x"]
+            .iter()
+            .map(|d| crate::tokenize::char_ngrams(&toks(d), 2, 4))
+            .collect();
+        for top_k in [None, Some(5)] {
+            for top_k_by in [TopKBy::TermFrequency, TopKBy::Idf] {
+                let config = TfIdfConfig {
+                    top_k,
+                    top_k_by,
+                    min_df: 2,
+                    use_bigrams: false,
+                    l2_normalize: true,
+                };
+                assert_fit_matches_the_oracle(&docs, config);
+            }
+        }
+    }
+
+    /// Tweets and headlines of the tiny simulated corpus, with the
+    /// feature tables' configuration and with every term kept.
+    #[test]
+    fn fit_matches_the_oracle_on_the_tiny_corpus() {
+        let data = socialsim::Dataset::generate(socialsim::SimConfig::tiny());
+        let tweets: Vec<Vec<String>> = data.tweets().iter().map(|t| t.tokens.clone()).collect();
+        let news: Vec<Vec<String>> = data.news().iter().map(|n| n.tokens.clone()).collect();
+        for docs in [&tweets, &news] {
+            assert!(docs.iter().flatten().all(|t| !t.contains(' ')));
+            for (top_k, min_df, top_k_by) in [
+                (Some(300), 2, TopKBy::TermFrequency),
+                (None, 1, TopKBy::TermFrequency),
+                (Some(300), 2, TopKBy::Idf),
+            ] {
+                let config = TfIdfConfig {
+                    top_k,
+                    top_k_by,
+                    min_df,
+                    use_bigrams: true,
+                    l2_normalize: true,
+                };
+                assert_fit_matches_the_oracle(docs, config);
+            }
+        }
+    }
+
+    /// A unigram holding a space would share its text with a bigram; the
+    /// old fit merged the two into one term. The fit refuses it instead:
+    /// `tokenize` splits on whitespace, and no simulated token holds a
+    /// space (`fit_matches_the_oracle_on_the_tiny_corpus`).
+    #[test]
+    #[should_panic(expected = "holds a space")]
+    fn a_unigram_holding_a_space_is_refused_with_bigrams() {
+        fit(
+            &[toks("a b"), vec!["a b".to_string()]],
+            TfIdfConfig::default(),
+        );
+    }
+
+    #[test]
+    fn a_token_holding_a_space_is_a_plain_term_without_bigrams() {
+        let docs = vec![vec!["a b".to_string(), "a".to_string()]];
+        let config = TfIdfConfig {
+            top_k: None,
+            use_bigrams: false,
+            ..Default::default()
+        };
+        assert_fit_matches_the_oracle(&docs, config.clone());
+        assert_eq!(fit(&docs, config).token_of_dim(0), "a b");
+        let raw = TfIdfVectorizer::fit(&["a\tb\u{a0}c  d"], TfIdfConfig::default());
+        assert!((0..raw.dim()).any(|d| raw.token_of_dim(d) == "b c"));
     }
 }

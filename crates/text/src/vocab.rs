@@ -99,20 +99,6 @@ impl Vocabulary {
         (out, remap)
     }
 
-    /// A vocabulary of just the tokens `ids` name, with their counts,
-    /// re-numbered densely in the order given. `ids` must be distinct.
-    pub fn subset(&self, ids: &[usize]) -> Self {
-        let mut out = Self::new();
-        for &id in ids {
-            debug_assert!(id < self.len());
-            let tok = &self.id_to_token[id];
-            out.token_to_id.insert(tok.clone(), out.id_to_token.len());
-            out.id_to_token.push(tok.clone());
-            out.counts.push(self.counts[id]);
-        }
-        out
-    }
-
     /// Ids of the `k` most frequent tokens, ties broken by id (stable).
     pub fn top_k_by_count(&self, k: usize) -> Vec<usize> {
         let mut ids: Vec<usize> = (0..self.len()).collect();
@@ -198,20 +184,6 @@ mod tests {
         assert_eq!(p.get("common"), Some(0));
         assert_eq!(remap[0], None);
         assert_eq!(remap[1], Some(0));
-    }
-
-    #[test]
-    fn subset_keeps_the_named_tokens_in_the_given_order() {
-        let mut v = Vocabulary::new();
-        for tok in ["a", "b", "b", "c", "c", "c"] {
-            v.add(tok);
-        }
-        let s = v.subset(&[0, 2]);
-        assert_eq!(s.len(), 2);
-        assert_eq!((s.token(0), s.count(0)), ("a", 1));
-        assert_eq!((s.token(1), s.count(1)), ("c", 3));
-        assert_eq!(s.get("b"), None);
-        assert_eq!(s.get("c"), Some(1));
     }
 
     #[test]
