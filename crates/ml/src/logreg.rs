@@ -4,7 +4,6 @@
 
 use crate::linalg::{dot, sigmoid};
 use crate::model::{check_fit_inputs, Classifier};
-use nn::SparseRow;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -100,7 +99,7 @@ impl Classifier for LogisticRegression {
         // entry, which starts each batch at `+0.0` and so never holds
         // `−0.0`, so the add changes nothing. The bits equal the dense
         // loop's while the weights are finite (DESIGN.md §17).
-        let rows: Vec<SparseRow> = x.iter().map(|r| SparseRow::from_dense(r)).collect();
+        let rows = StoredEntries::new(x);
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut order: Vec<usize> = (0..n).collect();
         let bs = self.config.batch_size.max(1);
@@ -112,11 +111,11 @@ impl Classifier for LogisticRegression {
                 gw.iter_mut().for_each(|g| *g = 0.0);
                 let mut gb = 0.0;
                 for &i in chunk {
-                    let margin: f64 = rows[i].iter().map(|(j, xv)| self.weights[j] * xv).sum();
+                    let margin: f64 = rows.row(i).map(|(j, xv)| self.weights[j] * xv).sum();
                     let p = sigmoid(margin + self.bias);
                     let cw = if y[i] == 1 { w_pos } else { w_neg };
                     let err = cw * (y[i] as f64 - p);
-                    for (j, xv) in rows[i].iter() {
+                    for (j, xv) in rows.row(i) {
                         gw[j] += err * xv;
                     }
                     gb += err;
@@ -132,6 +131,46 @@ impl Classifier for LogisticRegression {
 
     fn predict_proba(&self, x: &[f64]) -> f64 {
         sigmoid(self.decision(x))
+    }
+}
+
+/// The stored (nonzero) entries of every row, flat and sized exactly:
+/// row `i`'s columns are `cols[starts[i]..starts[i + 1]]`, and its values
+/// the same span of `values`.
+struct StoredEntries {
+    starts: Vec<usize>,
+    cols: Vec<u32>,
+    values: Vec<f64>,
+}
+
+impl StoredEntries {
+    fn new(x: &[Vec<f64>]) -> Self {
+        // lint: allow(float-cmp) only exact zeros (either sign) are skipped
+        let stored = |v: &f64| *v != 0.0;
+        let nnz = x.iter().flatten().filter(|v| stored(v)).count();
+        let mut starts = Vec::with_capacity(x.len() + 1);
+        let mut cols = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        starts.push(0);
+        for row in x {
+            for (j, v) in (0u32..).zip(row).filter(|(_, v)| stored(v)) {
+                cols.push(j);
+                values.push(*v);
+            }
+            starts.push(cols.len());
+        }
+        Self {
+            starts,
+            cols,
+            values,
+        }
+    }
+
+    /// Row `i`'s `(column, value)` entries, in column order.
+    fn row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let span = self.starts[i]..self.starts[i + 1];
+        let cols = self.cols[span.clone()].iter().map(|&j| j as usize);
+        cols.zip(self.values[span].iter().copied())
     }
 }
 
