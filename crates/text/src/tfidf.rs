@@ -769,7 +769,8 @@ mod tests {
     /// The fit as it was before it interned terms: each document's
     /// unigrams, then (with `use_bigrams`) its bigrams as strings, added
     /// to a full vocabulary, a second lookup pass resetting the document
-    /// flags; then each document's `term_counts`.
+    /// flags; then each document's `term_counts`, as that was (its own
+    /// sort and run count, so it shares no counting code with the fit).
     fn oracle_fit(
         docs: &[Vec<String>],
         config: TfIdfConfig,
@@ -837,7 +838,23 @@ mod tests {
             selected: (0..candidates.len()).collect(),
             config,
         };
-        let counts = docs.iter().map(|d| v.term_counts(d)).collect();
+        let term_counts = |toks: &[String]| {
+            let mut dims: Vec<u32> = toks
+                .iter()
+                .filter_map(|t| v.dim_of(t))
+                .map(|d| d as u32)
+                .collect();
+            dims.sort_unstable();
+            let mut counts: Vec<(u32, u32)> = Vec::with_capacity(dims.len());
+            for d in dims {
+                match counts.last_mut() {
+                    Some((last, c)) if *last == d => *c += 1,
+                    _ => counts.push((d, 1)),
+                }
+            }
+            counts
+        };
+        let counts = docs.iter().map(|d| term_counts(d)).collect();
         (v, counts)
     }
 
@@ -973,6 +990,9 @@ mod tests {
         );
     }
 
+    /// Without bigrams nothing shares a token's text, so a token holding
+    /// a space is an ordinary term; and raw text, split on every
+    /// whitespace character, never yields one.
     #[test]
     fn a_token_holding_a_space_is_a_plain_term_without_bigrams() {
         let docs = vec![vec!["a b".to_string(), "a".to_string()]];
