@@ -281,8 +281,10 @@ trait Recurrent<T: Scalar>: Clone {
 
 /// Their training surface (`f64` only).
 trait Trainable: Recurrent<f64> {
+    type Narrow: Recurrent<f32>;
     fn bptt(&mut self, grad_hs: &[Matrix]) -> Vec<Matrix>;
     fn grads(&mut self) -> Vec<&mut Param>;
+    fn narrow(&self) -> Self::Narrow;
 }
 
 macro_rules! recurrent {
@@ -296,16 +298,110 @@ macro_rules! recurrent {
             }
         }
         impl Trainable for $cell {
+            type Narrow = $cell<f32>;
             fn bptt(&mut self, grad_hs: &[Matrix]) -> Vec<Matrix> {
                 self.backward(grad_hs)
             }
             fn grads(&mut self) -> Vec<&mut Param> {
                 self.params_mut()
             }
+            fn narrow(&self) -> $cell<f32> {
+                self.to_f32()
+            }
         }
     )*};
 }
 recurrent!(Gru, Lstm, SimpleRnn);
+
+/// FNV-1a over the bits of every element of `ms`, in order, from `h`.
+fn fnv<'a>(mut h: u64, ms: impl IntoIterator<Item = &'a Matrix>) -> u64 {
+    for b in ms
+        .into_iter()
+        .flat_map(|m| m.data())
+        .flat_map(|v| v.to_bits().to_le_bytes())
+    {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// One forward through either path: a 3-step sequence, or one input
+/// repeated over 6 steps. `call` picks the inputs.
+fn forward_path<T: Scalar>(
+    cell: &mut impl Recurrent<T>,
+    repeated: bool,
+    (batch, d, call): (usize, usize, u64),
+    narrow: fn(&Matrix) -> Matrix<T>,
+) -> Vec<Matrix<T>> {
+    if repeated {
+        cell.repeated(&fill_as(batch, d, 600 + call, narrow), 6)
+    } else {
+        let xs: Vec<Matrix<T>> = (0..3)
+            .map(|t| fill_as(batch, d, 610 + 10 * call + t, narrow))
+            .collect();
+        cell.sequence(&xs)
+    }
+}
+
+/// Per path, two accumulating forward+backward calls on one layer, so
+/// the second call overwrites the first call's cache. Hashes each
+/// call's hidden states and returned input gradients and the
+/// `to_f32()` replica's hidden states on the same inputs, then every
+/// parameter gradient.
+fn recurrent_hash(cell: &impl Trainable, batch: usize, d: usize) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for repeated in [false, true] {
+        let (mut layer, mut replica) = (cell.clone(), cell.narrow());
+        for call in 0..2u64 {
+            let hs = forward_path(&mut layer, repeated, (batch, d, call), Matrix::clone);
+            let grad_hs: Vec<Matrix> = (0u64..)
+                .zip(&hs)
+                .map(|(t, m)| fill(m.rows(), m.cols(), 700 + 10 * call + t))
+                .collect();
+            let dxs = layer.bptt(&grad_hs);
+            let hs32 = forward_path(&mut replica, repeated, (batch, d, call), Matrix::from_f64);
+            let wide: Vec<Matrix> = hs32.iter().map(Matrix::to_f64).collect();
+            h = fnv(h, hs.iter().chain(&dxs).chain(&wide));
+        }
+        h = fnv(h, layer.grads().into_iter().map(|p| &p.grad));
+    }
+    h
+}
+
+#[test]
+fn recurrent_states_and_gradients_are_pinned() {
+    // Inputs and upstream gradients come from `fill`, exact zeros
+    // included. One shape has batch 1; the other a hidden size that is
+    // not a multiple of the kernel block.
+    for ((batch, d, hidden), want) in [
+        (
+            (1, 9, 16),
+            [
+                0xeea9_7c20_3906_b72au64,
+                0x3416_a75e_05c7_b778,
+                0x2be6_031d_39b7_327c,
+            ],
+        ),
+        (
+            (5, 7, 13),
+            [
+                0x930d_ce4a_01ea_12a1,
+                0x5cce_9125_a148_a361,
+                0xce28_7f87_a6cc_5c6c,
+            ],
+        ),
+    ] {
+        let got = [
+            recurrent_hash(&Gru::new(d, hidden, 51), batch, d),
+            recurrent_hash(&Lstm::new(d, hidden, 52), batch, d),
+            recurrent_hash(&SimpleRnn::new(d, hidden, 53), batch, d),
+        ];
+        assert_eq!(
+            got, want,
+            "GRU, LSTM, RNN at batch {batch}, in {d}, hidden {hidden}: {got:#018x?}"
+        );
+    }
+}
 
 /// `forward_repeated(x, T)` projects `x` once and runs the sequence
 /// forward's step body, so it must equal `forward` on `T` clones of `x`
