@@ -276,8 +276,9 @@ impl Head<f64> {
     }
 }
 
-/// One forward's activations, overwritten in place by the next forward
-/// (zero steady-state allocation); backward reads them.
+/// One forward's activations, overwritten in place by the next forward;
+/// backward reads them. The layers allocate their own per-call
+/// temporaries (the `nn` crate docs list them).
 #[derive(Default)]
 struct Activations<T: Scalar> {
     /// `ReLU(x·W + b)` of the user dense (`n × hdim`), where `x` is the

@@ -11,9 +11,6 @@ pub struct Dense<T: Scalar = f64> {
     pub w: Param<T>,
     /// `1 × out` bias.
     pub b: Param<T>,
-    /// Scratch: the parameter gradients in backward, and the folded
-    /// sparse forward's bias row ([`Dense::forward_sparse_into`]).
-    pub(crate) scratch: Matrix<T>,
 }
 
 impl<T: Scalar> Dense<T> {
@@ -49,14 +46,13 @@ impl Dense {
         Self {
             w: Param::xavier(in_dim, out_dim, seed),
             b: Param::zeros(1, out_dim),
-            scratch: Matrix::default(),
         }
     }
 
     /// Backward pass for the forward that saw input `x`: accumulate dW,
     /// db; return dx.
     ///
-    /// Gradients are computed into scratch and then `add_assign`ed —
+    /// Gradients are computed on their own and then `add_assign`ed —
     /// never fused into the accumulator — so the floating-point grouping
     /// matches the allocating formulation exactly.
     pub fn backward(&mut self, x: &Matrix, grad_out: &Matrix) -> Matrix {
@@ -70,10 +66,8 @@ impl Dense {
     /// and db only.
     pub fn backward_params(&mut self, x: &Matrix, grad_out: &Matrix) {
         // dW = xᵀ · g ; db = Σ_rows g
-        x.t_matmul_into(grad_out, &mut self.scratch);
-        self.w.grad.add_assign(&self.scratch);
-        grad_out.sum_rows_into(&mut self.scratch);
-        self.b.grad.add_assign(&self.scratch);
+        self.w.grad.add_assign(&x.t_matmul(grad_out));
+        self.b.grad.add_assign(&grad_out.sum_rows());
     }
 
     /// Trainable parameters.
@@ -92,7 +86,6 @@ impl Dense {
         Dense {
             w: self.w.to_f32(),
             b: self.b.to_f32(),
-            scratch: Matrix::default(),
         }
     }
 }

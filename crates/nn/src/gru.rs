@@ -16,7 +16,7 @@
 
 use crate::activation::{gate_into, InputGrads};
 use crate::param::Param;
-use crate::tensor::{Matrix, MatrixPool, Scalar};
+use crate::tensor::{Matrix, Scalar};
 
 /// A single-layer GRU.
 #[derive(Debug, Clone)]
@@ -35,8 +35,6 @@ pub struct Gru<T: Scalar = f64> {
     /// Activations of the last forward (`None` before the first); the
     /// next forward overwrites them in place.
     cache: Option<Cache<T>>,
-    /// Scratch buffers reused across steps and calls.
-    pool: MatrixPool<T>,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -58,9 +56,10 @@ impl<T: Scalar> Gru<T> {
     /// until the next call.
     ///
     /// Gate pre-activations are built with `*_into` kernels and in-place
-    /// elementwise ops, overwriting the previous call's activations, so
-    /// steady-state calls allocate nothing. The per-element arithmetic
-    /// order matches the allocating formulation exactly.
+    /// elementwise ops, overwriting the previous call's activations; a
+    /// call allocates only its three input projections and two
+    /// temporaries. The per-element arithmetic order matches the
+    /// allocating formulation exactly.
     pub fn forward(&mut self, xs: &[Matrix<T>]) -> &[Matrix<T>] {
         self.unroll(xs, xs.len())
     }
@@ -86,7 +85,7 @@ impl<T: Scalar> Gru<T> {
         }
         c.hs.resize_with(steps + 1, Matrix::default);
         c.hs[0].resize_to(xs[0].rows(), self.hidden);
-        let [mut xz, mut xr, mut xh, mut rh, mut tmp] = [(); 5].map(|()| self.pool.grab(0, 0));
+        let [mut xz, mut xr, mut xh, mut rh, mut tmp]: [Matrix<T>; 5] = Default::default();
 
         for t in 0..steps {
             if let Some(x) = xs.get(t) {
@@ -112,9 +111,6 @@ impl<T: Scalar> Gru<T> {
             tmp.hadamard_assign(h_hat);
             h.add_assign(&tmp);
             crate::sanitize::check_finite("gru", "step", h);
-        }
-        for m in [xz, xr, xh, rh, tmp] {
-            self.pool.recycle(m);
         }
         &c.hs[1..]
     }
@@ -143,7 +139,6 @@ impl Gru {
             in_dim,
             hidden,
             cache: None,
-            pool: MatrixPool::new(),
         }
     }
 
@@ -155,10 +150,9 @@ impl Gru {
     /// `(Σ_t dg_t)·Wᵀ`), which matches the backward over `steps` copies of
     /// `x` to rounding rather than bit for bit.
     ///
-    /// Every temporary comes from the scratch pool; parameter gradients
-    /// are computed into scratch and then `add_assign`ed (never fused),
-    /// preserving the exact floating-point grouping of the allocating
-    /// formulation.
+    /// Parameter gradients are computed into a temporary and then
+    /// `add_assign`ed (never fused), preserving the exact floating-point
+    /// grouping of the allocating formulation.
     pub fn backward(&mut self, grad_hs: &[Matrix]) -> Vec<Matrix> {
         // lint: allow(unwrap) API contract: backward requires a prior forward; lint: allow(panic-reach) API contract, not a data-dependent failure
         let cache = self.cache.as_ref().expect("backward before forward");
@@ -166,8 +160,8 @@ impl Gru {
         assert_eq!(grad_hs.len(), t_len);
         let batch = cache.hs[0].rows();
         let mut input = InputGrads::new(cache.xs.len(), t_len, batch, self.hidden);
-        let mut dh_next = self.pool.grab(batch, self.hidden);
-        let mut tmp = self.pool.grab(0, 0);
+        let mut dh_next = Matrix::zeros(batch, self.hidden);
+        let mut tmp = Matrix::default();
 
         for t in (0..t_len).rev() {
             let h_prev = &cache.hs[t];
@@ -175,48 +169,38 @@ impl Gru {
             let r = &cache.rs[t];
             let h_hat = &cache.h_hats[t];
 
-            let mut dh = self.pool.grab(0, 0);
-            dh.copy_from(&grad_hs[t]);
+            let mut dh = grad_hs[t].clone();
             dh.add_assign(&dh_next);
 
             // h = (1-z)⊙h_prev + z⊙ĥ
-            let mut dz = self.pool.grab(0, 0);
-            dz.copy_from(h_hat);
+            let mut dz = h_hat.clone();
             dz.sub_assign(h_prev);
             dz.hadamard_assign(&dh);
-            let mut dh_hat_grad = self.pool.grab(0, 0);
-            dh_hat_grad.copy_from(&dh);
+            let mut dh_hat_grad = dh.clone();
             dh_hat_grad.hadamard_assign(z);
-            let mut dh_prev = self.pool.grab(0, 0);
-            dh_prev.copy_from(&dh);
+            let mut dh_prev = dh.clone();
             dh_prev.zip_assign(z, |g, zv| g * (1.0 - zv));
 
             // ĥ = tanh(...)
-            let mut dh_hat_raw = self.pool.grab(0, 0);
-            dh_hat_raw.copy_from(&dh_hat_grad);
+            let mut dh_hat_raw = dh_hat_grad.clone();
             dh_hat_raw.zip_assign(h_hat, |g, hv| g * (1.0 - hv * hv));
-            let mut rh = self.pool.grab(0, 0);
-            rh.copy_from(r);
+            let mut rh = r.clone();
             rh.hadamard_assign(h_prev);
             rh.t_matmul_into(&dh_hat_raw, &mut tmp);
             self.uh.grad.add_assign(&tmp);
             dh_hat_raw.sum_rows_into(&mut tmp);
             self.bh.grad.add_assign(&tmp);
-            let mut drh = self.pool.grab(0, 0);
-            dh_hat_raw.matmul_t_into(&self.uh.value, &mut drh);
-            let mut dr = self.pool.grab(0, 0);
-            dr.copy_from(&drh);
+            let drh = dh_hat_raw.matmul_t(&self.uh.value);
+            let mut dr = drh.clone();
             dr.hadamard_assign(h_prev);
             tmp.copy_from(&drh);
             tmp.hadamard_assign(r);
             dh_prev.add_assign(&tmp);
 
             // Gates.
-            let mut dz_raw = self.pool.grab(0, 0);
-            dz_raw.copy_from(&dz);
+            let mut dz_raw = dz.clone();
             dz_raw.zip_assign(z, |g, zv| g * zv * (1.0 - zv));
-            let mut dr_raw = self.pool.grab(0, 0);
-            dr_raw.copy_from(&dr);
+            let mut dr_raw = dr.clone();
             dr_raw.zip_assign(r, |g, rv| g * rv * (1.0 - rv));
             h_prev.t_matmul_into(&dz_raw, &mut tmp);
             self.uz.grad.add_assign(&tmp);
@@ -239,13 +223,8 @@ impl Gru {
                 [&dz_raw, &dr_raw, &dh_hat_raw],
             );
 
-            self.pool.recycle(std::mem::replace(&mut dh_next, dh_prev));
-            for m in [dh, dz, dh_hat_grad, dh_hat_raw, rh, drh, dr, dz_raw, dr_raw] {
-                self.pool.recycle(m);
-            }
+            dh_next = dh_prev;
         }
-        self.pool.recycle(dh_next);
-        self.pool.recycle(tmp);
         input.finish(&cache.xs, [&mut self.wz, &mut self.wr, &mut self.wh])
     }
 
@@ -288,7 +267,6 @@ impl Gru {
             in_dim: self.in_dim,
             hidden: self.hidden,
             cache: None,
-            pool: MatrixPool::new(),
         }
     }
 }

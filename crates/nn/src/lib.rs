@@ -11,8 +11,8 @@
 //!   `f32` (the inference width), with the usual operations, one
 //!   blocked matmul kernel that the transposed products also run (an
 //!   AVX2 clone picked at run time on x86_64 CPUs that have it,
-//!   bit-identical to the portable kernel), output-reuse `*_into`
-//!   variants and a scratch [`tensor::MatrixPool`].
+//!   bit-identical to the portable kernel) and output-reuse `*_into`
+//!   variants.
 //! * [`par`] — deterministic work-splitting (thread count never changes
 //!   results): one parallel map, the kernels' row partition and the
 //!   serving worker pool; home of the `RETINA_THREADS` override.
@@ -37,12 +37,15 @@
 //! [`Scalar`] width with one forward body each: `Layer<f64>` trains,
 //! and its `to_f32()` narrows the weights once into a forward-only
 //! `Layer<f32>` for the inference tier. A forward overwrites the layer's
-//! activations from the previous call in place (in steady state it
-//! allocates only the attention's transposed keys); `backward` (`f64`
-//! only) reads them and accumulates parameter gradients for
-//! `params_mut` (the optimizer). It returns the input gradient where a
-//! caller reads one; the attention's inputs are fixed features, so its
-//! backward returns nothing. The dense layer keeps no activations: its
+//! activations from the previous call in place; no layer keeps scratch
+//! buffers, so in steady state a forward allocates only its own
+//! temporaries (a recurrent cell's input projections and step
+//! temporaries, the attention's transposed keys, the folded sparse
+//! forward's bias row). `backward` (`f64` only) reads the activations,
+//! makes its temporaries as locals and accumulates parameter gradients
+//! for `params_mut` (the optimizer). It returns the input gradient where
+//! a caller reads one; the attention's inputs are fixed features, so its
+//! backward returns nothing. The dense layer holds only its weights: its
 //! `backward` takes the forward's input.
 
 pub mod activation;
@@ -73,4 +76,4 @@ pub use param::Param;
 pub use rnn::SimpleRnn;
 pub use sanitize::NumericError;
 pub use sparse::{SparseRow, Standardization};
-pub use tensor::{Matrix, MatrixPool, Scalar};
+pub use tensor::{Matrix, Scalar};

@@ -10,7 +10,7 @@
 
 use crate::activation::{gate_into, InputGrads};
 use crate::param::Param;
-use crate::tensor::{Matrix, MatrixPool, Scalar};
+use crate::tensor::{Matrix, Scalar};
 
 /// A single-layer LSTM.
 #[derive(Debug, Clone)]
@@ -32,8 +32,6 @@ pub struct Lstm<T: Scalar = f64> {
     /// Activations of the last forward (`None` before the first); the
     /// next forward overwrites them in place.
     cache: Option<Cache<T>>,
-    /// Scratch buffers reused across steps and calls.
-    pool: MatrixPool<T>,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -59,7 +57,8 @@ impl<T: Scalar> Lstm<T> {
     /// Built on `*_into` kernels, overwriting the previous call's
     /// activations in place, with per-element arithmetic order identical
     /// to the allocating formulation, so the results are bit-identical
-    /// to it; steady-state calls allocate nothing.
+    /// to it; a call allocates only its four input projections and one
+    /// temporary.
     pub fn forward(&mut self, xs: &[Matrix<T>]) -> &[Matrix<T>] {
         self.unroll(xs, xs.len())
     }
@@ -84,7 +83,7 @@ impl<T: Scalar> Lstm<T> {
             v.resize_with(steps + 1, Matrix::default);
             v[0].resize_to(xs[0].rows(), self.hidden);
         }
-        let [mut xi, mut xf, mut xo, mut xg, mut tmp] = [(); 5].map(|()| self.pool.grab(0, 0));
+        let [mut xi, mut xf, mut xo, mut xg, mut tmp]: [Matrix<T>; 5] = Default::default();
 
         for t in 0..steps {
             if let Some(x) = xs.get(t) {
@@ -114,9 +113,6 @@ impl<T: Scalar> Lstm<T> {
             h.copy_from(cell);
             h.map_assign(T::tanh);
             h.hadamard_assign(o);
-        }
-        for m in [xi, xf, xo, xg, tmp] {
-            self.pool.recycle(m);
         }
         &c.hs[1..]
     }
@@ -151,7 +147,6 @@ impl Lstm {
             in_dim,
             hidden,
             cache: None,
-            pool: MatrixPool::new(),
         }
     }
 
@@ -160,9 +155,9 @@ impl Lstm {
     /// `x`'s, with each gate's input terms collapsed across steps as in
     /// [`crate::Gru::backward`].
     ///
-    /// Temporaries come from the scratch pool; parameter gradients are
-    /// computed into scratch then `add_assign`ed (never fused), keeping
-    /// the floating-point grouping of the allocating formulation.
+    /// Parameter gradients are computed into a temporary then
+    /// `add_assign`ed (never fused), keeping the floating-point grouping
+    /// of the allocating formulation.
     pub fn backward(&mut self, grad_hs: &[Matrix]) -> Vec<Matrix> {
         // lint: allow(unwrap) API contract: backward requires a prior forward; lint: allow(panic-reach) API contract, not a data-dependent failure
         let cache = self.cache.as_ref().expect("backward before forward");
@@ -170,9 +165,9 @@ impl Lstm {
         assert_eq!(grad_hs.len(), t_len);
         let batch = cache.hs[0].rows();
         let mut input = InputGrads::new(cache.xs.len(), t_len, batch, self.hidden);
-        let mut dh_next = self.pool.grab(batch, self.hidden);
-        let mut dc_next = self.pool.grab(batch, self.hidden);
-        let mut tmp = self.pool.grab(0, 0);
+        let mut dh_next = Matrix::zeros(batch, self.hidden);
+        let mut dc_next = Matrix::zeros(batch, self.hidden);
+        let mut tmp = Matrix::default();
 
         for t in (0..t_len).rev() {
             let c = &cache.cs[t + 1];
@@ -180,30 +175,23 @@ impl Lstm {
             let h_prev = &cache.hs[t];
             let (i, f, o, g) = (&cache.is_[t], &cache.fs[t], &cache.os[t], &cache.gs[t]);
 
-            let mut dh = self.pool.grab(0, 0);
-            dh.copy_from(&grad_hs[t]);
+            let mut dh = grad_hs[t].clone();
             dh.add_assign(&dh_next);
 
-            let mut tanh_c = self.pool.grab(0, 0);
-            tanh_c.copy_from(c);
+            let mut tanh_c = c.clone();
             tanh_c.map_assign(f64::tanh);
-            let mut do_ = self.pool.grab(0, 0);
-            do_.copy_from(&dh);
+            let mut do_ = dh.clone();
             do_.hadamard_assign(&tanh_c);
-            let mut dc = self.pool.grab(0, 0);
-            dc.copy_from(&dh);
+            let mut dc = dh.clone();
             dc.hadamard_assign(o);
             dc.zip_assign(&tanh_c, |v, tc| v * (1.0 - tc * tc));
             dc.add_assign(&dc_next);
 
-            let mut di = self.pool.grab(0, 0);
-            di.copy_from(&dc);
+            let mut di = dc.clone();
             di.hadamard_assign(g);
-            let mut dg = self.pool.grab(0, 0);
-            dg.copy_from(&dc);
+            let mut dg = dc.clone();
             dg.hadamard_assign(i);
-            let mut df = self.pool.grab(0, 0);
-            df.copy_from(&dc);
+            let mut df = dc.clone();
             df.hadamard_assign(c_prev);
             dc_next.copy_from(&dc);
             dc_next.hadamard_assign(f);
@@ -241,13 +229,6 @@ impl Lstm {
                 [&mut self.wi, &mut self.wf, &mut self.wo, &mut self.wg],
                 [&di, &df, &do_, &dg],
             );
-
-            for m in [dh, tanh_c, do_, dc, di, dg, df] {
-                self.pool.recycle(m);
-            }
-        }
-        for m in [dh_next, dc_next, tmp] {
-            self.pool.recycle(m);
         }
         input.finish(
             &cache.xs,
@@ -300,7 +281,6 @@ impl Lstm {
             in_dim: self.in_dim,
             hidden: self.hidden,
             cache: None,
-            pool: MatrixPool::new(),
         }
     }
 }

@@ -5,7 +5,7 @@
 
 use crate::activation::{gate_into, InputGrads};
 use crate::param::Param;
-use crate::tensor::{Matrix, MatrixPool, Scalar};
+use crate::tensor::{Matrix, Scalar};
 
 /// A single-layer tanh RNN.
 #[derive(Debug, Clone)]
@@ -18,8 +18,6 @@ pub struct SimpleRnn<T: Scalar = f64> {
     /// Activations of the last forward (`None` before the first); the
     /// next forward overwrites them in place.
     cache: Option<Cache<T>>,
-    /// Scratch buffers reused across steps and calls.
-    pool: MatrixPool<T>,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -59,7 +57,7 @@ impl<T: Scalar> SimpleRnn<T> {
         c.xs.resize_with(xs.len(), Matrix::default);
         c.hs.resize_with(steps + 1, Matrix::default);
         c.hs[0].resize_to(xs[0].rows(), self.hidden);
-        let mut xw = self.pool.grab(0, 0);
+        let mut xw = Matrix::default();
         for t in 0..steps {
             if let Some(x) = xs.get(t) {
                 c.xs[t].copy_from(x);
@@ -68,7 +66,6 @@ impl<T: Scalar> SimpleRnn<T> {
             let (done, rest) = c.hs.split_at_mut(t + 1);
             gate_into(&xw, &done[t], (&self.u, &self.b), T::tanh, &mut rest[0]);
         }
-        self.pool.recycle(xw);
         &c.hs[1..]
     }
 
@@ -89,7 +86,6 @@ impl SimpleRnn {
             in_dim,
             hidden,
             cache: None,
-            pool: MatrixPool::new(),
         }
     }
 
@@ -98,7 +94,7 @@ impl SimpleRnn {
     /// one `x`'s, with the input terms collapsed across steps as in
     /// [`crate::Gru::backward`].
     ///
-    /// Parameter gradients are computed into pooled scratch then
+    /// Parameter gradients are computed into a temporary then
     /// `add_assign`ed, preserving the allocating formulation's
     /// floating-point grouping.
     pub fn backward(&mut self, grad_hs: &[Matrix]) -> Vec<Matrix> {
@@ -108,14 +104,13 @@ impl SimpleRnn {
         assert_eq!(cache.hs.len(), t_len + 1);
         let batch = cache.hs[0].rows();
         let mut input = InputGrads::new(cache.xs.len(), t_len, batch, self.hidden);
-        let mut dh_next = self.pool.grab(batch, self.hidden);
-        let mut tmp = self.pool.grab(0, 0);
+        let mut dh_next = Matrix::zeros(batch, self.hidden);
+        let mut tmp = Matrix::default();
 
         for t in (0..t_len).rev() {
             let h = &cache.hs[t + 1];
             let h_prev = &cache.hs[t];
-            let mut dr = self.pool.grab(0, 0);
-            dr.copy_from(&grad_hs[t]);
+            let mut dr = grad_hs[t].clone();
             dr.add_assign(&dh_next);
             dr.zip_assign(h, |g, hv| g * (1.0 - hv * hv));
             h_prev.t_matmul_into(&dr, &mut tmp);
@@ -124,10 +119,7 @@ impl SimpleRnn {
             self.b.grad.add_assign(&tmp);
             dr.matmul_t_into(&self.u.value, &mut dh_next);
             input.step(t, &cache.xs, [&mut self.w], [&dr]);
-            self.pool.recycle(dr);
         }
-        self.pool.recycle(dh_next);
-        self.pool.recycle(tmp);
         input.finish(&cache.xs, [&mut self.w])
     }
 
@@ -151,7 +143,6 @@ impl SimpleRnn {
             in_dim: self.in_dim,
             hidden: self.hidden,
             cache: None,
-            pool: MatrixPool::new(),
         }
     }
 }

@@ -187,7 +187,7 @@ impl<T: Scalar> Dense<T> {
     /// and the bias row is added last, so without a scaler the result
     /// is bit-equal to [`Dense::forward_into`] on the dense rows.
     pub fn forward_sparse_into(
-        &mut self,
+        &self,
         rows: &[SparseRow],
         scale: Option<&Standardization>,
         out: &mut Matrix<T>,
@@ -195,8 +195,7 @@ impl<T: Scalar> Dense<T> {
         let (d, h) = (self.in_dim(), self.out_dim());
         let w = &self.w.value;
         // base = b − Σ_j (μ_j/σ_j)·W_j
-        let base = &mut self.scratch;
-        base.resize_to(1, h);
+        let mut base = vec![T::ZERO; h];
         if let Some(s) = scale {
             let width = s.inv_stds.len();
             crate::sanitize::check_shape("dense", "sparse_forward", width, d);
@@ -204,11 +203,11 @@ impl<T: Scalar> Dense<T> {
             for (j, &shift) in s.shifts.iter().enumerate() {
                 let c = T::from_f64(shift);
                 if c != T::ZERO {
-                    axpy(c, w.row(j), base.row_mut(0));
+                    axpy(c, w.row(j), &mut base);
                 }
             }
         }
-        for (o, &b) in base.row_mut(0).iter_mut().zip(self.b.value.row(0)) {
+        for (o, &b) in base.iter_mut().zip(self.b.value.row(0)) {
             *o = b - *o;
         }
         out.resize_to(rows.len(), h);
@@ -217,7 +216,7 @@ impl<T: Scalar> Dense<T> {
             assert_eq!(row.len(), d, "sparse row width disagrees with the layer");
             let o = out.row_mut(r);
             for_each_term(row, scale, |j, x| axpy(T::from_f64(x), w.row(j), o));
-            for (o, &b) in o.iter_mut().zip(base.row(0)) {
+            for (o, &b) in o.iter_mut().zip(&base) {
                 *o += b;
             }
         }
@@ -241,17 +240,16 @@ impl Dense {
             rows.len(),
             "one gradient row per input row"
         );
-        grad_out.sum_rows_into(&mut self.scratch);
-        self.b.grad.add_assign(&self.scratch);
+        let g_sum = grad_out.sum_rows();
+        self.b.grad.add_assign(&g_sum);
         let dw = &mut self.w.grad;
         for (r, row) in rows.iter().enumerate() {
             let g = grad_out.row(r);
             for_each_term(row, scale, |j, x| axpy(x, g, dw.row_mut(j)));
         }
         if let Some(s) = scale {
-            let g_sum = self.scratch.row(0);
             for (j, &shift) in s.shifts.iter().enumerate() {
-                axpy(-shift, g_sum, dw.row_mut(j));
+                axpy(-shift, g_sum.row(0), dw.row_mut(j));
             }
         }
     }

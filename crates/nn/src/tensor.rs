@@ -32,9 +32,9 @@
 //! scalar, SSE2 and AVX2 runs bit-equivalent.
 //!
 //! Every product has an `*_into` variant that reuses the caller's output
-//! buffer, and [`MatrixPool`] provides a free-list of such buffers for
-//! layer forward/backward passes; `t_matmul` and `matmul_t` allocate
-//! their transposed operand once per call.
+//! buffer, which is how the layers overwrite their cached activations in
+//! place; `t_matmul` and `matmul_t` allocate their transposed operand
+//! once per call.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -769,50 +769,6 @@ fn mm_rows<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, first_row: usize, out_chunk:
     }
 }
 
-/// A free-list of [`Matrix`] buffers for scratch reuse inside layer
-/// forward/backward passes: `grab` a zeroed matrix of the shape you
-/// need, `recycle` it (or a retired cache matrix) when done. Reuses
-/// allocations, never affects values — a grabbed matrix is
-/// indistinguishable from a fresh `Matrix::zeros`.
-#[derive(Debug, Clone, Default)]
-pub struct MatrixPool<T: Scalar = f64> {
-    free: Vec<Matrix<T>>,
-}
-
-impl<T: Scalar> MatrixPool<T> {
-    /// Empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A zeroed `rows × cols` matrix, reusing a recycled allocation when
-    /// one is available.
-    pub fn grab(&mut self, rows: usize, cols: usize) -> Matrix<T> {
-        match self.free.pop() {
-            Some(mut m) => {
-                m.resize_to(rows, cols);
-                m
-            }
-            None => Matrix::zeros(rows, cols),
-        }
-    }
-
-    /// Return a buffer to the free list.
-    pub fn recycle(&mut self, m: Matrix<T>) {
-        self.free.push(m);
-    }
-
-    /// Number of buffers currently on the free list.
-    pub fn len(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Whether the free list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.free.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1028,20 +984,6 @@ mod tests {
         let mut out = Matrix::zeros(9, 9);
         a.sum_rows_into(&mut out);
         assert_eq!(out, a.sum_rows());
-    }
-
-    #[test]
-    fn pool_grab_is_indistinguishable_from_fresh_zeros() {
-        let mut pool = MatrixPool::new();
-        let mut m = pool.grab(2, 3);
-        assert_eq!(m, Matrix::zeros(2, 3));
-        m.set(1, 2, 42.0);
-        pool.recycle(m);
-        assert_eq!(pool.len(), 1);
-        // Recycled buffer comes back zeroed at the new shape.
-        let m = pool.grab(3, 2);
-        assert_eq!(m, Matrix::zeros(3, 2));
-        assert!(pool.is_empty());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! This crate turns a [`retina_core::Snapshot`] into a running
 //! [`PredictionServer`]: a pool of worker threads (spawned through the
 //! blessed [`nn::par::WorkerPool`]), each holding its own restored model
-//! replica with warm per-worker scratch buffers, fed from one bounded
+//! replica and its activation buffers, fed from one bounded
 //! FIFO request queue. A free worker takes the oldest request as soon as
 //! it arrives; one request already scores all of a root tweet's
 //! candidates in one forward pass.

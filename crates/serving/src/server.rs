@@ -2,8 +2,8 @@
 //!
 //! One bounded FIFO queue, N worker threads, one model replica per
 //! worker. A free worker takes the oldest request at once and runs it
-//! through its replica's `predict_proba`, which reuses the model's
-//! pooled `*_into` scratch buffers across requests. RETINA scores all of
+//! through its replica's `predict_proba`, which overwrites the model's
+//! activation buffers in place across requests. RETINA scores all of
 //! a root tweet's candidates in one forward pass, so a request is
 //! already a batch and never waits for others to arrive.
 //!
@@ -244,7 +244,7 @@ pub struct PredictionServer {
 impl PredictionServer {
     /// Restore one model replica per worker from `snapshot` and start
     /// the worker pool. Restoring per worker (rather than cloning one
-    /// model) gives every thread its own warm scratch pools.
+    /// model) gives every thread its own activation buffers.
     pub fn start(snapshot: &Snapshot, config: ServerConfig) -> Result<Self, ServeError> {
         let workers = if config.workers == 0 {
             nn::par::available()
