@@ -126,19 +126,16 @@ impl HateDetector {
             .0
         });
 
-        let featurize = |tid: usize| -> Vec<f64> {
-            Self::features_for(data, models, char_tfidf.as_ref(), kind, tid)
+        let labels = |ids: &[usize]| -> Vec<u8> {
+            ids.iter()
+                .map(|&t| u8::from(data.tweets()[t].hate))
+                .collect()
         };
-        let x_train: Vec<Vec<f64>> = train_ids.iter().map(|&t| featurize(t)).collect();
-        let y_train: Vec<u8> = train_ids
+        let x_train: Vec<Vec<f64>> = train_ids
             .iter()
-            .map(|&t| u8::from(data.tweets()[t].hate))
+            .map(|&t| Self::features_for(data, models, char_tfidf.as_ref(), kind, t))
             .collect();
-        let x_test: Vec<Vec<f64>> = test_ids.iter().map(|&t| featurize(t)).collect();
-        let y_test: Vec<u8> = test_ids
-            .iter()
-            .map(|&t| u8::from(data.tweets()[t].hate))
-            .collect();
+        let y_train = labels(train_ids);
 
         let model = match kind {
             DetectorKind::Davidson | DetectorKind::WaseemHovy => {
@@ -185,8 +182,13 @@ impl HateDetector {
                 auc: 0.5,
             },
         };
-        let scores: Vec<f64> = x_test.iter().map(|r| det.score_row(r)).collect();
-        det.report = ClassificationReport::from_scores(&y_test, &scores);
+        // The held-out rows are built after the fit, one at a time, on
+        // the path the silver labels take.
+        let scores: Vec<f64> = test_ids
+            .iter()
+            .map(|&t| det.predict_proba(data, models, t))
+            .collect();
+        det.report = ClassificationReport::from_scores(&labels(test_ids), &scores);
         det
     }
 
