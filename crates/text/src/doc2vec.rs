@@ -88,7 +88,7 @@ impl Corpus {
             }
             v
         };
-        let (vocab, _remap) = full.pruned(min_count);
+        let vocab = full.pruned(min_count);
 
         // Documents as id sequences — a pure per-document lookup, mapped
         // in parallel into index-assigned slots (order-preserving for any

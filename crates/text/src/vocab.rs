@@ -18,21 +18,6 @@ impl Vocabulary {
         Self::default()
     }
 
-    /// Build a vocabulary from an iterator of token sequences.
-    pub fn from_docs<'a, I, S>(docs: I) -> Self
-    where
-        I: IntoIterator<Item = &'a [S]>,
-        S: AsRef<str> + 'a,
-    {
-        let mut v = Self::new();
-        for doc in docs {
-            for tok in doc {
-                v.add(tok.as_ref());
-            }
-        }
-        v
-    }
-
     /// Add one occurrence of `token`, assigning an id on first sight.
     /// Returns the token's id.
     pub fn add(&mut self, token: &str) -> usize {
@@ -76,35 +61,20 @@ impl Vocabulary {
         self.id_to_token.is_empty()
     }
 
-    /// Total number of token occurrences observed.
-    pub fn total_count(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
     /// Return a new vocabulary containing only tokens with
     /// `count >= min_count`, with ids re-assigned densely in the original
-    /// id order. Also returns the old-id → new-id mapping.
-    pub fn pruned(&self, min_count: u64) -> (Self, Vec<Option<usize>>) {
+    /// id order.
+    pub fn pruned(&self, min_count: u64) -> Self {
         let mut out = Self::new();
-        let mut remap = vec![None; self.len()];
         for (old_id, tok) in self.id_to_token.iter().enumerate() {
             if self.counts[old_id] >= min_count {
                 let new_id = out.id_to_token.len();
                 out.token_to_id.insert(tok.clone(), new_id);
                 out.id_to_token.push(tok.clone());
                 out.counts.push(self.counts[old_id]);
-                remap[old_id] = Some(new_id);
             }
         }
-        (out, remap)
-    }
-
-    /// Ids of the `k` most frequent tokens, ties broken by id (stable).
-    pub fn top_k_by_count(&self, k: usize) -> Vec<usize> {
-        let mut ids: Vec<usize> = (0..self.len()).collect();
-        ids.sort_by_key(|&i| (std::cmp::Reverse(self.counts[i]), i));
-        ids.truncate(k);
-        ids
+        out
     }
 
     /// Iterate over `(token, id, count)` triples.
@@ -149,7 +119,6 @@ mod tests {
         assert_eq!(v.count(0), 2);
         assert_eq!(v.count(1), 1);
         assert_eq!(v.len(), 2);
-        assert_eq!(v.total_count(), 3);
     }
 
     #[test]
@@ -162,28 +131,16 @@ mod tests {
     }
 
     #[test]
-    fn from_docs_builds_counts() {
-        let docs: Vec<Vec<String>> = vec![
-            vec!["a".into(), "b".into()],
-            vec!["a".into(), "c".into(), "a".into()],
-        ];
-        let refs: Vec<&[String]> = docs.iter().map(|d| d.as_slice()).collect();
-        let v = Vocabulary::from_docs(refs);
-        assert_eq!(v.count(v.get("a").unwrap()), 3);
-        assert_eq!(v.len(), 3);
-    }
-
-    #[test]
-    fn pruning_drops_rare_tokens_and_remaps() {
+    fn pruning_drops_rare_tokens_and_keeps_id_order() {
         let mut v = Vocabulary::new();
-        v.add("rare");
-        v.add("common");
-        v.add("common");
-        let (p, remap) = v.pruned(2);
-        assert_eq!(p.len(), 1);
-        assert_eq!(p.get("common"), Some(0));
-        assert_eq!(remap[0], None);
-        assert_eq!(remap[1], Some(0));
+        for tok in ["rare", "common", "common", "also", "also"] {
+            v.add(tok);
+        }
+        let p = v.pruned(2);
+        assert_eq!(p.len(), 2);
+        assert_eq!((p.get("common"), p.get("also")), (Some(0), Some(1)));
+        assert_eq!((p.count(0), p.count(1)), (2, 2));
+        assert_eq!(p.get("rare"), None);
     }
 
     #[test]
@@ -205,16 +162,5 @@ mod tests {
     fn from_entries_rejects_duplicates() {
         let entries = vec![("x".to_string(), 1), ("x".to_string(), 2)];
         assert!(Vocabulary::from_entries(entries).is_none());
-    }
-
-    #[test]
-    fn top_k_ordering_by_count_then_id() {
-        let mut v = Vocabulary::new();
-        v.add("a"); // id 0, count 1
-        v.add("b");
-        v.add("b"); // id 1, count 2
-        v.add("c"); // id 2, count 1
-        let top = v.top_k_by_count(2);
-        assert_eq!(top, vec![1, 0]); // b first, then a (tie with c broken by id)
     }
 }

@@ -58,7 +58,7 @@ impl FnItem {
         }
     }
 
-    /// `crate::Owner::name` — the display form used in findings and DOT.
+    /// `crate::Owner::name` — the display form used in findings.
     pub fn display(&self) -> String {
         format!("{}::{}", self.crate_name, self.qualified())
     }

@@ -208,8 +208,8 @@ pub fn split_args(tokens: &[Token], start: usize, end: usize) -> Vec<(usize, usi
     out
 }
 
-/// Render a token range back to a compact source-like string (for
-/// messages and DOT labels).
+/// Render a token range back to a compact source-like string, for
+/// finding messages.
 pub fn render(tokens: &[Token], start: usize, end: usize) -> String {
     let mut out = String::new();
     for (j, t) in tokens[start..end].iter().enumerate() {

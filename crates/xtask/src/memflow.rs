@@ -20,7 +20,7 @@
 //!   A14 audits for a remove/clear/bound site.
 
 use crate::callgraph::CallGraph;
-use crate::lexer::{matching_close, render, TokKind, Token};
+use crate::lexer::{matching_close, TokKind, Token};
 use crate::passes::Context;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -641,16 +641,6 @@ pub fn has_len_bound(ctx: &Context, crate_name: &str, field: &str) -> bool {
         }
     }
     false
-}
-
-/// Render a token range for a finding message, capped for readability.
-pub fn short_render(toks: &[Token], s: usize, e: usize) -> String {
-    let text = render(toks, s, e.min(s + 12));
-    if e > s + 12 {
-        format!("{text}…")
-    } else {
-        text
-    }
 }
 
 #[cfg(test)]

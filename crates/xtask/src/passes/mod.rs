@@ -189,11 +189,6 @@ impl Context {
         self.flow
             .get_or_init(|| FloatFlow::build(&self.files, self.graph()))
     }
-
-    /// The file whose path ends with `suffix`, if present.
-    pub fn file_ending_with(&self, suffix: &str) -> Option<&AnalyzedFile> {
-        self.files.iter().find(|f| f.source.path.ends_with(suffix))
-    }
 }
 
 /// A registered semantic pass.
