@@ -66,14 +66,17 @@ step "snapshot corruption and round-trip suites (debug)"
 # where both trap.
 cargo test -q -p serving --test corruption --test snapshot_roundtrip
 
-step "nn unit tests (debug)"
-# The release workspace step runs nn's unit tests with the numeric
-# sanitizer compiled away; the only other debug run of them is the
-# opt-in RETINA_TSAN job, which skips itself without nightly. Here they
-# run with it armed, so `gradient_fingerprint_is_bit_stable_across_profiles`
-# checks its constant in both profiles, as it says, and every layer test
-# passes through the sanitizer's checks. Under a second once built.
-cargo test -q -p nn --lib
+step "nn tests (debug)"
+# The release workspace step runs nn's tests with the numeric sanitizer
+# compiled away; the only other debug run of them is the opt-in
+# RETINA_TSAN job, which skips itself without nightly. Here they run
+# with it armed and with overflow checks on, so
+# `gradient_fingerprint_is_bit_stable_across_profiles` and the recurrent
+# pin in tests/kernel_parity.rs check their constants in both profiles,
+# and every layer test, the recurrent backward suites of
+# kernel_parity.rs and tests/training_convergence.rs pass through the
+# sanitizer's checks. About 6 s once built.
+cargo test -q -p nn
 
 step "ml tests (debug)"
 # The classical learners run in debug too: the tree growers' index
