@@ -176,51 +176,47 @@ impl Gru {
             let mut dz = h_hat.clone();
             dz.sub_assign(h_prev);
             dz.hadamard_assign(&dh);
-            let mut dh_hat_grad = dh.clone();
-            dh_hat_grad.hadamard_assign(z);
-            let mut dh_prev = dh.clone();
+            // ĥ = tanh(...): dĥ = dh ⊙ z, then through tanh'.
+            let mut dh_hat_raw = dh.clone();
+            dh_hat_raw.hadamard_assign(z);
+            dh_hat_raw.zip_assign(h_hat, |g, hv| g * (1.0 - hv * hv));
+            let mut dh_prev = dh;
             dh_prev.zip_assign(z, |g, zv| g * (1.0 - zv));
 
-            // ĥ = tanh(...)
-            let mut dh_hat_raw = dh_hat_grad.clone();
-            dh_hat_raw.zip_assign(h_hat, |g, hv| g * (1.0 - hv * hv));
             let mut rh = r.clone();
             rh.hadamard_assign(h_prev);
             rh.t_matmul_into(&dh_hat_raw, &mut tmp);
             self.uh.grad.add_assign(&tmp);
             dh_hat_raw.sum_rows_into(&mut tmp);
             self.bh.grad.add_assign(&tmp);
-            let drh = dh_hat_raw.matmul_t(&self.uh.value);
+            let mut drh = dh_hat_raw.matmul_t(&self.uh.value);
             let mut dr = drh.clone();
             dr.hadamard_assign(h_prev);
-            tmp.copy_from(&drh);
-            tmp.hadamard_assign(r);
-            dh_prev.add_assign(&tmp);
+            drh.hadamard_assign(r);
+            dh_prev.add_assign(&drh);
 
-            // Gates.
-            let mut dz_raw = dz.clone();
-            dz_raw.zip_assign(z, |g, zv| g * zv * (1.0 - zv));
-            let mut dr_raw = dr.clone();
-            dr_raw.zip_assign(r, |g, rv| g * rv * (1.0 - rv));
-            h_prev.t_matmul_into(&dz_raw, &mut tmp);
+            // Gates: σ' turns dz and dr into pre-activation gradients.
+            dz.zip_assign(z, |g, zv| g * zv * (1.0 - zv));
+            dr.zip_assign(r, |g, rv| g * rv * (1.0 - rv));
+            h_prev.t_matmul_into(&dz, &mut tmp);
             self.uz.grad.add_assign(&tmp);
-            dz_raw.sum_rows_into(&mut tmp);
+            dz.sum_rows_into(&mut tmp);
             self.bz.grad.add_assign(&tmp);
-            h_prev.t_matmul_into(&dr_raw, &mut tmp);
+            h_prev.t_matmul_into(&dr, &mut tmp);
             self.ur.grad.add_assign(&tmp);
-            dr_raw.sum_rows_into(&mut tmp);
+            dr.sum_rows_into(&mut tmp);
             self.br.grad.add_assign(&tmp);
 
-            dz_raw.matmul_t_into(&self.uz.value, &mut tmp);
+            dz.matmul_t_into(&self.uz.value, &mut tmp);
             dh_prev.add_assign(&tmp);
-            dr_raw.matmul_t_into(&self.ur.value, &mut tmp);
+            dr.matmul_t_into(&self.ur.value, &mut tmp);
             dh_prev.add_assign(&tmp);
 
             input.step(
                 t,
                 &cache.xs,
                 [&mut self.wz, &mut self.wr, &mut self.wh],
-                [&dz_raw, &dr_raw, &dh_hat_raw],
+                [&dz, &dr, &dh_hat_raw],
             );
 
             dh_next = dh_prev;

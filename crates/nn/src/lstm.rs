@@ -182,7 +182,7 @@ impl Lstm {
             tanh_c.map_assign(f64::tanh);
             let mut do_ = dh.clone();
             do_.hadamard_assign(&tanh_c);
-            let mut dc = dh.clone();
+            let mut dc = dh;
             dc.hadamard_assign(o);
             dc.zip_assign(&tanh_c, |v, tc| v * (1.0 - tc * tc));
             dc.add_assign(&dc_next);
@@ -193,7 +193,7 @@ impl Lstm {
             dg.hadamard_assign(i);
             let mut df = dc.clone();
             df.hadamard_assign(c_prev);
-            dc_next.copy_from(&dc);
+            dc_next = dc;
             dc_next.hadamard_assign(f);
 
             // In-place σ'/tanh' turns each gate gradient into its
