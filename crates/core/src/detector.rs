@@ -182,8 +182,8 @@ impl HateDetector {
                 auc: 0.5,
             },
         };
-        // The held-out rows are built after the fit, one at a time, on
-        // the path the silver labels take.
+        // Held-out rows are built one at a time after the fit, so they
+        // never sit in memory beside the training rows.
         let scores: Vec<f64> = test_ids
             .iter()
             .map(|&t| det.predict_proba(data, models, t))
