@@ -186,8 +186,8 @@ fn bench_nn(timer: &Timer) {
 
     // Inference-path pairs: forward-only at the same production shapes,
     // f64 vs the f32 tier narrowed from the same f64 layer. Layers are
-    // built once — the serving pattern — so steady-state scratch reuse
-    // is what's measured.
+    // built once — the serving pattern — so what's measured is a warm
+    // forward that overwrites the previous call's activations.
     let mut att = ExogenousAttention::new(50, 50, 64, 0);
     let mut att32 = att.to_f32();
     timer.run("nn/attention_infer_60news", || {

@@ -226,7 +226,8 @@ fn run_scenario(snapshot: &Snapshot, widths: Widths, sc: &Scenario, n_requests: 
     };
     let server = Arc::new(PredictionServer::start(snapshot, config).expect("start server"));
 
-    // Warmup: fill scratch buffers and fault in the model replicas.
+    // Warmup: size the activation buffers and fault in the model
+    // replicas.
     for id in 0..32 {
         submit_blocking(&server, request(widths, id)).wait();
     }

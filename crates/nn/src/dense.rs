@@ -52,7 +52,7 @@ impl Dense {
     /// Backward pass for the forward that saw input `x`: accumulate dW,
     /// db; return dx.
     ///
-    /// Gradients are computed on their own and then `add_assign`ed —
+    /// Gradients are computed into fresh matrices and then `add_assign`ed —
     /// never fused into the accumulator — so the floating-point grouping
     /// matches the allocating formulation exactly.
     pub fn backward(&mut self, x: &Matrix, grad_out: &Matrix) -> Matrix {

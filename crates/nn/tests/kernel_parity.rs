@@ -257,7 +257,7 @@ fn stable_on_reuse<T: Scalar, L>(
 }
 
 #[test]
-fn repeated_forward_through_reused_scratch_is_bit_identical() {
+fn repeated_forward_through_a_reused_cache_is_bit_identical() {
     let xs: Vec<Matrix> = (0..4).map(|t| fill(3, 5, 100 + t)).collect();
     let xs32: Vec<Matrix<f32>> = xs.iter().map(Matrix::from_f64).collect();
     let (gru, lstm) = (Gru::new(5, 6, 9), Lstm::new(5, 6, 9));
@@ -539,7 +539,7 @@ fn f32_kernels_track_f64_within_documented_relative_error() {
 }
 
 #[test]
-fn gru_gradcheck_through_scratch_buffers() {
+fn gru_gradcheck_through_a_warm_cache() {
     let mut gru = Gru::new(3, 4, 21);
     let xs: Vec<Matrix> = (0..3)
         .map(|i| Matrix::xavier_seeded(2, 3, 70 + i).scaled(2.0))
@@ -559,7 +559,7 @@ fn gru_gradcheck_through_scratch_buffers() {
 }
 
 #[test]
-fn lstm_gradcheck_through_scratch_buffers() {
+fn lstm_gradcheck_through_a_warm_cache() {
     let mut lstm = Lstm::new(3, 4, 22);
     let xs: Vec<Matrix> = (0..3)
         .map(|i| Matrix::xavier_seeded(2, 3, 80 + i).scaled(2.0))
